@@ -80,8 +80,13 @@ def _tolerances(args) -> tuple[float, float]:
     tol_rank = args.tol_rank
     if tol_rank is None:
         tol_rank = float(os.environ.get("MVOPS_TOL_RANK", mk.DEFAULT_RANK_TOL))
-    tol_res = args.tol_res if args.tol_res is not None else 1e-8
+    tol_res = args.tol_res if args.tol_res is not None else mk.DEFAULT_RES_TOL
     return tol_rank, tol_res
+
+
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -90,8 +95,8 @@ def _parse_floats(text: str) -> tuple[float, ...]:
 
 def cmd_family(args) -> int:
     tol_rank, tol_res = _tolerances(args)
-    if args.seed is not None:
-        np.random.seed(args.seed)
+    if args.N < 0:
+        return _usage_error(f"--N must be >= 0, got {args.N}")
     params: dict = {}
     for key in ("mu", "rho", "alpha", "beta", "a1", "kappa2", "ay"):
         val = getattr(args, key, None)
@@ -114,9 +119,8 @@ def cmd_family(args) -> int:
     try:
         bundle = families.build_family(args.name, args.N, res_tol=tol_res,
                                        rank_tol=tol_rank, **params)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except (KeyError, families.ParameterError) as exc:
+        return _usage_error(exc)
     report = VerdictReport(command=f"family {args.name}", tol_rank=tol_rank,
                            tol_res=tol_res)
     report.records = [r.to_dict() for r in bundle.records]
@@ -151,6 +155,8 @@ def cmd_family(args) -> int:
 
 def cmd_counterexample(args) -> int:
     tol_rank, tol_res = _tolerances(args)
+    if args.n < 2:
+        return _usage_error(f"--n must be >= 2, got {args.n}")
     start = time.time()
     combined, rel = linrel.counterexample(args.n)
     report = VerdictReport(command="counterexample", tol_rank=tol_rank, tol_res=tol_res)
@@ -226,8 +232,7 @@ def cmd_check(args) -> int:
         T = _load(args.ttr, serialize.ttr_from_json)
         rel = _load(args.relation, serialize.relation_from_json)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     if args.theorem == 3:
         candidate, partner = linrel.reference_from_combined(T, rel, tol=tol_res,
                                                             rank_tol=tol_rank)
@@ -253,12 +258,13 @@ def cmd_check(args) -> int:
 
 def cmd_generate(args) -> int:
     tol_rank, tol_res = _tolerances(args)
+    if args.N is not None and args.N < 0:
+        return _usage_error(f"--N must be >= 0, got {args.N}")
     start = time.time()
     try:
         T = _load(args.ttr, serialize.ttr_from_json)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     system, residuals = ttr.generate_from_ttr(T, args.N)
     report = VerdictReport(command="generate", tol_rank=tol_rank, tol_res=tol_res)
     for n, res in enumerate(residuals):
@@ -291,8 +297,7 @@ def cmd_relate(args) -> int:
         P = _load(args.reference, serialize.system_from_json)
         u = moments.parse_functional(args.functional)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _usage_error(exc)
     N = min(Q.N, P.N)
     H = GramBlocks([inner_block(u, P, n, P, n) for n in range(N + 1)])
     rel = linrel.compute_relation(Q, P, u, H)
@@ -330,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relative singular-value threshold for rank decisions")
     parser.add_argument("--tol-res", type=float, default=None,
                         help="relative residual tolerance")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized perturbation checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fam = sub.add_parser("family", help="run a catalog family with cross-checks")

@@ -11,7 +11,7 @@ diagnosable error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -92,6 +92,7 @@ class GramBlocks:
     """Per-degree pairing blocks H_n of a system against its functional."""
 
     blocks: list
+    _lu: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def h(self, n: int) -> np.ndarray:
         return self.blocks[n]
@@ -103,17 +104,40 @@ class GramBlocks:
     def scale(self) -> float:
         return max(mk.max_abs(h) for h in self.blocks)
 
+    def solve_right(self, n: int, s) -> np.ndarray:
+        """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
+
+        Equals mk.solve(H_n, s.T).T: the first call at a degree runs the same
+        rank check (raising SingularMatrixError) and factors H_n, later calls
+        reuse the factors.  Blocks must not change after their first solve.
+        """
+        if n not in self._lu:
+            self._lu[n] = mk.lu_factor(self.blocks[n])
+        return mk.lu_solve(self._lu[n], np.asarray(s, dtype=float).T).T
+
+
+def _side_by_side(rows: dict, basis: GradedBasis) -> tuple[int, int, np.ndarray]:
+    """Degree range of a block-coefficient vector and its blocks laid side by
+    side over that range, zero blocks filling missing degrees."""
+    lo, hi = min(rows), max(rows)
+    height = next(iter(rows.values())).shape[0]
+    blocks = [rows[k] if k in rows else np.zeros((height, basis.size(k)))
+              for k in range(lo, hi + 1)]
+    return lo, hi, np.hstack(blocks)
+
 
 def pair_blocks(u: MomentFunctional, rows_a: dict, rows_b: dict,
                 basis: GradedBasis | None = None) -> np.ndarray:
-    """Pairing <u, A B^t> of two block-coefficient polynomial vectors."""
+    """Pairing <u, A B^t> of two block-coefficient polynomial vectors.
+
+    One product A M B^t, where A and B hold each vector's blocks side by
+    side and M is the functional's graded moment matrix over their degree
+    ranges.
+    """
     basis = basis or basis_for(u.d)
-    out = None
-    for j, ga in rows_a.items():
-        for k, gb in rows_b.items():
-            term = ga @ u.moment_matrix(j, k, basis) @ gb.T
-            out = term if out is None else out + term
-    return out
+    a0, a1, A = _side_by_side(rows_a, basis)
+    b0, b1, B = _side_by_side(rows_b, basis)
+    return A @ u.graded_block(a0, a1, b0, b1, basis) @ B.T
 
 
 def shift_rows(rows: dict, i: int, basis: GradedBasis) -> dict:
@@ -142,13 +166,13 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         raise ValueError("degree bound must be >= 0")
     basis = basis_for(u.d)
     blocks: list[list[np.ndarray]] = []
-    grams: list[np.ndarray] = []
+    grams = GramBlocks([])
     for n in range(N + 1):
         row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n)]
         row.append(np.eye(basis.size(n)))
         for j in range(n):
             s = pair_blocks(u, {n: row[n]}, {k: blocks[j][k] for k in range(j + 1)}, basis)
-            coef = mk.solve(grams[j], s.T).T
+            coef = grams.solve_right(j, s)
             for k in range(j + 1):
                 row[k] -= coef @ blocks[j][k]
         h = pair_blocks(u, dict(enumerate(row)), dict(enumerate(row)), basis)
@@ -158,11 +182,8 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         if mk.numeric_rank(h, rank_tol, scale=max(raw_scale, sv[0])) < basis.size(n):
             raise QuasiDefiniteFailure(n, sv, u.label)
         blocks.append(row)
-        grams.append(h)
-    return (
-        PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"),
-        GramBlocks(grams),
-    )
+        grams.blocks.append(h)
+    return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
 def gram_offdiag_residual(u: MomentFunctional, P: PolySystem, H: GramBlocks | None = None) -> float:

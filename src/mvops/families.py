@@ -25,11 +25,18 @@ from .indexing import basis_for, enumerate_indices
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
                      recover_lambda, relation_residual, verify_mh)
+from .matrixkit import DEFAULT_RANK_TOL, DEFAULT_RES_TOL
 from .moments import LinearPoly, MomentFunctional
 from .ttr import ThreeTermData
 
-DEFAULT_RES_TOL = 1e-8
-DEFAULT_RANK_TOL = 1e-9
+
+class ParameterError(ValueError):
+    """A family parameter lies outside its admissible range."""
+
+
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ParameterError(f"{name} must be in {lo}..{hi}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +643,7 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
     (any rho), kind 3 (rho != 1) and kind 4 (rho != -1), and fails for
     kind 1 whenever rho != 0; the bundle carries that expectation.
     """
+    _check_range("kind", kind, 1, 4)
     expected = (
         rho == 0.0
         or (kind == 2)
@@ -708,6 +716,7 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     """Parameter-raising relation for the Dirichlet weight on the simplex."""
     kappa = [float(k) for k in kappa]
     d = len(kappa) - 1
+    _check_range("j", j, 1, d)
     bundle = FamilyBundle("simplex", {"kappa": tuple(kappa), "j": j}, d=d, N=N)
     kp = list(kappa)
     kp[j - 1] += 1.0
@@ -768,6 +777,7 @@ def cube_family(a, b, j: int, raise_b: bool, N: int,
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     d = len(a)
+    _check_range("j", j, 1, d)
     sign = "+b" if raise_b else "+a"
     bundle = FamilyBundle("cube", {"a": tuple(a), "b": tuple(b), "j": j,
                                    "variant": sign}, d=d, N=N)
@@ -824,6 +834,7 @@ def laguerre_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     """Parameter-raising relation for the tensor Laguerre weight."""
     kappa = [float(k) for k in kappa]
     d = len(kappa)
+    _check_range("j", j, 1, d)
     bundle = FamilyBundle("laguerre", {"kappa": tuple(kappa), "j": j}, d=d, N=N)
     kp = list(kappa)
     kp[j - 1] += 1.0

@@ -58,7 +58,9 @@ class GradedBasis:
     """Ordered monomial basis of a fixed dimension with shift structure.
 
     Immutable after construction apart from internal memo tables, which only
-    grow; safe for concurrent reads under CPython.
+    grow; safe for concurrent reads under CPython.  Blocks of all degrees
+    0..n concatenated in degree order form the graded order used for
+    graded moment matrices.
     """
 
     def __init__(self, d: int):
@@ -68,10 +70,20 @@ class GradedBasis:
         self._indices: dict[int, list[tuple[int, ...]]] = {}
         self._positions: dict[tuple[int, ...], int] = {}
         self._shift: dict[tuple[int, int], np.ndarray] = {}
-        self._sum_table: dict[tuple[int, int], np.ndarray] = {}
+        self._table = np.zeros((0, 0), dtype=np.intp)
+        self._table_top = -1
 
     def size(self, n: int) -> int:
         return rank_count(self.d, n)
+
+    def offset(self, n: int) -> int:
+        """Graded position of the first degree-n monomial: the number of
+        monomials of degree below n, C(n+d-1, d)."""
+        return comb(n + self.d - 1, self.d)
+
+    def degree_slice(self, lo: int, hi: int) -> slice:
+        """Graded positions of the monomials of degrees lo..hi."""
+        return slice(self.offset(lo), self.offset(hi + 1))
 
     def indices(self, n: int) -> list[tuple[int, ...]]:
         if n not in self._indices:
@@ -112,20 +124,42 @@ class GradedBasis:
         """Vertical stack of shift_matrix(n, i) over i = 1..d; full column rank."""
         return joint_matrix([self.shift_matrix(n, i) for i in range(1, self.d + 1)])
 
+    def graded_table(self, n: int) -> np.ndarray:
+        """Integer table over degrees 0..n in graded order: entry (a, b) is the
+        graded position of alpha_a + beta_b.
+
+        The graded position of gamma is sum_k C(t_k + d - k - 1, d - k), where
+        t_k = gamma_k + ... + gamma_d is a tail sum (k counted from 0); the
+        k = 0 term is `offset` of the total degree and the rest rank gamma
+        within its degree block.  One table is kept, rebuilt larger when a
+        caller needs a higher degree; smaller requests are views into it.
+        """
+        if n > self._table_top:
+            d, old = self.d, self._table.shape[0]
+            size = self.offset(n + 1)
+            exps = np.array([a for m in range(n + 1) for a in self.indices(m)],
+                            dtype=np.intp).reshape(-1, d)
+            tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
+            pascal = np.array([[comb(m, r) for r in range(d + 1)] for m in range(2 * n + d)],
+                              dtype=np.intp)
+            table = np.zeros((size, size), dtype=np.intp)
+            table[:old, :old] = self._table
+            # new rows one degree block at a time, to keep temporaries small;
+            # alpha + beta = beta + alpha gives the new columns of old rows
+            for m in range(self._table_top + 1, n + 1):
+                rows = self.degree_slice(m, m)
+                for k in range(d):
+                    table[rows] += pascal[np.add.outer(tails[rows, k],
+                                                       tails[:, k] + (d - k - 1)), d - k]
+            table[:old, old:] = table[old:, :old].T
+            self._table, self._table_top = table, n
+        size = self.offset(n + 1)
+        return self._table[:size, :size]
+
     def sum_table(self, j: int, k: int) -> np.ndarray:
         """Integer table T with T[a, b] = position of alpha_a + beta_b in degree j+k."""
-        key = (j, k)
-        if key not in self._sum_table:
-            left = self.indices(j)
-            right = self.indices(k)
-            self.indices(j + k)
-            table = np.empty((self.size(j), self.size(k)), dtype=np.intp)
-            for a, alpha in enumerate(left):
-                for b, beta in enumerate(right):
-                    total = tuple(x + y for x, y in zip(alpha, beta))
-                    table[a, b] = self._positions[total]
-            self._sum_table[key] = table
-        return self._sum_table[key]
+        table = self.graded_table(max(j, k))
+        return table[self.degree_slice(j, j), self.degree_slice(k, k)] - self.offset(j + k)
 
 
 @lru_cache(maxsize=None)

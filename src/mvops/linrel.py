@@ -22,10 +22,9 @@ import numpy as np
 from . import matrixkit as mk
 from .construct import GramBlocks, PolySystem, inner_block
 from .indexing import basis_for, joint_matrix
+from .matrixkit import DEFAULT_RES_TOL
 from .moments import LinearPoly, MomentFunctional, left_multiply
 from .ttr import RankCheck, RankReport, ThreeTermData
-
-DEFAULT_RES_TOL = 1e-8
 
 
 @dataclass
@@ -77,7 +76,7 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
         coeffs = []
         for j in range(n):
             s = inner_block(u, Q, n, P, j)
-            coeffs.append(mk.solve(H.h(j), s.T).T)
+            coeffs.append(H.solve_right(j, s))
         M.append(coeffs[n - 1])
         for j in range(n - 1):
             tail = max(tail, mk.max_abs(coeffs[j]) / scale)

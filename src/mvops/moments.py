@@ -30,9 +30,10 @@ class MomentFunctional:
     """Linear functional on d-variate polynomials, defined by its moments.
 
     The oracle must be deterministic; computed moments are memoized per
-    instance.  Instances are intended to be confined to one thread (the
-    memo is unlocked; concurrent reads of a warm cache are safe under
-    CPython, concurrent cold queries merely recompute the same value).
+    instance, as scalars, as one moment vector per degree, and as one graded
+    moment matrix whose entry (a, b) is the moment at alpha_a + beta_b over
+    the monomials of degrees 0..n in graded order.  Instances are intended
+    to be confined to one thread (the memos are unlocked).
     """
 
     def __init__(self, d: int, oracle, label: str = "", scale_note: str = ""):
@@ -43,7 +44,10 @@ class MomentFunctional:
         self.label = label
         self.scale_note = scale_note
         self._memo: dict[tuple[int, ...], float] = {}
-        self._matrix_memo: dict[tuple[int, int], np.ndarray] = {}
+        self._vectors: dict[int, np.ndarray] = {}
+        self._graded = np.zeros((0, 0))
+        self._graded_top = -1      # rows and columns cover degrees 0.._graded_top
+        self._graded_degree = -1   # blocks with j + k <= _graded_degree are filled
 
     def __repr__(self):
         return f"MomentFunctional(d={self.d}, label={self.label!r})"
@@ -60,17 +64,57 @@ class MomentFunctional:
         return self._memo[alpha]
 
     def moment_vector(self, n: int, basis: GradedBasis | None = None) -> np.ndarray:
-        basis = basis or basis_for(self.d)
+        """Moments at the degree-n monomials in basis order; memoized, read-only."""
+        if n not in self._vectors:
+            vec = self._degree_vector(n, basis or basis_for(self.d))
+            vec.flags.writeable = False
+            self._vectors[n] = vec
+        return self._vectors[n]
+
+    def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
         return np.array([self.moment(a) for a in basis.indices(n)])
 
     def moment_matrix(self, j: int, k: int, basis: GradedBasis | None = None) -> np.ndarray:
         """Monomial pairing block: entry (a, b) is the moment at alpha_a + beta_b."""
+        return self.graded_block(j, j, k, k, basis)
+
+    def graded_block(self, j0: int, j1: int, k0: int, k1: int,
+                     basis: GradedBasis | None = None) -> np.ndarray:
+        """Read-only view of the graded moment matrix with rows of degrees
+        j0..j1 and columns of degrees k0..k1.
+
+        The matrix grows on demand and asks for no moment above degree
+        j1 + k1, so a non-finite moment raises at the degree that needs it.
+        """
         basis = basis or basis_for(self.d)
-        key = (j, k)
-        if key not in self._matrix_memo:
-            flat = self.moment_vector(j + k, basis)
-            self._matrix_memo[key] = flat[basis.sum_table(j, k)]
-        return self._matrix_memo[key]
+        self._grow(max(j1, k1), j1 + k1, basis)
+        return self._graded[basis.degree_slice(j0, j1), basis.degree_slice(k0, k1)]
+
+    def _grow(self, top: int, degree: int, basis: GradedBasis) -> None:
+        """Cover degrees 0..top and fill every block (j, k) with j + k <= degree.
+
+        Blocks of higher total degree hold NaN until a caller needs them.
+        """
+        old_top, old_degree = self._graded_top, self._graded_degree
+        if top <= old_top and degree <= old_degree:
+            return
+        top, degree = max(top, old_top), max(degree, old_degree)
+        if top > old_top:
+            size = basis.offset(top + 1)
+            grown = np.full((size, size), np.nan)
+            old_size = self._graded.shape[0]
+            grown[:old_size, :old_size] = self._graded
+            self._graded = grown
+        graded = self._graded
+        graded.flags.writeable = True
+        for j in range(top + 1):
+            for k in range(min(top, degree - j) + 1):
+                if j <= old_top and k <= old_top and j + k <= old_degree:
+                    continue
+                graded[basis.degree_slice(j, j), basis.degree_slice(k, k)] = (
+                    self.moment_vector(j + k, basis)[basis.sum_table(j, k)])
+        graded.flags.writeable = False
+        self._graded_top, self._graded_degree = top, degree
 
 
 @dataclass(frozen=True)
@@ -140,32 +184,50 @@ def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFun
     return MomentFunctional(u.d, oracle, label or f"poly*({u.label})", u.scale_note)
 
 
+class _TensorFunctional(MomentFunctional):
+    """Composition of univariate functionals acting on separate variables.
+
+    A degree vector is the elementwise product of the factors' moment
+    vectors, taken in factor order like the scalar oracle, so both give
+    bit-identical moments.
+    """
+
+    def __init__(self, factors, label: str):
+        factors = tuple(factors)
+
+        def oracle(alpha):
+            out = 1.0
+            for f, a in zip(factors, alpha):
+                out *= f.moment((a,))
+            return out
+
+        super().__init__(len(factors), oracle, label)
+        self.factors = factors
+
+    def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
+        exps = np.array(basis.indices(n)).reshape(-1, self.d)
+        out = np.ones(len(exps))
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            for axis, f in enumerate(self.factors):
+                out *= np.array([f.moment((m,)) for m in range(n + 1)])[exps[:, axis]]
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            alpha = tuple(int(a) for a in exps[bad[0]])
+            raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
+        return out
+
+
 def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFunctional:
     """Composition of univariate functionals acting on separate variables."""
     if not factors:
         raise ValueError("need at least one factor")
     if any(f.d != 1 for f in factors):
         raise ValueError("tensor factors must be univariate")
-
-    def oracle(alpha):
-        out = 1.0
-        for f, a in zip(factors, alpha):
-            out *= f.moment((a,))
-        return out
-
-    return MomentFunctional(
-        len(factors), oracle, label or " (x) ".join(f.label for f in factors)
-    )
+    return _TensorFunctional(factors, label or " (x) ".join(f.label for f in factors))
 
 
 # ---------------------------------------------------------------------------
 # univariate building blocks
-
-
-def gauss_jacobi_rule(nodes: int, a: float, b: float):
-    """Gauss nodes/weights for the weight (1-x)^a (1+x)^b on [-1, 1]."""
-    x, w = sp.roots_jacobi(nodes, a, b)
-    return x, w
 
 
 def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> MomentFunctional:
@@ -175,7 +237,7 @@ def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> Moment
 
     def oracle(alpha):
         m = alpha[0]
-        x, w = gauss_jacobi_rule(m // 2 + 2, a, b)
+        x, w = sp.roots_jacobi(m // 2 + 2, a, b)
         return float(np.sum(w * x**m))
 
     return MomentFunctional(

@@ -18,9 +18,8 @@ import numpy as np
 from . import matrixkit as mk
 from .construct import GramBlocks, PolySystem, pair_blocks, shift_rows
 from .indexing import basis_for, joint_matrix
+from .matrixkit import DEFAULT_RES_TOL
 from .moments import MomentFunctional
-
-DEFAULT_RES_TOL = 1e-8
 
 
 @dataclass
@@ -85,10 +84,10 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
         for i in range(1, d + 1):
             shifted = shift_rows(rows_n, i, basis)
             pb = pair_blocks(u, shifted, P.row_blocks(n), basis)
-            b_row.append(mk.solve(H.h(n), pb.T).T)
+            b_row.append(H.solve_right(n, pb))
             if n >= 1:
                 pc = pair_blocks(u, shifted, P.row_blocks(n - 1), basis)
-                c_row.append(mk.solve(H.h(n - 1), pc.T).T)
+                c_row.append(H.solve_right(n - 1, pc))
             if n < N:
                 lead = P.leading(n) @ basis.shift_matrix(n, i)
                 if P.monic:

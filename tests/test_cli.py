@@ -236,3 +236,21 @@ def test_console_entry_point():
 
 def test_usage_error_unknown_subcommand():
     assert cli.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["family", "disk", "--N", "-1"],
+    ["family", "cube", "--j", "5"],
+    ["family", "cube", "--a", "0,0,0", "--b", "0,0,0", "--j", "0"],
+    ["family", "simplex", "--kappa", "0.5,0.5,0.5", "--j", "3"],
+    ["family", "laguerre", "--kappa", "0,1", "--j", "3"],
+    ["family", "cheb-koornwinder", "--kind", "7"],
+    ["counterexample", "--n", "1"],
+    ["generate", "--ttr", "unread.json", "--N", "-1"],
+])
+def test_out_of_range_parameters_are_usage_errors(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert "must be" in err

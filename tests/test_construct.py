@@ -203,3 +203,72 @@ def test_to_monic_restores_identity_leading():
     for n in range(4):
         assert np.array_equal(mon.leading(n), np.eye(n + 1))
     assert gram_offdiag_residual(func, mon) <= 1e-10
+
+
+def _pair_blockwise(u, rows_a, rows_b, basis):
+    """Reference pairing: one moment block per pair of degrees, by per-entry gather."""
+    out = 0.0
+    for j, ga in rows_a.items():
+        for k, gb in rows_b.items():
+            block = np.array([[u.moment(tuple(x + y for x, y in zip(alpha, beta)))
+                               for beta in basis.indices(k)] for alpha in basis.indices(j)])
+            out = out + ga @ block @ gb.T
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_pairing_matches_blockwise_reference(d):
+    from mvops.construct import pair_blocks, shift_rows
+    from mvops.indexing import basis_for
+
+    basis = basis_for(d)
+    u = moments.cube_jacobi_functional(tuple(0.5 * i for i in range(d)), (0.25,) * d)
+    rng = np.random.default_rng(d)
+
+    def rows(lo, hi, height):
+        return {k: rng.standard_normal((height, basis.size(k))) for k in range(lo, hi + 1)}
+
+    P, _ = gram_schmidt_monic(u, 3)
+    cases = [
+        (rows(0, 3, 4), rows(0, 2, 2)),          # rows of different lengths
+        (rows(2, 3, 3), rows(1, 3, 5)),          # ranges starting above degree 0
+        ({k: g for k, g in rows(0, 3, 2).items() if k != 1}, rows(0, 1, 3)),   # degree gap
+        (shift_rows(P.row_blocks(3), d, basis), P.row_blocks(2)),
+        (shift_rows(P.row_blocks(2), 1, basis), P.row_blocks(3)),
+    ]
+    for rows_a, rows_b in cases:
+        got = pair_blocks(u, rows_a, rows_b, basis)
+        want = _pair_blockwise(u, rows_a, rows_b, basis)
+        assert got.shape == want.shape
+        assert mk.max_abs(got - want) <= 1e-12 * mk.max_abs(want)
+
+
+def test_solve_right_matches_solve():
+    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
+    _, H = gram_schmidt_monic(u, 4)
+    rng = np.random.default_rng(11)
+    unsymmetric = rng.standard_normal((6, 6)) + 6 * np.eye(6)
+    blocks = GramBlocks(list(H.blocks) + [unsymmetric])
+    for n in range(blocks.N + 1):
+        s = rng.standard_normal((3, blocks.h(n).shape[0]))
+        want = mk.solve(blocks.h(n), s.T).T
+        for _ in range(2):   # second call reuses the factors
+            got = blocks.solve_right(n, s)
+            assert mk.max_abs(got - want) <= 1e-14 * mk.max_abs(want)
+
+
+def test_solve_right_checks_rank_once_per_degree(monkeypatch):
+    checks = []
+    rank = mk.numeric_rank
+
+    def counted_rank(*args, **kwargs):
+        checks.append(args)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(mk, "numeric_rank", counted_rank)
+    H = GramBlocks([np.diag([2.0, 3.0]), np.ones((2, 2))])
+    for _ in range(3):
+        H.solve_right(0, np.eye(2))
+    assert len(checks) == 1
+    with pytest.raises(mk.SingularMatrixError):
+        H.solve_right(1, np.eye(2))

@@ -106,3 +106,27 @@ def test_sum_table_positions():
     assert idx2[table[0, 0]] == (2, 0)
     assert idx2[table[0, 1]] == (1, 1)
     assert idx2[table[1, 1]] == (0, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sum_table_equals_per_entry_positions(d):
+    # fresh basis grown in two jumps, so rebuilt and reused parts both count
+    basis = indexing.GradedBasis(d)
+    for top in (3, 6):
+        basis.graded_table(top)
+        for j in range(top + 1):
+            for k in range(top + 1):
+                want = [[basis.position(tuple(x + y for x, y in zip(alpha, beta)))
+                         for beta in basis.indices(k)] for alpha in basis.indices(j)]
+                assert np.array_equal(basis.sum_table(j, k), want)
+
+
+def test_graded_table_offsets_concatenate_degree_blocks():
+    basis = indexing.GradedBasis(3)
+    table = basis.graded_table(4)
+    graded = [alpha for n in range(9) for alpha in basis.indices(n)]
+    assert basis.offset(5) == table.shape[0] == sum(basis.size(n) for n in range(5))
+    rows = graded[: table.shape[0]]
+    for a, alpha in enumerate(rows):
+        for b, beta in enumerate(rows):
+            assert graded[table[a, b]] == tuple(x + y for x, y in zip(alpha, beta))

@@ -5,7 +5,10 @@ import pytest
 from scipy import special as sp
 
 from mvops import moments
+from mvops.construct import gram_schmidt_monic
+from mvops.indexing import basis_for
 from mvops.moments import LinearPoly
+from mvops.ttr import compute_ttr
 
 
 def test_apply_constant_on_normalized_product_weight():
@@ -278,3 +281,67 @@ def test_parse_functional_strings():
         moments.parse_functional("warp:x=1")
     with pytest.raises(ValueError):
         moments.parse_functional("disk")
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)),
+    lambda: moments.multiple_laguerre_functional((0.0, 1.0, 0.5)),
+    lambda: moments.product_chebyshev_functional(3, d=3),
+    lambda: moments.parse_functional("krall-laguerre:alpha=1;a1=1;d=2"),
+    lambda: moments.parse_functional("krall-jacobi:alpha=1;beta=0;a1=1;d=2"),
+])
+def test_tensor_moment_vectors_bit_identical_to_scalar_oracle(make):
+    u = make()
+    basis = basis_for(u.d)
+    for n in range(12):
+        scalar = [u.moment(alpha) for alpha in basis.indices(n)]
+        assert np.array_equal(_bits(u.moment_vector(n, basis)), _bits(scalar))
+
+
+def test_tensor_vector_overflow_raises_naming_the_functional():
+    u = moments.multiple_laguerre_functional((0.0, 0.0))
+    u.moment_vector(170)
+    with pytest.raises(ValueError, match=r"non-finite moment at \(171,\).*laguerre"):
+        u.moment_vector(171)
+    # finite factors whose product overflows name the tensor itself
+    big = moments.MomentFunctional(1, lambda a: 1e200, label="big")
+    t = moments.tensor(big, big, label="big-squared")
+    with pytest.raises(ValueError, match=r"non-finite moment at \(1, 0\).*big-squared"):
+        t.moment_vector(1)
+
+
+def test_graded_matrix_asks_no_moment_above_the_degree_it_needs():
+    degrees = []
+
+    def oracle(alpha):
+        degrees.append(sum(alpha))
+        return 1.0 / (1.0 + alpha[0]) / (1.0 + alpha[1])   # product of 1-d Hilbert moments
+
+    u = moments.MomentFunctional(2, oracle)
+    P, H = gram_schmidt_monic(u, 3)
+    assert max(degrees) == 6
+    degrees.clear()
+    compute_ttr(P, u, H)
+    assert max(degrees) == 7
+    # blocks view one graded matrix and match the per-entry gather
+    basis = basis_for(2)
+    for j in range(4):
+        for k in range(4):
+            if j + k <= 7:
+                want = [[u.moment(tuple(x + y for x, y in zip(a, b)))
+                         for b in basis.indices(k)] for a in basis.indices(j)]
+                assert np.array_equal(u.moment_matrix(j, k), want)
+
+
+def test_nonfinite_moment_stops_construction_at_the_degree_that_needs_it():
+    def oracle(alpha):
+        return math.inf if sum(alpha) >= 7 else 1.0 / (1.0 + alpha[0]) / (1.0 + alpha[1])
+
+    u = moments.MomentFunctional(2, oracle, label="capped")
+    gram_schmidt_monic(u, 3)     # needs moments through degree 6 only
+    with pytest.raises(ValueError, match="capped"):
+        gram_schmidt_monic(moments.MomentFunctional(2, oracle, label="capped"), 4)
