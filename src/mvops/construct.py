@@ -92,7 +92,7 @@ class GramBlocks:
     """Per-degree pairing blocks H_n of a system against its functional."""
 
     blocks: list
-    _lu: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def h(self, n: int) -> np.ndarray:
         return self.blocks[n]
@@ -107,13 +107,16 @@ class GramBlocks:
     def solve_right(self, n: int, s) -> np.ndarray:
         """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
 
-        Equals mk.solve(H_n, s.T).T: the first call at a degree runs the same
-        rank check (raising SingularMatrixError) and factors H_n, later calls
-        reuse the factors.  Blocks must not change after their first solve.
+        Equals mk.solve(H_n, s.T).T: the first call at a degree runs its rank
+        check (raising SingularMatrixError), later calls skip it.  Blocks must
+        not change after their first solve.
         """
-        if n not in self._lu:
-            self._lu[n] = mk.lu_factor(self.blocks[n])
-        return mk.lu_solve(self._lu[n], np.asarray(s, dtype=float).T).T
+        rhs = np.asarray(s, dtype=float).T
+        if n in self._checked:
+            return np.linalg.solve(self.blocks[n], rhs).T
+        x = mk.solve(self.blocks[n], rhs)
+        self._checked.add(n)
+        return x.T
 
 
 def _side_by_side(rows: dict, basis: GradedBasis) -> tuple[int, int, np.ndarray]:

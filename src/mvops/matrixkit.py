@@ -1,6 +1,6 @@
 """Dense real matrix kernel: solves, least squares, numeric rank.
 
-Thin wrappers around numpy's and scipy's LAPACK bindings that add the shape and
+Thin wrappers around numpy's LAPACK bindings that add the shape and
 singularity checks the rest of the package relies on, plus the plain-text
 matrix format used by the command line tools.
 """
@@ -8,7 +8,6 @@ matrix format used by the command line tools.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 # package-wide defaults: relative singular-value threshold for rank
 # decisions, and relative bound for residual checks
@@ -56,40 +55,16 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(_as_matrix(m), compute_uv=False)
 
 
-def _invertible(a, tol: float) -> np.ndarray:
-    """The matrix as a float array, once it is known to be square and full rank."""
-    a = _as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"solve needs a square matrix, got {a.shape}")
-    if numeric_rank(a, tol) < a.shape[0]:
-        raise SingularMatrixError(f"matrix of order {a.shape[0]} is numerically singular")
-    return a
-
-
-def _check_rhs(order: int, b) -> np.ndarray:
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != order:
-        raise ShapeMismatchError(f"rhs rows {b.shape[0]} != matrix order {order}")
-    return b
-
-
 def solve(a, b, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Solve a x = b for square full-rank a."""
-    a = _invertible(a, tol)
-    return np.linalg.solve(a, _check_rhs(a.shape[0], b))
-
-
-def lu_factor(a, tol: float = DEFAULT_RANK_TOL):
-    """LU factors of a square full-rank matrix, for repeated `lu_solve` calls.
-
-    Runs the same shape and rank checks as `solve`, once.
-    """
-    return scipy.linalg.lu_factor(_invertible(a, tol), check_finite=False)
-
-
-def lu_solve(lu, b) -> np.ndarray:
-    """Solve a x = b from the factors `lu_factor(a)` returned."""
-    return scipy.linalg.lu_solve(lu, _check_rhs(lu[0].shape[0], b), check_finite=False)
+    a, b = _as_matrix(a), np.asarray(b, dtype=float)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatchError(f"solve needs a square matrix, got {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise ShapeMismatchError(f"rhs rows {b.shape[0]} != matrix order {a.shape[0]}")
+    if numeric_rank(a, tol) < a.shape[0]:
+        raise SingularMatrixError(f"matrix of order {a.shape[0]} is numerically singular")
+    return np.linalg.solve(a, b)
 
 
 def lstsq(a, b) -> np.ndarray:

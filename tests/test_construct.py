@@ -252,7 +252,7 @@ def test_solve_right_matches_solve():
     for n in range(blocks.N + 1):
         s = rng.standard_normal((3, blocks.h(n).shape[0]))
         want = mk.solve(blocks.h(n), s.T).T
-        for _ in range(2):   # second call reuses the factors
+        for _ in range(2):   # second call skips the rank check
             got = blocks.solve_right(n, s)
             assert mk.max_abs(got - want) <= 1e-14 * mk.max_abs(want)
 

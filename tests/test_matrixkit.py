@@ -40,20 +40,6 @@ def test_solve_checks_rank_and_shapes():
         mk.solve(np.ones((2, 3)), b)
 
 
-def test_lu_factor_checks_like_solve():
-    rng = np.random.default_rng(7)
-    a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-    b = rng.standard_normal((5, 3))
-    lu = mk.lu_factor(a)
-    np.testing.assert_allclose(mk.lu_solve(lu, b), mk.solve(a, b), rtol=1e-14, atol=0)
-    with pytest.raises(mk.SingularMatrixError):
-        mk.lu_factor(np.ones((2, 2)))
-    with pytest.raises(mk.ShapeMismatchError):
-        mk.lu_factor(np.ones((2, 3)))
-    with pytest.raises(mk.ShapeMismatchError):
-        mk.lu_solve(lu, np.ones((3, 1)))
-
-
 def test_lstsq_overdetermined():
     a = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     x_true = np.array([[2.0], [-1.0]])
