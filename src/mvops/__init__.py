@@ -15,7 +15,7 @@ from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, counterexample, functional_match_residual,
                      recover_lambda, reference_from_combined, relation_residual,
                      verify_mh)
-from .moments import (LinearPoly, MomentFunctional, Recurrence1D, apply,
+from .moments import (LinearPoly, MomentFunctional, Recurrence1D,
                       chebyshev_functional_1d, cube_jacobi_functional,
                       disk_functional, jacobi_functional_1d,
                       koornwinder_symmetrized_functional,

@@ -5,8 +5,9 @@ Subcommands: `family` runs a catalog family with all cross-checks,
 verifies its rank defects, `check` runs one of the two inverse-problem
 validators on serialized inputs, `generate` regenerates a system forward
 from serialized recurrence blocks, and `relate` computes the relation
-blocks between two serialized systems.  Exit codes: 0 all checks pass,
-1 a mathematical check fails, 2 usage or parse errors.
+blocks between two serialized systems.  Exit codes: 0 all checks pass
+(a report without checks fails), 1 a mathematical check fails, 2 usage
+errors and input files that are unreadable, non-finite or misshapen.
 """
 
 from __future__ import annotations
@@ -18,14 +19,16 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import matrixkit as mk
 from . import families, linrel, moments, serialize, ttr
+from .checks import Check, all_pass
 from .construct import GramBlocks, QuasiDefiniteFailure, inner_block
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
+
+# what a missing, unreadable or malformed input file raises
+INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
 
 @dataclass
@@ -33,20 +36,20 @@ class VerdictReport:
     command: str
     tol_rank: float
     tol_res: float
-    records: list = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     seconds: float = 0.0
 
     @property
     def overall(self) -> bool:
-        return all(r.get("pass", False) for r in self.records)
+        return all_pass(self.checks)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "command": self.command,
                 "tolerances": {"rank": self.tol_rank, "residual": self.tol_res},
-                "checks": self.records,
+                "checks": [c.to_dict() for c in self.checks],
                 "extras": self.extras,
                 "overall_pass": self.overall,
                 "seconds": self.seconds,
@@ -56,21 +59,18 @@ class VerdictReport:
         )
 
     def print_plain(self) -> None:
-        for r in self.records:
-            status = "pass" if r.get("pass") else "FAIL"
+        for c in self.checks:
+            status = "pass" if c.ok else "FAIL"
             where = ""
-            if r.get("degree") is not None:
-                where += f" n={r['degree']}"
-            if r.get("direction") is not None:
-                where += f" i={r['direction']}"
-            detail = ""
-            if "value" in r:
-                detail = f" value={r['value']:.3e} bound={r['bound']:.1e}"
-            if "rank" in r:
-                detail = f" rank={r['rank']} expected={r['expected']}"
-            if "residual" in r:
-                detail = f" residual={r['residual']:.3e}"
-            print(f"[{status}] {r['check']}{where}{detail}")
+            if c.degree is not None:
+                where += f" n={c.degree}"
+            if c.direction is not None:
+                where += f" i={c.direction}"
+            if c.rank is None:
+                detail = f" value={c.value:.3e} bound={c.bound:.1e}"
+            else:
+                detail = f" rank={c.rank} expected={c.expected}"
+            print(f"[{status}] {c.name}{where}{detail}")
         for key, val in self.extras.items():
             print(f"{key}: {val}")
         print(f"overall: {'pass' if self.overall else 'FAIL'} ({self.seconds:.2f}s)")
@@ -91,6 +91,18 @@ def _usage_error(message) -> int:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
+
+
+def _finish(report: VerdictReport, args, start: float) -> int:
+    """Print the report and return its exit code; a report without checks fails."""
+    if not report.checks:
+        report.checks.append(Check.flag("no-checks", False))
+    report.seconds = time.time() - start
+    if args.json:
+        print(report.to_json())
+    else:
+        report.print_plain()
+    return 0 if report.overall else MATH_FAIL
 
 
 def cmd_family(args) -> int:
@@ -122,8 +134,7 @@ def cmd_family(args) -> int:
     except (KeyError, families.ParameterError) as exc:
         return _usage_error(exc)
     report = VerdictReport(command=f"family {args.name}", tol_rank=tol_rank,
-                           tol_res=tol_res)
-    report.records = [r.to_dict() for r in bundle.records]
+                           tol_res=tol_res, checks=list(bundle.records))
     report.extras["params"] = bundle.params
     report.extras["classification"] = bundle.extras.get("classification")
     lam = bundle.extras.get("lambda")
@@ -133,24 +144,12 @@ def cmd_family(args) -> int:
     if bundle.expected_orthogonal is not None:
         report.extras["expected_orthogonal"] = bundle.expected_orthogonal
         report.extras["matches_expectation"] = bundle.matches_expectation
-        report.records.append(
-            {
-                "check": "verdict-matches-expectation",
-                "degree": None,
-                "direction": None,
-                "value": 0.0 if bundle.matches_expectation else 1.0,
-                "bound": 0.5,
-                "pass": bundle.matches_expectation,
-            }
+        report.checks.append(
+            Check.flag("verdict-matches-expectation", bundle.matches_expectation)
         )
         if not bundle.orthogonal_verdict and bundle.matches_expectation:
             report.extras["note"] = "matches expectation: not orthogonal"
-    report.seconds = time.time() - start
-    if args.json:
-        print(report.to_json())
-    else:
-        report.print_plain()
-    return 0 if report.overall else MATH_FAIL
+    return _finish(report, args, start)
 
 
 def cmd_counterexample(args) -> int:
@@ -161,68 +160,33 @@ def cmd_counterexample(args) -> int:
     combined, rel = linrel.counterexample(args.n)
     report = VerdictReport(command="counterexample", tol_rank=tol_rank, tol_res=tol_res)
     _, residuals = ttr.generate_from_ttr(combined, args.n)
-    report.records.append(
-        {
-            "check": "recurrence-consistency",
-            "degree": None,
-            "direction": None,
-            "value": float(np.max(residuals)),
-            "bound": 1e-10,
-            "pass": bool(np.max(residuals) <= 1e-10),
-        }
+    report.checks.append(
+        Check.residual("recurrence-consistency", mk.worst(residuals), 1e-10)
     )
     reference = linrel.reference_ttr_for_counterexample(args.n + 1)
     _, partner = linrel.combined_from_reference(reference, rel, tol=1e-10,
                                                 rank_tol=tol_rank)
-    worst_compat = max((c.residual for c in partner.compat), default=0.0)
-    report.records.append(
-        {
-            "check": "compatibility",
-            "degree": None,
-            "direction": None,
-            "value": worst_compat,
-            "bound": 1e-10,
-            "pass": bool(worst_compat <= 1e-10),
-        }
+    report.checks.append(
+        Check.residual("compatibility", mk.worst(c.value for c in partner.compat), 1e-10)
     )
     for n in range(2, args.n + 1):
         rank = mk.numeric_rank(combined.c(n, 1), tol_rank)
-        report.records.append(
-            {
-                "check": "deficient-rank",
-                "degree": n,
-                "direction": 1,
-                "rank": rank,
-                "expected": n - 1,
-                "pass": rank == n - 1,
-            }
-        )
+        report.checks.append(Check.ranked("deficient-rank", rank, n - 1, n, 1))
     full_report = ttr.validate_rank_conditions(combined, tol_rank)
     others_ok = all(
         c.ok for c in full_report.checks
-        if not (c.kind == "C" and c.i == 1) and not (c.kind == "C-joint" and c.n == 1)
+        if not (c.name == "C" and c.direction == 1)
+        and not (c.name == "C-joint" and c.degree == 1)
     )
-    report.records.append(
-        {
-            "check": "other-blocks-full-rank",
-            "degree": None,
-            "direction": None,
-            "value": 0.0 if others_ok else 1.0,
-            "bound": 0.5,
-            "pass": others_ok,
-        }
-    )
-    report.seconds = time.time() - start
-    if args.json:
-        print(report.to_json())
-    else:
-        report.print_plain()
-    return 0 if report.overall else MATH_FAIL
+    report.checks.append(Check.flag("other-blocks-full-rank", others_ok))
+    return _finish(report, args, start)
 
 
 def _load(path: str, loader):
     with open(path) as fh:
-        return loader(fh.read())
+        obj = loader(fh.read())
+    serialize.validate_blocks(obj)
+    return obj
 
 
 def cmd_check(args) -> int:
@@ -231,29 +195,22 @@ def cmd_check(args) -> int:
     try:
         T = _load(args.ttr, serialize.ttr_from_json)
         rel = _load(args.relation, serialize.relation_from_json)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         return _usage_error(exc)
     if args.theorem == 3:
-        candidate, partner = linrel.reference_from_combined(T, rel, tol=tol_res,
-                                                            rank_tol=tol_rank)
+        candidate, partner = linrel.reference_from_combined(T, rel, tol=tol_res)
         label = "reference-orthogonal"
     else:
         candidate, partner = linrel.combined_from_reference(T, rel, tol=tol_res,
                                                             rank_tol=tol_rank)
         label = "combined-orthogonal"
     report = VerdictReport(command=f"check theorem {args.theorem}",
-                           tol_rank=tol_rank, tol_res=tol_res)
-    report.records = partner.to_records()
+                           tol_rank=tol_rank, tol_res=tol_res, checks=partner.checks)
     report.extras["verdict"] = f"{label}: {partner.verdict}"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(serialize.ttr_to_json(candidate))
-    report.seconds = time.time() - start
-    if args.json:
-        print(report.to_json())
-    else:
-        report.print_plain()
-    return 0 if partner.verdict else MATH_FAIL
+    return _finish(report, args, start)
 
 
 def cmd_generate(args) -> int:
@@ -263,30 +220,16 @@ def cmd_generate(args) -> int:
     start = time.time()
     try:
         T = _load(args.ttr, serialize.ttr_from_json)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         return _usage_error(exc)
     system, residuals = ttr.generate_from_ttr(T, args.N)
     report = VerdictReport(command="generate", tol_rank=tol_rank, tol_res=tol_res)
-    for n, res in enumerate(residuals):
-        report.records.append(
-            {
-                "check": "consistency",
-                "degree": n,
-                "direction": None,
-                "value": float(res),
-                "bound": tol_res,
-                "pass": bool(res <= tol_res),
-            }
-        )
+    report.checks = [Check.residual("consistency", res, tol_res, n)
+                     for n, res in enumerate(residuals)]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(serialize.system_to_json(system))
-    report.seconds = time.time() - start
-    if args.json:
-        print(report.to_json())
-    else:
-        report.print_plain()
-    return 0 if report.overall else MATH_FAIL
+    return _finish(report, args, start)
 
 
 def cmd_relate(args) -> int:
@@ -296,32 +239,18 @@ def cmd_relate(args) -> int:
         Q = _load(args.combined, serialize.system_from_json)
         P = _load(args.reference, serialize.system_from_json)
         u = moments.parse_functional(args.functional)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except INPUT_ERRORS as exc:
         return _usage_error(exc)
     N = min(Q.N, P.N)
     H = GramBlocks([inner_block(u, P, n, P, n) for n in range(N + 1)])
     rel = linrel.compute_relation(Q, P, u, H)
     report = VerdictReport(command="relate", tol_rank=tol_rank, tol_res=tol_res)
-    report.records.append(
-        {
-            "check": "fourier-tail",
-            "degree": None,
-            "direction": None,
-            "value": rel.tail,
-            "bound": tol_res,
-            "pass": bool(rel.tail <= tol_res),
-        }
-    )
+    report.checks.append(Check.residual("fourier-tail", rel.tail, tol_res))
     report.extras["classification"] = linrel.classify_ranks(rel, tol_rank)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(serialize.relation_to_json(rel))
-    report.seconds = time.time() - start
-    if args.json:
-        print(report.to_json())
-    else:
-        report.print_plain()
-    return 0 if report.overall else MATH_FAIL
+    return _finish(report, args, start)
 
 
 def build_parser() -> argparse.ArgumentParser:

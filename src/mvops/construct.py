@@ -191,10 +191,8 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
 
 def gram_offdiag_residual(u: MomentFunctional, P: PolySystem, H: GramBlocks | None = None) -> float:
     """Largest off-diagonal pairing block entry, relative to the Gram scale."""
-    worst = 0.0
-    for n in range(P.N + 1):
-        for m in range(n):
-            worst = max(worst, mk.max_abs(inner_block(u, P, n, Q=P, m=m)))
+    worst = mk.worst(mk.max_abs(inner_block(u, P, n, Q=P, m=m))
+                     for n in range(P.N + 1) for m in range(n))
     scale = H.scale() if H is not None else max(
         mk.max_abs(inner_block(u, P, n, P, n)) for n in range(P.N + 1)
     )

@@ -19,6 +19,7 @@ from scipy import special as sp
 
 from . import matrixkit as mk
 from . import moments, mpoly
+from .checks import Check, all_pass
 from .construct import (GramBlocks, PolySystem, RhoMap, gram_offdiag_residual,
                         gram_schmidt_monic, inner_block, koornwinder_system)
 from .indexing import basis_for, enumerate_indices
@@ -350,50 +351,25 @@ def lower_shift_with_values(d: int, n: int, j: int, values: dict) -> np.ndarray:
 
 
 @dataclass
-class CheckRecord:
-    name: str
-    degree: int | None
-    direction: int | None
-    value: float
-    bound: float
-    ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.name,
-            "degree": self.degree,
-            "direction": self.direction,
-            "value": self.value,
-            "bound": self.bound,
-            "pass": self.ok,
-        }
-
-
-@dataclass
 class FamilyBundle:
     name: str
     params: dict
     d: int
     N: int
-    records: list = field(default_factory=list)
+    records: list[Check] = field(default_factory=list)
     orthogonal_verdict: bool = True
     expected_orthogonal: bool | None = None
     extras: dict = field(default_factory=dict)
 
-    def residual_check(self, name, value, bound, degree=None, direction=None) -> bool:
-        ok = bool(value <= bound)
-        self.records.append(CheckRecord(name, degree, direction, float(value), bound, ok))
-        return ok
+    def residual_check(self, name, value, bound, degree=None, direction=None) -> None:
+        self.records.append(Check.residual(name, value, bound, degree, direction))
 
-    def flag_check(self, name, ok, degree=None, direction=None) -> bool:
-        self.records.append(
-            CheckRecord(name, degree, direction, float(not ok), 0.5, bool(ok))
-        )
-        return bool(ok)
+    def flag_check(self, name, ok, degree=None, direction=None) -> None:
+        self.records.append(Check.flag(name, ok, degree, direction))
 
     @property
     def all_pass(self) -> bool:
-        return all(r.ok for r in self.records)
+        return all_pass(self.records)
 
     @property
     def matches_expectation(self) -> bool:
@@ -471,9 +447,7 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
     bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel), res_tol)
     HP = GramBlocks([inner_block(u, P, n, P, n) for n in range(N + 1)])
     computed = compute_relation(Q, P, u, HP)
-    gap = max(
-        mk.max_abs(computed.m(n) - rel.m(n)) for n in range(1, N + 1)
-    )
+    gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) for n in range(1, N + 1))
     bundle.residual_check("relation-matches-display", gap, res_tol)
     bundle.extras["relation"] = computed
     _cross_checks(bundle, Q, P, u, v, LinearPoly((-1.0, 0.0), 1.0), res_tol, rank_tol)
@@ -519,8 +493,8 @@ def krall_tensor_family(kind: str, N: int, a1: float, alpha: float = 0.0,
     p1, h1 = gram_schmidt_monic(ux, N)
     q1, _ = gram_schmidt_monic(vx, N)
     rel1 = compute_relation(q1, p1, ux, h1)
-    gap1 = max(abs(float(rel1.m(n)[0, 0]) - coeff(n)) / max(1.0, abs(coeff(n)))
-               for n in range(1, N + 1))
+    gap1 = mk.worst(abs(float(rel1.m(n)[0, 0]) - coeff(n)) / max(1.0, abs(coeff(n)))
+                    for n in range(1, N + 1))
     bundle.residual_check("coefficients-1d", gap1, res_tol)
 
     M: list = [None]
@@ -532,8 +506,8 @@ def krall_tensor_family(kind: str, N: int, a1: float, alpha: float = 0.0,
     rel = LinearRelation(2, M, label=f"krall-{kind} closed form")
     bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel), res_tol)
     computed = compute_relation(Q, P, u, HP)
-    gap = max(mk.max_abs(computed.m(n) - rel.m(n)) /
-              max(1.0, mk.max_abs(rel.m(n))) for n in range(1, N + 1))
+    gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) /
+                   max(1.0, mk.max_abs(rel.m(n))) for n in range(1, N + 1))
     bundle.residual_check("relation-matches-display", gap, res_tol)
     bundle.extras["relation"] = computed
     _cross_checks(bundle, Q, P, u, v, lam, res_tol, rank_tol)
@@ -602,12 +576,13 @@ def symmetrized_chebyshev_ttr(kind: int, N: int) -> tuple:
     def pair(fa, fb):
         return float(np.sum(fa * fb * W))
 
-    ortho = 0.0
+    gaps = []
     for n in range(N + 1):
         for m_ in range(n + 1):
             g = np.array([[pair(fa, fb) for fb in rows[m_]] for fa in rows[n]])
             target = np.eye(n + 1) if m_ == n else np.zeros_like(g)
-            ortho = max(ortho, mk.max_abs(g - target))
+            gaps.append(mk.max_abs(g - target))
+    ortho = mk.worst(gaps)
 
     A, B, C = [], [], [None]
     for n in range(N + 1):
@@ -656,7 +631,7 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
     )
     T, ortho = symmetrized_chebyshev_ttr(kind, N + 1)
     bundle.residual_check("orthonormality", ortho, res_tol)
-    cerr = max(
+    cerr = mk.worst(
         mk.max_abs(T.c(n, i) - T.a(n - 1, i).T)
         for n in range(1, N + 1) for i in (1, 2)
     )
@@ -676,39 +651,62 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
 
     candidate, report = combined_from_reference(T, rel, tol=res_tol, rank_tol=rank_tol)
     bundle.extras["report"] = report
-    bundle.extras["scalar-condition-worst"] = max(
+    bundle.extras["scalar-condition-worst"] = mk.worst(
         abs(chebyshev_scalar_condition(rec, n, rho)) for n in range(2, N + 1)
     )
-    compat_i1 = [c for c in report.compat if c.i == 1]
-    agree = all(c.ok == (abs(chebyshev_scalar_condition(rec, c.n, rho)) <= res_tol)
+    compat_i1 = [c for c in report.compat if c.direction == 1]
+    agree = all(c.ok == (abs(chebyshev_scalar_condition(rec, c.degree, rho)) <= res_tol)
                 for c in compat_i1)
     bundle.flag_check("scalar-condition-agrees", agree)
 
-    lam_gap = 0.0
-    align_gap = 0.0
+    align_gaps, lam_gaps = [], []
     for n in range(2, N + 1):
         closed = chebyshev_ctilde_closed_form(rec, n, rho)
         got = candidate.c(n, 1)
-        align_gap = max(align_gap, mk.max_abs(got - closed))
-        lam_gap = max(
-            lam_gap,
-            max(abs(got[r, r] - chebyshev_lambda(rec, n, rho)) for r in range(n - 1)),
-        )
-    bundle.residual_check("ctilde-closed-form", align_gap, res_tol)
-    bundle.residual_check("lambda-diagonal", lam_gap, res_tol)
+        align_gaps.append(mk.max_abs(got - closed))
+        lam_gaps.extend(abs(got[r, r] - chebyshev_lambda(rec, n, rho)) for r in range(n - 1))
+    bundle.residual_check("ctilde-closed-form", mk.worst(align_gaps), res_tol)
+    bundle.residual_check("lambda-diagonal", mk.worst(lam_gaps), res_tol)
     bundle.extras["expected"] = expected
     bundle.orthogonal_verdict = bool(report.verdict)
     return bundle
 
 
 def _gram_identity_residual(u: MomentFunctional, P: PolySystem) -> float:
-    worst = 0.0
+    gaps = []
     for n in range(P.N + 1):
         for m in range(n + 1):
             g = inner_block(u, P, n, P, m)
             target = np.eye(n + 1) if m == n else np.zeros_like(g)
-            worst = max(worst, mk.max_abs(g - target))
-    return worst
+            gaps.append(mk.max_abs(g - target))
+    return mk.worst(gaps)
+
+
+def _closed_form_residual(bundle: FamilyBundle, Q: PolySystem, P: PolySystem, j: int,
+                          keep, drop) -> float:
+    """Defect of Q_n = K_n P_n + M_n P_{n-1} over degrees 1..N.
+
+    K_n is diagonal with keep(nu) in the row of nu; M_n holds drop(nu) at
+    (nu, nu - e_j) for every nu with nu_j >= 1.  Stores the blocks as the
+    bundle's "K_blocks" and "M_blocks" extras.
+    """
+    basis = basis_for(bundle.d)
+    defects, K_blocks, M_blocks = [], [], []
+    for n in range(1, bundle.N + 1):
+        K = np.diag([keep(nu) for nu in basis.indices(n)])
+        Mh = lower_shift_with_values(
+            bundle.d, n, j, {nu: drop(nu) for nu in basis.indices(n) if nu[j - 1] >= 1}
+        )
+        K_blocks.append(K)
+        M_blocks.append(Mh)
+        for k in range(n + 1):
+            delta = Q.block(n, k) - K @ P.block(n, k)
+            if k < n:
+                delta = delta - Mh @ P.block(n - 1, k)
+            defects.append(mk.max_abs(delta))
+    bundle.extras["K_blocks"] = K_blocks
+    bundle.extras["M_blocks"] = M_blocks
+    return mk.worst(defects)
 
 
 def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
@@ -728,36 +726,26 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     order = [j] + [x for x in range(1, d + 1) if x != j]
     kperm = [kappa[o - 1] for o in order] + [kappa[d]]
     kpperm = [kp[o - 1] for o in order] + [kp[d]]
-    basis = basis_for(d)
-    worst = 0.0
-    K_blocks, M_blocks = [], []
-    for n in range(1, N + 1):
-        keep = np.zeros(basis.size(n))
-        drop_vals = {}
-        for pos, nu in enumerate(basis.indices(n)):
-            nperm = [nu[o - 1] for o in order]
-            a1 = sum(kperm[1:]) + 2 * sum(nperm[1:]) + (d - 2) / 2.0
-            b1 = kperm[0] - 0.5
-            ratio = math.sqrt(simplex_norm_sq(kpperm, nperm) / simplex_norm_sq(kperm, nperm))
-            keep[pos] = ratio * jacobi_orthonormal_lower(nperm[0], a1, b1)
-            if nu[j - 1] >= 1:
-                nm = list(nperm)
-                nm[0] -= 1
-                drop_vals[nu] = math.sqrt(
-                    simplex_norm_sq(kpperm, nm) / simplex_norm_sq(kperm, nperm)
-                ) * jacobi_orthonormal_drop(nperm[0], a1, b1)
-        K = np.diag(keep)
-        Mh = lower_shift_with_values(d, n, j, drop_vals)
-        K_blocks.append(K)
-        M_blocks.append(Mh)
-        for k in range(n + 1):
-            delta = Q.block(n, k) - K @ P.block(n, k)
-            if k < n:
-                delta = delta - Mh @ P.block(n - 1, k)
-            worst = max(worst, mk.max_abs(delta))
-    bundle.extras["K_blocks"] = K_blocks
-    bundle.extras["M_blocks"] = M_blocks
-    bundle.residual_check("relation-closed-form", worst, res_tol)
+    b1 = kperm[0] - 0.5
+
+    def permuted(nu):
+        nperm = [nu[o - 1] for o in order]
+        return nperm, sum(kperm[1:]) + 2 * sum(nperm[1:]) + (d - 2) / 2.0
+
+    def keep(nu):
+        nperm, a1 = permuted(nu)
+        ratio = math.sqrt(simplex_norm_sq(kpperm, nperm) / simplex_norm_sq(kperm, nperm))
+        return ratio * jacobi_orthonormal_lower(nperm[0], a1, b1)
+
+    def drop(nu):
+        nperm, a1 = permuted(nu)
+        nm = [nperm[0] - 1] + nperm[1:]
+        return math.sqrt(
+            simplex_norm_sq(kpperm, nm) / simplex_norm_sq(kperm, nperm)
+        ) * jacobi_orthonormal_drop(nperm[0], a1, b1)
+
+    bundle.residual_check("relation-closed-form",
+                          _closed_form_residual(bundle, Q, P, j, keep, drop), res_tol)
     _cross_checks(bundle, Q, P, u, v,
                   LinearPoly(tuple(1.0 if l == j - 1 else 0.0 for l in range(d)), 0.0),
                   res_tol, rank_tol)
@@ -793,34 +781,18 @@ def cube_family(a, b, j: int, raise_b: bool, N: int,
     v = moments.cube_jacobi_functional(a, b)
     u = moments.cube_jacobi_functional(a2, b2)
 
-    basis = basis_for(d)
-    worst = 0.0
-    K_blocks, M_blocks = [], []
-    for n in range(1, N + 1):
-        keep = np.zeros(basis.size(n))
-        drop_vals = {}
-        for pos, nu in enumerate(basis.indices(n)):
-            m = nu[j - 1]
-            if raise_b:
-                keep[pos] = jacobi_standard_keep(m, a[j - 1], b[j - 1])
-                if m >= 1:
-                    drop_vals[nu] = jacobi_standard_drop(m, b[j - 1], a[j - 1])
-            else:
-                keep[pos] = jacobi_standard_keep(m, a[j - 1], b[j - 1])
-                if m >= 1:
-                    drop_vals[nu] = -jacobi_standard_drop(m, a[j - 1], b[j - 1])
-        K = np.diag(keep)
-        Mh = lower_shift_with_values(d, n, j, drop_vals)
-        K_blocks.append(K)
-        M_blocks.append(Mh)
-        for k in range(n + 1):
-            delta = Q.block(n, k) - K @ P.block(n, k)
-            if k < n:
-                delta = delta - Mh @ P.block(n - 1, k)
-            worst = max(worst, mk.max_abs(delta))
-    bundle.extras["K_blocks"] = K_blocks
-    bundle.extras["M_blocks"] = M_blocks
-    bundle.residual_check("relation-closed-form", worst, res_tol)
+    aj, bj = a[j - 1], b[j - 1]
+
+    def keep(nu):
+        return jacobi_standard_keep(nu[j - 1], aj, bj)
+
+    def drop(nu):
+        if raise_b:
+            return jacobi_standard_drop(nu[j - 1], bj, aj)
+        return -jacobi_standard_drop(nu[j - 1], aj, bj)
+
+    bundle.residual_check("relation-closed-form",
+                          _closed_form_residual(bundle, Q, P, j, keep, drop), res_tol)
     lam_coeffs = tuple(
         (-1.0 if not raise_b else 1.0) if l == j - 1 else 0.0 for l in range(d)
     )
@@ -845,22 +817,11 @@ def laguerre_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     v = moments.multiple_laguerre_functional(kappa)
     u = moments.multiple_laguerre_functional(kp)
 
+    worst = _closed_form_residual(bundle, Q, P, j, lambda nu: 1.0, lambda nu: -1.0)
     basis = basis_for(d)
-    worst = 0.0
-    M_blocks = []
-    for n in range(1, N + 1):
-        ones = {nu: -1.0 for nu in basis.indices(n) if nu[j - 1] >= 1}
-        Mh = lower_shift_with_values(d, n, j, ones)
-        M_blocks.append(Mh)
+    for n, Mh in enumerate(bundle.extras["M_blocks"], start=1):
         gap = mk.max_abs(Mh + basis.shift_matrix(n - 1, j).T)
         bundle.residual_check("shift-structure", gap, 0.0, degree=n, direction=j)
-        for k in range(n + 1):
-            delta = Q.block(n, k) - P.block(n, k)
-            if k < n:
-                delta = delta - Mh @ P.block(n - 1, k)
-            worst = max(worst, mk.max_abs(delta))
-    bundle.extras["K_blocks"] = [np.eye(basis.size(n)) for n in range(1, N + 1)]
-    bundle.extras["M_blocks"] = M_blocks
     bundle.residual_check("relation-closed-form", worst, res_tol)
     _cross_checks(bundle, Q, P, u, v,
                   LinearPoly(tuple(1.0 if l == j - 1 else 0.0 for l in range(d)), 0.0),

@@ -15,16 +15,17 @@ orthogonality from compatibility residuals and rank conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrixkit as mk
+from .checks import Check, all_pass
 from .construct import GramBlocks, PolySystem, inner_block
 from .indexing import basis_for, joint_matrix
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import LinearPoly, MomentFunctional, left_multiply
-from .ttr import RankCheck, RankReport, ThreeTermData
+from .ttr import RankReport, ThreeTermData
 
 
 @dataclass
@@ -71,21 +72,20 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                 "convert both systems to a common leading normalization first"
             )
     M: list = [None]
-    tail = 0.0
+    tails = []
     for n in range(1, N + 1):
         coeffs = []
         for j in range(n):
             s = inner_block(u, Q, n, P, j)
             coeffs.append(H.solve_right(j, s))
         M.append(coeffs[n - 1])
-        for j in range(n - 1):
-            tail = max(tail, mk.max_abs(coeffs[j]) / scale)
-    return LinearRelation(Q.d, M, tail=tail, label=f"{Q.label} vs {P.label}")
+        tails.extend(mk.max_abs(coeffs[j]) / scale for j in range(n - 1))
+    return LinearRelation(Q.d, M, tail=mk.worst(tails), label=f"{Q.label} vs {P.label}")
 
 
 def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation) -> float:
     """Coefficientwise defect of Q_n = P_n + M_n P_{n-1}, scale relative."""
-    worst = 0.0
+    defects = []
     for n in rel.available():
         if n > min(Q.N, P.N):
             break
@@ -96,8 +96,8 @@ def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation) -> floa
             delta = Q.block(n, k) - P.block(n, k)
             if k < n:
                 delta = delta - rel.m(n) @ P.block(n - 1, k)
-            worst = max(worst, mk.max_abs(delta) / scale)
-    return worst
+            defects.append(mk.max_abs(delta) / scale)
+    return mk.worst(defects)
 
 
 def classify_ranks(rel: LinearRelation, tol: float = mk.DEFAULT_RANK_TOL,
@@ -158,20 +158,20 @@ def functional_match_residual(u: MomentFunctional, v: MomentFunctional,
     """Largest relative gap between moments of u and of lambda . v."""
     lv = left_multiply(lam, v)
     basis = basis_for(u.d)
-    worst = 0.0
+    gaps = []
     for n in range(max_degree + 1):
         mu = u.moment_vector(n, basis)
         mlv = lv.moment_vector(n, basis)
         scale = max(np.max(np.abs(mu)), np.max(np.abs(mlv)), 1.0)
-        worst = max(worst, float(np.max(np.abs(mu - mlv))) / scale)
-    return worst
+        gaps.append(float(np.max(np.abs(mu - mlv))) / scale)
+    return mk.worst(gaps)
 
 
 def verify_mh(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
               lam: LinearPoly) -> float:
     """Residual of M_n H_{n-1} = H~_n sum_i a_i L_{n-1,i}^t, over all n."""
     basis = basis_for(rel.d)
-    worst = 0.0
+    gaps = []
     for n in rel.available():
         if n > min(H.N, Ht.N):
             break
@@ -181,8 +181,8 @@ def verify_mh(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
         )
         rhs = Ht.h(n) @ shift_sum
         scale = max(mk.max_abs(lhs), mk.max_abs(rhs), 1.0)
-        worst = max(worst, mk.max_abs(lhs - rhs) / scale)
-    return worst
+        gaps.append(mk.max_abs(lhs - rhs) / scale)
+    return mk.worst(gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -190,48 +190,29 @@ def verify_mh(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
 
 
 @dataclass
-class CompatCheck:
-    n: int
-    i: int
-    residual: float
-    tol: float
-
-    @property
-    def ok(self) -> bool:
-        return self.residual <= self.tol
-
-
-@dataclass
 class PartnerReport:
-    """Outcome of building one side's recurrence from the other's."""
+    """Outcome of building one side's recurrence from the other's.
 
-    compat: list = field(default_factory=list)
-    rank_report: RankReport | None = None
-    degrees_covered: tuple = ()
-    verdict: bool = False
+    The verdict needs at least one check: a relation too short to test
+    compatibility decides nothing.
+    """
+
+    compat: list[Check]
+    rank_report: RankReport | None
+    degrees_covered: tuple
 
     @property
-    def compat_ok(self) -> bool:
-        return all(c.ok for c in self.compat)
+    def checks(self) -> list[Check]:
+        ranks = self.rank_report.checks if self.rank_report is not None else []
+        return self.compat + ranks
 
-    def to_records(self) -> list[dict]:
-        recs = [
-            {
-                "check": "compatibility",
-                "degree": c.n,
-                "direction": c.i,
-                "residual": c.residual,
-                "pass": c.ok,
-            }
-            for c in self.compat
-        ]
-        if self.rank_report is not None:
-            recs.extend(self.rank_report.to_records())
-        return recs
+    @property
+    def verdict(self) -> bool:
+        return all_pass(self.checks)
 
 
 def _compat_checks(rel: LinearRelation, C_ref: list, C_cand: list, d: int,
-                   n_range, tol: float) -> list[CompatCheck]:
+                   n_range, tol: float) -> list[Check]:
     """Residuals of M_n C_{n-1,i} = C~_{n,i} M_{n-1}."""
     checks = []
     for n in n_range:
@@ -239,7 +220,8 @@ def _compat_checks(rel: LinearRelation, C_ref: list, C_cand: list, d: int,
             lhs = rel.m(n) @ C_ref[n - 1][i - 1]
             rhs = C_cand[n][i - 1] @ rel.m(n - 1)
             scale = max(mk.max_abs(lhs), mk.max_abs(rhs), 1.0)
-            checks.append(CompatCheck(n, i, mk.max_abs(lhs - rhs) / scale, tol))
+            checks.append(Check.residual("compatibility", mk.max_abs(lhs - rhs) / scale,
+                                         tol, n, i))
     return checks
 
 
@@ -256,8 +238,7 @@ def _a_block(T: ThreeTermData, n: int, i: int) -> np.ndarray:
 
 
 def reference_from_combined(T_q: ThreeTermData, rel: LinearRelation,
-                            tol: float = DEFAULT_RES_TOL,
-                            rank_tol: float = mk.DEFAULT_RANK_TOL
+                            tol: float = DEFAULT_RES_TOL
                             ) -> tuple[ThreeTermData, PartnerReport]:
     """Build the reference side's recurrence from the combined (orthogonal)
     side and decide whether the reference system is orthogonal.
@@ -292,13 +273,7 @@ def reference_from_combined(T_q: ThreeTermData, rel: LinearRelation,
     candidate = ThreeTermData(d, A, B, C)
     checks = _compat_checks(rel, C, [None] + [T_q.C[n] for n in range(1, n_top + 1)],
                             d, range(2, n_top + 1), tol)
-    report = PartnerReport(
-        compat=checks,
-        rank_report=None,
-        degrees_covered=(0, n_top),
-        verdict=all(c.ok for c in checks),
-    )
-    return candidate, report
+    return candidate, PartnerReport(checks, None, (0, n_top))
 
 
 def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
@@ -351,23 +326,15 @@ def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
     for n in range(1, n_top + 1):
         for i in range(1, d + 1):
             rank_report.checks.append(
-                RankCheck("C~", n, i,
-                          mk.numeric_rank(Ct[n][i - 1], rank_tol, scale=scale),
-                          basis.size(n - 1))
+                Check.ranked("C~", mk.numeric_rank(Ct[n][i - 1], rank_tol, scale=scale),
+                             basis.size(n - 1), n, i)
             )
         joint = joint_matrix([Ct[n][i - 1].T for i in range(1, d + 1)])
         rank_report.checks.append(
-            RankCheck("C~-joint", n, None,
-                      mk.numeric_rank(joint, rank_tol, scale=scale),
-                      basis.size(n))
+            Check.ranked("C~-joint", mk.numeric_rank(joint, rank_tol, scale=scale),
+                         basis.size(n), n)
         )
-    report = PartnerReport(
-        compat=checks,
-        rank_report=rank_report,
-        degrees_covered=(0, n_top),
-        verdict=all(c.ok for c in checks) and rank_report.ok,
-    )
-    return candidate, report
+    return candidate, PartnerReport(checks, rank_report, (0, n_top))
 
 
 def counterexample(n_max: int) -> tuple[ThreeTermData, LinearRelation]:

@@ -81,6 +81,16 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
+def worst(values) -> float:
+    """Largest of the values, NaN if any of them is NaN, 0.0 if there are none.
+
+    Python's `max(0.0, nan)` is 0.0, so a running `max` would let a NaN
+    residual pass its check; this reducer lets it fail.
+    """
+    arr = np.fromiter(values, dtype=float)
+    return float(np.max(arr)) if arr.size else 0.0
+
+
 def format_matrix(m) -> str:
     """Serialize as 'rows cols' header plus one whitespace row per matrix row.
 
@@ -94,6 +104,8 @@ def format_matrix(m) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ValueError(f"expected matrix text, got {type(text).__name__}")
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty matrix text")

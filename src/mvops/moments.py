@@ -156,18 +156,6 @@ class LinearPoly:
         return v if lead > 0 else -v
 
 
-def apply(u: MomentFunctional, p):
-    """Action of the functional on a polynomial or a matrix of polynomials.
-
-    A polynomial is a mapping multi-index -> coefficient; a matrix of
-    polynomials is a nested sequence of such mappings, returned entrywise.
-    """
-    if isinstance(p, dict):
-        return sum(c * u.moment(alpha) for alpha, c in p.items())
-    rows = [[apply(u, entry) for entry in row] for row in p]
-    return np.array(rows)
-
-
 def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFunctional:
     """Functional q |-> u(p q); new moments are sums of shifted moments."""
     coeffs = p.coeff_map() if isinstance(p, LinearPoly) else dict(p)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixkit as mk
+from .checks import Check, all_pass
 from .construct import GramBlocks, PolySystem, pair_blocks, shift_rows
 from .indexing import basis_for, joint_matrix
 from .matrixkit import DEFAULT_RES_TOL
@@ -56,7 +57,7 @@ def _row_scale(P: PolySystem, n: int) -> float:
 
 
 def _residual_rows(rows: dict) -> float:
-    return max((mk.max_abs(g) for g in rows.values()), default=0.0)
+    return mk.worst(mk.max_abs(g) for g in rows.values())
 
 
 def _combine(target: dict, mat: np.ndarray, rows: dict, sign: float = 1.0) -> None:
@@ -102,7 +103,7 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
         if n < N:
             A.append(a_row)
 
-    worst = 0.0
+    residuals = []
     for n in range(N):
         scale = max(_row_scale(P, m) for m in range(max(0, n - 1), n + 2))
         for i in range(1, d + 1):
@@ -111,8 +112,9 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
             _combine(resid, B[n][i - 1], P.row_blocks(n), sign=-1.0)
             if n >= 1:
                 _combine(resid, C[n][i - 1], P.row_blocks(n - 1), sign=-1.0)
-            worst = max(worst, _residual_rows(resid) / max(scale, 1.0))
-    if worst > res_tol:
+            residuals.append(_residual_rows(resid) / max(scale, 1.0))
+    worst = mk.worst(residuals)
+    if not worst <= res_tol:
         raise ValueError(
             f"three-term reconstruction residual {worst:.3e} exceeds {res_tol:.1e}; "
             "input system is not orthogonal for the functional"
@@ -159,62 +161,35 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
                     block = np.zeros((basis.size(n), basis.size(k)))
                 stacked[k].append(block)
         joint = basis.joint_shift(n)
-        row = []
-        worst = 0.0
+        row, defects = [], []
         for k in range(n + 1):
             rhs_k = joint_matrix(stacked[k])
             g = mk.lstsq(joint, rhs_k)
-            worst = max(worst, mk.max_abs(joint @ g - rhs_k))
+            defects.append(mk.max_abs(joint @ g - rhs_k))
             row.append(g)
         # top block is the identity by construction; count its defect too
-        worst = max(worst, mk.max_abs(joint_matrix(stacked[n + 1]) - joint))
+        defects.append(mk.max_abs(joint_matrix(stacked[n + 1]) - joint))
         row.append(np.eye(basis.size(n + 1)))
-        residuals[n] = worst
+        residuals[n] = mk.worst(defects)
         blocks.append(row)
     return PolySystem(d, blocks, monic=True, label="generated"), residuals
 
 
 @dataclass
-class RankCheck:
-    kind: str
-    n: int
-    i: int | None
-    rank: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.rank == self.expected
-
-
-@dataclass
 class RankReport:
-    checks: list = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return all_pass(self.checks)
 
-    def first_failure(self) -> RankCheck | None:
+    def first_failure(self) -> Check | None:
         # per-direction checks sort before the joint check at the same degree
         bad = sorted(
             (c for c in self.checks if not c.ok),
-            key=lambda c: (c.n, c.i if c.i is not None else 1 << 30),
+            key=lambda c: (c.degree, c.direction if c.direction is not None else 1 << 30),
         )
         return bad[0] if bad else None
-
-    def to_records(self) -> list[dict]:
-        return [
-            {
-                "check": c.kind,
-                "degree": c.n,
-                "direction": c.i,
-                "rank": c.rank,
-                "expected": c.expected,
-                "pass": c.ok,
-            }
-            for c in self.checks
-        ]
 
 
 def validate_rank_conditions(T: ThreeTermData, tol: float = mk.DEFAULT_RANK_TOL) -> RankReport:
@@ -236,13 +211,13 @@ def validate_rank_conditions(T: ThreeTermData, tol: float = mk.DEFAULT_RANK_TOL)
     for n in range(len(T.A)):
         for i in range(1, d + 1):
             report.checks.append(
-                RankCheck("A", n, i, mk.numeric_rank(T.a(n, i), tol, scale=a_scale),
-                          basis.size(n))
+                Check.ranked("A", mk.numeric_rank(T.a(n, i), tol, scale=a_scale),
+                             basis.size(n), n, i)
             )
         joint = joint_matrix([T.a(n, i) for i in range(1, d + 1)])
         report.checks.append(
-            RankCheck("A-joint", n, None, mk.numeric_rank(joint, tol, scale=a_scale),
-                      basis.size(n + 1))
+            Check.ranked("A-joint", mk.numeric_rank(joint, tol, scale=a_scale),
+                         basis.size(n + 1), n)
         )
     c_blocks = [T.c(n, i) for n in range(1, T.N + 1) if T.C[n] is not None
                 for i in range(1, d + 1)]
@@ -252,13 +227,13 @@ def validate_rank_conditions(T: ThreeTermData, tol: float = mk.DEFAULT_RANK_TOL)
             continue
         for i in range(1, d + 1):
             report.checks.append(
-                RankCheck("C", n, i, mk.numeric_rank(T.c(n, i), tol, scale=c_scale),
-                          basis.size(n - 1))
+                Check.ranked("C", mk.numeric_rank(T.c(n, i), tol, scale=c_scale),
+                             basis.size(n - 1), n, i)
             )
         joint = joint_matrix([T.c(n, i).T for i in range(1, d + 1)])
         report.checks.append(
-            RankCheck("C-joint", n, None, mk.numeric_rank(joint, tol, scale=c_scale),
-                      basis.size(n))
+            Check.ranked("C-joint", mk.numeric_rank(joint, tol, scale=c_scale),
+                         basis.size(n), n)
         )
     return report
 

@@ -124,14 +124,14 @@ def test_criterion_5_counterexample():
     reference = linrel.reference_ttr_for_counterexample(9)
     _, partner = linrel.combined_from_reference(reference, rel, tol=1e-10,
                                                 rank_tol=RANK_TOL)
-    compat_ok = all(c.residual <= 1e-10 for c in partner.compat)
+    compat_ok = all(c.value <= 1e-10 for c in partner.compat)
     ranks_ok = all(
         mk.numeric_rank(combined.c(n, 1), RANK_TOL) == n - 1 for n in range(2, 9)
     )
     full = validate_rank_conditions(combined, RANK_TOL)
     others_ok = all(
         c.ok for c in full.checks
-        if not (c.kind == "C" and c.i == 1) and not (c.kind == "C-joint" and c.n == 1)
+        if not (c.name == "C" and c.direction == 1) and not (c.name == "C-joint" and c.degree == 1)
     )
     _verdict("5 counterexample", consistency_ok and compat_ok and ranks_ok and others_ok,
              f"consistency {np.max(residuals):.1e}, ranks n-1 for n=2..8: {ranks_ok}")

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mvops import cli, linrel, moments, serialize
 from mvops.construct import gram_schmidt_monic
@@ -254,3 +256,144 @@ def test_out_of_range_parameters_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
     assert "must be" in err
+
+
+# -- malformed inputs, empty reports and the record schema -------------------
+
+
+@pytest.fixture(scope="module")
+def envelopes(tmp_path_factory):
+    """Valid files for a d=2, N=3 tensor Jacobi pair u = (1 - x) v."""
+    v = moments.cube_jacobi_functional((0.0, 0.5), (0.0, 0.0))
+    u = moments.cube_jacobi_functional((1.0, 0.5), (0.0, 0.0))
+    Q, HQ = gram_schmidt_monic(v, 3)
+    P, HP = gram_schmidt_monic(u, 3)
+    texts = {
+        "Q": serialize.system_to_json(Q),
+        "P": serialize.system_to_json(P),
+        "Tq": serialize.ttr_to_json(compute_ttr(Q, v, HQ)),
+        "Tp": serialize.ttr_to_json(compute_ttr(P, u, HP)),
+        "rel": serialize.relation_to_json(linrel.compute_relation(Q, P, u, HP)),
+    }
+    root = tmp_path_factory.mktemp("envelopes")
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = str(root / f"{name}.json")
+        (root / f"{name}.json").write_text(text)
+    return {"texts": texts, "paths": paths, "root": root,
+            "functional": "cube-jacobi:a=1,0.5;b=0,0"}
+
+
+def _argv(envelopes, command, swap=None):
+    """argv of one subcommand on the valid files, with one file swapped."""
+    p = dict(envelopes["paths"], **(swap or {}))
+    return {
+        "generate": ["generate", "--ttr", p["Tp"]],
+        "check-3": ["check", "--theorem", "3", "--ttr", p["Tq"], "--relation", p["rel"]],
+        "check-4": ["check", "--theorem", "4", "--ttr", p["Tp"], "--relation", p["rel"]],
+        "relate": ["relate", "--combined", p["Q"], "--reference", p["P"],
+                   "--functional", envelopes["functional"]],
+    }[command]
+
+
+# which subcommands read each envelope
+READERS = {"Q": ["relate"], "P": ["relate"], "Tq": ["check-3"],
+           "Tp": ["generate", "check-4"], "rel": ["check-3", "check-4"]}
+
+
+def _matrix_fields(payload: dict) -> list:
+    """(container, key) of every matrix text in an envelope."""
+    fields = []
+    for name in ("blocks", "A", "B", "C"):
+        for row in payload.get(name, []):
+            if row is not None:
+                fields += [(row, k) for k in range(len(row))]
+    fields += [(payload["M"], n) for n in range(1, len(payload.get("M", [])))]
+    return fields
+
+
+def _corrupt_matrix(text: str, how: str, pick: int) -> str:
+    lines = text.split("\n")
+    rows, cols = (int(x) for x in lines[0].split())
+    body = [ln.split() for ln in lines[1:]]
+    if how in ("nan", "inf", "-inf"):
+        r = pick % rows
+        body[r][(pick // rows) % cols] = how
+    elif how == "extra-column":
+        cols += 1
+        body = [row + ["0.0"] for row in body]
+    else:  # "missing-row"
+        body = body[:-1]
+    return "\n".join([f"{rows} {cols}"] + [" ".join(row) for row in body])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_envelopes_exit_2_with_one_line(envelopes, data, capsys):
+    name = data.draw(st.sampled_from(sorted(READERS)), label="envelope")
+    command = data.draw(st.sampled_from(READERS[name]), label="command")
+    text = envelopes["texts"][name]
+    corruptions = ["nan", "inf", "-inf", "extra-column", "missing-row", "truncated"]
+    if name != "rel":   # a relation's M is one flat list, not rows of blocks
+        corruptions.append("short-row")
+    how = data.draw(st.sampled_from(corruptions), label="corruption")
+    if how == "truncated":
+        bad = text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
+    else:
+        payload = json.loads(text)
+        fields = _matrix_fields(payload)
+        if how == "short-row":
+            rows = [row for row, k in fields if k == 0]
+            data.draw(st.sampled_from(rows), label="row").pop()
+        else:
+            row, k = data.draw(st.sampled_from(fields), label="block")
+            row[k] = _corrupt_matrix(row[k], how, data.draw(st.integers(0, 99)))
+        bad = json.dumps(payload)
+    path = envelopes["root"] / "bad.json"
+    path.write_text(bad)
+    code, out, err = run_cli(_argv(envelopes, command, {name: str(path)}), capsys)
+    assert code == 2, (name, how, err)
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_check_without_compatibility_degrees_reports_no_checks(envelopes, capsys):
+    payload = json.loads(envelopes["texts"]["rel"])
+    payload["M"] = payload["M"][:2]   # relation stops at degree 1
+    short = envelopes["root"] / "short-rel.json"
+    short.write_text(json.dumps(payload))
+    for command in ("check-3", "check-4"):
+        code, out, _ = run_cli(["--json", *_argv(envelopes, command, {"rel": str(short)})],
+                               capsys)
+        report = json.loads(out)
+        assert code == 1
+        assert [c["check"] for c in report["checks"]] == ["no-checks"]
+        assert report["overall_pass"] is False
+        assert report["extras"]["verdict"].endswith("False")
+
+
+def test_generate_at_degree_zero_reports_no_checks(envelopes, capsys):
+    code, out, _ = run_cli(["generate", "--ttr", envelopes["paths"]["Tp"], "--N", "0"],
+                           capsys)
+    assert code == 1
+    assert "[FAIL] no-checks" in out
+
+
+@pytest.mark.parametrize("command", ["family", "counterexample", "generate", "check-3",
+                                     "check-4", "relate"])
+def test_check_records_share_one_schema(envelopes, command, capsys):
+    if command == "family":
+        argv = ["family", "cheb-koornwinder", "--kind", "3", "--rho", "0.5", "--N", "3"]
+    elif command == "counterexample":
+        argv = ["counterexample", "--n", "3"]
+    else:
+        argv = _argv(envelopes, command)
+    code, out, _ = run_cli(["--json", *argv], capsys)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks
+    for rec in checks:
+        assert {"check", "degree", "direction", "pass"} <= set(rec)
+        assert set(rec) - {"check", "degree", "direction", "pass"} in (
+            {"value", "bound"}, {"rank", "expected"})

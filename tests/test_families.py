@@ -215,7 +215,7 @@ def test_chebyshev_rho_zero_trivially_orthogonal():
 def test_chebyshev_degree_one_rank_failure_localized():
     bundle = families.chebyshev_koornwinder_family(3, 1.0, 5)
     report = bundle.extras["report"]
-    bad = [(c.kind, c.n, c.i) for c in report.rank_report.checks if not c.ok]
+    bad = [(c.name, c.degree, c.direction) for c in report.rank_report.checks if not c.ok]
     assert ("C~", 1, 1) in bad
     assert all(n == 1 for _, n, _ in bad)
 

@@ -184,7 +184,7 @@ def test_reference_from_combined_detects_random_relation(disk_monic):
     M = [None] + [rng.standard_normal((n + 1, n)) for n in range(1, N + 1)]
     _, report = reference_from_combined(T_q, LinearRelation(2, M))
     assert not report.verdict
-    assert max(c.residual for c in report.compat) > 1e-3
+    assert max(c.value for c in report.compat) > 1e-3
 
 
 def test_combined_from_reference_on_disk_is_orthogonal(disk_monic):

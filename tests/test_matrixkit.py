@@ -6,6 +6,12 @@ from hypothesis import strategies as st
 from mvops import matrixkit as mk
 
 
+def test_worst_propagates_nan_and_is_zero_when_empty():
+    assert mk.worst([]) == 0.0
+    assert mk.worst(x for x in (1e-3, 2.0, 0.5)) == 2.0
+    assert np.isnan(mk.worst([0.0, float("nan"), 1.0]))
+
+
 def test_numeric_rank_basics():
     assert mk.numeric_rank(np.eye(3), 1e-10) == 3
     assert mk.numeric_rank(np.zeros((2, 4))) == 0

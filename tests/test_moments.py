@@ -11,24 +11,6 @@ from mvops.moments import LinearPoly
 from mvops.ttr import compute_ttr
 
 
-def test_apply_constant_on_normalized_product_weight():
-    u = moments.product_chebyshev_functional(2)
-    assert moments.apply(u, {(0, 0): 1.0}) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_apply_laguerre_monomial():
-    u = moments.laguerre_functional_1d(0.7)
-    assert moments.apply(u, {(1,): 1.0}) == pytest.approx(sp.gamma(2.7), rel=1e-13)
-
-
-def test_apply_matrix_of_polynomials():
-    u = moments.laguerre_functional_1d(0.0)
-    p = {(1,): 1.0}
-    q = {(0,): 2.0}
-    out = moments.apply(u, [[p, q], [q, p]])
-    np.testing.assert_allclose(out, [[1.0, 2.0], [2.0, 1.0]], rtol=1e-13)
-
-
 def test_left_multiply_identity_and_shift():
     u = moments.laguerre_functional_1d(0.5)
     same = moments.left_multiply({(0,): 1.0}, u)

@@ -64,3 +64,33 @@ def test_wrong_kind_rejected(disk_pieces):
         serialize.ttr_from_json(serialize.system_to_json(P))
     with pytest.raises(ValueError):
         serialize.relation_from_json(serialize.system_to_json(P))
+
+
+def test_validate_blocks_accepts_written_documents(disk_pieces):
+    P, T = disk_pieces
+    _, rel = linrel.counterexample(4)
+    serialize.validate_blocks(serialize.system_from_json(serialize.system_to_json(P)))
+    serialize.validate_blocks(serialize.ttr_from_json(serialize.ttr_to_json(T)))
+    serialize.validate_blocks(serialize.relation_from_json(serialize.relation_to_json(rel)))
+
+
+def test_validate_blocks_names_the_bad_block(disk_pieces):
+    P, T = disk_pieces
+    _, rel = linrel.counterexample(4)
+    bad_shape = serialize.ttr_from_json(serialize.ttr_to_json(T))
+    bad_shape.C[2][1] = np.zeros((3, 3))
+    with pytest.raises(ValueError, match=r"C\[2\]\[2\] has shape \(3, 3\), expected \(3, 2\)"):
+        serialize.validate_blocks(bad_shape)
+    bad_value = serialize.relation_from_json(serialize.relation_to_json(rel))
+    bad_value.M[3] = bad_value.M[3].copy()
+    bad_value.M[3][0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"M\[3\] has a non-finite entry"):
+        serialize.validate_blocks(bad_value)
+    short_row = serialize.system_from_json(serialize.system_to_json(P))
+    short_row.blocks[2].pop()
+    with pytest.raises(ValueError, match="degree 2 has 2 blocks"):
+        serialize.validate_blocks(short_row)
+    no_dim = serialize.system_from_json(serialize.system_to_json(P))
+    no_dim.d = 0
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        serialize.validate_blocks(no_dim)

@@ -110,6 +110,17 @@ def test_forward_generation_flags_incompatible_blocks():
     assert np.max(residuals) > 1e-4
 
 
+def test_forward_generation_reports_nan_blocks_as_nan():
+    u = moments.disk_functional(0.0)
+    P, H = gram_schmidt_monic(u, 4)
+    T = compute_ttr(P, u, H)
+    T.B[2][0] = T.B[2][0].copy()
+    T.B[2][0][1, 1] = np.nan
+    _, residuals = generate_from_ttr(T)
+    assert np.all(np.isfinite(residuals[:2]))
+    assert np.isnan(residuals[2])
+
+
 def test_forward_generation_requires_structural_a():
     u = moments.disk_functional(0.0)
     P, H = gram_schmidt_monic(u, 3)
@@ -135,8 +146,14 @@ def test_rank_conditions_fail_for_zero_block():
     report = validate_rank_conditions(T)
     assert not report.ok
     first = report.first_failure()
-    assert (first.kind, first.n, first.i) == ("C", 2, 1)
+    assert (first.name, first.degree, first.direction) == ("C", 2, 1)
     assert first.rank == 0
+
+
+def test_rank_report_without_checks_fails():
+    T = ThreeTermData(2, [], [[np.zeros((1, 1)), np.zeros((1, 1))]], [None])
+    report = validate_rank_conditions(T)
+    assert report.checks == [] and not report.ok
 
 
 def test_counterexample_recurrence_is_consistent():
