@@ -7,7 +7,7 @@ characterizations on a catalog of concrete families.
 """
 
 from .construct import (GramBlocks, NotPositiveDefiniteError, PolySystem,
-                        QuasiDefiniteFailure, RhoMap, gram_offdiag_residual,
+                        QuasiDefiniteFailure, RhoMap, gram_blocks, gram_offdiag_residual,
                         gram_schmidt_monic, inner_block, koornwinder_system,
                         orthonormalize)
 from .indexing import GradedBasis, basis_for, enumerate_indices, joint_matrix, rank_count

@@ -7,14 +7,14 @@ validators on serialized inputs, `generate` regenerates a system forward
 from serialized recurrence blocks, and `relate` computes the relation
 blocks between two serialized systems.  Exit codes: 0 all checks pass
 (a report without checks fails), 1 a mathematical check fails, 2 usage
-errors and input files that are unreadable, non-finite or misshapen.
+errors, inadmissible parameters, input files that are unreadable,
+non-finite, misshapen or of degree < 1 (relate), and an unwritable --out.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from . import matrixkit as mk
 from . import families, linrel, moments, serialize, ttr
 from .checks import Check, all_pass
-from .construct import GramBlocks, QuasiDefiniteFailure, inner_block
+from .construct import QuasiDefiniteFailure, gram_blocks
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
@@ -76,14 +76,6 @@ class VerdictReport:
         print(f"overall: {'pass' if self.overall else 'FAIL'} ({self.seconds:.2f}s)")
 
 
-def _tolerances(args) -> tuple[float, float]:
-    tol_rank = args.tol_rank
-    if tol_rank is None:
-        tol_rank = float(os.environ.get("MVOPS_TOL_RANK", mk.DEFAULT_RANK_TOL))
-    tol_res = args.tol_res if args.tol_res is not None else mk.DEFAULT_RES_TOL
-    return tol_rank, tol_res
-
-
 def _usage_error(message) -> int:
     print(f"error: {message}", file=sys.stderr)
     return USAGE_ERROR
@@ -91,6 +83,17 @@ def _usage_error(message) -> int:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
+
+
+def _write(path: str, text: str) -> bool:
+    """Write an --out file; a path that cannot be written prints one `error:` line."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _usage_error(exc)
+        return False
+    return True
 
 
 def _finish(report: VerdictReport, args, start: float) -> int:
@@ -106,9 +109,7 @@ def _finish(report: VerdictReport, args, start: float) -> int:
 
 
 def cmd_family(args) -> int:
-    tol_rank, tol_res = _tolerances(args)
-    if args.N < 0:
-        return _usage_error(f"--N must be >= 0, got {args.N}")
+    tol_rank, tol_res = args.tol_rank, args.tol_res
     params: dict = {}
     for key in ("mu", "rho", "alpha", "beta", "a1", "kappa2", "ay"):
         val = getattr(args, key, None)
@@ -153,7 +154,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    tol_rank, tol_res = _tolerances(args)
+    tol_rank, tol_res = args.tol_rank, args.tol_res
     if args.n < 2:
         return _usage_error(f"--n must be >= 2, got {args.n}")
     start = time.time()
@@ -190,7 +191,7 @@ def _load(path: str, loader):
 
 
 def cmd_check(args) -> int:
-    tol_rank, tol_res = _tolerances(args)
+    tol_rank, tol_res = args.tol_rank, args.tol_res
     start = time.time()
     try:
         T = _load(args.ttr, serialize.ttr_from_json)
@@ -207,14 +208,13 @@ def cmd_check(args) -> int:
     report = VerdictReport(command=f"check theorem {args.theorem}",
                            tol_rank=tol_rank, tol_res=tol_res, checks=partner.checks)
     report.extras["verdict"] = f"{label}: {partner.verdict}"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialize.ttr_to_json(candidate))
+    if args.out and not _write(args.out, serialize.ttr_to_json(candidate)):
+        return USAGE_ERROR
     return _finish(report, args, start)
 
 
 def cmd_generate(args) -> int:
-    tol_rank, tol_res = _tolerances(args)
+    tol_rank, tol_res = args.tol_rank, args.tol_res
     if args.N is not None and args.N < 0:
         return _usage_error(f"--N must be >= 0, got {args.N}")
     start = time.time()
@@ -226,14 +226,13 @@ def cmd_generate(args) -> int:
     report = VerdictReport(command="generate", tol_rank=tol_rank, tol_res=tol_res)
     report.checks = [Check.residual("consistency", res, tol_res, n)
                      for n, res in enumerate(residuals)]
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialize.system_to_json(system))
+    if args.out and not _write(args.out, serialize.system_to_json(system)):
+        return USAGE_ERROR
     return _finish(report, args, start)
 
 
 def cmd_relate(args) -> int:
-    tol_rank, tol_res = _tolerances(args)
+    tol_rank, tol_res = args.tol_rank, args.tol_res
     start = time.time()
     try:
         Q = _load(args.combined, serialize.system_from_json)
@@ -241,15 +240,14 @@ def cmd_relate(args) -> int:
         u = moments.parse_functional(args.functional)
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
-    N = min(Q.N, P.N)
-    H = GramBlocks([inner_block(u, P, n, P, n) for n in range(N + 1)])
-    rel = linrel.compute_relation(Q, P, u, H)
+    if min(Q.N, P.N) < 1:
+        return _usage_error(f"relate needs systems of degree >= 1, got {Q.N} and {P.N}")
+    rel = linrel.compute_relation(Q, P, u, gram_blocks(u, P))
     report = VerdictReport(command="relate", tol_rank=tol_rank, tol_res=tol_res)
     report.checks.append(Check.residual("fourier-tail", rel.tail, tol_res))
     report.extras["classification"] = linrel.classify_ranks(rel, tol_rank)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(serialize.relation_to_json(rel))
+    if args.out and not _write(args.out, serialize.relation_to_json(rel)):
+        return USAGE_ERROR
     return _finish(report, args, start)
 
 
@@ -260,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure relations, recurrences and verification.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--tol-rank", type=float, default=None,
+    parser.add_argument("--tol-rank", type=float, default=mk.DEFAULT_RANK_TOL,
                         help="relative singular-value threshold for rank decisions")
-    parser.add_argument("--tol-res", type=float, default=None,
+    parser.add_argument("--tol-res", type=float, default=mk.DEFAULT_RES_TOL,
                         help="relative residual tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -182,21 +182,24 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         h = (h + h.T) / 2.0
         raw_scale = mk.max_abs(u.moment_matrix(n, n, basis))
         sv = mk.singular_values(h)
-        if mk.numeric_rank(h, rank_tol, scale=max(raw_scale, sv[0])) < basis.size(n):
+        if mk.rank_from_sv(sv, rank_tol, max(raw_scale, sv[0])) < basis.size(n):
             raise QuasiDefiniteFailure(n, sv, u.label)
         blocks.append(row)
         grams.blocks.append(h)
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
-def gram_offdiag_residual(u: MomentFunctional, P: PolySystem, H: GramBlocks | None = None) -> float:
-    """Largest off-diagonal pairing block entry, relative to the Gram scale."""
+def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
+    """Gram blocks <u, P_n P_n^t> of a system, n = 0..P.N."""
+    return GramBlocks([inner_block(u, P, n, P, n) for n in range(P.N + 1)])
+
+
+def gram_offdiag_residual(u: MomentFunctional, P: PolySystem, H: GramBlocks) -> float:
+    """Largest off-diagonal pairing block entry, relative to the scale of the
+    Gram blocks H of P."""
     worst = mk.worst(mk.max_abs(inner_block(u, P, n, Q=P, m=m))
                      for n in range(P.N + 1) for m in range(n))
-    scale = H.scale() if H is not None else max(
-        mk.max_abs(inner_block(u, P, n, P, n)) for n in range(P.N + 1)
-    )
-    return worst / max(scale, 1e-300)
+    return worst / max(H.scale(), 1e-300)
 
 
 def orthonormalize(P: PolySystem, H: GramBlocks) -> PolySystem:
@@ -344,9 +347,7 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
         mx = sum(c * w1.moment((j + m,)) for m, c in enumerate(mult) if c != 0.0)
         return myk * mx
 
-    func = MomentFunctional(
-        2, oracle, label=f"koornwinder({w1.label},{w2.label})", scale_note=w1.scale_note
-    )
+    func = MomentFunctional(2, oracle, label=f"koornwinder({w1.label},{w2.label})")
     system = PolySystem(
         2, blocks, monic=identity, label=f"koornwinder({w1.label},{w2.label})"
     )

@@ -20,19 +20,15 @@ from scipy import special as sp
 from . import matrixkit as mk
 from . import moments, mpoly
 from .checks import Check, all_pass
-from .construct import (GramBlocks, PolySystem, RhoMap, gram_offdiag_residual,
-                        gram_schmidt_monic, inner_block, koornwinder_system)
+from .construct import (PolySystem, RhoMap, gram_blocks, gram_offdiag_residual,
+                        gram_schmidt_monic, koornwinder_system)
 from .indexing import basis_for, enumerate_indices
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
                      recover_lambda, relation_residual, verify_mh)
 from .matrixkit import DEFAULT_RANK_TOL, DEFAULT_RES_TOL
-from .moments import LinearPoly, MomentFunctional
+from .moments import LinearPoly, MomentFunctional, ParameterError
 from .ttr import ThreeTermData
-
-
-class ParameterError(ValueError):
-    """A family parameter lies outside its admissible range."""
 
 
 def _check_range(name: str, value: int, lo: int, hi: int) -> None:
@@ -394,14 +390,9 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
     N = min(Q.N, P.N)
     Qm = Q if Q.monic else Q.to_monic()
     Pm = P if P.monic else P.to_monic()
-    bundle.residual_check(
-        "orthogonality-combined", gram_offdiag_residual(v, Qm), res_tol
-    )
-    bundle.residual_check(
-        "orthogonality-reference", gram_offdiag_residual(u, Pm), res_tol
-    )
-    HP = GramBlocks([inner_block(u, Pm, n, Pm, n) for n in range(N + 1)])
-    HQ = GramBlocks([inner_block(v, Qm, n, Qm, n) for n in range(N + 1)])
+    HP, HQ = gram_blocks(u, Pm), gram_blocks(v, Qm)
+    bundle.residual_check("orthogonality-combined", gram_offdiag_residual(v, Qm, HQ), res_tol)
+    bundle.residual_check("orthogonality-reference", gram_offdiag_residual(u, Pm, HP), res_tol)
     rel = compute_relation(Qm, Pm, u, HP)
     bundle.residual_check("fourier-tail", rel.tail, res_tol)
     classification = classify_ranks(rel, rank_tol)
@@ -425,6 +416,8 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
     """Adjacent weights on the unit disk: (1-x^2-y^2)^mu against its (1-x)
     multiple, built through the nested square-root mapping."""
     bundle = FamilyBundle("disk", {"mu": mu}, d=2, N=N)
+    v = moments.disk_functional(mu)
+    u = moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v, label=f"(1-x)*{v.label}")
     rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
     w2 = moments.jacobi_functional_1d(mu, mu)
     Q, _ = koornwinder_system(
@@ -433,8 +426,6 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
     P, _ = koornwinder_system(
         moments.jacobi_functional_1d(mu + 1.5, mu + 0.5), w2, rho, N
     )
-    v = moments.disk_functional(mu)
-    u = moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v, label=f"(1-x)*{v.label}")
 
     # closed-form relation blocks in the shared product basis
     M: list = [None]
@@ -445,8 +436,7 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
         M.append(m)
     rel = LinearRelation(2, M, label="disk closed form")
     bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel), res_tol)
-    HP = GramBlocks([inner_block(u, P, n, P, n) for n in range(N + 1)])
-    computed = compute_relation(Q, P, u, HP)
+    computed = compute_relation(Q, P, u, gram_blocks(u, P))
     gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) for n in range(1, N + 1))
     bundle.residual_check("relation-matches-display", gap, res_tol)
     bundle.extras["relation"] = computed
@@ -672,16 +662,6 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
     return bundle
 
 
-def _gram_identity_residual(u: MomentFunctional, P: PolySystem) -> float:
-    gaps = []
-    for n in range(P.N + 1):
-        for m in range(n + 1):
-            g = inner_block(u, P, n, P, m)
-            target = np.eye(n + 1) if m == n else np.zeros_like(g)
-            gaps.append(mk.max_abs(g - target))
-    return mk.worst(gaps)
-
-
 def _closed_form_residual(bundle: FamilyBundle, Q: PolySystem, P: PolySystem, j: int,
                           keep, drop) -> float:
     """Defect of Q_n = K_n P_n + M_n P_{n-1} over degrees 1..N.
@@ -718,10 +698,10 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     bundle = FamilyBundle("simplex", {"kappa": tuple(kappa), "j": j}, d=d, N=N)
     kp = list(kappa)
     kp[j - 1] += 1.0
-    Q = simplex_orthonormal_system(kappa, N, first=j)
-    P = simplex_orthonormal_system(kp, N, first=j)
     v = moments.simplex_functional(kappa)
     u = moments.simplex_functional(kp)
+    Q = simplex_orthonormal_system(kappa, N, first=j)
+    P = simplex_orthonormal_system(kp, N, first=j)
 
     order = [j] + [x for x in range(1, d + 1) if x != j]
     kperm = [kappa[o - 1] for o in order] + [kappa[d]]
@@ -774,12 +754,12 @@ def cube_family(a, b, j: int, raise_b: bool, N: int,
         b2[j - 1] += 1.0
     else:
         a2[j - 1] += 1.0
+    v = moments.cube_jacobi_functional(a, b)
+    u = moments.cube_jacobi_functional(a2, b2)
     axis0 = [standard_jacobi_coeffs(a[ax], b[ax], N) for ax in range(d)]
     axis1 = [standard_jacobi_coeffs(a2[ax], b2[ax], N) for ax in range(d)]
     Q = tensor_system(axis0, N, f"cube{tuple(a)}x{tuple(b)}")
     P = tensor_system(axis1, N, f"cube{tuple(a2)}x{tuple(b2)}")
-    v = moments.cube_jacobi_functional(a, b)
-    u = moments.cube_jacobi_functional(a2, b2)
 
     aj, bj = a[j - 1], b[j - 1]
 
@@ -810,12 +790,12 @@ def laguerre_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     bundle = FamilyBundle("laguerre", {"kappa": tuple(kappa), "j": j}, d=d, N=N)
     kp = list(kappa)
     kp[j - 1] += 1.0
+    v = moments.multiple_laguerre_functional(kappa)
+    u = moments.multiple_laguerre_functional(kp)
     axis0 = [standard_laguerre_coeffs(kappa[ax], N) for ax in range(d)]
     axis1 = [standard_laguerre_coeffs(kp[ax], N) for ax in range(d)]
     Q = tensor_system(axis0, N, f"laguerre{tuple(kappa)}")
     P = tensor_system(axis1, N, f"laguerre{tuple(kp)}")
-    v = moments.multiple_laguerre_functional(kappa)
-    u = moments.multiple_laguerre_functional(kp)
 
     worst = _closed_form_residual(bundle, Q, P, j, lambda nu: 1.0, lambda nu: -1.0)
     basis = basis_for(d)
@@ -836,6 +816,10 @@ def laguerre_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
 
 def build_family(name: str, N: int, res_tol: float = DEFAULT_RES_TOL,
                  rank_tol: float = DEFAULT_RANK_TOL, **params) -> FamilyBundle:
+    """The named catalog family through degree N >= 1 (every relation,
+    Gram-link and rank check starts at degree 1)."""
+    if N < 1:
+        raise ParameterError(f"N must be >= 1, got {N}")
     name = name.lower()
     if name == "disk":
         return disk_family(params.get("mu", 0.0), N, res_tol, rank_tol)
@@ -845,7 +829,7 @@ def build_family(name: str, N: int, res_tol: float = DEFAULT_RES_TOL,
         )
     if name == "krall-laguerre":
         return krall_tensor_family(
-            "laguerre", N, params.get("a1", 1.0), alpha=params.get("alpha", 0.0),
+            "laguerre", N, params.get("a1", 1.0), alpha=params.get("alpha", 1.0),
             wy_param=params.get("kappa2", 0.0), res_tol=res_tol, rank_tol=rank_tol,
         )
     if name == "krall-jacobi":

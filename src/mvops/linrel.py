@@ -22,10 +22,10 @@ import numpy as np
 from . import matrixkit as mk
 from .checks import Check, all_pass
 from .construct import GramBlocks, PolySystem, inner_block
-from .indexing import basis_for, joint_matrix
+from .indexing import basis_for
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import LinearPoly, MomentFunctional, left_multiply
-from .ttr import RankReport, ThreeTermData
+from .ttr import RankReport, ThreeTermData, rank_family
 
 
 @dataclass
@@ -49,14 +49,15 @@ class LinearRelation:
 
 
 def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
-                     H: GramBlocks, lead_tol: float = 1e-8) -> LinearRelation:
+                     H: GramBlocks) -> LinearRelation:
     """Fourier coefficients of Q against the u-orthogonal system P.
 
     Requires matching leading coefficient blocks, so each difference
     Q_n - P_n has lower degree and expands over P_0..P_{n-1}.  The block
     against P_{n-1} is M_n; the reported tail is the largest coefficient
     against any P_j with j <= n-2, relative to the coefficient scale, and
-    certifies the two-term relation when it is negligible.
+    certifies the two-term relation when it is negligible.  Leading blocks
+    may differ by 1e-8 relative to the coefficient scale.
     """
     if Q.d != P.d:
         raise ValueError("systems must share the dimension")
@@ -66,7 +67,7 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
     )
     for n in range(N + 1):
         gap = mk.max_abs(Q.leading(n) - P.leading(n))
-        if gap > lead_tol * scale:
+        if gap > 1e-8 * scale:
             raise ValueError(
                 f"leading coefficients differ at degree {n} (gap {gap:.3e}); "
                 "convert both systems to a common leading normalization first"
@@ -100,33 +101,23 @@ def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation) -> floa
     return mk.worst(defects)
 
 
-def classify_ranks(rel: LinearRelation, tol: float = mk.DEFAULT_RANK_TOL,
-                   expect_dichotomy: bool = False) -> str:
+def classify_ranks(rel: LinearRelation, tol: float = mk.DEFAULT_RANK_TOL) -> str:
     """"zero" if every block vanishes, "full" if every block has full rank,
     otherwise "mixed".
 
     Two orthogonal systems can only produce "zero" or "full", so "mixed"
-    there signals a modeling or numerical fault; pass expect_dichotomy=True
-    to turn that outcome into an exception instead of a silent string.
+    there signals a modeling or numerical fault.
     """
     basis = basis_for(rel.d)
     sigmas = [mk.singular_values(rel.m(n)) for n in rel.available()]
     if not sigmas:
         return "zero"
-    scale = max(max(s[0] for s in sigmas), 0.0)
-    ranks = [
-        mk.numeric_rank(rel.m(n), tol, scale=max(scale, 1e-300))
-        for n in rel.available()
-    ]
+    scale = max(max(s[0] for s in sigmas), 1e-300)
+    ranks = [mk.rank_from_sv(s, tol, scale) for s in sigmas]
     if all(r == 0 for r in ranks):
         return "zero"
     if all(r == basis.size(n - 1) for r, n in zip(ranks, rel.available())):
         return "full"
-    if expect_dichotomy:
-        detail = {n: r for n, r in zip(rel.available(), ranks)}
-        raise ValueError(
-            f"mixed relation ranks {detail} on a supposedly orthogonal pair"
-        )
     return "mixed"
 
 
@@ -211,14 +202,14 @@ class PartnerReport:
         return all_pass(self.checks)
 
 
-def _compat_checks(rel: LinearRelation, C_ref: list, C_cand: list, d: int,
-                   n_range, tol: float) -> list[Check]:
+def _compat_checks(rel: LinearRelation, ref: ThreeTermData, comb: ThreeTermData,
+                   tol: float) -> list[Check]:
     """Residuals of M_n C_{n-1,i} = C~_{n,i} M_{n-1}."""
     checks = []
-    for n in n_range:
-        for i in range(1, d + 1):
-            lhs = rel.m(n) @ C_ref[n - 1][i - 1]
-            rhs = C_cand[n][i - 1] @ rel.m(n - 1)
+    for n in range(2, min(ref.N, comb.N) + 1):
+        for i in range(1, ref.d + 1):
+            lhs = rel.m(n) @ ref.c(n - 1, i)
+            rhs = comb.c(n, i) @ rel.m(n - 1)
             scale = max(mk.max_abs(lhs), mk.max_abs(rhs), 1.0)
             checks.append(Check.residual("compatibility", mk.max_abs(lhs - rhs) / scale,
                                          tol, n, i))
@@ -237,43 +228,55 @@ def _a_block(T: ThreeTermData, n: int, i: int) -> np.ndarray:
     return basis_for(T.d).shift_matrix(n, i)
 
 
+def _partner(T: ThreeTermData, rel: LinearRelation, sign: float) -> ThreeTermData:
+    """Recurrence blocks of the other side of Q_n = P_n + M_n P_{n-1}.
+
+    Both sides share the A blocks, and
+        B~_n = B_n + M_n A_{n-1} - A_n M_{n+1},
+        C~_n = C_n + M_n B_{n-1} - B~_n M_n.
+    With sign +1, T is the reference side (B, C) and the combined side
+    (B~, C~) is built; with sign -1, T is the combined side and the same
+    identity is solved for the reference side.  B_n needs M_{n+1}, so the
+    result stops one degree short of the relation.
+    """
+    d = T.d
+    n_top = min(rel.N - 1, T.N)
+    A = [[_a_block(T, n, i) for i in range(1, d + 1)] for n in range(n_top)]
+    B: list = []
+    for n in range(n_top + 1):
+        row = []
+        for i in range(1, d + 1):
+            bt = T.b(n, i).copy()
+            if n >= 1:
+                bt += sign * (rel.m(n) @ _a_block(T, n - 1, i))
+            bt -= sign * (_a_block(T, n, i) @ rel.m(n + 1))
+            row.append(bt)
+        B.append(row)
+    ref_B, comb_B = (T.B, B) if sign > 0 else (B, T.B)
+    C: list = [None]
+    for n in range(1, n_top + 1):
+        row = []
+        for i in range(1, d + 1):
+            ct = T.c(n, i).copy()
+            ct += sign * (rel.m(n) @ ref_B[n - 1][i - 1])
+            ct -= sign * (comb_B[n][i - 1] @ rel.m(n))
+            row.append(ct)
+        C.append(row)
+    return ThreeTermData(d, A, B, C)
+
+
 def reference_from_combined(T_q: ThreeTermData, rel: LinearRelation,
                             tol: float = DEFAULT_RES_TOL
                             ) -> tuple[ThreeTermData, PartnerReport]:
     """Build the reference side's recurrence from the combined (orthogonal)
     side and decide whether the reference system is orthogonal.
 
-    Both A families are the structural shifts.  B blocks need the next
-    relation matrix, so coverage stops one degree short of the relation;
-    the verdict is the conjunction of compatibility residuals (rank
+    The verdict is the conjunction of compatibility residuals (rank
     conditions on the reference side follow automatically).
     """
-    d = T_q.d
-    n_top = min(rel.N - 1, T_q.N)
-    A = [[_a_block(T_q, n, i) for i in range(1, d + 1)] for n in range(n_top)]
-    B: list = []
-    for n in range(n_top + 1):
-        row = []
-        for i in range(1, d + 1):
-            bt = T_q.b(n, i).copy()
-            if n >= 1:
-                bt -= rel.m(n) @ _a_block(T_q, n - 1, i)
-            bt += _a_block(T_q, n, i) @ rel.m(n + 1)
-            row.append(bt)
-        B.append(row)
-    C: list = [None]
-    for n in range(1, n_top + 1):
-        row = []
-        for i in range(1, d + 1):
-            ct = T_q.c(n, i).copy()
-            ct -= rel.m(n) @ B[n - 1][i - 1]
-            ct += T_q.b(n, i) @ rel.m(n)
-            row.append(ct)
-        C.append(row)
-    candidate = ThreeTermData(d, A, B, C)
-    checks = _compat_checks(rel, C, [None] + [T_q.C[n] for n in range(1, n_top + 1)],
-                            d, range(2, n_top + 1), tol)
-    return candidate, PartnerReport(checks, None, (0, n_top))
+    candidate = _partner(T_q, rel, -1.0)
+    checks = _compat_checks(rel, candidate, T_q, tol)
+    return candidate, PartnerReport(checks, None, (0, candidate.N))
 
 
 def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
@@ -288,53 +291,11 @@ def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
     explicitly: each C~_{n,i} must have full rank and so must the joint of
     their transposes.
     """
-    d = T_p.d
-    basis = basis_for(d)
-    n_top = min(rel.N - 1, T_p.N)
-    A = [[_a_block(T_p, n, i) for i in range(1, d + 1)] for n in range(n_top)]
-    Bt: list = []
-    for n in range(n_top + 1):
-        row = []
-        for i in range(1, d + 1):
-            bt = T_p.b(n, i).copy()
-            if n >= 1:
-                bt += rel.m(n) @ _a_block(T_p, n - 1, i)
-            bt -= _a_block(T_p, n, i) @ rel.m(n + 1)
-            row.append(bt)
-        Bt.append(row)
-    Ct: list = [None]
-    for n in range(1, n_top + 1):
-        row = []
-        for i in range(1, d + 1):
-            ct = T_p.c(n, i).copy()
-            ct += rel.m(n) @ T_p.b(n - 1, i)
-            ct -= Bt[n][i - 1] @ rel.m(n)
-            row.append(ct)
-        Ct.append(row)
-    candidate = ThreeTermData(d, A, Bt, Ct)
-    checks = _compat_checks(rel, [None] + [T_p.C[n] for n in range(1, n_top + 1)],
-                            Ct, d, range(2, n_top + 1), tol)
-    # rank decisions share one scale so a block that is zero up to noise
-    # registers as deficient instead of trivially full against itself
-    scale = max(
-        (mk.singular_values(Ct[n][i - 1])[0]
-         for n in range(1, n_top + 1) for i in range(1, d + 1)),
-        default=1.0,
-    )
-    scale = max(scale, 1e-300)
-    rank_report = RankReport()
-    for n in range(1, n_top + 1):
-        for i in range(1, d + 1):
-            rank_report.checks.append(
-                Check.ranked("C~", mk.numeric_rank(Ct[n][i - 1], rank_tol, scale=scale),
-                             basis.size(n - 1), n, i)
-            )
-        joint = joint_matrix([Ct[n][i - 1].T for i in range(1, d + 1)])
-        rank_report.checks.append(
-            Check.ranked("C~-joint", mk.numeric_rank(joint, rank_tol, scale=scale),
-                         basis.size(n), n)
-        )
-    return candidate, PartnerReport(checks, rank_report, (0, n_top))
+    candidate = _partner(T_p, rel, 1.0)
+    checks = _compat_checks(rel, T_p, candidate, tol)
+    Ct = {n: candidate.C[n] for n in range(1, candidate.N + 1)}
+    ranks = RankReport(rank_family("C~", candidate.d, Ct, rank_tol, lower=True))
+    return candidate, PartnerReport(checks, ranks, (0, candidate.N))
 
 
 def counterexample(n_max: int) -> tuple[ThreeTermData, LinearRelation]:
@@ -355,8 +316,7 @@ def counterexample(n_max: int) -> tuple[ThreeTermData, LinearRelation]:
     for n in range(1, n_max + 2):
         M.append(reference.c(n, 1))
     rel = LinearRelation(2, M, tail=0.0, label="counterexample")
-    combined, _ = combined_from_reference(reference, rel)
-    return combined, rel
+    return _partner(reference, rel, 1.0), rel
 
 
 def reference_ttr_for_counterexample(n_max: int) -> ThreeTermData:

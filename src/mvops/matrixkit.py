@@ -39,16 +39,19 @@ def numeric_rank(m, tol: float = DEFAULT_RANK_TOL, scale: float | None = None) -
     relative rank; passing an external scale makes near-zero blocks of a
     larger problem register as deficient instead of trivially full.
     """
+    sv = np.linalg.svd(_as_matrix(m), compute_uv=False)
+    if scale is None:
+        scale = sv[0] if sv.size else 0.0
+    return rank_from_sv(sv, tol, scale)
+
+
+def rank_from_sv(sv, tol: float, scale: float) -> int:
+    """Number of the singular values `sv` above tol * scale; 0 when scale <= 0."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    m = _as_matrix(m)
-    if m.size == 0:
+    if scale <= 0.0:
         return 0
-    sv = np.linalg.svd(m, compute_uv=False)
-    top = sv[0] if scale is None else max(scale, 0.0)
-    if top == 0.0:
-        return 0
-    return int(np.sum(sv > tol * top))
+    return int(np.sum(sv > tol * scale))
 
 
 def singular_values(m) -> np.ndarray:

@@ -10,8 +10,8 @@ to know how a moment is produced.
 Normalization: families whose conventional inner product has unit mass
 (disk, simplex, the product and symmetrized Chebyshev weights) are scaled
 so the zeroth moment is 1 by default; Laguerre and Jacobi tensor weights
-are kept raw with the mass recorded on the label.  Orthogonality, ranks
-and relation verdicts elsewhere are scale invariant.
+are kept raw.  Orthogonality, ranks and relation verdicts elsewhere are
+scale invariant.
 """
 
 from __future__ import annotations
@@ -26,6 +26,10 @@ from scipy import special as sp
 from .indexing import GradedBasis, basis_for
 
 
+class ParameterError(ValueError):
+    """A weight or family parameter lies outside its admissible range."""
+
+
 class MomentFunctional:
     """Linear functional on d-variate polynomials, defined by its moments.
 
@@ -36,13 +40,12 @@ class MomentFunctional:
     to be confined to one thread (the memos are unlocked).
     """
 
-    def __init__(self, d: int, oracle, label: str = "", scale_note: str = ""):
+    def __init__(self, d: int, oracle, label: str = ""):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
         self.d = d
         self._oracle = oracle
         self.label = label
-        self.scale_note = scale_note
         self._memo: dict[tuple[int, ...], float] = {}
         self._vectors: dict[int, np.ndarray] = {}
         self._graded = np.zeros((0, 0))
@@ -169,7 +172,7 @@ def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFun
             for beta, c in coeffs.items()
         )
 
-    return MomentFunctional(u.d, oracle, label or f"poly*({u.label})", u.scale_note)
+    return MomentFunctional(u.d, oracle, label or f"poly*({u.label})")
 
 
 class _TensorFunctional(MomentFunctional):
@@ -221,16 +224,14 @@ def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFuncti
 def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> MomentFunctional:
     """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by Gauss quadrature."""
     if a <= -1 or b <= -1:
-        raise ValueError(f"jacobi exponents must exceed -1, got ({a}, {b})")
+        raise ParameterError(f"jacobi exponents must exceed -1, got ({a}, {b})")
 
     def oracle(alpha):
         m = alpha[0]
         x, w = sp.roots_jacobi(m // 2 + 2, a, b)
         return float(np.sum(w * x**m))
 
-    return MomentFunctional(
-        1, oracle, label or f"jacobi(a={a},b={b})", scale_note="raw weight mass"
-    )
+    return MomentFunctional(1, oracle, label or f"jacobi(a={a},b={b})")
 
 
 def jacobi_mass(a: float, b: float) -> float:
@@ -242,14 +243,12 @@ def jacobi_mass(a: float, b: float) -> float:
 def laguerre_functional_1d(alpha: float, label: str | None = None) -> MomentFunctional:
     """Raw moments of t^alpha e^-t on (0, inf): Gamma(m + alpha + 1)."""
     if alpha <= -1:
-        raise ValueError(f"laguerre exponent must exceed -1, got {alpha}")
+        raise ParameterError(f"laguerre exponent must exceed -1, got {alpha}")
 
     def oracle(idx):
         return sp.gamma(idx[0] + alpha + 1)
 
-    return MomentFunctional(
-        1, oracle, label or f"laguerre(alpha={alpha})", scale_note="raw weight mass"
-    )
+    return MomentFunctional(1, oracle, label or f"laguerre(alpha={alpha})")
 
 
 _CHEB_PARAMS = {1: (-0.5, -0.5), 2: (0.5, 0.5), 3: (0.5, -0.5), 4: (-0.5, 0.5)}
@@ -266,7 +265,7 @@ def _cheb1_moment(m: int) -> float:
 def chebyshev_functional_1d(kind: int) -> MomentFunctional:
     """Unit-mass Chebyshev weight of the given kind, closed-form moments."""
     if kind not in _CHEB_PARAMS:
-        raise ValueError(f"chebyshev kind must be 1..4, got {kind}")
+        raise ParameterError(f"chebyshev kind must be 1..4, got {kind}")
 
     def oracle(idx):
         m = idx[0]
@@ -289,11 +288,11 @@ def krall_laguerre_functional(alpha: float, a1: float) -> MomentFunctional:
     origin is Gamma(alpha+1) / (alpha + 1 - a1).
     """
     if alpha <= -1:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
+        raise ParameterError(f"alpha must exceed -1, got {alpha}")
     if a1 == 0:
-        raise ValueError("a1 must be nonzero")
+        raise ParameterError("a1 must be nonzero")
     if alpha + 1 - a1 == 0:
-        raise ValueError("alpha + 1 - a1 must be nonzero")
+        raise ParameterError("alpha + 1 - a1 must be nonzero")
     mass0 = sp.gamma(alpha + 1) / (alpha + 1 - a1)
 
     def oracle(idx):
@@ -301,9 +300,7 @@ def krall_laguerre_functional(alpha: float, a1: float) -> MomentFunctional:
         # (t^m - 0^m)/t has Laguerre action Gamma(m + alpha) for m >= 1
         return mass0 if m == 0 else sp.gamma(m + alpha)
 
-    return MomentFunctional(
-        1, oracle, f"krall-laguerre(alpha={alpha},a1={a1})", scale_note="raw weight mass"
-    )
+    return MomentFunctional(1, oracle, f"krall-laguerre(alpha={alpha},a1={a1})")
 
 
 def krall_jacobi_functional(alpha: float, beta: float, a1: float) -> MomentFunctional:
@@ -312,12 +309,12 @@ def krall_jacobi_functional(alpha: float, beta: float, a1: float) -> MomentFunct
     Satisfies (1-x) . v = jacobi(alpha, beta) on all moments.
     """
     if alpha <= -1 or beta <= -1:
-        raise ValueError(f"jacobi exponents must exceed -1, got ({alpha}, {beta})")
+        raise ParameterError(f"jacobi exponents must exceed -1, got ({alpha}, {beta})")
     if a1 == 0:
-        raise ValueError("a1 must be nonzero")
+        raise ParameterError("a1 must be nonzero")
     denom = 2 * (alpha + 1) + a1 * (alpha + beta + 2)
     if denom == 0:
-        raise ValueError("2(alpha+1) + a1(alpha+beta+2) must be nonzero")
+        raise ParameterError("2(alpha+1) + a1(alpha+beta+2) must be nonzero")
     base = jacobi_functional_1d(alpha, beta)
     mass1 = jacobi_mass(alpha, beta) * (alpha + beta + 2) / denom
 
@@ -327,12 +324,7 @@ def krall_jacobi_functional(alpha: float, beta: float, a1: float) -> MomentFunct
         divided = -sum(base.moment((k,)) for k in range(m))
         return divided + mass1
 
-    return MomentFunctional(
-        1,
-        oracle,
-        f"krall-jacobi(alpha={alpha},beta={beta},a1={a1})",
-        scale_note="raw weight mass",
-    )
+    return MomentFunctional(1, oracle, f"krall-jacobi(alpha={alpha},beta={beta},a1={a1})")
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +363,14 @@ def disk_moment_quadrature(mu: float, alpha) -> float:
 
 def disk_functional(mu: float, normalized: bool = True) -> MomentFunctional:
     if mu <= -1:
-        raise ValueError(f"mu must exceed -1, got {mu}")
+        raise ParameterError(f"mu must exceed -1, got {mu}")
     mass = disk_moment_closed(mu, (0, 0))
 
     def oracle(alpha):
         value = disk_moment_closed(mu, alpha)
         return value / mass if normalized else value
 
-    note = "unit mass" if normalized else "raw weight mass"
-    return MomentFunctional(2, oracle, f"disk(mu={mu})", scale_note=note)
+    return MomentFunctional(2, oracle, f"disk(mu={mu})")
 
 
 def simplex_moment_closed(kappa, alpha) -> float:
@@ -419,24 +410,23 @@ def simplex_functional(kappa, normalized: bool = True) -> MomentFunctional:
     kappa = tuple(float(k) for k in kappa)
     d = len(kappa) - 1
     if d < 1:
-        raise ValueError("kappa must have d+1 entries with d >= 1")
+        raise ParameterError("kappa must have d+1 entries with d >= 1")
     if any(k <= -0.5 for k in kappa):
-        raise ValueError(f"kappa entries must exceed -1/2, got {kappa}")
+        raise ParameterError(f"kappa entries must exceed -1/2, got {kappa}")
     mass = simplex_moment_closed(kappa, (0,) * d)
 
     def oracle(alpha):
         value = simplex_moment_closed(kappa, alpha)
         return value / mass if normalized else value
 
-    note = "unit mass" if normalized else "raw weight mass"
-    return MomentFunctional(d, oracle, f"simplex(kappa={kappa})", scale_note=note)
+    return MomentFunctional(d, oracle, f"simplex(kappa={kappa})")
 
 
 def cube_jacobi_functional(a, b) -> MomentFunctional:
     a = tuple(float(x) for x in a)
     b = tuple(float(x) for x in b)
     if len(a) != len(b):
-        raise ValueError("parameter vectors a and b must have equal length")
+        raise ParameterError("parameter vectors a and b must have equal length")
     factors = [jacobi_functional_1d(ai, bi) for ai, bi in zip(a, b)]
     return tensor(*factors, label=f"cube-jacobi(a={a},b={b})")
 

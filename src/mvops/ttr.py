@@ -192,53 +192,40 @@ class RankReport:
         return bad[0] if bad else None
 
 
-def validate_rank_conditions(T: ThreeTermData, tol: float = mk.DEFAULT_RANK_TOL) -> RankReport:
-    """Check the full-rank conditions on A and C blocks and their joints.
+def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[Check]:
+    """Full-rank checks of one block family: each block, then per degree the
+    joint of the blocks ("<name>-joint").
 
-    Rank decisions within each block family share a common scale so blocks
-    that vanish up to roundoff register as rank deficient.
+    `rows` maps a degree n to its d blocks.  An upper family (A) needs rank
+    r_n per block and r_{n+1} jointly; a lower family (C, lower=True) needs
+    r_{n-1} per block and r_n for the joint of the transposes.  Every
+    decision uses one scale, the largest singular value in the family, so a
+    block that vanishes up to roundoff registers as rank deficient.
     """
-    d = T.d
     basis = basis_for(d)
-    report = RankReport()
-
-    def family_scale(blocks):
-        tops = [mk.singular_values(b)[0] for b in blocks if b.size]
-        return max(max(tops, default=0.0), 1e-300)
-
-    a_blocks = [T.a(n, i) for n in range(len(T.A)) for i in range(1, d + 1)]
-    a_scale = family_scale(a_blocks)
-    for n in range(len(T.A)):
-        for i in range(1, d + 1):
-            report.checks.append(
-                Check.ranked("A", mk.numeric_rank(T.a(n, i), tol, scale=a_scale),
-                             basis.size(n), n, i)
-            )
-        joint = joint_matrix([T.a(n, i) for i in range(1, d + 1)])
-        report.checks.append(
-            Check.ranked("A-joint", mk.numeric_rank(joint, tol, scale=a_scale),
-                         basis.size(n + 1), n)
-        )
-    c_blocks = [T.c(n, i) for n in range(1, T.N + 1) if T.C[n] is not None
-                for i in range(1, d + 1)]
-    c_scale = family_scale(c_blocks)
-    for n in range(1, T.N + 1):
-        if T.C[n] is None:
-            continue
-        for i in range(1, d + 1):
-            report.checks.append(
-                Check.ranked("C", mk.numeric_rank(T.c(n, i), tol, scale=c_scale),
-                             basis.size(n - 1), n, i)
-            )
-        joint = joint_matrix([T.c(n, i).T for i in range(1, d + 1)])
-        report.checks.append(
-            Check.ranked("C-joint", mk.numeric_rank(joint, tol, scale=c_scale),
-                         basis.size(n), n)
-        )
-    return report
+    sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
+    scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
+                1e-300)
+    shift = -1 if lower else 0
+    checks = []
+    for n, row in rows.items():
+        for i, s in enumerate(sv[n], start=1):
+            checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
+                                       basis.size(n + shift), n, i))
+        joint = joint_matrix([b.T for b in row] if lower else row)
+        checks.append(Check.ranked(f"{name}-joint", mk.numeric_rank(joint, tol, scale=scale),
+                                   basis.size(n + shift + 1), n))
+    return checks
 
 
-def fit_ttr(P: PolySystem, res_scale: bool = True) -> tuple[ThreeTermData, dict]:
+def validate_rank_conditions(T: ThreeTermData, tol: float = mk.DEFAULT_RANK_TOL) -> RankReport:
+    """Check the full-rank conditions on the A and C blocks and their joints."""
+    C = {n: T.C[n] for n in range(1, T.N + 1) if T.C[n] is not None}
+    return RankReport(rank_family("A", T.d, dict(enumerate(T.A)), tol, lower=False)
+                      + rank_family("C", T.d, C, tol, lower=True))
+
+
+def fit_ttr(P: PolySystem) -> tuple[ThreeTermData, dict]:
     """Least-squares recurrence blocks for an arbitrary monic system.
 
     For every degree with both neighbours available, fits B_{n,i} and
@@ -272,7 +259,7 @@ def fit_ttr(P: PolySystem, res_scale: bool = True) -> tuple[ThreeTermData, dict]
                            for k in range(n + 1)])
             top = mk.max_abs(target.get(n + 1, np.zeros(1)))
             coeffs = mk.lstsq(X.T, D.T).T
-            scale = max(_row_scale(P, n), 1.0) if res_scale else 1.0
+            scale = max(_row_scale(P, n), 1.0)
             residuals[(n, i)] = max(mk.max_abs(coeffs @ X - D), top) / scale
             b_row.append(coeffs[:, : basis.size(n)])
             c_row.append(coeffs[:, basis.size(n):] if n >= 1 else None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvops import cli, linrel, moments, serialize
+from mvops import cli, families, linrel, moments, serialize
 from mvops.construct import gram_schmidt_monic
 from mvops.ttr import compute_ttr
 
@@ -202,19 +202,12 @@ def test_relate_bad_functional_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_env_tolerance_override_and_flag_precedence(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("MVOPS_TOL_RANK", "0.9")
-    code, out, _ = run_cli(["--json", "family", "disk", "--mu", "0", "--N", "3"],
-                           capsys)
+def test_tol_rank_flag_reaches_the_report(capsys):
+    code, out, _ = run_cli(
+        ["--json", "--tol-rank", "0.9", "family", "disk", "--mu", "0", "--N", "3"], capsys)
     payload = json.loads(out)
     assert payload["tolerances"]["rank"] == pytest.approx(0.9)
     assert code == 1  # absurd threshold breaks the rank checks
-    code, out, _ = run_cli(
-        ["--json", "--tol-rank", "1e-9", "family", "disk", "--mu", "0", "--N", "3"],
-        capsys)
-    payload = json.loads(out)
-    assert payload["tolerances"]["rank"] == pytest.approx(1e-9)
-    assert code == 0
 
 
 def test_reports_deterministic(capsys):
@@ -397,3 +390,39 @@ def test_check_records_share_one_schema(envelopes, command, capsys):
         assert {"check", "degree", "direction", "pass"} <= set(rec)
         assert set(rec) - {"check", "degree", "direction", "pass"} in (
             {"value", "bound"}, {"rank", "expected"})
+
+
+NO_DIR = "{root}/no-such-dir/out.json"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["family", "disk", "--mu", "-2"],
+    ["family", "simplex", "--kappa=-1,0.5,0.5"],
+    ["family", "laguerre", "--kappa=-2,0"],
+    ["family", "krall-laguerre", "--alpha", "0", "--a1", "1"],
+    ["family", "cube", "--a=0,0", "--b=-2,0"],
+    *(["family", name, "--N", "0"]
+      for name in ("disk", "krall-jacobi", "simplex", "cube", "laguerre")),
+    ["relate", "--combined", "{P0}", "--reference", "{P0}", "--functional", "{functional}"],
+    ["generate", "--ttr", "{Tp}", "--out", NO_DIR],
+    ["check", "--theorem", "4", "--ttr", "{Tp}", "--relation", "{rel}", "--out", NO_DIR],
+    ["relate", "--combined", "{Q}", "--reference", "{P}", "--functional", "{functional}",
+     "--out", NO_DIR],
+])
+def test_inadmissible_runs_exit_2_with_one_error_line(envelopes, argv, capsys):
+    root = envelopes["root"]
+    (root / "P0.json").write_text(
+        serialize.system_to_json(gram_schmidt_monic(moments.disk_functional(0.0), 0)[0]))
+    fill = dict(envelopes["paths"], P0=str(root / "P0.json"), root=str(root),
+                functional=envelopes["functional"])
+    code, out, err = run_cli([a.format(**fill) for a in argv], capsys)
+    assert code == 2, (out, err)
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", families.FAMILY_NAMES)
+def test_every_family_passes_at_its_defaults(name, capsys):
+    code, out, err = run_cli(["family", name, "--N", "3"], capsys)
+    assert code == 0, (out, err)

@@ -5,6 +5,7 @@ import pytest
 from scipy import special as sp
 
 from mvops import families, matrixkit as mk, moments
+from mvops.construct import gram_blocks, gram_offdiag_residual
 from mvops.indexing import basis_for
 
 
@@ -227,7 +228,9 @@ def test_symmetrized_system_coefficients_match_grid_route():
     kind, N = 2, 4
     v = moments.koornwinder_symmetrized_functional(kind)
     sys_ = families.symmetrized_chebyshev_system(kind, N)
-    assert families._gram_identity_residual(v, sys_) <= 1e-10
+    H = gram_blocks(v, sys_)   # orthonormal: identity Gram blocks, no cross pairings
+    assert mk.worst(mk.max_abs(H.h(n) - np.eye(n + 1)) for n in range(N + 1)) <= 1e-10
+    assert gram_offdiag_residual(v, sys_, H) <= 1e-10
     T, ortho = families.symmetrized_chebyshev_ttr(kind, N)
     assert ortho <= 1e-12
     from mvops.construct import GramBlocks

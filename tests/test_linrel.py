@@ -87,8 +87,6 @@ def test_classify_handcrafted_mixed_relation():
     M = [None, np.array([[1.0], [0.0]]), np.zeros((3, 2))]
     rel = LinearRelation(2, M)
     assert classify_ranks(rel) == "mixed"
-    with pytest.raises(ValueError):
-        classify_ranks(rel, expect_dichotomy=True)
 
 
 def test_classify_full(disk_monic):
@@ -197,6 +195,29 @@ def test_combined_from_reference_on_disk_is_orthogonal(disk_monic):
     for n in range(1, top + 1):
         for i in (1, 2):
             assert mk.max_abs(candidate.c(n, i) - T_q.c(n, i)) <= 1e-8
+
+
+def _assert_round_trip(T_p, rel):
+    """Theorem 4 then Theorem 3 returns the reference B and C blocks."""
+    combined, _ = combined_from_reference(T_p, rel)
+    back, _ = reference_from_combined(combined, rel)
+    assert back.N >= 2
+    scale = max(mk.max_abs(b) for row in T_p.B + T_p.C[1:] for b in row)
+    for n in range(back.N + 1):
+        for i in range(1, T_p.d + 1):
+            assert mk.max_abs(back.b(n, i) - T_p.b(n, i)) <= 1e-12 * scale
+            if n >= 1:
+                assert mk.max_abs(back.c(n, i) - T_p.c(n, i)) <= 1e-12 * scale
+
+
+def test_partner_round_trip_on_disk(disk_monic):
+    mu, N, Qm, Pm, HP, HQ, rel, u, v = disk_monic
+    _assert_round_trip(compute_ttr(Pm, u, HP), rel)
+
+
+def test_partner_round_trip_on_counterexample_reference():
+    _, rel = counterexample(6)
+    _assert_round_trip(linrel.reference_ttr_for_counterexample(7), rel)
 
 
 def test_counterexample_blocks_and_ranks():
