@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import matrixkit as mk
+from . import mpoly
 from .indexing import GradedBasis, basis_for
 from .moments import MomentFunctional, left_multiply
 
@@ -220,6 +220,27 @@ def orthonormalize(P: PolySystem, H: GramBlocks) -> PolySystem:
     return out
 
 
+def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
+    """Assemble a PolySystem from dense mpoly arrays, one per multi-index.
+
+    rows[nu] is the polynomial in the row of nu of its degree vector.  The
+    system is monic exactly when every leading block is the identity.
+    """
+    basis = basis_for(d)
+    blocks = []
+    for n in range(N + 1):
+        row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n + 1)]
+        for pos, nu in enumerate(basis.indices(n)):
+            for m, coeffs in mpoly.to_blocks(rows[nu], basis).items():
+                if m > n and np.max(np.abs(coeffs)) > 1e-10:
+                    raise ValueError(f"row {nu} has degree {m} > {n}")
+                if m <= n:
+                    row[m][pos] += coeffs
+        blocks.append(row)
+    monic = all(np.array_equal(blocks[n][n], np.eye(basis.size(n))) for n in range(N + 1))
+    return PolySystem(d, blocks, monic=monic, label=label)
+
+
 # ---------------------------------------------------------------------------
 # Koornwinder's construction of bivariate systems from two 1-d weights
 
@@ -244,16 +265,6 @@ class RhoMap:
     @staticmethod
     def sqrt_poly(q0: float, q1: float = 0.0, q2: float = 0.0) -> "RhoMap":
         return RhoMap("sqrt", (float(q0), float(q1), float(q2)))
-
-    def rho_poly(self) -> np.ndarray:
-        if self.kind != "linear":
-            raise ValueError("rho itself is polynomial only in the linear case")
-        return np.array(self.coeffs, dtype=float)
-
-    def rho_sq_poly(self) -> np.ndarray:
-        if self.kind == "linear":
-            return npoly.polymul(self.coeffs, self.coeffs)
-        return np.array(self.coeffs, dtype=float)
 
 
 def _poly_map_1d(coeffs) -> dict[tuple[int], float]:
@@ -281,74 +292,51 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
     """
     if w1.d != 1 or w2.d != 1:
         raise ValueError("koornwinder construction needs univariate weights")
-    basis = basis_for(2)
-    rho_sq = rho.rho_sq_poly()
+    linear = rho.kind == "linear"
+    base = np.array(rho.coeffs, dtype=float)  # rho if linear, else rho^2
+    y = mpoly.linear(2, [0.0, 1.0])
+    base_xy = mpoly.from_1d(base, 0, 2)
+    powers = [mpoly.const(1)]
 
-    r_coeffs = _monic_1d_coeffs(w2, N)
-    if rho.kind == "sqrt":
+    def base_power(t: int) -> np.ndarray:
+        while len(powers) <= t:
+            powers.append(mpoly.mul(powers[-1], base))
+        return powers[t]
+
+    # parts[k] = rho^k r_k(y / rho), a homogeneous form in (y, rho) or,
+    # for a sqrt mapping, y^(k mod 2) times a form in (y^2, rho^2)
+    parts = []
+    for k, c in enumerate(_monic_1d_coeffs(w2, N)):
+        if linear:
+            parts.append(mpoly.hom_eval(c, y, base_xy))
+            continue
         # the symmetric second weight makes r_k share the parity of k
-        for k, c in enumerate(r_coeffs):
-            scale = max(1.0, float(np.max(np.abs(c))))
-            for j in range(len(c)):
-                if (j - k) % 2:
-                    if abs(c[j]) > 1e-9 * scale:
-                        raise ValueError("second weight must be symmetric for a sqrt mapping")
-                    c[j] = 0.0
+        scale = max(1.0, float(np.max(np.abs(c))))
+        if np.any(np.abs(c[1 - k % 2::2]) > 1e-9 * scale):
+            raise ValueError("second weight must be symmetric for a sqrt mapping")
+        parts.append(mpoly.mul(mpoly.power(y, k % 2),
+                               mpoly.hom_eval(c[k % 2::2], mpoly.mul(y, y), base_xy)))
 
-    q_coeffs = []
+    rows = {}
     for k in range(N + 1):
-        if rho.kind == "linear":
-            mult = npoly.polypow(rho.rho_poly(), 2 * k + 1)
-        else:
-            mult = npoly.polypow(rho_sq, k)
+        mult = base_power(2 * k + 1 if linear else k)
         u_k = left_multiply(_poly_map_1d(mult), w1, label=f"rho^{2 * k + 1}*w1")
-        q_coeffs.append(_monic_1d_coeffs(u_k, N - k))
-
-    blocks: list[list[np.ndarray]] = []
-    for n in range(N + 1):
-        row = [np.zeros((n + 1, basis.size(k))) for k in range(n + 1)]
-        for k in range(n + 1):
-            ysec = np.zeros((1, k + 1))  # grows as needed: [x powers, y power]
-            for j, rc in enumerate(r_coeffs[k]):
-                if rc == 0.0:
-                    continue
-                if rho.kind == "linear":
-                    rpow = npoly.polypow(rho.rho_poly(), k - j)
-                else:
-                    rpow = npoly.polypow(rho_sq, (k - j) // 2)
-                if ysec.shape[0] < len(rpow):
-                    grown = np.zeros((len(rpow), k + 1))
-                    grown[: ysec.shape[0]] = ysec
-                    ysec = grown
-                ysec[: len(rpow), j] += rc * rpow
-            qc = q_coeffs[k][n - k]
-            arr = np.zeros((len(qc) + ysec.shape[0] - 1, k + 1))
-            for i, qv in enumerate(qc):
-                if qv != 0.0:
-                    arr[i : i + ysec.shape[0]] += qv * ysec
-            for (ix, iy) in np.argwhere(arr):
-                m = ix + iy
-                row[m][k, basis.position((int(ix), int(iy)))] += arr[ix, iy]
-        blocks.append(row)
-
-    identity = all(np.array_equal(blocks[n][n], np.eye(n + 1)) for n in range(N + 1))
+        for m, q in enumerate(_monic_1d_coeffs(u_k, N - k)):
+            rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
 
     def oracle(alpha):
         j, k = alpha
         myk = w2.moment((k,))
         if myk == 0.0:
             return 0.0
-        if rho.kind == "linear":
-            mult = npoly.polypow(rho.rho_poly(), k + 1)
+        if linear:
+            mult = base_power(k + 1)
         else:
             if k % 2:
                 return 0.0
-            mult = npoly.polypow(rho_sq, k // 2)
+            mult = base_power(k // 2)
         mx = sum(c * w1.moment((j + m,)) for m, c in enumerate(mult) if c != 0.0)
         return myk * mx
 
-    func = MomentFunctional(2, oracle, label=f"koornwinder({w1.label},{w2.label})")
-    system = PolySystem(
-        2, blocks, monic=identity, label=f"koornwinder({w1.label},{w2.label})"
-    )
-    return system, func
+    label = f"koornwinder({w1.label},{w2.label})"
+    return system_from_rows(rows, 2, N, label), MomentFunctional(2, oracle, label=label)

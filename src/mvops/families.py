@@ -21,7 +21,7 @@ from . import matrixkit as mk
 from . import moments, mpoly
 from .checks import Check, all_pass
 from .construct import (PolySystem, RhoMap, gram_blocks, gram_offdiag_residual,
-                        gram_schmidt_monic, koornwinder_system)
+                        gram_schmidt_monic, koornwinder_system, system_from_rows)
 from .indexing import basis_for, enumerate_indices
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
@@ -210,25 +210,6 @@ def standard_laguerre_coeffs(alpha: float, N: int) -> list[np.ndarray]:
 # explicit system builders
 
 
-def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
-    """Assemble a PolySystem from dense per-index polynomial arrays."""
-    basis = basis_for(d)
-    blocks = []
-    for n in range(N + 1):
-        row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n + 1)]
-        for pos, nu in enumerate(basis.indices(n)):
-            split = mpoly.to_blocks(rows[nu], basis)
-            for m, coeffs in split.items():
-                if m > n and np.max(np.abs(coeffs)) > 1e-10:
-                    raise ValueError(f"row {nu} has degree {m} > {n}")
-                if m <= n:
-                    row[m][pos] += coeffs
-        blocks.append(row)
-    monic = all(np.allclose(blocks[n][n], np.eye(basis.size(n)), atol=0.0)
-                for n in range(N + 1))
-    return PolySystem(d, blocks, monic=monic, label=label)
-
-
 def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
     """Products of per-axis univariate families, one row per multi-index."""
     d = len(axis_polys)
@@ -279,18 +260,12 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
 
 
 def _powersum_uv(m: int) -> np.ndarray:
-    """x^m + y^m as an array in the elementary symmetric variables."""
-    ps = [np.array([[2.0]]), np.array([[0.0], [1.0]])]
-    for t in range(2, m + 1):
-        a = np.zeros((ps[t - 1].shape[0] + 1, ps[t - 1].shape[1]))
-        a[1:, :] = ps[t - 1]
-        b = np.zeros((ps[t - 2].shape[0], ps[t - 2].shape[1] + 1))
-        b[:, 1:] = ps[t - 2]
-        shape = (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
-        out = np.zeros(shape)
-        out[: a.shape[0], : a.shape[1]] += a
-        out[: b.shape[0], : b.shape[1]] -= b
-        ps.append(out)
+    """x^m + y^m as an array in the elementary symmetric variables u = x + y,
+    v = x y, by p_t = u p_(t-1) - v p_(t-2)."""
+    u, neg_v = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, -1.0])
+    ps = [mpoly.const(2, 2.0), u]
+    for _ in range(2, m + 1):
+        ps.append(mpoly.add(mpoly.mul(u, ps[-1]), mpoly.mul(neg_v, ps[-2])))
     return ps[m]
 
 
@@ -303,29 +278,24 @@ def symmetrized_chebyshev_system(kind: int, N: int) -> PolySystem:
     """
     rec = moments.chebyshev_recurrence(N + 1, kind)
     p = rec.orthonormal_coeffs()
+    v = mpoly.linear(2, [0.0, 1.0])
     rows = {}
     for n in range(N + 1):
         for k in range(n + 1):
             full = np.zeros((n + 1, n + 1))
-            for r, cr in enumerate(p[n]):
-                for s, cs in enumerate(p[k]):
-                    full[r, s] += cr * cs
+            full[:, : k + 1] = np.outer(p[n], p[k])
             if k < n:
                 full = (full + full.T) / math.sqrt(2.0)
-            poly = np.zeros((1, 1))
+            poly = mpoly.const(2, 0.0)
             for r in range(n + 1):
                 for s in range(r + 1):
-                    c = full[r, s] if r > s else full[r, r]
+                    c = full[r, s]
                     if c == 0.0:
                         continue
-                    if r == s:
-                        term = np.zeros((1, r + 1))
-                        term[0, r] = c
-                    else:
-                        base = _powersum_uv(r - s)
-                        term = np.zeros((base.shape[0], base.shape[1] + s))
-                        term[:, s:] = c * base
-                    poly = mpoly.add(poly, term)
+                    term = mpoly.power(v, s)
+                    if r > s:
+                        term = mpoly.mul(term, _powersum_uv(r - s))
+                    poly = mpoly.add(poly, c * term)
             rows[(n - k, k)] = poly
     return system_from_rows(rows, 2, N, f"symmetrized-chebyshev{kind}")
 

@@ -106,12 +106,13 @@ def classify_ranks(rel: LinearRelation, tol: float = mk.DEFAULT_RANK_TOL) -> str
     otherwise "mixed".
 
     Two orthogonal systems can only produce "zero" or "full", so "mixed"
-    there signals a modeling or numerical fault.
+    there signals a modeling or numerical fault.  A relation without blocks
+    has nothing to classify and raises ValueError.
     """
+    if rel.N < 1:
+        raise ValueError("relation has no blocks to classify")
     basis = basis_for(rel.d)
     sigmas = [mk.singular_values(rel.m(n)) for n in rel.available()]
-    if not sigmas:
-        return "zero"
     scale = max(max(s[0] for s in sigmas), 1e-300)
     ranks = [mk.rank_from_sv(s, tol, scale) for s in sigmas]
     if all(r == 0 for r in ranks):
@@ -202,8 +203,8 @@ class PartnerReport:
         return all_pass(self.checks)
 
 
-def _compat_checks(rel: LinearRelation, ref: ThreeTermData, comb: ThreeTermData,
-                   tol: float) -> list[Check]:
+def compat_checks(rel: LinearRelation, ref: ThreeTermData, comb: ThreeTermData,
+                  tol: float) -> list[Check]:
     """Residuals of M_n C_{n-1,i} = C~_{n,i} M_{n-1}."""
     checks = []
     for n in range(2, min(ref.N, comb.N) + 1):
@@ -275,7 +276,7 @@ def reference_from_combined(T_q: ThreeTermData, rel: LinearRelation,
     conditions on the reference side follow automatically).
     """
     candidate = _partner(T_q, rel, -1.0)
-    checks = _compat_checks(rel, candidate, T_q, tol)
+    checks = compat_checks(rel, candidate, T_q, tol)
     return candidate, PartnerReport(checks, None, (0, candidate.N))
 
 
@@ -292,7 +293,7 @@ def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
     their transposes.
     """
     candidate = _partner(T_p, rel, 1.0)
-    checks = _compat_checks(rel, T_p, candidate, tol)
+    checks = compat_checks(rel, T_p, candidate, tol)
     Ct = {n: candidate.C[n] for n in range(1, candidate.N + 1)}
     ranks = RankReport(rank_family("C~", candidate.d, Ct, rank_tol, lower=True))
     return candidate, PartnerReport(checks, ranks, (0, candidate.N))

@@ -2,9 +2,11 @@
 
 A polynomial is an ndarray whose entry [i1, ..., id] is the coefficient of
 x1^i1 ... xd^id.  Shapes stay tiny at the degrees used here, so products
-are computed by direct shifted accumulation.  Used to expand explicit
-product-form bases (Koornwinder, simplex, tensor families) into the graded
-coefficient blocks the rest of the package works with.
+are computed by direct shifted accumulation.  This is the one polynomial
+arithmetic of the explicit product-form bases (Koornwinder, simplex,
+tensor and symmetrized Chebyshev systems); `construct.system_from_rows`
+splits their rows into the graded coefficient blocks the rest of the
+package works with.
 """
 
 from __future__ import annotations
@@ -62,13 +64,18 @@ def power(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def hom_eval(coeffs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum coeffs[i] * a^i * b^(m-i) for a univariate coefficient list."""
+    """sum coeffs[i] * a^i * b^(m-i) for a univariate coefficient list; each
+    power of a and of b is computed once."""
     coeffs = np.asarray(coeffs, dtype=float)
     m = len(coeffs) - 1
+    pa, pb = [const(a.ndim)], [const(b.ndim)]
+    for _ in range(m):
+        pa.append(mul(pa[-1], a))
+        pb.append(mul(pb[-1], b))
     out = const(a.ndim, 0.0)
     for i, c in enumerate(coeffs):
         if c != 0.0:
-            out = add(out, c * mul(power(a, i), power(b, m - i)))
+            out = add(out, c * mul(pa[i], pb[m - i]))
     return out
 
 
@@ -89,10 +96,9 @@ def trim(a: np.ndarray) -> np.ndarray:
 def to_blocks(a: np.ndarray, basis: GradedBasis) -> dict[int, np.ndarray]:
     """Split into graded coefficient rows keyed by total degree."""
     out: dict[int, np.ndarray] = {}
-    for idx in np.argwhere(a):
-        key = tuple(int(i) for i in idx)
+    for key in map(tuple, np.argwhere(a).tolist()):
         n = sum(key)
         if n not in out:
             out[n] = np.zeros(basis.size(n))
-        out[n][basis.position(key)] = a[tuple(idx)]
+        out[n][basis.position(key)] = a[key]
     return out

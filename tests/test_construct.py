@@ -1,11 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from mvops import construct, matrixkit as mk, moments
 from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefiniteFailure,
                              RhoMap, gram_blocks, gram_offdiag_residual,
                              gram_schmidt_monic, inner_block, koornwinder_system,
-                             orthonormalize)
+                             orthonormalize, system_from_rows)
+from mvops.indexing import basis_for
 
 def test_centered_weight_degree_one_is_pure():
     u = moments.product_chebyshev_functional(2)
@@ -168,6 +174,50 @@ def test_koornwinder_constant_mapping_is_tensor_product():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _koornwinder_case(kind):
+    """A Koornwinder system with the 1-d systems of its rows, built without mpoly."""
+    w1 = moments.jacobi_functional_1d(0.5, 0.5)
+    w2 = moments.jacobi_functional_1d(1.0, 1.0)
+    N = 5
+    if kind == "sqrt":
+        rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
+        rho_of = lambda x: np.sqrt(1.0 - x * x)
+        mult = lambda k: npoly.polypow([1.0, 0.0, -1.0], k)
+    else:
+        rho = RhoMap.linear(2.0, 0.5)
+        rho_of = lambda x: 2.0 + 0.5 * x
+        mult = lambda k: npoly.polypow([2.0, 0.5], 2 * k + 1)
+
+    def monic(u, n):
+        P, _ = gram_schmidt_monic(u, n)
+        return [np.concatenate([P.block(m, j)[0] for j in range(m + 1)])
+                for m in range(n + 1)]
+
+    r = monic(w2, N)
+    q = [monic(moments.left_multiply({(m,): c for m, c in enumerate(mult(k))}, w1), N - k)
+         for k in range(N + 1)]
+    system, _ = koornwinder_system(w1, w2, rho, N)
+    return system, rho_of, q, r
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "linear"])
+@given(x=st.floats(-0.95, 0.95), t=st.floats(-1.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_koornwinder_rows_evaluate_to_the_product_formula(kind, x, t):
+    system, rho_of, q, r = _koornwinder_case(kind)
+    rho = rho_of(x)
+    y = t * rho
+    basis = basis_for(2)
+    for n in range(system.N + 1):
+        got = sum(system.block(n, m) @ np.array([x**i * y**j for i, j in basis.indices(m)])
+                  for m in range(n + 1))
+        want = np.array([npoly.polyval(x, q[k][n - k]) * rho**k * npoly.polyval(t, r[k])
+                         for k in range(n + 1)])
+        scale = max(1.0, max(mk.max_abs(system.block(n, m)) for m in range(n + 1)))
+        assert mk.max_abs(got - want) <= 1e-12 * scale
+
+
 def test_koornwinder_disk_orthogonality():
     rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
     w2 = moments.jacobi_functional_1d(0.0, 0.0)
@@ -273,3 +323,14 @@ def test_solve_right_checks_rank_once_per_degree(monkeypatch):
     assert len(checks) == 1
     with pytest.raises(mk.SingularMatrixError):
         H.solve_right(1, np.eye(2))
+
+
+def test_system_from_rows_monic_means_identity_leading_blocks_exactly():
+    from mvops import mpoly
+
+    def system(lead):
+        x, y = mpoly.linear(2, [lead, 0.0]), mpoly.linear(2, [0.0, 1.0], 3.0)
+        return system_from_rows({(0, 0): mpoly.const(2), (1, 0): x, (0, 1): y}, 2, 1, "s")
+
+    assert system(1.0).monic
+    assert not system(1.0 + 1e-7).monic

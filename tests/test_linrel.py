@@ -258,3 +258,8 @@ def test_counterexample_classification_is_full():
 def test_counterexample_rejects_small_n():
     with pytest.raises(ValueError):
         counterexample(1)
+
+
+def test_classify_ranks_refuses_a_relation_without_blocks():
+    with pytest.raises(ValueError):
+        classify_ranks(LinearRelation(2, [None]))
