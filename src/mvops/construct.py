@@ -305,17 +305,17 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
 
     # parts[k] = rho^k r_k(y / rho), a homogeneous form in (y, rho) or,
     # for a sqrt mapping, y^(k mod 2) times a form in (y^2, rho^2)
+    forms = mpoly.form_table(y if linear else mpoly.mul(y, y), base_xy)
     parts = []
     for k, c in enumerate(_monic_1d_coeffs(w2, N)):
         if linear:
-            parts.append(mpoly.hom_eval(c, y, base_xy))
+            parts.append(forms(c))
             continue
         # the symmetric second weight makes r_k share the parity of k
         scale = max(1.0, float(np.max(np.abs(c))))
         if np.any(np.abs(c[1 - k % 2::2]) > 1e-9 * scale):
             raise ValueError("second weight must be symmetric for a sqrt mapping")
-        parts.append(mpoly.mul(mpoly.power(y, k % 2),
-                               mpoly.hom_eval(c[k % 2::2], mpoly.mul(y, y), base_xy)))
+        parts.append(mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2])))
 
     rows = {}
     for k in range(N + 1):

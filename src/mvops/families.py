@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy import special as sp
@@ -216,10 +217,7 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
     rows = {}
     for n in range(N + 1):
         for nu in enumerate_indices(d, n):
-            poly = mpoly.const(d)
-            for ax in range(d):
-                poly = mpoly.mul(poly, mpoly.from_1d(axis_polys[ax][nu[ax]], ax, d))
-            rows[nu] = poly
+            rows[nu] = reduce(np.multiply.outer, (p[i] for p, i in zip(axis_polys, nu)))
     return system_from_rows(rows, d, N, label)
 
 
@@ -235,6 +233,13 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
     d = len(kappa) - 1
     order = [first] + [x for x in range(1, d + 1) if x != first]
     kperm = [kappa[o - 1] for o in order] + [kappa[d]]
+    # factor j is a form in (arg, hom), which depend on j and `first` only
+    tables = []
+    for j in range(d):
+        prev = [o - 1 for o in order[:j]]
+        arg = [2.0 if l == order[j] - 1 else float(l in prev) for l in range(d)]
+        hom = [-1.0 if l in prev else 0.0 for l in range(d)]
+        tables.append(mpoly.form_table(mpoly.linear(d, arg, -1.0), mpoly.linear(d, hom, 1.0)))
     rows = {}
     for n in range(N + 1):
         for nu in enumerate_indices(d, n):
@@ -244,29 +249,22 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
                 aj = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
                 bj = kperm[j - 1] - 0.5
                 c = orthonormal_jacobi_coeffs(aj, bj, nperm[j - 1])[nperm[j - 1]]
-                prev = [order[lidx] - 1 for lidx in range(j - 1)]
-                arg = mpoly.linear(
-                    d,
-                    [2.0 if l == order[j - 1] - 1 else (1.0 if l in prev else 0.0)
-                     for l in range(d)],
-                    -1.0,
-                )
-                hom = mpoly.linear(
-                    d, [-1.0 if l in prev else 0.0 for l in range(d)], 1.0
-                )
-                poly = mpoly.mul(poly, mpoly.hom_eval(c, arg, hom))
+                poly = mpoly.mul(poly, tables[j - 1](c))
             rows[nu] = poly / math.sqrt(simplex_norm_sq(kperm, nperm))
     return system_from_rows(rows, d, N, f"simplex(kappa={tuple(kappa)},dir={first})")
 
 
-def _powersum_uv(m: int) -> np.ndarray:
-    """x^m + y^m as an array in the elementary symmetric variables u = x + y,
-    v = x y, by p_t = u p_(t-1) - v p_(t-2)."""
-    u, neg_v = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, -1.0])
-    ps = [mpoly.const(2, 2.0), u]
-    for _ in range(2, m + 1):
+def _symmetric_terms(N: int) -> dict:
+    """(x^r y^s + x^s y^r) / (1 + [r = s]) for s <= r <= N as arrays in the
+    elementary symmetric variables u = x + y, v = x y: v^s p_(r-s), with the
+    power sums p_t = x^t + y^t from p_t = u p_(t-1) - v p_(t-2)."""
+    u, v, neg_v = (mpoly.linear(2, c) for c in ([1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
+    ps, vs = [mpoly.const(2, 2.0), u], [mpoly.const(2)]
+    for _ in range(N):
         ps.append(mpoly.add(mpoly.mul(u, ps[-1]), mpoly.mul(neg_v, ps[-2])))
-    return ps[m]
+        vs.append(mpoly.mul(vs[-1], v))
+    return {(r, s): mpoly.mul(vs[s], ps[r - s]) if r > s else vs[s]
+            for r in range(N + 1) for s in range(r + 1)}
 
 
 def symmetrized_chebyshev_system(kind: int, N: int) -> PolySystem:
@@ -278,7 +276,7 @@ def symmetrized_chebyshev_system(kind: int, N: int) -> PolySystem:
     """
     rec = moments.chebyshev_recurrence(N + 1, kind)
     p = rec.orthonormal_coeffs()
-    v = mpoly.linear(2, [0.0, 1.0])
+    terms = _symmetric_terms(N)
     rows = {}
     for n in range(N + 1):
         for k in range(n + 1):
@@ -289,13 +287,8 @@ def symmetrized_chebyshev_system(kind: int, N: int) -> PolySystem:
             poly = mpoly.const(2, 0.0)
             for r in range(n + 1):
                 for s in range(r + 1):
-                    c = full[r, s]
-                    if c == 0.0:
-                        continue
-                    term = mpoly.power(v, s)
-                    if r > s:
-                        term = mpoly.mul(term, _powersum_uv(r - s))
-                    poly = mpoly.add(poly, c * term)
+                    if full[r, s] != 0.0:
+                        poly = mpoly.add(poly, full[r, s] * terms[r, s])
             rows[(n - k, k)] = poly
     return system_from_rows(rows, 2, N, f"symmetrized-chebyshev{kind}")
 
@@ -520,44 +513,38 @@ def symmetrized_chebyshev_ttr(kind: int, N: int) -> tuple:
     x, w = _chebyshev_angle_grid(kind, pts)
     rec = moments.chebyshev_recurrence(N + 1, kind)
     p = _orthonormal_values(rec, x, N + 1)
-    W = np.outer(w, w)
-    U = np.add.outer(x, x)
-    V = np.outer(x, x)
+    U = np.add.outer(x, x)[:, None, :]
+    V = np.outer(x, x)[:, None, :]
+    root_w = np.sqrt(w)
 
+    # rows[n]: the degree-n rows times sqrt(weight) as (grid row, basis row,
+    # grid column); a block sums one matrix product per grid row, which keeps
+    # each accumulation short (one product over all pts^2 nodes loses a digit)
     rows: list = []
     for n in range(N + 1):
-        block = []
+        block = np.empty((pts, n + 1, pts))
         for k in range(n + 1):
-            f = np.outer(p[n], p[k])
-            f = (f + f.T) / math.sqrt(2.0) if k < n else f
-            block.append(f)
+            f = np.outer(p[n] * root_w, p[k] * root_w)
+            block[:, k, :] = (f + f.T) / math.sqrt(2.0) if k < n else f
         rows.append(block)
 
     def pair(fa, fb):
-        return float(np.sum(fa * fb * W))
+        return (fa @ fb.transpose(0, 2, 1)).sum(axis=0)
 
-    gaps = []
-    for n in range(N + 1):
-        for m_ in range(n + 1):
-            g = np.array([[pair(fa, fb) for fb in rows[m_]] for fa in rows[n]])
-            target = np.eye(n + 1) if m_ == n else np.zeros_like(g)
-            gaps.append(mk.max_abs(g - target))
-    ortho = mk.worst(gaps)
+    ortho = mk.worst(
+        mk.max_abs(pair(rows[n], rows[m_]) - (np.eye(n + 1) if m_ == n else 0.0))
+        for n in range(N + 1) for m_ in range(n + 1))
 
     A, B, C = [], [], [None]
     for n in range(N + 1):
         a_row, b_row, c_row = [], [], []
         for coord in (U, V):
-            shifted = [coord * f for f in rows[n]]
-            b_row.append(np.array([[pair(fa, fb) for fb in rows[n]] for fa in shifted]))
+            shifted = rows[n] * coord
+            b_row.append(pair(shifted, rows[n]))
             if n >= 1:
-                c_row.append(
-                    np.array([[pair(fa, fb) for fb in rows[n - 1]] for fa in shifted])
-                )
+                c_row.append(pair(shifted, rows[n - 1]))
             if n < N:
-                a_row.append(
-                    np.array([[pair(fa, fb) for fb in rows[n + 1]] for fa in shifted])
-                )
+                a_row.append(pair(shifted, rows[n + 1]))
         if n < N:
             A.append(a_row)
         B.append(b_row)

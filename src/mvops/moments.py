@@ -16,6 +16,7 @@ scale invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -111,9 +112,9 @@ class MomentFunctional:
         graded = self._graded
         graded.flags.writeable = True
         for j in range(top + 1):
-            for k in range(min(top, degree - j) + 1):
-                if j <= old_top and k <= old_top and j + k <= old_degree:
-                    continue
+            # blocks (j, k) with k <= min(old_top, old_degree - j) are filled
+            first = max(0, min(old_top, old_degree - j) + 1) if j <= old_top else 0
+            for k in range(first, min(top, degree - j) + 1):
                 graded[basis.degree_slice(j, j), basis.degree_slice(k, k)] = (
                     self.moment_vector(j + k, basis)[basis.sum_table(j, k)])
         graded.flags.writeable = False
@@ -226,9 +227,12 @@ def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> Moment
     if a <= -1 or b <= -1:
         raise ParameterError(f"jacobi exponents must exceed -1, got ({a}, {b})")
 
+    # moments 2k and 2k+1 share the (k+2)-node rule
+    rule = functools.cache(lambda nodes: sp.roots_jacobi(nodes, a, b))
+
     def oracle(alpha):
         m = alpha[0]
-        x, w = sp.roots_jacobi(m // 2 + 2, a, b)
+        x, w = rule(m // 2 + 2)
         return float(np.sum(w * x**m))
 
     return MomentFunctional(1, oracle, label or f"jacobi(a={a},b={b})")

@@ -3,10 +3,10 @@
 A polynomial is an ndarray whose entry [i1, ..., id] is the coefficient of
 x1^i1 ... xd^id.  Shapes stay tiny at the degrees used here, so products
 are computed by direct shifted accumulation.  This is the one polynomial
-arithmetic of the explicit product-form bases (Koornwinder, simplex,
-tensor and symmetrized Chebyshev systems); `construct.system_from_rows`
-splits their rows into the graded coefficient blocks the rest of the
-package works with.
+arithmetic of the explicit product-form bases (Koornwinder, simplex and
+symmetrized Chebyshev systems; a tensor row is the outer product of its
+axis vectors); `construct.system_from_rows` splits their rows into the
+graded coefficient blocks the rest of the package works with.
 """
 
 from __future__ import annotations
@@ -56,27 +56,35 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def power(a: np.ndarray, k: int) -> np.ndarray:
-    out = const(a.ndim)
-    for _ in range(k):
-        out = mul(out, a)
-    return out
+def form_table(a: np.ndarray, b: np.ndarray):
+    """Evaluator of sum c_i a^i b^(m-i) for coefficient lists c_0..c_m.
 
+    Powers of a and of b are built lazily by one sequential `mul` chain
+    each, and every form a^i b^(m-i) is multiplied once and kept by (m, i),
+    so all the coefficient lists an explicit basis evaluates against one
+    pair (a, b) share their products.
+    """
+    powers = ([const(a.ndim)], [const(b.ndim)])
+    forms: dict[tuple[int, int], np.ndarray] = {}
 
-def hom_eval(coeffs, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum coeffs[i] * a^i * b^(m-i) for a univariate coefficient list; each
-    power of a and of b is computed once."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    m = len(coeffs) - 1
-    pa, pb = [const(a.ndim)], [const(b.ndim)]
-    for _ in range(m):
-        pa.append(mul(pa[-1], a))
-        pb.append(mul(pb[-1], b))
-    out = const(a.ndim, 0.0)
-    for i, c in enumerate(coeffs):
-        if c != 0.0:
-            out = add(out, c * mul(pa[i], pb[m - i]))
-    return out
+    def form(m: int, i: int) -> np.ndarray:
+        if (m, i) not in forms:
+            for chain, base, k in zip(powers, (a, b), (i, m - i)):
+                while len(chain) <= k:
+                    chain.append(mul(chain[-1], base))
+            forms[m, i] = mul(powers[0][i], powers[1][m - i])
+        return forms[m, i]
+
+    def evaluate(coeffs) -> np.ndarray:
+        coeffs = np.asarray(coeffs, dtype=float)
+        m = len(coeffs) - 1
+        out = const(a.ndim, 0.0)
+        for i, c in enumerate(coeffs):
+            if c != 0.0:
+                out = add(out, c * form(m, i))
+        return out
+
+    return evaluate
 
 
 def trim(a: np.ndarray) -> np.ndarray:

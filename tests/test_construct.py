@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from mvops import construct, matrixkit as mk, moments
+from mvops import construct, matrixkit as mk, moments, mpoly
 from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefiniteFailure,
                              RhoMap, gram_blocks, gram_offdiag_residual,
                              gram_schmidt_monic, inner_block, koornwinder_system,
@@ -150,9 +150,6 @@ def test_orthonormalize_rejects_indefinite():
 
 
 def test_koornwinder_constant_mapping_is_tensor_product():
-    from mvops import mpoly
-    from mvops.indexing import basis_for
-
     w1 = moments.jacobi_functional_1d(0.0, 0.0)
     w2 = moments.jacobi_functional_1d(1.0, 1.0)
     N = 4
@@ -216,6 +213,20 @@ def test_koornwinder_rows_evaluate_to_the_product_formula(kind, x, t):
                          for k in range(n + 1)])
         scale = max(1.0, max(mk.max_abs(system.block(n, m)) for m in range(n + 1)))
         assert mk.max_abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["sqrt", "linear"])
+def test_koornwinder_parts_share_one_form_table(monkeypatch, kind):
+    # one product per row, each form of degree <= N once across all k, and
+    # the powers of y, of rho and of the multipliers rho^(2k+1)
+    calls = []
+    real_mul = mpoly.mul
+    monkeypatch.setattr(mpoly, "mul", lambda a, b: calls.append(1) or real_mul(a, b))
+    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0) if kind == "sqrt" else RhoMap.linear(2.0, 0.5)
+    N = 10
+    koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                       moments.jacobi_functional_1d(1.0, 1.0), rho, N)
+    assert len(calls) <= (N + 1) * (N + 2) + 4 * N + 1
 
 
 def test_koornwinder_disk_orthogonality():

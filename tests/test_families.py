@@ -1,10 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
-from mvops import families, matrixkit as mk, moments
+from mvops import families, matrixkit as mk, moments, mpoly
 from mvops.construct import gram_blocks, gram_offdiag_residual
 from mvops.indexing import basis_for
 
@@ -101,6 +105,58 @@ def test_simplex_norm_matches_numeric_norm():
         g = inner_block(u, sys_, n, sys_, n)
         off = g - np.diag(np.diag(g))
         assert mk.max_abs(off) <= 1e-10
+
+
+def _simplex_product_formula(kappa, first, nu, x):
+    """Value of the simplex basis row nu at x, factor by factor:
+    prod_j (1 - s_j)^m_j p_(m_j)(2 x_j / (1 - s_j) - 1), where s_j sums the
+    coordinates placed before x_j, over the raw-mass norm."""
+    d = len(x)
+    order = [first] + [o for o in range(1, d + 1) if o != first]
+    kperm = [kappa[o - 1] for o in order] + [kappa[d]]
+    nperm = [nu[o - 1] for o in order]
+    value, s = 1.0, 0.0
+    for j in range(1, d + 1):
+        m = nperm[j - 1]
+        a = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
+        c = families.orthonormal_jacobi_coeffs(a, kperm[j - 1] - 0.5, m)[m]
+        xj = x[order[j - 1] - 1]
+        value *= (1.0 - s) ** m * npoly.polyval(2.0 * xj / (1.0 - s) - 1.0, c)
+        s += xj
+    return value / math.sqrt(families.simplex_norm_sq(kperm, nperm))
+
+
+@functools.lru_cache(maxsize=None)
+def _simplex_case(first):
+    return families.simplex_orthonormal_system((0.5, 1.25, 0.75), 6, first)
+
+
+@pytest.mark.parametrize("first", [1, 2])
+@given(u=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_simplex_rows_evaluate_to_the_product_formula(first, u, t):
+    # every row of every degree reads the form table of its direction
+    system = _simplex_case(first)
+    x = (0.9 * u, 0.9 * t * (1.0 - 0.9 * u))
+    basis = basis_for(2)
+    for n in range(system.N + 1):
+        got = sum(system.block(n, m) @ np.array([x[0]**i * x[1]**j for i, j in basis.indices(m)])
+                  for m in range(n + 1))
+        want = np.array([_simplex_product_formula((0.5, 1.25, 0.75), first, nu, x)
+                         for nu in basis.indices(n)])
+        scale = max(1.0, max(mk.max_abs(system.block(n, m)) for m in range(n + 1)))
+        assert mk.max_abs(got - want) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+def test_simplex_system_multiplies_each_form_once(monkeypatch, d, N):
+    # per direction: the powers of its two linear forms, each form of degree
+    # <= N once, and one product per row and direction
+    calls = []
+    real_mul = mpoly.mul
+    monkeypatch.setattr(mpoly, "mul", lambda a, b: calls.append(1) or real_mul(a, b))
+    families.simplex_orthonormal_system((0.5,) * (d + 1), N)
+    assert len(calls) <= d * (2 * N + (N + 1) * (N + 2) // 2 + math.comb(N + d, d))
 
 
 @pytest.mark.parametrize("name,params,N", [
@@ -242,6 +298,48 @@ def test_symmetrized_system_coefficients_match_grid_route():
         for i in (1, 2):
             assert mk.max_abs(T.a(n, i) - T2.a(n, i)) <= 1e-9
             assert mk.max_abs(T.b(n, i) - T2.b(n, i)) <= 1e-9
+
+
+def _per_entry_ttr(kind, N):
+    """The recurrence blocks by one weighted grid sum per block entry."""
+    pts = 4 * N + 16
+    x, w = families._chebyshev_angle_grid(kind, pts)
+    p = families._orthonormal_values(moments.chebyshev_recurrence(N + 1, kind), x, N + 1)
+    W, coords = np.outer(w, w), (np.add.outer(x, x), np.outer(x, x))
+    rows = []
+    for n in range(N + 1):
+        fs = [np.outer(p[n], p[k]) for k in range(n + 1)]
+        rows.append([(f + f.T) / math.sqrt(2.0) if k < n else f for k, f in enumerate(fs)])
+
+    def block(left, right):
+        return np.array([[np.sum(fa * fb * W) for fb in right] for fa in left])
+
+    gaps = [mk.max_abs(block(rows[n], rows[m]) - (np.eye(n + 1) if m == n else 0.0))
+            for n in range(N + 1) for m in range(n + 1)]
+    A, B, C = {}, {}, {}
+    for n in range(N + 1):
+        for i, coord in enumerate(coords, start=1):
+            shifted = [coord * f for f in rows[n]]
+            B[n, i] = block(shifted, rows[n])
+            if n >= 1:
+                C[n, i] = block(shifted, rows[n - 1])
+            if n < N:
+                A[n, i] = block(shifted, rows[n + 1])
+    return A, B, C, max(gaps)
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_symmetrized_ttr_matches_per_entry_pairing(kind):
+    N = 5
+    T, ortho = families.symmetrized_chebyshev_ttr(kind, N)
+    A, B, C, ortho_ref = _per_entry_ttr(kind, N)
+    assert abs(ortho - ortho_ref) <= 1e-14
+    for (n, i), want in A.items():
+        assert mk.max_abs(T.a(n, i) - want) <= 1e-14
+    for (n, i), want in B.items():
+        assert mk.max_abs(T.b(n, i) - want) <= 1e-14
+    for (n, i), want in C.items():
+        assert mk.max_abs(T.c(n, i) - want) <= 1e-14
 
 
 def test_build_family_unknown_name():

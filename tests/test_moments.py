@@ -230,6 +230,21 @@ def test_classical_recurrences_against_moment_gram_schmidt(family, params):
     )
 
 
+def test_jacobi_moments_share_one_rule_per_node_count(monkeypatch):
+    # moments 2k and 2k+1 are both exact under the (k+2)-node rule
+    nodes = []
+    real_rule = sp.roots_jacobi
+    monkeypatch.setattr(sp, "roots_jacobi",
+                        lambda n, a, b: nodes.append(n) or real_rule(n, a, b))
+    a, b, N = 0.5, -0.25, 9
+    u = moments.jacobi_functional_1d(a, b)
+    got = [u.moment((m,)) for m in range(2 * N + 1)]
+    assert sorted(nodes) == list(range(2, N + 3))
+    for m, value in enumerate(got):
+        x, w = real_rule(m // 2 + 2, a, b)
+        assert value == float(np.sum(w * x**m))
+
+
 def test_moment_memoization_deterministic():
     calls = []
 

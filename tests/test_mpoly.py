@@ -29,10 +29,10 @@ def mul_cases(draw):
 
 
 @st.composite
-def hom_eval_cases(draw):
+def form_table_cases(draw):
     d = draw(st.integers(1, 3))
-    coeffs = draw(st.lists(coefficient, min_size=1, max_size=5))
-    return (coeffs, draw(poly_arrays(d)), draw(poly_arrays(d)),
+    lists = draw(st.lists(st.lists(coefficient, min_size=1, max_size=5), min_size=1, max_size=3))
+    return (lists, draw(poly_arrays(d)), draw(poly_arrays(d)),
             np.array(draw(st.lists(coordinate, min_size=d, max_size=d))))
 
 
@@ -45,23 +45,34 @@ def test_mul_evaluates_to_the_product(case):
     assert abs(got - evaluate(a, x) * evaluate(b, x)) <= 1e-12 * (1.0 + scale)
 
 
-@given(hom_eval_cases())
+@given(form_table_cases())
 @settings(max_examples=80, deadline=None)
-def test_hom_eval_evaluates_to_the_homogeneous_sum(case):
-    coeffs, a, b, x = case
-    m = len(coeffs) - 1
+def test_form_table_evaluates_to_the_homogeneous_sum(case):
+    # several coefficient lists, of equal or different lengths, share one table
+    lists, a, b, x = case
+    table = mpoly.form_table(a, b)
     ax, bx = evaluate(a, x), evaluate(b, x)
-    want = sum(c * ax**i * bx ** (m - i) for i, c in enumerate(coeffs))
     aa, ba = evaluate(np.abs(a), np.abs(x)), evaluate(np.abs(b), np.abs(x))
-    scale = sum(abs(c) * aa**i * ba ** (m - i) for i, c in enumerate(coeffs))
-    assert abs(evaluate(mpoly.hom_eval(coeffs, a, b), x) - want) <= 1e-12 * (1.0 + scale)
+    for coeffs in lists:
+        m = len(coeffs) - 1
+        want = sum(c * ax**i * bx ** (m - i) for i, c in enumerate(coeffs))
+        scale = sum(abs(c) * aa**i * ba ** (m - i) for i, c in enumerate(coeffs))
+        assert abs(evaluate(table(coeffs), x) - want) <= 1e-12 * (1.0 + scale)
 
 
-def test_hom_eval_computes_each_power_once(monkeypatch):
+def test_form_table_computes_each_product_once(monkeypatch):
     calls = []
     real_mul = mpoly.mul
     monkeypatch.setattr(mpoly, "mul", lambda a, b: calls.append(1) or real_mul(a, b))
     m = 6
-    mpoly.hom_eval(np.arange(1.0, m + 2), mpoly.linear(2, [1.0, 0.0]),
-                   mpoly.linear(2, [0.5, 1.0], 1.0))
+    table = mpoly.form_table(mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.5, 1.0], 1.0))
+    table(np.arange(1.0, m + 2))
     assert len(calls) <= 3 * m + 1
+    # a second list of the same length reuses every form
+    before = len(calls)
+    table(np.arange(2.0, m + 3))
+    assert len(calls) == before
+    # every length up to m: each power once, each form a^i b^(k-i) once
+    for k in range(m + 1):
+        table(np.ones(k + 1))
+    assert len(calls) <= 2 * m + (m + 1) * (m + 2) // 2
