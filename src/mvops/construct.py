@@ -6,7 +6,8 @@ ordered monomial basis: row vector n is sum_k G[n][k] X_k.  Systems are
 built degree by degree through block Gram-Schmidt against the functional's
 monomial pairing blocks; a rank-deficient Gram block means the functional
 is not quasi-definite through that degree and construction stops with a
-diagnosable error.
+diagnosable error.  A univariate monic system needs only its recurrence,
+which recurrence_from_moments reads off the moments by the same rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import matrixkit as mk
 from . import mpoly
 from .indexing import GradedBasis, basis_for
-from .moments import MomentFunctional, left_multiply
+from .moments import MomentFunctional, Recurrence1D, left_multiply
 
 
 class QuasiDefiniteFailure(Exception):
@@ -73,7 +74,9 @@ class PolySystem:
         out = []
         for n in range(self.N + 1):
             lead = self.leading(n)
-            row = [mk.solve(lead, self.block(n, k)) for k in range(n)]
+            # the first block runs the rank check of lead, the others skip it
+            row = [(np.linalg.solve if k else mk.solve)(lead, self.block(n, k))
+                   for k in range(n)]
             row.append(np.eye(lead.shape[0]))
             out.append(row)
         return PolySystem(self.d, out, monic=True, label=f"monic({self.label})")
@@ -189,6 +192,38 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
+def recurrence_from_moments(u: MomentFunctional, N: int,
+                            rank_tol: float = mk.DEFAULT_RANK_TOL) -> Recurrence1D:
+    """Monic recurrence of a 1-d functional from its moments 0..2N.
+
+    The Chebyshev algorithm: sig[l] = <u, p_k x^l> is one vector per step k,
+    h_k = sig[k], b_k and c_k = h_k / h_(k-1) are read from it, and the next
+    vector follows from the recurrence itself.  b_N needs moment 2N + 1 and
+    is left NaN.  Raises QuasiDefiniteFailure at the first degree k whose
+    h_k fails the rank rule gram_schmidt_monic applies to a 1x1 Gram block.
+    """
+    if u.d != 1:
+        raise ValueError("recurrence_from_moments needs a univariate functional")
+    if N < 0:
+        raise ValueError("degree bound must be >= 0")
+    mom = np.array([u.moment((m,)) for m in range(2 * N + 1)])
+    b, c = np.full(N + 1, np.nan), np.zeros(N + 1)
+    prev, sig = np.zeros_like(mom), mom
+    for k in range(N + 1):
+        h = sig[k]
+        if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
+            raise QuasiDefiniteFailure(k, [abs(h)], u.label)
+        if k:
+            c[k] = h / prev[k - 1]
+        if k == N:
+            break
+        b[k] = sig[k + 1] / h - (prev[k] / prev[k - 1] if k else 0.0)
+        nxt = np.zeros_like(mom)
+        nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
+        prev, sig = sig, nxt
+    return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({u.label})")
+
+
 def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
     """Gram blocks <u, P_n P_n^t> of a system, n = 0..P.N."""
     return GramBlocks([inner_block(u, P, n, P, n) for n in range(P.N + 1)])
@@ -271,15 +306,6 @@ def _poly_map_1d(coeffs) -> dict[tuple[int], float]:
     return {(m,): float(c) for m, c in enumerate(coeffs) if c != 0.0}
 
 
-def _monic_1d_coeffs(u: MomentFunctional, N: int) -> list[np.ndarray]:
-    """Ascending coefficient arrays of the monic 1-d system of u."""
-    sys1d, _ = gram_schmidt_monic(u, N)
-    return [
-        np.concatenate([sys1d.block(m, k)[0] for k in range(m + 1)])
-        for m in range(N + 1)
-    ]
-
-
 def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
                        N: int) -> tuple[PolySystem, MomentFunctional]:
     """Bivariate orthogonal system from two 1-d weights and a mapping.
@@ -307,7 +333,7 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
     # for a sqrt mapping, y^(k mod 2) times a form in (y^2, rho^2)
     forms = mpoly.form_table(y if linear else mpoly.mul(y, y), base_xy)
     parts = []
-    for k, c in enumerate(_monic_1d_coeffs(w2, N)):
+    for k, c in enumerate(recurrence_from_moments(w2, N).monic_coeffs()):
         if linear:
             parts.append(forms(c))
             continue
@@ -321,7 +347,7 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
     for k in range(N + 1):
         mult = base_power(2 * k + 1 if linear else k)
         u_k = left_multiply(_poly_map_1d(mult), w1, label=f"rho^{2 * k + 1}*w1")
-        for m, q in enumerate(_monic_1d_coeffs(u_k, N - k)):
+        for m, q in enumerate(recurrence_from_moments(u_k, N - k).monic_coeffs()):
             rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
 
     def oracle(alpha):

@@ -240,6 +240,9 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
         arg = [2.0 if l == order[j] - 1 else float(l in prev) for l in range(d)]
         hom = [-1.0 if l in prev else 0.0 for l in range(d)]
         tables.append(mpoly.form_table(mpoly.linear(d, arg, -1.0), mpoly.linear(d, hom, 1.0)))
+    # one Jacobi list per parameter pair: degree m of a longer list is the
+    # same float computation as the last entry of a list through m
+    jacobi: dict = {}
     rows = {}
     for n in range(N + 1):
         for nu in enumerate_indices(d, n):
@@ -248,7 +251,9 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
             for j in range(1, d + 1):
                 aj = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
                 bj = kperm[j - 1] - 0.5
-                c = orthonormal_jacobi_coeffs(aj, bj, nperm[j - 1])[nperm[j - 1]]
+                if (aj, bj) not in jacobi:
+                    jacobi[aj, bj] = orthonormal_jacobi_coeffs(aj, bj, N)
+                c = jacobi[aj, bj][nperm[j - 1]]
                 poly = mpoly.mul(poly, tables[j - 1](c))
             rows[nu] = poly / math.sqrt(simplex_norm_sq(kperm, nperm))
     return system_from_rows(rows, d, N, f"simplex(kappa={tuple(kappa)},dir={first})")

@@ -160,20 +160,47 @@ class LinearPoly:
         return v if lead > 0 else -v
 
 
+class _LeftMultiplied(MomentFunctional):
+    """Functional q |-> u(p q) for a polynomial p given by its coefficients.
+
+    A degree-n vector gathers, for each coefficient c_beta in dict order,
+    the base's degree-(n + |beta|) vector at the positions of alpha + beta
+    and accumulates c_beta times it from zero, like the scalar oracle, so
+    both give bit-identical moments.
+    """
+
+    def __init__(self, coeffs: dict, base: MomentFunctional, label: str):
+        def oracle(alpha):
+            return sum(
+                c * base.moment(tuple(x + y for x, y in zip(alpha, beta)))
+                for beta, c in coeffs.items()
+            )
+
+        super().__init__(base.d, oracle, label)
+        self.coeffs = coeffs
+        self.base = base
+
+    def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
+        out = np.zeros(basis.size(n))
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            for beta, c in self.coeffs.items():
+                m = sum(beta)
+                shifted = basis.sum_table(n, m)[:, basis.position(beta)]
+                out += c * self.base.moment_vector(n + m, basis)[shifted]
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise ValueError(f"non-finite moment at {basis.indices(n)[bad[0]]} "
+                             f"for {self.label!r}")
+        return out
+
+
 def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFunctional:
     """Functional q |-> u(p q); new moments are sums of shifted moments."""
     coeffs = p.coeff_map() if isinstance(p, LinearPoly) else dict(p)
     for beta in coeffs:
         if len(beta) != u.d:
             raise ValueError(f"coefficient index {beta} does not match dimension {u.d}")
-
-    def oracle(alpha):
-        return sum(
-            c * u.moment(tuple(x + y for x, y in zip(alpha, beta)))
-            for beta, c in coeffs.items()
-        )
-
-    return MomentFunctional(u.d, oracle, label or f"poly*({u.label})")
+    return _LeftMultiplied(coeffs, u, label or f"poly*({u.label})")
 
 
 class _TensorFunctional(MomentFunctional):

@@ -345,3 +345,89 @@ def test_system_from_rows_monic_means_identity_leading_blocks_exactly():
 
     assert system(1.0).monic
     assert not system(1.0 + 1e-7).monic
+
+
+@pytest.mark.parametrize("u,rec", [
+    (moments.jacobi_functional_1d(0.0, 0.0), moments.jacobi_recurrence(6, 0.0, 0.0)),
+    (moments.jacobi_functional_1d(1.5, 0.5), moments.jacobi_recurrence(6, 1.5, 0.5)),
+    (moments.jacobi_functional_1d(-0.5, 2.0), moments.jacobi_recurrence(6, -0.5, 2.0)),
+    (moments.jacobi_functional_1d(2.5, 1.5), moments.jacobi_recurrence(6, 2.5, 1.5)),
+    (moments.laguerre_functional_1d(0.0), moments.laguerre_recurrence(6, 0.0)),
+    (moments.laguerre_functional_1d(2.0), moments.laguerre_recurrence(6, 2.0)),
+] + [(moments.chebyshev_functional_1d(k), moments.chebyshev_recurrence(6, k))
+     for k in (1, 2, 3, 4)])
+def test_recurrence_from_moments_matches_classical_recurrences(u, rec):
+    got = construct.recurrence_from_moments(u, 6)
+    assert got.N == 6 and np.isnan(got.b[6])   # b_6 would need moment 13
+    np.testing.assert_allclose(got.b[:6], rec.b[:6], rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(got.c[1:], rec.c[1:], rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(got.norms(), rec.norms(), rtol=1e-10)
+    for p, q in zip(got.monic_coeffs(), rec.monic_coeffs()):
+        assert mk.max_abs(p - q) <= 1e-10 * max(1.0, mk.max_abs(q))
+
+
+def test_recurrence_from_moments_fails_where_gram_schmidt_does():
+    # three nodes: quasi-definite through degree 2, degenerate at degree 3
+    nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
+    u = moments.MomentFunctional(1, lambda a: float(weights @ nodes**a[0]), label="three")
+    construct.recurrence_from_moments(u, 2)
+    errors = []
+    for build in (construct.recurrence_from_moments, gram_schmidt_monic):
+        with pytest.raises(QuasiDefiniteFailure, match="three") as err:
+            build(u, 5)
+        errors.append(err.value)
+    assert [e.degree for e in errors] == [3, 3]
+    assert errors[0].singular_values.shape == (1,)
+    # a Krall functional degenerates at a predicted degree
+    h = lambda m: sum(1.0 / i for i in range(1, m))
+    v = moments.krall_laguerre_functional(0.0, 1.0 - 1.0 / h(4))
+    with pytest.raises(QuasiDefiniteFailure) as err:
+        construct.recurrence_from_moments(v, 6)
+    assert err.value.degree == 3
+
+
+def test_recurrence_from_moments_asks_no_moment_above_2n():
+    def oracle(alpha):
+        if alpha[0] > 8:
+            raise AssertionError(f"moment {alpha[0]} asked")
+        return 1.0 / (1.0 + alpha[0])   # Legendre moments on [0, 1]
+
+    rec = construct.recurrence_from_moments(moments.MomentFunctional(1, oracle), 4)
+    np.testing.assert_allclose(rec.b[:4], 0.5, rtol=1e-12)
+    with pytest.raises(AssertionError, match="moment 9"):
+        construct.recurrence_from_moments(moments.MomentFunctional(1, oracle), 5)
+
+
+@pytest.mark.parametrize("rho", [RhoMap.sqrt_poly(1.0, 0.0, -1.0), RhoMap.linear(2.0, 0.5)])
+def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch, rho):
+    calls = []
+    for name in ("gram_schmidt_monic", "pair_blocks"):
+        def counted(*args, real=getattr(construct, name), name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(construct, name, counted)
+    system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                                   moments.jacobi_functional_1d(1.0, 1.0), rho, 6)
+    assert system.N == 6 and calls == []
+
+
+def test_to_monic_checks_each_leading_block_once_and_matches_per_block_solve(monkeypatch):
+    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
+    system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                                   moments.jacobi_functional_1d(0.0, 0.0), rho, 6)
+    checks = []
+    rank = mk.numeric_rank
+
+    def counted_rank(*args, **kwargs):
+        checks.append(args[0].shape)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(mk, "numeric_rank", counted_rank)
+    mon = system.to_monic()
+    assert checks == [(n + 1, n + 1) for n in range(1, 7)]
+    monkeypatch.setattr(mk, "numeric_rank", rank)
+    for n in range(7):
+        for k in range(n):
+            want = mk.solve(system.leading(n), system.block(n, k))
+            assert np.array_equal(mon.block(n, k), want)

@@ -159,6 +159,20 @@ def test_simplex_system_multiplies_each_form_once(monkeypatch, d, N):
     assert len(calls) <= d * (2 * N + (N + 1) * (N + 2) // 2 + math.comb(N + d, d))
 
 
+@pytest.mark.parametrize("d,N", [(2, 12), (3, 8)])
+def test_simplex_system_builds_one_jacobi_list_per_parameter_pair(monkeypatch, d, N):
+    calls = []
+    real = families.orthonormal_jacobi_coeffs
+
+    def counted(a, b, n):
+        calls.append((a, b))
+        return real(a, b, n)
+
+    monkeypatch.setattr(families, "orthonormal_jacobi_coeffs", counted)
+    families.simplex_orthonormal_system((0.5,) * (d + 1), N)
+    assert calls and len(calls) == len(set(calls))
+
+
 @pytest.mark.parametrize("name,params,N", [
     ("disk", dict(mu=0.0), 5),
     ("disk", dict(mu=1.5), 4),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from mvops import moments
@@ -309,6 +311,38 @@ def test_tensor_vector_overflow_raises_naming_the_functional():
     t = moments.tensor(big, big, label="big-squared")
     with pytest.raises(ValueError, match=r"non-finite moment at \(1, 0\).*big-squared"):
         t.moment_vector(1)
+
+
+def _bits_or_error(values):
+    """Bit patterns of a moment vector, or the message of the error it raised."""
+    try:
+        return _bits(values()).tolist()
+    except ValueError as err:
+        return str(err)
+
+
+@given(d=st.integers(1, 3), top=st.sampled_from([0, 300, 307]),
+       seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, seed, data):
+    # base moments are finite, some zero, of size up to 1e307, so that sums
+    # of products overflow and a degree raises at its first bad multi-index
+    def oracle(alpha):
+        rng = np.random.default_rng([seed, *alpha])
+        if rng.random() < 0.2:
+            return 0.0
+        return rng.uniform(-1.0, 1.0) * 10.0**top
+
+    coeff = st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(0, 12))
+    coeffs = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d),
+                                       coeff | st.sampled_from([0.0, -0.0, 1.0]), max_size=5))
+    base = moments.MomentFunctional(d, oracle, label="base")
+    scalar = moments.left_multiply(coeffs, base, label="p*base")
+    vector = moments.left_multiply(coeffs, base, label="p*base")
+    basis = basis_for(d)
+    for n in range(4):
+        want = _bits_or_error(lambda: [scalar.moment(a) for a in basis.indices(n)])
+        assert _bits_or_error(lambda: vector.moment_vector(n, basis)) == want
 
 
 def test_graded_matrix_asks_no_moment_above_the_degree_it_needs():
