@@ -9,7 +9,7 @@ characterizations on a catalog of concrete families.
 from .construct import (GramBlocks, NotPositiveDefiniteError, PolySystem,
                         QuasiDefiniteFailure, RhoMap, gram_blocks, gram_offdiag_residual,
                         gram_schmidt_monic, inner_block, koornwinder_system,
-                        orthonormalize, recurrence_from_moments)
+                        orthonormalize)
 from .indexing import GradedBasis, basis_for, enumerate_indices, joint_matrix, rank_count
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, counterexample, functional_match_residual,

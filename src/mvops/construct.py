@@ -192,8 +192,7 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
-def recurrence_from_moments(u: MomentFunctional, N: int,
-                            rank_tol: float = mk.DEFAULT_RANK_TOL) -> Recurrence1D:
+def recurrence_from_moments(u: MomentFunctional, N: int) -> Recurrence1D:
     """Monic recurrence of a 1-d functional from its moments 0..2N.
 
     The Chebyshev algorithm: sig[l] = <u, p_k x^l> is one vector per step k,
@@ -211,7 +210,7 @@ def recurrence_from_moments(u: MomentFunctional, N: int,
     prev, sig = np.zeros_like(mom), mom
     for k in range(N + 1):
         h = sig[k]
-        if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
+        if not abs(h) > mk.DEFAULT_RANK_TOL * max(abs(mom[2 * k]), abs(h)):
             raise QuasiDefiniteFailure(k, [abs(h)], u.label)
         if k:
             c[k] = h / prev[k - 1]

@@ -166,7 +166,10 @@ class _LeftMultiplied(MomentFunctional):
     A degree-n vector gathers, for each coefficient c_beta in dict order,
     the base's degree-(n + |beta|) vector at the positions of alpha + beta
     and accumulates c_beta times it from zero, like the scalar oracle, so
-    both give bit-identical moments.
+    both give bit-identical moments.  When a base vector raises (a moment
+    outside the shifted set may be non-finite) or a sum is non-finite, the
+    degree is rebuilt entry by entry from the scalar oracle, which returns
+    the needed moments or raises at the same index it would alone.
     """
 
     def __init__(self, coeffs: dict, base: MomentFunctional, label: str):
@@ -182,15 +185,16 @@ class _LeftMultiplied(MomentFunctional):
 
     def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
         out = np.zeros(basis.size(n))
-        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-            for beta, c in self.coeffs.items():
-                m = sum(beta)
-                shifted = basis.sum_table(n, m)[:, basis.position(beta)]
-                out += c * self.base.moment_vector(n + m, basis)[shifted]
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            raise ValueError(f"non-finite moment at {basis.indices(n)[bad[0]]} "
-                             f"for {self.label!r}")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+                for beta, c in self.coeffs.items():
+                    m = sum(beta)
+                    shifted = basis.sum_table(n, m)[:, basis.position(beta)]
+                    out += c * self.base.moment_vector(n + m, basis)[shifted]
+        except ValueError:
+            return super()._degree_vector(n, basis)
+        if not np.all(np.isfinite(out)):
+            return super()._degree_vector(n, basis)
         return out
 
 
@@ -507,7 +511,10 @@ class Recurrence1D:
 
     `b` holds b_0..b_N, `c` holds c_1..c_N at matching positions (c[0]
     unused), `mass` is the zeroth moment.  For a positive weight the
-    orthonormal off-diagonal is a_n = sqrt(c_{n+1}).
+    orthonormal off-diagonal is a_n = sqrt(c_{n+1}).  A recurrence read
+    from the moments 0..2N (construct.recurrence_from_moments) has b[N]
+    NaN, since b_N needs moment 2N + 1; the monic and orthonormal
+    coefficients through degree N do not read it.
     """
 
     b: np.ndarray

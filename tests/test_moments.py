@@ -322,14 +322,21 @@ def _bits_or_error(values):
 
 
 @given(d=st.integers(1, 3), top=st.sampled_from([0, 300, 307]),
+       inf_rate=st.sampled_from([0.0, 0.02, 0.2]),
        seed=st.integers(0, 2**16), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, seed, data):
-    # base moments are finite, some zero, of size up to 1e307, so that sums
-    # of products overflow and a degree raises at its first bad multi-index
+@settings(max_examples=120, deadline=None)
+def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, inf_rate, seed, data):
+    # base moments are some zero, of size up to 1e307, so that sums of
+    # products overflow, and some infinite, so that the base itself raises;
+    # a base moment outside the shifted set may be infinite while the
+    # moments of p*base stay finite, and a degree raises at its first bad
+    # multi-index as the scalar oracle does
     def oracle(alpha):
         rng = np.random.default_rng([seed, *alpha])
-        if rng.random() < 0.2:
+        r = rng.random()
+        if r < inf_rate:
+            return math.inf
+        if r < inf_rate + 0.2:
             return 0.0
         return rng.uniform(-1.0, 1.0) * 10.0**top
 
