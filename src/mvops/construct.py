@@ -107,12 +107,22 @@ class GramBlocks:
     def scale(self) -> float:
         return max(mk.max_abs(h) for h in self.blocks)
 
+    def append(self, h: np.ndarray, sv: np.ndarray) -> None:
+        """Add the next degree's block with its singular values.
+
+        A block that is full rank by mk.solve's own rule (default tolerance,
+        scale sv[0]) counts as checked, so no solve takes a second SVD of it.
+        """
+        if mk.rank_from_sv(sv, mk.DEFAULT_RANK_TOL, sv[0]) == h.shape[0]:
+            self._checked.add(len(self.blocks))
+        self.blocks.append(h)
+
     def solve_right(self, n: int, s) -> np.ndarray:
         """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
 
-        Equals mk.solve(H_n, s.T).T: the first call at a degree runs its rank
-        check (raising SingularMatrixError), later calls skip it.  Blocks must
-        not change after their first solve.
+        Equals mk.solve(H_n, s.T).T: the first call at an unchecked degree
+        runs its rank check (raising SingularMatrixError), later calls skip
+        it.  Blocks must not change after their first solve.
         """
         rhs = np.asarray(s, dtype=float).T
         if n in self._checked:
@@ -147,8 +157,14 @@ def pair_blocks(u: MomentFunctional, rows_a: dict, rows_b: dict,
 
 
 def shift_rows(rows: dict, i: int, basis: GradedBasis) -> dict:
-    """Coefficient blocks of x_i times a block-coefficient vector."""
-    return {k + 1: g @ basis.shift_matrix(k, i) for k, g in rows.items()}
+    """Coefficient blocks of x_i times a block-coefficient vector: each
+    block's columns scattered to the positions of alpha + e_i."""
+    out = {}
+    for k, g in rows.items():
+        block = np.zeros((g.shape[0], basis.size(k + 1)))
+        block[:, basis.shift_index(k, i)] = g
+        out[k + 1] = block
+    return out
 
 
 def inner_block(u: MomentFunctional, P: PolySystem, n: int, Q: PolySystem, m: int) -> np.ndarray:
@@ -188,7 +204,7 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         if mk.rank_from_sv(sv, rank_tol, max(raw_scale, sv[0])) < basis.size(n):
             raise QuasiDefiniteFailure(n, sv, u.label)
         blocks.append(row)
-        grams.blocks.append(h)
+        grams.append(h, sv)
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 

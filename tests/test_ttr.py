@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvops import matrixkit as mk, moments
 from mvops.construct import (GramBlocks, gram_schmidt_monic, inner_block,
-                             orthonormalize)
+                             orthonormalize, pair_blocks, shift_rows)
 from mvops.indexing import basis_for
 from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
-                       validate_rank_conditions)
+                       joint_shift_lstsq, validate_rank_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +206,62 @@ def test_fit_requires_monic():
     P, H = gram_schmidt_monic(u, 3)
     with pytest.raises(ValueError):
         fit_ttr(orthonormalize(P, H))
+
+
+@given(d=st.integers(1, 4), n=st.integers(0, 6), cols=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1), compatible=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_joint_shift_closed_form_equals_lstsq(d, n, cols, seed, compatible):
+    basis = basis_for(d)
+    J = basis.joint_shift(n)
+    rng = np.random.default_rng(seed)
+    if compatible:
+        stacked = J @ rng.standard_normal((basis.size(n + 1), cols))
+    else:
+        stacked = rng.standard_normal((J.shape[0], cols)) * 10.0 ** rng.integers(-3, 4)
+    rhs = np.split(stacked, d)
+    g, defect = joint_shift_lstsq(basis, n, rhs)
+    want = np.linalg.lstsq(J, stacked, rcond=None)[0]
+    assert mk.max_abs(g - want) <= 1e-12 * mk.max_abs(want)
+    want_defect = mk.max_abs(J @ want - stacked)
+    assert abs(defect - want_defect) <= 1e-12 * mk.max_abs(stacked)
+
+
+def test_forward_generation_runs_no_lstsq(monkeypatch):
+    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
+    P, H = gram_schmidt_monic(u, 5)
+    T = compute_ttr(P, u, H)
+    calls = []
+    real = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    G, residuals = generate_from_ttr(T)
+    assert G.N == 5 and calls == []
+    assert np.max(residuals) <= 1e-10
+
+
+@pytest.mark.parametrize("u, N", [
+    (moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)), 5),
+    (moments.simplex_functional((0.5, 0.5, 0.5)), 3),
+])
+def test_compute_ttr_matches_per_direction_pairing(u, N):
+    # the shared per-degree factor gives what one pairing and one solve per
+    # direction give: B = <u, x_i P_n P_n^t> H_n^-1, C likewise with P_(n-1).
+    # Summing in another order parts the two by the raw-moment cancellation,
+    # which grows with the degree (simplex d=2: 4e-9 relative at degree 6),
+    # so the 1e-12 bar is held where that cancellation stays below it
+    P, H = gram_schmidt_monic(u, N)
+    T = compute_ttr(P, u, H)
+    basis = basis_for(u.d)
+    for n in range(N + 1):
+        for i in range(1, u.d + 1):
+            shifted = shift_rows(P.row_blocks(n), i, basis)
+            want_b = H.solve_right(n, pair_blocks(u, shifted, P.row_blocks(n), basis))
+            assert mk.max_abs(T.b(n, i) - want_b) <= 1e-12 * mk.max_abs(want_b)
+            if n >= 1:
+                want_c = H.solve_right(n - 1, pair_blocks(u, shifted, P.row_blocks(n - 1), basis))
+                assert mk.max_abs(T.c(n, i) - want_c) <= 1e-12 * mk.max_abs(want_c)
