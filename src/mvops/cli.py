@@ -185,18 +185,18 @@ def cmd_counterexample(args) -> int:
 
 
 def _load(path: str, loader):
+    """Read and validate one envelope; its first bad block raises ValueError."""
     with open(path) as fh:
-        obj = loader(fh.read())
-    serialize.validate_blocks(obj)
-    return obj
+        return loader(fh.read(), validate=True)
 
 
 def cmd_check(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
     start = time.time()
     try:
-        T = _load(args.ttr, serialize.ttr_from_json)
+        # the relation is the smaller file: a bad one fails before the recurrence is read
         rel = _load(args.relation, serialize.relation_from_json)
+        T = _load(args.ttr, serialize.ttr_from_json)
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
     if args.theorem == 3:
@@ -236,9 +236,9 @@ def cmd_relate(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
     start = time.time()
     try:
+        u = moments.parse_functional(args.functional)
         Q = _load(args.combined, serialize.system_from_json)
         P = _load(args.reference, serialize.system_from_json)
-        u = moments.parse_functional(args.functional)
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
     if min(Q.N, P.N) < 1:

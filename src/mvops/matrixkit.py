@@ -102,26 +102,35 @@ def format_matrix(m) -> str:
     """
     m = _as_matrix(m)
     lines = [f"{m.shape[0]} {m.shape[1]}"]
-    lines.extend(" ".join(repr(float(x)) for x in row) for row in m)
+    lines.extend(" ".join(map(repr, row)) for row in m.tolist())
     return "\n".join(lines)
 
 
-def parse_matrix(text: str) -> np.ndarray:
+def matrix_shape(text: str) -> tuple[int, int]:
+    """The (rows, cols) header of matrix text, read without its payload."""
     if not isinstance(text, str):
         raise ValueError(f"expected matrix text, got {type(text).__name__}")
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
+    text = text.lstrip()
+    end = text.find("\n")
+    head = text[:end if end >= 0 else len(text)].splitlines()
+    if not head:
         raise ValueError("empty matrix text")
-    header = lines[0].split()
+    header = head[0].split()
     if len(header) != 2:
-        raise ValueError(f"bad header {lines[0]!r}, expected 'rows cols'")
-    rows, cols = int(header[0]), int(header[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} rows, found {len(lines) - 1}")
-    data = []
-    for ln in lines[1:]:
-        row = [float(tok) for tok in ln.split()]
+        raise ValueError(f"bad header {head[0]!r}, expected 'rows cols'")
+    return int(header[0]), int(header[1])
+
+
+def parse_matrix(text: str) -> np.ndarray:
+    """Inverse of format_matrix: check the row and column counts against the
+    header, then convert every entry in one pass.  An entry is accepted
+    exactly when float() accepts it."""
+    rows, cols = matrix_shape(text)
+    data = [ln.split() for ln in text.strip().splitlines()[1:]]
+    data = [row for row in data if row]
+    if len(data) != rows:
+        raise ValueError(f"expected {rows} rows, found {len(data)}")
+    for row in data:
         if len(row) != cols:
             raise ValueError(f"expected {cols} columns, found {len(row)}")
-        data.append(row)
     return np.array(data, dtype=float).reshape(rows, cols)

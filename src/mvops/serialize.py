@@ -3,8 +3,14 @@
 Matrices travel as plain-text payloads (rows/cols header plus rows of
 shortest round-trip decimals) inside a JSON wrapper carrying the shape
 metadata, so files are diffable and bit-exact across writers and readers.
-The readers return what a document says; `validate_blocks` then refuses
-one whose blocks are not finite or not shaped as its dimension requires.
+
+A reader called with `validate=True` (as the CLI reads every file)
+refuses what `validate_blocks` refuses, and checks structure before
+numbers: the kind, d >= 1, the number of blocks per degree and direction
+and every block's `rows cols` header come first, the payloads after, block
+by block.  Its error names the first bad block, and a misshapen block costs
+no payload conversion.  Without `validate` a reader still needs the block
+counts, but keeps whatever shapes and values the blocks hold.
 """
 
 from __future__ import annotations
@@ -17,45 +23,97 @@ import numpy as np
 from .construct import PolySystem
 from .indexing import rank_count
 from .linrel import LinearRelation
-from .matrixkit import format_matrix, parse_matrix
+from .matrixkit import format_matrix, matrix_shape, parse_matrix
 from .ttr import ThreeTermData
 
+_NOUNS = {"polynomial_system": "polynomial system", "three_term": "three-term recurrence",
+          "linear_relation": "linear relation"}
+# the list of each kind whose index 0 is unused
+_UNUSED = {"three_term": "C", "linear_relation": "M"}
 
-def _blocks(obj):
-    """(label, matrix, row degree, column degree) of every block obj uses."""
-    if isinstance(obj, PolySystem):
-        for n, row in enumerate(obj.blocks):
+
+def _slots(kind: str, d: int, part):
+    """(label, container, index, row degree, column degree) of every block a
+    document or object of `kind` uses; `part(name)` returns its list `name`.
+
+    Index 0 of a recurrence's C and of a relation's M is unused and not visited.
+    """
+    if kind == "polynomial_system":
+        for n, row in enumerate(part("blocks")):
             if len(row) != n + 1:
                 raise ValueError(f"degree {n} has {len(row)} blocks, expected {n + 1}")
-            for k, m in enumerate(row):
-                yield f"block ({n}, {k})", m, n, k
-    elif isinstance(obj, ThreeTermData):
-        for name, rows, first, step in (("A", obj.A, 0, 1), ("B", obj.B, 0, 0),
-                                        ("C", obj.C[1:], 1, -1)):
-            for n, row in enumerate(rows, start=first):
-                if row is None or len(row) != obj.d:
-                    raise ValueError(f"{name}[{n}] must hold {obj.d} blocks")
-                for i, m in enumerate(row, start=1):
-                    yield f"{name}[{n}][{i}]", m, n, n + step
+            for k in range(n + 1):
+                yield f"block ({n}, {k})", row, k, n, k
+    elif kind == "three_term":
+        for name, first, step in (("A", 0, 1), ("B", 0, 0), ("C", 1, -1)):
+            for n, row in enumerate(part(name)[first:], start=first):
+                if row is None or len(row) != d:
+                    raise ValueError(f"{name}[{n}] must hold {d} blocks")
+                for i in range(d):
+                    yield f"{name}[{n}][{i + 1}]", row, i, n, n + step
     else:
-        for n in obj.available():
-            yield f"M[{n}]", obj.M[n], n, n - 1
+        M = part("M")
+        for n in range(1, len(M)):
+            yield f"M[{n}]", M, n, n, n - 1
+
+
+def _check_shape(where: str, shape, d: int, n: int, k: int) -> None:
+    want = (rank_count(d, n), rank_count(d, k))
+    if shape != want:
+        raise ValueError(f"{where} has shape {shape}, expected {want}")
+
+
+def _check_finite(where: str, m: np.ndarray) -> None:
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{where} has a non-finite entry")
+
+
+def _check_scalars(d: int, tail: float | None) -> None:
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
+    if tail is not None and not math.isfinite(tail):
+        raise ValueError(f"tail must be finite, got {tail}")
 
 
 def validate_blocks(obj: PolySystem | ThreeTermData | LinearRelation) -> None:
     """Raise ValueError unless d >= 1 and every block the system, recurrence
     or relation uses is finite and shaped as its two degrees require."""
-    if obj.d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {obj.d}")
-    if isinstance(obj, LinearRelation) and not math.isfinite(obj.tail):
-        raise ValueError(f"tail must be finite, got {obj.tail}")
-    for where, m, n, k in _blocks(obj):
-        want = (rank_count(obj.d, n), rank_count(obj.d, k))
-        shape = None if m is None else m.shape
-        if shape != want:
-            raise ValueError(f"{where} has shape {shape}, expected {want}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError(f"{where} has a non-finite entry")
+    kind = ("polynomial_system" if isinstance(obj, PolySystem)
+            else "three_term" if isinstance(obj, ThreeTermData) else "linear_relation")
+    _check_scalars(obj.d, obj.tail if kind == "linear_relation" else None)
+    for where, row, i, n, k in _slots(kind, obj.d, lambda name: getattr(obj, name)):
+        m = row[i]
+        _check_shape(where, None if m is None else m.shape, obj.d, n, k)
+        _check_finite(where, m)
+
+
+def _read(text: str, kind: str, validate: bool) -> tuple[dict, int]:
+    """Parse an envelope of `kind` and decode its blocks in place.
+
+    Returns the payload, with every block it uses a matrix and the unused
+    index 0 of C or M set to None, and its dimension.
+    """
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
+        raise ValueError(f"not a {_NOUNS[kind]} document")
+    d = int(payload["d"])
+    if validate:
+        tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
+        _check_scalars(d, tail)
+    slots = []
+    for where, row, i, n, k in _slots(kind, d, payload.__getitem__):
+        if validate:
+            _check_shape(where, None if row[i] is None else matrix_shape(row[i]), d, n, k)
+        slots.append((where, row, i))
+    for where, row, i in slots:
+        if row[i] is not None:
+            row[i] = parse_matrix(row[i])
+            if validate:
+                _check_finite(where, row[i])
+    spare = payload.get(_UNUSED.get(kind, ""))
+    if spare:
+        spare[0] = None
+    return payload, d
 
 
 def system_to_json(P: PolySystem) -> str:
@@ -73,13 +131,9 @@ def system_to_json(P: PolySystem) -> str:
     return json.dumps(payload, indent=2)
 
 
-def system_from_json(text: str) -> PolySystem:
-    payload = json.loads(text)
-    if payload.get("kind") != "polynomial_system":
-        raise ValueError("not a polynomial system document")
-    blocks = [[parse_matrix(t) for t in row] for row in payload["blocks"]]
-    return PolySystem(int(payload["d"]), blocks, bool(payload["monic"]),
-                      payload.get("label", ""))
+def system_from_json(text: str, *, validate: bool = False) -> PolySystem:
+    payload, d = _read(text, "polynomial_system", validate)
+    return PolySystem(d, payload["blocks"], bool(payload["monic"]), payload.get("label", ""))
 
 
 def ttr_to_json(T: ThreeTermData) -> str:
@@ -94,17 +148,9 @@ def ttr_to_json(T: ThreeTermData) -> str:
     return json.dumps(payload, indent=2)
 
 
-def ttr_from_json(text: str) -> ThreeTermData:
-    payload = json.loads(text)
-    if payload.get("kind") != "three_term":
-        raise ValueError("not a three-term recurrence document")
-    return ThreeTermData(
-        int(payload["d"]),
-        [[parse_matrix(t) for t in row] for row in payload["A"]],
-        [[parse_matrix(t) for t in row] for row in payload["B"]],
-        [None if row is None else [parse_matrix(t) for t in row]
-         for row in payload["C"]],
-    )
+def ttr_from_json(text: str, *, validate: bool = False) -> ThreeTermData:
+    payload, d = _read(text, "three_term", validate)
+    return ThreeTermData(d, payload["A"], payload["B"], payload["C"])
 
 
 def relation_to_json(rel: LinearRelation) -> str:
@@ -118,10 +164,7 @@ def relation_to_json(rel: LinearRelation) -> str:
     return json.dumps(payload, indent=2)
 
 
-def relation_from_json(text: str) -> LinearRelation:
-    payload = json.loads(text)
-    if payload.get("kind") != "linear_relation":
-        raise ValueError("not a linear relation document")
-    M = [None if t is None else parse_matrix(t) for t in payload["M"]]
-    return LinearRelation(int(payload["d"]), M, tail=float(payload.get("tail", 0.0)),
+def relation_from_json(text: str, *, validate: bool = False) -> LinearRelation:
+    payload, d = _read(text, "linear_relation", validate)
+    return LinearRelation(d, payload["M"], tail=float(payload.get("tail", 0.0)),
                           label=payload.get("label", ""))

@@ -309,7 +309,7 @@ def _corrupt_matrix(text: str, how: str, pick: int) -> str:
     lines = text.split("\n")
     rows, cols = (int(x) for x in lines[0].split())
     body = [ln.split() for ln in lines[1:]]
-    if how in ("nan", "inf", "-inf"):
+    if how in ("nan", "inf", "-inf", "abc"):
         r = pick % rows
         body[r][(pick // rows) % cols] = how
     elif how == "extra-column":
@@ -349,6 +349,61 @@ def test_malformed_envelopes_exit_2_with_one_line(envelopes, data, capsys):
     assert code == 2, (name, how, err)
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def _corrupt_block(text: str, name: str, n: int, i, how: str) -> str:
+    """The envelope with block `name`[n][i] (M[n] when i is None) corrupted
+    by _corrupt_matrix at its first entry."""
+    payload = json.loads(text)
+    row, k = (payload[name], n) if i is None else (payload[name][n], i)
+    row[k] = _corrupt_matrix(row[k], how, 0)
+    return json.dumps(payload)
+
+
+def _one_error(envelopes, command, swap, capsys) -> str:
+    code, _, err = run_cli(_argv(envelopes, command, swap), capsys)
+    assert code == 2 and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    return err
+
+
+def test_check_names_a_misshapen_relation_before_reading_the_recurrence(envelopes, capsys):
+    root = envelopes["root"]
+    (root / "wide-rel.json").write_text(
+        _corrupt_block(envelopes["texts"]["rel"], "M", 2, None, "extra-column"))
+    (root / "garbled-Tp.json").write_text(
+        _corrupt_block(envelopes["texts"]["Tp"], "A", 0, 0, "abc"))
+    swap = {"rel": str(root / "wide-rel.json"), "Tp": str(root / "garbled-Tp.json"),
+            "Tq": str(root / "garbled-Tp.json")}
+    for command in ("check-3", "check-4"):
+        err = _one_error(envelopes, command, swap, capsys)
+        assert "M[2] has shape (3, 3), expected (3, 2)" in err
+
+
+def test_generate_names_the_first_non_finite_block(envelopes, capsys):
+    text = _corrupt_block(envelopes["texts"]["Tp"], "B", 1, 0, "nan")
+    text = _corrupt_block(text, "C", 2, 1, "abc")
+    path = envelopes["root"] / "nan-then-garbled-Tp.json"
+    path.write_text(text)
+    err = _one_error(envelopes, "generate", {"Tp": str(path)}, capsys)
+    assert "B[1][1] has a non-finite entry" in err
+
+
+def test_relate_names_a_bad_functional_before_reading_the_systems(envelopes, capsys):
+    path = envelopes["root"] / "cut-Q.json"
+    path.write_text(envelopes["texts"]["Q"][:200])
+    argv = _argv(envelopes, "relate", {"Q": str(path)})
+    argv[argv.index("--functional") + 1] = "warp:z=1"
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2 and err.strip() == "error: unknown functional family 'warp'"
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_json_that_is_not_an_object_exits_2(envelopes, name, capsys):
+    path = envelopes["root"] / "list.json"
+    path.write_text("[1, 2]")
+    err = _one_error(envelopes, READERS[name][0], {name: str(path)}, capsys)
+    assert err.endswith(" document\n")
 
 
 def test_check_without_compatibility_degrees_reports_no_checks(envelopes, capsys):

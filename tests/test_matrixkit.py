@@ -120,6 +120,50 @@ def test_parse_matrix_errors():
         mk.parse_matrix("2 2\n1 2\n3 4\n5 6")
 
 
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3.3e-320,
+           1.797e308, -1.797e308, 1.7976931348623157e308, 0.1, 1 / 3]
+ENTRIES = st.one_of(st.sampled_from(SPECIAL),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_matrix_text_is_repr_per_entry_and_round_trips(data, rows, cols):
+    m = np.array(data.draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=float).reshape(rows, cols)
+    text = mk.format_matrix(m)
+    want = "\n".join([f"{rows} {cols}"]
+                     + [" ".join(repr(float(x)) for x in row) for row in m])
+    assert text == want
+    back = mk.parse_matrix(text)
+    assert back.shape == m.shape and back.tobytes() == m.tobytes()
+
+
+TOKEN_CHARS = "0123456789.eE+-_xXabfilnNtyIA\u0663\uff11\u00bd"
+
+
+@given(tok=st.one_of(st.text(TOKEN_CHARS, min_size=1, max_size=8),
+                     st.sampled_from(["1_0", "nan", "-NaN", "1e400", "-1e-400", "inf",
+                                      "+Infinity", "0x10", "1__0", "_1", "1e", ".", "\u0663",
+                                      "nan(1)", "1.5e+3", "-.5", "5e-324"])))
+@settings(max_examples=300, deadline=None)
+def test_parse_matrix_accepts_exactly_what_float_accepts(tok):
+    try:
+        want = np.array([[float(tok), 2.0]])
+    except ValueError:
+        with pytest.raises(ValueError):
+            mk.parse_matrix(f"1 2\n{tok} 2")
+    else:
+        assert mk.parse_matrix(f"1 2\n{tok} 2").tobytes() == want.tobytes()
+
+
+def test_matrix_shape_reads_only_the_header():
+    assert mk.matrix_shape("\n  3 4\nnot read") == (3, 4)
+    for bad in ("", "  \n ", "3\n1 2 3", "3 4 5\n", None):
+        with pytest.raises(ValueError):
+            mk.matrix_shape(bad)
+
+
 def test_finite_entries_required():
     with pytest.raises(ValueError):
         mk.numeric_rank(np.array([[np.nan, 0.0]]))

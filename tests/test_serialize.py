@@ -94,3 +94,96 @@ def test_validate_blocks_names_the_bad_block(disk_pieces):
     no_dim.d = 0
     with pytest.raises(ValueError, match="d must be >= 1"):
         serialize.validate_blocks(no_dim)
+
+
+READERS = {"system": serialize.system_from_json, "ttr": serialize.ttr_from_json,
+           "relation": serialize.relation_from_json}
+
+
+@pytest.fixture(scope="module")
+def texts(disk_pieces):
+    P, T = disk_pieces
+    _, rel = linrel.counterexample(4)
+    return {"system": serialize.system_to_json(P), "ttr": serialize.ttr_to_json(T),
+            "relation": serialize.relation_to_json(rel)}
+
+
+def _arrays(obj) -> list:
+    rows = {"system": obj.blocks} if hasattr(obj, "blocks") else (
+        {"A": obj.A, "B": obj.B, "C": obj.C[1:]} if hasattr(obj, "A") else {"M": obj.M[1:]})
+    return [m for part in rows.values() for row in part
+            for m in (row if isinstance(row, list) else [row])]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_validating_read_returns_the_same_arrays(texts, kind):
+    plain = READERS[kind](texts[kind])
+    checked = READERS[kind](texts[kind], validate=True)
+    pairs = list(zip(_arrays(plain), _arrays(checked), strict=True))
+    assert pairs and all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in pairs)
+
+
+def _with_block(text: str, name: str, n: int, i, block: str) -> str:
+    payload = json.loads(text)
+    (payload[name] if i is None else payload[name][n])[n if i is None else i] = block
+    return json.dumps(payload)
+
+
+def _count_parses(monkeypatch) -> list:
+    calls = []
+    real = serialize.parse_matrix
+    monkeypatch.setattr(serialize, "parse_matrix", lambda t: calls.append(t) or real(t))
+    return calls
+
+
+def test_validating_read_checks_every_header_before_any_number(texts, monkeypatch):
+    # a garbled payload early, a misshapen header late: the header is named,
+    # and no payload is converted
+    text = _with_block(texts["ttr"], "A", 0, 0, "1 2\nabc 0.0")
+    text = _with_block(text, "C", 3, 1, "3 3\n0 0 0\n0 0 0\n0 0 0")
+    calls = _count_parses(monkeypatch)
+    with pytest.raises(ValueError, match=r"C\[3\]\[2\] has shape \(3, 3\), expected \(4, 3\)"):
+        serialize.ttr_from_json(text, validate=True)
+    assert calls == []
+    with pytest.raises(ValueError, match=r"M\[2\] has shape None, expected \(3, 2\)"):
+        serialize.relation_from_json(_with_block(texts["relation"], "M", 2, None, None),
+                                     validate=True)
+
+
+def test_validating_read_stops_at_the_first_non_finite_block(texts, monkeypatch):
+    text = _with_block(texts["ttr"], "B", 1, 1, "2 2\n0.0 inf\n0.0 0.0")
+    text = _with_block(text, "C", 2, 0, "3 2\nabc 0\n0 0\n0 0")
+    calls = _count_parses(monkeypatch)
+    with pytest.raises(ValueError, match=r"B\[1\]\[2\] has a non-finite entry"):
+        serialize.ttr_from_json(text, validate=True)
+    # A[0..3] and B[0] with both directions, then B[1][1] and the bad B[1][2]
+    assert len(calls) == 2 * 4 + 2 + 2
+    # without validate the document's values come back as they are
+    T = serialize.ttr_from_json(_with_block(texts["ttr"], "B", 1, 1, "2 2\n0 inf\n0 0"))
+    assert np.isinf(T.b(1, 2)[0, 1])
+
+
+def test_validating_read_refuses_what_validate_blocks_refuses(texts):
+    cases = [
+        ("system", lambda p: p.update(d=0), "d must be >= 1"),
+        ("relation", lambda p: p.update(tail=float("nan")), "tail must be finite"),
+        ("system", lambda p: p["blocks"][2].pop(), "degree 2 has 2 blocks, expected 3"),
+        ("ttr", lambda p: p["B"][1].pop(), r"B\[1\] must hold 2 blocks"),
+        ("relation", lambda p: p.update(kind="three_term"), "not a linear relation"),
+    ]
+    for kind, edit, message in cases:
+        payload = json.loads(texts[kind])
+        edit(payload)
+        with pytest.raises(ValueError, match=message):
+            READERS[kind](json.dumps(payload), validate=True)
+    with pytest.raises(ValueError, match="not a three-term recurrence document"):
+        serialize.ttr_from_json("[1, 2]")
+
+
+def test_readers_leave_the_unused_first_slot_empty(texts):
+    payload = json.loads(texts["relation"])
+    payload["M"][0] = "1 1\n0.5"
+    assert serialize.relation_from_json(json.dumps(payload)).M[0] is None
+    payload = json.loads(texts["ttr"])
+    payload["C"][0] = ["1 1\n0.5", "1 1\n0.5"]
+    assert serialize.ttr_from_json(json.dumps(payload), validate=True).C[0] is None

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvops import matrixkit as mk, moments
-from mvops.construct import (GramBlocks, gram_schmidt_monic, inner_block,
+from mvops.construct import (GramBlocks, gram_blocks, gram_schmidt_monic, inner_block,
                              orthonormalize, pair_blocks, shift_rows)
 from mvops.indexing import basis_for
 from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
-                       joint_shift_lstsq, validate_rank_conditions)
+                       joint_shift_lstsq, rank_family, validate_rank_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -265,3 +265,75 @@ def test_compute_ttr_matches_per_direction_pairing(u, N):
             if n >= 1:
                 want_c = H.solve_right(n - 1, pair_blocks(u, shifted, P.row_blocks(n - 1), basis))
                 assert mk.max_abs(T.c(n, i) - want_c) <= 1e-12 * mk.max_abs(want_c)
+
+
+def _count_svds(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_non_monic_a_blocks_take_one_solve_per_degree(monkeypatch):
+    # A_(n,i) G_(n+1) = G_n L_(n,i) for the leading blocks G; one stacked
+    # solve per degree gives the per-direction solves' blocks
+    u = moments.disk_functional(0.5)
+    P, H = gram_schmidt_monic(u, 6)
+    O = orthonormalize(P, H)
+    HO = gram_blocks(u, O)
+    calls = _count_svds(monkeypatch)
+    T = compute_ttr(O, u, HO)
+    # one rank verdict per Gram block H_0..H_6, one per leading block G_1..G_6
+    assert len(calls) == 7 + 6
+    basis = basis_for(2)
+    for n in range(6):
+        for i in (1, 2):
+            want = np.linalg.solve(O.leading(n + 1).T,
+                                   (O.leading(n) @ basis.shift_matrix(n, i)).T).T
+            assert mk.max_abs(T.a(n, i) - want) <= 1e-13 * mk.max_abs(want)
+
+
+def _rank_family_by_svd(name, d, rows, tol):
+    """rank_family's rule for an upper family, one SVD per block and joint."""
+    basis = basis_for(d)
+    sv = {n: [np.linalg.svd(b, compute_uv=False) for b in row] for n, row in rows.items()}
+    scale = max(max(s[0] for row in sv.values() for s in row), 1e-300)
+    out = []
+    for n, row in rows.items():
+        out += [(name, n, i, mk.rank_from_sv(s, tol, scale), basis.size(n))
+                for i, s in enumerate(sv[n], start=1)]
+        out.append((f"{name}-joint", n, None,
+                    mk.rank_from_sv(np.linalg.svd(np.vstack(row), compute_uv=False),
+                                    tol, scale), basis.size(n + 1)))
+    return out
+
+
+def _as_tuples(checks):
+    return [(c.name, c.degree, c.direction, c.rank, c.expected) for c in checks]
+
+
+@pytest.mark.parametrize("d, N", [(2, 6), (3, 5), (4, 4)])
+def test_structural_a_ranks_take_no_svd(d, N, monkeypatch):
+    u = moments.cube_jacobi_functional((0.5, -0.5, 0.0, 1.0)[:d], (0.0, 0.5, 1.0, 0.0)[:d])
+    P, H = gram_schmidt_monic(u, N)
+    A = dict(enumerate(compute_ttr(P, u, H).A))
+    want = _rank_family_by_svd("A", d, A, mk.DEFAULT_RANK_TOL)
+    calls = _count_svds(monkeypatch)
+    checks = rank_family("A", d, A, mk.DEFAULT_RANK_TOL, lower=False)
+    assert calls == []
+    assert _as_tuples(checks) == want and all(c.ok for c in checks)
+
+    # one entry off the shift pattern sends the whole family through SVDs
+    A[1] = list(A[1])
+    A[1][0] = A[1][0].copy()
+    A[1][0][0, 0] += 1e-3
+    want = _rank_family_by_svd("A", d, A, mk.DEFAULT_RANK_TOL)
+    calls.clear()
+    checks = rank_family("A", d, A, mk.DEFAULT_RANK_TOL, lower=False)
+    assert len(calls) == len(want)   # one per block and one per joint
+    assert _as_tuples(checks) == want
