@@ -184,10 +184,10 @@ def cmd_counterexample(args) -> int:
     return _finish(report, args, start)
 
 
-def _load(path: str, loader):
-    """Read and validate one envelope; its first bad block raises ValueError."""
+def _load(path: str, kind: str):
+    """Read and check one envelope of `kind`; its first bad block raises ValueError."""
     with open(path) as fh:
-        return loader(fh.read(), validate=True)
+        return serialize._read(fh.read(), kind, checked=True)
 
 
 def cmd_check(args) -> int:
@@ -195,8 +195,8 @@ def cmd_check(args) -> int:
     start = time.time()
     try:
         # the relation is the smaller file: a bad one fails before the recurrence is read
-        rel = _load(args.relation, serialize.relation_from_json)
-        T = _load(args.ttr, serialize.ttr_from_json)
+        rel = _load(args.relation, "linear_relation")
+        T = _load(args.ttr, "three_term")
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
     if args.theorem == 3:
@@ -220,7 +220,7 @@ def cmd_generate(args) -> int:
         return _usage_error(f"--N must be >= 0, got {args.N}")
     start = time.time()
     try:
-        T = _load(args.ttr, serialize.ttr_from_json)
+        T = _load(args.ttr, "three_term")
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
     system, residuals = ttr.generate_from_ttr(T, args.N)
@@ -237,8 +237,8 @@ def cmd_relate(args) -> int:
     start = time.time()
     try:
         u = moments.parse_functional(args.functional)
-        Q = _load(args.combined, serialize.system_from_json)
-        P = _load(args.reference, serialize.system_from_json)
+        Q = _load(args.combined, "polynomial_system")
+        P = _load(args.reference, "polynomial_system")
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
     if min(Q.N, P.N) < 1:

@@ -4,13 +4,14 @@ Matrices travel as plain-text payloads (rows/cols header plus rows of
 shortest round-trip decimals) inside a JSON wrapper carrying the shape
 metadata, so files are diffable and bit-exact across writers and readers.
 
-A reader called with `validate=True` (as the CLI reads every file)
-refuses what `validate_blocks` refuses, and checks structure before
-numbers: the kind, d >= 1, the number of blocks per degree and direction
-and every block's `rows cols` header come first, the payloads after, block
-by block.  Its error names the first bad block, and a misshapen block costs
-no payload conversion.  Without `validate` a reader still needs the block
-counts, but keeps whatever shapes and values the blocks hold.
+The CLI reads every file through a checked read, which refuses what
+`validate_blocks` refuses and checks structure before numbers: the kind,
+d >= 1, the number of blocks per degree and direction and every block's
+`rows cols` header come first, the payloads after, block by block.  Its
+error names the first bad block, and a misshapen block costs no payload
+conversion.  The public readers need the same layout, with matrix text
+in every block the layout uses, but keep whatever shapes and values the
+blocks hold.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from .ttr import ThreeTermData
 
 _NOUNS = {"polynomial_system": "polynomial system", "three_term": "three-term recurrence",
           "linear_relation": "linear relation"}
-# the list of each kind whose index 0 is unused
-_UNUSED = {"three_term": "C", "linear_relation": "M"}
 
 
 def _slots(kind: str, d: int, part):
@@ -87,33 +86,36 @@ def validate_blocks(obj: PolySystem | ThreeTermData | LinearRelation) -> None:
         _check_finite(where, m)
 
 
-def _read(text: str, kind: str, validate: bool) -> tuple[dict, int]:
-    """Parse an envelope of `kind` and decode its blocks in place.
+def _read(text: str, kind: str, checked: bool):
+    """Decode an envelope of `kind` into the system, recurrence or relation
+    it holds.
 
-    Returns the payload, with every block it uses a matrix and the unused
-    index 0 of C or M set to None, and its dimension.
+    Every block the layout uses must be matrix text; the unused index 0 of C
+    or M comes back as None.  A `checked` read refuses what `validate_blocks`
+    refuses, structure before numbers: d, the tail and every block's header
+    first, then the payloads block by block, each checked as it is decoded.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise ValueError(f"not a {_NOUNS[kind]} document")
     d = int(payload["d"])
-    if validate:
-        tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
+    tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
+    if checked:
         _check_scalars(d, tail)
-    slots = []
-    for where, row, i, n, k in _slots(kind, d, payload.__getitem__):
-        if validate:
+    slots = list(_slots(kind, d, payload.__getitem__))
+    if checked:
+        for where, row, i, n, k in slots:
             _check_shape(where, None if row[i] is None else matrix_shape(row[i]), d, n, k)
-        slots.append((where, row, i))
-    for where, row, i in slots:
-        if row[i] is not None:
-            row[i] = parse_matrix(row[i])
-            if validate:
-                _check_finite(where, row[i])
-    spare = payload.get(_UNUSED.get(kind, ""))
-    if spare:
-        spare[0] = None
-    return payload, d
+    for where, row, i, _, _ in slots:
+        row[i] = parse_matrix(row[i])
+        if checked:
+            _check_finite(where, row[i])
+    if kind == "polynomial_system":
+        return PolySystem(d, payload["blocks"], bool(payload["monic"]), payload.get("label", ""))
+    if kind == "three_term":
+        return ThreeTermData(d, payload["A"], payload["B"], [None, *payload["C"][1:]])
+    return LinearRelation(d, [None, *payload["M"][1:]], tail=tail,
+                          label=payload.get("label", ""))
 
 
 def system_to_json(P: PolySystem) -> str:
@@ -131,9 +133,8 @@ def system_to_json(P: PolySystem) -> str:
     return json.dumps(payload, indent=2)
 
 
-def system_from_json(text: str, *, validate: bool = False) -> PolySystem:
-    payload, d = _read(text, "polynomial_system", validate)
-    return PolySystem(d, payload["blocks"], bool(payload["monic"]), payload.get("label", ""))
+def system_from_json(text: str) -> PolySystem:
+    return _read(text, "polynomial_system", checked=False)
 
 
 def ttr_to_json(T: ThreeTermData) -> str:
@@ -148,9 +149,8 @@ def ttr_to_json(T: ThreeTermData) -> str:
     return json.dumps(payload, indent=2)
 
 
-def ttr_from_json(text: str, *, validate: bool = False) -> ThreeTermData:
-    payload, d = _read(text, "three_term", validate)
-    return ThreeTermData(d, payload["A"], payload["B"], payload["C"])
+def ttr_from_json(text: str) -> ThreeTermData:
+    return _read(text, "three_term", checked=False)
 
 
 def relation_to_json(rel: LinearRelation) -> str:
@@ -164,7 +164,5 @@ def relation_to_json(rel: LinearRelation) -> str:
     return json.dumps(payload, indent=2)
 
 
-def relation_from_json(text: str, *, validate: bool = False) -> LinearRelation:
-    payload, d = _read(text, "linear_relation", validate)
-    return LinearRelation(d, payload["M"], tail=float(payload.get("tail", 0.0)),
-                          label=payload.get("label", ""))
+def relation_from_json(text: str) -> LinearRelation:
+    return _read(text, "linear_relation", checked=False)

@@ -224,21 +224,9 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     r_{n-1} per block and r_n for the joint of the transposes.  Every
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
-
-    An upper family whose blocks are all exactly the shift matrices L_(n,i)
-    (a monic system's A) takes its singular values in closed form: each
-    L_(n,i) has r_n singular values 1 (L L^t = I), and their joint has
-    sqrt(c_beta), since J^t J = diag(c) (see `joint_shift_lstsq`).
     """
     basis = basis_for(d)
-    structural = not lower and all(
-        len(row) == d and all(np.array_equal(b, basis.shift_matrix(n, i))
-                              for i, b in enumerate(row, start=1))
-        for n, row in rows.items())
-    if structural:
-        sv = {n: [np.ones(basis.size(n))] * len(row) for n, row in rows.items()}
-    else:
-        sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
+    sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
     scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
                 1e-300)
     shift = -1 if lower else 0
@@ -247,14 +235,9 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
         for i, s in enumerate(sv[n], start=1):
             checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
                                        basis.size(n + shift), n, i))
-        if structural:
-            shifts = np.concatenate([basis.shift_index(n, i) for i in range(1, d + 1)])
-            counts = np.bincount(shifts, minlength=basis.size(n + 1))
-            joint_rank = mk.rank_from_sv(np.sqrt(counts), tol, scale)
-        else:
-            joint = joint_matrix([b.T for b in row] if lower else row)
-            joint_rank = mk.numeric_rank(joint, tol, scale=scale)
-        checks.append(Check.ranked(f"{name}-joint", joint_rank, basis.size(n + shift + 1), n))
+        joint = joint_matrix([b.T for b in row] if lower else row)
+        checks.append(Check.ranked(f"{name}-joint", mk.numeric_rank(joint, tol, scale=scale),
+                                   basis.size(n + shift + 1), n))
     return checks
 
 

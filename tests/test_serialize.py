@@ -98,6 +98,12 @@ def test_validate_blocks_names_the_bad_block(disk_pieces):
 
 READERS = {"system": serialize.system_from_json, "ttr": serialize.ttr_from_json,
            "relation": serialize.relation_from_json}
+KINDS = {"system": "polynomial_system", "ttr": "three_term", "relation": "linear_relation"}
+
+
+def _checked(kind: str, text: str):
+    """The checked read the CLI makes of every file."""
+    return serialize._read(text, KINDS[kind], checked=True)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +124,7 @@ def _arrays(obj) -> list:
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_validating_read_returns_the_same_arrays(texts, kind):
     plain = READERS[kind](texts[kind])
-    checked = READERS[kind](texts[kind], validate=True)
+    checked = _checked(kind, texts[kind])
     pairs = list(zip(_arrays(plain), _arrays(checked), strict=True))
     assert pairs and all(a.tobytes() == b.tobytes() and a.shape == b.shape for a, b in pairs)
 
@@ -143,11 +149,10 @@ def test_validating_read_checks_every_header_before_any_number(texts, monkeypatc
     text = _with_block(text, "C", 3, 1, "3 3\n0 0 0\n0 0 0\n0 0 0")
     calls = _count_parses(monkeypatch)
     with pytest.raises(ValueError, match=r"C\[3\]\[2\] has shape \(3, 3\), expected \(4, 3\)"):
-        serialize.ttr_from_json(text, validate=True)
+        _checked("ttr", text)
     assert calls == []
     with pytest.raises(ValueError, match=r"M\[2\] has shape None, expected \(3, 2\)"):
-        serialize.relation_from_json(_with_block(texts["relation"], "M", 2, None, None),
-                                     validate=True)
+        _checked("relation", _with_block(texts["relation"], "M", 2, None, None))
 
 
 def test_validating_read_stops_at_the_first_non_finite_block(texts, monkeypatch):
@@ -155,10 +160,10 @@ def test_validating_read_stops_at_the_first_non_finite_block(texts, monkeypatch)
     text = _with_block(text, "C", 2, 0, "3 2\nabc 0\n0 0\n0 0")
     calls = _count_parses(monkeypatch)
     with pytest.raises(ValueError, match=r"B\[1\]\[2\] has a non-finite entry"):
-        serialize.ttr_from_json(text, validate=True)
+        _checked("ttr", text)
     # A[0..3] and B[0] with both directions, then B[1][1] and the bad B[1][2]
     assert len(calls) == 2 * 4 + 2 + 2
-    # without validate the document's values come back as they are
+    # a public read gives the document's values back as they are
     T = serialize.ttr_from_json(_with_block(texts["ttr"], "B", 1, 1, "2 2\n0 inf\n0 0"))
     assert np.isinf(T.b(1, 2)[0, 1])
 
@@ -175,7 +180,7 @@ def test_validating_read_refuses_what_validate_blocks_refuses(texts):
         payload = json.loads(texts[kind])
         edit(payload)
         with pytest.raises(ValueError, match=message):
-            READERS[kind](json.dumps(payload), validate=True)
+            _checked(kind, json.dumps(payload))
     with pytest.raises(ValueError, match="not a three-term recurrence document"):
         serialize.ttr_from_json("[1, 2]")
 
@@ -186,4 +191,26 @@ def test_readers_leave_the_unused_first_slot_empty(texts):
     assert serialize.relation_from_json(json.dumps(payload)).M[0] is None
     payload = json.loads(texts["ttr"])
     payload["C"][0] = ["1 1\n0.5", "1 1\n0.5"]
-    assert serialize.ttr_from_json(json.dumps(payload), validate=True).C[0] is None
+    assert _checked("ttr", json.dumps(payload)).C[0] is None
+
+
+@pytest.mark.parametrize("kind, name, n, i", [("system", "blocks", 2, 1), ("ttr", "A", 1, 0),
+                                              ("ttr", "C", 2, 1), ("relation", "M", 2, None)])
+def test_public_readers_refuse_a_missing_block(texts, kind, name, n, i):
+    # a block the layout uses must be matrix text, even where shapes and
+    # values are not checked
+    with pytest.raises(ValueError, match="expected matrix text, got NoneType"):
+        READERS[kind](_with_block(texts[kind], name, n, i, None))
+
+
+def test_public_readers_keep_shapes_and_values(texts):
+    payload = json.loads(texts["relation"])
+    payload["M"][2] = "3 1\n0.5\nnan\n0"
+    rel = serialize.relation_from_json(json.dumps(payload))
+    assert rel.m(2).shape == (3, 1) and np.isnan(rel.m(2)[1, 0])
+    with pytest.raises(ValueError, match=r"M\[2\] has shape \(3, 1\), expected \(3, 2\)"):
+        serialize.validate_blocks(rel)
+    payload = json.loads(texts["system"])
+    payload["blocks"][2].pop()
+    with pytest.raises(ValueError, match="degree 2 has 2 blocks, expected 3"):
+        serialize.system_from_json(json.dumps(payload))

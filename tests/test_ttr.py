@@ -9,7 +9,7 @@ from mvops.construct import (GramBlocks, gram_blocks, gram_schmidt_monic, inner_
 from mvops.indexing import basis_for
 from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
-                       joint_shift_lstsq, rank_family, validate_rank_conditions)
+                       joint_shift_lstsq, validate_rank_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -296,44 +296,3 @@ def test_non_monic_a_blocks_take_one_solve_per_degree(monkeypatch):
             want = np.linalg.solve(O.leading(n + 1).T,
                                    (O.leading(n) @ basis.shift_matrix(n, i)).T).T
             assert mk.max_abs(T.a(n, i) - want) <= 1e-13 * mk.max_abs(want)
-
-
-def _rank_family_by_svd(name, d, rows, tol):
-    """rank_family's rule for an upper family, one SVD per block and joint."""
-    basis = basis_for(d)
-    sv = {n: [np.linalg.svd(b, compute_uv=False) for b in row] for n, row in rows.items()}
-    scale = max(max(s[0] for row in sv.values() for s in row), 1e-300)
-    out = []
-    for n, row in rows.items():
-        out += [(name, n, i, mk.rank_from_sv(s, tol, scale), basis.size(n))
-                for i, s in enumerate(sv[n], start=1)]
-        out.append((f"{name}-joint", n, None,
-                    mk.rank_from_sv(np.linalg.svd(np.vstack(row), compute_uv=False),
-                                    tol, scale), basis.size(n + 1)))
-    return out
-
-
-def _as_tuples(checks):
-    return [(c.name, c.degree, c.direction, c.rank, c.expected) for c in checks]
-
-
-@pytest.mark.parametrize("d, N", [(2, 6), (3, 5), (4, 4)])
-def test_structural_a_ranks_take_no_svd(d, N, monkeypatch):
-    u = moments.cube_jacobi_functional((0.5, -0.5, 0.0, 1.0)[:d], (0.0, 0.5, 1.0, 0.0)[:d])
-    P, H = gram_schmidt_monic(u, N)
-    A = dict(enumerate(compute_ttr(P, u, H).A))
-    want = _rank_family_by_svd("A", d, A, mk.DEFAULT_RANK_TOL)
-    calls = _count_svds(monkeypatch)
-    checks = rank_family("A", d, A, mk.DEFAULT_RANK_TOL, lower=False)
-    assert calls == []
-    assert _as_tuples(checks) == want and all(c.ok for c in checks)
-
-    # one entry off the shift pattern sends the whole family through SVDs
-    A[1] = list(A[1])
-    A[1][0] = A[1][0].copy()
-    A[1][0][0, 0] += 1e-3
-    want = _rank_family_by_svd("A", d, A, mk.DEFAULT_RANK_TOL)
-    calls.clear()
-    checks = rank_family("A", d, A, mk.DEFAULT_RANK_TOL, lower=False)
-    assert len(calls) == len(want)   # one per block and one per joint
-    assert _as_tuples(checks) == want
