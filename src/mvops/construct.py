@@ -8,6 +8,14 @@ monomial pairing blocks; a rank-deficient Gram block means the functional
 is not quasi-definite through that degree and construction stops with a
 diagnosable error.  A univariate monic system needs only its recurrence,
 which recurrence_from_moments reads off the moments by the same rule.
+
+A tensor functional (one with `factors`) takes neither route in d
+variables: its monic system is the product of its factors' monic systems,
+one recurrence per factor, assembled by tensor_system.  Its Gram blocks
+are diagonal, H_n = diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read
+from one univariate pairing per factor, and the tensor is quasi-definite
+through degree n exactly when every factor is, so the first factor that
+fails decides the tensor's failing degree.
 """
 
 from __future__ import annotations
@@ -96,6 +104,7 @@ class GramBlocks:
 
     blocks: list
     _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _diagonal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def h(self, n: int) -> np.ndarray:
         return self.blocks[n]
@@ -117,13 +126,26 @@ class GramBlocks:
             self._checked.add(len(self.blocks))
         self.blocks.append(h)
 
+    def append_diagonal(self, values) -> None:
+        """Add the next degree's block diag(values), known to be diagonal.
+
+        Its singular values are |values|, so it is checked by the same rule
+        as `append` with no SVD, and solve_right divides by the values.
+        """
+        values = np.asarray(values, dtype=float)
+        self._diagonal[len(self.blocks)] = values
+        self.append(np.diag(values), np.sort(np.abs(values))[::-1])
+
     def solve_right(self, n: int, s) -> np.ndarray:
         """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
 
         Equals mk.solve(H_n, s.T).T: the first call at an unchecked degree
         runs its rank check (raising SingularMatrixError), later calls skip
-        it.  Blocks must not change after their first solve.
+        it.  A checked block added by append_diagonal is divided by.  Blocks
+        must not change after their first solve.
         """
+        if n in self._checked and n in self._diagonal:
+            return np.asarray(s, dtype=float) / self._diagonal[n]
         rhs = np.asarray(s, dtype=float).T
         if n in self._checked:
             return np.linalg.solve(self.blocks[n], rhs).T
@@ -183,9 +205,13 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     Raises QuasiDefiniteFailure at the first degree whose Gram block is
     numerically rank deficient (measured against the scale of the raw
     monomial pairing block, so genuinely tiny Gram blocks are caught).
+    A tensor functional takes the tensor route (module docstring) with the
+    same `rank_tol` applied to each factor.
     """
     if N < 0:
         raise ValueError("degree bound must be >= 0")
+    if hasattr(u, "factors"):
+        return _tensor_monic(u, N, rank_tol)
     basis = basis_for(u.d)
     blocks: list[list[np.ndarray]] = []
     grams = GramBlocks([])
@@ -208,7 +234,8 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
-def recurrence_from_moments(u: MomentFunctional, N: int) -> Recurrence1D:
+def recurrence_from_moments(u: MomentFunctional, N: int,
+                            rank_tol: float = mk.DEFAULT_RANK_TOL) -> Recurrence1D:
     """Monic recurrence of a 1-d functional from its moments 0..2N.
 
     The Chebyshev algorithm: sig[l] = <u, p_k x^l> is one vector per step k,
@@ -226,7 +253,7 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> Recurrence1D:
     prev, sig = np.zeros_like(mom), mom
     for k in range(N + 1):
         h = sig[k]
-        if not abs(h) > mk.DEFAULT_RANK_TOL * max(abs(mom[2 * k]), abs(h)):
+        if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
             raise QuasiDefiniteFailure(k, [abs(h)], u.label)
         if k:
             c[k] = h / prev[k - 1]
@@ -237,6 +264,36 @@ def recurrence_from_moments(u: MomentFunctional, N: int) -> Recurrence1D:
         nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
         prev, sig = sig, nxt
     return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({u.label})")
+
+
+def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySystem, GramBlocks]:
+    """gram_schmidt_monic of a tensor functional, from its factors'
+    recurrences (module docstring)."""
+    recs, failures = [], []
+    for f in u.factors:
+        try:
+            recs.append(recurrence_from_moments(f, N, rank_tol))
+        except QuasiDefiniteFailure as err:
+            failures.append(err)
+    if failures:
+        first = min(failures, key=lambda err: err.degree)
+        raise QuasiDefiniteFailure(first.degree, first.singular_values, u.label)
+    polys = [rec.monic_coeffs() for rec in recs]
+    norms = []
+    for f, p in zip(u.factors, polys):
+        # h_0..h_N: the diagonal of one pairing of (p_0, ..., p_N) with itself
+        table = _coefficient_table(p, N)
+        rows = {k: table[:, k:k + 1] for k in range(N + 1)}
+        norms.append(np.diagonal(pair_blocks(f, rows, rows, basis_for(1))))
+    basis = basis_for(u.d)
+    grams = GramBlocks([])
+    for n in range(N + 1):
+        exps = basis.exponents(n)
+        values = norms[0][exps[:, 0]]
+        for i in range(1, u.d):
+            values = values * norms[i][exps[:, i]]
+        grams.append_diagonal(values)
+    return tensor_system(polys, N, f"mops({u.label})"), grams
 
 
 def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
@@ -287,7 +344,47 @@ def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
                 if m <= n:
                     row[m][pos] += coeffs
         blocks.append(row)
-    monic = all(np.array_equal(blocks[n][n], np.eye(basis.size(n))) for n in range(N + 1))
+    return _assembled(d, blocks, label)
+
+
+def _coefficient_table(polys: list, N: int) -> np.ndarray:
+    """Row m holds the ascending coefficients of polys[m], zero-padded to
+    N + 1 columns."""
+    table = np.zeros((N + 1, N + 1))
+    for m in range(N + 1):
+        table[m, :len(polys[m])] = polys[m]
+    return table
+
+
+def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
+    """Products of per-axis univariate families, one row per multi-index.
+
+    axis_polys[i][m] holds the ascending coefficients of axis i's degree-m
+    polynomial.  Entry (nu, alpha) of block (n, k) is prod_i t_i[nu_i,
+    alpha_i], t_i the axis's coefficient table: one gather over the
+    exponent tables of degrees n and k per axis, multiplied in axis order.
+    Adding 0.0 turns the -0.0 of vanished terms into 0.0.
+    """
+    d = len(axis_polys)
+    basis = basis_for(d)
+    tables = [_coefficient_table(polys, N) for polys in axis_polys]
+    blocks = []
+    for n in range(N + 1):
+        row = []
+        for k in range(n + 1):
+            nu, alpha = basis.exponents(n), basis.exponents(k)
+            block = tables[0][np.ix_(nu[:, 0], alpha[:, 0])]
+            for i in range(1, d):
+                block = block * tables[i][np.ix_(nu[:, i], alpha[:, i])]
+            row.append(block + 0.0)
+        blocks.append(row)
+    return _assembled(d, blocks, label)
+
+
+def _assembled(d: int, blocks: list, label: str) -> PolySystem:
+    """The system of assembled blocks; monic exactly when every leading
+    block is the identity."""
+    monic = all(np.array_equal(row[-1], np.eye(row[-1].shape[0])) for row in blocks)
     return PolySystem(d, blocks, monic=monic, label=label)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 from scipy import special as sp
@@ -22,7 +21,8 @@ from . import matrixkit as mk
 from . import moments, mpoly
 from .checks import Check, all_pass
 from .construct import (PolySystem, RhoMap, gram_blocks, gram_offdiag_residual,
-                        gram_schmidt_monic, koornwinder_system, system_from_rows)
+                        gram_schmidt_monic, koornwinder_system, system_from_rows,
+                        tensor_system)
 from .indexing import basis_for, enumerate_indices
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
@@ -209,16 +209,6 @@ def standard_laguerre_coeffs(alpha: float, N: int) -> list[np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # explicit system builders
-
-
-def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
-    """Products of per-axis univariate families, one row per multi-index."""
-    d = len(axis_polys)
-    rows = {}
-    for n in range(N + 1):
-        for nu in enumerate_indices(d, n):
-            rows[nu] = reduce(np.multiply.outer, (p[i] for p, i in zip(axis_polys, nu)))
-    return system_from_rows(rows, d, N, label)
 
 
 def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:

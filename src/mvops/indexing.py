@@ -69,6 +69,7 @@ class GradedBasis:
         self.d = d
         self._indices: dict[int, list[tuple[int, ...]]] = {}
         self._positions: dict[tuple[int, ...], int] = {}
+        self._exponents: dict[int, np.ndarray] = {}
         self._shift: dict[tuple[int, int], np.ndarray] = {}
         self._shift_index: dict[tuple[int, int], np.ndarray] = {}
         self._table = np.zeros((0, 0), dtype=np.intp)
@@ -93,6 +94,15 @@ class GradedBasis:
             for pos, alpha in enumerate(idx):
                 self._positions[alpha] = pos
         return self._indices[n]
+
+    def exponents(self, n: int) -> np.ndarray:
+        """The degree-n multi-indices in order as a read-only (size(n), d)
+        integer array."""
+        if n not in self._exponents:
+            exps = np.array(self.indices(n), dtype=np.intp).reshape(-1, self.d)
+            exps.flags.writeable = False
+            self._exponents[n] = exps
+        return self._exponents[n]
 
     def position(self, alpha) -> int:
         """Position of a multi-index within its own degree block."""

@@ -124,11 +124,12 @@ def matrix_shape(text: str) -> tuple[int, int]:
 def parse_matrix(text: str) -> np.ndarray:
     """Inverse of format_matrix: check the row and column counts against the
     header, then convert every entry in one pass.  An entry is accepted
-    exactly when float() accepts it."""
+    exactly when float() accepts it.  Blank lines carry no row, so the r
+    rows of an r x 0 matrix are not counted, but must hold no entry."""
     rows, cols = matrix_shape(text)
     data = [ln.split() for ln in text.strip().splitlines()[1:]]
     data = [row for row in data if row]
-    if len(data) != rows:
+    if cols and len(data) != rows:
         raise ValueError(f"expected {rows} rows, found {len(data)}")
     for row in data:
         if len(row) != cols:

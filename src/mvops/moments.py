@@ -228,7 +228,7 @@ class _TensorFunctional(MomentFunctional):
         self.factors = factors
 
     def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
-        exps = np.array(basis.indices(n)).reshape(-1, self.d)
+        exps = basis.exponents(n)
         out = np.ones(len(exps))
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             for axis, f in enumerate(self.factors):

@@ -4,9 +4,10 @@ A polynomial is an ndarray whose entry [i1, ..., id] is the coefficient of
 x1^i1 ... xd^id.  Shapes stay tiny at the degrees used here, so products
 are computed by direct shifted accumulation.  This is the one polynomial
 arithmetic of the explicit product-form bases (Koornwinder, simplex and
-symmetrized Chebyshev systems; a tensor row is the outer product of its
-axis vectors); `construct.system_from_rows` splits their rows into the
-graded coefficient blocks the rest of the package works with.
+symmetrized Chebyshev systems; tensor systems are assembled by
+`construct.tensor_system` without it); `construct.system_from_rows` splits
+their rows into the graded coefficient blocks the rest of the package
+works with.
 """
 
 from __future__ import annotations

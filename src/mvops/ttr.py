@@ -224,9 +224,17 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     r_{n-1} per block and r_n for the joint of the transposes.  Every
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
+
+    An upper block equal to basis.shift_matrix(n, i) has r_n singular
+    values 1 (its rows are distinct unit rows), and when all d blocks of a
+    degree are, the joint J has sqrt(c_beta), J^t J = diag(c) as in
+    joint_shift_lstsq; those values are used without an SVD.
     """
     basis = basis_for(d)
-    sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
+    structural = {n: [not lower and np.array_equal(b, basis.shift_matrix(n, i))
+                      for i, b in enumerate(row, start=1)] for n, row in rows.items()}
+    sv = {n: [np.ones(basis.size(n)) if exact else mk.singular_values(b)
+              for b, exact in zip(row, structural[n])] for n, row in rows.items()}
     scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
                 1e-300)
     shift = -1 if lower else 0
@@ -235,9 +243,14 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
         for i, s in enumerate(sv[n], start=1):
             checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
                                        basis.size(n + shift), n, i))
-        joint = joint_matrix([b.T for b in row] if lower else row)
-        checks.append(Check.ranked(f"{name}-joint", mk.numeric_rank(joint, tol, scale=scale),
-                                   basis.size(n + shift + 1), n))
+        if all(structural[n]):
+            counts = np.bincount(np.concatenate([basis.shift_index(n, i)
+                                                 for i in range(1, d + 1)]))
+            rank = mk.rank_from_sv(np.sqrt(counts), tol, scale)
+        else:
+            joint = joint_matrix([b.T for b in row] if lower else row)
+            rank = mk.numeric_rank(joint, tol, scale=scale)
+        checks.append(Check.ranked(f"{name}-joint", rank, basis.size(n + shift + 1), n))
     return checks
 
 

@@ -435,7 +435,7 @@ def test_to_monic_checks_each_leading_block_once_and_matches_per_block_solve(mon
 
 def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
     # the SVD behind the quasi-definiteness check is also the rank check of
-    # every later solve against the block
+    # every later solve against the block; the tensor route takes none
     calls = []
     real = np.linalg.svd
 
@@ -445,9 +445,13 @@ def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     N = 6
-    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    u = moments.simplex_functional((0.5, 0.5, 0.5))
     _, H = gram_schmidt_monic(u, N)
     assert len(calls) == N + 1
+    for n in range(N + 1):
+        H.solve_right(n, np.eye(n + 1))
+    assert len(calls) == N + 1
+    _, H = gram_schmidt_monic(moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5)), N)
     for n in range(N + 1):
         H.solve_right(n, np.eye(n + 1))
     assert len(calls) == N + 1
@@ -461,7 +465,7 @@ def test_solve_right_keeps_the_default_rank_rule_under_a_looser_build():
     u = moments.MomentFunctional(2, lambda a: moms.get(tuple(a), 0.0), label="near-singular")
     with pytest.raises(QuasiDefiniteFailure):
         gram_schmidt_monic(u, 1)
-    P, H = gram_schmidt_monic(u, 1, rank_tol=1e-12)
+    _, H = gram_schmidt_monic(u, 1, rank_tol=1e-12)
     sv = mk.singular_values(H.h(1))
     assert 1e-12 < sv[-1] / sv[0] < mk.DEFAULT_RANK_TOL
     H.solve_right(0, np.eye(1))
@@ -485,3 +489,97 @@ def test_shift_rows_equals_the_shift_matrix_product(d):
     rows[2][1, 0] = np.nan
     got = shift_rows(rows, 1, basis)[3]
     assert np.count_nonzero(np.isnan(got)) == 1
+
+
+def _block_route(u):
+    """The same moments as a plain functional, which takes block Gram-Schmidt."""
+    return moments.MomentFunctional(u.d, u.moment, label=u.label)
+
+
+@given(data=st.data(), d=st.integers(2, 3), N=st.integers(0, 6))
+@settings(max_examples=25, deadline=None)
+def test_tensor_route_matches_block_gram_schmidt(data, d, N):
+    exponent = st.floats(-0.5, 1.5, exclude_min=True, exclude_max=True)
+    a, b = (data.draw(st.lists(exponent, min_size=d, max_size=d)) for _ in range(2))
+    u = moments.cube_jacobi_functional(a, b)
+    P, H = gram_schmidt_monic(u, N)
+    Pb, Hb = gram_schmidt_monic(_block_route(u), N)
+    assert P.monic and P.label == Pb.label
+    for n in range(N + 1):
+        for k in range(n + 1):
+            scale = max(1.0, mk.max_abs(Pb.block(n, k)))
+            assert mk.max_abs(P.block(n, k) - Pb.block(n, k)) <= 1e-9 * scale
+        diag = np.diag(Hb.h(n))
+        assert np.array_equal(H.h(n), np.diag(np.diag(H.h(n))))
+        assert mk.max_abs(np.diag(H.h(n)) - diag) <= 1e-9 * mk.max_abs(diag)
+        assert mk.max_abs(Hb.h(n) - np.diag(diag)) <= 1e-9 * mk.max_abs(Hb.h(n))
+
+
+def test_tensor_route_reaches_degree_12_on_tensor_laguerre():
+    kappa = (0.0, 1.0, 0.5)
+    u = moments.multiple_laguerre_functional(kappa)
+    with pytest.raises(QuasiDefiniteFailure) as err:
+        gram_schmidt_monic(_block_route(u), 12)
+    assert err.value.degree == 8
+    P, H = gram_schmidt_monic(u, 12)
+    exact = construct.tensor_system(
+        [moments.laguerre_recurrence(12, k).monic_coeffs() for k in kappa], 12, "exact")
+    assert P.monic and exact.monic
+    for n in range(13):
+        assert np.all(np.diag(H.h(n)) > 0)
+        for k in range(n + 1):
+            assert mk.max_abs(P.block(n, k) - exact.block(n, k)) <= 1e-5 * mk.max_abs(
+                exact.block(n, k))
+
+
+def _three_nodes():
+    # quasi-definite through degree 2, degenerate at degree 3
+    nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
+    return moments.MomentFunctional(1, lambda a: float(weights @ nodes**a[0]), label="three")
+
+
+def test_failing_factor_decides_the_tensor_degree():
+    jac, two = moments.jacobi_functional_1d(0.5, 0.0), moments.MomentFunctional(
+        1, lambda a: 0.5 * ((-1.0) ** a[0] + 1.0), label="two")   # degenerate at 2
+    for factors, degree in (((jac, _three_nodes()), 3), ((_three_nodes(), jac, two), 2)):
+        u = moments.tensor(*factors, label="mixed")
+        for functional in (u, _block_route(u)):
+            with pytest.raises(QuasiDefiniteFailure, match="'mixed'") as err:
+                gram_schmidt_monic(functional, 5)
+            assert err.value.degree == degree
+    gram_schmidt_monic(moments.tensor(jac, _three_nodes()), 2)
+
+
+def test_looser_rank_tol_lets_a_near_singular_factor_through():
+    # h_1 = delta against moment 2 ~ 1: below the default 1e-9, above 1e-12
+    delta = 1e-10
+    moms = {0: 1.0, 1: 1.0, 2: 1.0 + delta}
+    near = moments.MomentFunctional(1, lambda a: moms[a[0]], label="near")
+    u = moments.tensor(near, moments.jacobi_functional_1d(0.0, 0.0), label="near-tensor")
+    with pytest.raises(QuasiDefiniteFailure, match="near-tensor"):
+        gram_schmidt_monic(u, 1)
+    _, H = gram_schmidt_monic(u, 1, rank_tol=1e-12)
+    np.testing.assert_allclose(np.diag(H.h(1)), [2.0 * delta, 2.0 / 3.0], rtol=1e-5)
+    # later solves keep the default rule: diag ratio 3 delta < 1e-9
+    H.solve_right(0, np.eye(1))
+    with pytest.raises(mk.SingularMatrixError):
+        H.solve_right(1, np.eye(2))
+
+
+@pytest.mark.parametrize("degrees", [(7,), (5, 6), (4, 3, 5)])
+def test_tensor_system_equals_the_outer_product_assembly(degrees):
+    rng = np.random.default_rng(len(degrees))
+    N = min(degrees)
+    axis_polys = [[np.append(rng.standard_normal(m), 1.0 if m % 2 else -2.0)
+                   for m in range(top + 1)] for top in degrees]
+    rows = {}
+    for n in range(N + 1):
+        for nu in basis_for(len(degrees)).indices(n):
+            rows[nu] = functools.reduce(np.multiply.outer,
+                                        (p[i] for p, i in zip(axis_polys, nu)))
+    want = system_from_rows(rows, len(degrees), N, "outer")
+    got = construct.tensor_system(axis_polys, N, "gather")
+    assert not got.monic and not want.monic   # leading coefficients -2 on even degrees
+    for n in range(N + 1):
+        for k in range(n + 1):
+            assert got.block(n, k).tobytes() == want.block(n, k).tobytes()

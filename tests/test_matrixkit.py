@@ -118,6 +118,9 @@ def test_parse_matrix_errors():
         mk.parse_matrix("1\n1 2")
     with pytest.raises(ValueError):
         mk.parse_matrix("2 2\n1 2\n3 4\n5 6")
+    for payload in ("1", "\n\n1", "0 1"):   # an r x 0 matrix holds no entry
+        with pytest.raises(ValueError, match="expected 0 columns"):
+            mk.parse_matrix("2 0\n" + payload)
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, -3.3e-320,
@@ -126,7 +129,7 @@ ENTRIES = st.one_of(st.sampled_from(SPECIAL),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
-@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(1, 4))
+@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4))
 @settings(max_examples=150, deadline=None)
 def test_matrix_text_is_repr_per_entry_and_round_trips(data, rows, cols):
     m = np.array(data.draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols)),

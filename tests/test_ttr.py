@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvops import matrixkit as mk, moments
+from mvops.checks import Check
 from mvops.construct import (GramBlocks, gram_blocks, gram_schmidt_monic, inner_block,
                              orthonormalize, pair_blocks, shift_rows)
-from mvops.indexing import basis_for
+from mvops.indexing import basis_for, joint_matrix
 from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
-                       joint_shift_lstsq, validate_rank_conditions)
+                       joint_shift_lstsq, rank_family, validate_rank_conditions)
 
 
 @pytest.fixture(scope="module")
@@ -296,3 +297,40 @@ def test_non_monic_a_blocks_take_one_solve_per_degree(monkeypatch):
             want = np.linalg.solve(O.leading(n + 1).T,
                                    (O.leading(n) @ basis.shift_matrix(n, i)).T).T
             assert mk.max_abs(T.a(n, i) - want) <= 1e-13 * mk.max_abs(want)
+
+
+def _rank_family_by_svd(name, d, rows, tol, lower):
+    """rank_family's rule with an SVD of every block and every joint."""
+    basis = basis_for(d)
+    sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
+    scale = max(s[0] for row in sv.values() for s in row)
+    shift = -1 if lower else 0
+    checks = []
+    for n, row in rows.items():
+        checks += [Check.ranked(name, mk.rank_from_sv(s, tol, scale), basis.size(n + shift), n, i)
+                   for i, s in enumerate(sv[n], start=1)]
+        joint = joint_matrix([b.T for b in row] if lower else row)
+        checks.append(Check.ranked(f"{name}-joint", mk.numeric_rank(joint, tol, scale=scale),
+                                   basis.size(n + shift + 1), n))
+    return checks
+
+
+@pytest.mark.parametrize("d, N", [(2, 8), (3, 6), (4, 5)])
+@pytest.mark.parametrize("tol", [mk.DEFAULT_RANK_TOL, 1.5])
+def test_structural_a_ranks_take_no_svd_and_match_the_svd_rule(monkeypatch, d, N, tol):
+    # at tol 1.5 the joint keeps only its sqrt(c_beta) >= sqrt(3) directions
+    u = moments.cube_jacobi_functional((0.5, -0.5, 0.0, 1.0)[:d], (0.0, 0.5, 1.0, 0.0)[:d])
+    P, H = gram_schmidt_monic(u, N)
+    T = compute_ttr(P, u, H)
+    rows = dict(enumerate(T.A))
+    want = _rank_family_by_svd("A", d, rows, tol, lower=False)
+    calls = _count_svds(monkeypatch)
+    assert rank_family("A", d, rows, tol, lower=False) == want
+    assert calls == []
+    # one perturbed block: its SVD and its degree's joint SVD, nothing else
+    rows[2] = list(rows[2])
+    rows[2][d - 1] = rows[2][d - 1] + 1e-3 * np.ones_like(rows[2][d - 1])
+    want = _rank_family_by_svd("A", d, rows, tol, lower=False)
+    del calls[:]
+    assert rank_family("A", d, rows, tol, lower=False) == want
+    assert calls == [rows[2][d - 1].shape, (d * rows[2][0].shape[0], rows[2][0].shape[1])]
