@@ -22,8 +22,7 @@ from .moments import (LinearPoly, MomentFunctional, Recurrence1D,
                       krall_jacobi_functional, krall_laguerre_functional,
                       laguerre_functional_1d, left_multiply,
                       multiple_laguerre_functional, parse_functional,
-                      product_chebyshev_functional, recurrence1d,
-                      simplex_functional, tensor)
+                      product_chebyshev_functional, simplex_functional, tensor)
 from .ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
                   validate_rank_conditions)
 

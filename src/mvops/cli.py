@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -29,6 +30,10 @@ MATH_FAIL = 1
 
 # what a missing, unreadable or malformed input file raises
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
+
+# `family` options passed on to families.build_family when given
+_FAMILY_OPTIONS = ("mu", "kind", "rho", "alpha", "beta", "a1", "kappa2", "ay",
+                  "kappa", "a", "b", "j", "raise_b")
 
 
 @dataclass
@@ -81,8 +86,24 @@ def _usage_error(message) -> int:
     return USAGE_ERROR
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _floats(text: str) -> tuple[float, ...]:
+    """argparse type of a comma-separated vector option."""
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance: one positive finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
 
 
 def _write(path: str, text: str) -> bool:
@@ -110,24 +131,8 @@ def _finish(report: VerdictReport, args, start: float) -> int:
 
 def cmd_family(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
-    params: dict = {}
-    for key in ("mu", "rho", "alpha", "beta", "a1", "kappa2", "ay"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    if args.kind is not None:
-        params["kind"] = args.kind
-    if args.j is not None:
-        params["j"] = args.j
-    if args.kappa is not None:
-        params["kappa"] = _parse_floats(args.kappa)
-    if args.a is not None:
-        params["a"] = _parse_floats(args.a)
-    if args.b is not None:
-        params["b"] = _parse_floats(args.b)
-    if args.raise_b:
-        params["raise_b"] = True
-
+    params = {key: getattr(args, key) for key in _FAMILY_OPTIONS
+              if getattr(args, key) is not None}
     start = time.time()
     try:
         bundle = families.build_family(args.name, args.N, res_tol=tol_res,
@@ -259,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "structure relations, recurrences and verification.",
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--tol-rank", type=float, default=mk.DEFAULT_RANK_TOL,
+    parser.add_argument("--tol-rank", type=_tolerance, default=mk.DEFAULT_RANK_TOL,
                         help="relative singular-value threshold for rank decisions")
-    parser.add_argument("--tol-res", type=float, default=mk.DEFAULT_RES_TOL,
+    parser.add_argument("--tol-res", type=_tolerance, default=mk.DEFAULT_RES_TOL,
                         help="relative residual tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -276,12 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     fam.add_argument("--a1", type=float, default=None)
     fam.add_argument("--kappa2", type=float, default=None)
     fam.add_argument("--ay", type=float, default=None)
-    fam.add_argument("--kappa", type=str, default=None,
+    fam.add_argument("--kappa", type=_floats, default=None,
                      help="comma-separated weight exponents")
-    fam.add_argument("--a", type=str, default=None)
-    fam.add_argument("--b", type=str, default=None)
+    fam.add_argument("--a", type=_floats, default=None)
+    fam.add_argument("--b", type=_floats, default=None)
     fam.add_argument("--j", type=int, default=None, help="parameter direction")
-    fam.add_argument("--raise-b", dest="raise_b", action="store_true")
+    fam.add_argument("--raise-b", dest="raise_b", action="store_true", default=None)
     fam.set_defaults(func=cmd_family)
 
     cex = sub.add_parser("counterexample",

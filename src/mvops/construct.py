@@ -164,18 +164,16 @@ def _side_by_side(rows: dict, basis: GradedBasis) -> tuple[int, int, np.ndarray]
     return lo, hi, np.hstack(blocks)
 
 
-def pair_blocks(u: MomentFunctional, rows_a: dict, rows_b: dict,
-                basis: GradedBasis | None = None) -> np.ndarray:
+def pair_blocks(u: MomentFunctional, rows_a: dict, rows_b: dict) -> np.ndarray:
     """Pairing <u, A B^t> of two block-coefficient polynomial vectors.
 
     One product A M B^t, where A and B hold each vector's blocks side by
     side and M is the functional's graded moment matrix over their degree
     ranges.
     """
-    basis = basis or basis_for(u.d)
-    a0, a1, A = _side_by_side(rows_a, basis)
-    b0, b1, B = _side_by_side(rows_b, basis)
-    return A @ u.graded_block(a0, a1, b0, b1, basis) @ B.T
+    a0, a1, A = _side_by_side(rows_a, u.basis)
+    b0, b1, B = _side_by_side(rows_b, u.basis)
+    return A @ u.graded_block(a0, a1, b0, b1) @ B.T
 
 
 def shift_rows(rows: dict, i: int, basis: GradedBasis) -> dict:
@@ -212,20 +210,20 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         raise ValueError("degree bound must be >= 0")
     if hasattr(u, "factors"):
         return _tensor_monic(u, N, rank_tol)
-    basis = basis_for(u.d)
+    basis = u.basis
     blocks: list[list[np.ndarray]] = []
     grams = GramBlocks([])
     for n in range(N + 1):
         row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n)]
         row.append(np.eye(basis.size(n)))
         for j in range(n):
-            s = pair_blocks(u, {n: row[n]}, {k: blocks[j][k] for k in range(j + 1)}, basis)
+            s = pair_blocks(u, {n: row[n]}, {k: blocks[j][k] for k in range(j + 1)})
             coef = grams.solve_right(j, s)
             for k in range(j + 1):
                 row[k] -= coef @ blocks[j][k]
-        h = pair_blocks(u, dict(enumerate(row)), dict(enumerate(row)), basis)
+        h = pair_blocks(u, dict(enumerate(row)), dict(enumerate(row)))
         h = (h + h.T) / 2.0
-        raw_scale = mk.max_abs(u.moment_matrix(n, n, basis))
+        raw_scale = mk.max_abs(u.moment_matrix(n, n))
         sv = mk.singular_values(h)
         if mk.rank_from_sv(sv, rank_tol, max(raw_scale, sv[0])) < basis.size(n):
             raise QuasiDefiniteFailure(n, sv, u.label)
@@ -284,8 +282,8 @@ def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySys
         # h_0..h_N: the diagonal of one pairing of (p_0, ..., p_N) with itself
         table = _coefficient_table(p, N)
         rows = {k: table[:, k:k + 1] for k in range(N + 1)}
-        norms.append(np.diagonal(pair_blocks(f, rows, rows, basis_for(1))))
-    basis = basis_for(u.d)
+        norms.append(np.diagonal(pair_blocks(f, rows, rows)))
+    basis = u.basis
     grams = GramBlocks([])
     for n in range(N + 1):
         exps = basis.exponents(n)

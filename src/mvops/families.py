@@ -336,14 +336,14 @@ class FamilyBundle:
 def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
                   u: MomentFunctional, v: MomentFunctional,
                   expected_lambda: LinearPoly | None,
-                  res_tol: float, rank_tol: float) -> None:
+                  res_tol: float, rank_tol: float) -> LinearRelation:
     """Relation-machinery checks shared by every catalog pair.
 
     Q must be orthogonal for v, P for u, with u = lambda . v.  Both systems
     are converted to monic form, the relation blocks are computed by
     Fourier expansion, and rank dichotomy, the recovered linking
     polynomial, the functional identity and the Gram-link identity are all
-    verified.
+    verified.  Returns the relation between the monic forms.
     """
     N = min(Q.N, P.N)
     Qm = Q if Q.monic else Q.to_monic()
@@ -356,7 +356,6 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
     classification = classify_ranks(rel, rank_tol)
     bundle.flag_check("rank-dichotomy", classification in ("zero", "full"))
     bundle.extras["classification"] = classification
-    bundle.extras["monic_relation"] = rel
     if classification == "full":
         lam = recover_lambda(rel, HP, HQ, v)
         bundle.extras["lambda"] = lam
@@ -367,6 +366,7 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
         if expected_lambda is not None:
             gap = float(np.max(np.abs(lam.direction() - expected_lambda.direction())))
             bundle.residual_check("lambda-direction", gap, res_tol)
+    return rel
 
 
 def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
@@ -434,16 +434,8 @@ def krall_tensor_family(kind: str, N: int, a1: float, alpha: float = 0.0,
 
     u = moments.tensor(ux, wy)
     v = moments.tensor(vx, wy)
-    P, HP = gram_schmidt_monic(u, N)
-    Q, HQ = gram_schmidt_monic(v, N)
-
-    # 1-d relation against the closed-form coefficients
-    p1, h1 = gram_schmidt_monic(ux, N)
-    q1, _ = gram_schmidt_monic(vx, N)
-    rel1 = compute_relation(q1, p1, ux, h1)
-    gap1 = mk.worst(abs(float(rel1.m(n)[0, 0]) - coeff(n)) / max(1.0, abs(coeff(n)))
-                    for n in range(1, N + 1))
-    bundle.residual_check("coefficients-1d", gap1, res_tol)
+    P, _ = gram_schmidt_monic(u, N)
+    Q, _ = gram_schmidt_monic(v, N)
 
     M: list = [None]
     for n in range(1, N + 1):
@@ -453,12 +445,15 @@ def krall_tensor_family(kind: str, N: int, a1: float, alpha: float = 0.0,
         M.append(m)
     rel = LinearRelation(2, M, label=f"krall-{kind} closed form")
     bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel), res_tol)
-    computed = compute_relation(Q, P, u, HP)
+    computed = _cross_checks(bundle, Q, P, u, v, lam, res_tol, rank_tol)
+    # row (n, 0) of Q_n is q_n(x), so M_n[0, 0] is the 1-d coefficient a_n
+    gap1 = mk.worst(abs(float(computed.m(n)[0, 0]) - coeff(n)) / max(1.0, abs(coeff(n)))
+                    for n in range(1, N + 1))
+    bundle.residual_check("coefficients-1d", gap1, res_tol)
     gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) /
                    max(1.0, mk.max_abs(rel.m(n))) for n in range(1, N + 1))
     bundle.residual_check("relation-matches-display", gap, res_tol)
     bundle.extras["relation"] = computed
-    _cross_checks(bundle, Q, P, u, v, lam, res_tol, rank_tol)
     bundle.orthogonal_verdict = bundle.all_pass
     return bundle
 
@@ -561,6 +556,8 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
     kind 1 whenever rho != 0; the bundle carries that expectation.
     """
     _check_range("kind", kind, 1, 4)
+    if not math.isfinite(rho):
+        raise ParameterError(f"rho must be finite, got {rho}")
     expected = (
         rho == 0.0
         or (kind == 2)
@@ -593,9 +590,6 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
 
     candidate, report = combined_from_reference(T, rel, tol=res_tol, rank_tol=rank_tol)
     bundle.extras["report"] = report
-    bundle.extras["scalar-condition-worst"] = mk.worst(
-        abs(chebyshev_scalar_condition(rec, n, rho)) for n in range(2, N + 1)
-    )
     compat_i1 = [c for c in report.compat if c.direction == 1]
     agree = all(c.ok == (abs(chebyshev_scalar_condition(rec, c.degree, rho)) <= res_tol)
                 for c in compat_i1)
@@ -609,7 +603,6 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
         lam_gaps.extend(abs(got[r, r] - chebyshev_lambda(rec, n, rho)) for r in range(n - 1))
     bundle.residual_check("ctilde-closed-form", mk.worst(align_gaps), res_tol)
     bundle.residual_check("lambda-diagonal", mk.worst(lam_gaps), res_tol)
-    bundle.extras["expected"] = expected
     bundle.orthogonal_verdict = bool(report.verdict)
     return bundle
 

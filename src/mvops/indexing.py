@@ -130,13 +130,14 @@ class GradedBasis:
         """0/1 matrix S of shape (size(n), size(n+1)) with S X_{n+1} = x_i X_n.
 
         Row r carries a single 1 at column shift_index(n, i)[r], so S S^t
-        is the identity.
+        is the identity.  Read-only, since every caller shares the array.
         """
         key = (n, i)
         if key not in self._shift:
             idx = self.shift_index(n, i)
             mat = np.zeros((self.size(n), self.size(n + 1)))
             mat[np.arange(idx.size), idx] = 1.0
+            mat.flags.writeable = False
             self._shift[key] = mat
         return self._shift[key]
 

@@ -149,11 +149,10 @@ def functional_match_residual(u: MomentFunctional, v: MomentFunctional,
                               lam: LinearPoly, max_degree: int) -> float:
     """Largest relative gap between moments of u and of lambda . v."""
     lv = left_multiply(lam, v)
-    basis = basis_for(u.d)
     gaps = []
     for n in range(max_degree + 1):
-        mu = u.moment_vector(n, basis)
-        mlv = lv.moment_vector(n, basis)
+        mu = u.moment_vector(n)
+        mlv = lv.moment_vector(n)
         scale = max(np.max(np.abs(mu)), np.max(np.abs(mlv)), 1.0)
         gaps.append(float(np.max(np.abs(mu - mlv))) / scale)
     return mk.worst(gaps)

@@ -58,14 +58,14 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(_as_matrix(m), compute_uv=False)
 
 
-def solve(a, b, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Solve a x = b for square full-rank a."""
+def solve(a, b) -> np.ndarray:
+    """Solve a x = b for square a, full rank at DEFAULT_RANK_TOL."""
     a, b = _as_matrix(a), np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatchError(f"solve needs a square matrix, got {a.shape}")
     if b.shape[0] != a.shape[0]:
         raise ShapeMismatchError(f"rhs rows {b.shape[0]} != matrix order {a.shape[0]}")
-    if numeric_rank(a, tol) < a.shape[0]:
+    if numeric_rank(a) < a.shape[0]:
         raise SingularMatrixError(f"matrix of order {a.shape[0]} is numerically singular")
     return np.linalg.solve(a, b)
 

@@ -9,9 +9,10 @@ to know how a moment is produced.
 
 Normalization: families whose conventional inner product has unit mass
 (disk, simplex, the product and symmetrized Chebyshev weights) are scaled
-so the zeroth moment is 1 by default; Laguerre and Jacobi tensor weights
-are kept raw.  Orthogonality, ranks and relation verdicts elsewhere are
-scale invariant.
+so the zeroth moment is 1; their raw moments stay available as
+disk_moment_closed and simplex_moment_closed.  Laguerre and Jacobi tensor
+weights are kept raw.  Orthogonality, ranks and relation verdicts
+elsewhere are scale invariant.
 """
 
 from __future__ import annotations
@@ -24,11 +25,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .indexing import GradedBasis, basis_for
+from .indexing import basis_for
 
 
 class ParameterError(ValueError):
     """A weight or family parameter lies outside its admissible range."""
+
+
+def _exceeds(lower: float, *values) -> bool:
+    """Every value is finite and above `lower`; NaN and +-inf are not."""
+    return all(lower < v < math.inf for v in values)
 
 
 class MomentFunctional:
@@ -38,13 +44,15 @@ class MomentFunctional:
     instance, as scalars, as one moment vector per degree, and as one graded
     moment matrix whose entry (a, b) is the moment at alpha_a + beta_b over
     the monomials of degrees 0..n in graded order.  Instances are intended
-    to be confined to one thread (the memos are unlocked).
+    to be confined to one thread (the memos are unlocked).  Multi-indices
+    are ordered by `basis`, the shared graded basis of dimension d.
     """
 
     def __init__(self, d: int, oracle, label: str = ""):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
         self.d = d
+        self.basis = basis_for(d)
         self._oracle = oracle
         self.label = label
         self._memo: dict[tuple[int, ...], float] = {}
@@ -67,38 +75,37 @@ class MomentFunctional:
             self._memo[alpha] = value
         return self._memo[alpha]
 
-    def moment_vector(self, n: int, basis: GradedBasis | None = None) -> np.ndarray:
+    def moment_vector(self, n: int) -> np.ndarray:
         """Moments at the degree-n monomials in basis order; memoized, read-only."""
         if n not in self._vectors:
-            vec = self._degree_vector(n, basis or basis_for(self.d))
+            vec = self._degree_vector(n)
             vec.flags.writeable = False
             self._vectors[n] = vec
         return self._vectors[n]
 
-    def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
-        return np.array([self.moment(a) for a in basis.indices(n)])
+    def _degree_vector(self, n: int) -> np.ndarray:
+        return np.array([self.moment(a) for a in self.basis.indices(n)])
 
-    def moment_matrix(self, j: int, k: int, basis: GradedBasis | None = None) -> np.ndarray:
+    def moment_matrix(self, j: int, k: int) -> np.ndarray:
         """Monomial pairing block: entry (a, b) is the moment at alpha_a + beta_b."""
-        return self.graded_block(j, j, k, k, basis)
+        return self.graded_block(j, j, k, k)
 
-    def graded_block(self, j0: int, j1: int, k0: int, k1: int,
-                     basis: GradedBasis | None = None) -> np.ndarray:
+    def graded_block(self, j0: int, j1: int, k0: int, k1: int) -> np.ndarray:
         """Read-only view of the graded moment matrix with rows of degrees
         j0..j1 and columns of degrees k0..k1.
 
         The matrix grows on demand and asks for no moment above degree
         j1 + k1, so a non-finite moment raises at the degree that needs it.
         """
-        basis = basis or basis_for(self.d)
-        self._grow(max(j1, k1), j1 + k1, basis)
-        return self._graded[basis.degree_slice(j0, j1), basis.degree_slice(k0, k1)]
+        self._grow(max(j1, k1), j1 + k1)
+        return self._graded[self.basis.degree_slice(j0, j1), self.basis.degree_slice(k0, k1)]
 
-    def _grow(self, top: int, degree: int, basis: GradedBasis) -> None:
+    def _grow(self, top: int, degree: int) -> None:
         """Cover degrees 0..top and fill every block (j, k) with j + k <= degree.
 
         Blocks of higher total degree hold NaN until a caller needs them.
         """
+        basis = self.basis
         old_top, old_degree = self._graded_top, self._graded_degree
         if top <= old_top and degree <= old_degree:
             return
@@ -116,7 +123,7 @@ class MomentFunctional:
             first = max(0, min(old_top, old_degree - j) + 1) if j <= old_top else 0
             for k in range(first, min(top, degree - j) + 1):
                 graded[basis.degree_slice(j, j), basis.degree_slice(k, k)] = (
-                    self.moment_vector(j + k, basis)[basis.sum_table(j, k)])
+                    self.moment_vector(j + k)[basis.sum_table(j, k)])
         graded.flags.writeable = False
         self._graded_top, self._graded_degree = top, degree
 
@@ -132,10 +139,6 @@ class LinearPoly:
     def d(self) -> int:
         return len(self.a)
 
-    @property
-    def degree_one(self) -> bool:
-        return any(ai != 0.0 for ai in self.a)
-
     def coeff_map(self) -> dict[tuple[int, ...], float]:
         d = self.d
         zero = (0,) * d
@@ -145,9 +148,6 @@ class LinearPoly:
                 e = tuple(1 if j == i else 0 for j in range(d))
                 out[e] = ai
         return out
-
-    def __call__(self, point) -> float:
-        return float(np.dot(self.a, point) + self.b)
 
     def direction(self) -> np.ndarray:
         """Unit vector along (a, b), sign-fixed by the first nonzero entry."""
@@ -183,18 +183,19 @@ class _LeftMultiplied(MomentFunctional):
         self.coeffs = coeffs
         self.base = base
 
-    def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
+    def _degree_vector(self, n: int) -> np.ndarray:
+        basis = self.basis
         out = np.zeros(basis.size(n))
         try:
             with np.errstate(over="ignore", invalid="ignore"):   # checked just below
                 for beta, c in self.coeffs.items():
                     m = sum(beta)
                     shifted = basis.sum_table(n, m)[:, basis.position(beta)]
-                    out += c * self.base.moment_vector(n + m, basis)[shifted]
+                    out += c * self.base.moment_vector(n + m)[shifted]
         except ValueError:
-            return super()._degree_vector(n, basis)
+            return super()._degree_vector(n)
         if not np.all(np.isfinite(out)):
-            return super()._degree_vector(n, basis)
+            return super()._degree_vector(n)
         return out
 
 
@@ -227,8 +228,8 @@ class _TensorFunctional(MomentFunctional):
         super().__init__(len(factors), oracle, label)
         self.factors = factors
 
-    def _degree_vector(self, n: int, basis: GradedBasis) -> np.ndarray:
-        exps = basis.exponents(n)
+    def _degree_vector(self, n: int) -> np.ndarray:
+        exps = self.basis.exponents(n)
         out = np.ones(len(exps))
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             for axis, f in enumerate(self.factors):
@@ -255,11 +256,15 @@ def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFuncti
 
 def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> MomentFunctional:
     """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by Gauss quadrature."""
-    if a <= -1 or b <= -1:
+    if not _exceeds(-1, a, b):
         raise ParameterError(f"jacobi exponents must exceed -1, got ({a}, {b})")
+    # roots_jacobi(n, a, a) is roots_gegenbauer(n, a + 1/2), which divides
+    # 0 by 0 when 1 + (a + 1/2) rounds to 1; there the weight equals the
+    # a = b = -1/2 weight to rounding, so that rule stands in
+    ra, rb = (-0.5, -0.5) if a == b and 1 + (a + 0.5) == 1 else (a, b)
 
     # moments 2k and 2k+1 share the (k+2)-node rule
-    rule = functools.cache(lambda nodes: sp.roots_jacobi(nodes, a, b))
+    rule = functools.cache(lambda nodes: sp.roots_jacobi(nodes, ra, rb))
 
     def oracle(alpha):
         m = alpha[0]
@@ -277,7 +282,7 @@ def jacobi_mass(a: float, b: float) -> float:
 
 def laguerre_functional_1d(alpha: float, label: str | None = None) -> MomentFunctional:
     """Raw moments of t^alpha e^-t on (0, inf): Gamma(m + alpha + 1)."""
-    if alpha <= -1:
+    if not _exceeds(-1, alpha):
         raise ParameterError(f"laguerre exponent must exceed -1, got {alpha}")
 
     def oracle(idx):
@@ -322,10 +327,10 @@ def krall_laguerre_functional(alpha: float, a1: float) -> MomentFunctional:
     Satisfies t . v = laguerre(alpha) on all moments; the mass at the
     origin is Gamma(alpha+1) / (alpha + 1 - a1).
     """
-    if alpha <= -1:
+    if not _exceeds(-1, alpha):
         raise ParameterError(f"alpha must exceed -1, got {alpha}")
-    if a1 == 0:
-        raise ParameterError("a1 must be nonzero")
+    if not math.isfinite(a1) or a1 == 0:
+        raise ParameterError(f"a1 must be finite and nonzero, got {a1}")
     if alpha + 1 - a1 == 0:
         raise ParameterError("alpha + 1 - a1 must be nonzero")
     mass0 = sp.gamma(alpha + 1) / (alpha + 1 - a1)
@@ -343,10 +348,10 @@ def krall_jacobi_functional(alpha: float, beta: float, a1: float) -> MomentFunct
 
     Satisfies (1-x) . v = jacobi(alpha, beta) on all moments.
     """
-    if alpha <= -1 or beta <= -1:
+    if not _exceeds(-1, alpha, beta):
         raise ParameterError(f"jacobi exponents must exceed -1, got ({alpha}, {beta})")
-    if a1 == 0:
-        raise ParameterError("a1 must be nonzero")
+    if not math.isfinite(a1) or a1 == 0:
+        raise ParameterError(f"a1 must be finite and nonzero, got {a1}")
     denom = 2 * (alpha + 1) + a1 * (alpha + beta + 2)
     if denom == 0:
         raise ParameterError("2(alpha+1) + a1(alpha+beta+2) must be nonzero")
@@ -396,14 +401,14 @@ def disk_moment_quadrature(mu: float, alpha) -> float:
     return inner * outer
 
 
-def disk_functional(mu: float, normalized: bool = True) -> MomentFunctional:
-    if mu <= -1:
+def disk_functional(mu: float) -> MomentFunctional:
+    """Unit-mass disk weight (1 - |x|^2)^mu."""
+    if not _exceeds(-1, mu):
         raise ParameterError(f"mu must exceed -1, got {mu}")
     mass = disk_moment_closed(mu, (0, 0))
 
     def oracle(alpha):
-        value = disk_moment_closed(mu, alpha)
-        return value / mass if normalized else value
+        return disk_moment_closed(mu, alpha) / mass
 
     return MomentFunctional(2, oracle, f"disk(mu={mu})")
 
@@ -441,18 +446,18 @@ def simplex_moment_quadrature(kappa, alpha) -> float:
     return total
 
 
-def simplex_functional(kappa, normalized: bool = True) -> MomentFunctional:
+def simplex_functional(kappa) -> MomentFunctional:
+    """Unit-mass Dirichlet weight on the simplex."""
     kappa = tuple(float(k) for k in kappa)
     d = len(kappa) - 1
     if d < 1:
         raise ParameterError("kappa must have d+1 entries with d >= 1")
-    if any(k <= -0.5 for k in kappa):
+    if not _exceeds(-0.5, *kappa):
         raise ParameterError(f"kappa entries must exceed -1/2, got {kappa}")
     mass = simplex_moment_closed(kappa, (0,) * d)
 
     def oracle(alpha):
-        value = simplex_moment_closed(kappa, alpha)
-        return value / mass if normalized else value
+        return simplex_moment_closed(kappa, alpha) / mass
 
     return MomentFunctional(d, oracle, f"simplex(kappa={kappa})")
 
@@ -560,7 +565,7 @@ class Recurrence1D:
 
 def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:
     """Monic Jacobi recurrence for the weight (1-x)^a (1+x)^b."""
-    if a <= -1 or b <= -1:
+    if not _exceeds(-1, a, b):
         raise ValueError(f"jacobi exponents must exceed -1, got ({a}, {b})")
     bb = np.zeros(N + 1)
     cc = np.zeros(N + 1)
@@ -576,7 +581,7 @@ def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:
 
 
 def laguerre_recurrence(N: int, alpha: float) -> Recurrence1D:
-    if alpha <= -1:
+    if not _exceeds(-1, alpha):
         raise ValueError(f"laguerre exponent must exceed -1, got {alpha}")
     n = np.arange(N + 1, dtype=float)
     return Recurrence1D(
@@ -605,17 +610,6 @@ def chebyshev_recurrence(N: int, kind: int) -> Recurrence1D:
     if kind == 4:
         bb[0] = 0.5
     return Recurrence1D(bb, cc, mass=1.0, label=f"chebyshev{kind}")
-
-
-def recurrence1d(family: str, N: int, **params) -> Recurrence1D:
-    family = family.lower()
-    if family == "jacobi":
-        return jacobi_recurrence(N, params["a"], params["b"])
-    if family == "laguerre":
-        return laguerre_recurrence(N, params["alpha"])
-    if family.startswith("chebyshev"):
-        return chebyshev_recurrence(N, int(params.get("kind", family[-1])))
-    raise ValueError(f"unknown recurrence family {family!r}")
 
 
 # ---------------------------------------------------------------------------

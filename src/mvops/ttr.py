@@ -63,16 +63,15 @@ def _combine(target: dict, mat: np.ndarray, rows: dict, sign: float = 1.0) -> No
         target[k] = target.get(k, 0.0) + sign * (mat @ g)
 
 
-def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
-                res_tol: float = DEFAULT_RES_TOL) -> ThreeTermData:
+def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermData:
     """Extract recurrence blocks of an orthogonal system.
 
     B and C come from pairing x_i P_n against P_n and P_{n-1}; A comes from
     the leading-coefficient identity, which for a monic system makes
     A_{n,i} the structural shift matrix exactly.  The reconstruction
     residual over all degrees below the top one is checked against
-    `res_tol` times the coefficient scale; a violation means the input was
-    not orthogonal for the functional.
+    DEFAULT_RES_TOL times the coefficient scale; a violation means the
+    input was not orthogonal for the functional.
 
     Per degree, one read of the graded moment matrix M and one
     factorization of each of H_n and H_(n-1) serve all d directions.  With
@@ -89,7 +88,7 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
         # graded positions of alpha + e_i, alpha over degrees 0..n
         shifted = [np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i)
                                    for k in range(n + 1)]) for i in range(1, d + 1)]
-        M = u.graded_block(0, n + 1, 0, n, basis)
+        M = u.graded_block(0, n + 1, 0, n)
         pb, pc = [], []
         for rows in shifted:
             # x_i P_n against the monomials of degrees 0..n: the rows of M
@@ -121,9 +120,9 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks,
                 resid[:, :basis.offset(n)] -= C[n][i] @ sides[n - 1]
             residuals.append(mk.max_abs(resid) / scale)
     worst = mk.worst(residuals)
-    if not worst <= res_tol:
+    if not worst <= DEFAULT_RES_TOL:
         raise ValueError(
-            f"three-term reconstruction residual {worst:.3e} exceeds {res_tol:.1e}; "
+            f"three-term reconstruction residual {worst:.3e} exceeds {DEFAULT_RES_TOL:.1e}; "
             "input system is not orthogonal for the functional"
         )
     ttr = ThreeTermData(d, A, B, C)

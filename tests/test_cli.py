@@ -477,6 +477,25 @@ def test_inadmissible_runs_exit_2_with_one_error_line(envelopes, argv, capsys):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["family", "disk", "--mu", "nan"],
+    ["family", "simplex", "--kappa", "nan,0.5,0.5"],
+    ["family", "cube", "--a", "nan,0", "--b", "0,0"],
+    ["family", "laguerre", "--kappa", "inf,1"],
+    ["family", "krall-jacobi", "--alpha", "nan"],
+    ["family", "krall-laguerre", "--a1", "inf"],
+    ["family", "cheb-koornwinder", "--rho", "nan"],
+    ["--tol-rank", "-1", "family", "disk"],
+    ["--tol-res", "nan", "family", "disk"],
+    ["family", "simplex", "--kappa", "0.5,abc"],
+])
+def test_non_finite_or_malformed_family_input_exits_2(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2, (out, err)
+    assert "Traceback" not in err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
+
 @pytest.mark.parametrize("name", families.FAMILY_NAMES)
 def test_every_family_passes_at_its_defaults(name, capsys):
     code, out, err = run_cli(["family", name, "--N", "3"], capsys)

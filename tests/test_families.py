@@ -196,6 +196,36 @@ def test_catalog_bundles_pass(name, params, N):
     assert bundle.extras.get("classification") in ("zero", "full")
 
 
+KRALL_PAIRS = [
+    ("krall-laguerre", dict(alpha=1.0, a1=1.0, kappa2=0.0),
+     lambda n: families.krall_laguerre_coefficient(1.0, 1.0, n)),
+    ("krall-jacobi", dict(alpha=1.0, beta=0.0, a1=1.0, ay=0.0),
+     lambda n: families.krall_jacobi_coefficient(1.0, 0.0, 1.0, n)),
+]
+
+
+@pytest.mark.parametrize("name,params,coeff", KRALL_PAIRS)
+def test_krall_builds_each_system_and_the_relation_once(monkeypatch, name, params, coeff):
+    calls = []
+    for fn in ("compute_relation", "gram_schmidt_monic"):
+        real = getattr(families, fn)
+        monkeypatch.setattr(families, fn, lambda *args, fn=fn, real=real:
+                            calls.append(fn) or real(*args))
+    families.build_family(name, 6, **params)
+    assert sorted(calls) == ["compute_relation"] + ["gram_schmidt_monic"] * 2
+
+
+@pytest.mark.parametrize("name,params,coeff", KRALL_PAIRS)
+def test_krall_coefficients_1d_read_the_relation(name, params, coeff):
+    N = 6
+    bundle = families.build_family(name, N, **params)
+    rel = bundle.extras["relation"]
+    want = mk.worst(abs(float(rel.m(n)[0, 0]) - coeff(n)) / max(1.0, abs(coeff(n)))
+                    for n in range(1, N + 1))
+    [check] = [c for c in bundle.records if c.name == "coefficients-1d"]
+    assert check.value == want and check.ok
+
+
 def test_disk_relation_row_degeneracy():
     bundle = families.disk_family(0.0, 4)
     rel = bundle.extras["relation"]

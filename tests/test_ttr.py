@@ -29,6 +29,17 @@ def test_monic_a_blocks_are_structural_shifts(disk_system):
             assert np.array_equal(T.a(n, i), basis.shift_matrix(n, i))
 
 
+def test_structural_a_blocks_are_read_only():
+    # they are the basis's shared shift matrices, so an edit would reach
+    # every later caller
+    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    P, H = gram_schmidt_monic(u, 3)
+    T = compute_ttr(P, u, H)
+    with pytest.raises(ValueError):
+        T.A[1][0] *= 2.0
+    np.testing.assert_array_equal(basis_for(2).shift_matrix(1, 1), [[1, 0, 0], [0, 1, 0]])
+
+
 def test_centered_weight_has_zero_diagonal_blocks():
     # brute-force oracle: all odd moments vanish, so the diagonal pairing
     # <u, x_i P_n P_n^t> contracts odd-degree monomials only
@@ -261,10 +272,10 @@ def test_compute_ttr_matches_per_direction_pairing(u, N):
     for n in range(N + 1):
         for i in range(1, u.d + 1):
             shifted = shift_rows(P.row_blocks(n), i, basis)
-            want_b = H.solve_right(n, pair_blocks(u, shifted, P.row_blocks(n), basis))
+            want_b = H.solve_right(n, pair_blocks(u, shifted, P.row_blocks(n)))
             assert mk.max_abs(T.b(n, i) - want_b) <= 1e-12 * mk.max_abs(want_b)
             if n >= 1:
-                want_c = H.solve_right(n - 1, pair_blocks(u, shifted, P.row_blocks(n - 1), basis))
+                want_c = H.solve_right(n - 1, pair_blocks(u, shifted, P.row_blocks(n - 1)))
                 assert mk.max_abs(T.c(n, i) - want_c) <= 1e-12 * mk.max_abs(want_c)
 
 
