@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,6 +35,11 @@ INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
 # `family` options passed on to families.build_family when given
 _FAMILY_OPTIONS = ("mu", "kind", "rho", "alpha", "beta", "a1", "kappa2", "ay",
                   "kappa", "a", "b", "j", "raise_b")
+
+# `family` options holding a comma-separated vector, and what starts a
+# value that argparse would take for an option: '-' then a digit or '.'
+_VECTOR_OPTIONS = ("--kappa", "--a", "--b")
+_NEGATIVE_START = re.compile(r"-\.?\d")
 
 
 @dataclass
@@ -93,6 +99,22 @@ def _floats(text: str) -> tuple[float, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated numbers, got {text!r}") from None
+
+
+def _attach_vector_values(argv: list) -> list:
+    """Spell `--kappa -0.5,1` as `--kappa=-0.5,1`.
+
+    argparse reads a token that starts with '-' and is not one number as an
+    option, so a vector whose first entry is negative would be refused as a
+    missing value; attached, it reaches the option's converter.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_START.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _tolerance(text: str) -> float:
@@ -228,6 +250,9 @@ def cmd_generate(args) -> int:
         T = _load(args.ttr, "three_term")
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
+    if args.N is not None and args.N > T.reachable_degree:
+        return _usage_error(f"--N {args.N} is above degree {T.reachable_degree}, "
+                            "the highest the recurrence reaches")
     system, residuals = ttr.generate_from_ttr(T, args.N)
     report = VerdictReport(command="generate", tol_rank=tol_rank, tol_res=tol_res)
     report.checks = [Check.residual("consistency", res, tol_res, n)
@@ -321,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_vector_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

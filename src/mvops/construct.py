@@ -2,12 +2,19 @@
 
 A polynomial system is a graded sequence of column vectors of polynomials,
 one vector per total degree, stored as coefficient blocks against the
-ordered monomial basis: row vector n is sum_k G[n][k] X_k.  Systems are
-built degree by degree through block Gram-Schmidt against the functional's
-monomial pairing blocks; a rank-deficient Gram block means the functional
-is not quasi-definite through that degree and construction stops with a
-diagnosable error.  A univariate monic system needs only its recurrence,
-which recurrence_from_moments reads off the moments by the same rule.
+ordered monomial basis: row vector n is sum_k G[n][k] X_k.  Every pairing
+of two systems against a functional is one product: pair_systems stacks
+each system's blocks by column degree and returns the graded matrix
+<u, P Q^t>, whose block (n, m) is <u, P_n Q_m^t>.  Gram blocks,
+orthogonality residuals and Fourier coefficients are slices of it.
+
+Systems are built degree by degree through block Gram-Schmidt against the
+functional's graded moment matrix, one pairing of the degree-n monomials
+with all earlier degrees per step; a rank-deficient Gram block means the
+functional is not quasi-definite through that degree and construction
+stops with a diagnosable error.  A univariate monic system needs only its
+recurrence, which recurrence_from_moments reads off the moments by the
+same rule.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
@@ -20,6 +27,7 @@ fails decides the tensor's failing degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,9 +108,16 @@ class PolySystem:
 
 @dataclass
 class GramBlocks:
-    """Per-degree pairing blocks H_n of a system against its functional."""
+    """Per-degree pairing blocks H_n of a system against its functional.
+
+    `offdiag_residual` is the largest entry of any block <u, P_n P_m^t>,
+    m < n, relative to scale(): gram_blocks reads it off the pairing that
+    gives the H_n.  Blocks built otherwise leave it NaN, so an
+    orthogonality check on it fails closed.
+    """
 
     blocks: list
+    offdiag_residual: float = math.nan
     _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
     _diagonal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -194,12 +209,46 @@ def inner_block(u: MomentFunctional, P: PolySystem, n: int, Q: PolySystem, m: in
     return pair_blocks(u, P.row_blocks(n), Q.row_blocks(m))
 
 
+def _by_column_degree(blocks: list, top: int, basis: GradedBasis) -> dict:
+    """Coefficient blocks of degrees 0..top stacked by column degree: entry k
+    holds every degree vector's block against the degree-k monomials, rows
+    in graded order, zero for the vectors of degree below k."""
+    rows = basis.offset(top + 1)
+    out = {}
+    for k in range(top + 1):
+        col = np.zeros((rows, basis.size(k)))
+        for n in range(k, top + 1):
+            col[basis.degree_slice(n, n)] = blocks[n][k]
+        out[k] = col
+    return out
+
+
+def pair_systems(u: MomentFunctional, P: PolySystem, Q: PolySystem,
+                 top_p: int | None = None, top_q: int | None = None) -> np.ndarray:
+    """Graded matrix <u, P Q^t> over degrees 0..top_p of P and 0..top_q of Q.
+
+    Block (n, m), rows basis.degree_slice(n, n) and columns
+    basis.degree_slice(m, m), equals inner_block(u, P, n, Q, m).  One
+    pair_blocks call on both systems stacked by column degree; each top
+    defaults to the system's degree.
+    """
+    if P.d != Q.d or P.d != u.d:
+        raise ValueError("systems and functional must share the dimension")
+    top_p = P.N if top_p is None else top_p
+    top_q = Q.N if top_q is None else top_q
+    rows_p = _by_column_degree(P.blocks, top_p, u.basis)
+    if Q is P and top_q == top_p:
+        return pair_blocks(u, rows_p, rows_p)
+    return pair_blocks(u, rows_p, _by_column_degree(Q.blocks, top_q, u.basis))
+
+
 def gram_schmidt_monic(u: MomentFunctional, N: int,
                        rank_tol: float = mk.DEFAULT_RANK_TOL) -> tuple[PolySystem, GramBlocks]:
     """Unique monic orthogonal system of the functional through degree N.
 
     Each degree starts from the monomial vector and removes its projections
-    onto all previous degrees, so leading blocks are exactly the identity.
+    onto all previous degrees, read from one pairing of the monomials with
+    every earlier degree, so leading blocks are exactly the identity.
     Raises QuasiDefiniteFailure at the first degree whose Gram block is
     numerically rank deficient (measured against the scale of the raw
     monomial pairing block, so genuinely tiny Gram blocks are caught).
@@ -216,9 +265,11 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     for n in range(N + 1):
         row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n)]
         row.append(np.eye(basis.size(n)))
+        if n:
+            # <u, X_n P_j^t> for every j < n, P_j as block column j
+            s = pair_blocks(u, {n: row[n]}, _by_column_degree(blocks, n - 1, basis))
         for j in range(n):
-            s = pair_blocks(u, {n: row[n]}, {k: blocks[j][k] for k in range(j + 1)})
-            coef = grams.solve_right(j, s)
+            coef = grams.solve_right(j, s[:, basis.degree_slice(j, j)])
             for k in range(j + 1):
                 row[k] -= coef @ blocks[j][k]
         h = pair_blocks(u, dict(enumerate(row)), dict(enumerate(row)))
@@ -295,16 +346,15 @@ def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySys
 
 
 def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
-    """Gram blocks <u, P_n P_n^t> of a system, n = 0..P.N."""
-    return GramBlocks([inner_block(u, P, n, P, n) for n in range(P.N + 1)])
-
-
-def gram_offdiag_residual(u: MomentFunctional, P: PolySystem, H: GramBlocks) -> float:
-    """Largest off-diagonal pairing block entry, relative to the scale of the
-    Gram blocks H of P."""
-    worst = mk.worst(mk.max_abs(inner_block(u, P, n, Q=P, m=m))
-                     for n in range(P.N + 1) for m in range(n))
-    return worst / max(H.scale(), 1e-300)
+    """Gram blocks <u, P_n P_n^t> of a system, n = 0..P.N, and its
+    orthogonality residual, all read off one pair_systems(u, P, P)."""
+    G = pair_systems(u, P, P)
+    degree = [u.basis.degree_slice(n, n) for n in range(P.N + 1)]
+    H = GramBlocks([G[s, s].copy() for s in degree])
+    # block row n left of its diagonal block holds the pairings with P_0..P_(n-1)
+    worst = mk.worst(mk.max_abs(G[s, :s.start]) for s in degree[1:])
+    H.offdiag_residual = worst / max(H.scale(), 1e-300)
+    return H
 
 
 def orthonormalize(P: PolySystem, H: GramBlocks) -> PolySystem:

@@ -20,9 +20,8 @@ from scipy import special as sp
 from . import matrixkit as mk
 from . import moments, mpoly
 from .checks import Check, all_pass
-from .construct import (PolySystem, RhoMap, gram_blocks, gram_offdiag_residual,
-                        gram_schmidt_monic, koornwinder_system, system_from_rows,
-                        tensor_system)
+from .construct import (PolySystem, RhoMap, gram_blocks, gram_schmidt_monic,
+                        koornwinder_system, system_from_rows, tensor_system)
 from .indexing import basis_for, enumerate_indices
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
@@ -340,8 +339,9 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
     """Relation-machinery checks shared by every catalog pair.
 
     Q must be orthogonal for v, P for u, with u = lambda . v.  Both systems
-    are converted to monic form, the relation blocks are computed by
-    Fourier expansion, and rank dichotomy, the recovered linking
+    are converted to monic form and paired once each with their functional
+    (Gram blocks and orthogonality residual), the relation blocks are
+    computed by Fourier expansion, and rank dichotomy, the recovered linking
     polynomial, the functional identity and the Gram-link identity are all
     verified.  Returns the relation between the monic forms.
     """
@@ -349,8 +349,8 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
     Qm = Q if Q.monic else Q.to_monic()
     Pm = P if P.monic else P.to_monic()
     HP, HQ = gram_blocks(u, Pm), gram_blocks(v, Qm)
-    bundle.residual_check("orthogonality-combined", gram_offdiag_residual(v, Qm, HQ), res_tol)
-    bundle.residual_check("orthogonality-reference", gram_offdiag_residual(u, Pm, HP), res_tol)
+    bundle.residual_check("orthogonality-combined", HQ.offdiag_residual, res_tol)
+    bundle.residual_check("orthogonality-reference", HP.offdiag_residual, res_tol)
     rel = compute_relation(Qm, Pm, u, HP)
     bundle.residual_check("fourier-tail", rel.tail, res_tol)
     classification = classify_ranks(rel, rank_tol)

@@ -21,7 +21,9 @@ import numpy as np
 
 from . import matrixkit as mk
 from .checks import Check, all_pass
-from .construct import GramBlocks, PolySystem, inner_block
+# inner_block is not called here; perfbench's tracer test expects it among
+# this module's names
+from .construct import GramBlocks, PolySystem, inner_block, pair_systems  # noqa: F401
 from .indexing import basis_for
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import LinearPoly, MomentFunctional, left_multiply
@@ -57,7 +59,10 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
     against P_{n-1} is M_n; the reported tail is the largest coefficient
     against any P_j with j <= n-2, relative to the coefficient scale, and
     certifies the two-term relation when it is negligible.  Leading blocks
-    may differ by 1e-8 relative to the coefficient scale.
+    may differ by 1e-8 relative to the coefficient scale.  One
+    pair_systems(u, Q, P) through degrees N and N - 1 holds every pairing,
+    and one solve per degree j gives the coefficients of all Q_n, n > j,
+    against P_j.
     """
     if Q.d != P.d:
         raise ValueError("systems must share the dimension")
@@ -72,15 +77,16 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                 f"leading coefficients differ at degree {n} (gap {gap:.3e}); "
                 "convert both systems to a common leading normalization first"
             )
-    M: list = [None]
+    basis = basis_for(Q.d)
+    M: list = [None] * (N + 1)
     tails = []
-    for n in range(1, N + 1):
-        coeffs = []
-        for j in range(n):
-            s = inner_block(u, Q, n, P, j)
-            coeffs.append(H.solve_right(j, s))
-        M.append(coeffs[n - 1])
-        tails.extend(mk.max_abs(coeffs[j]) / scale for j in range(n - 1))
+    if N:
+        G = pair_systems(u, Q, P, N, N - 1)
+    for j in range(N):
+        # coefficients of Q_(j+1), ..., Q_N against P_j, stacked by degree
+        coef = H.solve_right(j, G[basis.degree_slice(j + 1, N), basis.degree_slice(j, j)])
+        M[j + 1] = coef[:basis.size(j + 1)]
+        tails.append(mk.max_abs(coef[basis.size(j + 1):]) / scale)
     return LinearRelation(Q.d, M, tail=mk.worst(tails), label=f"{Q.label} vs {P.label}")
 
 

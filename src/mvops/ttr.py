@@ -44,6 +44,12 @@ class ThreeTermData:
     def N(self) -> int:
         return len(self.B) - 1
 
+    @property
+    def reachable_degree(self) -> int:
+        """Highest degree generate_from_ttr can build: one step per degree
+        below it needs that degree's A, B and C blocks."""
+        return min(len(self.A), len(self.B), len(self.C))
+
     def a(self, n: int, i: int) -> np.ndarray:
         return self.A[n][i - 1]
 
@@ -162,8 +168,7 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     """
     d = T.d
     basis = basis_for(d)
-    max_steps = min(len(T.A), len(T.B), len(T.C))
-    N = max_steps if N is None else min(N, max_steps)
+    N = T.reachable_degree if N is None else min(N, T.reachable_degree)
     monic_ok = all(
         np.allclose(T.a(n, i), basis.shift_matrix(n, i))
         for n in range(min(N, len(T.A)))

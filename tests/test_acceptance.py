@@ -45,6 +45,17 @@ CHEB_ADMISSIBLE = [(2, r) for r in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)] + \
     [(4, r) for r in (-2.0, -0.5, 0.5, 1.0, 2.0)]
 
 
+def test_every_orthogonal_pair_passes_every_check_at_degree_6():
+    """Both systems of each pair are orthogonal, so no check may fail."""
+    failed = {}
+    for name, params in ORTHOGONAL_CATALOG:
+        bundle = families.build_family(name, 6, rank_tol=RANK_TOL, res_tol=RES_TOL, **params)
+        bad = [(r.name, r.degree, r.direction) for r in bundle.records if not r.ok]
+        if bad or not bundle.records:
+            failed[(name, str(params))] = bad
+    assert not failed, failed
+
+
 def test_criterion_1_rank_dichotomy():
     """Every orthogonal catalog pair classifies as zero or full, never mixed."""
     outcomes = {}

@@ -488,6 +488,7 @@ def test_inadmissible_runs_exit_2_with_one_error_line(envelopes, argv, capsys):
     ["--tol-rank", "-1", "family", "disk"],
     ["--tol-res", "nan", "family", "disk"],
     ["family", "simplex", "--kappa", "0.5,abc"],
+    ["family", "laguerre", "--kappa", "-0.5,x"],
 ])
 def test_non_finite_or_malformed_family_input_exits_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -500,3 +501,38 @@ def test_non_finite_or_malformed_family_input_exits_2(argv, capsys):
 def test_every_family_passes_at_its_defaults(name, capsys):
     code, out, err = run_cli(["family", name, "--N", "3"], capsys)
     assert code == 0, (out, err)
+
+
+@pytest.mark.parametrize("spaced, attached", [
+    (["family", "laguerre", "--kappa", "-0.5,1"], ["family", "laguerre", "--kappa=-0.5,1"]),
+    (["family", "cube", "--a", "-0.5,0", "--b", "-0.25,0"],
+     ["family", "cube", "--a=-0.5,0", "--b=-0.25,0"]),
+])
+def test_negative_vector_value_after_a_space_reads_like_the_attached_spelling(
+        spaced, attached, capsys):
+    reports = []
+    for argv in (spaced, attached):
+        code, out, err = run_cli(["--json", *argv, "--N", "4"], capsys)
+        assert code == 0, (out, err)
+        payload = json.loads(out)
+        payload.pop("seconds")
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert reports[0]["extras"]["params"][spaced[2][2:]][0] == -0.5
+
+
+def test_generate_above_the_reachable_degree_exits_2(envelopes, capsys):
+    path = envelopes["paths"]["Tp"]
+    reachable = serialize.ttr_from_json(envelopes["texts"]["Tp"]).reachable_degree
+    code, out, err = run_cli(["generate", "--ttr", path, "--N", str(reachable + 1)], capsys)
+    assert code == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+    assert f"degree {reachable}" in err
+    reports = []
+    for extra in ([], ["--N", str(reachable)]):
+        code, out, _ = run_cli(["--json", "generate", "--ttr", path, *extra], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("seconds")
+        reports.append(payload)
+    assert reports[0] == reports[1] and len(reports[0]["checks"]) == reachable

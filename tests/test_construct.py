@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from mvops import construct, matrixkit as mk, moments, mpoly
+from mvops import construct, families, matrixkit as mk, moments, mpoly
 from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefiniteFailure,
-                             RhoMap, gram_blocks, gram_offdiag_residual,
-                             gram_schmidt_monic, inner_block, koornwinder_system,
-                             orthonormalize, system_from_rows)
+                             RhoMap, gram_blocks, gram_schmidt_monic, inner_block,
+                             koornwinder_system, orthonormalize, system_from_rows)
 from mvops.indexing import basis_for
 
 def test_centered_weight_degree_one_is_pure():
@@ -41,8 +40,8 @@ def test_monic_leading_blocks_exact_identity():
     moments.multiple_laguerre_functional((0.0, 1.0)),
 ])
 def test_full_gram_orthogonality(functional):
-    P, H = gram_schmidt_monic(functional, 5)
-    assert gram_offdiag_residual(functional, P, H) <= 1e-8
+    P, _ = gram_schmidt_monic(functional, 5)
+    assert gram_blocks(functional, P).offdiag_residual <= 1e-8
 
 
 def test_gram_blocks_symmetric():
@@ -235,7 +234,7 @@ def test_koornwinder_disk_orthogonality():
     sys2, func = koornwinder_system(
         moments.jacobi_functional_1d(0.5, 0.5), w2, rho, 4
     )
-    assert gram_offdiag_residual(func, sys2, gram_blocks(func, sys2)) <= 1e-10
+    assert gram_blocks(func, sys2).offdiag_residual <= 1e-10
     # the returned functional matches the conventional disk moments up to scale
     disk = moments.MomentFunctional(2, functools.partial(moments.disk_moment_closed, 0.0))
     ratio = func.moment((0, 0)) / disk.moment((0, 0))
@@ -264,7 +263,7 @@ def test_to_monic_restores_identity_leading():
     mon = sys2.to_monic()
     for n in range(4):
         assert np.array_equal(mon.leading(n), np.eye(n + 1))
-    assert gram_offdiag_residual(func, mon, gram_blocks(func, mon)) <= 1e-10
+    assert gram_blocks(func, mon).offdiag_residual <= 1e-10
 
 
 def _pair_blockwise(u, rows_a, rows_b, basis):
@@ -594,3 +593,94 @@ def test_tensor_system_equals_the_outer_product_assembly(degrees):
     for n in range(N + 1):
         for k in range(n + 1):
             assert got.block(n, k).tobytes() == want.block(n, k).tobytes()
+
+
+# -- whole-system pairing -----------------------------------------------------
+
+
+def _system_of(kind, param, N):
+    """A functional and an orthogonal system of it through degree N."""
+    if kind == "disk":
+        u = moments.disk_functional(param)
+        return u, gram_schmidt_monic(u, N)[0]
+    if kind == "simplex":
+        kappa = (param, 0.5, 0.75)
+        return moments.simplex_functional(kappa), families.simplex_orthonormal_system(kappa, N)
+    u = moments.cube_jacobi_functional((param, 0.0), (0.5, param))
+    return u, gram_schmidt_monic(u, N)[0]
+
+
+@given(kind=st.sampled_from(["disk", "simplex", "cube"]), param=st.floats(0.0, 1.5),
+       N=st.integers(0, 8), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_pair_systems_blocks_equal_inner_block(kind, param, N, data):
+    u, P = _system_of(kind, param, N)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # a second system on the same monomials: each degree vector mixed at random
+    Q = P.transformed([rng.standard_normal((P.size(n), P.size(n))) for n in range(N + 1)])
+    top_p, top_q = data.draw(st.integers(0, N)), data.draw(st.integers(0, N))
+    basis = u.basis
+    # the pairing scale: the same pairings with every coefficient and moment
+    # replaced by its magnitude, the size of the terms before cancellation
+    u_abs = moments.MomentFunctional(u.d, lambda alpha: abs(u.moment(alpha)))
+
+    def magnitudes(S):
+        return construct.PolySystem(S.d, [[np.abs(g) for g in row] for row in S.blocks], False)
+
+    for left, right, tops in ((P, Q, (top_p, top_q)), (P, P, (N, N))):
+        got = construct.pair_systems(u, left, right, *tops)
+        assert got.shape == (basis.offset(tops[0] + 1), basis.offset(tops[1] + 1))
+        want = {(n, m): inner_block(u, left, n, right, m)
+                for n in range(tops[0] + 1) for m in range(tops[1] + 1)}
+        scale = max(mk.max_abs(inner_block(u_abs, magnitudes(left), n, magnitudes(right), m))
+                    for n, m in want)
+        for (n, m), w in want.items():
+            block = got[basis.degree_slice(n, n), basis.degree_slice(m, m)]
+            assert mk.max_abs(block - w) <= 1e-12 * scale, (n, m)
+
+
+def _count_pairings(monkeypatch) -> list:
+    calls = []
+
+    def counted(*args, real=construct.pair_blocks):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct, "pair_blocks", counted)
+    return calls
+
+
+def test_gram_blocks_pair_once_and_read_the_orthogonality_residual(monkeypatch):
+    # the monic system of one disk weight paired against another: far from orthogonal
+    u, N = moments.disk_functional(1.5), 6
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.5), N)
+    want = [inner_block(u, P, n, P, n) for n in range(N + 1)]
+    offdiag = mk.worst(mk.max_abs(inner_block(u, P, n, P, m))
+                       for n in range(N + 1) for m in range(n))
+    calls = _count_pairings(monkeypatch)
+    H = gram_blocks(u, P)
+    assert len(calls) == 1
+    for n in range(N + 1):
+        assert mk.max_abs(H.h(n) - want[n]) <= 1e-12 * H.scale()
+    assert H.offdiag_residual == pytest.approx(offdiag / H.scale(), rel=1e-12)
+    assert H.offdiag_residual > 1e-3
+    assert np.isnan(GramBlocks([np.eye(1)]).offdiag_residual)   # not measured: fails closed
+
+
+@pytest.mark.parametrize("u", [moments.disk_functional(0.5),
+                               moments.simplex_functional((0.5, 0.5, 0.5)),
+                               moments.simplex_functional((0.5, 0.5, 0.5, 0.5))])
+def test_block_gram_schmidt_pairs_at_most_twice_per_degree(monkeypatch, u):
+    N = 5
+    calls = _count_pairings(monkeypatch)
+    gram_schmidt_monic(u, N)
+    assert len(calls) <= 2 * (N + 1)
+
+
+@pytest.mark.parametrize("kappa, failing", [((0.5, 0.5, 0.5), 7), ((0.5, 0.5, 0.5, 0.5), 6)])
+def test_simplex_gates_keep_their_failing_degrees(kappa, failing):
+    u = moments.simplex_functional(kappa)
+    gram_schmidt_monic(u, failing - 1)
+    with pytest.raises(QuasiDefiniteFailure) as err:
+        gram_schmidt_monic(u, failing)
+    assert err.value.degree == failing

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
 from mvops import families, matrixkit as mk, moments, mpoly
-from mvops.construct import gram_blocks, gram_offdiag_residual
+from mvops.construct import gram_blocks
 from mvops.indexing import basis_for
 
 
@@ -330,7 +330,7 @@ def test_symmetrized_system_coefficients_match_grid_route():
     sys_ = families.symmetrized_chebyshev_system(kind, N)
     H = gram_blocks(v, sys_)   # orthonormal: identity Gram blocks, no cross pairings
     assert mk.worst(mk.max_abs(H.h(n) - np.eye(n + 1)) for n in range(N + 1)) <= 1e-10
-    assert gram_offdiag_residual(v, sys_, H) <= 1e-10
+    assert H.offdiag_residual <= 1e-10
     T, ortho = families.symmetrized_chebyshev_ttr(kind, N)
     assert ortho <= 1e-12
     from mvops.construct import GramBlocks

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvops import linrel, matrixkit as mk, moments
 from mvops.construct import GramBlocks, RhoMap, gram_schmidt_monic, inner_block, \
@@ -263,3 +265,65 @@ def test_counterexample_rejects_small_n():
 def test_classify_ranks_refuses_a_relation_without_blocks():
     with pytest.raises(ValueError):
         classify_ranks(LinearRelation(2, [None]))
+
+
+# -- the relation from one whole-system pairing ------------------------------
+
+
+def _adjacent_pair(kind, param):
+    """Functionals v and u = lambda . v with lambda of degree one."""
+    if kind == "disk":
+        v = moments.disk_functional(param)
+        return v, moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v)
+    if kind == "cube":
+        return (moments.cube_jacobi_functional((param, 0.0), (0.5, 0.0)),
+                moments.cube_jacobi_functional((param + 1.0, 0.0), (0.5, 0.0)))
+    return (moments.simplex_functional((param, 0.5, 0.75)),
+            moments.simplex_functional((param + 1.0, 0.5, 0.75)))
+
+
+def _relation_per_block(Q, P, u, H):
+    """Reference Fourier expansion: one inner_block pairing and one solve per
+    pair of degrees j < n.  Returns the M blocks and the tail."""
+    N = min(Q.N, P.N)
+    scale = max(max(mk.max_abs(Q.block(n, k)) for n in range(N + 1) for k in range(n + 1)),
+                1.0)
+    M, tails = [None], []
+    for n in range(1, N + 1):
+        coeffs = [H.solve_right(j, inner_block(u, Q, n, P, j)) for j in range(n)]
+        M.append(coeffs[-1])
+        tails.extend(mk.max_abs(c) / scale for c in coeffs[:-1])
+    return M, mk.worst(tails)
+
+
+@given(kind=st.sampled_from(["disk", "cube", "simplex"]), param=st.floats(0.0, 1.5),
+       N=st.integers(1, 5))
+@settings(max_examples=25, deadline=None)
+def test_compute_relation_matches_per_block_fourier_reference(kind, param, N):
+    v, u = _adjacent_pair(kind, param)
+    Q, _ = gram_schmidt_monic(v, N)
+    P, H = gram_schmidt_monic(u, N)
+    rel = compute_relation(Q, P, u, H)
+    M, tail = _relation_per_block(Q, P, u, H)
+    scale = max(mk.max_abs(m) for m in M[1:])
+    assert rel.N == N
+    for n in range(1, N + 1):
+        assert rel.m(n).shape == M[n].shape
+        assert mk.max_abs(rel.m(n) - M[n]) <= 1e-12 * scale
+    assert abs(rel.tail - tail) <= 1e-12   # both already relative to Q's coefficient scale
+
+
+def test_compute_relation_pairs_once(monkeypatch, disk_pair):
+    from mvops import construct
+
+    _, N, Q, P, u, _ = disk_pair
+    H = construct.gram_blocks(u, P)
+    calls = []
+
+    def counted(*args, real=construct.pair_blocks):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(construct, "pair_blocks", counted)
+    rel = compute_relation(Q, P, u, H)
+    assert len(calls) == 1 and rel.N == N
