@@ -379,20 +379,41 @@ def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
     """Assemble a PolySystem from dense mpoly arrays, one per multi-index.
 
     rows[nu] is the polynomial in the row of nu of its degree vector.  The
-    system is monic exactly when every leading block is the identity.
+    rows of degree n are written into one array over the graded positions
+    of degrees 0..n, through basis.entry_positions of each row's shape;
+    adding 0.0 turns a -0.0 coefficient into 0.0, and the array's column
+    slices are the blocks.  A row with a coefficient above 1e-10 in some
+    degree above n raises ValueError.  The system is monic exactly when
+    every leading block is the identity.
     """
     basis = basis_for(d)
     blocks = []
     for n in range(N + 1):
-        row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n + 1)]
-        for pos, nu in enumerate(basis.indices(n)):
-            for m, coeffs in mpoly.to_blocks(rows[nu], basis).items():
-                if m > n and np.max(np.abs(coeffs)) > 1e-10:
-                    raise ValueError(f"row {nu} has degree {m} > {n}")
-                if m <= n:
-                    row[m][pos] += coeffs
-        blocks.append(row)
+        width = basis.offset(n + 1)
+        full = np.zeros((basis.size(n), width))
+        for r, nu in enumerate(basis.indices(n)):
+            row = rows[nu]
+            coeffs, pos = row.ravel(), basis.entry_positions(row.shape)
+            low = pos < width
+            if not low.all():
+                _check_row_degree(row, nu, n, coeffs[~low])
+            full[r, pos[low]] = coeffs[low]
+        full += 0.0
+        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
     return _assembled(d, blocks, label)
+
+
+def _check_row_degree(row: np.ndarray, nu: tuple, n: int, beyond: np.ndarray) -> None:
+    """Raise for the row of nu if its coefficients of some degree m > n
+    reach above 1e-10; `beyond` holds all its coefficients of degree > n.
+    Degrees are tried in the order their first nonzero coefficient appears
+    in the row, row-major."""
+    if not np.any(np.abs(beyond) > 1e-10):
+        return
+    degree = np.indices(row.shape).sum(axis=0)
+    for m in dict.fromkeys(degree[row != 0].tolist()):
+        if m > n and np.max(np.abs(row[degree == m])) > 1e-10:
+            raise ValueError(f"row {nu} has degree {m} > {n}")
 
 
 def _coefficient_table(polys: list, N: int) -> np.ndarray:
@@ -409,23 +430,23 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
 
     axis_polys[i][m] holds the ascending coefficients of axis i's degree-m
     polynomial.  Entry (nu, alpha) of block (n, k) is prod_i t_i[nu_i,
-    alpha_i], t_i the axis's coefficient table: one gather over the
-    exponent tables of degrees n and k per axis, multiplied in axis order.
-    Adding 0.0 turns the -0.0 of vanished terms into 0.0.
+    alpha_i], t_i the axis's coefficient table: per degree n, one gather
+    per axis over the exponents of degree n and of all degrees 0..n,
+    multiplied in axis order, whose column slices are the blocks.  Adding
+    0.0 turns the -0.0 of vanished terms into 0.0.
     """
     d = len(axis_polys)
     basis = basis_for(d)
     tables = [_coefficient_table(polys, N) for polys in axis_polys]
+    columns = np.vstack([basis.exponents(k) for k in range(N + 1)])
     blocks = []
     for n in range(N + 1):
-        row = []
-        for k in range(n + 1):
-            nu, alpha = basis.exponents(n), basis.exponents(k)
-            block = tables[0][np.ix_(nu[:, 0], alpha[:, 0])]
-            for i in range(1, d):
-                block = block * tables[i][np.ix_(nu[:, i], alpha[:, i])]
-            row.append(block + 0.0)
-        blocks.append(row)
+        nu, alpha = basis.exponents(n), columns[:basis.offset(n + 1)]
+        full = tables[0][np.ix_(nu[:, 0], alpha[:, 0])]
+        for i in range(1, d):
+            full = full * tables[i][np.ix_(nu[:, i], alpha[:, i])]
+        full += 0.0
+        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
     return _assembled(d, blocks, label)
 
 

@@ -42,6 +42,11 @@ def enumerate_indices(d: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _pascal(rows: int, d: int) -> np.ndarray:
+    """Integer table with entry (m, r) = C(m, r), m < rows, r <= d."""
+    return np.array([[comb(m, r) for r in range(d + 1)] for m in range(rows)], dtype=np.intp)
+
+
 def joint_matrix(blocks) -> np.ndarray:
     """Stack matrices with a common column count vertically, in given order."""
     blocks = [np.asarray(b, dtype=float) for b in blocks]
@@ -72,6 +77,7 @@ class GradedBasis:
         self._exponents: dict[int, np.ndarray] = {}
         self._shift: dict[tuple[int, int], np.ndarray] = {}
         self._shift_index: dict[tuple[int, int], np.ndarray] = {}
+        self._entry_positions: dict[tuple[int, ...], np.ndarray] = {}
         self._table = np.zeros((0, 0), dtype=np.intp)
         self._table_top = -1
 
@@ -165,8 +171,7 @@ class GradedBasis:
             exps = np.array([a for m in range(n + 1) for a in self.indices(m)],
                             dtype=np.intp).reshape(-1, d)
             tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
-            pascal = np.array([[comb(m, r) for r in range(d + 1)] for m in range(2 * n + d)],
-                              dtype=np.intp)
+            pascal = _pascal(2 * n + d, d)
             table = np.zeros((size, size), dtype=np.intp)
             table[:old, :old] = self._table
             # new rows one degree block at a time, to keep temporaries small;
@@ -180,6 +185,27 @@ class GradedBasis:
             self._table, self._table_top = table, n
         size = self.offset(n + 1)
         return self._table[:size, :size]
+
+    def entry_positions(self, shape) -> np.ndarray:
+        """Graded position of every entry of a coefficient array of this shape
+        (entry [i1, ..., id] is the monomial x1^i1 ... xd^id), raveled in
+        row-major order; memoized per shape, read-only.  Same rule as
+        graded_table.
+        """
+        shape = tuple(shape)
+        if shape not in self._entry_positions:
+            d = self.d
+            if len(shape) != d:
+                raise ValueError(f"array shape {shape} does not match dimension {d}")
+            exps = np.indices(shape, dtype=np.intp).reshape(d, -1).T
+            tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
+            pascal = _pascal(sum(shape), d)
+            pos = np.zeros(len(exps), dtype=np.intp)
+            for k in range(d):
+                pos += pascal[tails[:, k] + (d - k - 1), d - k]
+            pos.flags.writeable = False
+            self._entry_positions[shape] = pos
+        return self._entry_positions[shape]
 
     def sum_table(self, j: int, k: int) -> np.ndarray:
         """Integer table T with T[a, b] = position of alpha_a + beta_b in degree j+k."""

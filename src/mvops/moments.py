@@ -43,9 +43,12 @@ class MomentFunctional:
     The oracle must be deterministic; computed moments are memoized per
     instance, as scalars, as one moment vector per degree, and as one graded
     moment matrix whose entry (a, b) is the moment at alpha_a + beta_b over
-    the monomials of degrees 0..n in graded order.  Instances are intended
-    to be confined to one thread (the memos are unlocked).  Multi-indices
-    are ordered by `basis`, the shared graded basis of dimension d.
+    the monomials of degrees 0..n in graded order.  That matrix is gathered
+    from the concatenated moment vectors through the basis's graded sum
+    table, again whenever a caller needs a higher degree.  Instances are
+    intended to be confined to one thread (the memos are unlocked).
+    Multi-indices are ordered by `basis`, the shared graded basis of
+    dimension d.
     """
 
     def __init__(self, d: int, oracle, label: str = ""):
@@ -103,29 +106,24 @@ class MomentFunctional:
     def _grow(self, top: int, degree: int) -> None:
         """Cover degrees 0..top and fill every block (j, k) with j + k <= degree.
 
-        Blocks of higher total degree hold NaN until a caller needs them.
+        The matrix is one gather flat[basis.graded_table(top)], where flat
+        lays the moment vectors of degrees 0..min(degree, 2 top) end to end
+        in graded order and pads the positions of higher degrees with NaN,
+        so blocks of higher total degree hold NaN until a caller needs them
+        and no higher moment is asked for.
         """
-        basis = self.basis
         old_top, old_degree = self._graded_top, self._graded_degree
         if top <= old_top and degree <= old_degree:
             return
         top, degree = max(top, old_top), max(degree, old_degree)
-        if top > old_top:
-            size = basis.offset(top + 1)
-            grown = np.full((size, size), np.nan)
-            old_size = self._graded.shape[0]
-            grown[:old_size, :old_size] = self._graded
-            self._graded = grown
-        graded = self._graded
-        graded.flags.writeable = True
-        for j in range(top + 1):
-            # blocks (j, k) with k <= min(old_top, old_degree - j) are filled
-            first = max(0, min(old_top, old_degree - j) + 1) if j <= old_top else 0
-            for k in range(first, min(top, degree - j) + 1):
-                graded[basis.degree_slice(j, j), basis.degree_slice(k, k)] = (
-                    self.moment_vector(j + k)[basis.sum_table(j, k)])
+        basis = self.basis
+        filled = min(degree, 2 * top)
+        flat = np.full(basis.offset(2 * top + 1), np.nan)
+        flat[:basis.offset(filled + 1)] = np.concatenate(
+            [self.moment_vector(m) for m in range(filled + 1)])
+        graded = flat[basis.graded_table(top)]
         graded.flags.writeable = False
-        self._graded_top, self._graded_degree = top, degree
+        self._graded, self._graded_top, self._graded_degree = graded, top, degree
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,8 @@ class _TensorFunctional(MomentFunctional):
 
     A degree vector is the elementwise product of the factors' moment
     vectors, taken in factor order like the scalar oracle, so both give
-    bit-identical moments.
+    bit-identical moments.  Each factor's moments 0..n are kept in one list
+    per factor that grows as degrees are asked for.
     """
 
     def __init__(self, factors, label: str):
@@ -227,13 +226,15 @@ class _TensorFunctional(MomentFunctional):
 
         super().__init__(len(factors), oracle, label)
         self.factors = factors
+        self._factor_moments: list[list[float]] = [[] for _ in factors]
 
     def _degree_vector(self, n: int) -> np.ndarray:
         exps = self.basis.exponents(n)
         out = np.ones(len(exps))
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-            for axis, f in enumerate(self.factors):
-                out *= np.array([f.moment((m,)) for m in range(n + 1)])[exps[:, axis]]
+            for axis, (f, moms) in enumerate(zip(self.factors, self._factor_moments)):
+                moms.extend(f.moment((m,)) for m in range(len(moms), n + 1))
+                out *= np.array(moms[:n + 1])[exps[:, axis]]
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             alpha = tuple(int(a) for a in exps[bad[0]])

@@ -1,20 +1,24 @@
 """Dense d-variate polynomial arrays.
 
 A polynomial is an ndarray whose entry [i1, ..., id] is the coefficient of
-x1^i1 ... xd^id.  Shapes stay tiny at the degrees used here, so products
-are computed by direct shifted accumulation.  This is the one polynomial
-arithmetic of the explicit product-form bases (Koornwinder, simplex and
-symmetrized Chebyshev systems; tensor systems are assembled by
-`construct.tensor_system` without it); `construct.system_from_rows` splits
-their rows into the graded coefficient blocks the rest of the package
-works with.
+x1^i1 ... xd^id.  A product is one outer product of the two coefficient
+arrays, summed into place by one bincount through an index table cached
+per pair of shapes; every output entry sums the same products in the same
+order as shifted accumulation over the first factor's entries would.
+This is the one polynomial arithmetic of the explicit product-form bases
+(Koornwinder, simplex and symmetrized Chebyshev systems; tensor systems
+are assembled by `construct.tensor_system` without it);
+`construct.system_from_rows` writes their rows into the graded
+coefficient blocks the rest of the package works with, through
+`GradedBasis.entry_positions`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from functools import lru_cache
+from math import prod
 
-from .indexing import GradedBasis
+import numpy as np
 
 
 def const(d: int, value: float = 1.0) -> np.ndarray:
@@ -49,12 +53,31 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _product_index(sa: tuple, sb: tuple) -> np.ndarray:
+    """Flat position in the product array of entry (p, q) of the row-major
+    outer product of arrays of shapes sa and sb, raveled; read-only.  The
+    explicit bases of the catalog use a few hundred shape pairs."""
+    shape = tuple(x + y - 1 for x, y in zip(sa, sb))
+    strides = np.array([prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.intp)
+    flat_a = np.indices(sa, dtype=np.intp).reshape(len(sa), -1).T @ strides
+    flat_b = np.indices(sb, dtype=np.intp).reshape(len(sb), -1).T @ strides
+    idx = np.add.outer(flat_a, flat_b).ravel()
+    idx.flags.writeable = False
+    return idx
+
+
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(tuple(x + y - 1 for x, y in zip(a.shape, b.shape)))
-    for idx in np.argwhere(a):
-        key = tuple(idx)
-        out[tuple(slice(i, i + s) for i, s in zip(key, b.shape))] += a[key] * b
-    return out
+    """Product of two coefficient arrays.
+
+    Entry gamma is the sum of a[alpha] * b[gamma - alpha] over alpha in
+    row-major order, accumulated from 0.0 by bincount; the terms of zero
+    entries of a are +-0.0 and change no sum.
+    """
+    shape = tuple(x + y - 1 for x, y in zip(a.shape, b.shape))
+    terms = np.multiply.outer(a, b).ravel()
+    out = np.bincount(_product_index(a.shape, b.shape), weights=terms, minlength=prod(shape))
+    return out.reshape(shape)
 
 
 def form_table(a: np.ndarray, b: np.ndarray):
@@ -79,10 +102,10 @@ def form_table(a: np.ndarray, b: np.ndarray):
     def evaluate(coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         m = len(coeffs) - 1
-        out = const(a.ndim, 0.0)
-        for i, c in enumerate(coeffs):
-            if c != 0.0:
-                out = add(out, c * form(m, i))
+        terms = [(c, form(m, i)) for i, c in enumerate(coeffs) if c != 0.0]
+        out = np.zeros(tuple(np.max([(1,) * a.ndim] + [f.shape for _, f in terms], axis=0)))
+        for c, f in terms:
+            out[tuple(slice(0, s) for s in f.shape)] += c * f
         return out
 
     return evaluate
@@ -100,14 +123,3 @@ def trim(a: np.ndarray) -> np.ndarray:
             shape[axis] -= 1
         a = a[tuple(slice(0, s) for s in shape)]
     return a
-
-
-def to_blocks(a: np.ndarray, basis: GradedBasis) -> dict[int, np.ndarray]:
-    """Split into graded coefficient rows keyed by total degree."""
-    out: dict[int, np.ndarray] = {}
-    for key in map(tuple, np.argwhere(a).tolist()):
-        n = sum(key)
-        if n not in out:
-            out[n] = np.zeros(basis.size(n))
-        out[n][basis.position(key)] = a[key]
-    return out

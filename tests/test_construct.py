@@ -156,14 +156,17 @@ def test_koornwinder_constant_mapping_is_tensor_product():
     assert sys2.monic
     q, _ = gram_schmidt_monic(w1, N)
     r, _ = gram_schmidt_monic(w2, N)
-    basis = basis_for(2)
+    # row (n - k, k) of the product system is q_(n-k)(x) r_k(y)
+    rows = {}
     for n in range(N + 1):
         for k in range(n + 1):
             qc = np.concatenate([q.block(n - k, m)[0] for m in range(n - k + 1)])
             rc = np.concatenate([r.block(k, m)[0] for m in range(k + 1)])
-            prod = mpoly.mul(mpoly.from_1d(qc, 0, 2), mpoly.from_1d(rc, 1, 2))
-            for m_deg, coeffs in mpoly.to_blocks(prod, basis).items():
-                assert mk.max_abs(sys2.block(n, m_deg)[k] - coeffs) <= 1e-12
+            rows[(n - k, k)] = mpoly.mul(mpoly.from_1d(qc, 0, 2), mpoly.from_1d(rc, 1, 2))
+    product = system_from_rows(rows, 2, N, "q(x) r(y)")
+    for n in range(N + 1):
+        for m in range(n + 1):
+            assert mk.max_abs(sys2.block(n, m) - product.block(n, m)) <= 1e-12
     # tensor moments factor through the two one-dimensional functionals
     assert func.moment((2, 3)) == pytest.approx(
         w1.moment((2,)) * w2.moment((3,)), rel=1e-13
@@ -344,6 +347,29 @@ def test_system_from_rows_monic_means_identity_leading_blocks_exactly():
 
     assert system(1.0).monic
     assert not system(1.0 + 1e-7).monic
+
+
+def test_system_from_rows_rejects_a_term_above_the_row_degree():
+    x, y = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, 1.0])
+    rows = {(0, 0): mpoly.const(2), (1, 0): x}
+    # terms of at most 1e-10 above the degree are dropped
+    rows[(0, 1)] = mpoly.add(y, 1e-11 * mpoly.mul(x, x))
+    system = system_from_rows(rows, 2, 1, "s")
+    assert system.monic and not np.any(system.block(1, 0))
+    rows[(0, 1)] = mpoly.add(y, 1e-9 * mpoly.mul(x, y))
+    with pytest.raises(ValueError, match=r"row \(0, 1\) has degree 2 > 1"):
+        system_from_rows(rows, 2, 1, "s")
+
+
+def test_system_from_rows_writes_negative_zero_as_zero():
+    # x + (-0.0) + (-0.0) y: every zero coefficient of the rows is -0.0
+    rows = {(0, 0): np.array([[1.0, -0.0]]), (1, 0): np.array([[-0.0, -0.0], [1.0, -0.0]]),
+            (0, 1): np.array([[-0.0, 1.0], [-0.0, -0.0]])}
+    system = system_from_rows(rows, 2, 1, "s")
+    assert system.monic
+    for n in range(2):
+        for k in range(n + 1):
+            assert not np.any(np.signbit(system.block(n, k)))
 
 
 @pytest.mark.parametrize("u,rec", [

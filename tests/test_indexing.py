@@ -133,6 +133,16 @@ def test_graded_table_offsets_concatenate_degree_blocks():
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_entry_positions_are_graded_positions(d):
+    basis = indexing.GradedBasis(d)
+    for shape in [(1,) * d, (4,) * d, tuple(range(5, 5 - d, -1)), (2,) + (6,) * (d - 1)]:
+        want = [basis.offset(sum(alpha)) + basis.position(alpha) for alpha in np.ndindex(*shape)]
+        assert basis.entry_positions(shape).tolist() == want
+    with pytest.raises(ValueError, match="does not match dimension"):
+        basis.entry_positions((2,) * (d + 1))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_joint_shift_rows_hold_one_one_and_normal_matrix_is_diagonal(d):
     basis = indexing.GradedBasis(d)
     for n in range(0, 8):

@@ -390,6 +390,40 @@ def test_graded_matrix_asks_no_moment_above_the_degree_it_needs():
                 assert np.array_equal(u.moment_matrix(j, k), want)
 
 
+@given(d=st.integers(1, 3), seed=st.integers(0, 2**16), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_graded_matrix_after_any_block_requests(d, seed, data):
+    # filled blocks (j + k up to the largest requested) match the per-block
+    # gather bit for bit, the rest hold NaN, and the order of the requests
+    # does not matter
+    def oracle(alpha):
+        return np.random.default_rng([seed, *alpha]).uniform(-1.0, 1.0)
+
+    span = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted)
+    calls = data.draw(st.lists(st.tuples(span, span), min_size=1, max_size=6))
+    order = data.draw(st.permutations(range(len(calls))))
+    basis = basis_for(d)
+    graded = []
+    for sequence in (calls, [calls[i] for i in order]):
+        u = moments.MomentFunctional(d, oracle)
+        for (j0, j1), (k0, k1) in sequence:
+            block = u.graded_block(j0, j1, k0, k1)
+            want = u._graded[basis.degree_slice(j0, j1), basis.degree_slice(k0, k1)]
+            assert block.tobytes() == want.tobytes()
+        graded.append(u._graded)
+    top = max(max(j1, k1) for (_, j1), (_, k1) in calls)
+    degree = max(j1 + k1 for (_, j1), (_, k1) in calls)
+    assert graded[0].shape == (basis.offset(top + 1),) * 2
+    assert graded[0].tobytes() == graded[1].tobytes()
+    for j in range(top + 1):
+        for k in range(top + 1):
+            block = graded[0][basis.degree_slice(j, j), basis.degree_slice(k, k)]
+            if j + k <= degree:
+                assert block.tobytes() == u.moment_vector(j + k)[basis.sum_table(j, k)].tobytes()
+            else:
+                assert np.all(np.isnan(block))
+
+
 def test_nonfinite_moment_stops_construction_at_the_degree_that_needs_it():
     def oracle(alpha):
         return math.inf if sum(alpha) >= 7 else 1.0 / (1.0 + alpha[0]) / (1.0 + alpha[1])
