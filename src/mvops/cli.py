@@ -143,7 +143,7 @@ def _finish(report: VerdictReport, args, start: float) -> int:
     """Print the report and return its exit code; a report without checks fails."""
     if not report.checks:
         report.checks.append(Check.flag("no-checks", False))
-    report.seconds = time.time() - start
+    report.seconds = time.perf_counter() - start
     if args.json:
         print(report.to_json())
     else:
@@ -155,7 +155,7 @@ def cmd_family(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
     params = {key: getattr(args, key) for key in _FAMILY_OPTIONS
               if getattr(args, key) is not None}
-    start = time.time()
+    start = time.perf_counter()
     try:
         bundle = families.build_family(args.name, args.N, res_tol=tol_res,
                                        rank_tol=tol_rank, **params)
@@ -184,7 +184,7 @@ def cmd_counterexample(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
     if args.n < 2:
         return _usage_error(f"--n must be >= 2, got {args.n}")
-    start = time.time()
+    start = time.perf_counter()
     combined, rel = linrel.counterexample(args.n)
     report = VerdictReport(command="counterexample", tol_rank=tol_rank, tol_res=tol_res)
     _, residuals = ttr.generate_from_ttr(combined, args.n)
@@ -219,7 +219,7 @@ def _load(path: str, kind: str):
 
 def cmd_check(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
-    start = time.time()
+    start = time.perf_counter()
     try:
         # the relation is the smaller file: a bad one fails before the recurrence is read
         rel = _load(args.relation, "linear_relation")
@@ -245,7 +245,7 @@ def cmd_generate(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
     if args.N is not None and args.N < 0:
         return _usage_error(f"--N must be >= 0, got {args.N}")
-    start = time.time()
+    start = time.perf_counter()
     try:
         T = _load(args.ttr, "three_term")
     except INPUT_ERRORS as exc:
@@ -264,7 +264,7 @@ def cmd_generate(args) -> int:
 
 def cmd_relate(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
-    start = time.time()
+    start = time.perf_counter()
     try:
         u = moments.parse_functional(args.functional)
         Q = _load(args.combined, "polynomial_system")

@@ -86,13 +86,14 @@ class PolySystem:
         return self.blocks[n][n].shape[0]
 
     def to_monic(self) -> "PolySystem":
-        """Divide each degree vector by its leading coefficient block."""
+        """Divide each degree vector by its leading coefficient block: one
+        solve per degree against the lower blocks side by side."""
+        basis = basis_for(self.d)
         out = []
         for n in range(self.N + 1):
             lead = self.leading(n)
-            # the first block runs the rank check of lead, the others skip it
-            row = [(np.linalg.solve if k else mk.solve)(lead, self.block(n, k))
-                   for k in range(n)]
+            lower = mk.solve(lead, np.hstack(self.blocks[n][:n])) if n else None
+            row = [lower[:, basis.degree_slice(k, k)] for k in range(n)]
             row.append(np.eye(lead.shape[0]))
             out.append(row)
         return PolySystem(self.d, out, monic=True, label=f"monic({self.label})")

@@ -4,9 +4,12 @@ Each builder constructs a pair of polynomial systems, the closed-form
 relation blocks connecting them, and a bundle of named checks: the
 coefficientwise relation residual, structural checks on the relation
 matrices, and the cross-checks through the relation machinery (rank
-dichotomy, recovered linking polynomial, Gram-link identity).  Bundles
-where the combined system is predictably *not* orthogonal carry that
-expectation so callers can score "fails as predicted" as agreement.
+dichotomy, recovered linking polynomial, Gram-link identity).  The five
+parameter-raising builders state Q_n = K_n P_n + M_n P_{n-1} with
+K_n = diag(keep(nu)) and M_n = diag(drop(nu)) L_{n-1,j}^t through one
+builder, _closed_form, and one scale-relative residual.  Bundles where the
+combined system is predictably *not* orthogonal carry that expectation so
+callers can score "fails as predicted" as agreement.
 """
 
 from __future__ import annotations
@@ -287,18 +290,6 @@ def symmetrized_chebyshev_system(kind: int, N: int) -> PolySystem:
     return system_from_rows(rows, 2, N, f"symmetrized-chebyshev{kind}")
 
 
-def lower_shift_with_values(d: int, n: int, j: int, values: dict) -> np.ndarray:
-    """Matrix with values[nu] at (position of nu, position of nu - e_j)."""
-    basis = basis_for(d)
-    out = np.zeros((basis.size(n), basis.size(n - 1)))
-    for nu, val in values.items():
-        if nu[j - 1] < 1:
-            continue
-        down = tuple(v - (1 if l == j - 1 else 0) for l, v in enumerate(nu))
-        out[basis.position(nu), basis.position(down)] = val
-    return out
-
-
 # ---------------------------------------------------------------------------
 # bundles
 
@@ -369,6 +360,36 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
     return rel
 
 
+def _closed_form(bundle: FamilyBundle, Q: PolySystem, P: PolySystem, j: int,
+                 drop, res_tol: float, keep=None) -> LinearRelation:
+    """Closed form of Q_n = K_n P_n + M_n P_{n-1} over degrees 1..N, checked.
+
+    K_n = diag(keep(nu)), the identity when keep is None, and
+    M_n = diag(drop(nu)) L_{n-1,j}^t: drop(nu) at (nu, nu - e_j), so drop
+    is called only where nu_j >= 1.  Records the scale-relative
+    "relation-closed-form" residual and returns the relation.
+    """
+    basis, degrees = basis_for(bundle.d), range(1, bundle.N + 1)
+    M = [None]
+    for n in degrees:
+        nus, rows = basis.indices(n), basis.shift_index(n - 1, j)   # rows: alpha + e_j
+        M.append(np.zeros((len(nus), rows.size)))
+        M[n][rows, np.arange(rows.size)] = [drop(nus[r]) for r in rows]
+    K = None if keep is None else [None] + [np.array([keep(nu) for nu in basis.indices(n)])
+                                            for n in degrees]
+    rel = LinearRelation(bundle.d, M, label=f"{bundle.name} closed form")
+    bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel, K), res_tol)
+    return rel
+
+
+def _matches_display(bundle: FamilyBundle, computed: LinearRelation,
+                     rel: LinearRelation, res_tol: float) -> None:
+    """Gap between computed and closed-form M_n, relative to max(1, |M_n|)."""
+    gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) / max(1.0, mk.max_abs(rel.m(n)))
+                   for n in rel.available())
+    bundle.residual_check("relation-matches-display", gap, res_tol)
+
+
 def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
                 rank_tol: float = DEFAULT_RANK_TOL) -> FamilyBundle:
     """Adjacent weights on the unit disk: (1-x^2-y^2)^mu against its (1-x)
@@ -386,17 +407,10 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
     )
 
     # closed-form relation blocks in the shared product basis
-    M: list = [None]
-    for n in range(1, N + 1):
-        m = np.zeros((n + 1, n))
-        for k in range(n):
-            m[k, k] = -(n - k) / (2.0 * n + 2.0 * mu + 2.0)
-        M.append(m)
-    rel = LinearRelation(2, M, label="disk closed form")
-    bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel), res_tol)
+    rel = _closed_form(bundle, Q, P, 1,
+                       lambda nu: -nu[0] / (2.0 * sum(nu) + 2.0 * mu + 2.0), res_tol)
     computed = compute_relation(Q, P, u, gram_blocks(u, P))
-    gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) for n in range(1, N + 1))
-    bundle.residual_check("relation-matches-display", gap, res_tol)
+    _matches_display(bundle, computed, rel, res_tol)
     bundle.extras["relation"] = computed
     _cross_checks(bundle, Q, P, u, v, LinearPoly((-1.0, 0.0), 1.0), res_tol, rank_tol)
     bundle.orthogonal_verdict = bundle.all_pass
@@ -437,22 +451,13 @@ def krall_tensor_family(kind: str, N: int, a1: float, alpha: float = 0.0,
     P, _ = gram_schmidt_monic(u, N)
     Q, _ = gram_schmidt_monic(v, N)
 
-    M: list = [None]
-    for n in range(1, N + 1):
-        m = np.zeros((n + 1, n))
-        for k in range(n):
-            m[k, k] = coeff(n - k)
-        M.append(m)
-    rel = LinearRelation(2, M, label=f"krall-{kind} closed form")
-    bundle.residual_check("relation-closed-form", relation_residual(Q, P, rel), res_tol)
+    rel = _closed_form(bundle, Q, P, 1, lambda nu: coeff(nu[0]), res_tol)
     computed = _cross_checks(bundle, Q, P, u, v, lam, res_tol, rank_tol)
     # row (n, 0) of Q_n is q_n(x), so M_n[0, 0] is the 1-d coefficient a_n
     gap1 = mk.worst(abs(float(computed.m(n)[0, 0]) - coeff(n)) / max(1.0, abs(coeff(n)))
                     for n in range(1, N + 1))
     bundle.residual_check("coefficients-1d", gap1, res_tol)
-    gap = mk.worst(mk.max_abs(computed.m(n) - rel.m(n)) /
-                   max(1.0, mk.max_abs(rel.m(n))) for n in range(1, N + 1))
-    bundle.residual_check("relation-matches-display", gap, res_tol)
+    _matches_display(bundle, computed, rel, res_tol)
     bundle.extras["relation"] = computed
     bundle.orthogonal_verdict = bundle.all_pass
     return bundle
@@ -607,33 +612,6 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
     return bundle
 
 
-def _closed_form_residual(bundle: FamilyBundle, Q: PolySystem, P: PolySystem, j: int,
-                          keep, drop) -> float:
-    """Defect of Q_n = K_n P_n + M_n P_{n-1} over degrees 1..N.
-
-    K_n is diagonal with keep(nu) in the row of nu; M_n holds drop(nu) at
-    (nu, nu - e_j) for every nu with nu_j >= 1.  Stores the blocks as the
-    bundle's "K_blocks" and "M_blocks" extras.
-    """
-    basis = basis_for(bundle.d)
-    defects, K_blocks, M_blocks = [], [], []
-    for n in range(1, bundle.N + 1):
-        K = np.diag([keep(nu) for nu in basis.indices(n)])
-        Mh = lower_shift_with_values(
-            bundle.d, n, j, {nu: drop(nu) for nu in basis.indices(n) if nu[j - 1] >= 1}
-        )
-        K_blocks.append(K)
-        M_blocks.append(Mh)
-        for k in range(n + 1):
-            delta = Q.block(n, k) - K @ P.block(n, k)
-            if k < n:
-                delta = delta - Mh @ P.block(n - 1, k)
-            defects.append(mk.max_abs(delta))
-    bundle.extras["K_blocks"] = K_blocks
-    bundle.extras["M_blocks"] = M_blocks
-    return mk.worst(defects)
-
-
 def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
                    rank_tol: float = DEFAULT_RANK_TOL) -> FamilyBundle:
     """Parameter-raising relation for the Dirichlet weight on the simplex."""
@@ -669,8 +647,7 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
             simplex_norm_sq(kpperm, nm) / simplex_norm_sq(kperm, nperm)
         ) * jacobi_orthonormal_drop(nperm[0], a1, b1)
 
-    bundle.residual_check("relation-closed-form",
-                          _closed_form_residual(bundle, Q, P, j, keep, drop), res_tol)
+    _closed_form(bundle, Q, P, j, drop, res_tol, keep)
     _cross_checks(bundle, Q, P, u, v,
                   LinearPoly(tuple(1.0 if l == j - 1 else 0.0 for l in range(d)), 0.0),
                   res_tol, rank_tol)
@@ -716,8 +693,7 @@ def cube_family(a, b, j: int, raise_b: bool, N: int,
             return jacobi_standard_drop(nu[j - 1], bj, aj)
         return -jacobi_standard_drop(nu[j - 1], aj, bj)
 
-    bundle.residual_check("relation-closed-form",
-                          _closed_form_residual(bundle, Q, P, j, keep, drop), res_tol)
+    _closed_form(bundle, Q, P, j, drop, res_tol, keep)
     lam_coeffs = tuple(
         (-1.0 if not raise_b else 1.0) if l == j - 1 else 0.0 for l in range(d)
     )
@@ -742,12 +718,11 @@ def laguerre_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     Q = tensor_system(axis0, N, f"laguerre{tuple(kappa)}")
     P = tensor_system(axis1, N, f"laguerre{tuple(kp)}")
 
-    worst = _closed_form_residual(bundle, Q, P, j, lambda nu: 1.0, lambda nu: -1.0)
+    rel = _closed_form(bundle, Q, P, j, lambda nu: -1.0, res_tol)
     basis = basis_for(d)
-    for n, Mh in enumerate(bundle.extras["M_blocks"], start=1):
-        gap = mk.max_abs(Mh + basis.shift_matrix(n - 1, j).T)
+    for n in rel.available():
+        gap = mk.max_abs(rel.m(n) + basis.shift_matrix(n - 1, j).T)
         bundle.residual_check("shift-structure", gap, 0.0, degree=n, direction=j)
-    bundle.residual_check("relation-closed-form", worst, res_tol)
     _cross_checks(bundle, Q, P, u, v,
                   LinearPoly(tuple(1.0 if l == j - 1 else 0.0 for l in range(d)), 0.0),
                   res_tol, rank_tol)

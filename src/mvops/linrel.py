@@ -90,8 +90,13 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
     return LinearRelation(Q.d, M, tail=mk.worst(tails), label=f"{Q.label} vs {P.label}")
 
 
-def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation) -> float:
-    """Coefficientwise defect of Q_n = P_n + M_n P_{n-1}, scale relative."""
+def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation,
+                      keep: list | None = None) -> float:
+    """Coefficientwise defect of Q_n = K_n P_n + M_n P_{n-1}, scale relative.
+
+    `keep[n]` is the diagonal of K_n (index 0 unused, like rel.M); None
+    means every K_n is the identity.
+    """
     defects = []
     for n in rel.available():
         if n > min(Q.N, P.N):
@@ -100,7 +105,8 @@ def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation) -> floa
             max(mk.max_abs(Q.block(n, k)) for k in range(n + 1)), 1.0
         )
         for k in range(n + 1):
-            delta = Q.block(n, k) - P.block(n, k)
+            kept = P.block(n, k) if keep is None else keep[n][:, None] * P.block(n, k)
+            delta = Q.block(n, k) - kept
             if k < n:
                 delta = delta - rel.m(n) @ P.block(n - 1, k)
             defects.append(mk.max_abs(delta) / scale)

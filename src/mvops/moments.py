@@ -640,14 +640,26 @@ def parse_functional(text: str) -> MomentFunctional:
             raise ValueError(f"argument {key!r} expects a single value")
         return vals[0]
 
+    def integer(key, default=None):
+        value = one(key, default)
+        if not float(value).is_integer():
+            raise ParameterError(f"argument {key!r} must be an integer, got {value}")
+        return int(value)
+
+    def krall(v, wy):
+        d = integer("d", 1)
+        if d not in (1, 2):
+            raise ParameterError(f"argument 'd' of {name!r} must be 1 or 2, got {d}")
+        return tensor(v, wy) if d == 2 else v
+
     if name == "disk":
         return disk_functional(one("mu"))
     if name == "simplex":
         return simplex_functional(args.get("k") or args["kappa"])
     if name == "cheb-product":
-        return product_chebyshev_functional(int(one("kind")), int(one("d", 2)))
+        return product_chebyshev_functional(integer("kind"), integer("d", 2))
     if name == "koornwinder-cheb":
-        return koornwinder_symmetrized_functional(int(one("kind")))
+        return koornwinder_symmetrized_functional(integer("kind"))
     if name == "cube-jacobi":
         return cube_jacobi_functional(args["a"], args["b"])
     if name == "laguerre":
@@ -658,10 +670,8 @@ def parse_functional(text: str) -> MomentFunctional:
         return jacobi_functional_1d(one("a"), one("b"))
     if name == "krall-laguerre":
         v = krall_laguerre_functional(one("alpha"), one("a1"))
-        wy = laguerre_functional_1d(one("kappa2", 0.0))
-        return tensor(v, wy) if one("d", 1) == 2 else v
+        return krall(v, laguerre_functional_1d(one("kappa2", 0.0)))
     if name == "krall-jacobi":
         v = krall_jacobi_functional(one("alpha"), one("beta"), one("a1"))
-        wy = jacobi_functional_1d(one("ay", 0.0), one("by", 0.0))
-        return tensor(v, wy) if one("d", 1) == 2 else v
+        return krall(v, jacobi_functional_1d(one("ay", 0.0), one("by", 0.0)))
     raise ValueError(f"unknown functional family {name!r}")

@@ -202,6 +202,19 @@ def test_relate_bad_functional_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("spec", ["cheb-product:kind=2.7,d=2.5", "koornwinder-cheb:kind=1.9",
+                                  "krall-laguerre:alpha=1,a1=1,d=3",
+                                  "krall-jacobi:alpha=1,beta=0,a1=1,d=7"])
+def test_relate_non_integer_or_out_of_range_argument_exit_2(tmp_path, capsys, spec):
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.0), 2)
+    pf = tmp_path / "p.json"
+    pf.write_text(serialize.system_to_json(P))
+    code = cli.main(["relate", "--combined", str(pf), "--reference", str(pf),
+                     "--functional", spec])
+    _, err = capsys.readouterr()
+    assert code == 2 and err.startswith("error: argument") and "Traceback" not in err
+
+
 def test_tol_rank_flag_reaches_the_report(capsys):
     code, out, _ = run_cli(
         ["--json", "--tol-rank", "0.9", "family", "disk", "--mu", "0", "--N", "3"], capsys)

@@ -437,25 +437,34 @@ def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch, rho):
     assert system.N == 6 and calls == []
 
 
-def test_to_monic_checks_each_leading_block_once_and_matches_per_block_solve(monkeypatch):
+def test_to_monic_solves_each_degree_once_against_its_lower_blocks(monkeypatch):
     rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
     system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
                                    moments.jacobi_functional_1d(0.0, 0.0), rho, 6)
-    checks = []
-    rank = mk.numeric_rank
+    checks, solves = [], []
+    rank, solve = mk.numeric_rank, np.linalg.solve
 
     def counted_rank(*args, **kwargs):
         checks.append(args[0].shape)
         return rank(*args, **kwargs)
 
+    def counted_solve(a, b):
+        solves.append(b.shape)
+        return solve(a, b)
+
     monkeypatch.setattr(mk, "numeric_rank", counted_rank)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
     mon = system.to_monic()
     assert checks == [(n + 1, n + 1) for n in range(1, 7)]
-    monkeypatch.setattr(mk, "numeric_rank", rank)
+    basis = basis_for(2)
+    assert solves == [(n + 1, basis.offset(n)) for n in range(1, 7)]
+    monkeypatch.undo()
+    # per-block solves are the reference; a one-column right-hand side takes
+    # another LAPACK kernel, so they agree to rounding, not bit for bit
     for n in range(7):
         for k in range(n):
             want = mk.solve(system.leading(n), system.block(n, k))
-            assert np.array_equal(mon.block(n, k), want)
+            np.testing.assert_allclose(mon.block(n, k), want, rtol=1e-13, atol=1e-15)
 
 
 def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):

@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
 from mvops import families, matrixkit as mk, moments, mpoly
-from mvops.construct import gram_blocks
+from mvops.construct import gram_blocks, tensor_system
 from mvops.indexing import basis_for
 
 
@@ -235,10 +235,48 @@ def test_disk_relation_row_degeneracy():
 
 def test_laguerre_shift_block_display():
     basis = basis_for(2)
-    vals = {nu: -1.0 for nu in basis.indices(2) if nu[0] >= 1}
-    got = families.lower_shift_with_values(2, 2, 1, vals)
-    np.testing.assert_array_equal(got, -basis.shift_matrix(1, 1).T)
-    np.testing.assert_array_equal(got, [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+    Q = tensor_system([families.standard_laguerre_coeffs(k, 2) for k in (0.0, 1.0)], 2, "Q")
+    P = tensor_system([families.standard_laguerre_coeffs(k, 2) for k in (1.0, 1.0)], 2, "P")
+    bundle = families.FamilyBundle("laguerre", {}, d=2, N=2)
+    rel = families._closed_form(bundle, Q, P, 1, lambda nu: -1.0, 1e-8)
+    np.testing.assert_array_equal(rel.m(2), -basis.shift_matrix(1, 1).T)
+    np.testing.assert_array_equal(rel.m(2), [[-1.0, 0.0], [0.0, -1.0], [0.0, 0.0]])
+    [check] = bundle.records
+    assert check.name == "relation-closed-form" and check.ok
+
+
+def test_simplex_closed_form_residual_is_scale_relative_at_degree_12():
+    # the orthonormal simplex coefficients reach 1e8 at degree 12; an absolute
+    # defect read 6.9e-7 there, the defect relative to that scale is rounding
+    bundle = families.build_family("simplex", 12, kappa=(0.5, 0.5, 0.5), j=1)
+    [check] = [c for c in bundle.records if c.name == "relation-closed-form"]
+    assert check.value <= 1e-13
+
+
+@pytest.mark.parametrize("name, params, entry", [
+    ("disk", dict(mu=0.0), lambda n, k: -(n - k) / (2.0 * n + 2.0)),
+    ("disk", dict(mu=1.5), lambda n, k: -(n - k) / (2.0 * n + 2.0 * 1.5 + 2.0)),
+    ("krall-laguerre", dict(alpha=1.0, a1=1.0, kappa2=0.0),
+     lambda n, k: families.krall_laguerre_coefficient(1.0, 1.0, n - k)),
+    ("krall-jacobi", dict(alpha=1.0, beta=0.0, a1=1.0, ay=0.0),
+     lambda n, k: families.krall_jacobi_coefficient(1.0, 0.0, 1.0, n - k)),
+])
+def test_closed_form_blocks_equal_the_diagonal_loops(monkeypatch, name, params, entry):
+    # M_n = diag(drop) L^t puts drop(nu) at (nu, nu - e_1): row k, column k
+    built = []
+
+    def capture(*args, real=families._closed_form, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(families, "_closed_form", capture)
+    families.build_family(name, 8, **params)
+    [rel] = built
+    for n in range(1, 9):
+        want = np.zeros((n + 1, n))
+        for k in range(n):
+            want[k, k] = entry(n, k)
+        assert rel.m(n).tobytes() == want.tobytes()
 
 
 def test_chebyshev_scalar_condition_values():

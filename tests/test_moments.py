@@ -297,6 +297,28 @@ def test_parse_functional_strings():
         moments.parse_functional("disk")
 
 
+@pytest.mark.parametrize("spec", [
+    "cheb-product:kind=2.7",
+    "cheb-product:kind=2,d=2.5",
+    "cheb-product:kind=nan",
+    "koornwinder-cheb:kind=1.9",
+    "krall-laguerre:alpha=1,a1=1,d=3",
+    "krall-laguerre:alpha=1,a1=1,d=1.5",
+    "krall-jacobi:alpha=1,beta=0,a1=1,d=7",
+    "krall-jacobi:alpha=1,beta=0,a1=1,d=0",
+])
+def test_parse_functional_rejects_misread_integer_arguments(spec):
+    with pytest.raises(moments.ParameterError):
+        moments.parse_functional(spec)
+
+
+def test_parse_functional_reads_integer_arguments_written_as_floats():
+    assert moments.parse_functional("cheb-product:kind=2.0,d=3").d == 3
+    assert moments.parse_functional("koornwinder-cheb:kind=1").d == 2
+    assert moments.parse_functional("krall-jacobi:alpha=1,beta=0,a1=1,d=2.0").d == 2
+    assert moments.parse_functional("krall-laguerre:alpha=1,a1=1,d=1").d == 1
+
+
 def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
