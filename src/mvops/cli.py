@@ -273,6 +273,9 @@ def cmd_relate(args) -> int:
         return _usage_error(exc)
     if min(Q.N, P.N) < 1:
         return _usage_error(f"relate needs systems of degree >= 1, got {Q.N} and {P.N}")
+    if not Q.d == P.d == u.d:
+        return _usage_error(f"relate needs systems and functional of one dimension, "
+                            f"got {Q.d}, {P.d} and {u.d}")
     rel = linrel.compute_relation(Q, P, u, gram_blocks(u, P))
     report = VerdictReport(command="relate", tol_rank=tol_rank, tol_res=tol_res)
     report.checks.append(Check.residual("fourier-tail", rel.tail, tol_res))

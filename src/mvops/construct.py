@@ -13,8 +13,10 @@ functional's graded moment matrix, one pairing of the degree-n monomials
 with all earlier degrees per step; a rank-deficient Gram block means the
 functional is not quasi-definite through that degree and construction
 stops with a diagnosable error.  A univariate monic system needs only its
-recurrence, which recurrence_from_moments reads off the moments by the
-same rule.
+recurrence, which recurrence_from_moments reads off an array of moments
+0..2N by the same rule; callers read those moments from a functional's
+moment vectors, or combine them, as Koornwinder's construction does for
+the weights rho^(2k+1) w1.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
@@ -35,7 +37,7 @@ import numpy as np
 from . import matrixkit as mk
 from . import mpoly
 from .indexing import GradedBasis, basis_for
-from .moments import MomentFunctional, Recurrence1D, left_multiply
+from .moments import MomentFunctional, Recurrence1D
 
 
 class QuasiDefiniteFailure(Exception):
@@ -284,27 +286,28 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
-def recurrence_from_moments(u: MomentFunctional, N: int,
-                            rank_tol: float = mk.DEFAULT_RANK_TOL) -> Recurrence1D:
+def recurrence_from_moments(moments, rank_tol: float = mk.DEFAULT_RANK_TOL,
+                            label: str = "") -> Recurrence1D:
     """Monic recurrence of a 1-d functional from its moments 0..2N.
 
-    The Chebyshev algorithm: sig[l] = <u, p_k x^l> is one vector per step k,
-    h_k = sig[k], b_k and c_k = h_k / h_(k-1) are read from it, and the next
-    vector follows from the recurrence itself.  b_N needs moment 2N + 1 and
-    is left NaN.  Raises QuasiDefiniteFailure at the first degree k whose
-    h_k fails the rank rule gram_schmidt_monic applies to a 1x1 Gram block.
+    `moments` is a 1-d array of odd length 2N + 1; `label` names the
+    functional in errors and in the recurrence's label.  The Chebyshev
+    algorithm: sig[l] = <u, p_k x^l> is one vector per step k, h_k = sig[k],
+    b_k and c_k = h_k / h_(k-1) are read from it, and the next vector
+    follows from the recurrence itself.  b_N needs moment 2N + 1 and is
+    left NaN.  Raises QuasiDefiniteFailure at the first degree k whose h_k
+    fails the rank rule gram_schmidt_monic applies to a 1x1 Gram block.
     """
-    if u.d != 1:
-        raise ValueError("recurrence_from_moments needs a univariate functional")
-    if N < 0:
-        raise ValueError("degree bound must be >= 0")
-    mom = np.array([u.moment((m,)) for m in range(2 * N + 1)])
+    mom = np.asarray(moments, dtype=float)
+    if mom.ndim != 1 or mom.size % 2 == 0:
+        raise ValueError(f"need the moments 0..2N, an odd-length 1-d array, got {mom.shape}")
+    N = mom.size // 2
     b, c = np.full(N + 1, np.nan), np.zeros(N + 1)
     prev, sig = np.zeros_like(mom), mom
     for k in range(N + 1):
         h = sig[k]
         if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
-            raise QuasiDefiniteFailure(k, [abs(h)], u.label)
+            raise QuasiDefiniteFailure(k, [abs(h)], label)
         if k:
             c[k] = h / prev[k - 1]
         if k == N:
@@ -313,7 +316,7 @@ def recurrence_from_moments(u: MomentFunctional, N: int,
         nxt = np.zeros_like(mom)
         nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
         prev, sig = sig, nxt
-    return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({u.label})")
+    return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({label})")
 
 
 def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySystem, GramBlocks]:
@@ -322,7 +325,8 @@ def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySys
     recs, failures = [], []
     for f in u.factors:
         try:
-            recs.append(recurrence_from_moments(f, N, rank_tol))
+            mom = np.concatenate([f.moment_vector(m) for m in range(2 * N + 1)])
+            recs.append(recurrence_from_moments(mom, rank_tol, f.label))
         except QuasiDefiniteFailure as err:
             failures.append(err)
     if failures:
@@ -484,10 +488,6 @@ class RhoMap:
         return RhoMap("sqrt", (float(q0), float(q1), float(q2)))
 
 
-def _poly_map_1d(coeffs) -> dict[tuple[int], float]:
-    return {(m,): float(c) for m, c in enumerate(coeffs) if c != 0.0}
-
-
 def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
                        N: int) -> tuple[PolySystem, MomentFunctional]:
     """Bivariate orthogonal system from two 1-d weights and a mapping.
@@ -515,7 +515,8 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
     # for a sqrt mapping, y^(k mod 2) times a form in (y^2, rho^2)
     forms = mpoly.form_table(y if linear else mpoly.mul(y, y), base_xy)
     parts = []
-    for k, c in enumerate(recurrence_from_moments(w2, N).monic_coeffs()):
+    w2m = np.concatenate([w2.moment_vector(m) for m in range(2 * N + 1)])
+    for k, c in enumerate(recurrence_from_moments(w2m, label=w2.label).monic_coeffs()):
         if linear:
             parts.append(forms(c))
             continue
@@ -525,16 +526,23 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
             raise ValueError("second weight must be symmetric for a sqrt mapping")
         parts.append(mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2])))
 
+    # moments of rho^(2k+1) w1: sums over the multiplier's nonzero terms c x^m,
+    # in ascending m, of c times w1's moments shifted by m
+    terms = [[(m, c) for m, c in enumerate(base_power(2 * k + 1 if linear else k)) if c != 0.0]
+             for k in range(N + 1)]
+    top = max((2 * (N - k) + m for k, t in enumerate(terms) for m, _ in t), default=0)
+    w1m = np.concatenate([w1.moment_vector(m) for m in range(top + 1)])
     rows = {}
     for k in range(N + 1):
-        mult = base_power(2 * k + 1 if linear else k)
-        u_k = left_multiply(_poly_map_1d(mult), w1, label=f"rho^{2 * k + 1}*w1")
-        for m, q in enumerate(recurrence_from_moments(u_k, N - k).monic_coeffs()):
+        size = 2 * (N - k) + 1
+        mom = sum((c * w1m[m:m + size] for m, c in terms[k]), np.zeros(size))
+        rec = recurrence_from_moments(mom, label=f"rho^{2 * k + 1}*w1")
+        for m, q in enumerate(rec.monic_coeffs()):
             rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
 
     def oracle(alpha):
         j, k = alpha
-        myk = w2.moment((k,))
+        myk = w2.moment_vector(k)[0]
         if myk == 0.0:
             return 0.0
         if linear:
@@ -543,7 +551,7 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
             if k % 2:
                 return 0.0
             mult = base_power(k // 2)
-        mx = sum(c * w1.moment((j + m,)) for m, c in enumerate(mult) if c != 0.0)
+        mx = sum(c * w1.moment_vector(j + m)[0] for m, c in enumerate(mult) if c != 0.0)
         return myk * mx
 
     label = f"koornwinder({w1.label},{w2.label})"

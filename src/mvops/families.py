@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import special as sp
@@ -737,40 +738,35 @@ def laguerre_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
 def build_family(name: str, N: int, res_tol: float = DEFAULT_RES_TOL,
                  rank_tol: float = DEFAULT_RANK_TOL, **params) -> FamilyBundle:
     """The named catalog family through degree N >= 1 (every relation,
-    Gram-link and rank check starts at degree 1)."""
+    Gram-link and rank check starts at degree 1).  A parameter the family
+    does not read raises ParameterError before anything is built."""
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
     name = name.lower()
+    take = params.pop   # what is left in params at the end was not read
     if name == "disk":
-        return disk_family(params.get("mu", 0.0), N, res_tol, rank_tol)
-    if name == "cheb-koornwinder":
-        return chebyshev_koornwinder_family(
-            int(params.get("kind", 2)), params.get("rho", 0.5), N, res_tol, rank_tol
-        )
-    if name == "krall-laguerre":
-        return krall_tensor_family(
-            "laguerre", N, params.get("a1", 1.0), alpha=params.get("alpha", 1.0),
-            wy_param=params.get("kappa2", 0.0), res_tol=res_tol, rank_tol=rank_tol,
-        )
-    if name == "krall-jacobi":
-        return krall_tensor_family(
-            "jacobi", N, params.get("a1", 1.0), alpha=params.get("alpha", 0.0),
-            beta=params.get("beta", 0.0), wy_param=params.get("ay", 0.0),
-            res_tol=res_tol, rank_tol=rank_tol,
-        )
-    if name == "simplex":
-        kappa = params.get("kappa", (0.5, 0.5, 0.5))
-        return simplex_family(kappa, int(params.get("j", 1)), N, res_tol, rank_tol)
-    if name == "cube":
-        d = int(params.get("d", 2))
-        a = params.get("a", (0.0,) * d)
-        b = params.get("b", (0.0,) * d)
-        return cube_family(a, b, int(params.get("j", 1)),
-                           bool(params.get("raise_b", False)), N, res_tol, rank_tol)
-    if name == "laguerre":
-        kappa = params.get("kappa", (0.0, 1.0))
-        return laguerre_family(kappa, int(params.get("j", 1)), N, res_tol, rank_tol)
-    raise KeyError(f"unknown family {name!r}")
+        build = partial(disk_family, take("mu", 0.0), N)
+    elif name == "cheb-koornwinder":
+        build = partial(chebyshev_koornwinder_family, int(take("kind", 2)), take("rho", 0.5), N)
+    elif name == "krall-laguerre":
+        build = partial(krall_tensor_family, "laguerre", N, take("a1", 1.0),
+                        alpha=take("alpha", 1.0), wy_param=take("kappa2", 0.0))
+    elif name == "krall-jacobi":
+        build = partial(krall_tensor_family, "jacobi", N, take("a1", 1.0),
+                        alpha=take("alpha", 0.0), beta=take("beta", 0.0), wy_param=take("ay", 0.0))
+    elif name == "simplex":
+        build = partial(simplex_family, take("kappa", (0.5, 0.5, 0.5)), int(take("j", 1)), N)
+    elif name == "cube":
+        d = int(take("d", 2))
+        build = partial(cube_family, take("a", (0.0,) * d), take("b", (0.0,) * d),
+                        int(take("j", 1)), bool(take("raise_b", False)), N)
+    elif name == "laguerre":
+        build = partial(laguerre_family, take("kappa", (0.0, 1.0)), int(take("j", 1)), N)
+    else:
+        raise KeyError(f"unknown family {name!r}")
+    if params:
+        raise ParameterError(f"family {name!r} does not read {', '.join(sorted(params))}")
+    return build(res_tol=res_tol, rank_tol=rank_tol)
 
 
 FAMILY_NAMES = (

@@ -141,7 +141,6 @@ def recover_lambda(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
     The gradient comes from M_1 = H~_1 a H_0^{-1}; the constant is fixed by
     matching the zeroth moments, <u, 1> = sum_i a_i <v, x_i> + b <v, 1>.
     """
-    d = rel.d
     if rel.N < 1:
         raise ValueError("relation has no degree-1 block")
     h0 = float(H.h(0)[0, 0])
@@ -149,11 +148,8 @@ def recover_lambda(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
     scale = max(mk.max_abs(rel.m(1)), 1e-300)
     if np.max(np.abs(a)) <= 1e-12 * scale:
         raise ValueError("degenerate gradient recovered from a full-rank relation")
-    ones = (0,) * d
-    mv0 = v.moment(ones)
-    mv1 = np.array([v.moment(tuple(1 if j == i else 0 for j in range(d)))
-                    for i in range(d)])
-    b = (h0 - float(a @ mv1)) / mv0
+    # the degree-1 basis lists e_1..e_d in order
+    b = (h0 - float(a @ v.moment_vector(1))) / float(v.moment_vector(0)[0])
     return LinearPoly(tuple(a), b)
 
 

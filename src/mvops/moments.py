@@ -1,11 +1,12 @@
-"""Moment functionals: oracles mapping a multi-index to a real moment.
+"""Moment functionals: one store of moment vectors per functional.
 
-Every weight family in the catalog is represented by such an oracle, with
-closed forms (Gamma/Beta/Dirichlet integrals) where available and Gauss
-quadrature otherwise.  Functional operations (left multiplication by a
-polynomial, tensor composition, division by a linear factor plus a point
-mass) build new oracles from existing ones, so downstream code never needs
-to know how a moment is produced.
+Every weight family in the catalog is an oracle mapping a multi-index to a
+real moment, with closed forms (Gamma/Beta/Dirichlet integrals) where
+available and Gauss quadrature otherwise.  Left multiplication by a
+polynomial and tensor composition define their moments once, as degree
+vectors gathered from those of the functionals they combine.  Every read
+goes through the degree vectors, so no caller needs to know how a moment
+is produced.
 
 Normalization: families whose conventional inner product has unit mass
 (disk, simplex, the product and symmetrized Chebyshev weights) are scaled
@@ -40,15 +41,17 @@ def _exceeds(lower: float, *values) -> bool:
 class MomentFunctional:
     """Linear functional on d-variate polynomials, defined by its moments.
 
-    The oracle must be deterministic; computed moments are memoized per
-    instance, as scalars, as one moment vector per degree, and as one graded
-    moment matrix whose entry (a, b) is the moment at alpha_a + beta_b over
-    the monomials of degrees 0..n in graded order.  That matrix is gathered
-    from the concatenated moment vectors through the basis's graded sum
-    table, again whenever a caller needs a higher degree.  Instances are
-    intended to be confined to one thread (the memos are unlocked).
-    Multi-indices are ordered by `basis`, the shared graded basis of
-    dimension d.
+    Moments are stored once per instance, as one read-only moment vector per
+    degree in basis order; a scalar moment is an entry of its degree's
+    vector.  The default degree vector asks the oracle, which must be
+    deterministic, once per multi-index; composed functionals pass no oracle
+    and gather their vectors from other functionals' instead.  One graded
+    moment matrix, whose entry (a, b) is the moment at alpha_a + beta_b over
+    the monomials of degrees 0..n in graded order, is gathered from the
+    concatenated vectors through the basis's graded sum table, again
+    whenever a caller needs a higher degree.  Instances are intended to be
+    confined to one thread (the stores are unlocked).  Multi-indices are
+    ordered by `basis`, the shared graded basis of dimension d.
     """
 
     def __init__(self, d: int, oracle, label: str = ""):
@@ -58,7 +61,6 @@ class MomentFunctional:
         self.basis = basis_for(d)
         self._oracle = oracle
         self.label = label
-        self._memo: dict[tuple[int, ...], float] = {}
         self._vectors: dict[int, np.ndarray] = {}
         self._graded = np.zeros((0, 0))
         self._graded_top = -1      # rows and columns cover degrees 0.._graded_top
@@ -71,15 +73,10 @@ class MomentFunctional:
         alpha = tuple(int(a) for a in alpha)
         if len(alpha) != self.d or any(a < 0 for a in alpha):
             raise ValueError(f"bad multi-index {alpha} for dimension {self.d}")
-        if alpha not in self._memo:
-            value = float(self._oracle(alpha))
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
-            self._memo[alpha] = value
-        return self._memo[alpha]
+        return float(self.moment_vector(sum(alpha))[self.basis.position(alpha)])
 
     def moment_vector(self, n: int) -> np.ndarray:
-        """Moments at the degree-n monomials in basis order; memoized, read-only."""
+        """Moments at the degree-n monomials in basis order; stored, read-only."""
         if n not in self._vectors:
             vec = self._degree_vector(n)
             vec.flags.writeable = False
@@ -87,7 +84,15 @@ class MomentFunctional:
         return self._vectors[n]
 
     def _degree_vector(self, n: int) -> np.ndarray:
-        return np.array([self.moment(a) for a in self.basis.indices(n)])
+        return self._finite(n, np.array([float(self._oracle(a)) for a in self.basis.indices(n)]))
+
+    def _finite(self, n: int, vec: np.ndarray) -> np.ndarray:
+        """The degree-n vector, or ValueError at its first non-finite entry."""
+        bad = np.flatnonzero(~np.isfinite(vec))
+        if bad.size:
+            alpha = self.basis.indices(n)[bad[0]]
+            raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
+        return vec
 
     def moment_matrix(self, j: int, k: int) -> np.ndarray:
         """Monomial pairing block: entry (a, b) is the moment at alpha_a + beta_b."""
@@ -163,38 +168,24 @@ class _LeftMultiplied(MomentFunctional):
 
     A degree-n vector gathers, for each coefficient c_beta in dict order,
     the base's degree-(n + |beta|) vector at the positions of alpha + beta
-    and accumulates c_beta times it from zero, like the scalar oracle, so
-    both give bit-identical moments.  When a base vector raises (a moment
-    outside the shifted set may be non-finite) or a sum is non-finite, the
-    degree is rebuilt entry by entry from the scalar oracle, which returns
-    the needed moments or raises at the same index it would alone.
+    and accumulates c_beta times it from zero.  It raises where a base
+    vector it reads does, even at a moment outside the shifted set.
     """
 
     def __init__(self, coeffs: dict, base: MomentFunctional, label: str):
-        def oracle(alpha):
-            return sum(
-                c * base.moment(tuple(x + y for x, y in zip(alpha, beta)))
-                for beta, c in coeffs.items()
-            )
-
-        super().__init__(base.d, oracle, label)
+        super().__init__(base.d, None, label)
         self.coeffs = coeffs
         self.base = base
 
     def _degree_vector(self, n: int) -> np.ndarray:
         basis = self.basis
         out = np.zeros(basis.size(n))
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-                for beta, c in self.coeffs.items():
-                    m = sum(beta)
-                    shifted = basis.sum_table(n, m)[:, basis.position(beta)]
-                    out += c * self.base.moment_vector(n + m)[shifted]
-        except ValueError:
-            return super()._degree_vector(n)
-        if not np.all(np.isfinite(out)):
-            return super()._degree_vector(n)
-        return out
+        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+            for beta, c in self.coeffs.items():
+                m = sum(beta)
+                shifted = basis.sum_table(n, m)[:, basis.position(beta)]
+                out += c * self.base.moment_vector(n + m)[shifted]
+        return self._finite(n, out)
 
 
 def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFunctional:
@@ -209,22 +200,14 @@ def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFun
 class _TensorFunctional(MomentFunctional):
     """Composition of univariate functionals acting on separate variables.
 
-    A degree vector is the elementwise product of the factors' moment
-    vectors, taken in factor order like the scalar oracle, so both give
-    bit-identical moments.  Each factor's moments 0..n are kept in one list
+    A degree vector is the elementwise product of the factors' moments,
+    taken in factor order.  Each factor's moments 0..n are kept in one list
     per factor that grows as degrees are asked for.
     """
 
     def __init__(self, factors, label: str):
         factors = tuple(factors)
-
-        def oracle(alpha):
-            out = 1.0
-            for f, a in zip(factors, alpha):
-                out *= f.moment((a,))
-            return out
-
-        super().__init__(len(factors), oracle, label)
+        super().__init__(len(factors), None, label)
         self.factors = factors
         self._factor_moments: list[list[float]] = [[] for _ in factors]
 
@@ -235,11 +218,7 @@ class _TensorFunctional(MomentFunctional):
             for axis, (f, moms) in enumerate(zip(self.factors, self._factor_moments)):
                 moms.extend(f.moment((m,)) for m in range(len(moms), n + 1))
                 out *= np.array(moms[:n + 1])[exps[:, axis]]
-        bad = np.flatnonzero(~np.isfinite(out))
-        if bad.size:
-            alpha = tuple(int(a) for a in exps[bad[0]])
-            raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
-        return out
+        return self._finite(n, out)
 
 
 def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFunctional:
@@ -255,7 +234,7 @@ def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFuncti
 # univariate building blocks
 
 
-def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> MomentFunctional:
+def jacobi_functional_1d(a: float, b: float) -> MomentFunctional:
     """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by Gauss quadrature."""
     if not _exceeds(-1, a, b):
         raise ParameterError(f"jacobi exponents must exceed -1, got ({a}, {b})")
@@ -272,7 +251,7 @@ def jacobi_functional_1d(a: float, b: float, label: str | None = None) -> Moment
         x, w = rule(m // 2 + 2)
         return float(np.sum(w * x**m))
 
-    return MomentFunctional(1, oracle, label or f"jacobi(a={a},b={b})")
+    return MomentFunctional(1, oracle, f"jacobi(a={a},b={b})")
 
 
 def jacobi_mass(a: float, b: float) -> float:
@@ -281,7 +260,7 @@ def jacobi_mass(a: float, b: float) -> float:
     )
 
 
-def laguerre_functional_1d(alpha: float, label: str | None = None) -> MomentFunctional:
+def laguerre_functional_1d(alpha: float) -> MomentFunctional:
     """Raw moments of t^alpha e^-t on (0, inf): Gamma(m + alpha + 1)."""
     if not _exceeds(-1, alpha):
         raise ParameterError(f"laguerre exponent must exceed -1, got {alpha}")
@@ -289,7 +268,7 @@ def laguerre_functional_1d(alpha: float, label: str | None = None) -> MomentFunc
     def oracle(idx):
         return sp.gamma(idx[0] + alpha + 1)
 
-    return MomentFunctional(1, oracle, label or f"laguerre(alpha={alpha})")
+    return MomentFunctional(1, oracle, f"laguerre(alpha={alpha})")
 
 
 _CHEB_PARAMS = {1: (-0.5, -0.5), 2: (0.5, 0.5), 3: (0.5, -0.5), 4: (-0.5, 0.5)}
@@ -362,7 +341,7 @@ def krall_jacobi_functional(alpha: float, beta: float, a1: float) -> MomentFunct
     def oracle(idx):
         m = idx[0]
         # synthetic division: (x^m - 1)/(1 - x) = -(1 + x + ... + x^(m-1))
-        divided = -sum(base.moment((k,)) for k in range(m))
+        divided = -sum(base.moment_vector(k)[0] for k in range(m))
         return divided + mass1
 
     return MomentFunctional(1, oracle, f"krall-jacobi(alpha={alpha},beta={beta},a1={a1})")
@@ -618,6 +597,7 @@ def chebyshev_recurrence(N: int, kind: int) -> Recurrence1D:
 
 
 def parse_functional(text: str) -> MomentFunctional:
+    """The functional a spec names; every argument given must be read."""
     name, _, argstr = text.partition(":")
     name = name.strip().lower()
     args: dict[str, list[float]] = {}
@@ -630,12 +610,17 @@ def parse_functional(text: str) -> MomentFunctional:
                 raise ValueError(f"bad functional argument {item!r}")
             args[key.strip()] = [float(v) for v in val.split(",")]
 
+    def vector(*keys):
+        """Values of the first of `keys` given; what is left in args was not read."""
+        for key in keys:
+            if key in args:
+                return args.pop(key)
+        raise ValueError(f"functional {name!r} needs argument {keys[0]!r}")
+
     def one(key, default=None):
-        if key not in args:
-            if default is None:
-                raise ValueError(f"functional {name!r} needs argument {key!r}")
+        if key not in args and default is not None:
             return default
-        vals = args[key]
+        vals = vector(key)
         if len(vals) != 1:
             raise ValueError(f"argument {key!r} expects a single value")
         return vals[0]
@@ -647,31 +632,37 @@ def parse_functional(text: str) -> MomentFunctional:
         return int(value)
 
     def krall(v, wy):
+        """v alone, or with d=2 v times the weight wy() in the second variable."""
         d = integer("d", 1)
         if d not in (1, 2):
             raise ParameterError(f"argument 'd' of {name!r} must be 1 or 2, got {d}")
-        return tensor(v, wy) if d == 2 else v
+        return tensor(v, wy()) if d == 2 else v
 
     if name == "disk":
-        return disk_functional(one("mu"))
-    if name == "simplex":
-        return simplex_functional(args.get("k") or args["kappa"])
-    if name == "cheb-product":
-        return product_chebyshev_functional(integer("kind"), integer("d", 2))
-    if name == "koornwinder-cheb":
-        return koornwinder_symmetrized_functional(integer("kind"))
-    if name == "cube-jacobi":
-        return cube_jacobi_functional(args["a"], args["b"])
-    if name == "laguerre":
+        u = disk_functional(one("mu"))
+    elif name == "simplex":
+        u = simplex_functional(vector("k", "kappa"))
+    elif name == "cheb-product":
+        u = product_chebyshev_functional(integer("kind"), integer("d", 2))
+    elif name == "koornwinder-cheb":
+        u = koornwinder_symmetrized_functional(integer("kind"))
+    elif name == "cube-jacobi":
+        u = cube_jacobi_functional(vector("a"), vector("b"))
+    elif name == "laguerre":
         if "kappa" in args or "k" in args:
-            return multiple_laguerre_functional(args.get("kappa") or args["k"])
-        return laguerre_functional_1d(one("alpha"))
-    if name == "jacobi":
-        return jacobi_functional_1d(one("a"), one("b"))
-    if name == "krall-laguerre":
+            u = multiple_laguerre_functional(vector("kappa", "k"))
+        else:
+            u = laguerre_functional_1d(one("alpha"))
+    elif name == "jacobi":
+        u = jacobi_functional_1d(one("a"), one("b"))
+    elif name == "krall-laguerre":
         v = krall_laguerre_functional(one("alpha"), one("a1"))
-        return krall(v, laguerre_functional_1d(one("kappa2", 0.0)))
-    if name == "krall-jacobi":
+        u = krall(v, lambda: laguerre_functional_1d(one("kappa2", 0.0)))
+    elif name == "krall-jacobi":
         v = krall_jacobi_functional(one("alpha"), one("beta"), one("a1"))
-        return krall(v, jacobi_functional_1d(one("ay", 0.0), one("by", 0.0)))
-    raise ValueError(f"unknown functional family {name!r}")
+        u = krall(v, lambda: jacobi_functional_1d(one("ay", 0.0), one("by", 0.0)))
+    else:
+        raise ValueError(f"unknown functional family {name!r}")
+    if args:
+        raise ParameterError(f"functional {name!r} does not read {', '.join(sorted(args))}")
+    return u

@@ -215,6 +215,39 @@ def test_relate_non_integer_or_out_of_range_argument_exit_2(tmp_path, capsys, sp
     assert code == 2 and err.startswith("error: argument") and "Traceback" not in err
 
 
+def _one_error_line(err: str) -> bool:
+    return "Traceback" not in err and len(
+        [line for line in err.splitlines() if "error:" in line]) == 1
+
+
+@pytest.mark.parametrize("combined, reference, spec", [
+    ("disk", "disk", "jacobi:a=1,b=1"),
+    ("disk", "jacobi", "disk:mu=0"),
+    ("jacobi", "disk", "jacobi:a=1,b=1"),
+])
+def test_relate_dimension_mismatch_exits_2(tmp_path, capsys, combined, reference, spec):
+    systems = {"disk": moments.disk_functional(0.0),
+               "jacobi": moments.jacobi_functional_1d(1.0, 1.0)}
+    for name, u in systems.items():
+        P, _ = gram_schmidt_monic(u, 2)
+        (tmp_path / f"{name}.json").write_text(serialize.system_to_json(P))
+    code, out, err = run_cli(["relate", "--combined", str(tmp_path / f"{combined}.json"),
+                              "--reference", str(tmp_path / f"{reference}.json"),
+                              "--functional", spec], capsys)
+    assert code == 2 and "one dimension" in err and _one_error_line(err)
+
+
+@pytest.mark.parametrize("spec", ["disk:mu=0,nu=1", "cube-jacobi:a=0,0,b=0,0,c=1",
+                                  "krall-laguerre:alpha=1,a1=1,kapa2=1,d=2"])
+def test_relate_unread_functional_argument_exits_2(tmp_path, capsys, spec):
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.0), 2)
+    pf = tmp_path / "p.json"
+    pf.write_text(serialize.system_to_json(P))
+    code, out, err = run_cli(["relate", "--combined", str(pf), "--reference", str(pf),
+                              "--functional", spec], capsys)
+    assert code == 2 and "does not read" in err and _one_error_line(err)
+
+
 def test_tol_rank_flag_reaches_the_report(capsys):
     code, out, _ = run_cli(
         ["--json", "--tol-rank", "0.9", "family", "disk", "--mu", "0", "--N", "3"], capsys)
@@ -502,6 +535,11 @@ def test_inadmissible_runs_exit_2_with_one_error_line(envelopes, argv, capsys):
     ["--tol-res", "nan", "family", "disk"],
     ["family", "simplex", "--kappa", "0.5,abc"],
     ["family", "laguerre", "--kappa", "-0.5,x"],
+    # options the named family does not read
+    ["family", "disk", "--rho", "7"],
+    ["family", "cube", "--kappa", "1,2,3"],
+    ["family", "laguerre", "--kappa", "0,1", "--mu", "1"],
+    ["family", "cheb-koornwinder", "--raise-b"],
 ])
 def test_non_finite_or_malformed_family_input_exits_2(argv, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -372,6 +372,11 @@ def test_system_from_rows_writes_negative_zero_as_zero():
             assert not np.any(np.signbit(system.block(n, k)))
 
 
+def _moments(u, top: int) -> np.ndarray:
+    """Moments 0..top of a 1-d functional as one array."""
+    return np.concatenate([u.moment_vector(m) for m in range(top + 1)])
+
+
 @pytest.mark.parametrize("u,rec", [
     (moments.jacobi_functional_1d(0.0, 0.0), moments.jacobi_recurrence(6, 0.0, 0.0)),
     (moments.jacobi_functional_1d(1.5, 0.5), moments.jacobi_recurrence(6, 1.5, 0.5)),
@@ -382,8 +387,9 @@ def test_system_from_rows_writes_negative_zero_as_zero():
 ] + [(moments.chebyshev_functional_1d(k), moments.chebyshev_recurrence(6, k))
      for k in (1, 2, 3, 4)])
 def test_recurrence_from_moments_matches_classical_recurrences(u, rec):
-    got = construct.recurrence_from_moments(u, 6)
+    got = construct.recurrence_from_moments(_moments(u, 12), label=u.label)
     assert got.N == 6 and np.isnan(got.b[6])   # b_6 would need moment 13
+    assert got.label == f"recurrence({u.label})"
     np.testing.assert_allclose(got.b[:6], rec.b[:6], rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(got.c[1:], rec.c[1:], rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(got.norms(), rec.norms(), rtol=1e-10)
@@ -391,15 +397,22 @@ def test_recurrence_from_moments_matches_classical_recurrences(u, rec):
         assert mk.max_abs(p - q) <= 1e-10 * max(1.0, mk.max_abs(q))
 
 
+@pytest.mark.parametrize("shape", [(0,), (4,), (3, 3)])
+def test_recurrence_from_moments_needs_an_odd_length_vector(shape):
+    with pytest.raises(ValueError, match="odd-length"):
+        construct.recurrence_from_moments(np.ones(shape))
+
+
 def test_recurrence_from_moments_fails_where_gram_schmidt_does():
     # three nodes: quasi-definite through degree 2, degenerate at degree 3
     nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
     u = moments.MomentFunctional(1, lambda a: float(weights @ nodes**a[0]), label="three")
-    construct.recurrence_from_moments(u, 2)
+    construct.recurrence_from_moments(_moments(u, 4))
     errors = []
-    for build in (construct.recurrence_from_moments, gram_schmidt_monic):
+    for build in (lambda: construct.recurrence_from_moments(_moments(u, 10), label=u.label),
+                  lambda: gram_schmidt_monic(u, 5)):
         with pytest.raises(QuasiDefiniteFailure, match="three") as err:
-            build(u, 5)
+            build()
         errors.append(err.value)
     assert [e.degree for e in errors] == [3, 3]
     assert errors[0].singular_values.shape == (1,)
@@ -407,20 +420,24 @@ def test_recurrence_from_moments_fails_where_gram_schmidt_does():
     h = lambda m: sum(1.0 / i for i in range(1, m))
     v = moments.krall_laguerre_functional(0.0, 1.0 - 1.0 / h(4))
     with pytest.raises(QuasiDefiniteFailure) as err:
-        construct.recurrence_from_moments(v, 6)
+        construct.recurrence_from_moments(_moments(v, 12))
     assert err.value.degree == 3
 
 
 def test_recurrence_from_moments_asks_no_moment_above_2n():
+    # the tensor route reads each factor's moments 0..2N and no higher
     def oracle(alpha):
         if alpha[0] > 8:
             raise AssertionError(f"moment {alpha[0]} asked")
         return 1.0 / (1.0 + alpha[0])   # Legendre moments on [0, 1]
 
-    rec = construct.recurrence_from_moments(moments.MomentFunctional(1, oracle), 4)
-    np.testing.assert_allclose(rec.b[:4], 0.5, rtol=1e-12)
+    def legendre():
+        return moments.MomentFunctional(1, oracle, label="legendre01")
+
+    P, H = gram_schmidt_monic(moments.tensor(legendre(), legendre()), 4)
+    np.testing.assert_allclose(P.block(1, 0), [[-0.5], [-0.5]], rtol=1e-12)
     with pytest.raises(AssertionError, match="moment 9"):
-        construct.recurrence_from_moments(moments.MomentFunctional(1, oracle), 5)
+        gram_schmidt_monic(moments.tensor(legendre(), legendre()), 5)
 
 
 @pytest.mark.parametrize("rho", [RhoMap.sqrt_poly(1.0, 0.0, -1.0), RhoMap.linear(2.0, 0.5)])
@@ -435,6 +452,18 @@ def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch, rho):
     system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
                                    moments.jacobi_functional_1d(1.0, 1.0), rho, 6)
     assert system.N == 6 and calls == []
+
+
+@pytest.mark.parametrize("rho", [RhoMap.sqrt_poly(1.0, 0.0, -1.0), RhoMap.linear(2.0, 0.5)])
+def test_koornwinder_system_creates_no_left_multiplied_functional(monkeypatch, rho):
+    # the weights rho^(2k+1) w1 are read as combinations of w1's moments
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("left-multiplied functional created")
+
+    monkeypatch.setattr(moments._LeftMultiplied, "__init__", refuse)
+    system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                                   moments.jacobi_functional_1d(1.0, 1.0), rho, 6)
+    assert system.N == 6
 
 
 def test_to_monic_solves_each_degree_once_against_its_lower_blocks(monkeypatch):

@@ -226,6 +226,17 @@ def test_krall_coefficients_1d_read_the_relation(name, params, coeff):
     assert check.value == want and check.ok
 
 
+@pytest.mark.parametrize("name, params, unread", [
+    ("disk", dict(mu=0.0, rho=7.0), "rho"),
+    ("cube", dict(kappa=(1.0, 2.0, 3.0)), "kappa"),
+    ("krall-laguerre", dict(alpha=1.0, a1=1.0, kapa2=1.0, ay=0.0), "ay, kapa2"),
+    ("simplex", dict(kappa=(0.5, 0.5, 0.5), raise_b=True), "raise_b"),
+])
+def test_build_family_refuses_parameters_the_family_does_not_read(name, params, unread):
+    with pytest.raises(families.ParameterError, match=f"does not read {unread}$"):
+        families.build_family(name, 3, **params)
+
+
 def test_disk_relation_row_degeneracy():
     bundle = families.disk_family(0.0, 4)
     rel = bundle.extras["relation"]

@@ -263,16 +263,27 @@ def test_jacobi_moments_finite_just_above_minus_one_half(a):
 
 
 def test_moment_memoization_deterministic():
+    # a scalar read fills its degree's vector: one oracle call per index
     calls = []
 
     def oracle(alpha):
         calls.append(alpha)
-        return 1.0
+        return float(sum(alpha))
 
     u = moments.MomentFunctional(2, oracle)
-    u.moment((1, 1))
-    u.moment((1, 1))
-    assert calls == [(1, 1)]
+    assert u.moment((1, 1)) == 2.0
+    assert u.moment((2, 0)) == 2.0
+    assert list(u.moment_vector(2)) == [2.0, 2.0, 2.0]
+    assert calls == basis_for(2).indices(2)
+
+
+def test_default_degree_vector_raises_at_its_first_non_finite_moment():
+    # a scalar read raises with its degree, even at a finite entry
+    u = moments.MomentFunctional(2, lambda a: math.inf if a[1] else 1.0, label="half")
+    assert u.moment((0, 0)) == 1.0
+    for read in (lambda: u.moment_vector(1), lambda: u.moment((1, 0))):
+        with pytest.raises(ValueError, match=r"non-finite moment at \(0, 1\) for 'half'"):
+            read()
 
 
 def test_parse_functional_strings():
@@ -312,6 +323,20 @@ def test_parse_functional_rejects_misread_integer_arguments(spec):
         moments.parse_functional(spec)
 
 
+@pytest.mark.parametrize("spec, unread", [
+    ("jacobi:a=1,b=1,c=2", "c"),
+    ("krall-laguerre:alpha=1,a1=1,kapa2=1", "kapa2"),
+    ("krall-laguerre:alpha=1,a1=1,kappa2=1", "kappa2"),   # d=1 has no second weight
+    ("krall-jacobi:alpha=1,beta=0,a1=1,ay=0,by=1", "ay, by"),
+    ("simplex:k=0.5,0.5,0.5,kappa=0.5,0.5,0.5", "kappa"),
+    ("laguerre:alpha=1,kappa=0,1", "alpha"),
+    ("disk:mu=1,kind=2", "kind"),
+])
+def test_parse_functional_rejects_arguments_the_family_does_not_read(spec, unread):
+    with pytest.raises(moments.ParameterError, match=f"does not read {unread}$"):
+        moments.parse_functional(spec)
+
+
 def test_parse_functional_reads_integer_arguments_written_as_floats():
     assert moments.parse_functional("cheb-product:kind=2.0,d=3").d == 3
     assert moments.parse_functional("koornwinder-cheb:kind=1").d == 2
@@ -331,11 +356,17 @@ def _bits(values) -> np.ndarray:
     lambda: moments.parse_functional("krall-jacobi:alpha=1;beta=0;a1=1;d=2"),
 ])
 def test_tensor_moment_vectors_bit_identical_to_scalar_oracle(make):
+    # the reference oracle multiplies the factors' moments in factor order
     u = make()
     basis = basis_for(u.d)
     for n in range(12):
-        scalar = [u.moment(alpha) for alpha in basis.indices(n)]
-        assert np.array_equal(_bits(u.moment_vector(n)), _bits(scalar))
+        want = []
+        for alpha in basis.indices(n):
+            product = 1.0
+            for f, a in zip(u.factors, alpha):
+                product *= f.moment((a,))
+            want.append(product)
+        assert np.array_equal(_bits(u.moment_vector(n)), _bits(want))
 
 
 def test_tensor_vector_overflow_raises_naming_the_functional():
@@ -363,11 +394,12 @@ def _bits_or_error(values):
        seed=st.integers(0, 2**16), data=st.data())
 @settings(max_examples=120, deadline=None)
 def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, inf_rate, seed, data):
-    # base moments are some zero, of size up to 1e307, so that sums of
-    # products overflow, and some infinite, so that the base itself raises;
-    # a base moment outside the shifted set may be infinite while the
-    # moments of p*base stay finite, and a degree raises at its first bad
-    # multi-index as the scalar oracle does
+    # the reference oracle sums, per entry and from zero, c_beta times the
+    # base moment at alpha + beta in coefficient order.  Base moments are
+    # some zero, of size up to 1e307, so that sums of products overflow, and
+    # some infinite: a degree of p*base raises where a base degree it reads
+    # does, first in coefficient order, even at a moment outside the shifted
+    # set, and otherwise at its first non-finite sum
     def oracle(alpha):
         rng = np.random.default_rng([seed, *alpha])
         r = rng.random()
@@ -375,18 +407,32 @@ def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, inf_rate
             return math.inf
         if r < inf_rate + 0.2:
             return 0.0
-        return rng.uniform(-1.0, 1.0) * 10.0**top
+        return float(rng.uniform(-1.0, 1.0) * 10.0**top)
 
     coeff = st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(0, 12))
     coeffs = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d),
                                        coeff | st.sampled_from([0.0, -0.0, 1.0]), max_size=5))
     base = moments.MomentFunctional(d, oracle, label="base")
-    scalar = moments.left_multiply(coeffs, base, label="p*base")
-    vector = moments.left_multiply(coeffs, base, label="p*base")
+    u = moments.left_multiply(coeffs, base, label="p*base")
     basis = basis_for(d)
+
+    def reference(n):
+        for beta in coeffs:
+            bad = [a for a in basis.indices(n + sum(beta)) if not math.isfinite(oracle(a))]
+            if bad:
+                return f"non-finite moment at {bad[0]} for 'base'"
+        sums = []
+        for alpha in basis.indices(n):
+            total = 0.0
+            for beta, c in coeffs.items():
+                total += c * oracle(tuple(x + y for x, y in zip(alpha, beta)))
+            if not math.isfinite(total):
+                return f"non-finite moment at {alpha} for 'p*base'"
+            sums.append(total)
+        return _bits(sums).tolist()
+
     for n in range(4):
-        want = _bits_or_error(lambda: [scalar.moment(a) for a in basis.indices(n)])
-        assert _bits_or_error(lambda: vector.moment_vector(n)) == want
+        assert _bits_or_error(lambda: u.moment_vector(n)) == reference(n)
 
 
 def test_graded_matrix_asks_no_moment_above_the_degree_it_needs():
