@@ -14,6 +14,7 @@ non-finite, misshapen or of degree < 1 (relate), and an unwritable --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -285,7 +286,10 @@ def cmd_relate(args) -> int:
     return _finish(report, args, start)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args only
+    reads it and returns a fresh namespace, so no call sees another's options."""
     parser = argparse.ArgumentParser(
         prog="mvops",
         description="Multivariate orthogonal polynomial systems: linear "

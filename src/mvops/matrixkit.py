@@ -94,6 +94,16 @@ def worst(values) -> float:
     return float(np.max(arr)) if arr.size else 0.0
 
 
+def same_bits(a, b) -> bool:
+    """True when a and b have one dtype, one shape and the same bytes.
+
+    Exact equality that also tells -0.0 from 0.0, so a block that passes it
+    against a structural matrix can stand for that matrix bit for bit.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def format_matrix(m) -> str:
     """Serialize as 'rows cols' header plus one whitespace row per matrix row.
 

@@ -4,14 +4,25 @@ Matrices travel as plain-text payloads (rows/cols header plus rows of
 shortest round-trip decimals) inside a JSON wrapper carrying the shape
 metadata, so files are diffable and bit-exact across writers and readers.
 
+A block that is structural by construction travels as a one-word marker
+instead of matrix text: `"shift"` in a recurrence's `A[n][i]` slot stands
+for `basis_for(d).shift_matrix(n, i)`, and `"identity"` in a system's
+diagonal slot `(n, n)` for `np.eye(r_n)`.  The writers emit a marker only
+when the block equals that matrix bit for bit (`matrixkit.same_bits`, the
+one definition of an exact structural block), so reading back what was
+written gives the same bytes.  Readers accept both forms in those slots,
+and a marker anywhere else, or a word no marker has, is refused with the
+block's name.  One table, `_STRUCTURAL`, and one block layout, `_slots`,
+serve the writers, the readers and `validate_blocks`.
+
 The CLI reads every file through a checked read, which refuses what
 `validate_blocks` refuses and checks structure before numbers: the kind,
-d >= 1, the number of blocks per degree and direction and every block's
-`rows cols` header come first, the payloads after, block by block.  Its
-error names the first bad block, and a misshapen block costs no payload
-conversion.  The public readers need the same layout, with matrix text
-in every block the layout uses, but keep whatever shapes and values the
-blocks hold.
+d >= 1, the number of blocks per degree and direction, the place of every
+marker and every other block's `rows cols` header come first, the payloads
+after, block by block.  Its error names the first bad block, and a
+misshapen block costs no payload conversion.  The public readers need the
+same layout, with a marker or matrix text in every block the layout uses,
+but keep whatever shapes and values the blocks hold.
 """
 
 from __future__ import annotations
@@ -22,18 +33,26 @@ import math
 import numpy as np
 
 from .construct import PolySystem
-from .indexing import rank_count
+from .indexing import basis_for, rank_count
 from .linrel import LinearRelation
-from .matrixkit import format_matrix, matrix_shape, parse_matrix
+from .matrixkit import format_matrix, matrix_shape, parse_matrix, same_bits
 from .ttr import ThreeTermData
 
 _NOUNS = {"polynomial_system": "polynomial system", "three_term": "three-term recurrence",
           "linear_relation": "linear relation"}
 
+# marker -> the block it stands for in a slot of dimension d, row degree n
+# and index i in its row (direction i + 1 of A, column degree i of a system)
+_STRUCTURAL = {
+    "shift": lambda d, n, i: basis_for(d).shift_matrix(n, i + 1),
+    "identity": lambda d, n, i: np.eye(rank_count(d, n)),
+}
+
 
 def _slots(kind: str, d: int, part):
-    """(label, container, index, row degree, column degree) of every block a
-    document or object of `kind` uses; `part(name)` returns its list `name`.
+    """(label, container, index, row degree, column degree, marker) of every
+    block a document or object of `kind` uses; `part(name)` returns its list
+    `name`, and `marker` is the key of `_STRUCTURAL` the slot may hold, or None.
 
     Index 0 of a recurrence's C and of a relation's M is unused and not visited.
     """
@@ -42,18 +61,19 @@ def _slots(kind: str, d: int, part):
             if len(row) != n + 1:
                 raise ValueError(f"degree {n} has {len(row)} blocks, expected {n + 1}")
             for k in range(n + 1):
-                yield f"block ({n}, {k})", row, k, n, k
+                yield f"block ({n}, {k})", row, k, n, k, "identity" if k == n else None
     elif kind == "three_term":
         for name, first, step in (("A", 0, 1), ("B", 0, 0), ("C", 1, -1)):
+            marker = "shift" if name == "A" else None
             for n, row in enumerate(part(name)[first:], start=first):
                 if row is None or len(row) != d:
                     raise ValueError(f"{name}[{n}] must hold {d} blocks")
                 for i in range(d):
-                    yield f"{name}[{n}][{i + 1}]", row, i, n, n + step
+                    yield f"{name}[{n}][{i + 1}]", row, i, n, n + step, marker
     else:
         M = part("M")
         for n in range(1, len(M)):
-            yield f"M[{n}]", M, n, n, n - 1
+            yield f"M[{n}]", M, n, n, n - 1, None
 
 
 def _check_shape(where: str, shape, d: int, n: int, k: int) -> None:
@@ -80,20 +100,39 @@ def validate_blocks(obj: PolySystem | ThreeTermData | LinearRelation) -> None:
     kind = ("polynomial_system" if isinstance(obj, PolySystem)
             else "three_term" if isinstance(obj, ThreeTermData) else "linear_relation")
     _check_scalars(obj.d, obj.tail if kind == "linear_relation" else None)
-    for where, row, i, n, k in _slots(kind, obj.d, lambda name: getattr(obj, name)):
+    for where, row, i, n, k, _ in _slots(kind, obj.d, lambda name: getattr(obj, name)):
         m = row[i]
         _check_shape(where, None if m is None else m.shape, obj.d, n, k)
         _check_finite(where, m)
+
+
+def _holds_marker(where: str, block, marker: str | None) -> bool:
+    """True when a slot holds its own marker; any other marker raises."""
+    if isinstance(block, str) and block in _STRUCTURAL:
+        if block != marker:
+            raise ValueError(f"{where} cannot hold the marker {block!r}")
+        return True
+    return False
+
+
+def _named(where: str, read, text):
+    """read(text), with the block's label on a ValueError it raises."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _read(text: str, kind: str, checked: bool):
     """Decode an envelope of `kind` into the system, recurrence or relation
     it holds.
 
-    Every block the layout uses must be matrix text; the unused index 0 of C
-    or M comes back as None.  A `checked` read refuses what `validate_blocks`
-    refuses, structure before numbers: d, the tail and every block's header
-    first, then the payloads block by block, each checked as it is decoded.
+    Every block the layout uses must be its slot's marker or matrix text; a
+    marker comes back as the block it stands for ("shift" as the basis's
+    shared, read-only shift matrix), and the unused index 0 of C or M as None.  A `checked` read refuses what `validate_blocks`
+    refuses, structure before numbers: d, the tail, every marker's place and
+    every other block's header first, then the payloads block by block, each
+    checked as it is decoded.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
@@ -103,11 +142,17 @@ def _read(text: str, kind: str, checked: bool):
     if checked:
         _check_scalars(d, tail)
     slots = list(_slots(kind, d, payload.__getitem__))
+    marked = [_holds_marker(where, row[i], marker) for where, row, i, _, _, marker in slots]
     if checked:
-        for where, row, i, n, k in slots:
-            _check_shape(where, None if row[i] is None else matrix_shape(row[i]), d, n, k)
-    for where, row, i, _, _ in slots:
-        row[i] = parse_matrix(row[i])
+        for (where, row, i, n, k, _), structural in zip(slots, marked):
+            if not structural:
+                shape = None if row[i] is None else _named(where, matrix_shape, row[i])
+                _check_shape(where, shape, d, n, k)
+    for (where, row, i, n, _, marker), structural in zip(slots, marked):
+        if structural:
+            row[i] = _STRUCTURAL[marker](d, n, i)
+            continue
+        row[i] = _named(where, parse_matrix, row[i])
         if checked:
             _check_finite(where, row[i])
     if kind == "polynomial_system":
@@ -118,19 +163,27 @@ def _read(text: str, kind: str, checked: bool):
                           label=payload.get("label", ""))
 
 
+def _write(kind: str, d: int, fields: dict, parts: dict) -> str:
+    """The envelope of `kind`: `fields`, then the block lists `parts`, whose
+    rows the caller has copied.  Each block the layout uses becomes its
+    slot's marker when it is that structural block bit for bit, and matrix
+    text otherwise."""
+    for _, row, i, n, _, marker in _slots(kind, d, parts.__getitem__):
+        block = row[i]
+        structural = marker is not None and same_bits(block, _STRUCTURAL[marker](d, n, i))
+        row[i] = marker if structural else format_matrix(block)
+    return json.dumps({"kind": kind, "d": d, **fields, **parts}, indent=2)
+
+
+def _rows(rows, first: int = 0) -> list:
+    """Copies of the rows of blocks, with the unused rows before `first` as None."""
+    return [None if n < first or row is None else list(row) for n, row in enumerate(rows)]
+
+
 def system_to_json(P: PolySystem) -> str:
-    payload = {
-        "kind": "polynomial_system",
-        "d": P.d,
-        "N": P.N,
-        "monic": bool(P.monic),
-        "label": P.label,
-        "blocks": [
-            [format_matrix(P.block(n, k)) for k in range(n + 1)]
-            for n in range(P.N + 1)
-        ],
-    }
-    return json.dumps(payload, indent=2)
+    return _write("polynomial_system", P.d,
+                  {"N": P.N, "monic": bool(P.monic), "label": P.label},
+                  {"blocks": _rows(P.blocks)})
 
 
 def system_from_json(text: str) -> PolySystem:
@@ -138,15 +191,8 @@ def system_from_json(text: str) -> PolySystem:
 
 
 def ttr_to_json(T: ThreeTermData) -> str:
-    payload = {
-        "kind": "three_term",
-        "d": T.d,
-        "A": [[format_matrix(m) for m in row] for row in T.A],
-        "B": [[format_matrix(m) for m in row] for row in T.B],
-        "C": [None if row is None else [format_matrix(m) for m in row]
-              for row in T.C],
-    }
-    return json.dumps(payload, indent=2)
+    return _write("three_term", T.d, {},
+                  {"A": _rows(T.A), "B": _rows(T.B), "C": _rows(T.C, first=1)})
 
 
 def ttr_from_json(text: str) -> ThreeTermData:
@@ -154,14 +200,8 @@ def ttr_from_json(text: str) -> ThreeTermData:
 
 
 def relation_to_json(rel: LinearRelation) -> str:
-    payload = {
-        "kind": "linear_relation",
-        "d": rel.d,
-        "label": rel.label,
-        "tail": rel.tail,
-        "M": [None if m is None else format_matrix(m) for m in rel.M],
-    }
-    return json.dumps(payload, indent=2)
+    return _write("linear_relation", rel.d, {"label": rel.label, "tail": rel.tail},
+                  {"M": [None if n == 0 else m for n, m in enumerate(rel.M)]})
 
 
 def relation_from_json(text: str) -> LinearRelation:

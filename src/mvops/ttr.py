@@ -164,17 +164,16 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     equations that reach each degree-(n+1) monomial.  Compatible data reproduce the
     unique solution and the returned per-degree residuals max|J g - rhs|
     are zero up to roundoff.  Incompatible blocks show up as nonzero
-    residuals rather than an exception.
+    residuals rather than an exception.  Every A block used must be
+    basis.shift_matrix(n, i) bit for bit; anything else raises ValueError.
     """
     d = T.d
     basis = basis_for(d)
     N = T.reachable_degree if N is None else min(N, T.reachable_degree)
-    monic_ok = all(
-        np.allclose(T.a(n, i), basis.shift_matrix(n, i))
-        for n in range(min(N, len(T.A)))
-        for i in range(1, d + 1)
-    )
-    if not monic_ok:
+    # exact, as for the envelope writer's "shift" marker: the steps use the
+    # shift itself, so a block that only came close would be ignored
+    if not all(mk.same_bits(T.a(n, i), basis.shift_matrix(n, i))
+               for n in range(min(N, len(T.A))) for i in range(1, d + 1)):
         raise ValueError("forward generation requires structural (monic) A blocks")
 
     blocks: list[list[np.ndarray]] = [[np.eye(1)]]
@@ -229,13 +228,14 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
 
-    An upper block equal to basis.shift_matrix(n, i) has r_n singular
+    An upper block that is basis.shift_matrix(n, i) bit for bit
+    (matrixkit.same_bits, as for forward generation) has r_n singular
     values 1 (its rows are distinct unit rows), and when all d blocks of a
     degree are, the joint J has sqrt(c_beta), J^t J = diag(c) as in
     joint_shift_lstsq; those values are used without an SVD.
     """
     basis = basis_for(d)
-    structural = {n: [not lower and np.array_equal(b, basis.shift_matrix(n, i))
+    structural = {n: [not lower and mk.same_bits(b, basis.shift_matrix(n, i))
                       for i, b in enumerate(row, start=1)] for n, row in rows.items()}
     sv = {n: [np.ones(basis.size(n)) if exact else mk.singular_values(b)
               for b, exact in zip(row, structural[n])] for n, row in rows.items()}

@@ -8,7 +8,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvops import cli, families, linrel, moments, serialize
+from mvops import matrixkit as mk
 from mvops.construct import gram_schmidt_monic
+from mvops.indexing import basis_for
 from mvops.ttr import compute_ttr
 
 
@@ -266,6 +268,24 @@ def test_reports_deterministic(capsys):
     assert p1 == p2
 
 
+def test_the_one_parser_keeps_nothing_between_calls(capsys):
+    argv = ["--json", "family", "disk", "--N", "3"]
+    cli.build_parser.cache_clear()
+    code, fresh, _ = run_cli(argv, capsys)
+    assert code == 0
+    parser = cli.build_parser()
+    # other global options, another subcommand's options, a usage error
+    run_cli(["--json", "--tol-rank", "0.5", "--tol-res", "1e-3", "family", "disk",
+             "--mu", "1.5", "--N", "4"], capsys)
+    run_cli(["counterexample", "--n", "3"], capsys)
+    run_cli(["family", "disk", "--N", "x"], capsys)
+    code, after, _ = run_cli(argv, capsys)
+    assert code == 0 and cli.build_parser() is parser
+    first, second = json.loads(fresh), json.loads(after)
+    first.pop("seconds"), second.pop("seconds")
+    assert first == second and first["extras"]["params"] == {"mu": 0.0}
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "mvops.cli", "counterexample", "--n", "4"],
@@ -340,15 +360,32 @@ READERS = {"Q": ["relate"], "P": ["relate"], "Tq": ["check-3"],
            "Tp": ["generate", "check-4"], "rel": ["check-3", "check-4"]}
 
 
-def _matrix_fields(payload: dict) -> list:
-    """(container, key) of every matrix text in an envelope."""
+# the words a block slot may hold instead of matrix text, and near misses
+MARKERS = ("shift", "identity")
+NOT_MARKERS = ("Shift", "identty", "eye", "")
+
+
+def _block_fields(payload: dict) -> list:
+    """(container, key, row degree, marker the slot may hold or None) of
+    every block of an envelope: "shift" in A, "identity" on a system's
+    diagonal."""
     fields = []
     for name in ("blocks", "A", "B", "C"):
-        for row in payload.get(name, []):
+        for n, row in enumerate(payload.get(name, [])):
             if row is not None:
-                fields += [(row, k) for k in range(len(row))]
-    fields += [(payload["M"], n) for n in range(1, len(payload.get("M", [])))]
+                fields += [(row, k, n, "shift" if name == "A" else
+                            "identity" if name == "blocks" and k == n else None)
+                           for k in range(len(row))]
+    fields += [(payload["M"], n, n, None) for n in range(1, len(payload.get("M", [])))]
     return fields
+
+
+def _matrix_text(payload: dict, row: list, k: int, n: int) -> str:
+    """Block `row[k]` of degree n as matrix text: a marker is written out as
+    the block it stands for, so a corruption of its entries can reach it."""
+    if row[k] in MARKERS:
+        return mk.format_matrix(serialize._STRUCTURAL[row[k]](payload["d"], n, k))
+    return row[k]
 
 
 def _corrupt_matrix(text: str, how: str, pick: int) -> str:
@@ -373,7 +410,7 @@ def test_malformed_envelopes_exit_2_with_one_line(envelopes, data, capsys):
     name = data.draw(st.sampled_from(sorted(READERS)), label="envelope")
     command = data.draw(st.sampled_from(READERS[name]), label="command")
     text = envelopes["texts"][name]
-    corruptions = ["nan", "inf", "-inf", "extra-column", "missing-row", "truncated"]
+    corruptions = ["nan", "inf", "-inf", "extra-column", "missing-row", "truncated", "marker"]
     if name != "rel":   # a relation's M is one flat list, not rows of blocks
         corruptions.append("short-row")
     how = data.draw(st.sampled_from(corruptions), label="corruption")
@@ -381,13 +418,19 @@ def test_malformed_envelopes_exit_2_with_one_line(envelopes, data, capsys):
         bad = text[: data.draw(st.integers(0, len(text) - 1), label="cut")]
     else:
         payload = json.loads(text)
-        fields = _matrix_fields(payload)
+        fields = _block_fields(payload)
         if how == "short-row":
-            rows = [row for row, k in fields if k == 0]
+            rows = [row for row, k, _, _ in fields if k == 0]
             data.draw(st.sampled_from(rows), label="row").pop()
+        elif how == "marker":
+            # a marker its slot cannot hold, or a word that is no marker
+            row, k, _, marker = data.draw(st.sampled_from(fields), label="block")
+            row[k] = data.draw(st.sampled_from(
+                [w for w in MARKERS + NOT_MARKERS if w != marker]), label="word")
         else:
-            row, k = data.draw(st.sampled_from(fields), label="block")
-            row[k] = _corrupt_matrix(row[k], how, data.draw(st.integers(0, 99)))
+            row, k, n, _ = data.draw(st.sampled_from(fields), label="block")
+            row[k] = _corrupt_matrix(_matrix_text(payload, row, k, n), how,
+                                     data.draw(st.integers(0, 99)))
         bad = json.dumps(payload)
     path = envelopes["root"] / "bad.json"
     path.write_text(bad)
@@ -418,7 +461,7 @@ def test_check_names_a_misshapen_relation_before_reading_the_recurrence(envelope
     (root / "wide-rel.json").write_text(
         _corrupt_block(envelopes["texts"]["rel"], "M", 2, None, "extra-column"))
     (root / "garbled-Tp.json").write_text(
-        _corrupt_block(envelopes["texts"]["Tp"], "A", 0, 0, "abc"))
+        _corrupt_block(envelopes["texts"]["Tp"], "B", 0, 0, "abc"))
     swap = {"rel": str(root / "wide-rel.json"), "Tp": str(root / "garbled-Tp.json"),
             "Tq": str(root / "garbled-Tp.json")}
     for command in ("check-3", "check-4"):
@@ -433,6 +476,42 @@ def test_generate_names_the_first_non_finite_block(envelopes, capsys):
     path.write_text(text)
     err = _one_error(envelopes, "generate", {"Tp": str(path)}, capsys)
     assert "B[1][1] has a non-finite entry" in err
+
+
+@pytest.mark.parametrize("name, block, n, i, word, command, where", [
+    ("Tp", "B", 1, 0, "shift", "generate", "B[1][1]"),
+    ("Tp", "C", 2, 1, "identity", "check-4", "C[2][2]"),
+    ("rel", "M", 2, None, "shift", "check-3", "M[2]"),
+    ("P", "blocks", 2, 1, "identity", "relate", "block (2, 1)"),
+    ("Q", "blocks", 2, 2, "shift", "relate", "block (2, 2)"),
+    ("Tq", "A", 1, 1, "identity", "check-3", "A[1][2]"),
+    ("Tp", "A", 1, 0, "shfit", "generate", "A[1][1]"),
+    ("P", "blocks", 3, 3, "Identity", "relate", "block (3, 3)"),
+], ids=["shift-in-B", "identity-in-C", "shift-in-M", "identity-off-diagonal",
+        "shift-in-a-system", "identity-in-A", "misspelled-shift", "misspelled-identity"])
+def test_a_marker_out_of_place_exits_2_naming_the_block(envelopes, capsys, name, block, n, i,
+                                                        word, command, where):
+    payload = json.loads(envelopes["texts"][name])
+    (payload[block] if i is None else payload[block][n])[n if i is None else i] = word
+    path = envelopes["root"] / f"marker-{name}.json"
+    path.write_text(json.dumps(payload))
+    err = _one_error(envelopes, command, {name: str(path)}, capsys)
+    assert err.startswith(f"error: {where}") and repr(word) in err
+
+
+def test_generate_refuses_an_a_block_that_is_only_close_to_the_shift(envelopes, capsys):
+    # within allclose of the shift: generation would have ignored the
+    # difference and reported a consistent system the file does not hold
+    payload = json.loads(envelopes["texts"]["Tp"])
+    assert payload["A"][2][0] == "shift"
+    near = basis_for(2).shift_matrix(2, 1) + 5e-6 * np.eye(3, 4)
+    payload["A"][2][0] = mk.format_matrix(near)
+    path = envelopes["root"] / "near-shift-Tp.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(["generate", "--ttr", str(path)], capsys)
+    assert code == 1
+    assert err.strip() == ("computation failed: forward generation requires "
+                           "structural (monic) A blocks")
 
 
 def test_relate_names_a_bad_functional_before_reading_the_systems(envelopes, capsys):

@@ -1,11 +1,15 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvops import linrel, moments, serialize
-from mvops.construct import gram_schmidt_monic
-from mvops.ttr import compute_ttr
+from mvops.construct import PolySystem, gram_blocks, gram_schmidt_monic, orthonormalize
+from mvops.matrixkit import format_matrix
+from mvops.ttr import ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +165,9 @@ def test_validating_read_stops_at_the_first_non_finite_block(texts, monkeypatch)
     calls = _count_parses(monkeypatch)
     with pytest.raises(ValueError, match=r"B\[1\]\[2\] has a non-finite entry"):
         _checked("ttr", text)
-    # A[0..3] and B[0] with both directions, then B[1][1] and the bad B[1][2]
-    assert len(calls) == 2 * 4 + 2 + 2
+    # A[0..3] are "shift" markers and parse nothing: B[0] with both
+    # directions, then B[1][1] and the bad B[1][2]
+    assert len(calls) == 2 + 2
     # a public read gives the document's values back as they are
     T = serialize.ttr_from_json(_with_block(texts["ttr"], "B", 1, 1, "2 2\n0 inf\n0 0"))
     assert np.isinf(T.b(1, 2)[0, 1])
@@ -214,3 +219,89 @@ def test_public_readers_keep_shapes_and_values(texts):
     payload["blocks"][2].pop()
     with pytest.raises(ValueError, match="degree 2 has 2 blocks, expected 3"):
         serialize.system_from_json(json.dumps(payload))
+
+
+# -- structural blocks as markers ---------------------------------------------
+
+
+def _source(name: str, mu: float, N: int):
+    """A system, recurrence or relation of the kind `name` for the disk
+    weight with parameter mu through degree N, and whether its structural
+    slots (A, or a system's diagonal) hold the exact structural blocks."""
+    u = moments.disk_functional(mu)
+    P, H = gram_schmidt_monic(u, N)
+    orthonormal = orthonormalize(P, H)
+    return {
+        "monic-ttr": lambda: (compute_ttr(P, u, H), True),
+        "orthonormal-ttr": lambda: (
+            compute_ttr(orthonormal, u, gram_blocks(u, orthonormal)), False),
+        "fit-ttr": lambda: (fit_ttr(P)[0], True),
+        "counterexample-ttr": lambda: (linrel.counterexample(N + 1)[0], True),
+        "counterexample-relation": lambda: (linrel.counterexample(N + 1)[1], False),
+        "monic-system": lambda: (P, True),
+        "generated-system": lambda: (generate_from_ttr(compute_ttr(P, u, H))[0], True),
+        "to-monic-system": lambda: (orthonormal.to_monic(), True),
+        "orthonormal-system": lambda: (orthonormal, False),
+    }[name]()
+
+
+def _structural_slots(payload: dict) -> list:
+    """(row degree, container, key) of every slot that may hold a marker."""
+    if payload["kind"] == "three_term":
+        return [(n, row, i) for n, row in enumerate(payload["A"]) for i in range(len(row))]
+    if payload["kind"] == "polynomial_system":
+        return [(n, row, n) for n, row in enumerate(payload["blocks"])]
+    return []
+
+
+def _same(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["monic-ttr", "orthonormal-ttr", "fit-ttr", "counterexample-ttr",
+                             "counterexample-relation", "monic-system", "generated-system",
+                             "to-monic-system", "orthonormal-system"]),
+       mu=st.sampled_from([0.0, 0.5, 1.5]), N=st.integers(1, 4))
+def test_write_then_read_is_bit_identical_with_or_without_markers(name, mu, N):
+    obj, structural = _source(name, mu, N)
+    kind = ("system" if isinstance(obj, PolySystem)
+            else "ttr" if isinstance(obj, ThreeTermData) else "relation")
+    text = {"system": serialize.system_to_json, "ttr": serialize.ttr_to_json,
+            "relation": serialize.relation_to_json}[kind](obj)
+    back = READERS[kind](text)
+    assert (back.d, back.N) == (obj.d, obj.N)
+    if kind == "ttr":
+        assert [len(part) for part in (back.A, back.B, back.C)] == [
+            len(part) for part in (obj.A, obj.B, obj.C)]
+    else:
+        assert (back.label, getattr(back, "monic", None)) == (obj.label,
+                                                               getattr(obj, "monic", None))
+    pairs = list(zip(_arrays(obj), _arrays(back), strict=True))
+    assert pairs and all(_same(np.asarray(a, dtype=float), b) for a, b in pairs)
+    # markers exactly where the block is structural (an orthonormal disk
+    # system's degree-0 block is [[1.0]], the identity); the same envelope
+    # with every marker written out as matrix text reads to the same arrays
+    payload = json.loads(text)
+    slots = _structural_slots(payload)
+    assert all((row[k] in ("shift", "identity")) == structural
+               for n, row, k in slots if structural or n > 0)
+    for n, row, k in slots:
+        if row[k] in ("shift", "identity"):
+            row[k] = format_matrix(back.A[n][k] if kind == "ttr" else back.blocks[n][k])
+    plain = READERS[kind](json.dumps(payload))
+    assert all(_same(a, b) for a, b in zip(_arrays(back), _arrays(plain), strict=True))
+
+
+@pytest.mark.parametrize("block, n, i, word, where", [
+    ("B", 1, 0, "shift", "B[1][1]"), ("C", 2, 1, "identity", "C[2][2]"),
+    ("A", 0, 1, "identity", "A[0][2]"), ("A", 1, 0, "shfit", "A[1][1]"),
+    ("blocks", 2, 0, "identity", "block (2, 0)"), ("blocks", 1, 1, "shift", "block (1, 1)"),
+    ("M", 2, None, "shift", "M[2]"),
+])
+def test_readers_refuse_a_marker_out_of_place(texts, block, n, i, word, where):
+    kind = "system" if block == "blocks" else "relation" if block == "M" else "ttr"
+    text = _with_block(texts[kind], block, n, i, word)
+    for read in (READERS[kind], lambda t: _checked(kind, t)):
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}[ :].*{word!r}"):
+            read(text)

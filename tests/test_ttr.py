@@ -136,12 +136,17 @@ def test_forward_generation_reports_nan_blocks_as_nan():
 
 
 def test_forward_generation_requires_structural_a():
+    # generation uses the shift itself, so an A block that is not exactly
+    # the shift, even one within allclose of it, is refused, not ignored
     u = moments.disk_functional(0.0)
     P, H = gram_schmidt_monic(u, 3)
-    T = compute_ttr(P, u, H)
-    T.A[0][0] = 2.0 * T.A[0][0]
-    with pytest.raises(ValueError):
-        generate_from_ttr(T)
+    for n, i, edit in [(0, 0, lambda a: 2.0 * a), (2, 0, lambda a: a + 5e-6 * (a == 1)),
+                       (2, 1, lambda a: a - 1e-15 * (a == 1))]:
+        T = compute_ttr(P, u, H)
+        T.A[n][i] = edit(T.A[n][i])
+        assert np.allclose(T.A[n][i], basis_for(2).shift_matrix(n, i + 1)) == (n > 0)
+        with pytest.raises(ValueError, match="requires structural"):
+            generate_from_ttr(T)
 
 
 def test_rank_conditions_pass_for_quasi_definite_families(disk_system):
