@@ -14,13 +14,14 @@ with all earlier degrees per step; a rank-deficient Gram block means the
 functional is not quasi-definite through that degree and construction
 stops with a diagnosable error.  A univariate monic system needs only its
 recurrence, which recurrence_from_moments reads off an array of moments
-0..2N by the same rule; callers read those moments from a functional's
-moment vectors, or combine them, as Koornwinder's construction does for
-the weights rho^(2k+1) w1.
+0..2N (or 0..2N+1, which also gives b_N) by the same rule; callers read
+those moments from a functional's moment vectors, or combine them, as
+Koornwinder's construction does for the weights rho^(2k+1) w1.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
-one recurrence per factor, assembled by tensor_system.  Its Gram blocks
+one recurrence per factor (factor_recurrences, which ttr.compute_ttr reads
+too), assembled by tensor_system.  Its Gram blocks
 are diagonal, H_n = diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read
 from one univariate pairing per factor, and the tensor is quasi-definite
 through degree n exactly when every factor is, so the first factor that
@@ -147,12 +148,14 @@ class GramBlocks:
     def append_diagonal(self, values) -> None:
         """Add the next degree's block diag(values), known to be diagonal.
 
-        Its singular values are |values|, so it is checked by the same rule
-        as `append` with no SVD, and solve_right divides by the values.
+        It is checked by the same rule as `append` (mk.singular_values reads
+        a diagonal block's |values| with no SVD), and solve_right divides by
+        the values.
         """
         values = np.asarray(values, dtype=float)
         self._diagonal[len(self.blocks)] = values
-        self.append(np.diag(values), np.sort(np.abs(values))[::-1])
+        h = np.diag(values)
+        self.append(h, mk.singular_values(h))
 
     def solve_right(self, n: int, s) -> np.ndarray:
         """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
@@ -288,20 +291,22 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
 
 def recurrence_from_moments(moments, rank_tol: float = mk.DEFAULT_RANK_TOL,
                             label: str = "") -> Recurrence1D:
-    """Monic recurrence of a 1-d functional from its moments 0..2N.
+    """Monic recurrence of a 1-d functional from its moments 0..2N or 0..2N+1.
 
-    `moments` is a 1-d array of odd length 2N + 1; `label` names the
-    functional in errors and in the recurrence's label.  The Chebyshev
-    algorithm: sig[l] = <u, p_k x^l> is one vector per step k, h_k = sig[k],
-    b_k and c_k = h_k / h_(k-1) are read from it, and the next vector
-    follows from the recurrence itself.  b_N needs moment 2N + 1 and is
-    left NaN.  Raises QuasiDefiniteFailure at the first degree k whose h_k
+    `moments` is a nonempty 1-d array; `label` names the functional in
+    errors and in the recurrence's label.  The Chebyshev algorithm:
+    sig[l] = <u, p_k x^l> is one vector per step k, h_k = sig[k], b_k and
+    c_k = h_k / h_(k-1) are read from it, and the next vector follows from
+    the recurrence itself.  b_N needs moment 2N + 1: an even-length array
+    0..2N+1 fills it, an odd-length one leaves it NaN.  Neither reads
+    h_(N+1).  Raises QuasiDefiniteFailure at the first degree k whose h_k
     fails the rank rule gram_schmidt_monic applies to a 1x1 Gram block.
     """
     mom = np.asarray(moments, dtype=float)
-    if mom.ndim != 1 or mom.size % 2 == 0:
-        raise ValueError(f"need the moments 0..2N, an odd-length 1-d array, got {mom.shape}")
-    N = mom.size // 2
+    if mom.ndim != 1 or mom.size == 0:
+        raise ValueError(f"need the moments 0..2N or 0..2N+1, a nonempty 1-d array, "
+                         f"got {mom.shape}")
+    N = (mom.size - 1) // 2
     b, c = np.full(N + 1, np.nan), np.zeros(N + 1)
     prev, sig = np.zeros_like(mom), mom
     for k in range(N + 1):
@@ -310,29 +315,44 @@ def recurrence_from_moments(moments, rank_tol: float = mk.DEFAULT_RANK_TOL,
             raise QuasiDefiniteFailure(k, [abs(h)], label)
         if k:
             c[k] = h / prev[k - 1]
-        if k == N:
+        if 2 * k + 1 == mom.size:
             break
         b[k] = sig[k + 1] / h - (prev[k] / prev[k - 1] if k else 0.0)
+        if k == N:
+            break
         nxt = np.zeros_like(mom)
         nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
         prev, sig = sig, nxt
     return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({label})")
 
 
-def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySystem, GramBlocks]:
-    """gram_schmidt_monic of a tensor functional, from its factors'
-    recurrences (module docstring)."""
+def factor_recurrences(u: MomentFunctional, N: int,
+                       rank_tol: float = mk.DEFAULT_RANK_TOL) -> list[Recurrence1D]:
+    """The monic recurrence through degree N of each factor of a tensor
+    functional, b_N included.
+
+    Each comes from the factor's moments 0..2N+1, read as scalars, through
+    recurrence_from_moments at `rank_tol`; no h_(N+1) is checked.  When
+    factors fail, QuasiDefiniteFailure is raised under the tensor's label
+    at the lowest failing degree, which is the tensor's failing degree.
+    """
     recs, failures = [], []
     for f in u.factors:
         try:
-            mom = np.concatenate([f.moment_vector(m) for m in range(2 * N + 1)])
+            mom = np.array([f.moment((m,)) for m in range(2 * N + 2)])
             recs.append(recurrence_from_moments(mom, rank_tol, f.label))
         except QuasiDefiniteFailure as err:
             failures.append(err)
     if failures:
         first = min(failures, key=lambda err: err.degree)
         raise QuasiDefiniteFailure(first.degree, first.singular_values, u.label)
-    polys = [rec.monic_coeffs() for rec in recs]
+    return recs
+
+
+def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySystem, GramBlocks]:
+    """gram_schmidt_monic of a tensor functional, from its factors'
+    recurrences (module docstring)."""
+    polys = [rec.monic_coeffs() for rec in factor_recurrences(u, N, rank_tol)]
     norms = []
     for f, p in zip(u.factors, polys):
         # h_0..h_N: the diagonal of one pairing of (p_0, ..., p_N) with itself

@@ -7,6 +7,8 @@ matrix format used by the command line tools.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # package-wide defaults: relative singular-value threshold for rank
@@ -39,7 +41,7 @@ def numeric_rank(m, tol: float = DEFAULT_RANK_TOL, scale: float | None = None) -
     relative rank; passing an external scale makes near-zero blocks of a
     larger problem register as deficient instead of trivially full.
     """
-    sv = np.linalg.svd(_as_matrix(m), compute_uv=False)
+    sv = singular_values(m)
     if scale is None:
         scale = sv[0] if sv.size else 0.0
     return rank_from_sv(sv, tol, scale)
@@ -55,7 +57,43 @@ def rank_from_sv(sv, tol: float, scale: float) -> int:
 
 
 def singular_values(m) -> np.ndarray:
-    return np.linalg.svd(_as_matrix(m), compute_uv=False)
+    """Singular values of m, largest first, min(rows, cols) of them.
+
+    When every column holds at most one nonzero, the rows have disjoint
+    supports, so they are orthogonal and the singular values are the row
+    norms; when every row does, they are the column norms.  Such matrices
+    (shift and tensor recurrence blocks, their joints, diagonal blocks)
+    take no SVD; when both hold, the values are the magnitudes of the
+    nonzeros, exactly.  Any other matrix goes to LAPACK.
+    """
+    m = _as_matrix(m)
+    nonzero = m != 0.0
+    count = np.count_nonzero(nonzero)
+    # with more nonzeros than rows and than columns, some row and some
+    # column each hold two
+    if count <= max(m.shape):
+        # the nonzeros lie in `count` distinct columns, or rows
+        distinct_cols = np.count_nonzero(nonzero.any(axis=0)) == count
+        distinct_rows = np.count_nonzero(nonzero.any(axis=1)) == count
+        if distinct_cols and distinct_rows:
+            sv = np.zeros(min(m.shape))
+            sv[:count] = np.sort(np.abs(m[nonzero]))[::-1]
+            return sv
+        if distinct_cols or distinct_rows:
+            return np.sort(_line_norms(m, 1 if distinct_cols else 0))[::-1][:min(m.shape)]
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _line_norms(m: np.ndarray, axis: int) -> np.ndarray:
+    """2-norms of the rows (axis 1) or columns (axis 0) of m, computed on m
+    scaled by a power of two so that its largest entry lies in [1/2, 1),
+    so that no square overflows."""
+    top = max(float(np.max(m, initial=0.0)), -float(np.min(m, initial=0.0)))
+    if top == 0.0:
+        return np.zeros(m.shape[1 - axis])
+    exp = math.frexp(top)[1]
+    w = np.ldexp(m, -exp)
+    return np.ldexp(np.sqrt(np.einsum("ij,ij->i" if axis == 1 else "ij,ij->j", w, w)), exp)
 
 
 def solve(a, b) -> np.ndarray:

@@ -498,8 +498,9 @@ class Recurrence1D:
     unused), `mass` is the zeroth moment.  For a positive weight the
     orthonormal off-diagonal is a_n = sqrt(c_{n+1}).  A recurrence read
     from the moments 0..2N (construct.recurrence_from_moments) has b[N]
-    NaN, since b_N needs moment 2N + 1; the monic and orthonormal
-    coefficients through degree N do not read it.
+    NaN, since b_N needs moment 2N + 1; one read from 0..2N+1, as every
+    tensor factor's is (construct.factor_recurrences), has it.  The monic
+    and orthonormal coefficients through degree N do not read it.
     """
 
     b: np.ndarray

@@ -7,6 +7,13 @@ system and its functional, regenerates a monic system forward from given
 blocks (reporting how consistent the overdetermined steps are), fits
 best-effort blocks to an arbitrary monic system, and checks the rank
 conditions that characterize orthogonality.
+
+Blocks are extracted by pairing against the functional's moments, except
+for the monic system of a tensor functional, whose B and C blocks are read
+off its factors' univariate recurrences: B_{n,i} is diagonal and C_{n,i}
+has one nonzero per row, with every other entry exactly 0.0.  Such blocks,
+like the shift matrices A of every monic system, hold at most one nonzero
+per line, so their rank checks need no SVD (matrixkit.singular_values).
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from . import matrixkit as mk
 from .checks import Check, all_pass
 # pair_blocks is not called here; perfbench's tracer test expects it among
 # this module's names
-from .construct import GramBlocks, PolySystem, pair_blocks, shift_rows  # noqa: F401
+from .construct import (GramBlocks, PolySystem, factor_recurrences, pair_blocks,  # noqa: F401
+                        shift_rows)
 from .indexing import GradedBasis, basis_for, joint_matrix
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import MomentFunctional
@@ -72,42 +80,44 @@ def _combine(target: dict, mat: np.ndarray, rows: dict, sign: float = 1.0) -> No
 def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermData:
     """Extract recurrence blocks of an orthogonal system.
 
-    B and C come from pairing x_i P_n against P_n and P_{n-1}; A comes from
-    the leading-coefficient identity, which for a monic system makes
-    A_{n,i} the structural shift matrix exactly.  The reconstruction
-    residual over all degrees below the top one is checked against
-    DEFAULT_RES_TOL times the coefficient scale; a violation means the
-    input was not orthogonal for the functional.
+    A comes from the leading-coefficient identity, which for a monic system
+    makes A_{n,i} the structural shift matrix exactly.  B and C come from
+    one of two routes:
 
-    Per degree, one read of the graded moment matrix M and one
-    factorization of each of H_n and H_(n-1) serve all d directions.  With
-    side(P_m) the blocks of P_m side by side, <u, x_i P_n P_m^t> =
-    (side(P_n) M[rows of alpha + e_i]) side(P_m)^t, the association
-    pair_blocks uses, and the d pairings are solved as one stack.
+    - A monic system of a tensor functional (one with `factors`) reads
+      them off the factors' recurrences x p_k = p_(k+1) + b_k p_k +
+      c_k p_(k-1) (Dunkl and Xu, Orthogonal Polynomials of Several
+      Variables, 2014, ch. 3): B_{n,i} = diag(b^(i)_(nu_i)), and C_{n,i}
+      holds c^(i)_(nu_i) in row nu at column nu - e_i, every other entry
+      exactly 0.0.  H is not read; a factor that fails the default rank
+      rule raises QuasiDefiniteFailure (construct.factor_recurrences).
+    - Every other system pairs x_i P_n against P_n and P_{n-1}.  Per
+      degree, one read of the graded moment matrix M and one factorization
+      of each of H_n and H_(n-1) serve all d directions.  With side(P_m)
+      the blocks of P_m side by side, <u, x_i P_n P_m^t> =
+      (side(P_n) M[rows of alpha + e_i]) side(P_m)^t, the association
+      pair_blocks uses, and the d pairings are solved as one stack.
+
+    The reconstruction residual over all degrees below the top one is
+    checked against DEFAULT_RES_TOL times the coefficient scale; a
+    violation means the input was not orthogonal for the functional.  On
+    the tensor route that check is what ties P to u.
     """
+    if P.d != u.d:
+        raise ValueError("systems and functional must share the dimension")
     basis = basis_for(P.d)
     d, N = P.d, P.N
     sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(N + 1)]
-    A, B, C = [], [], [None]
-    residuals = []
-    for n in range(N + 1):
-        # graded positions of alpha + e_i, alpha over degrees 0..n
-        shifted = [np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i)
-                                   for k in range(n + 1)]) for i in range(1, d + 1)]
-        M = u.graded_block(0, n + 1, 0, n)
-        pb, pc = [], []
-        for rows in shifted:
-            # x_i P_n against the monomials of degrees 0..n: the rows of M
-            # at alpha + e_i, so no shifted copy of P_n is formed
-            left = sides[n] @ M[rows]
-            pb.append(left @ sides[n].T)
-            if n >= 1:
-                pc.append(left[:, :basis.offset(n)] @ sides[n - 1].T)
-        B.append(np.split(H.solve_right(n, np.vstack(pb)), d))
-        if n >= 1:
-            C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), d))
-        if n == N:
-            break
+    # graded positions of alpha + e_i, alpha over degrees 0..n
+    shifted = [[np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i)
+                                for k in range(n + 1)]) for i in range(1, d + 1)]
+               for n in range(N + 1)]
+    if P.monic and hasattr(u, "factors"):
+        B, C = _tensor_blocks(u, N)
+    else:
+        B, C = _paired_blocks(u, H, sides, shifted)
+    A = []
+    for n in range(N):
         if P.monic:
             A.append([basis.shift_matrix(n, i) for i in range(1, d + 1)])
         else:
@@ -116,10 +126,17 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
             lead = P.leading(n)
             rhs = np.hstack([(lead @ basis.shift_matrix(n, i)).T for i in range(1, d + 1)])
             A.append([a.T for a in np.split(mk.solve(P.leading(n + 1).T, rhs), d, axis=1)])
+    residuals = []
+    row_scale = [_row_scale(P, n) for n in range(N + 1)]
+    for n in range(N):
         # x_i P_n - A P_{n+1} - B P_n - C P_{n-1}, all degrees side by side
-        scale = max(max(_row_scale(P, m) for m in range(max(0, n - 1), n + 2)), 1.0)
-        for i, rows in enumerate(shifted):
-            resid = -(A[n][i] @ sides[n + 1])
+        scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
+        for i, rows in enumerate(shifted[n]):
+            if P.monic:
+                # the shift's rows pick the rows of alpha + e_i
+                resid = -sides[n + 1][basis.shift_index(n, i + 1)]
+            else:
+                resid = -(A[n][i] @ sides[n + 1])
             resid[:, rows] += sides[n]
             resid[:, :basis.offset(n + 1)] -= B[n][i] @ sides[n]
             if n >= 1:
@@ -134,6 +151,51 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
     ttr = ThreeTermData(d, A, B, C)
     ttr.recon_residual = worst
     return ttr
+
+
+def _tensor_blocks(u: MomentFunctional, N: int) -> tuple[list, list]:
+    """B and C blocks of a tensor functional's monic system through degree
+    N, from each factor's recurrence (compute_ttr)."""
+    basis = u.basis
+    recs = factor_recurrences(u, N)
+    B, C = [], [None]
+    for n in range(N + 1):
+        exps = basis.exponents(n)
+        B.append([np.diag(rec.b[exps[:, i]]) for i, rec in enumerate(recs)])
+        if n == 0:
+            continue
+        # column mu of C_(n,i) holds c^(i)_(mu_i + 1) in the row of mu + e_i
+        below = basis.exponents(n - 1)
+        cols = np.arange(basis.size(n - 1))
+        row = []
+        for i, rec in enumerate(recs, start=1):
+            c = np.zeros((basis.size(n), basis.size(n - 1)))
+            c[basis.shift_index(n - 1, i), cols] = rec.c[below[:, i - 1] + 1]
+            row.append(c)
+        C.append(row)
+    return B, C
+
+
+def _paired_blocks(u: MomentFunctional, H: GramBlocks, sides: list,
+                   shifted: list) -> tuple[list, list]:
+    """B and C blocks by pairing against the graded moment matrix
+    (compute_ttr)."""
+    basis = u.basis
+    B, C = [], [None]
+    for n, rows_n in enumerate(shifted):
+        M = u.graded_block(0, n + 1, 0, n)
+        pb, pc = [], []
+        for rows in rows_n:
+            # x_i P_n against the monomials of degrees 0..n: the rows of M
+            # at alpha + e_i, so no shifted copy of P_n is formed
+            left = sides[n] @ M[rows]
+            pb.append(left @ sides[n].T)
+            if n >= 1:
+                pc.append(left[:, :basis.offset(n)] @ sides[n - 1].T)
+        B.append(np.split(H.solve_right(n, np.vstack(pb)), len(rows_n)))
+        if n >= 1:
+            C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), len(rows_n)))
+    return B, C
 
 
 def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: list) -> tuple[np.ndarray, float]:
@@ -227,18 +289,11 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     r_{n-1} per block and r_n for the joint of the transposes.  Every
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
-
-    An upper block that is basis.shift_matrix(n, i) bit for bit
-    (matrixkit.same_bits, as for forward generation) has r_n singular
-    values 1 (its rows are distinct unit rows), and when all d blocks of a
-    degree are, the joint J has sqrt(c_beta), J^t J = diag(c) as in
-    joint_shift_lstsq; those values are used without an SVD.
+    Shift blocks, tensor C blocks and their joints hold at most one nonzero
+    per line, so mk.singular_values reads them with no SVD.
     """
     basis = basis_for(d)
-    structural = {n: [not lower and mk.same_bits(b, basis.shift_matrix(n, i))
-                      for i, b in enumerate(row, start=1)] for n, row in rows.items()}
-    sv = {n: [np.ones(basis.size(n)) if exact else mk.singular_values(b)
-              for b, exact in zip(row, structural[n])] for n, row in rows.items()}
+    sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
     scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
                 1e-300)
     shift = -1 if lower else 0
@@ -247,13 +302,8 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
         for i, s in enumerate(sv[n], start=1):
             checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
                                        basis.size(n + shift), n, i))
-        if all(structural[n]):
-            counts = np.bincount(np.concatenate([basis.shift_index(n, i)
-                                                 for i in range(1, d + 1)]))
-            rank = mk.rank_from_sv(np.sqrt(counts), tol, scale)
-        else:
-            joint = joint_matrix([b.T for b in row] if lower else row)
-            rank = mk.numeric_rank(joint, tol, scale=scale)
+        joint = joint_matrix([b.T for b in row] if lower else row)
+        rank = mk.numeric_rank(joint, tol, scale=scale)
         checks.append(Check.ranked(f"{name}-joint", rank, basis.size(n + shift + 1), n))
     return checks
 

@@ -11,6 +11,7 @@ from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefinite
                              RhoMap, gram_blocks, gram_schmidt_monic, inner_block,
                              koornwinder_system, orthonormalize, system_from_rows)
 from mvops.indexing import basis_for
+from mvops.ttr import compute_ttr
 
 def test_centered_weight_degree_one_is_pure():
     u = moments.product_chebyshev_functional(2)
@@ -397,10 +398,37 @@ def test_recurrence_from_moments_matches_classical_recurrences(u, rec):
         assert mk.max_abs(p - q) <= 1e-10 * max(1.0, mk.max_abs(q))
 
 
-@pytest.mark.parametrize("shape", [(0,), (4,), (3, 3)])
-def test_recurrence_from_moments_needs_an_odd_length_vector(shape):
-    with pytest.raises(ValueError, match="odd-length"):
+@pytest.mark.parametrize("shape", [(0,), (3, 3)])
+def test_recurrence_from_moments_needs_a_nonempty_1d_array(shape):
+    with pytest.raises(ValueError, match="nonempty 1-d array"):
         construct.recurrence_from_moments(np.ones(shape))
+
+
+@pytest.mark.parametrize("u", [moments.jacobi_functional_1d(1.5, 0.5),
+                               moments.laguerre_functional_1d(2.0),
+                               moments.chebyshev_functional_1d(3)])
+def test_recurrence_from_moments_fills_b_n_from_moment_2n_plus_1(u):
+    N = 6
+    got = construct.recurrence_from_moments(_moments(u, 2 * N + 1))
+    longer = construct.recurrence_from_moments(_moments(u, 2 * N + 3))
+    assert got.N == N and longer.N == N + 1
+    assert got.b[N] == longer.b[N]
+    np.testing.assert_array_equal(got.b, longer.b[:N + 1])
+    np.testing.assert_array_equal(got.c, longer.c[:N + 1])
+
+
+def test_recurrence_from_moments_checks_no_h_above_degree_n():
+    # three nodes: h_3 = 0, which moments 0..5 reach only through b_2
+    nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
+    mom = np.array([weights @ nodes**m for m in range(8)])
+    rec = construct.recurrence_from_moments(mom[:6])
+    assert rec.N == 2 and np.isfinite(rec.b).all()
+    # the recurrence on the nodes' Jacobi matrix: b_0..b_2 are its diagonal,
+    # whose trace is the sum of the nodes
+    assert sum(rec.b) == pytest.approx(nodes.sum(), rel=1e-12)
+    with pytest.raises(QuasiDefiniteFailure) as err:
+        construct.recurrence_from_moments(mom[:7])
+    assert err.value.degree == 3
 
 
 def test_recurrence_from_moments_fails_where_gram_schmidt_does():
@@ -424,19 +452,24 @@ def test_recurrence_from_moments_fails_where_gram_schmidt_does():
     assert err.value.degree == 3
 
 
-def test_recurrence_from_moments_asks_no_moment_above_2n():
-    # the tensor route reads each factor's moments 0..2N and no higher
+def test_tensor_route_asks_no_moment_above_2n_plus_1():
+    # the tensor route reads each factor's moments 0..2N+1 (b_N needs the
+    # last one) and no higher, in construction and in compute_ttr
     def oracle(alpha):
-        if alpha[0] > 8:
+        if alpha[0] > 9:
             raise AssertionError(f"moment {alpha[0]} asked")
         return 1.0 / (1.0 + alpha[0])   # Legendre moments on [0, 1]
 
     def legendre():
         return moments.MomentFunctional(1, oracle, label="legendre01")
 
-    P, H = gram_schmidt_monic(moments.tensor(legendre(), legendre()), 4)
+    u = moments.tensor(legendre(), legendre())
+    P, H = gram_schmidt_monic(u, 4)
     np.testing.assert_allclose(P.block(1, 0), [[-0.5], [-0.5]], rtol=1e-12)
-    with pytest.raises(AssertionError, match="moment 9"):
+    T = compute_ttr(P, u, H)
+    # b_4 of the shifted Legendre weight on [0, 1] is 1/2
+    np.testing.assert_allclose(np.diag(T.b(4, 1)), 0.5, rtol=1e-10)
+    with pytest.raises(AssertionError, match="moment 10"):
         gram_schmidt_monic(moments.tensor(legendre(), legendre()), 5)
 
 
@@ -496,28 +529,36 @@ def test_to_monic_solves_each_degree_once_against_its_lower_blocks(monkeypatch):
             np.testing.assert_allclose(mon.block(n, k), want, rtol=1e-13, atol=1e-15)
 
 
-def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
-    # the SVD behind the quasi-definiteness check is also the rank check of
-    # every later solve against the block; the tensor route takes none
+def _count_calls(monkeypatch, owner, name: str) -> list:
     calls = []
-    real = np.linalg.svd
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(np.shape(args[0]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
+    # the rank verdict behind the quasi-definiteness check (one
+    # mk.singular_values call) is also the rank check of every later solve
+    # against the block; the tensor route's diagonal blocks take no SVD
+    verdicts = _count_calls(monkeypatch, mk, "singular_values")
+    svds = _count_calls(monkeypatch, np.linalg, "svd")
     N = 6
     u = moments.simplex_functional((0.5, 0.5, 0.5))
     _, H = gram_schmidt_monic(u, N)
-    assert len(calls) == N + 1
+    assert len(verdicts) == N + 1
     for n in range(N + 1):
         H.solve_right(n, np.eye(n + 1))
-    assert len(calls) == N + 1
+    assert len(verdicts) == N + 1
+    dense = len(svds)
     _, H = gram_schmidt_monic(moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5)), N)
     for n in range(N + 1):
         H.solve_right(n, np.eye(n + 1))
-    assert len(calls) == N + 1
+    assert len(verdicts) == 2 * (N + 1) and len(svds) == dense
 
 
 def test_solve_right_keeps_the_default_rank_rule_under_a_looser_build():
@@ -627,7 +668,8 @@ def test_failing_factor_decides_the_tensor_degree():
 def test_looser_rank_tol_lets_a_near_singular_factor_through():
     # h_1 = delta against moment 2 ~ 1: below the default 1e-9, above 1e-12
     delta = 1e-10
-    moms = {0: 1.0, 1: 1.0, 2: 1.0 + delta}
+    # moment 3 gives b_1, which the tensor route reads along with the rest
+    moms = {0: 1.0, 1: 1.0, 2: 1.0 + delta, 3: 1.0 + 3.0 * delta}
     near = moments.MomentFunctional(1, lambda a: moms[a[0]], label="near")
     u = moments.tensor(near, moments.jacobi_functional_1d(0.0, 0.0), label="near-tensor")
     with pytest.raises(QuasiDefiniteFailure, match="near-tensor"):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,74 @@ def test_rank_invariant_under_nonsingular_factors(seed, rows, cols):
     right = _well_conditioned(rng, cols)
     base = mk.numeric_rank(m, 1e-9)
     assert mk.numeric_rank(left @ m @ right, 1e-9) == base
+
+
+MAGNITUDES = st.floats(1e-8, 1e8)
+
+
+@st.composite
+def _line_sparse(draw):
+    """A matrix with at most one nonzero per column (transposed: per row),
+    random signs and magnitudes, some lines zero."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    m = np.zeros((rows, cols))
+    for j in range(cols):
+        if rows and draw(st.booleans()):
+            m[draw(st.integers(0, rows - 1)), j] = (draw(st.sampled_from([-1.0, 1.0]))
+                                                   * draw(MAGNITUDES))
+    return m.T if draw(st.booleans()) else m
+
+
+@given(m=_line_sparse())
+@settings(max_examples=200, deadline=None)
+def test_singular_values_of_line_sparse_matrices_take_no_svd(m):
+    want = np.linalg.svd(m, compute_uv=False)
+    with mock.patch.object(np.linalg, "svd", side_effect=AssertionError("SVD taken")):
+        got = mk.singular_values(m)
+    assert got.shape == want.shape == (min(m.shape),)
+    assert np.all(np.diff(got) <= 0.0)
+    top = want[0] if want.size else 0.0
+    assert np.all(np.abs(got - want) <= 1e-14 * top)
+    # a line with one nonzero gives its magnitude exactly
+    if np.all(np.count_nonzero(m, axis=0) <= 1) and np.all(np.count_nonzero(m, axis=1) <= 1):
+        assert np.array_equal(got, np.sort(np.abs(m[m != 0.0]))[::-1].tolist()
+                              + [0.0] * (min(m.shape) - np.count_nonzero(m)))
+
+
+@given(data=st.data(), rows=st.integers(1, 7), cols=st.integers(1, 7),
+       density=st.floats(0.3, 1.0))
+@settings(max_examples=150, deadline=None)
+def test_singular_values_of_other_matrices_are_lapacks_bit_for_bit(data, rows, cols,
+                                                                   density):
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < density)
+    if (np.all(np.count_nonzero(m, axis=0) <= 1)
+            or np.all(np.count_nonzero(m, axis=1) <= 1)):
+        return   # line sparse: the test above
+    assert mk.singular_values(m).tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+
+
+@pytest.mark.parametrize("m", [np.array([[-2.5]]), np.zeros((0, 4)), np.zeros((4, 0)),
+                               np.zeros((3, 5)), np.diag([3.0, -1e-9, 0.0]),
+                               np.array([[0.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0]]),
+                               np.array([[1e300], [1e300], [-1e300]])])
+def test_singular_values_edge_shapes(m):
+    np.testing.assert_allclose(mk.singular_values(m), np.linalg.svd(m, compute_uv=False),
+                               rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 3)])
+def test_singular_values_refuse_non_finite_entries(bad, shape):
+    m = np.zeros(shape)
+    m[-1, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mk.singular_values(m)
+    m = np.ones(shape)
+    m[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mk.singular_values(m)
 
 
 def test_matrix_text_round_trip_bit_exact():

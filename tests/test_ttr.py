@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvops import matrixkit as mk, moments
+from mvops import matrixkit as mk, moments, serialize
 from mvops.checks import Check
 from mvops.construct import (GramBlocks, gram_blocks, gram_schmidt_monic, inner_block,
                              orthonormalize, pair_blocks, shift_rows)
@@ -261,8 +261,13 @@ def test_forward_generation_runs_no_lstsq(monkeypatch):
     assert np.max(residuals) <= 1e-10
 
 
+def _without_factors(u):
+    """u's moments behind a plain oracle: compute_ttr pairs against them."""
+    return moments.MomentFunctional(u.d, lambda a: u.moment(a), label=f"paired({u.label})")
+
+
 @pytest.mark.parametrize("u, N", [
-    (moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)), 5),
+    (_without_factors(moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0))), 5),
     (moments.simplex_functional((0.5, 0.5, 0.5)), 3),
 ])
 def test_compute_ttr_matches_per_direction_pairing(u, N):
@@ -284,15 +289,17 @@ def test_compute_ttr_matches_per_direction_pairing(u, N):
                 assert mk.max_abs(T.c(n, i) - want_c) <= 1e-12 * mk.max_abs(want_c)
 
 
-def _count_svds(monkeypatch) -> list:
+def _count_calls(monkeypatch, owner=np.linalg, name: str = "svd") -> list:
+    """Shapes of the matrices passed to owner.name from now on (an SVD by
+    default; mk.singular_values counts rank verdicts)."""
     calls = []
-    real = np.linalg.svd
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
-        calls.append(args[0].shape)
+        calls.append(np.shape(args[0]))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -303,7 +310,7 @@ def test_non_monic_a_blocks_take_one_solve_per_degree(monkeypatch):
     P, H = gram_schmidt_monic(u, 6)
     O = orthonormalize(P, H)
     HO = gram_blocks(u, O)
-    calls = _count_svds(monkeypatch)
+    calls = _count_calls(monkeypatch, mk, "singular_values")
     T = compute_ttr(O, u, HO)
     # one rank verdict per Gram block H_0..H_6, one per leading block G_1..G_6
     assert len(calls) == 7 + 6
@@ -340,7 +347,7 @@ def test_structural_a_ranks_take_no_svd_and_match_the_svd_rule(monkeypatch, d, N
     T = compute_ttr(P, u, H)
     rows = dict(enumerate(T.A))
     want = _rank_family_by_svd("A", d, rows, tol, lower=False)
-    calls = _count_svds(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert rank_family("A", d, rows, tol, lower=False) == want
     assert calls == []
     # one perturbed block: its SVD and its degree's joint SVD, nothing else
@@ -350,3 +357,115 @@ def test_structural_a_ranks_take_no_svd_and_match_the_svd_rule(monkeypatch, d, N
     del calls[:]
     assert rank_family("A", d, rows, tol, lower=False) == want
     assert calls == [rows[2][d - 1].shape, (d * rows[2][0].shape[0], rows[2][0].shape[1])]
+
+
+TENSORS = [
+    (moments.cube_jacobi_functional((0.5, -0.5), (0.0, 1.0)), 7),
+    (moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)), 5),
+    (moments.cube_jacobi_functional((0.5, -0.5, 0.0, 1.0), (0.5, 0.0, 1.0, 0.0)), 4),
+    (moments.multiple_laguerre_functional((0.0, 1.0)), 6),
+    (moments.product_chebyshev_functional(3), 6),
+    (moments.tensor(moments.krall_laguerre_functional(1.0, 1.0),
+                    moments.laguerre_functional_1d(0.0)), 5),
+]
+
+
+def _c_pattern(d: int, n: int, i: int) -> np.ndarray:
+    """Where C_(n,i) of a tensor weight may be nonzero: (nu, nu - e_i)."""
+    basis = basis_for(d)
+    mask = np.zeros((basis.size(n), basis.size(n - 1)), dtype=bool)
+    mask[basis.shift_index(n - 1, i), np.arange(basis.size(n - 1))] = True
+    return mask
+
+
+@pytest.mark.parametrize("u, N", TENSORS)
+def test_tensor_route_matches_the_moment_route(u, N):
+    P, H = gram_schmidt_monic(u, N)
+    T = compute_ttr(P, u, H)
+    paired = _without_factors(u)
+    want = compute_ttr(P, paired, gram_blocks(paired, P))
+    assert T.recon_residual <= 1e-14
+    b_scale = max(mk.max_abs(b) for row in T.B for b in row)
+    for n in range(N + 1):
+        for i in range(1, u.d + 1):
+            pairs = [(T.b(n, i), want.b(n, i), np.eye(basis_for(u.d).size(n), dtype=bool))]
+            if n >= 1:
+                pairs.append((T.c(n, i), want.c(n, i), _c_pattern(u.d, n, i)))
+            for got, ref, pattern in pairs:
+                if mk.max_abs(got) == 0.0:
+                    # a symmetric factor's b vanish; pairing leaves roundoff
+                    assert mk.max_abs(ref) <= 1e-12 * b_scale
+                else:
+                    assert mk.max_abs(got - ref) <= 1e-8 * mk.max_abs(ref)
+                # every entry off the pattern is +0.0, sign bit included
+                assert mk.same_bits(np.where(pattern, 0.0, got), np.zeros_like(got))
+    for n in range(N):
+        for i in range(1, u.d + 1):
+            assert mk.same_bits(T.a(n, i), basis_for(u.d).shift_matrix(n, i))
+
+
+def test_tensor_route_reads_no_d_variate_moment(monkeypatch):
+    u = moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0))
+    P, H = gram_schmidt_monic(u, 5)
+
+    def refuse(self, *args):
+        raise AssertionError("d-variate moments read")
+
+    for name in ("graded_block", "moment_vector"):
+        monkeypatch.setattr(type(u), name, refuse)
+    T = compute_ttr(P, u, H)
+    assert T.N == 5
+
+
+@pytest.mark.parametrize("u, N", TENSORS)
+def test_tensor_route_refuses_another_weights_system(u, N):
+    # B and C come from u alone, so the reconstruction residual is what ties P
+    # to u; both routes refuse the monic system of another tensor weight
+    other = moments.tensor(*[moments.jacobi_functional_1d(0.25, 0.75)] * u.d)
+    P, H = gram_schmidt_monic(other, N)
+    paired = _without_factors(u)
+    for functional in (u, paired):
+        with pytest.raises(ValueError, match="not orthogonal for the functional"):
+            compute_ttr(P, functional, H)
+
+
+def test_compute_ttr_needs_the_functionals_dimension():
+    u = moments.cube_jacobi_functional((0.5, 0.0, 0.0), (0.0, 0.5, 0.0))
+    P, H = gram_schmidt_monic(moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5)), 3)
+    with pytest.raises(ValueError, match="share the dimension"):
+        compute_ttr(P, u, H)
+
+
+@pytest.mark.parametrize("u, N", TENSORS[:2] + TENSORS[4:])
+def test_orthonormal_tensor_systems_keep_the_moment_route(u, N):
+    # a non-monic system is paired whether or not u has factors, so its
+    # blocks are those of the factor-less functional bit for bit
+    P, H = gram_schmidt_monic(u, N)
+    O = orthonormalize(P, H)
+    paired = _without_factors(u)
+    T = compute_ttr(O, u, gram_blocks(u, O))
+    want = compute_ttr(O, paired, gram_blocks(paired, O))
+    assert T.recon_residual == want.recon_residual
+    for got, ref in ((T.A, want.A), (T.B, want.B), (T.C[1:], want.C[1:])):
+        assert all(mk.same_bits(g, r) for grow, rrow in zip(got, ref)
+                   for g, r in zip(grow, rrow))
+
+
+@pytest.mark.parametrize("u, N", TENSORS)
+def test_tensor_recurrence_envelope_round_trips_bit_for_bit(u, N):
+    P, H = gram_schmidt_monic(u, N)
+    T = compute_ttr(P, u, H)
+    back = serialize.ttr_from_json(serialize.ttr_to_json(T))
+    for got, ref in ((back.A, T.A), (back.B, T.B), (back.C[1:], T.C[1:])):
+        assert all(mk.same_bits(g, r) for grow, rrow in zip(got, ref)
+                   for g, r in zip(grow, rrow))
+
+
+@pytest.mark.parametrize("u, N", TENSORS[:3])
+def test_tensor_rank_checks_take_no_svd(monkeypatch, u, N):
+    # tensor C blocks and their joints hold one nonzero per column
+    P, H = gram_schmidt_monic(u, N)
+    T = compute_ttr(P, u, H)
+    calls = _count_calls(monkeypatch)
+    report = validate_rank_conditions(T)
+    assert report.ok and calls == []
