@@ -1,8 +1,9 @@
 """Moment functionals: one store of moment vectors per functional.
 
 Every weight family in the catalog is an oracle mapping a multi-index to a
-real moment, with closed forms (Gamma/Beta/Dirichlet integrals) where
-available and Gauss quadrature otherwise.  Left multiplication by a
+real moment: a closed form (Gamma/Beta/Dirichlet integrals) or, for Jacobi
+and Chebyshev weights, the exact two-term moment recurrence started from
+the mass; no oracle runs a quadrature rule.  Left multiplication by a
 polynomial and tensor composition define their moments once, as degree
 vectors gathered from those of the functionals they combine.  Every read
 goes through the degree vectors, so no caller needs to know how a moment
@@ -18,7 +19,6 @@ elsewhere are scale invariant.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -234,30 +234,44 @@ def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFuncti
 # univariate building blocks
 
 
+class _JacobiMoments(MomentFunctional):
+    """Moments of (1-x)^a (1+x)^b on [-1, 1], from the zeroth moment m0.
+
+    Integrating d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over [-1, 1] gives
+    (a+b+k+2) m_(k+1) = (b-a) m_k + k m_(k-1), whose two right-hand terms
+    both have the sign of m_(k+1), so nothing cancels.  The oracle is one
+    step of it, reading the two moments below from the store; it fills the
+    store bottom up first, so the recursion depth does not grow with the
+    degree.
+    """
+
+    def __init__(self, a: float, b: float, m0: float, label: str):
+        super().__init__(1, self._step, label)
+        self.a, self.b, self.m0 = a, b, m0
+
+    def _step(self, alpha) -> float:
+        k = alpha[0] - 1
+        if k < 0:
+            return self.m0
+        for lower in range(len(self._vectors), k + 1):
+            self.moment_vector(lower)
+        below = self._vectors[k - 1][0] if k else 0.0
+        return ((self.b - self.a) * self._vectors[k][0] + k * below) / (self.a + self.b + k + 2)
+
+
 def jacobi_functional_1d(a: float, b: float) -> MomentFunctional:
-    """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by Gauss quadrature."""
+    """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by their moment recurrence."""
     if not _exceeds(-1, a, b):
         raise ParameterError(f"jacobi exponents must exceed -1, got ({a}, {b})")
-    # roots_jacobi(n, a, a) is roots_gegenbauer(n, a + 1/2), which divides
-    # 0 by 0 when 1 + (a + 1/2) rounds to 1; there the weight equals the
-    # a = b = -1/2 weight to rounding, so that rule stands in
-    ra, rb = (-0.5, -0.5) if a == b and 1 + (a + 0.5) == 1 else (a, b)
-
-    # moments 2k and 2k+1 share the (k+2)-node rule
-    rule = functools.cache(lambda nodes: sp.roots_jacobi(nodes, ra, rb))
-
-    def oracle(alpha):
-        m = alpha[0]
-        x, w = rule(m // 2 + 2)
-        return float(np.sum(w * x**m))
-
-    return MomentFunctional(1, oracle, f"jacobi(a={a},b={b})")
+    return _JacobiMoments(a, b, jacobi_mass(a, b), f"jacobi(a={a},b={b})")
 
 
 def jacobi_mass(a: float, b: float) -> float:
-    return math.exp(
-        (a + b + 1) * math.log(2.0) + sp.betaln(a + 1, b + 1)
-    )
+    """Zeroth moment 2^(a+b+1) B(a+1, b+1), inf where it overflows."""
+    try:
+        return math.exp((a + b + 1) * math.log(2.0) + sp.betaln(a + 1, b + 1))
+    except OverflowError:
+        return math.inf
 
 
 def laguerre_functional_1d(alpha: float) -> MomentFunctional:
@@ -274,31 +288,11 @@ def laguerre_functional_1d(alpha: float) -> MomentFunctional:
 _CHEB_PARAMS = {1: (-0.5, -0.5), 2: (0.5, 0.5), 3: (0.5, -0.5), 4: (-0.5, 0.5)}
 
 
-def _cheb1_moment(m: int) -> float:
-    # normalized first-kind weight: even moments binom(2p, p) / 4^p
-    if m % 2:
-        return 0.0
-    p = m // 2
-    return sp.binom(2 * p, p) / 4.0**p
-
-
 def chebyshev_functional_1d(kind: int) -> MomentFunctional:
-    """Unit-mass Chebyshev weight of the given kind, closed-form moments."""
+    """Unit-mass Chebyshev weight of the given kind (a Jacobi weight)."""
     if kind not in _CHEB_PARAMS:
         raise ParameterError(f"chebyshev kind must be 1..4, got {kind}")
-
-    def oracle(idx):
-        m = idx[0]
-        if kind == 1:
-            return _cheb1_moment(m)
-        if kind == 2:
-            p, rem = divmod(m, 2)
-            return 0.0 if rem else sp.binom(2 * p, p) / (4.0**p * (p + 1))
-        if kind == 3:
-            return _cheb1_moment(m) - _cheb1_moment(m + 1)
-        return _cheb1_moment(m) + _cheb1_moment(m + 1)
-
-    return MomentFunctional(1, oracle, f"chebyshev{kind}")
+    return _JacobiMoments(*_CHEB_PARAMS[kind], 1.0, f"chebyshev{kind}")
 
 
 def krall_laguerre_functional(alpha: float, a1: float) -> MomentFunctional:
@@ -471,17 +465,15 @@ def koornwinder_symmetrized_functional(kind: int) -> MomentFunctional:
 
     The change of variables folds the square onto the region above the
     discriminant curve and cancels its inverse square root, leaving plain
-    product-weight integrals; unit mass.
+    product-weight integrals: the moment at (j, k) is
+    sum_i C(j, i) mu_(i+k) mu_(j-i+k) over the unit-mass Chebyshev moments.
     """
-    a, b = _CHEB_PARAMS[kind]
-    mass = jacobi_mass(a, b)
+    cheb = chebyshev_functional_1d(kind)
 
     def oracle(alpha):
         j, k = alpha
-        n_nodes = (j + k) // 2 + 2
-        x, w = sp.roots_jacobi(n_nodes, a, b)
-        sums = np.add.outer(x, x) ** j * np.outer(x, x) ** k
-        return float(w @ sums @ w) / mass**2
+        return math.fsum(math.comb(j, i) * cheb.moment((i + k,)) * cheb.moment((j - i + k,))
+                         for i in range(j + 1))
 
     return MomentFunctional(2, oracle, f"koornwinder-chebyshev{kind}")
 

@@ -239,6 +239,17 @@ def test_relate_dimension_mismatch_exits_2(tmp_path, capsys, combined, reference
     assert code == 2 and "one dimension" in err and _one_error_line(err)
 
 
+@pytest.mark.parametrize("spec, kind", [("koornwinder-cheb:kind=5", 5),
+                                        ("cheb-product:kind=0,d=2", 0)])
+def test_relate_chebyshev_kind_outside_1_to_4_exits_2_naming_it(tmp_path, capsys, spec, kind):
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.0), 2)
+    pf = tmp_path / "p.json"
+    pf.write_text(serialize.system_to_json(P))
+    code, out, err = run_cli(["relate", "--combined", str(pf), "--reference", str(pf),
+                              "--functional", spec], capsys)
+    assert code == 2 and f"kind must be 1..4, got {kind}" in err and _one_error_line(err)
+
+
 @pytest.mark.parametrize("spec", ["disk:mu=0,nu=1", "cube-jacobi:a=0,0,b=0,0,c=1",
                                   "krall-laguerre:alpha=1,a1=1,kapa2=1,d=2"])
 def test_relate_unread_functional_argument_exits_2(tmp_path, capsys, spec):

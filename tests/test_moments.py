@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,15 +168,31 @@ def test_laguerre_closed_form_vs_quadrature():
             assert ml.moment(alpha) == pytest.approx(quad, rel=1e-10)
 
 
+def _cheb1_closed(m: int) -> float:
+    # normalized first-kind weight: even moments binom(2p, p) / 4^p
+    if m % 2:
+        return 0.0
+    p = m // 2
+    return sp.binom(2 * p, p) / 4.0**p
+
+
+def _chebyshev_closed(kind: int, m: int) -> float:
+    if kind == 1:
+        return _cheb1_closed(m)
+    if kind == 2:
+        p, rem = divmod(m, 2)
+        return 0.0 if rem else sp.binom(2 * p, p) / (4.0**p * (p + 1))
+    if kind == 3:
+        return _cheb1_closed(m) - _cheb1_closed(m + 1)
+    return _cheb1_closed(m) + _cheb1_closed(m + 1)
+
+
 def test_chebyshev_closed_form_moments():
-    # first kind: even moments are central binomials over 4^p
-    c1 = moments.chebyshev_functional_1d(1)
-    assert c1.moment((2,)) == pytest.approx(0.5)
-    assert c1.moment((4,)) == pytest.approx(0.375)
-    c3 = moments.chebyshev_functional_1d(3)
-    assert c3.moment((1,)) == pytest.approx(-0.5)
-    c4 = moments.chebyshev_functional_1d(4)
-    assert c4.moment((1,)) == pytest.approx(0.5)
+    # the moment recurrence from unit mass equals the closed forms bit for bit
+    for kind in (1, 2, 3, 4):
+        u = moments.chebyshev_functional_1d(kind)
+        got = [u.moment((m,)) for m in range(37)]
+        assert np.array_equal(_bits(got), _bits([_chebyshev_closed(kind, m) for m in range(37)]))
 
 
 def test_koornwinder_symmetrized_moments():
@@ -235,25 +252,91 @@ def test_classical_recurrences_against_moment_gram_schmidt(family, params):
     )
 
 
-def test_jacobi_moments_share_one_rule_per_node_count(monkeypatch):
-    # moments 2k and 2k+1 are both exact under the (k+2)-node rule
-    nodes = []
-    real_rule = sp.roots_jacobi
-    monkeypatch.setattr(sp, "roots_jacobi",
-                        lambda n, a, b: nodes.append(n) or real_rule(n, a, b))
-    a, b, N = 0.5, -0.25, 9
+def _jacobi_exact(a: int, b: int, m: int) -> Fraction:
+    """Moment m of (1-x)^a (1+x)^b for integers a, b >= 0, exactly:
+    x^m = ((1+x) - 1)^m against the Beta integrals
+    int (1-x)^a (1+x)^c = 2^(a+c+1) a! c! / (a+c+1)!."""
+    def beta(c):
+        return Fraction(2 ** (a + c + 1) * math.factorial(a) * math.factorial(c),
+                        math.factorial(a + c + 1))
+    return sum(math.comb(m, i) * (-1) ** (m - i) * beta(b + i) for i in range(m + 1))
+
+
+def _jacobi_abs_exact(a: int, b: int, m: int) -> Fraction:
+    """int |x|^m (1-x)^a (1+x)^b over [-1, 1], exactly, as
+    int_0^1 x^m [(1-x)^a (1+x)^b + (1+x)^a (1-x)^b] term by term."""
+    return sum(Fraction(math.comb(p, i) * (-1) ** i * math.comb(q, j), m + i + j + 1)
+               for p, q in ((a, b), (b, a)) for i in range(p + 1) for j in range(q + 1))
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("b", range(4))
+def test_jacobi_moments_within_ulps_of_exact_fractions(a, b):
+    u = moments.jacobi_functional_1d(float(a), float(b))
+    for m in range(41):
+        err = abs(Fraction(u.moment((m,))) - _jacobi_exact(a, b, m))
+        assert err <= 4 * Fraction(np.finfo(float).eps) * _jacobi_abs_exact(a, b, m), m
+
+
+@given(a=st.floats(-1.0, 3.0, exclude_min=True), b=st.floats(-1.0, 3.0, exclude_min=True),
+       symmetric=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_jacobi_moment_recurrence_and_gauss_rule(a, b, symmetric):
+    # (a+b+k+2) m_(k+1) = (b-a) m_k + k m_(k-1) holds to rounding, odd moments
+    # of a symmetric weight are exactly 0.0, and a 60-node Gauss-Jacobi rule
+    # (exact through degree 119) agrees; scipy's rule itself drifts by up to
+    # 2e-10 of int |x|^m w as an exponent nears -1, hence 1e-9
+    b = a if symmetric else b
     u = moments.jacobi_functional_1d(a, b)
-    got = [u.moment((m,)) for m in range(2 * N + 1)]
-    assert sorted(nodes) == list(range(2, N + 3))
-    for m, value in enumerate(got):
-        x, w = real_rule(m // 2 + 2, a, b)
-        assert value == float(np.sum(w * x**m))
+    m = [u.moment((k,)) for k in range(41)]
+    for k in range(40):
+        terms = ((b - a) * m[k], k * m[k - 1] if k else 0.0)
+        assert abs((a + b + k + 2) * m[k + 1] - sum(terms)) <= 4e-16 * (
+            abs((a + b + k + 2) * m[k + 1]) + sum(map(abs, terms))) + np.finfo(float).tiny
+    if a == b:
+        assert all(value == 0.0 for value in m[1::2])
+    try:   # scipy's rule divides by 0 near -1/2 and near -1, and may raise there
+        with np.errstate(all="ignore"):
+            x, w = sp.roots_jacobi(60, a, b)
+    except ValueError:
+        return
+    if not np.all(np.isfinite(w)):
+        return
+    for k, value in enumerate(m):
+        assert abs(value - np.sum(w * x**k)) <= 1e-9 * np.sum(w * np.abs(x) ** k)
+
+
+@pytest.mark.parametrize("make", [lambda: moments.jacobi_functional_1d(0.3, -0.7),
+                                  lambda: moments.jacobi_functional_1d(-0.99, 2.5),
+                                  lambda: moments.chebyshev_functional_1d(3)])
+def test_cold_high_moment_is_finite(make):
+    # the store fills bottom up, so a cold read does not recurse per degree
+    value = make().moment((400,))
+    assert math.isfinite(value) and value != 0.0
+
+
+def test_no_moment_oracle_runs_a_gauss_rule(monkeypatch):
+    rules = [name for name in dir(sp) if name.startswith("roots_")]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a moment oracle ran a Gauss rule")
+
+    for name in rules:
+        monkeypatch.setattr(sp, name, refuse)
+    assert "roots_jacobi" in rules
+    for spec in ["disk:mu=1.5", "simplex:k=0.5,0.5,0.5", "cheb-product:kind=3",
+                 "koornwinder-cheb:kind=4", "cube-jacobi:a=0.5,-0.5,b=0,1",
+                 "laguerre:alpha=1", "laguerre:kappa=0,1", "jacobi:a=1.5,b=-0.25",
+                 "krall-laguerre:alpha=1,a1=1,d=2", "krall-jacobi:alpha=1,beta=0,a1=1,d=2"]:
+        u = moments.parse_functional(spec)
+        for n in range(26):
+            assert np.all(np.isfinite(u.moment_vector(n))), spec
 
 
 @pytest.mark.parametrize("a", [-0.49999999999999994, -0.4999999999999999])
 def test_jacobi_moments_finite_just_above_minus_one_half(a):
-    # scipy's roots_jacobi(n, a, a) divides 0 by 0 for these exponents;
-    # the weight equals the a = b = -1/2 weight to rounding
+    # scipy's Gauss-Jacobi rule divides 0 by 0 at these exponents; the moment
+    # recurrence has no such case, and the weight equals the a = b = -1/2 one to rounding
     u = moments.jacobi_functional_1d(a, a)
     ref = moments.jacobi_functional_1d(-0.5, -0.5)
     for m in range(12):
@@ -320,6 +403,13 @@ def test_parse_functional_strings():
 ])
 def test_parse_functional_rejects_misread_integer_arguments(spec):
     with pytest.raises(moments.ParameterError):
+        moments.parse_functional(spec)
+
+
+@pytest.mark.parametrize("spec, kind", [("koornwinder-cheb:kind=5", 5),
+                                        ("cheb-product:kind=0", 0)])
+def test_parse_functional_rejects_chebyshev_kinds_outside_1_to_4(spec, kind):
+    with pytest.raises(moments.ParameterError, match=f"kind must be 1..4, got {kind}$"):
         moments.parse_functional(spec)
 
 
