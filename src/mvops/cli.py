@@ -8,7 +8,8 @@ from serialized recurrence blocks, and `relate` computes the relation
 blocks between two serialized systems.  Exit codes: 0 all checks pass
 (a report without checks fails), 1 a mathematical check fails, 2 usage
 errors, inadmissible parameters, input files that are unreadable,
-non-finite, misshapen or of degree < 1 (relate), and an unwritable --out.
+non-finite, misshapen, of degree < 1 (relate) or of mismatched dimensions
+(check, relate), and an unwritable --out.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from . import matrixkit as mk
 from . import families, linrel, moments, serialize, ttr
 from .checks import Check, all_pass
-from .construct import QuasiDefiniteFailure, gram_blocks
+from .construct import QuasiDefiniteFailure
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
@@ -227,6 +228,9 @@ def cmd_check(args) -> int:
         T = _load(args.ttr, "three_term")
     except INPUT_ERRORS as exc:
         return _usage_error(exc)
+    if T.d != rel.d:
+        return _usage_error(f"check needs a recurrence and relation of one dimension, "
+                            f"got {T.d} and {rel.d}")
     if args.theorem == 3:
         candidate, partner = linrel.reference_from_combined(T, rel, tol=tol_res)
         label = "reference-orthogonal"
@@ -277,7 +281,7 @@ def cmd_relate(args) -> int:
     if not Q.d == P.d == u.d:
         return _usage_error(f"relate needs systems and functional of one dimension, "
                             f"got {Q.d}, {P.d} and {u.d}")
-    rel = linrel.compute_relation(Q, P, u, gram_blocks(u, P))
+    rel = linrel.compute_relation(Q, P, u)
     report = VerdictReport(command="relate", tol_rank=tol_rank, tol_res=tol_res)
     report.checks.append(Check.residual("fourier-tail", rel.tail, tol_res))
     report.extras["classification"] = linrel.classify_ranks(rel, tol_rank)

@@ -21,7 +21,13 @@ Koornwinder's construction does for the weights rho^(2k+1) w1.
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
 one recurrence per factor (factor_recurrences, which ttr.compute_ttr reads
-too), assembled by tensor_system.  Its Gram blocks
+too), assembled by tensor_system from the per-axis coefficient tables
+(factor_tables).  tensor_system gathers each axis's table rows at nu_i,
+then columns at alpha_i (ndarray.take), and multiplies in place, in axis
+order, bit for bit the products of an np.ix_ gather; axis_tables reads the tables back off a monic
+system and returns them only when tensor_system reproduces the system bit
+for bit, the one test of "tensor system" that linrel.compute_relation's
+tensor route relies on.  A tensor functional's Gram blocks
 are diagonal, H_n = diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read
 from one univariate pairing per factor, and the tensor is quasi-definite
 through degree n exactly when every factor is, so the first factor that
@@ -349,14 +355,23 @@ def factor_recurrences(u: MomentFunctional, N: int,
     return recs
 
 
+def factor_tables(u: MomentFunctional, N: int,
+                  rank_tol: float = mk.DEFAULT_RANK_TOL) -> list[np.ndarray]:
+    """The coefficient table through degree N of each factor's monic system:
+    row k of table i holds the ascending coefficients of p^(i)_k, zero-padded
+    to N + 1 columns.  Their tensor_system is gram_schmidt_monic(u, N)'s
+    system; failures raise as in factor_recurrences."""
+    return [_coefficient_table(rec.monic_coeffs(), N)
+            for rec in factor_recurrences(u, N, rank_tol)]
+
+
 def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySystem, GramBlocks]:
     """gram_schmidt_monic of a tensor functional, from its factors'
     recurrences (module docstring)."""
-    polys = [rec.monic_coeffs() for rec in factor_recurrences(u, N, rank_tol)]
+    tables = factor_tables(u, N, rank_tol)
     norms = []
-    for f, p in zip(u.factors, polys):
+    for f, table in zip(u.factors, tables):
         # h_0..h_N: the diagonal of one pairing of (p_0, ..., p_N) with itself
-        table = _coefficient_table(p, N)
         rows = {k: table[:, k:k + 1] for k in range(N + 1)}
         norms.append(np.diagonal(pair_blocks(f, rows, rows)))
     basis = u.basis
@@ -367,7 +382,7 @@ def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySys
         for i in range(1, u.d):
             values = values * norms[i][exps[:, i]]
         grams.append_diagonal(values)
-    return tensor_system(polys, N, f"mops({u.label})"), grams
+    return tensor_system(tables, N, f"mops({u.label})"), grams
 
 
 def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
@@ -454,25 +469,62 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
     """Products of per-axis univariate families, one row per multi-index.
 
     axis_polys[i][m] holds the ascending coefficients of axis i's degree-m
-    polynomial.  Entry (nu, alpha) of block (n, k) is prod_i t_i[nu_i,
-    alpha_i], t_i the axis's coefficient table: per degree n, one gather
-    per axis over the exponents of degree n and of all degrees 0..n,
-    multiplied in axis order, whose column slices are the blocks.  Adding
-    0.0 turns the -0.0 of vanished terms into 0.0.
+    polynomial (a coefficient table's row m will do).  Entry (nu, alpha) of
+    block (n, k) is prod_i t_i[nu_i, alpha_i], t_i the axis's coefficient
+    table (_tensor_rows).
     """
     d = len(axis_polys)
     basis = basis_for(d)
     tables = [_coefficient_table(polys, N) for polys in axis_polys]
+    blocks = [[full[:, basis.degree_slice(k, k)] for k in range(n + 1)]
+              for n, full in enumerate(_tensor_rows(tables, N))]
+    return _assembled(d, blocks, label)
+
+
+def _tensor_rows(tables: list, N: int):
+    """Per degree n = 0..N, the rows of degree n of the tensor system of the
+    coefficient tables over the columns of all degrees 0..n, whose column
+    slices are its blocks.  One gather per axis, rows nu_i then columns
+    alpha_i, multiplied in place in axis order; adding 0.0 turns the -0.0
+    of vanished terms into 0.0."""
+    d = len(tables)
+    basis = basis_for(d)
     columns = np.vstack([basis.exponents(k) for k in range(N + 1)])
-    blocks = []
     for n in range(N + 1):
         nu, alpha = basis.exponents(n), columns[:basis.offset(n + 1)]
-        full = tables[0][np.ix_(nu[:, 0], alpha[:, 0])]
+        full = tables[0][nu[:, 0]].take(alpha[:, 0], axis=1)
         for i in range(1, d):
-            full = full * tables[i][np.ix_(nu[:, i], alpha[:, i])]
+            full *= tables[i][nu[:, i]].take(alpha[:, i], axis=1)
         full += 0.0
-        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
-    return _assembled(d, blocks, label)
+        yield full
+
+
+def axis_tables(P: PolySystem) -> list[np.ndarray] | None:
+    """The per-axis coefficient tables of a monic tensor system, or None.
+
+    Row k of table i holds the coefficients of the row of k e_i, read at the
+    columns m e_i, m <= k: the axis polynomial q^(i)_k(x_i) when P is the
+    tensor_system of such tables.  They are returned only when P is monic
+    and the tables' tensor system equals every block of P bit for bit
+    (mk.same_bits); the comparison stops at the first degree that differs.
+    """
+    if not P.monic:
+        return None
+    d, N = P.d, P.N
+    basis = basis_for(d)
+    # graded[i, m]: graded position of m e_(i+1)
+    graded = np.array([[basis.offset(m) + basis.position(m * e) for m in range(N + 1)]
+                       for e in np.eye(d, dtype=int)])
+    tables = np.zeros((d, N + 1, N + 1))
+    # degree n of the tensor reads rows 0..n of the tables, so row n is read
+    # off P just before the degree that first needs it
+    rows = _tensor_rows(list(tables), N)
+    for n in range(N + 1):
+        full = np.concatenate(P.blocks[n], axis=1)
+        tables[:, n, :n + 1] = full[graded[:, n:n + 1] - basis.offset(n), graded[:, :n + 1]]
+        if not mk.same_bits(next(rows), full):
+            return None
+    return list(tables)
 
 
 def _assembled(d: int, blocks: list, label: str) -> PolySystem:

@@ -410,7 +410,7 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
     # closed-form relation blocks in the shared product basis
     rel = _closed_form(bundle, Q, P, 1,
                        lambda nu: -nu[0] / (2.0 * sum(nu) + 2.0 * mu + 2.0), res_tol)
-    computed = compute_relation(Q, P, u, gram_blocks(u, P))
+    computed = compute_relation(Q, P, u)
     _matches_display(bundle, computed, rel, res_tol)
     bundle.extras["relation"] = computed
     _cross_checks(bundle, Q, P, u, v, LinearPoly((-1.0, 0.0), 1.0), res_tol, rank_tol)

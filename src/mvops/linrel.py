@@ -11,6 +11,16 @@ L_{n-1,i}^t tying relation, Gram and shift blocks together, and implements
 the two inverse-problem validators: given the recurrence of one orthogonal
 side, build the candidate recurrence of the other side and decide its
 orthogonality from compatibility residuals and rank conditions.
+
+The expansion takes one of two routes.  A pair of monic tensor systems, P
+the monic system of a tensor functional u and Q a product of univariate
+monic families, expands axis by axis: each q^(i)_k is p^(i)_k plus a
+combination of lower p^(i)_m, and the coefficients of every Q_n against
+every P_k are the tensor product of those per-axis expansions.  For two
+weights with u = (1 - x_j) v, M_n then holds one nonzero per row, at
+(nu, nu - e_j), and every other entry is exactly 0.0 (Dunkl and Xu,
+Orthogonal Polynomials of Several Variables, 2014, ch. 3).  Every other
+pair is paired in d variables against the functional's moments.
 """
 
 from __future__ import annotations
@@ -23,7 +33,9 @@ from . import matrixkit as mk
 from .checks import Check, all_pass
 # inner_block is not called here; perfbench's tracer test expects it among
 # this module's names
-from .construct import GramBlocks, PolySystem, inner_block, pair_systems  # noqa: F401
+from .construct import (GramBlocks, PolySystem, QuasiDefiniteFailure, axis_tables,  # noqa: F401
+                        factor_tables, gram_blocks, inner_block, pair_blocks, pair_systems,
+                        tensor_system)
 from .indexing import basis_for
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import LinearPoly, MomentFunctional, left_multiply
@@ -51,25 +63,34 @@ class LinearRelation:
 
 
 def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
-                     H: GramBlocks) -> LinearRelation:
+                     H: GramBlocks | None = None) -> LinearRelation:
     """Fourier coefficients of Q against the u-orthogonal system P.
 
     Requires matching leading coefficient blocks, so each difference
     Q_n - P_n has lower degree and expands over P_0..P_{n-1}.  The block
     against P_{n-1} is M_n; the reported tail is the largest coefficient
-    against any P_j with j <= n-2, relative to the coefficient scale, and
-    certifies the two-term relation when it is negligible.  Leading blocks
-    may differ by 1e-8 relative to the coefficient scale.  One
-    pair_systems(u, Q, P) through degrees N and N - 1 holds every pairing,
-    and one solve per degree j gives the coefficients of all Q_n, n > j,
-    against P_j.
+    against any P_j with j <= n-2, relative to the coefficient scale (the
+    largest coefficient of Q, at least 1), and certifies the two-term
+    relation when it is negligible.  Leading blocks may differ by 1e-8
+    relative to the coefficient scale.  Two routes (module docstring):
+
+    - Tensor route, when u has `factors`, P is bit for bit
+      gram_schmidt_monic(u, P.N)'s system and Q is a monic tensor system
+      (construct.axis_tables).  Per axis, C_i = I + tril(F_i, -1), F_i the
+      coefficients of q^(i)_k - p^(i)_k against p^(i)_m under u.factors[i],
+      from one univariate pair_blocks divided by the factor's Gram
+      diagonal; an axis whose tables agree bit for bit gives C_i = I
+      exactly.  tensor_system(C_1..C_d) holds the coefficients of every Q_n
+      against every P_k.  H is not read.
+    - Pairing route, every other input: one pair_systems(u, Q, P) through
+      degrees N and N - 1 holds every pairing, and one solve per degree j
+      against H_j gives the coefficients of all Q_n, n > j, against P_j.
+      H defaults to gram_blocks(u, P).
     """
     if Q.d != P.d:
         raise ValueError("systems must share the dimension")
     N = min(Q.N, P.N)
-    scale = max(
-        max(mk.max_abs(Q.block(n, k)) for n in range(N + 1) for k in range(n + 1)), 1.0
-    )
+    scale = max(max(mk.max_abs(np.concatenate(Q.blocks[n], axis=1)) for n in range(N + 1)), 1.0)
     for n in range(N + 1):
         gap = mk.max_abs(Q.leading(n) - P.leading(n))
         if gap > 1e-8 * scale:
@@ -77,6 +98,17 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                 f"leading coefficients differ at degree {n} (gap {gap:.3e}); "
                 "convert both systems to a common leading normalization first"
             )
+    label = f"{Q.label} vs {P.label}"
+    expansions = _axis_expansions(Q, P, u, N)
+    if expansions is not None:
+        coef = tensor_system(expansions, N, label)
+        M = [None] + [coef.block(n, n - 1) for n in range(1, N + 1)]
+        # blocks (n, 0..n-2) lie side by side
+        tail = mk.worst(mk.max_abs(np.concatenate(coef.blocks[n][:n - 1], axis=1))
+                        for n in range(2, N + 1))
+        return LinearRelation(Q.d, M, tail=tail / scale, label=label)
+    if H is None:
+        H = gram_blocks(u, P)
     basis = basis_for(Q.d)
     M: list = [None] * (N + 1)
     tails = []
@@ -87,7 +119,42 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
         coef = H.solve_right(j, G[basis.degree_slice(j + 1, N), basis.degree_slice(j, j)])
         M[j + 1] = coef[:basis.size(j + 1)]
         tails.append(mk.max_abs(coef[basis.size(j + 1):]) / scale)
-    return LinearRelation(Q.d, M, tail=mk.worst(tails), label=f"{Q.label} vs {P.label}")
+    return LinearRelation(Q.d, M, tail=mk.worst(tails), label=label)
+
+
+def _axis_expansions(Q: PolySystem, P: PolySystem, u: MomentFunctional,
+                     N: int) -> list | None:
+    """C_1..C_d of compute_relation's tensor route through degree N, or None
+    when the pair takes the pairing route."""
+    if not hasattr(u, "factors") or u.d != P.d:
+        return None
+    tp = axis_tables(P)
+    if tp is None:
+        return None
+    try:
+        own = factor_tables(u, P.N)
+    except QuasiDefiniteFailure:
+        return None
+    # tensor_system adds 0.0, so a -0.0 of the factor tables reads as 0.0 in P
+    if not all(mk.same_bits(t, w + 0.0) for t, w in zip(tp, own)):
+        return None
+    tq = axis_tables(Q)
+    if tq is None:
+        return None
+    expansions = []
+    for f, p, q in zip(u.factors, tp, tq):
+        p, q = p[:N + 1, :N + 1], q[:N + 1, :N + 1]
+        if mk.same_bits(p, q):
+            expansions.append(np.eye(N + 1))
+            continue
+        # rows 0..N: <f, (q_k - p_k) p_m>; rows N+1..2N+1: <f, p_k p_m>,
+        # whose diagonal is the factor's Gram diagonal h_m
+        side = np.vstack([q - p, p])
+        s = pair_blocks(f, {k: side[:, k:k + 1] for k in range(N + 1)},
+                        {k: p[:, k:k + 1] for k in range(N + 1)})
+        fourier = s[:N + 1] / np.diagonal(s[N + 1:])
+        expansions.append(np.eye(N + 1) + np.tril(fourier, -1))
+    return expansions
 
 
 def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation,

@@ -677,3 +677,24 @@ def test_generate_above_the_reachable_degree_exits_2(envelopes, capsys):
         payload.pop("seconds")
         reports.append(payload)
     assert reports[0] == reports[1] and len(reports[0]["checks"]) == reachable
+
+
+@pytest.mark.parametrize("command", ["check-3", "check-4"])
+def test_check_refuses_a_recurrence_and_relation_of_two_dimensions(envelopes, command,
+                                                                    tmp_path, capsys):
+    v = moments.cube_jacobi_functional((0.0, 0.5, 0.0), (0.0, 0.0, 0.5))
+    u = moments.cube_jacobi_functional((1.0, 0.5, 0.0), (0.0, 0.0, 0.5))
+    rel = linrel.compute_relation(gram_schmidt_monic(v, 3)[0], gram_schmidt_monic(u, 3)[0], u)
+    path = tmp_path / "rel-d3.json"
+    path.write_text(serialize.relation_to_json(rel))
+    code, out, err = run_cli(_argv(envelopes, command, {"rel": str(path)}), capsys)
+    assert code == 2 and out == "" and _one_error_line(err)
+    assert "of one dimension, got 2 and 3" in err
+
+
+def test_relate_on_tensor_envelopes_returns_the_in_process_relation(envelopes, tmp_path,
+                                                                    capsys):
+    out = tmp_path / "rel.json"
+    code, _, _ = run_cli(_argv(envelopes, "relate") + ["--out", str(out)], capsys)
+    # texts["rel"] is compute_relation on the fixture's systems, written once
+    assert code == 0 and out.read_text() == envelopes["texts"]["rel"]

@@ -701,6 +701,56 @@ def test_tensor_system_equals_the_outer_product_assembly(degrees):
             assert got.block(n, k).tobytes() == want.block(n, k).tobytes()
 
 
+def _ix_tensor_blocks(tables, N):
+    """tensor_system's blocks by the np.ix_ gather and out-of-place products."""
+    d = len(tables)
+    basis = basis_for(d)
+    columns = np.vstack([basis.exponents(k) for k in range(N + 1)])
+    blocks = []
+    for n in range(N + 1):
+        nu, alpha = basis.exponents(n), columns[:basis.offset(n + 1)]
+        full = tables[0][np.ix_(nu[:, 0], alpha[:, 0])]
+        for i in range(1, d):
+            full = full * tables[i][np.ix_(nu[:, i], alpha[:, i])]
+        full += 0.0
+        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
+    return blocks
+
+
+@given(d=st.integers(1, 4), N=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_tensor_system_take_gather_equals_the_ix_gather_bit_for_bit(d, N, seed):
+    rng = np.random.default_rng(seed)
+    # signed entries with exact zeros, so products make -0.0 before the final + 0.0
+    tables = [np.tril(rng.standard_normal((N + 1, N + 1))
+                      * rng.integers(0, 2, (N + 1, N + 1))) for _ in range(d)]
+    got = construct.tensor_system(tables, N, "take")
+    for grow, wrow in zip(got.blocks, _ix_tensor_blocks(tables, N)):
+        assert all(mk.same_bits(g, w) for g, w in zip(grow, wrow))
+
+
+def test_axis_tables_read_back_the_factor_tables_of_a_tensor_monic_system():
+    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
+    P, _ = gram_schmidt_monic(u, 5)
+    got = construct.axis_tables(P)
+    want = construct.factor_tables(u, 5)
+    # tensor_system adds 0.0, so the read-back tables hold no -0.0
+    assert got is not None and all(mk.same_bits(g, w + 0.0) for g, w in zip(got, want))
+
+
+def test_axis_tables_refuse_systems_that_are_no_tensor_product():
+    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    P, _ = gram_schmidt_monic(u, 4)
+    assert construct.axis_tables(gram_schmidt_monic(moments.disk_functional(0.5), 4)[0]) is None
+    # a product that is not monic
+    scaled = construct.tensor_system([2.0 * t for t in construct.factor_tables(u, 4)], 4, "x2")
+    assert not scaled.monic and construct.axis_tables(scaled) is None
+    # one mixed entry moved by one ulp: still monic, no longer a product
+    blocks = [[g.copy() for g in row] for row in P.blocks]
+    blocks[4][2][1, 1] = np.nextafter(blocks[4][2][1, 1], np.inf)
+    assert construct.axis_tables(construct.PolySystem(2, blocks, monic=True)) is None
+
+
 # -- whole-system pairing -----------------------------------------------------
 
 

@@ -1,11 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvops import linrel, matrixkit as mk, moments
+from mvops import construct, linrel, matrixkit as mk, moments
 from mvops.construct import GramBlocks, RhoMap, gram_schmidt_monic, inner_block, \
     koornwinder_system
+from mvops.indexing import basis_for
 from mvops.linrel import (LinearRelation, classify_ranks, combined_from_reference,
                           compute_relation, counterexample,
                           functional_match_residual, recover_lambda,
@@ -327,3 +330,81 @@ def test_compute_relation_pairs_once(monkeypatch, disk_pair):
     monkeypatch.setattr(construct, "pair_blocks", counted)
     rel = compute_relation(Q, P, u, H)
     assert len(calls) == 1 and rel.N == N
+
+
+# -- the tensor route ----------------------------------------------------------
+
+_JACOBI_EXPONENTS = (-0.5, 0.0, 0.5, 1.0)
+
+
+def _tensor_pair(a, b, raise_axes, N):
+    """Monic systems of v = cube_jacobi(a, b) and u = prod_(j in raise_axes) (1 - x_j) v."""
+    a2 = tuple(x + 1.0 if i in raise_axes else x for i, x in enumerate(a))
+    v = moments.cube_jacobi_functional(a, b)
+    u = moments.cube_jacobi_functional(a2, b)
+    Q, _ = gram_schmidt_monic(v, N)
+    P, H = gram_schmidt_monic(u, N)
+    return Q, P, u, H
+
+
+@given(data=st.data(), d=st.integers(2, 4), N=st.integers(1, 8), raised=st.integers(1, 2))
+@settings(max_examples=20, deadline=None)
+def test_tensor_route_matches_the_paired_expansion(data, d, N, raised):
+    a = tuple(data.draw(st.sampled_from(_JACOBI_EXPONENTS)) for _ in range(d))
+    b = tuple(data.draw(st.sampled_from(_JACOBI_EXPONENTS)) for _ in range(d))
+    axes = data.draw(st.lists(st.integers(0, d - 1), min_size=raised, max_size=raised,
+                              unique=True))
+    Q, P, u, H = _tensor_pair(a, b, axes, N)
+    with mock.patch.object(linrel, "pair_systems", side_effect=AssertionError("paired")):
+        rel = compute_relation(Q, P, u)
+    M, tail = _relation_per_block(Q, P, u, H)
+    scale = max(mk.max_abs(m) for m in M[1:])
+    for n in range(1, N + 1):
+        assert rel.m(n).shape == M[n].shape
+        assert mk.max_abs(rel.m(n) - M[n]) <= 1e-10 * scale
+    assert abs(rel.tail - tail) <= 1e-10
+
+
+@pytest.mark.parametrize("d, N, j", [(2, 8, 1), (2, 8, 2), (3, 6, 2), (4, 5, 4)])
+def test_one_raised_axis_gives_exact_zeros_off_nu_minus_e_j(d, N, j):
+    a = tuple(_JACOBI_EXPONENTS[i % 4] for i in range(d))
+    b = tuple(_JACOBI_EXPONENTS[(i + 1) % 4] for i in range(d))
+    Q, P, u, _ = _tensor_pair(a, b, [j - 1], N)
+    rel = compute_relation(Q, P, u)
+    basis = basis_for(d)
+    for n in rel.available():
+        # row alpha + e_j, column alpha: the entries at (nu, nu - e_j)
+        rows, cols = basis.shift_index(n - 1, j), np.arange(basis.size(n - 1))
+        assert np.all(rel.m(n)[rows, cols] != 0.0)
+        off = rel.m(n).copy()
+        off[rows, cols] = 0.0
+        assert mk.same_bits(off, np.zeros_like(off))
+    assert classify_ranks(rel) == "full"
+
+
+def _without_tensor_route(Q, P, u, H):
+    with mock.patch.object(linrel, "_axis_expansions", return_value=None):
+        return compute_relation(Q, P, u, H)
+
+
+@pytest.mark.parametrize("side", ["Q", "P"])
+def test_a_one_ulp_change_falls_back_to_the_pairing_route(side):
+    Q, P, u, H = _tensor_pair((0.5, 0.0, -0.5), (0.0, 0.5, 0.0), [1], 4)
+    system = Q if side == "Q" else P
+    blocks = [[g.copy() for g in row] for row in system.blocks]
+    blocks[3][1][2, 0] = np.nextafter(blocks[3][1][2, 0], np.inf)
+    moved = linrel.PolySystem(3, blocks, monic=True)
+    Q, P = (moved, P) if side == "Q" else (Q, moved)
+    got = compute_relation(Q, P, u, H)
+    want = _without_tensor_route(Q, P, u, H)
+    assert all(mk.same_bits(g, w) for g, w in zip(got.M[1:], want.M[1:]))
+    assert got.tail == want.tail
+    assert np.count_nonzero(got.m(4)) > basis_for(3).size(3)
+
+
+def test_pairing_route_builds_the_gram_blocks_it_is_not_given(disk_pair):
+    _, _, Q, P, u, _ = disk_pair
+    got = compute_relation(Q, P, u)
+    want = compute_relation(Q, P, u, construct.gram_blocks(u, P))
+    assert all(mk.same_bits(g, w) for g, w in zip(got.M[1:], want.M[1:]))
+    assert got.tail == want.tail
