@@ -24,10 +24,13 @@ one recurrence per factor (factor_recurrences, which ttr.compute_ttr reads
 too), assembled by tensor_system from the per-axis coefficient tables
 (factor_tables).  tensor_system gathers each axis's table rows at nu_i,
 then columns at alpha_i (ndarray.take), and multiplies in place, in axis
-order, bit for bit the products of an np.ix_ gather; axis_tables reads the tables back off a monic
+order, bit for bit the products of an np.ix_ gather.  Its blocks are
+read-only, and a monic result carries its tables.  axis_tables is the one
+test of "tensor system" that linrel.compute_relation's tensor route relies
+on: it returns the carried tables while the system still holds the blocks
+they were built into, and otherwise reads the tables back off a monic
 system and returns them only when tensor_system reproduces the system bit
-for bit, the one test of "tensor system" that linrel.compute_relation's
-tensor route relies on.  A tensor functional's Gram blocks
+for bit.  A tensor functional's Gram blocks
 are diagonal, H_n = diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read
 from one univariate pairing per factor, and the tensor is quasi-definite
 through degree n exactly when every factor is, so the first factor that
@@ -70,13 +73,20 @@ class NotPositiveDefiniteError(Exception):
 
 
 class PolySystem:
-    """Graded coefficient blocks of a polynomial system."""
+    """Graded coefficient blocks of a polynomial system.
+
+    A monic system built by tensor_system also carries its per-axis
+    coefficient tables with the read-only blocks they were built into
+    (`_tensor`); axis_tables trusts them only while those very blocks are
+    in place.
+    """
 
     def __init__(self, d: int, blocks, monic: bool, label: str = ""):
         self.d = d
         self.blocks = [[np.asarray(g, dtype=float) for g in row] for row in blocks]
         self.monic = monic
         self.label = label
+        self._tensor: tuple | None = None
 
     @property
     def N(self) -> int:
@@ -471,14 +481,27 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
     axis_polys[i][m] holds the ascending coefficients of axis i's degree-m
     polynomial (a coefficient table's row m will do).  Entry (nu, alpha) of
     block (n, k) is prod_i t_i[nu_i, alpha_i], t_i the axis's coefficient
-    table (_tensor_rows).
+    table (_tensor_rows).  Each degree's blocks are views of one read-only
+    array.  When the system is monic and every table is finite, lower
+    triangular and starts with t_i[0, 0] = 1, the system carries the
+    tables t_i + 0.0, read-only: exactly what axis_tables would read back
+    off its blocks and prove.
     """
     d = len(axis_polys)
     basis = basis_for(d)
     tables = [_coefficient_table(polys, N) for polys in axis_polys]
-    blocks = [[full[:, basis.degree_slice(k, k)] for k in range(n + 1)]
-              for n, full in enumerate(_tensor_rows(tables, N))]
-    return _assembled(d, blocks, label)
+    blocks = []
+    for n, full in enumerate(_tensor_rows(tables, N)):
+        full.flags.writeable = False
+        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
+    P = _assembled(d, blocks, label)
+    if P.monic and all(np.isfinite(t).all() and t[0, 0] == 1.0 and not np.triu(t, 1).any()
+                       for t in tables):
+        for t in tables:
+            t += 0.0
+            t.flags.writeable = False
+        P._tensor = (tables, tuple(map(tuple, P.blocks)))
+    return P
 
 
 def _tensor_rows(tables: list, N: int):
@@ -504,12 +527,18 @@ def axis_tables(P: PolySystem) -> list[np.ndarray] | None:
 
     Row k of table i holds the coefficients of the row of k e_i, read at the
     columns m e_i, m <= k: the axis polynomial q^(i)_k(x_i) when P is the
-    tensor_system of such tables.  They are returned only when P is monic
-    and the tables' tensor system equals every block of P bit for bit
-    (mk.same_bits); the comparison stops at the first degree that differs.
+    tensor_system of such tables.  A system that carries its tables from
+    tensor_system, with every block still the read-only array it was built
+    into, returns them (read-only) with no further test.  Any other monic
+    system (deserialized, copied, or from to_monic) has the tables read off
+    its blocks and returned only when their tensor system equals every
+    block bit for bit (mk.same_bits); the comparison stops at the first
+    degree that differs.
     """
     if not P.monic:
         return None
+    if P._tensor is not None and _built_blocks(P, P._tensor[1]):
+        return list(P._tensor[0])
     d, N = P.d, P.N
     basis = basis_for(d)
     # graded[i, m]: graded position of m e_(i+1)
@@ -525,6 +554,14 @@ def axis_tables(P: PolySystem) -> list[np.ndarray] | None:
         if not mk.same_bits(next(rows), full):
             return None
     return list(tables)
+
+
+def _built_blocks(P: PolySystem, built: tuple) -> bool:
+    """True when P holds exactly the blocks `built`, still read-only: no
+    block was rebound, and none can have been written into."""
+    return len(P.blocks) == len(built) and all(
+        len(row) == len(ref) and all(g is h and not g.flags.writeable for g, h in zip(row, ref))
+        for row, ref in zip(P.blocks, built))
 
 
 def _assembled(d: int, blocks: list, label: str) -> PolySystem:

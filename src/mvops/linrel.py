@@ -102,7 +102,8 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
     expansions = _axis_expansions(Q, P, u, N)
     if expansions is not None:
         coef = tensor_system(expansions, N, label)
-        M = [None] + [coef.block(n, n - 1) for n in range(1, N + 1)]
+        # copies: tensor_system's blocks are read-only views of whole degrees
+        M = [None] + [coef.block(n, n - 1).copy() for n in range(1, N + 1)]
         # blocks (n, 0..n-2) lie side by side
         tail = mk.worst(mk.max_abs(np.concatenate(coef.blocks[n][:n - 1], axis=1))
                         for n in range(2, N + 1))
@@ -125,7 +126,9 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
 def _axis_expansions(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                      N: int) -> list | None:
     """C_1..C_d of compute_relation's tensor route through degree N, or None
-    when the pair takes the pairing route."""
+    when the pair takes the pairing route.  P is tied to u by comparing its
+    axis tables with factor_tables(u): tables a system carries from
+    tensor_system cost no rebuild (construct.axis_tables)."""
     if not hasattr(u, "factors") or u.d != P.d:
         return None
     tp = axis_tables(P)

@@ -2,7 +2,10 @@
 
 Thin wrappers around numpy's LAPACK bindings that add the shape and
 singularity checks the rest of the package relies on, plus the plain-text
-matrix format used by the command line tools.
+matrix format used by the command line tools.  Matrices with at most one
+nonzero per line (shift blocks, diagonal and one-per-row recurrence blocks
+of tensor systems) are recognised from their entries: singular_values reads
+them with no SVD, and product multiplies by one with a row gather.
 """
 
 from __future__ import annotations
@@ -94,6 +97,44 @@ def _line_norms(m: np.ndarray, axis: int) -> np.ndarray:
     exp = math.frexp(top)[1]
     w = np.ldexp(m, -exp)
     return np.ldexp(np.sqrt(np.einsum("ij,ij->i" if axis == 1 else "ij,ij->j", w, w)), exp)
+
+
+def product(s, x, split=()) -> np.ndarray:
+    """s @ x + 0.0, with a dense product taken per column block of x.
+
+    When every row of s holds at most one nonzero (NaN counts as one) and
+    x is finite, each row of the product is one row of x times that
+    nonzero: a row gather with no sum, which is the dense product's value
+    exactly, since its other terms are zeros.  Otherwise (some row holds
+    two nonzeros, or x holds a non-finite entry, where 0 * inf makes the
+    dense product NaN) s multiplies each column block of x, split at the
+    column positions `split` (np.split) and copied to a contiguous array,
+    so that the result is bit for bit the products of those blocks held
+    apart, side by side: BLAS may round a wide product otherwise than its
+    pieces, and a strided block otherwise than a contiguous one.  Adding
+    0.0 turns a -0.0 into 0.0, the one difference the two routes could
+    show.
+    """
+    s, x = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
+    if s.ndim != 2 or x.ndim != 2 or s.shape[1] != x.shape[0]:
+        raise ShapeMismatchError(f"cannot multiply {s.shape} by {x.shape}")
+    if s.shape[1]:
+        nonzero = s != 0.0
+        # each row's first nonzero, or 0.0 for an empty row: s holds one
+        # nonzero per row at most when these are all of its nonzeros
+        cols = nonzero.argmax(axis=1)
+        first = s[np.arange(s.shape[0]), cols]
+        if np.count_nonzero(first) == np.count_nonzero(nonzero) and np.isfinite(x).all():
+            out = x.take(cols, axis=0)
+            out *= first[:, None]
+            out += 0.0
+            return out
+    if len(split):
+        out = np.hstack([s @ np.ascontiguousarray(part) for part in np.split(x, split, axis=1)])
+    else:
+        out = s @ x
+    out += 0.0
+    return out
 
 
 def solve(a, b) -> np.ndarray:

@@ -13,7 +13,9 @@ for the monic system of a tensor functional, whose B and C blocks are read
 off its factors' univariate recurrences: B_{n,i} is diagonal and C_{n,i}
 has one nonzero per row, with every other entry exactly 0.0.  Such blocks,
 like the shift matrices A of every monic system, hold at most one nonzero
-per line, so their rank checks need no SVD (matrixkit.singular_values).
+per line, so their rank checks need no SVD (matrixkit.singular_values) and
+their products are row gathers (matrixkit.product), in the reconstruction
+residual and in forward generation alike.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
       (side(P_n) M[rows of alpha + e_i]) side(P_m)^t, the association
       pair_blocks uses, and the d pairings are solved as one stack.
 
-    The reconstruction residual over all degrees below the top one is
+    The reconstruction residual over all degrees below the top one, with B
+    and C applied by mk.product (a row gather for tensor blocks), is
     checked against DEFAULT_RES_TOL times the coefficient scale; a
     violation means the input was not orthogonal for the functional.  On
     the tensor route that check is what ties P to u.
@@ -109,9 +112,7 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
     d, N = P.d, P.N
     sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(N + 1)]
     # graded positions of alpha + e_i, alpha over degrees 0..n
-    shifted = [[np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i)
-                                for k in range(n + 1)]) for i in range(1, d + 1)]
-               for n in range(N + 1)]
+    shifted = [[_shifted(basis, n + 1, i) for i in range(1, d + 1)] for n in range(N + 1)]
     if P.monic and hasattr(u, "factors"):
         B, C = _tensor_blocks(u, N)
     else:
@@ -138,9 +139,9 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
             else:
                 resid = -(A[n][i] @ sides[n + 1])
             resid[:, rows] += sides[n]
-            resid[:, :basis.offset(n + 1)] -= B[n][i] @ sides[n]
+            resid[:, :basis.offset(n + 1)] -= mk.product(B[n][i], sides[n])
             if n >= 1:
-                resid[:, :basis.offset(n)] -= C[n][i] @ sides[n - 1]
+                resid[:, :basis.offset(n)] -= mk.product(C[n][i], sides[n - 1])
             residuals.append(mk.max_abs(resid) / scale)
     worst = mk.worst(residuals)
     if not worst <= DEFAULT_RES_TOL:
@@ -218,19 +219,26 @@ def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: list) -> tuple[np.ndarray
 def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySystem, np.ndarray]:
     """Regenerate the monic system degree by degree from recurrence blocks.
 
-    Each step solves the stacked overdetermined system J P_{n+1} =
-    stack_i(x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1}), J = joint(L_n), by
-    closed-form least squares on the joint shift, whose normal matrix is
-    diagonal: every row of J holds one 1, so J^t J = diag(c) with c_beta =
-    #{i : beta_i > 0}, and the solution diag(1/c) J^t rhs averages the
-    equations that reach each degree-(n+1) monomial.  Compatible data reproduce the
-    unique solution and the returned per-degree residuals max|J g - rhs|
-    are zero up to roundoff.  Incompatible blocks show up as nonzero
-    residuals rather than an exception.  Every A block used must be
-    basis.shift_matrix(n, i) bit for bit; anything else raises ValueError.
+    Each degree is one step: per direction i, the right-hand side x_i P_n -
+    B_{n,i} P_n - C_{n,i} P_{n-1} over the columns of degrees 0..n side by
+    side, with B and C applied by mk.product (a row gather for the diagonal
+    and one-per-row blocks of tensor recurrences, one dense product per
+    column block otherwise), then one solve of the stacked overdetermined
+    system J P_{n+1} = stack_i(rhs_i), J = joint(L_n), by closed-form least
+    squares on the joint shift (joint_shift_lstsq).  Every row of J holds
+    one 1, so J^t J = diag(c) with c_beta = #{i : beta_i > 0}, and the
+    solution diag(1/c) J^t rhs averages the equations that reach each
+    degree-(n+1) monomial.  Compatible data reproduce the unique solution
+    and the returned per-degree residuals max|J g - rhs| are zero up to
+    roundoff.  Incompatible blocks show up as nonzero residuals rather than
+    an exception, a non-finite block as NaN residuals from its degree on.
+    Every A block used must be basis.shift_matrix(n, i) bit for bit;
+    anything else raises ValueError, as does a negative N.
     """
     d = T.d
     basis = basis_for(d)
+    if N is not None and N < 0:
+        raise ValueError(f"degree bound must be >= 0, got {N}")
     N = T.reachable_degree if N is None else min(N, T.reachable_degree)
     # exact, as for the envelope writer's "shift" marker: the steps use the
     # shift itself, so a block that only came close would be ignored
@@ -238,29 +246,33 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
                for n in range(min(N, len(T.A))) for i in range(1, d + 1)):
         raise ValueError("forward generation requires structural (monic) A blocks")
 
-    blocks: list[list[np.ndarray]] = [[np.eye(1)]]
+    # rows[n]: degree n's blocks side by side, over the columns of degrees
+    # 0..n; a dense B or C multiplies them block by block (mk.product)
+    rows = [np.eye(1)]
+    cuts = [basis.offset(k) for k in range(1, N + 1)]
     residuals = np.zeros(N)
     for n in range(N):
-        row, defects = [], []
-        for k in range(n + 1):
-            # rhs_i = block k of x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1}
-            rhs = []
-            for i in range(1, d + 1):
-                r = -(T.b(n, i) @ blocks[n][k])
-                if k >= 1:
-                    r[:, basis.shift_index(k - 1, i)] += blocks[n][k - 1]
-                if k < n:
-                    r -= T.c(n, i) @ blocks[n - 1][k]
-                rhs.append(r)
-            g, defect = joint_shift_lstsq(basis, n, rhs)
-            row.append(g)
-            defects.append(defect)
-        # the top rhs block is L_(n,i) itself (the shift of P_n's identity
-        # leading block), so the identity solves it with zero defect
-        row.append(np.eye(basis.size(n + 1)))
-        residuals[n] = mk.worst(defects)
-        blocks.append(row)
+        low = basis.offset(n)
+        rhs = []
+        for i in range(1, d + 1):
+            r = -mk.product(T.b(n, i), rows[n], cuts[:n])
+            # x_i P_n: the blocks of degrees 0..n-1 move to alpha + e_i; the
+            # top block's shift L_(n,i) is the identity's, which solves it
+            # with zero defect
+            r[:, _shifted(basis, n, i)] += rows[n][:, :low]
+            if n >= 1:
+                r[:, :low] -= mk.product(T.c(n, i), rows[n - 1], cuts[:n - 1])
+            rhs.append(r)
+        g, residuals[n] = joint_shift_lstsq(basis, n, rhs)
+        rows.append(np.hstack([g, np.eye(basis.size(n + 1))]))
+    blocks = [np.split(row, cuts[:n], axis=1) for n, row in enumerate(rows)]
     return PolySystem(d, blocks, monic=True, label="generated"), residuals
+
+
+def _shifted(basis: GradedBasis, n: int, i: int) -> np.ndarray:
+    """Graded positions of alpha + e_i for alpha over degrees 0..n-1."""
+    return np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i) for k in range(n)]
+                          or [np.zeros(0, dtype=int)])
 
 
 @dataclass

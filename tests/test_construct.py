@@ -1,4 +1,6 @@
+import copy
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -749,6 +751,84 @@ def test_axis_tables_refuse_systems_that_are_no_tensor_product():
     blocks = [[g.copy() for g in row] for row in P.blocks]
     blocks[4][2][1, 1] = np.nextafter(blocks[4][2][1, 1], np.inf)
     assert construct.axis_tables(construct.PolySystem(2, blocks, monic=True)) is None
+
+
+def _copied(P):
+    """P's blocks as fresh writable copies: a system without carried tables."""
+    return construct.PolySystem(P.d, [[g.copy() for g in row] for row in P.blocks], P.monic)
+
+
+def test_tensor_system_blocks_are_read_only():
+    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
+    P, _ = gram_schmidt_monic(u, 4)
+    for row in P.blocks:
+        for g in row:
+            assert not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        P.blocks[3][1] *= 2.0
+    assert all(not t.flags.writeable for t in construct.axis_tables(P))
+
+
+@given(d=st.integers(1, 4), N=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_carried_tables_are_what_the_read_back_proves(d, N, seed):
+    rng = np.random.default_rng(seed)
+    # monic lower-triangular tables with exact and signed zeros below the diagonal
+    tables = [np.tril(rng.standard_normal((N + 1, N + 1))
+                      * rng.integers(0, 2, (N + 1, N + 1)) * np.sign(rng.random() - 0.5), -1)
+              + np.eye(N + 1) for _ in range(d)]
+    P = construct.tensor_system(tables, N, "t")
+    assert P.monic and P._tensor is not None
+    with mock.patch.object(construct, "_tensor_rows", side_effect=AssertionError("rebuilt")):
+        carried = construct.axis_tables(P)
+    read = construct.axis_tables(_copied(P))
+    assert read is not None
+    assert all(mk.same_bits(c, r) for c, r in zip(carried, read))
+    assert all(mk.same_bits(c, t + 0.0) for c, t in zip(carried, tables))
+
+
+def test_only_tables_the_read_back_would_prove_are_carried():
+    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    tables = construct.factor_tables(u, 3)
+    # t[0, 0] = 2 on one axis and 1/2 on the other: monic, but the read-back
+    # of axis 0 is t_0 / 2
+    halved = [tables[0] * 2.0, tables[1] * 0.5]
+    P = construct.tensor_system(halved, 3, "halved")
+    assert P.monic and P._tensor is None
+    got = construct.axis_tables(P)
+    assert got is None or not mk.same_bits(got[0], halved[0])
+    # in one variable the entries above the diagonal are never read: the
+    # read-back gives the lower triangle
+    upper = [tables[0] + np.triu(np.ones((4, 4)), 1)]
+    P = construct.tensor_system(upper, 3, "upper")
+    assert P.monic and P._tensor is None
+    assert mk.same_bits(construct.axis_tables(P)[0], np.tril(upper[0]) + 0.0)
+
+
+def test_rebound_or_copied_blocks_fall_back_to_the_read_back():
+    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
+    P, _ = gram_schmidt_monic(u, 4)
+    want = construct.axis_tables(P)
+    # a deep copy holds writable blocks: read back, and proved
+    deep = copy.deepcopy(P)
+    assert all(g.flags.writeable for row in deep.blocks for g in row)
+    with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rebuild:
+        got = construct.axis_tables(deep)
+    assert rebuild.called and all(mk.same_bits(g, w) for g, w in zip(got, want))
+    # a rebound block, even one of the same values, is not trusted; a moved
+    # one is refused
+    P.blocks[3][1] = P.blocks[3][1].copy()
+    with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rebuild:
+        assert all(mk.same_bits(g, w) for g, w in zip(construct.axis_tables(P), want))
+    assert rebuild.called
+    P.blocks[3][1][2, 0] = np.nextafter(P.blocks[3][1][2, 0], np.inf)
+    assert construct.axis_tables(P) is None
+    # a system cut to fewer degrees is read back too
+    P, _ = gram_schmidt_monic(u, 4)
+    P.blocks = P.blocks[:3]
+    assert len(construct.axis_tables(P)) == 3 and construct.axis_tables(P)[0].shape == (3, 3)
 
 
 # -- whole-system pairing -----------------------------------------------------

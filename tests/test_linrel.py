@@ -382,6 +382,29 @@ def test_one_raised_axis_gives_exact_zeros_off_nu_minus_e_j(d, N, j):
     assert classify_ranks(rel) == "full"
 
 
+def _copied(P):
+    """P's blocks as fresh writable copies: a system without carried tables."""
+    return linrel.PolySystem(P.d, [[g.copy() for g in row] for row in P.blocks], P.monic)
+
+
+@pytest.mark.parametrize("d, N, raise_axes", [(2, 8, [0]), (3, 6, [2]), (4, 5, [1, 3]),
+                                              (2, 6, [])])
+def test_carried_and_read_back_tables_give_the_same_relation(d, N, raise_axes):
+    a = tuple(_JACOBI_EXPONENTS[i % 4] for i in range(d))
+    b = tuple(_JACOBI_EXPONENTS[(i + 2) % 4] for i in range(d))
+    Q, P, u, H = _tensor_pair(a, b, raise_axes, N)
+    # the one tensor product built is the coefficients' own; copies are
+    # rebuilt to prove them, and still take the tensor route
+    with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rows:
+        want = compute_relation(Q, P, u, H)
+        assert rows.call_count == 1
+        with mock.patch.object(linrel, "pair_systems", side_effect=AssertionError("paired")):
+            got = compute_relation(_copied(Q), _copied(P), u, H)
+        assert rows.call_count == 4
+    assert all(mk.same_bits(g, w) for g, w in zip(got.M[1:], want.M[1:]))
+    assert mk.same_bits(got.tail, want.tail)
+
+
 def _without_tensor_route(Q, P, u, H):
     with mock.patch.object(linrel, "_axis_expansions", return_value=None):
         return compute_relation(Q, P, u, H)

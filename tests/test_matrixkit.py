@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvops import matrixkit as mk
+from mvops.indexing import basis_for
 
 
 def test_worst_propagates_nan_and_is_zero_when_empty():
@@ -145,6 +146,71 @@ def test_singular_values_of_other_matrices_are_lapacks_bit_for_bit(data, rows, c
             or np.all(np.count_nonzero(m, axis=1) <= 1)):
         return   # line sparse: the test above
     assert mk.singular_values(m).tobytes() == np.linalg.svd(m, compute_uv=False).tobytes()
+
+
+def _operand(rows: int, cols: int, seed: int) -> np.ndarray:
+    """Signed entries, a third of them zeros, so products make -0.0."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.67)
+
+
+PRODUCT_CASES = {
+    "diagonal": np.diag([2.0, -0.5, 3.0, 1e-300]),
+    "one per row": np.array([[0.0, -2.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0],
+                             [0.0, 0.0, 0.0, 0.5], [7.0, 0.0, 0.0, 0.0],
+                             [0.0, 0.0, -1.0, 0.0]]),
+    "shift": basis_for(2).shift_matrix(3, 2),
+    "empty rows": np.diag([0.0, -4.0, 0.0, 1.5]),
+    "all zeros": np.zeros((3, 4)),
+    "dense": _operand(4, 4, 7) + np.eye(4),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCT_CASES)
+def test_product_equals_the_dense_product_bit_for_bit(name):
+    s = PRODUCT_CASES[name]
+    x = _operand(s.shape[1], 6, 1)
+    if name == "dense":
+        got = mk.product(s, x)
+    else:
+        # the row gather splits nothing
+        with mock.patch.object(np, "split", side_effect=AssertionError("dense product")):
+            got = mk.product(s, x)
+    assert mk.same_bits(got, (s @ x) + 0.0)
+    # a split product is the products of its blocks held apart, side by side
+    apart = [np.ascontiguousarray(p) for p in np.split(x, [2, 5], axis=1)]
+    assert mk.same_bits(mk.product(s, x, [2, 5]), np.hstack([s @ p for p in apart]) + 0.0)
+
+
+@given(m=_line_sparse(), seed=st.integers(0, 2**32 - 1), width=st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_product_of_line_sparse_matrices_equals_the_dense_product(m, seed, width):
+    x = _operand(m.shape[1], width, seed)
+    assert mk.same_bits(mk.product(m, x), (m @ x) + 0.0)
+
+
+@pytest.mark.parametrize("name", ["diagonal", "one per row", "empty rows", "dense"])
+@pytest.mark.parametrize("where", ["s", "x"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_product_is_non_finite_where_the_dense_product_is(name, where, bad):
+    s, x = PRODUCT_CASES[name].copy(), _operand(4, 6, 2)
+    if where == "s":
+        s[1, 1] = bad        # a nonzero of every case but "empty rows"' zero row
+    else:
+        x[2, 3] = bad
+    with np.errstate(invalid="ignore"):    # inf * 0
+        got, want = mk.product(s, x), s @ x
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.array_equal(got, want + 0.0, equal_nan=True)
+
+
+def test_product_checks_shapes():
+    with pytest.raises(mk.ShapeMismatchError):
+        mk.product(np.eye(3), np.ones((2, 4)))
+    with pytest.raises(mk.ShapeMismatchError):
+        mk.product(np.ones(3), np.ones((3, 4)))
+    assert mk.product(np.zeros((2, 0)), np.zeros((0, 3))).shape == (2, 3)
+    assert mk.product(np.zeros((0, 3)), np.ones((3, 2))).shape == (0, 2)
 
 
 @pytest.mark.parametrize("m", [np.array([[-2.5]]), np.zeros((0, 4)), np.zeros((4, 0)),

@@ -469,3 +469,89 @@ def test_tensor_rank_checks_take_no_svd(monkeypatch, u, N):
     calls = _count_calls(monkeypatch)
     report = validate_rank_conditions(T)
     assert report.ok and calls == []
+
+
+def test_generation_refuses_a_negative_degree_bound():
+    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    P, H = gram_schmidt_monic(u, 3)
+    with pytest.raises(ValueError, match=r"degree bound must be >= 0, got -1"):
+        generate_from_ttr(compute_ttr(P, u, H), -1)
+    G, residuals = generate_from_ttr(compute_ttr(P, u, H), 0)
+    assert G.N == 0 and residuals.size == 0
+
+
+def _generate_per_block(T):
+    """generate_from_ttr as one step per (degree, column degree, direction),
+    with dense products: the reference its whole-degree steps reproduce."""
+    d, N = T.d, T.reachable_degree
+    basis = basis_for(d)
+    blocks = [[np.eye(1)]]
+    residuals = np.zeros(N)
+    for n in range(N):
+        row, defects = [], []
+        for k in range(n + 1):
+            rhs = []
+            for i in range(1, d + 1):
+                r = -(T.b(n, i) @ blocks[n][k])
+                if k >= 1:
+                    r[:, basis.shift_index(k - 1, i)] += blocks[n][k - 1]
+                if k < n:
+                    r -= T.c(n, i) @ blocks[n - 1][k]
+                rhs.append(r)
+            g, defect = joint_shift_lstsq(basis, n, rhs)
+            row.append(g)
+            defects.append(defect)
+        row.append(np.eye(basis.size(n + 1)))
+        residuals[n] = mk.worst(defects)
+        blocks.append(row)
+    return blocks, residuals
+
+
+def _recurrence(kind, d, N):
+    """Recurrence data of several origins: tensor (line-sparse B and C),
+    paired (dense), fitted, and the counterexample's combined side."""
+    a = (0.5, -0.5, 0.0, 1.0)[:d]
+    b = (0.5, 0.0, 1.0, 0.0)[:d]
+    u = {"tensor": lambda: moments.cube_jacobi_functional(a, b),
+         "disk": lambda: moments.disk_functional(0.5),
+         "simplex": lambda: moments.simplex_functional((0.5, 1.0, 0.0, 0.5)[:d + 1]),
+         "fit": lambda: moments.disk_functional(-0.5)}.get(kind)
+    if u is None:
+        return counterexample(N)[0]
+    u = u()
+    P, H = gram_schmidt_monic(u, N)
+    return fit_ttr(P)[0] if kind == "fit" else compute_ttr(P, u, H)
+
+
+GENERATION_CASES = [("tensor", 2, 7), ("tensor", 3, 6), ("tensor", 4, 5), ("disk", 2, 6),
+                    ("simplex", 2, 5), ("simplex", 3, 4), ("fit", 2, 6),
+                    ("counterexample", 2, 5)]
+
+
+@pytest.mark.parametrize("kind, d, N", GENERATION_CASES)
+def test_whole_degree_generation_equals_the_per_block_loop_bit_for_bit(kind, d, N):
+    T = _recurrence(kind, d, N)
+    assert T.d == d
+    G, residuals = generate_from_ttr(T)
+    blocks, want = _generate_per_block(T)
+    assert mk.same_bits(residuals, want)
+    assert len(G.blocks) == len(blocks)
+    assert all(mk.same_bits(g, w) for grow, wrow in zip(G.blocks, blocks)
+               for g, w in zip(grow, wrow))
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["tensor", "disk"])
+def test_a_non_finite_recurrence_entry_gives_nan_residuals_from_its_degree(family, bad, kind):
+    T = _recurrence(kind, 2, 5)
+    blocks = getattr(T, family)[2]
+    blocks[0] = blocks[0].copy()
+    blocks[0][1, 0 if family == "C" else 1] = bad
+    with np.errstate(invalid="ignore"):    # inf * 0 in both
+        _, residuals = generate_from_ttr(T)
+        _, want = _generate_per_block(T)
+    assert np.array_equal(np.isnan(residuals), [False, False, True, True, True])
+    assert np.array_equal(residuals, want, equal_nan=True)
+    if kind == "tensor":
+        assert np.array_equal(residuals[:2], [0.0, 0.0])
