@@ -2,7 +2,14 @@
 
 Thin wrappers around numpy's LAPACK bindings that add the shape and
 singularity checks the rest of the package relies on, plus the plain-text
-matrix format used by the command line tools.  Matrices with at most one
+matrix format used by the command line tools: a 'rows cols' header and one
+line per row of repr per entry.  The format has one definition, but blocks
+of _VECTOR_MIN_ENTRIES entries or more are written and read per byte and
+per nonzero, since most of their tokens are the structural zero '0.0':
+format_matrix takes repr only of the entries that are not +0.0, and
+parse_matrix calls float() only on the tokens that are not '0.0'.
+Smaller blocks are split and joined per token, which costs less than the
+vectorized route's fixed numpy overhead.  Matrices with at most one
 nonzero per line (shift blocks, diagonal and one-per-row recurrence blocks
 of tensor systems) are recognised from their entries: singular_values reads
 them with no SVD, and product multiplies by one with a row gather.
@@ -183,16 +190,43 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# blocks of at least this many entries are read and written per byte and
+# per nonzero; smaller ones take the per-token route, which costs less than
+# the vectorized route's fixed numpy cost of some 40 us per block (on the
+# tensor Jacobi envelope blocks the routes read equally fast at 400 to 500
+# entries, and write equally fast at 100 to 150)
+_VECTOR_MIN_ENTRIES = 500
+
+
 def format_matrix(m) -> str:
     """Serialize as 'rows cols' header plus one whitespace row per matrix row.
 
     Entries use Python's shortest round-trip float representation, so
-    parse_matrix(format_matrix(m)) reproduces m bit for bit.
+    parse_matrix(format_matrix(m)) reproduces m bit for bit.  A block of
+    _VECTOR_MIN_ENTRIES entries or more takes repr only of the entries that
+    are not +0.0 and splices them into runs of '0.0 ': the same text.
     """
     m = _as_matrix(m)
-    lines = [f"{m.shape[0]} {m.shape[1]}"]
-    lines.extend(" ".join(map(repr, row)) for row in m.tolist())
-    return "\n".join(lines)
+    head = f"{m.shape[0]} {m.shape[1]}"
+    if m.size < _VECTOR_MIN_ENTRIES:
+        return "\n".join([head, *(" ".join(map(repr, row)) for row in m.tolist())])
+    return head + "\n" + _format_spliced(m)
+
+
+def _format_spliced(m: np.ndarray) -> str:
+    """The rows of m as format_matrix writes them, with repr taken only of
+    the entries that are not +0.0 (signbit tells -0.0, which is written
+    '-0.0', from 0.0)."""
+    rows, cols = m.shape
+    # all-zero text: entry k's '0.0' at 4k, its separator at 4k + 3
+    zeros = "\n".join([" ".join(["0.0"] * cols)] * rows)
+    flat = m.ravel()
+    where = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+    cut = 4 * where
+    parts = [""] * (2 * where.size + 1)
+    parts[0::2] = [zeros[a:b] for a, b in zip([0, *(cut + 3).tolist()], [*cut.tolist(), len(zeros)])]
+    parts[1::2] = map(repr, flat[where].tolist())
+    return "".join(parts)
 
 
 def matrix_shape(text: str) -> tuple[int, int]:
@@ -207,20 +241,79 @@ def matrix_shape(text: str) -> tuple[int, int]:
     header = head[0].split()
     if len(header) != 2:
         raise ValueError(f"bad header {head[0]!r}, expected 'rows cols'")
-    return int(header[0]), int(header[1])
+    rows, cols = int(header[0]), int(header[1])
+    if rows < 0 or cols < 0:
+        raise ValueError(f"bad header {head[0]!r}, expected counts >= 0")
+    return rows, cols
 
 
 def parse_matrix(text: str) -> np.ndarray:
     """Inverse of format_matrix: check the row and column counts against the
     header, then convert every entry in one pass.  An entry is accepted
     exactly when float() accepts it.  Blank lines carry no row, so the r
-    rows of an r x 0 matrix are not counted, but must hold no entry."""
+    rows of an r x 0 matrix are not counted, but must hold no entry.
+
+    A header of _VECTOR_MIN_ENTRIES entries or more over ASCII text whose
+    only whitespace is ' ' and '\\n', as format_matrix writes it, is read
+    from its bytes: a token that is exactly '0.0' becomes +0.0 with no
+    conversion, and only the others are converted, as the split route
+    converts them.  Any other text is split.
+    """
     rows, cols = matrix_shape(text)
+    if rows * cols >= _VECTOR_MIN_ENTRIES and text.isascii():
+        out = _parse_bytes(text, rows, cols)
+        if out is not None:
+            return out
     data = [ln.split() for ln in text.strip().splitlines()[1:]]
     data = [row for row in data if row]
-    if cols and len(data) != rows:
-        raise ValueError(f"expected {rows} rows, found {len(data)}")
-    for row in data:
-        if len(row) != cols:
-            raise ValueError(f"expected {cols} columns, found {len(row)}")
+    _check_counts(rows, cols, [len(row) for row in data])
     return np.array(data, dtype=float).reshape(rows, cols)
+
+
+def _check_counts(rows: int, cols: int, counts) -> None:
+    """Refuse the tokens per line of the payload (blank lines dropped) when
+    they do not make a rows x cols matrix."""
+    if cols and len(counts) != rows:
+        raise ValueError(f"expected {rows} rows, found {len(counts)}")
+    for count in counts:
+        if count != cols:
+            raise ValueError(f"expected {cols} columns, found {count}")
+
+
+def _parse_bytes(text: str, rows: int, cols: int) -> np.ndarray | None:
+    """parse_matrix of ASCII text, read from its bytes; None when the text
+    holds a control byte other than '\\n', which str.split may take for
+    whitespace."""
+    n = len(text)
+    # one '\n' before the text and three after: every line lies between
+    # two newlines, and the four bytes from any token's first lie in buf
+    buf = np.frombuffer(f"\n{text}\n\n\n".encode("ascii"), dtype=np.uint8)
+    newlines = np.flatnonzero(buf == 10)
+    if np.count_nonzero(buf < 32) != newlines.size:
+        return None
+    space = buf <= 32
+    # start[i]: a token starts at text[i] (buf is one byte ahead)
+    start = space[:-1] > space[1:]
+    first = np.flatnonzero(start)
+    ends = np.searchsorted(first, newlines)
+    counts = ends[1:] - ends[:-1]
+    counts = counts[counts > 0][1:]                 # the header's line dropped
+    if counts.size != rows or np.any(counts != cols):
+        _check_counts(rows, cols, counts.tolist())
+    # zero[i]: the token at text[i] is '0.0', followed by a space or newline
+    zero = start[:n] & (buf[1:n + 1] == ord("0"))
+    zero &= buf[2:n + 2] == ord(".")
+    zero &= buf[3:n + 3] == ord("0")
+    zero &= space[4:n + 4]
+    out = np.zeros(rows * cols)
+    nonzero = np.flatnonzero(~zero[first[2:]])
+    if nonzero.size:
+        # the text without its '0.0' tokens and the byte after each holds
+        # the header and the other tokens, which convert as the split
+        # route converts its tokens
+        drop = zero.copy()
+        for k in (1, 2, 3):
+            drop[k:] |= zero[:-k]
+        kept = buf[1:n + 1][~drop].tobytes().decode("ascii").split()
+        out[nonzero] = np.array(kept[2:], dtype=float)
+    return out.reshape(rows, cols)

@@ -1,10 +1,13 @@
+import json
+import os
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mvops import construct, linrel, moments, serialize, ttr
 from mvops import matrixkit as mk
 from mvops.indexing import basis_for
 
@@ -265,28 +268,117 @@ ENTRIES = st.one_of(st.sampled_from(SPECIAL),
                     st.floats(allow_nan=False, allow_infinity=False))
 
 
-@given(data=st.data(), rows=st.integers(0, 4), cols=st.integers(0, 4))
+def _assert_same_text(got: str, want: str) -> None:
+    """got == want, else fail at the first difference (pytest's own diff of
+    two long texts takes minutes)."""
+    if got != want:
+        k = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at {k}: {got[k - 20:k + 20]!r} != {want[k - 20:k + 20]!r}")
+
+
+@st.composite
+def _small_matrices(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entries = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    return np.array(entries, dtype=float).reshape(rows, cols)
+
+
+@st.composite
+def _large_line_sparse(draw):
+    """Up to 200 x 200, on both sides of the size at which the codec turns
+    vectorized: each row holds at most one entry from SPECIAL, the rest 0.0."""
+    rows, cols = draw(st.integers(0, 200)), draw(st.integers(0, 200))
+    m = np.zeros((rows, cols))
+    if cols:
+        picks = st.none() | st.tuples(st.integers(0, cols - 1), st.sampled_from(SPECIAL))
+        for r, pick in enumerate(draw(st.lists(picks, min_size=rows, max_size=rows))):
+            if pick is not None:
+                m[r, pick[0]] = pick[1]
+    return m
+
+
+def _dense(rows: int, cols: int) -> np.ndarray:
+    """Entries over 40 decades with 30% zeros of each sign: nonzeros next to
+    each other in a row and across a row's end."""
+    rng = np.random.default_rng(rows * cols)
+    m = rng.standard_normal((rows, cols)) * np.exp(rng.standard_normal((rows, cols)) * 20)
+    m[rng.random(m.shape) < 0.3] = 0.0
+    m[rng.random(m.shape) < 0.3] = -0.0
+    return m
+
+
+@given(m=st.one_of(_small_matrices(), _large_line_sparse()))
+@example(m=_dense(40, 40))
+@example(m=_dense(7, 9))
+@example(m=_dense(1, 1000))
+@example(m=_dense(1000, 1))
+@example(m=np.zeros((150, 0)))
+@example(m=np.zeros((200, 200)))
+@example(m=np.diag(np.tile([-0.0, 5e-324, 0.0, 1 / 3], 50)))
 @settings(max_examples=150, deadline=None)
-def test_matrix_text_is_repr_per_entry_and_round_trips(data, rows, cols):
-    m = np.array(data.draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols)),
-                 dtype=float).reshape(rows, cols)
+def test_matrix_text_is_repr_per_entry_and_round_trips(m):
+    rows, cols = m.shape
     text = mk.format_matrix(m)
-    want = "\n".join([f"{rows} {cols}"]
-                     + [" ".join(repr(float(x)) for x in row) for row in m])
-    assert text == want
+    _assert_same_text(text, "\n".join([f"{rows} {cols}"]
+                                       + [" ".join(repr(float(x)) for x in row) for row in m]))
     back = mk.parse_matrix(text)
     assert back.shape == m.shape and back.tobytes() == m.tobytes()
 
 
+def _parse_per_token(text: str) -> np.ndarray:
+    """The reference reader: str.split per line and float() per token."""
+    rows, cols = mk.matrix_shape(text)
+    data = [[float(tok) for tok in ln.split()] for ln in text.strip().splitlines()[1:]]
+    data = [row for row in data if row]
+    if (cols and len(data) != rows) or any(len(row) != cols for row in data):
+        raise ValueError("counts do not match the header")
+    return np.array(data, dtype=float).reshape(rows, cols)
+
+
+def _parses_as_per_token(text: str) -> None:
+    try:
+        want = _parse_per_token(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            mk.parse_matrix(text)
+    else:
+        got = mk.parse_matrix(text)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 TOKEN_CHARS = "0123456789.eE+-_xXabfilnNtyIA\u0663\uff11\u00bd"
+# tokens that look like the zero token '0.0' but are not it
+ZERO_LOOKALIKES = ["0.00", "00.0", "+0.0", "-0.0", "0.0_1", "0.0e0", "10.0", "0.05"]
+SEPARATORS = [" ", "\n", "  ", "\n\n", " \n ", "\t", "\r\n", "\x0b", "\x1c", "\xa0"]
+BIG_ROWS, BIG_COLS = 40, 30
+
+
+def _big_text(tok: str, pos: int, sep: str, sep_at, replaced: str, tail: str) -> str:
+    """A BIG_ROWS x BIG_COLS payload, mostly '0.0', holding `tok` at entry
+    `pos`; `sep` replaces the separator after entry `sep_at`, or, when
+    sep_at is None, every separator that is `replaced`."""
+    n = BIG_ROWS * BIG_COLS
+    toks = ["0.0"] * n
+    toks[5::17] = ["-1.25e-3"] * len(toks[5::17])
+    toks[pos] = tok
+    seps = [" " if (k + 1) % BIG_COLS else "\n" for k in range(n - 1)]
+    if sep_at is not None:
+        seps[sep_at] = sep
+    else:
+        seps = [sep if s == replaced else s for s in seps]
+    return f"{BIG_ROWS} {BIG_COLS}\n" + "".join(map(str.__add__, toks, [*seps, tail]))
 
 
 @given(tok=st.one_of(st.text(TOKEN_CHARS, min_size=1, max_size=8),
                      st.sampled_from(["1_0", "nan", "-NaN", "1e400", "-1e-400", "inf",
                                       "+Infinity", "0x10", "1__0", "_1", "1e", ".", "\u0663",
-                                      "nan(1)", "1.5e+3", "-.5", "5e-324"])))
+                                      "nan(1)", "1.5e+3", "-.5", "5e-324", "0.0", "0", "1",
+                                      "12", "00", ".0", "0.", *ZERO_LOOKALIKES])),
+       pos=st.integers(0, BIG_ROWS * BIG_COLS - 1), sep=st.sampled_from(SEPARATORS),
+       sep_at=st.none() | st.integers(0, BIG_ROWS * BIG_COLS - 2), replaced=st.sampled_from([" ", "\n"]),
+       tail=st.sampled_from(["", " ", "\n", "\n\n"]))
 @settings(max_examples=300, deadline=None)
-def test_parse_matrix_accepts_exactly_what_float_accepts(tok):
+def test_parse_matrix_accepts_exactly_what_float_accepts(tok, pos, sep, sep_at, replaced, tail):
     try:
         want = np.array([[float(tok), 2.0]])
     except ValueError:
@@ -294,15 +386,65 @@ def test_parse_matrix_accepts_exactly_what_float_accepts(tok):
             mk.parse_matrix(f"1 2\n{tok} 2")
     else:
         assert mk.parse_matrix(f"1 2\n{tok} 2").tobytes() == want.tobytes()
+    # the same token in a payload the vectorized reader takes, at a drawn
+    # entry and as the last one, with the separators drawn
+    assert BIG_ROWS * BIG_COLS >= mk._VECTOR_MIN_ENTRIES
+    for at in (pos, BIG_ROWS * BIG_COLS - 1):
+        _parses_as_per_token(_big_text(tok, at, sep, sep_at, replaced, tail))
 
 
 def test_matrix_shape_reads_only_the_header():
     assert mk.matrix_shape("\n  3 4\nnot read") == (3, 4)
-    for bad in ("", "  \n ", "3\n1 2 3", "3 4 5\n", None):
+    for bad in ("", "  \n ", "3\n1 2 3", "3 4 5\n", None, "0 -1", "-1 0", "2 -1"):
         with pytest.raises(ValueError):
             mk.matrix_shape(bad)
+    for bad in ("0 -1\n", "-1 0", "2 -1\n1\n2"):
+        with pytest.raises(ValueError, match="bad header"):
+            mk.parse_matrix(bad)
 
 
 def test_finite_entries_required():
     with pytest.raises(ValueError):
         mk.numeric_rank(np.array([[np.nan, 0.0]]))
+
+
+# the envelope shapes of the benchmark's cli-files workload: tensor Jacobi
+# (d, N, a, b) with the relation's raised axis j
+CLI_SHAPES = ((2, 12, (0.5, 0.0), (0.0, 0.5), 1),
+              (3, 8, (0.5, 0.0, -0.5), (0.0, 0.5, 0.0), 2),
+              (4, 8, (0.5, 0.0, -0.5, 0.0), (0.0, 0.5, 0.0, 0.5), 3))
+
+
+def _matrix_texts(node):
+    """Every matrix text in a decoded envelope, markers skipped."""
+    if isinstance(node, str):
+        if node not in ("shift", "identity"):
+            yield node
+    elif isinstance(node, list):
+        for item in node:
+            yield from _matrix_texts(item)
+
+
+@pytest.mark.parametrize("shape", CLI_SHAPES, ids=lambda s: f"d={s[0]}")
+def test_envelope_blocks_are_repr_per_entry_and_read_per_token(shape):
+    d, N, a, b, j = shape
+    raised = tuple(x + (i == j - 1) for i, x in enumerate(a))
+    v, u = moments.cube_jacobi_functional(a, b), moments.cube_jacobi_functional(raised, b)
+    Q, HQ = construct.gram_schmidt_monic(v, N)
+    P, HP = construct.gram_schmidt_monic(u, N)
+    envelopes = [serialize.system_to_json(Q), serialize.system_to_json(P),
+                 serialize.ttr_to_json(ttr.compute_ttr(Q, v, HQ)),
+                 serialize.ttr_to_json(ttr.compute_ttr(P, u, HP)),
+                 serialize.relation_to_json(linrel.compute_relation(Q, P, u, HP))]
+    sizes = []
+    for envelope in envelopes:
+        payload = json.loads(envelope)
+        for text in _matrix_texts([payload.get(k) for k in ("blocks", "A", "B", "C", "M")]):
+            m = _parse_per_token(text)
+            assert mk.parse_matrix(text).tobytes() == m.tobytes()
+            _assert_same_text(mk.format_matrix(m), "\n".join(
+                [f"{m.shape[0]} {m.shape[1]}"] + [" ".join(map(repr, row)) for row in m.tolist()]))
+            sizes.append(m.size)
+    # the blocks lie on both sides of the vectorized codec's size at d >= 3
+    assert min(sizes) < mk._VECTOR_MIN_ENTRIES
+    assert d == 2 or max(sizes) >= mk._VECTOR_MIN_ENTRIES
