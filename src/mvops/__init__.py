@@ -6,15 +6,15 @@ relation between systems, and verify the rank and compatibility
 characterizations on a catalog of concrete families.
 """
 
-from .construct import (GramBlocks, NotPositiveDefiniteError, PolySystem,
-                        QuasiDefiniteFailure, RhoMap, gram_blocks, gram_schmidt_monic,
-                        inner_block, koornwinder_system, orthonormalize, pair_systems)
+from .construct import (GramBlocks, NotPositiveDefiniteError, PolySystem, RhoMap,
+                        gram_blocks, gram_schmidt_monic, inner_block, koornwinder_system,
+                        orthonormalize, pair_systems)
 from .indexing import GradedBasis, basis_for, enumerate_indices, joint_matrix, rank_count
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, counterexample, functional_match_residual,
                      recover_lambda, reference_from_combined, relation_residual,
                      verify_mh)
-from .moments import (LinearPoly, MomentFunctional, Recurrence1D,
+from .moments import (LinearPoly, MomentFunctional, QuasiDefiniteFailure, Recurrence1D,
                       chebyshev_functional_1d, cube_jacobi_functional,
                       disk_functional, jacobi_functional_1d,
                       koornwinder_symmetrized_functional,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from . import matrixkit as mk
 from . import families, linrel, moments, serialize, ttr
 from .checks import Check, all_pass
-from .construct import QuasiDefiniteFailure
+from .moments import QuasiDefiniteFailure
 
 USAGE_ERROR = 2
 MATH_FAIL = 1

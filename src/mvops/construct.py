@@ -13,28 +13,28 @@ functional's graded moment matrix, one pairing of the degree-n monomials
 with all earlier degrees per step; a rank-deficient Gram block means the
 functional is not quasi-definite through that degree and construction
 stops with a diagnosable error.  A univariate monic system needs only its
-recurrence, which recurrence_from_moments reads off an array of moments
-0..2N (or 0..2N+1, which also gives b_N) by the same rule; callers read
-those moments from a functional's moment vectors, or combine them, as
-Koornwinder's construction does for the weights rho^(2k+1) w1.
+recurrence, which moments owns: MomentFunctional.recurrence, or
+recurrence_from_moments on combined moments, as Koornwinder's
+construction reads them for the weights rho^(2k+1) w1.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
-one recurrence per factor (factor_recurrences, which ttr.compute_ttr reads
-too), assembled by tensor_system from the per-axis coefficient tables
-(factor_tables).  tensor_system gathers each axis's table rows at nu_i,
-then columns at alpha_i (ndarray.take), and multiplies in place, in axis
-order, bit for bit the products of an np.ix_ gather.  Its blocks are
-read-only, and a monic result carries its tables.  axis_tables is the one
-test of "tensor system" that linrel.compute_relation's tensor route relies
-on: it returns the carried tables while the system still holds the blocks
-they were built into, and otherwise reads the tables back off a monic
-system and returns them only when tensor_system reproduces the system bit
-for bit.  A tensor functional's Gram blocks
-are diagonal, H_n = diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read
-from one univariate pairing per factor, and the tensor is quasi-definite
-through degree n exactly when every factor is, so the first factor that
-fails decides the tensor's failing degree.
+from the recurrence each factor keeps (factor_recurrences, read alike by
+gram_schmidt_monic, ttr.compute_ttr and linrel), assembled by
+tensor_system from the per-axis coefficient tables (factor_tables).
+_tensor_rows, which linrel.compute_relation's tensor route also reads,
+gathers each axis's table rows at nu_i, then columns at alpha_i
+(ndarray.take), and multiplies in place, in axis order, bit for bit the
+products of an np.ix_ gather.  tensor_system's blocks are read-only, and a
+monic result carries its tables.  axis_tables is the one test of "tensor
+system" that linrel.compute_relation's tensor route relies on: it returns
+the carried tables while the system still holds the blocks they were built
+into, and otherwise reads the tables back off a monic system and returns
+them only when tensor_system reproduces the system bit for bit.  A tensor
+functional's Gram blocks are diagonal, H_n = diag(prod_i h_(nu_i)) with
+h_k = <f_i, p_k p_k> read from one univariate pairing per factor, and the
+tensor is quasi-definite through degree n exactly when every factor is, so
+the first factor that fails decides the tensor's failing degree.
 """
 
 from __future__ import annotations
@@ -47,20 +47,8 @@ import numpy as np
 from . import matrixkit as mk
 from . import mpoly
 from .indexing import GradedBasis, basis_for
-from .moments import MomentFunctional, Recurrence1D
-
-
-class QuasiDefiniteFailure(Exception):
-    """The Gram block at some degree is numerically singular."""
-
-    def __init__(self, degree: int, singular_values, label: str = ""):
-        self.degree = degree
-        self.singular_values = np.asarray(singular_values, dtype=float)
-        self.label = label
-        super().__init__(
-            f"functional {label!r} is not quasi-definite at degree {degree}; "
-            f"Gram singular values {self.singular_values}"
-        )
+from .moments import (MomentFunctional, QuasiDefiniteFailure, Recurrence1D,
+                      recurrence_from_moments)
 
 
 class NotPositiveDefiniteError(Exception):
@@ -305,58 +293,18 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
     return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
 
 
-def recurrence_from_moments(moments, rank_tol: float = mk.DEFAULT_RANK_TOL,
-                            label: str = "") -> Recurrence1D:
-    """Monic recurrence of a 1-d functional from its moments 0..2N or 0..2N+1.
-
-    `moments` is a nonempty 1-d array; `label` names the functional in
-    errors and in the recurrence's label.  The Chebyshev algorithm:
-    sig[l] = <u, p_k x^l> is one vector per step k, h_k = sig[k], b_k and
-    c_k = h_k / h_(k-1) are read from it, and the next vector follows from
-    the recurrence itself.  b_N needs moment 2N + 1: an even-length array
-    0..2N+1 fills it, an odd-length one leaves it NaN.  Neither reads
-    h_(N+1).  Raises QuasiDefiniteFailure at the first degree k whose h_k
-    fails the rank rule gram_schmidt_monic applies to a 1x1 Gram block.
-    """
-    mom = np.asarray(moments, dtype=float)
-    if mom.ndim != 1 or mom.size == 0:
-        raise ValueError(f"need the moments 0..2N or 0..2N+1, a nonempty 1-d array, "
-                         f"got {mom.shape}")
-    N = (mom.size - 1) // 2
-    b, c = np.full(N + 1, np.nan), np.zeros(N + 1)
-    prev, sig = np.zeros_like(mom), mom
-    for k in range(N + 1):
-        h = sig[k]
-        if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
-            raise QuasiDefiniteFailure(k, [abs(h)], label)
-        if k:
-            c[k] = h / prev[k - 1]
-        if 2 * k + 1 == mom.size:
-            break
-        b[k] = sig[k + 1] / h - (prev[k] / prev[k - 1] if k else 0.0)
-        if k == N:
-            break
-        nxt = np.zeros_like(mom)
-        nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
-        prev, sig = sig, nxt
-    return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({label})")
-
-
 def factor_recurrences(u: MomentFunctional, N: int,
                        rank_tol: float = mk.DEFAULT_RANK_TOL) -> list[Recurrence1D]:
     """The monic recurrence through degree N of each factor of a tensor
-    functional, b_N included.
-
-    Each comes from the factor's moments 0..2N+1, read as scalars, through
-    recurrence_from_moments at `rank_tol`; no h_(N+1) is checked.  When
-    factors fail, QuasiDefiniteFailure is raised under the tensor's label
-    at the lowest failing degree, which is the tensor's failing degree.
+    functional, b_N included: the one each factor keeps
+    (MomentFunctional.recurrence at `rank_tol`).  When factors fail,
+    QuasiDefiniteFailure is raised under the tensor's label at the lowest
+    failing degree, which is the tensor's failing degree.
     """
     recs, failures = [], []
     for f in u.factors:
         try:
-            mom = np.array([f.moment((m,)) for m in range(2 * N + 2)])
-            recs.append(recurrence_from_moments(mom, rank_tol, f.label))
+            recs.append(f.recurrence(N, rank_tol))
         except QuasiDefiniteFailure as err:
             failures.append(err)
     if failures:
@@ -624,8 +572,7 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
     # for a sqrt mapping, y^(k mod 2) times a form in (y^2, rho^2)
     forms = mpoly.form_table(y if linear else mpoly.mul(y, y), base_xy)
     parts = []
-    w2m = np.concatenate([w2.moment_vector(m) for m in range(2 * N + 1)])
-    for k, c in enumerate(recurrence_from_moments(w2m, label=w2.label).monic_coeffs()):
+    for k, c in enumerate(w2.recurrence(N).monic_coeffs()):
         if linear:
             parts.append(forms(c))
             continue

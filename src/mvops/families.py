@@ -252,45 +252,6 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
     return system_from_rows(rows, d, N, f"simplex(kappa={tuple(kappa)},dir={first})")
 
 
-def _symmetric_terms(N: int) -> dict:
-    """(x^r y^s + x^s y^r) / (1 + [r = s]) for s <= r <= N as arrays in the
-    elementary symmetric variables u = x + y, v = x y: v^s p_(r-s), with the
-    power sums p_t = x^t + y^t from p_t = u p_(t-1) - v p_(t-2)."""
-    u, v, neg_v = (mpoly.linear(2, c) for c in ([1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
-    ps, vs = [mpoly.const(2, 2.0), u], [mpoly.const(2)]
-    for _ in range(N):
-        ps.append(mpoly.add(mpoly.mul(u, ps[-1]), mpoly.mul(neg_v, ps[-2])))
-        vs.append(mpoly.mul(vs[-1], v))
-    return {(r, s): mpoly.mul(vs[s], ps[r - s]) if r > s else vs[s]
-            for r in range(N + 1) for s in range(r + 1)}
-
-
-def symmetrized_chebyshev_system(kind: int, N: int) -> PolySystem:
-    """Orthonormal rows built by symmetrizing products of 1-d polynomials.
-
-    Row k of degree n is (p_n(x) p_k(y) + p_k(x) p_n(y)) / sqrt(2) for
-    k < n and p_n(x) p_n(y) for k = n, rewritten in the variables
-    (x + y, x y); orthonormal for the symmetrized product functional.
-    """
-    rec = moments.chebyshev_recurrence(N + 1, kind)
-    p = rec.orthonormal_coeffs()
-    terms = _symmetric_terms(N)
-    rows = {}
-    for n in range(N + 1):
-        for k in range(n + 1):
-            full = np.zeros((n + 1, n + 1))
-            full[:, : k + 1] = np.outer(p[n], p[k])
-            if k < n:
-                full = (full + full.T) / math.sqrt(2.0)
-            poly = mpoly.const(2, 0.0)
-            for r in range(n + 1):
-                for s in range(r + 1):
-                    if full[r, s] != 0.0:
-                        poly = mpoly.add(poly, full[r, s] * terms[r, s])
-            rows[(n - k, k)] = poly
-    return system_from_rows(rows, 2, N, f"symmetrized-chebyshev{kind}")
-
-
 # ---------------------------------------------------------------------------
 # bundles
 
@@ -672,12 +633,13 @@ def cube_family(a, b, j: int, raise_b: bool, N: int,
     sign = "+b" if raise_b else "+a"
     bundle = FamilyBundle("cube", {"a": tuple(a), "b": tuple(b), "j": j,
                                    "variant": sign}, d=d, N=N)
+    # refuses vectors of unequal length before b2[j - 1] is read
+    v = moments.cube_jacobi_functional(a, b)
     a2, b2 = list(a), list(b)
     if raise_b:
         b2[j - 1] += 1.0
     else:
         a2[j - 1] += 1.0
-    v = moments.cube_jacobi_functional(a, b)
     u = moments.cube_jacobi_functional(a2, b2)
     axis0 = [standard_jacobi_coeffs(a[ax], b[ax], N) for ax in range(d)]
     axis1 = [standard_jacobi_coeffs(a2[ax], b2[ax], N) for ax in range(d)]

@@ -16,7 +16,10 @@ The expansion takes one of two routes.  A pair of monic tensor systems, P
 the monic system of a tensor functional u and Q a product of univariate
 monic families, expands axis by axis: each q^(i)_k is p^(i)_k plus a
 combination of lower p^(i)_m, and the coefficients of every Q_n against
-every P_k are the tensor product of those per-axis expansions.  For two
+every P_k are the tensor product of those per-axis expansions, whose
+rows (construct._tensor_rows) give M_n and the tail with no system built.
+The factors' recurrences behind P come from moments, kept on each factor
+(MomentFunctional.recurrence).  For two
 weights with u = (1 - x_j) v, M_n then holds one nonzero per row, at
 (nu, nu - e_j), and every other entry is exactly 0.0 (Dunkl and Xu,
 Orthogonal Polynomials of Several Variables, 2014, ch. 3).  Every other
@@ -31,14 +34,14 @@ import numpy as np
 
 from . import matrixkit as mk
 from .checks import Check, all_pass
+from . import construct
 # inner_block is not called here; perfbench's tracer test expects it among
 # this module's names
-from .construct import (GramBlocks, PolySystem, QuasiDefiniteFailure, axis_tables,  # noqa: F401
-                        factor_tables, gram_blocks, inner_block, pair_blocks, pair_systems,
-                        tensor_system)
+from .construct import (GramBlocks, PolySystem, axis_tables, factor_tables,  # noqa: F401
+                        gram_blocks, inner_block, pair_blocks, pair_systems)
 from .indexing import basis_for
 from .matrixkit import DEFAULT_RES_TOL
-from .moments import LinearPoly, MomentFunctional, left_multiply
+from .moments import LinearPoly, MomentFunctional, QuasiDefiniteFailure, left_multiply
 from .ttr import RankReport, ThreeTermData, rank_family
 
 
@@ -80,8 +83,10 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
       coefficients of q^(i)_k - p^(i)_k against p^(i)_m under u.factors[i],
       from one univariate pair_blocks divided by the factor's Gram
       diagonal; an axis whose tables agree bit for bit gives C_i = I
-      exactly.  tensor_system(C_1..C_d) holds the coefficients of every Q_n
-      against every P_k.  H is not read.
+      exactly.  Row n of the tensor product of C_1..C_d
+      (construct._tensor_rows) holds the coefficients of Q_n against
+      P_0..P_n side by side: M_n is its block of degree n - 1, and the
+      columns before it give the tail.  H is not read.
     - Pairing route, every other input: one pair_systems(u, Q, P) through
       degrees N and N - 1 holds every pairing, and one solve per degree j
       against H_j gives the coefficients of all Q_n, n > j, against P_j.
@@ -99,19 +104,19 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                 "convert both systems to a common leading normalization first"
             )
     label = f"{Q.label} vs {P.label}"
+    basis = basis_for(Q.d)
     expansions = _axis_expansions(Q, P, u, N)
     if expansions is not None:
-        coef = tensor_system(expansions, N, label)
-        # copies: tensor_system's blocks are read-only views of whole degrees
-        M = [None] + [coef.block(n, n - 1).copy() for n in range(1, N + 1)]
-        # blocks (n, 0..n-2) lie side by side
-        tail = mk.worst(mk.max_abs(np.concatenate(coef.blocks[n][:n - 1], axis=1))
-                        for n in range(2, N + 1))
-        return LinearRelation(Q.d, M, tail=tail / scale, label=label)
+        M, tails = [None], []
+        for n, full in enumerate(construct._tensor_rows(expansions, N)):
+            if n:
+                M.append(full[:, basis.degree_slice(n - 1, n - 1)].copy())
+            if n >= 2:
+                tails.append(mk.max_abs(full[:, :basis.offset(n - 1)]))
+        return LinearRelation(Q.d, M, tail=mk.worst(tails) / scale, label=label)
     if H is None:
         H = gram_blocks(u, P)
-    basis = basis_for(Q.d)
-    M: list = [None] * (N + 1)
+    M = [None] * (N + 1)
     tails = []
     if N:
         G = pair_systems(u, Q, P, N, N - 1)
@@ -127,8 +132,9 @@ def _axis_expansions(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                      N: int) -> list | None:
     """C_1..C_d of compute_relation's tensor route through degree N, or None
     when the pair takes the pairing route.  P is tied to u by comparing its
-    axis tables with factor_tables(u): tables a system carries from
-    tensor_system cost no rebuild (construct.axis_tables)."""
+    axis tables with factor_tables(u), built from the recurrences u's
+    factors keep: tables a system carries from tensor_system cost no
+    rebuild (construct.axis_tables)."""
     if not hasattr(u, "factors") or u.d != P.d:
         return None
     tp = axis_tables(P)

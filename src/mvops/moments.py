@@ -9,6 +9,9 @@ vectors gathered from those of the functionals they combine.  Every read
 goes through the degree vectors, so no caller needs to know how a moment
 is produced.
 
+A univariate functional keeps its monic recurrence too (`recurrence`,
+the Chebyshev algorithm on its moments), the one every tensor route reads.
+
 Normalization: families whose conventional inner product has unit mass
 (disk, simplex, the product and symmetrized Chebyshev weights) are scaled
 so the zeroth moment is 1; their raw moments stay available as
@@ -27,10 +30,24 @@ import numpy as np
 from scipy import special as sp
 
 from .indexing import basis_for
+from .matrixkit import DEFAULT_RANK_TOL
 
 
 class ParameterError(ValueError):
     """A weight or family parameter lies outside its admissible range."""
+
+
+class QuasiDefiniteFailure(Exception):
+    """The Gram block at some degree is numerically singular."""
+
+    def __init__(self, degree: int, singular_values, label: str = ""):
+        self.degree = degree
+        self.singular_values = np.asarray(singular_values, dtype=float)
+        self.label = label
+        super().__init__(
+            f"functional {label!r} is not quasi-definite at degree {degree}; "
+            f"Gram singular values {self.singular_values}"
+        )
 
 
 def _exceeds(lower: float, *values) -> bool:
@@ -65,6 +82,7 @@ class MomentFunctional:
         self._graded = np.zeros((0, 0))
         self._graded_top = -1      # rows and columns cover degrees 0.._graded_top
         self._graded_degree = -1   # blocks with j + k <= _graded_degree are filled
+        self._recurrences: dict[tuple, Recurrence1D] = {}
 
     def __repr__(self):
         return f"MomentFunctional(d={self.d}, label={self.label!r})"
@@ -82,6 +100,23 @@ class MomentFunctional:
             vec.flags.writeable = False
             self._vectors[n] = vec
         return self._vectors[n]
+
+    def recurrence(self, N: int, rank_tol: float = DEFAULT_RANK_TOL) -> Recurrence1D:
+        """Monic recurrence through degree N, b_N included, of a univariate
+        functional (ValueError for d != 1): recurrence_from_moments on the
+        moments 0..2N+1, read through `moment`, run once per (N, rank_tol)
+        and kept with b and c read-only.  A QuasiDefiniteFailure is not kept."""
+        if self.d != 1:
+            raise ValueError(f"a recurrence needs a univariate functional, got d={self.d}")
+        key = (N, rank_tol)
+        if key not in self._recurrences:
+            # scalar reads: the benchmark's tracer counts moments at moment()
+            mom = np.array([self.moment((m,)) for m in range(2 * N + 2)])
+            rec = recurrence_from_moments(mom, rank_tol, self.label)
+            rec.b.flags.writeable = False
+            rec.c.flags.writeable = False
+            self._recurrences[key] = rec
+        return self._recurrences[key]
 
     def _degree_vector(self, n: int) -> np.ndarray:
         return self._finite(n, np.array([float(self._oracle(a)) for a in self.basis.indices(n)]))
@@ -489,10 +524,10 @@ class Recurrence1D:
     `b` holds b_0..b_N, `c` holds c_1..c_N at matching positions (c[0]
     unused), `mass` is the zeroth moment.  For a positive weight the
     orthonormal off-diagonal is a_n = sqrt(c_{n+1}).  A recurrence read
-    from the moments 0..2N (construct.recurrence_from_moments) has b[N]
-    NaN, since b_N needs moment 2N + 1; one read from 0..2N+1, as every
-    tensor factor's is (construct.factor_recurrences), has it.  The monic
-    and orthonormal coefficients through degree N do not read it.
+    from the moments 0..2N (recurrence_from_moments) has b[N] NaN, since
+    b_N needs moment 2N + 1; one read from 0..2N+1, as
+    MomentFunctional.recurrence's is, has it.  The monic and orthonormal
+    coefficients through degree N do not read it.
     """
 
     b: np.ndarray
@@ -534,6 +569,44 @@ class Recurrence1D:
     def orthonormal_coeffs(self) -> list[np.ndarray]:
         h = self.norms()
         return [p / math.sqrt(h[n]) for n, p in enumerate(self.monic_coeffs())]
+
+
+def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
+                            label: str = "") -> Recurrence1D:
+    """Monic recurrence of a 1-d functional from its moments 0..2N or 0..2N+1.
+
+    `moments` is a nonempty 1-d array; `label` names the functional in
+    errors and in the recurrence's label.  The Chebyshev algorithm
+    (Gautschi 2004, section 2.1.7): sig[l] = <u, p_k x^l> is one vector per
+    step k, h_k = sig[k], b_k and c_k = h_k / h_(k-1) are read from it, and
+    the next vector follows from the recurrence itself.  b_N needs moment
+    2N + 1: an even-length array 0..2N+1 fills it, an odd-length one leaves
+    it NaN.  Neither reads h_(N+1).  Raises QuasiDefiniteFailure at the
+    first degree k whose h_k fails the rank rule
+    construct.gram_schmidt_monic applies to a 1x1 Gram block.
+    """
+    mom = np.asarray(moments, dtype=float)
+    if mom.ndim != 1 or mom.size == 0:
+        raise ValueError(f"need the moments 0..2N or 0..2N+1, a nonempty 1-d array, "
+                         f"got {mom.shape}")
+    N = (mom.size - 1) // 2
+    b, c = np.full(N + 1, np.nan), np.zeros(N + 1)
+    prev, sig = np.zeros_like(mom), mom
+    for k in range(N + 1):
+        h = sig[k]
+        if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
+            raise QuasiDefiniteFailure(k, [abs(h)], label)
+        if k:
+            c[k] = h / prev[k - 1]
+        if 2 * k + 1 == mom.size:
+            break
+        b[k] = sig[k + 1] / h - (prev[k] / prev[k - 1] if k else 0.0)
+        if k == N:
+            break
+        nxt = np.zeros_like(mom)
+        nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
+        prev, sig = sig, nxt
+    return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({label})")
 
 
 def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:

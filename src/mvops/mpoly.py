@@ -6,8 +6,8 @@ arrays, summed into place by one bincount through an index table cached
 per pair of shapes; every output entry sums the same products in the same
 order as shifted accumulation over the first factor's entries would.
 This is the one polynomial arithmetic of the explicit product-form bases
-(Koornwinder, simplex and symmetrized Chebyshev systems; tensor systems
-are assembled by `construct.tensor_system` without it);
+(Koornwinder and simplex systems; tensor systems are assembled by
+`construct.tensor_system` without it);
 `construct.system_from_rows` writes their rows into the graded
 coefficient blocks the rest of the package works with, through
 `GradedBasis.entry_positions`.

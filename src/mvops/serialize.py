@@ -20,9 +20,9 @@ The CLI reads every file through a checked read, which refuses what
 d >= 1, the number of blocks per degree and direction, the place of every
 marker and every other block's `rows cols` header come first, the payloads
 after, block by block.  Its error names the first bad block, and a
-misshapen block costs no payload conversion.  The public readers need the
-same layout, with a marker or matrix text in every block the layout uses,
-but keep whatever shapes and values the blocks hold.
+misshapen block costs no payload conversion.  The public readers need a
+JSON integer d and the same layout, with a marker or matrix text in every
+block the layout uses, but keep whatever shapes and values the blocks hold.
 """
 
 from __future__ import annotations
@@ -129,15 +129,19 @@ def _read(text: str, kind: str, checked: bool):
 
     Every block the layout uses must be its slot's marker or matrix text; a
     marker comes back as the block it stands for ("shift" as the basis's
-    shared, read-only shift matrix), and the unused index 0 of C or M as None.  A `checked` read refuses what `validate_blocks`
-    refuses, structure before numbers: d, the tail, every marker's place and
-    every other block's header first, then the payloads block by block, each
+    shared, read-only shift matrix), and the unused index 0 of C or M as
+    None.  A `d` that is not a JSON integer raises ValueError on every
+    read.  A `checked` read refuses what `validate_blocks` refuses,
+    structure before numbers: d, the tail, every marker's place and every
+    other block's header first, then the payloads block by block, each
     checked as it is decoded.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise ValueError(f"not a {_NOUNS[kind]} document")
-    d = int(payload["d"])
+    d = payload["d"]
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"dimension d must be an integer, got {d!r}")
     tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
     if checked:
         _check_scalars(d, tail)

@@ -10,7 +10,8 @@ conditions that characterize orthogonality.
 
 Blocks are extracted by pairing against the functional's moments, except
 for the monic system of a tensor functional, whose B and C blocks are read
-off its factors' univariate recurrences: B_{n,i} is diagonal and C_{n,i}
+off the univariate recurrences its factors keep (MomentFunctional.
+recurrence): B_{n,i} is diagonal and C_{n,i}
 has one nonzero per row, with every other entry exactly 0.0.  Such blocks,
 like the shift matrices A of every monic system, hold at most one nonzero
 per line, so their rank checks need no SVD (matrixkit.singular_values) and

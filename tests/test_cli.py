@@ -542,6 +542,25 @@ def test_json_that_is_not_an_object_exits_2(envelopes, name, capsys):
     assert err.endswith(" document\n")
 
 
+@pytest.mark.parametrize("name, d", [("Tp", 2.9), ("P", 2.5), ("rel", "2"), ("Q", True)])
+def test_a_dimension_that_is_no_json_integer_exits_2_naming_it(envelopes, name, d, capsys):
+    payload = json.loads(envelopes["texts"][name])
+    payload["d"] = d
+    path = envelopes["root"] / f"d-{name}.json"
+    path.write_text(json.dumps(payload))
+    err = _one_error(envelopes, READERS[name][0], {name: str(path)}, capsys)
+    assert f"d must be an integer, got {d!r}" in err
+
+
+@pytest.mark.parametrize("raise_b", [[], ["--raise-b"]])
+@pytest.mark.parametrize("a, b, j", [("0,0", "0", "2"), ("0", "0,0", "1")])
+def test_cube_vectors_of_unequal_length_exit_2(a, b, j, raise_b, capsys):
+    # --j 2 with one b entry raised IndexError before the lengths were compared
+    code, _, err = run_cli(["family", "cube", "--a", a, "--b", b, "--j", j, *raise_b], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err.strip() == "error: parameter vectors a and b must have equal length"
+
+
 def test_check_without_compatibility_degrees_reports_no_checks(envelopes, capsys):
     payload = json.loads(envelopes["texts"]["rel"])
     payload["M"] = payload["M"][:2]   # relation stops at degree 1

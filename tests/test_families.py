@@ -9,7 +9,7 @@ from numpy.polynomial import polynomial as npoly
 from scipy import special as sp
 
 from mvops import families, matrixkit as mk, moments, mpoly
-from mvops.construct import gram_blocks, tensor_system
+from mvops.construct import gram_blocks, system_from_rows, tensor_system
 from mvops.indexing import basis_for
 
 
@@ -370,13 +370,50 @@ def test_chebyshev_degree_one_rank_failure_localized():
     assert all(n == 1 for _, n, _ in bad)
 
 
+def _symmetric_terms(N: int) -> dict:
+    """(x^r y^s + x^s y^r) / (1 + [r = s]) for s <= r <= N as arrays in the
+    elementary symmetric variables u = x + y, v = x y: v^s p_(r-s), with the
+    power sums p_t = x^t + y^t from p_t = u p_(t-1) - v p_(t-2)."""
+    u, v, neg_v = (mpoly.linear(2, c) for c in ([1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
+    ps, vs = [mpoly.const(2, 2.0), u], [mpoly.const(2)]
+    for _ in range(N):
+        ps.append(mpoly.add(mpoly.mul(u, ps[-1]), mpoly.mul(neg_v, ps[-2])))
+        vs.append(mpoly.mul(vs[-1], v))
+    return {(r, s): mpoly.mul(vs[s], ps[r - s]) if r > s else vs[s]
+            for r in range(N + 1) for s in range(r + 1)}
+
+
+def _symmetrized_chebyshev_system(kind: int, N: int):
+    """Orthonormal rows built by symmetrizing products of 1-d polynomials.
+
+    Row k of degree n is (p_n(x) p_k(y) + p_k(x) p_n(y)) / sqrt(2) for
+    k < n and p_n(x) p_n(y) for k = n, rewritten in the variables
+    (x + y, x y); orthonormal for the symmetrized product functional.
+    """
+    rec = moments.chebyshev_recurrence(N + 1, kind)
+    p = rec.orthonormal_coeffs()
+    terms = _symmetric_terms(N)
+    rows = {}
+    for n in range(N + 1):
+        for k in range(n + 1):
+            full = np.zeros((n + 1, n + 1))
+            full[:, : k + 1] = np.outer(p[n], p[k])
+            if k < n:
+                full = (full + full.T) / math.sqrt(2.0)
+            poly = mpoly.const(2, 0.0)
+            for r in range(n + 1):
+                for s in range(r + 1):
+                    if full[r, s] != 0.0:
+                        poly = mpoly.add(poly, full[r, s] * terms[r, s])
+            rows[(n - k, k)] = poly
+    return system_from_rows(rows, 2, N, f"symmetrized-chebyshev{kind}")
+
+
 def test_symmetrized_system_coefficients_match_grid_route():
     # low-degree cross-check between the two construction routes
-    from mvops.construct import inner_block
-
     kind, N = 2, 4
     v = moments.koornwinder_symmetrized_functional(kind)
-    sys_ = families.symmetrized_chebyshev_system(kind, N)
+    sys_ = _symmetrized_chebyshev_system(kind, N)
     H = gram_blocks(v, sys_)   # orthonormal: identity Gram blocks, no cross pairings
     assert mk.worst(mk.max_abs(H.h(n) - np.eye(n + 1)) for n in range(N + 1)) <= 1e-10
     assert H.offdiag_residual <= 1e-10

@@ -347,6 +347,29 @@ def _tensor_pair(a, b, raise_axes, N):
     return Q, P, u, H
 
 
+def test_a_tensor_chain_runs_the_chebyshev_algorithm_once_per_factor():
+    a, b, N = (0.5, 0.0, -0.5), (0.0, 0.5, 1.0), 6
+    cheb = mock.patch.object(moments, "recurrence_from_moments",
+                             wraps=moments.recurrence_from_moments)
+    systems = mock.patch.object(construct, "tensor_system", wraps=construct.tensor_system)
+    with cheb as runs, systems as built:
+        v = moments.cube_jacobi_functional(a, b)
+        u = moments.cube_jacobi_functional((a[0], a[1] + 1.0, a[2]), b)
+        Q, _ = gram_schmidt_monic(v, N)
+        P, H = gram_schmidt_monic(u, N)
+        compute_ttr(P, u, H)
+        with mock.patch.object(linrel, "pair_systems", side_effect=AssertionError("paired")):
+            rel = compute_relation(Q, P, u, H)
+        # the relation reads the factors' kept recurrences and builds no system
+        assert runs.call_count == 6 and built.call_count == 2
+        kept = zip(construct.factor_recurrences(u, N), u.factors)
+        assert all(rec is f.recurrence(N) for rec, f in kept)
+        assert runs.call_count == 6
+    moms = [call.args[0] for call in runs.call_args_list]
+    assert all(m.shape == (2 * N + 2,) for m in moms)
+    assert classify_ranks(rel) == "full"
+
+
 @given(data=st.data(), d=st.integers(2, 4), N=st.integers(1, 8), raised=st.integers(1, 2))
 @settings(max_examples=20, deadline=None)
 def test_tensor_route_matches_the_paired_expansion(data, d, N, raised):

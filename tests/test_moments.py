@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from mvops import moments
+import mvops
+from mvops import construct, moments
 from mvops.construct import gram_schmidt_monic
 from mvops.indexing import basis_for
 from mvops.moments import LinearPoly
@@ -590,3 +591,42 @@ def test_nonfinite_moment_stops_construction_at_the_degree_that_needs_it():
     gram_schmidt_monic(u, 3)     # needs moments through degree 6 only
     with pytest.raises(ValueError, match="capped"):
         gram_schmidt_monic(moments.MomentFunctional(2, oracle, label="capped"), 4)
+
+
+def test_recurrence_is_kept_read_only_and_equals_the_chebyshev_algorithm():
+    u = moments.jacobi_functional_1d(0.5, -0.5)
+    rec = u.recurrence(6)
+    assert u.recurrence(6) is rec
+    assert not rec.b.flags.writeable and not rec.c.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        rec.c[1] = 0.0
+    mom = np.array([u.moment((m,)) for m in range(14)])
+    want = moments.recurrence_from_moments(mom, label=u.label)
+    assert rec.b.tobytes() == want.b.tobytes() and rec.c.tobytes() == want.c.tobytes()
+    assert rec.label == want.label and np.isfinite(rec.b[6])   # b_N from moment 2N+1
+    # one kept recurrence per (N, rank_tol)
+    assert u.recurrence(6, 1e-6) is not rec and u.recurrence(5) is not rec
+
+
+@pytest.mark.parametrize("make", [lambda: moments.cube_jacobi_functional((0, 0), (0, 0)),
+                                  lambda: moments.disk_functional(0.5)])
+def test_recurrence_needs_a_univariate_functional(make):
+    with pytest.raises(ValueError, match="univariate functional, got d=2"):
+        make().recurrence(3)
+
+
+def test_a_failed_recurrence_is_not_kept():
+    # three nodes: quasi-definite through degree 2, degenerate at degree 3
+    nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
+    u = moments.MomentFunctional(1, lambda a: float(weights @ nodes**a[0]), label="three")
+    for _ in range(2):
+        with pytest.raises(moments.QuasiDefiniteFailure, match="three") as err:
+            u.recurrence(4)
+        assert err.value.degree == 3
+    assert u.recurrence(2).N == 2
+
+
+def test_quasi_definite_failure_and_the_chebyshev_algorithm_keep_their_old_homes():
+    assert construct.QuasiDefiniteFailure is moments.QuasiDefiniteFailure
+    assert mvops.QuasiDefiniteFailure is moments.QuasiDefiniteFailure
+    assert construct.recurrence_from_moments is moments.recurrence_from_moments

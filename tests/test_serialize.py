@@ -208,6 +208,17 @@ def test_public_readers_refuse_a_missing_block(texts, kind, name, n, i):
         READERS[kind](_with_block(texts[kind], name, n, i, None))
 
 
+@pytest.mark.parametrize("kind", sorted(READERS))
+@pytest.mark.parametrize("d", [2.9, 2.5, 2.0, "2", True, None, [2]])
+def test_readers_refuse_a_dimension_that_is_no_json_integer(texts, kind, d):
+    payload = json.loads(texts[kind])
+    payload["d"] = d
+    text = json.dumps(payload)
+    for read in (READERS[kind], lambda t: _checked(kind, t)):
+        with pytest.raises(ValueError, match=re.escape(f"d must be an integer, got {d!r}")):
+            read(text)
+
+
 def test_public_readers_keep_shapes_and_values(texts):
     payload = json.loads(texts["relation"])
     payload["M"][2] = "3 1\n0.5\nnan\n0"
