@@ -3,12 +3,10 @@
 `perfbench/run.py` exits 0 whatever its operations do, and prints its JSON
 summary as the last line of its output.  This script passes that output
 through and exits 1 when the summary reports a crashed operation
-("correct" false) or, on the workloads where every operation has a known
-right answer (highdim, cli-files), an untraced run that got any of them
-wrong (right_ratio below 1; a library error such as a write into a
+("correct" false) or an untraced run whose right_ratio is below its
+workload's floor in RIGHT_FLOOR (a library error such as a write into a
 read-only block counts as a wrong verdict, not a crash).  Traced runs carry
-no right_ratio.  The catalog holds known wrong verdicts, so only its
-crashes fail.
+no right_ratio.
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0 \\
         | python3 .github/check_smoke.py W
@@ -17,7 +15,11 @@ crashes fail.
 import json
 import sys
 
-EVERY_OPERATION_RIGHT = ("highdim", "cli-files")
+# A run covers whole rounds, so a commit reads one ratio in every run.
+# Every highdim and cli-files operation has a known right answer; the
+# catalog's floor is 67 of the 80 operations of a round, short of its 13
+# known wrong configurations, and ROADMAP items 2 and 8 raise it.
+RIGHT_FLOOR = {"catalog": 0.8375, "highdim": 1.0, "cli-files": 1.0}
 
 
 def main() -> int:
@@ -33,8 +35,9 @@ def main() -> int:
     if summary.get("correct") is not True:
         problems.append(f"{summary.get('failed')} operation(s) crashed")
     right = summary.get("metrics", {}).get("right_ratio", {}).get("value")
-    if workload in EVERY_OPERATION_RIGHT and right is not None and not right >= 1.0:
-        problems.append(f"right_ratio {right}")
+    floor = RIGHT_FLOOR.get(workload, 1.0)
+    if right is not None and not right >= floor:
+        problems.append(f"right_ratio {right} below {floor}")
     for problem in problems:
         print(f"smoke check: {workload}: {problem}", file=sys.stderr)
     return 1 if problems else 0

@@ -26,7 +26,7 @@ from . import moments, mpoly
 from .checks import Check, all_pass
 from .construct import (PolySystem, RhoMap, gram_blocks, gram_schmidt_monic,
                         koornwinder_system, system_from_rows, tensor_system)
-from .indexing import basis_for, enumerate_indices
+from .indexing import basis_for
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
                      recover_lambda, relation_residual, verify_mh)
@@ -221,35 +221,78 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
     construction (the weight is symmetric under permuting coordinates, so
     any choice yields an orthogonal basis); parameter-raising relations in
     direction j take the clean two-term form exactly for first = j.
+    ParameterError where a row norm or a Jacobi recurrence coefficient is
+    not a positive finite float.
     """
     kappa = [float(k) for k in kappa]
-    d = len(kappa) - 1
-    order = [first] + [x for x in range(1, d + 1) if x != first]
-    kperm = [kappa[o - 1] for o in order] + [kappa[d]]
-    # factor j is a form in (arg, hom), which depend on j and `first` only
-    tables = []
-    for j in range(d):
-        prev = [o - 1 for o in order[:j]]
-        arg = [2.0 if l == order[j] - 1 else float(l in prev) for l in range(d)]
-        hom = [-1.0 if l in prev else 0.0 for l in range(d)]
-        tables.append(mpoly.form_table(mpoly.linear(d, arg, -1.0), mpoly.linear(d, hom, 1.0)))
-    # one Jacobi list per parameter pair: degree m of a longer list is the
-    # same float computation as the last entry of a list through m
-    jacobi: dict = {}
-    rows = {}
-    for n in range(N + 1):
-        for nu in enumerate_indices(d, n):
-            nperm = [nu[o - 1] for o in order]
-            poly = mpoly.const(d)
-            for j in range(1, d + 1):
-                aj = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
-                bj = kperm[j - 1] - 0.5
-                if (aj, bj) not in jacobi:
-                    jacobi[aj, bj] = orthonormal_jacobi_coeffs(aj, bj, N)
-                c = jacobi[aj, bj][nperm[j - 1]]
-                poly = mpoly.mul(poly, tables[j - 1](c))
-            rows[nu] = poly / math.sqrt(simplex_norm_sq(kperm, nperm))
-    return system_from_rows(rows, d, N, f"simplex(kappa={tuple(kappa)},dir={first})")
+    factors = _SimplexFactors(len(kappa) - 1, first, N)
+    return factors.system(kappa, factors.norms(kappa))
+
+
+class _SimplexFactors:
+    """The product formula's factors in one direction, through degree N.
+
+    Factor j of row nu is a form in two linear polynomials that depend on
+    j and the direction only, so each j has one form table; the form is
+    evaluated at the orthonormal Jacobi coefficients of degree n_j with
+    parameters (a_j, b_j), where n, a and b are read in the direction's
+    coordinate order.  Each distinct (j, a_j, b_j, n_j) is evaluated once,
+    so the systems of two weights built in one direction share every
+    factor they have in common.
+    """
+
+    def __init__(self, d: int, first: int, N: int):
+        self.order = [first] + [x for x in range(1, d + 1) if x != first]
+        self.N = N
+        self.tables = []
+        for j in range(d):
+            prev = [o - 1 for o in self.order[:j]]
+            arg = [2.0 if l == self.order[j] - 1 else float(l in prev) for l in range(d)]
+            hom = [-1.0 if l in prev else 0.0 for l in range(d)]
+            self.tables.append(mpoly.form_table(mpoly.linear(d, arg, -1.0),
+                                                mpoly.linear(d, hom, 1.0)))
+        # one Jacobi list per parameter pair: degree m of a longer list is
+        # the same float computation as the last entry of a list through m
+        self._jacobi: dict = {}
+        self._factors: dict = {}
+
+    def permuted(self, kappa: list) -> list:
+        return [kappa[o - 1] for o in self.order] + [kappa[len(self.order)]]
+
+    def norms(self, kappa: list) -> dict:
+        """simplex_norm_sq of every row nu of degree <= N, keyed by nu;
+        ParameterError unless each is a positive finite float."""
+        kperm = self.permuted(kappa)
+        norms = {nu: simplex_norm_sq(kperm, [nu[o - 1] for o in self.order])
+                 for n in range(self.N + 1) for nu in basis_for(len(self.order)).indices(n)}
+        for nu, h in norms.items():
+            if not 0.0 < h < math.inf:
+                raise ParameterError(f"simplex squared norm at {nu} for kappa={tuple(kappa)} "
+                                     f"is {h!r}, not a positive finite float")
+        return norms
+
+    def system(self, kappa: list, norms: dict) -> PolySystem:
+        """The rows of weight kappa over the square roots of `norms`, each
+        the product of its factors in order, started from the first."""
+        d, N = len(self.order), self.N
+        kperm = self.permuted(kappa)
+        rows = {}
+        for n in range(N + 1):
+            for nu in basis_for(d).indices(n):
+                nperm = [nu[o - 1] for o in self.order]
+                poly = None
+                for j in range(1, d + 1):
+                    aj = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
+                    bj, m = kperm[j - 1] - 0.5, nperm[j - 1]
+                    if (j, aj, bj, m) not in self._factors:
+                        if (aj, bj) not in self._jacobi:
+                            self._jacobi[aj, bj] = orthonormal_jacobi_coeffs(aj, bj, N)
+                        self._factors[j, aj, bj, m] = self.tables[j - 1](self._jacobi[aj, bj][m])
+                    factor = self._factors[j, aj, bj, m]
+                    poly = factor if poly is None else mpoly.mul(poly, factor)
+                rows[nu] = poly / math.sqrt(norms[nu])
+        return system_from_rows(rows, d, N,
+                                f"simplex(kappa={tuple(kappa)},dir={self.order[0]})")
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +619,10 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
 
 def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
                    rank_tol: float = DEFAULT_RANK_TOL) -> FamilyBundle:
-    """Parameter-raising relation for the Dirichlet weight on the simplex."""
+    """Parameter-raising relation for the Dirichlet weight on the simplex.
+
+    Q and P share the direction's form tables and common factors, and the
+    closed form reads their row norms."""
     kappa = [float(k) for k in kappa]
     d = len(kappa) - 1
     _check_range("j", j, 1, d)
@@ -585,29 +631,25 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     kp[j - 1] += 1.0
     v = moments.simplex_functional(kappa)
     u = moments.simplex_functional(kp)
-    Q = simplex_orthonormal_system(kappa, N, first=j)
-    P = simplex_orthonormal_system(kp, N, first=j)
+    factors = _SimplexFactors(d, j, N)
+    norms, pnorms = factors.norms(kappa), factors.norms(kp)
+    Q = factors.system(kappa, norms)
+    P = factors.system(kp, pnorms)
 
-    order = [j] + [x for x in range(1, d + 1) if x != j]
-    kperm = [kappa[o - 1] for o in order] + [kappa[d]]
-    kpperm = [kp[o - 1] for o in order] + [kp[d]]
+    kperm = factors.permuted(kappa)
     b1 = kperm[0] - 0.5
 
-    def permuted(nu):
-        nperm = [nu[o - 1] for o in order]
-        return nperm, sum(kperm[1:]) + 2 * sum(nperm[1:]) + (d - 2) / 2.0
+    def a1(nu):
+        return sum(kperm[1:]) + 2 * (sum(nu) - nu[j - 1]) + (d - 2) / 2.0
 
     def keep(nu):
-        nperm, a1 = permuted(nu)
-        ratio = math.sqrt(simplex_norm_sq(kpperm, nperm) / simplex_norm_sq(kperm, nperm))
-        return ratio * jacobi_orthonormal_lower(nperm[0], a1, b1)
+        ratio = math.sqrt(pnorms[nu] / norms[nu])
+        return ratio * jacobi_orthonormal_lower(nu[j - 1], a1(nu), b1)
 
     def drop(nu):
-        nperm, a1 = permuted(nu)
-        nm = [nperm[0] - 1] + nperm[1:]
-        return math.sqrt(
-            simplex_norm_sq(kpperm, nm) / simplex_norm_sq(kperm, nperm)
-        ) * jacobi_orthonormal_drop(nperm[0], a1, b1)
+        lower = tuple(x - (l == j - 1) for l, x in enumerate(nu))
+        ratio = math.sqrt(pnorms[lower] / norms[nu])
+        return ratio * jacobi_orthonormal_drop(nu[j - 1], a1(nu), b1)
 
     _closed_form(bundle, Q, P, j, drop, res_tol, keep)
     _cross_checks(bundle, Q, P, u, v,

@@ -1,13 +1,13 @@
 """Moment functionals: one store of moment vectors per functional.
 
-Every weight family in the catalog is an oracle mapping a multi-index to a
-real moment: a closed form (Gamma/Beta/Dirichlet integrals) or, for Jacobi
-and Chebyshev weights, the exact two-term moment recurrence started from
-the mass; no oracle runs a quadrature rule.  Left multiplication by a
-polynomial and tensor composition define their moments once, as degree
-vectors gathered from those of the functionals they combine.  Every read
-goes through the degree vectors, so no caller needs to know how a moment
-is produced.
+Every weight family in the catalog defines its moments exactly: a closed
+form (Gamma/Beta/Dirichlet integrals; the Dirichlet one a whole degree at
+a time) or, for Jacobi and Chebyshev weights, the exact two-term moment
+recurrence started from the mass; none runs a quadrature rule.  Left
+multiplication by a polynomial and tensor composition define their moments
+once, as degree vectors gathered from those of the functionals they
+combine.  Every read goes through the degree vectors, so no caller needs
+to know how a moment is produced.
 
 A univariate functional keeps its monic recurrence too (`recurrence`,
 the Chebyshev algorithm on its moments), the one every tensor route reads.
@@ -55,6 +55,15 @@ def _exceeds(lower: float, *values) -> bool:
     return all(lower < v < math.inf for v in values)
 
 
+def _positive_finite(value, what: str) -> float:
+    """The value as a float, or ParameterError naming `what` unless it is a
+    positive finite float (an overflowed or underflowed parameter)."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{what} is {value!r}, not a positive finite float")
+    return value
+
+
 class MomentFunctional:
     """Linear functional on d-variate polynomials, defined by its moments.
 
@@ -62,7 +71,8 @@ class MomentFunctional:
     degree in basis order; a scalar moment is an entry of its degree's
     vector.  The default degree vector asks the oracle, which must be
     deterministic, once per multi-index; composed functionals pass no oracle
-    and gather their vectors from other functionals' instead.  One graded
+    and gather their vectors from other functionals' instead, and the
+    simplex functional computes each vector in one pass.  One graded
     moment matrix, whose entry (a, b) is the moment at alpha_a + beta_b over
     the monomials of degrees 0..n in graded order, is gathered from the
     concatenated vectors through the basis's graded sum table, again
@@ -295,10 +305,12 @@ class _JacobiMoments(MomentFunctional):
 
 
 def jacobi_functional_1d(a: float, b: float) -> MomentFunctional:
-    """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by their moment recurrence."""
+    """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by their moment recurrence;
+    ParameterError where the mass is not a positive finite float."""
     if not _exceeds(-1, a, b):
         raise ParameterError(f"jacobi exponents must exceed -1, got ({a}, {b})")
-    return _JacobiMoments(a, b, jacobi_mass(a, b), f"jacobi(a={a},b={b})")
+    mass = _positive_finite(jacobi_mass(a, b), f"jacobi mass for exponents ({a}, {b})")
+    return _JacobiMoments(a, b, mass, f"jacobi(a={a},b={b})")
 
 
 def jacobi_mass(a: float, b: float) -> float:
@@ -455,20 +467,47 @@ def simplex_moment_quadrature(kappa, alpha) -> float:
     return total
 
 
+class _SimplexMoments(MomentFunctional):
+    """Unit-mass Dirichlet moments, one degree at a time.
+
+    A degree vector is simplex_moment_closed over the degree's exponent
+    rows divided by the mass, bit for bit: gammaln per axis column summed in
+    axis order from zero, plus the last parameter's term, minus the one
+    denominator term the whole degree shares, then exp.
+    """
+
+    def __init__(self, kappa: tuple, label: str):
+        super().__init__(len(kappa) - 1, None, label)
+        self.kappa = kappa
+        self.mass = _positive_finite(self._scaled(0, 1.0)[0], f"simplex mass for kappa={kappa}")
+
+    def _scaled(self, n: int, mass: float) -> np.ndarray:
+        """Raw degree-n moments over `mass`; overflow and NaN are left for
+        the caller to check."""
+        kappa, d = self.kappa, self.d
+        exps = self.basis.exponents(n)
+        log_num = np.zeros(len(exps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for axis in range(d):
+                log_num += sp.gammaln(exps[:, axis] + kappa[axis] + 0.5)
+            log_num += sp.gammaln(kappa[d] + 0.5)
+            log_den = sp.gammaln(n + np.sum(kappa) + (d + 1) / 2.0)
+            return np.exp(log_num - log_den) / mass
+
+    def _degree_vector(self, n: int) -> np.ndarray:
+        return self._finite(n, self._scaled(n, self.mass))
+
+
 def simplex_functional(kappa) -> MomentFunctional:
-    """Unit-mass Dirichlet weight on the simplex."""
+    """Unit-mass Dirichlet weight on the simplex; ParameterError where the
+    mass is not a positive finite float."""
     kappa = tuple(float(k) for k in kappa)
     d = len(kappa) - 1
     if d < 1:
         raise ParameterError("kappa must have d+1 entries with d >= 1")
     if not _exceeds(-0.5, *kappa):
         raise ParameterError(f"kappa entries must exceed -1/2, got {kappa}")
-    mass = simplex_moment_closed(kappa, (0,) * d)
-
-    def oracle(alpha):
-        return simplex_moment_closed(kappa, alpha) / mass
-
-    return MomentFunctional(d, oracle, f"simplex(kappa={kappa})")
+    return _SimplexMoments(kappa, f"simplex(kappa={kappa})")
 
 
 def cube_jacobi_functional(a, b) -> MomentFunctional:
@@ -610,20 +649,30 @@ def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
 
 
 def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:
-    """Monic Jacobi recurrence for the weight (1-x)^a (1+x)^b."""
+    """Monic Jacobi recurrence for the weight (1-x)^a (1+x)^b; ParameterError
+    where the mass or some c_n is not a positive finite float or some b_n
+    is not finite, as for exponents so large that the formulas overflow."""
     if not _exceeds(-1, a, b):
         raise ValueError(f"jacobi exponents must exceed -1, got ({a}, {b})")
     bb = np.zeros(N + 1)
     cc = np.zeros(N + 1)
     bb[0] = (b - a) / (a + b + 2)
-    for n in range(1, N + 1):
-        s = 2 * n + a + b
-        bb[n] = (b**2 - a**2) / (s * (s + 2))
-        if n == 1:
-            cc[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
-        else:
-            cc[n] = 4 * n * (n + a) * (n + b) * (n + a + b) / (s**2 * (s + 1) * (s - 1))
-    return Recurrence1D(bb, cc, mass=jacobi_mass(a, b), label=f"jacobi({a},{b})")
+    try:
+        for n in range(1, N + 1):
+            s = 2 * n + a + b
+            bb[n] = (b**2 - a**2) / (s * (s + 2))
+            if n == 1:
+                cc[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+            else:
+                cc[n] = 4 * n * (n + a) * (n + b) * (n + a + b) / (s**2 * (s + 1) * (s - 1))
+        ok = np.isfinite(bb).all() and np.isfinite(cc).all() and (cc[1:] > 0.0).all()
+    except OverflowError:   # float ** 2 raises above 1.3e154
+        ok = False
+    if not ok:
+        raise ParameterError(f"jacobi exponents ({a}, {b}) give a b_n that is not finite "
+                             "or a c_n that is not a positive finite float")
+    mass = _positive_finite(jacobi_mass(a, b), f"jacobi mass for exponents ({a}, {b})")
+    return Recurrence1D(bb, cc, mass=mass, label=f"jacobi({a},{b})")
 
 
 def laguerre_recurrence(N: int, alpha: float) -> Recurrence1D:

@@ -83,30 +83,47 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def form_table(a: np.ndarray, b: np.ndarray):
     """Evaluator of sum c_i a^i b^(m-i) for coefficient lists c_0..c_m.
 
-    Powers of a and of b are built lazily by one sequential `mul` chain
-    each, and every form a^i b^(m-i) is multiplied once and kept by (m, i),
-    so all the coefficient lists an explicit basis evaluates against one
-    pair (a, b) share their products.
+    The forms of degree m are built together, when a list of length m + 1
+    first asks for them: the powers of a and of b come from one sequential
+    `mul` chain each, every form a^i b^(m-i) is one `mul`, and the m + 1
+    forms are kept in one zero-padded stack, so all the coefficient lists
+    an explicit basis evaluates against one pair (a, b) share their
+    products.  An evaluation is one broadcast product of the nonzero
+    coefficients with their forms, summed over the stack in order from 0.0
+    and cut to the largest of those forms' shapes: bit for bit the `add`
+    chain over the nonzero terms, since a zero entry of the padding adds
+    +-0.0 to a running sum that is never -0.0.
     """
-    powers = ([const(a.ndim)], [const(b.ndim)])
-    forms: dict[tuple[int, int], np.ndarray] = {}
+    d = a.ndim
+    powers = ([const(d)], [const(b.ndim)])
+    stacks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def form(m: int, i: int) -> np.ndarray:
-        if (m, i) not in forms:
-            for chain, base, k in zip(powers, (a, b), (i, m - i)):
-                while len(chain) <= k:
+    def stack(m: int) -> tuple[np.ndarray, np.ndarray]:
+        if m not in stacks:
+            for chain, base in zip(powers, (a, b)):
+                while len(chain) <= m:
                     chain.append(mul(chain[-1], base))
-            forms[m, i] = mul(powers[0][i], powers[1][m - i])
-        return forms[m, i]
+            forms = [mul(powers[0][i], powers[1][m - i]) for i in range(m + 1)]
+            shapes = np.array([f.shape for f in forms], dtype=np.intp)
+            padded = np.zeros((m + 1, *shapes.max(axis=0)))
+            for i, f in enumerate(forms):
+                padded[(i, *(slice(0, s) for s in f.shape))] = f
+            stacks[m] = padded, shapes
+        return stacks[m]
 
     def evaluate(coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
-        m = len(coeffs) - 1
-        terms = [(c, form(m, i)) for i, c in enumerate(coeffs) if c != 0.0]
-        out = np.zeros(tuple(np.max([(1,) * a.ndim] + [f.shape for _, f in terms], axis=0)))
-        for c, f in terms:
-            out[tuple(slice(0, s) for s in f.shape)] += c * f
-        return out
+        padded, shapes = stack(len(coeffs) - 1)
+        nz = np.flatnonzero(coeffs)
+        if not nz.size:
+            return np.zeros((1,) * d)
+        shape = tuple(shapes[nz].max(axis=0))
+        terms = coeffs[nz, None] * padded[(nz, *(slice(0, s) for s in shape))].reshape(nz.size, -1)
+        if terms.shape[1] > 1:
+            out = np.add.reduce(terms, axis=0, initial=0.0)
+        else:   # numpy would sum a lone column pairwise, not in order
+            out = np.add.accumulate(terms[:, 0])[-1:] + 0.0
+        return out.reshape(shape)
 
     return evaluate
 

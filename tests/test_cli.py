@@ -619,6 +619,11 @@ NO_DIR = "{root}/no-such-dir/out.json"
     ["check", "--theorem", "4", "--ttr", "{Tp}", "--relation", "{rel}", "--out", NO_DIR],
     ["relate", "--combined", "{Q}", "--reference", "{P}", "--functional", "{functional}",
      "--out", NO_DIR],
+    # finite parameters whose mass, row norms or recurrence leave the floats
+    ["family", "simplex", "--kappa", "400,400,400", "--N", "4"],
+    *(["family", "simplex", "--kappa", f"{k},0.5,0.5", "--N", "3"]
+      for k in ("1e100", "1e200", "1e308")),
+    ["family", "disk", "--mu", "1e300", "--N", "3"],
 ])
 def test_inadmissible_runs_exit_2_with_one_error_line(envelopes, argv, capsys):
     root = envelopes["root"]

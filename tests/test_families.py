@@ -10,7 +10,7 @@ from scipy import special as sp
 
 from mvops import families, matrixkit as mk, moments, mpoly
 from mvops.construct import gram_blocks, system_from_rows, tensor_system
-from mvops.indexing import basis_for
+from mvops.indexing import basis_for, enumerate_indices
 
 
 def test_standard_jacobi_adjacency_spot_values():
@@ -171,6 +171,56 @@ def test_simplex_system_builds_one_jacobi_list_per_parameter_pair(monkeypatch, d
     monkeypatch.setattr(families, "orthonormal_jacobi_coeffs", counted)
     families.simplex_orthonormal_system((0.5,) * (d + 1), N)
     assert calls and len(calls) == len(set(calls))
+
+
+def _per_row_simplex_system(kappa, N, first=1):
+    """Reference builder: every row one chain of factor evaluations from the
+    constant 1, each factor evaluated afresh and each direction's form
+    tables built per system."""
+    kappa = [float(k) for k in kappa]
+    d = len(kappa) - 1
+    order = [first] + [x for x in range(1, d + 1) if x != first]
+    kperm = [kappa[o - 1] for o in order] + [kappa[d]]
+    tables = []
+    for j in range(d):
+        prev = [o - 1 for o in order[:j]]
+        arg = [2.0 if l == order[j] - 1 else float(l in prev) for l in range(d)]
+        hom = [-1.0 if l in prev else 0.0 for l in range(d)]
+        tables.append(mpoly.form_table(mpoly.linear(d, arg, -1.0), mpoly.linear(d, hom, 1.0)))
+    jacobi: dict = {}
+    rows = {}
+    for n in range(N + 1):
+        for nu in enumerate_indices(d, n):
+            nperm = [nu[o - 1] for o in order]
+            poly = mpoly.const(d)
+            for j in range(1, d + 1):
+                aj = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
+                bj = kperm[j - 1] - 0.5
+                if (aj, bj) not in jacobi:
+                    jacobi[aj, bj] = families.orthonormal_jacobi_coeffs(aj, bj, N)
+                poly = mpoly.mul(poly, tables[j - 1](jacobi[aj, bj][nperm[j - 1]]))
+            rows[nu] = poly / math.sqrt(families.simplex_norm_sq(kperm, nperm))
+    return system_from_rows(rows, d, N, f"simplex(kappa={tuple(kappa)},dir={first})")
+
+
+@pytest.mark.parametrize("d, N", [(2, 0), (2, 1), (2, 10), (3, 1), (3, 10), (4, 2), (4, 8)])
+def test_simplex_system_is_bit_identical_to_the_per_row_builder(d, N):
+    kappa = tuple(0.25 + 0.5 * i for i in range(d + 1))
+    for first in range(1, d + 1):
+        got = families.simplex_orthonormal_system(kappa, N, first)
+        want = _per_row_simplex_system(kappa, N, first)
+        assert got.label == want.label and got.monic == want.monic
+        for n in range(N + 1):
+            assert all(mk.same_bits(g, w) for g, w in zip(got.blocks[n], want.blocks[n]))
+
+
+@pytest.mark.parametrize("d, j", [(2, 1), (2, 2), (3, 2), (4, 4)])
+def test_simplex_family_builds_its_direction_form_tables_once(monkeypatch, d, j):
+    calls = []
+    real = mpoly.form_table
+    monkeypatch.setattr(mpoly, "form_table", lambda a, b: calls.append(1) or real(a, b))
+    bundle = families.simplex_family((0.5,) * (d + 1), j, 3)
+    assert len(calls) == d and bundle.all_pass
 
 
 @pytest.mark.parametrize("name,params,N", [

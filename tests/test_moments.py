@@ -158,6 +158,28 @@ def test_simplex_closed_form_vs_quadrature(kappa):
             assert closed == pytest.approx(quad, rel=1e-10)
 
 
+@given(data=st.data(), d=st.integers(1, 4), n=st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_simplex_degree_vectors_are_the_scalar_closed_form_over_the_mass(data, d, n):
+    kappa = tuple(data.draw(st.floats(-0.5, 20.0, exclude_min=True)) for _ in range(d + 1))
+    mass = moments.simplex_moment_closed(kappa, (0,) * d)
+    want = np.array([moments.simplex_moment_closed(kappa, alpha) / mass
+                     for alpha in basis_for(d).indices(n)])
+    assert np.array_equal(_bits(moments.simplex_functional(kappa).moment_vector(n)), _bits(want))
+
+
+@pytest.mark.parametrize("make, word", [
+    (lambda: moments.simplex_functional((400.0, 400.0, 400.0)), "simplex mass"),
+    (lambda: moments.simplex_functional((1e308, 0.5, 0.5)), "simplex mass"),
+    (lambda: moments.jacobi_functional_1d(1e300, 1e300), "jacobi mass"),
+    (lambda: moments.jacobi_recurrence(3, 1e200, 0.5), "c_n"),
+    (lambda: moments.jacobi_recurrence(3, 0.5, 1e100), "c_n"),
+])
+def test_a_mass_or_recurrence_coefficient_out_of_float_range_is_a_parameter_error(make, word):
+    with pytest.raises(moments.ParameterError, match=word):
+        make()
+
+
 def test_laguerre_closed_form_vs_quadrature():
     kappa = (0.0, 1.3)
     from mvops.indexing import enumerate_indices

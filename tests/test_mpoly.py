@@ -110,6 +110,19 @@ def test_form_table_is_bit_identical_to_the_add_chain(case):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def test_form_table_adds_long_lists_of_constant_forms_in_order():
+    # constant forms leave one coefficient, a single column of terms, which
+    # numpy's reductions would sum pairwise from eight terms on
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3):
+        for _ in range(50):
+            a, b = (mpoly.const(d, rng.uniform(-2.0, 2.0)) for _ in range(2))
+            coeffs = rng.uniform(-2.0, 2.0, size=rng.integers(8, 15))
+            coeffs[rng.random(coeffs.size) < 0.2] = 0.0
+            got, want = mpoly.form_table(a, b)(coeffs), chained_form(a, b, coeffs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_form_table_computes_each_product_once(monkeypatch):
     calls = []
     real_mul = mpoly.mul
