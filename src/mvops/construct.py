@@ -152,14 +152,16 @@ class GramBlocks:
     def append_diagonal(self, values) -> None:
         """Add the next degree's block diag(values), known to be diagonal.
 
-        It is checked by the same rule as `append` (mk.singular_values reads
-        a diagonal block's |values| with no SVD), and solve_right divides by
-        the values.
+        It is checked by the same rule as `append`, on its singular values
+        |values| sorted largest first, which is what mk.singular_values
+        returns for diag(values) bit for bit; solve_right divides by the
+        values.  Non-finite values raise ValueError, as in mk.singular_values.
         """
         values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("matrix entries must be finite")
         self._diagonal[len(self.blocks)] = values
-        h = np.diag(values)
-        self.append(h, mk.singular_values(h))
+        self.append(np.diag(values), np.sort(np.abs(values))[::-1])
 
     def solve_right(self, n: int, s) -> np.ndarray:
         """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
@@ -378,36 +380,38 @@ def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
 
     rows[nu] is the polynomial in the row of nu of its degree vector.  The
     rows of degree n are written into one array over the graded positions
-    of degrees 0..n, through basis.entry_positions of each row's shape;
-    adding 0.0 turns a -0.0 coefficient into 0.0, and the array's column
-    slices are the blocks.  A row with a coefficient above 1e-10 in some
-    degree above n raises ValueError.  The system is monic exactly when
-    every leading block is the identity.
+    of degrees 0..n, through basis.entry_positions of each row's shape, in
+    one scatter per degree; adding 0.0 turns a -0.0 coefficient into 0.0,
+    and the array's column slices are the blocks.  A row with a coefficient
+    above 1e-10 in some degree above n raises ValueError: one test per
+    degree covers all its rows, and only when it fails are the rows
+    searched, in order, for the first one.  The system is monic exactly
+    when every leading block is the identity.
     """
     basis = basis_for(d)
     blocks = []
     for n in range(N + 1):
         width = basis.offset(n + 1)
-        full = np.zeros((basis.size(n), width))
-        for r, nu in enumerate(basis.indices(n)):
-            row = rows[nu]
-            coeffs, pos = row.ravel(), basis.entry_positions(row.shape)
-            low = pos < width
-            if not low.all():
-                _check_row_degree(row, nu, n, coeffs[~low])
-            full[r, pos[low]] = coeffs[low]
+        nus = basis.indices(n)
+        arrays = [rows[nu] for nu in nus]
+        coeffs = np.concatenate([row.ravel() for row in arrays])
+        pos = np.concatenate([basis.entry_positions(row.shape) for row in arrays])
+        low = pos < width
+        if not low.all() and np.any(np.abs(coeffs[~low]) > 1e-10):
+            for row, nu in zip(arrays, nus):
+                _check_row_degree(row, nu, n)
+        which = np.repeat(np.arange(len(arrays)), [row.size for row in arrays])
+        full = np.zeros((len(arrays), width))
+        full[which[low], pos[low]] = coeffs[low]
         full += 0.0
         blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
     return _assembled(d, blocks, label)
 
 
-def _check_row_degree(row: np.ndarray, nu: tuple, n: int, beyond: np.ndarray) -> None:
+def _check_row_degree(row: np.ndarray, nu: tuple, n: int) -> None:
     """Raise for the row of nu if its coefficients of some degree m > n
-    reach above 1e-10; `beyond` holds all its coefficients of degree > n.
-    Degrees are tried in the order their first nonzero coefficient appears
-    in the row, row-major."""
-    if not np.any(np.abs(beyond) > 1e-10):
-        return
+    reach above 1e-10.  Degrees are tried in the order their first nonzero
+    coefficient appears in the row, row-major."""
     degree = np.indices(row.shape).sum(axis=0)
     for m in dict.fromkeys(degree[row != 0].tolist()):
         if m > n and np.max(np.abs(row[degree == m])) > 1e-10:

@@ -6,6 +6,12 @@ variables gives the row order x^n, x^(n-1)y, ..., y^n.  All coefficient
 blocks elsewhere in the package are expressed against these ordered blocks,
 so this module is the single source of truth for positions, block sizes and
 the 0/1 shift matrices that encode multiplication by a coordinate.
+
+A basis also keeps, per instance, the facts the recurrence layer asks of
+its shifts again and again: the offsets, the graded positions of
+alpha + e_i, each degree's stacked shift index with its counts, and the
+singular values of every shift matrix and joint shift.  They live on the
+instance, so `basis_for.cache_clear()` drops them with it.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from functools import lru_cache
 from math import comb
 
 import numpy as np
+
+from . import matrixkit as mk
 
 
 def rank_count(d: int, n: int) -> int:
@@ -63,7 +71,8 @@ class GradedBasis:
     """Ordered monomial basis of a fixed dimension with shift structure.
 
     Immutable after construction apart from internal memo tables, which only
-    grow; safe for concurrent reads under CPython.  Blocks of all degrees
+    grow; safe for concurrent reads under CPython.  Every memoized array is
+    read-only, since every caller shares it.  Blocks of all degrees
     0..n concatenated in degree order form the graded order used for
     graded moment matrices.
     """
@@ -78,6 +87,11 @@ class GradedBasis:
         self._shift: dict[tuple[int, int], np.ndarray] = {}
         self._shift_index: dict[tuple[int, int], np.ndarray] = {}
         self._entry_positions: dict[tuple[int, ...], np.ndarray] = {}
+        self._offsets: dict[int, int] = {}
+        self._shifted: dict[tuple[int, int], np.ndarray] = {}
+        self._joint_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._shift_sv: dict[tuple[int, int], np.ndarray] = {}
+        self._joint_sv: dict[int, np.ndarray] = {}
         self._table = np.zeros((0, 0), dtype=np.intp)
         self._table_top = -1
 
@@ -87,7 +101,10 @@ class GradedBasis:
     def offset(self, n: int) -> int:
         """Graded position of the first degree-n monomial: the number of
         monomials of degree below n, C(n+d-1, d)."""
-        return comb(n + self.d - 1, self.d)
+        out = self._offsets.get(n)
+        if out is None:
+            out = self._offsets[n] = comb(n + self.d - 1, self.d)
+        return out
 
     def degree_slice(self, lo: int, hi: int) -> slice:
         """Graded positions of the monomials of degrees lo..hi."""
@@ -147,6 +164,28 @@ class GradedBasis:
             self._shift[key] = mat
         return self._shift[key]
 
+    def shifted(self, n: int, i: int) -> np.ndarray:
+        """Graded positions of alpha + e_i for alpha over degrees 0..n-1, in
+        graded order; read-only."""
+        key = (n, i)
+        if key not in self._shifted:
+            idx = np.concatenate([self.offset(k + 1) + self.shift_index(k, i) for k in range(n)]
+                                 or [np.zeros(0, dtype=np.intp)])
+            idx.flags.writeable = False
+            self._shifted[key] = idx
+        return self._shifted[key]
+
+    def joint_shift_index(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The column of the 1 in each row of joint_shift(n), that is
+        shift_index(n, i) for i = 1..d end to end, and the count of each
+        column's 1s, the diagonal of J^t J; both read-only."""
+        if n not in self._joint_index:
+            idx = np.concatenate([self.shift_index(n, i) for i in range(1, self.d + 1)])
+            counts = np.bincount(idx, minlength=self.size(n + 1))
+            idx.flags.writeable = counts.flags.writeable = False
+            self._joint_index[n] = idx, counts
+        return self._joint_index[n]
+
     def joint_shift(self, n: int) -> np.ndarray:
         """Vertical stack of shift_matrix(n, i) over i = 1..d; full column rank.
 
@@ -154,6 +193,23 @@ class GradedBasis:
         counts the directions i with beta_i > 0.
         """
         return joint_matrix([self.shift_matrix(n, i) for i in range(1, self.d + 1)])
+
+    def shift_singular_values(self, n: int, i: int) -> np.ndarray:
+        """mk.singular_values(shift_matrix(n, i)), read-only."""
+        key = (n, i)
+        if key not in self._shift_sv:
+            sv = mk.singular_values(self.shift_matrix(n, i))
+            sv.flags.writeable = False
+            self._shift_sv[key] = sv
+        return self._shift_sv[key]
+
+    def joint_shift_singular_values(self, n: int) -> np.ndarray:
+        """mk.singular_values(joint_shift(n)), read-only."""
+        if n not in self._joint_sv:
+            sv = mk.singular_values(self.joint_shift(n))
+            sv.flags.writeable = False
+            self._joint_sv[n] = sv
+        return self._joint_sv[n]
 
     def graded_table(self, n: int) -> np.ndarray:
         """Integer table over degrees 0..n in graded order: entry (a, b) is the

@@ -4,15 +4,18 @@ Thin wrappers around numpy's LAPACK bindings that add the shape and
 singularity checks the rest of the package relies on, plus the plain-text
 matrix format used by the command line tools: a 'rows cols' header and one
 line per row of repr per entry.  The format has one definition, but blocks
-of _VECTOR_MIN_ENTRIES entries or more are written and read per byte and
-per nonzero, since most of their tokens are the structural zero '0.0':
-format_matrix takes repr only of the entries that are not +0.0, and
-parse_matrix calls float() only on the tokens that are not '0.0'.
-Smaller blocks are split and joined per token, which costs less than the
-vectorized route's fixed numpy overhead.  Matrices with at most one
-nonzero per line (shift blocks, diagonal and one-per-row recurrence blocks
-of tensor systems) are recognised from their entries: singular_values reads
-them with no SVD, and product multiplies by one with a row gather.
+of _VECTOR_MIN_ENTRIES entries or more of which at least half are zeros,
+such as the structural zeros of tensor systems, are written and read per
+byte and per nonzero: format_matrix takes repr only of the entries that
+are not +0.0, and parse_matrix calls float() only on the tokens that are
+not '0.0'.  Smaller or denser blocks are split and joined per token,
+which costs less than the vectorized route's fixed numpy overhead and its
+per-nonzero slicing.  Matrices with at most one nonzero per line (shift
+blocks, diagonal and one-per-row recurrence blocks of tensor systems) are
+recognised from their entries: singular_values reads them with no SVD,
+and product multiplies by one with a row gather.  product also takes a
+family of blocks, such as the d blocks of one degree of a recurrence, and
+decides on the row gather once for all of them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ def _as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-d array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -63,7 +66,7 @@ def rank_from_sv(sv, tol: float, scale: float) -> int:
         raise ValueError("tolerance must be positive")
     if scale <= 0.0:
         return 0
-    return int(np.sum(sv > tol * scale))
+    return int(np.count_nonzero(sv > tol * scale))
 
 
 def singular_values(m) -> np.ndarray:
@@ -109,37 +112,47 @@ def _line_norms(m: np.ndarray, axis: int) -> np.ndarray:
 def product(s, x, split=()) -> np.ndarray:
     """s @ x + 0.0, with a dense product taken per column block of x.
 
+    s is one matrix, or a list or tuple of blocks of one width, such as the
+    d blocks of one degree of a recurrence; for blocks the result is the
+    vertical stack of their products, and the route below is chosen once
+    for all of them.
+
     When every row of s holds at most one nonzero (NaN counts as one) and
     x is finite, each row of the product is one row of x times that
     nonzero: a row gather with no sum, which is the dense product's value
     exactly, since its other terms are zeros.  Otherwise (some row holds
     two nonzeros, or x holds a non-finite entry, where 0 * inf makes the
-    dense product NaN) s multiplies each column block of x, split at the
-    column positions `split` (np.split) and copied to a contiguous array,
-    so that the result is bit for bit the products of those blocks held
-    apart, side by side: BLAS may round a wide product otherwise than its
-    pieces, and a strided block otherwise than a contiguous one.  Adding
-    0.0 turns a -0.0 into 0.0, the one difference the two routes could
-    show.
+    dense product NaN) each block of s multiplies each column block of x,
+    split at the column positions `split` (np.split) and copied to a
+    contiguous array, so that the result is bit for bit the products of
+    those blocks held apart, side by side: BLAS may round a wide product
+    otherwise than its pieces, and a strided block otherwise than a
+    contiguous one.  Adding 0.0 turns a -0.0 into 0.0, the one difference
+    the two routes could show.
     """
-    s, x = np.asarray(s, dtype=float), np.asarray(x, dtype=float)
-    if s.ndim != 2 or x.ndim != 2 or s.shape[1] != x.shape[0]:
-        raise ShapeMismatchError(f"cannot multiply {s.shape} by {x.shape}")
-    if s.shape[1]:
-        nonzero = s != 0.0
+    blocks = [np.asarray(b, dtype=float) for b in (s if isinstance(s, (list, tuple)) else [s])]
+    x = np.asarray(x, dtype=float)
+    for b in blocks:
+        if b.ndim != 2 or x.ndim != 2 or b.shape[1] != x.shape[0]:
+            raise ShapeMismatchError(f"cannot multiply {b.shape} by {x.shape}")
+    stack = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+    if stack.shape[1]:
+        nonzero = stack != 0.0
         # each row's first nonzero, or 0.0 for an empty row: s holds one
         # nonzero per row at most when these are all of its nonzeros
         cols = nonzero.argmax(axis=1)
-        first = s[np.arange(s.shape[0]), cols]
+        first = stack[np.arange(stack.shape[0]), cols]
         if np.count_nonzero(first) == np.count_nonzero(nonzero) and np.isfinite(x).all():
             out = x.take(cols, axis=0)
             out *= first[:, None]
             out += 0.0
             return out
     if len(split):
-        out = np.hstack([s @ np.ascontiguousarray(part) for part in np.split(x, split, axis=1)])
+        parts = [np.ascontiguousarray(part) for part in np.split(x, split, axis=1)]
+        prods = [np.hstack([b @ part for part in parts]) for b in blocks]
     else:
-        out = s @ x
+        prods = [b @ x for b in blocks]
+    out = prods[0] if len(prods) == 1 else np.vstack(prods)
     out += 0.0
     return out
 
@@ -167,7 +180,7 @@ def lstsq(a, b) -> np.ndarray:
 
 def max_abs(m) -> float:
     m = np.asarray(m, dtype=float)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def worst(values) -> float:
@@ -190,12 +203,17 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-# blocks of at least this many entries are read and written per byte and
-# per nonzero; smaller ones take the per-token route, which costs less than
-# the vectorized route's fixed numpy cost of some 40 us per block (on the
-# tensor Jacobi envelope blocks the routes read equally fast at 400 to 500
-# entries, and write equally fast at 100 to 150)
+# blocks of at least this many entries, at least half of them zeros, are
+# read and written per byte and per nonzero; the others take the per-token
+# route, which costs less than the vectorized route's fixed numpy cost of
+# some 40 us per block (on the tensor Jacobi envelope blocks the routes
+# read equally fast at 400 to 500 entries, and write equally fast at 100
+# to 150) and than its slicing per nonzero, which makes it some 15% slower
+# on blocks with no zeros.  On read the zero share is told by the bytes per
+# entry: a '0.0 ' takes 4 bytes and a nonzero about 20, so a block half of
+# zeros takes about 12 bytes per entry.
 _VECTOR_MIN_ENTRIES = 500
+_VECTOR_MAX_BYTES_PER_ENTRY = 12
 
 
 def format_matrix(m) -> str:
@@ -203,12 +221,13 @@ def format_matrix(m) -> str:
 
     Entries use Python's shortest round-trip float representation, so
     parse_matrix(format_matrix(m)) reproduces m bit for bit.  A block of
-    _VECTOR_MIN_ENTRIES entries or more takes repr only of the entries that
-    are not +0.0 and splices them into runs of '0.0 ': the same text.
+    _VECTOR_MIN_ENTRIES entries or more, at most half of them nonzero, takes
+    repr only of the entries that are not +0.0 and splices them into runs
+    of '0.0 ': the same text.
     """
     m = _as_matrix(m)
     head = f"{m.shape[0]} {m.shape[1]}"
-    if m.size < _VECTOR_MIN_ENTRIES:
+    if m.size < _VECTOR_MIN_ENTRIES or 2 * np.count_nonzero(m) > m.size:
         return "\n".join([head, *(" ".join(map(repr, row)) for row in m.tolist())])
     return head + "\n" + _format_spliced(m)
 
@@ -253,14 +272,17 @@ def parse_matrix(text: str) -> np.ndarray:
     exactly when float() accepts it.  Blank lines carry no row, so the r
     rows of an r x 0 matrix are not counted, but must hold no entry.
 
-    A header of _VECTOR_MIN_ENTRIES entries or more over ASCII text whose
-    only whitespace is ' ' and '\\n', as format_matrix writes it, is read
-    from its bytes: a token that is exactly '0.0' becomes +0.0 with no
+    A header of _VECTOR_MIN_ENTRIES entries or more over ASCII text of at
+    most _VECTOR_MAX_BYTES_PER_ENTRY bytes per entry (mostly '0.0' tokens)
+    whose only whitespace is ' ' and '\\n', as format_matrix writes it, is
+    read from its bytes: a token that is exactly '0.0' becomes +0.0 with no
     conversion, and only the others are converted, as the split route
     converts them.  Any other text is split.
     """
     rows, cols = matrix_shape(text)
-    if rows * cols >= _VECTOR_MIN_ENTRIES and text.isascii():
+    entries = rows * cols
+    if (entries >= _VECTOR_MIN_ENTRIES and len(text) <= _VECTOR_MAX_BYTES_PER_ENTRY * entries
+            and text.isascii()):
         out = _parse_bytes(text, rows, cols)
         if out is not None:
             return out

@@ -133,11 +133,10 @@ class MomentFunctional:
 
     def _finite(self, n: int, vec: np.ndarray) -> np.ndarray:
         """The degree-n vector, or ValueError at its first non-finite entry."""
-        bad = np.flatnonzero(~np.isfinite(vec))
-        if bad.size:
-            alpha = self.basis.indices(n)[bad[0]]
-            raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
-        return vec
+        if np.isfinite(vec).all():
+            return vec
+        alpha = self.basis.indices(n)[np.flatnonzero(~np.isfinite(vec))[0]]
+        raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
 
     def moment_matrix(self, j: int, k: int) -> np.ndarray:
         """Monomial pairing block: entry (a, b) is the moment at alpha_a + beta_b."""

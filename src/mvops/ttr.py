@@ -17,6 +17,12 @@ like the shift matrices A of every monic system, hold at most one nonzero
 per line, so their rank checks need no SVD (matrixkit.singular_values) and
 their products are row gathers (matrixkit.product), in the reconstruction
 residual and in forward generation alike.
+
+Both of those work one degree at a time for all d directions: the d
+residuals or right-hand sides of a degree are one array, stacked
+direction-major, and each of B and C multiplies it in one mk.product call.
+The index facts of the shifts, and the singular values of the shift
+matrices that rank checks read, are kept on the GradedBasis.
 """
 
 from __future__ import annotations
@@ -101,23 +107,22 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
       (side(P_n) M[rows of alpha + e_i]) side(P_m)^t, the association
       pair_blocks uses, and the d pairings are solved as one stack.
 
-    The reconstruction residual over all degrees below the top one, with B
-    and C applied by mk.product (a row gather for tensor blocks), is
-    checked against DEFAULT_RES_TOL times the coefficient scale; a
-    violation means the input was not orthogonal for the functional.  On
-    the tensor route that check is what ties P to u.
+    The reconstruction residual over all degrees below the top one, one
+    stacked pass per degree for all d directions with B and C applied by
+    mk.product (a row gather for tensor blocks), is checked against
+    DEFAULT_RES_TOL times the coefficient scale; a violation means the
+    input was not orthogonal for the functional.  On the tensor route that
+    check is what ties P to u.
     """
     if P.d != u.d:
         raise ValueError("systems and functional must share the dimension")
     basis = basis_for(P.d)
     d, N = P.d, P.N
     sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(N + 1)]
-    # graded positions of alpha + e_i, alpha over degrees 0..n
-    shifted = [[_shifted(basis, n + 1, i) for i in range(1, d + 1)] for n in range(N + 1)]
     if P.monic and hasattr(u, "factors"):
         B, C = _tensor_blocks(u, N)
     else:
-        B, C = _paired_blocks(u, H, sides, shifted)
+        B, C = _paired_blocks(u, H, sides)
     A = []
     for n in range(N):
         if P.monic:
@@ -128,31 +133,41 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
             lead = P.leading(n)
             rhs = np.hstack([(lead @ basis.shift_matrix(n, i)).T for i in range(1, d + 1)])
             A.append([a.T for a in np.split(mk.solve(P.leading(n + 1).T, rhs), d, axis=1)])
-    residuals = []
-    row_scale = [_row_scale(P, n) for n in range(N + 1)]
-    for n in range(N):
-        # x_i P_n - A P_{n+1} - B P_n - C P_{n-1}, all degrees side by side
-        scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
-        for i, rows in enumerate(shifted[n]):
-            if P.monic:
-                # the shift's rows pick the rows of alpha + e_i
-                resid = -sides[n + 1][basis.shift_index(n, i + 1)]
-            else:
-                resid = -(A[n][i] @ sides[n + 1])
-            resid[:, rows] += sides[n]
-            resid[:, :basis.offset(n + 1)] -= mk.product(B[n][i], sides[n])
-            if n >= 1:
-                resid[:, :basis.offset(n)] -= mk.product(C[n][i], sides[n - 1])
-            residuals.append(mk.max_abs(resid) / scale)
-    worst = mk.worst(residuals)
+    ttr = ThreeTermData(d, A, B, C)
+    worst = mk.worst(_recon_residuals(P, ttr, sides))
     if not worst <= DEFAULT_RES_TOL:
         raise ValueError(
             f"three-term reconstruction residual {worst:.3e} exceeds {DEFAULT_RES_TOL:.1e}; "
             "input system is not orthogonal for the functional"
         )
-    ttr = ThreeTermData(d, A, B, C)
     ttr.recon_residual = worst
     return ttr
+
+
+def _recon_residuals(P: PolySystem, T: ThreeTermData, sides: list) -> list:
+    """max|x_i P_n - A P_{n+1} - B P_n - C P_{n-1}| over the coefficient
+    scale of degrees n-1..n+1 (at least 1), for n < P.N and i = 1..d in
+    that order (compute_ttr); sides[n] holds P_n's blocks side by side."""
+    basis = basis_for(P.d)
+    row_scale = [mk.max_abs(side) for side in sides]
+    residuals = []
+    for n in range(P.N):
+        # all degrees side by side, the d directions stacked direction-major
+        scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
+        if P.monic:
+            # the shifts' rows pick the rows of alpha + e_i
+            resid = -sides[n + 1][basis.joint_shift_index(n)[0]]
+        else:
+            resid = -np.vstack([a @ sides[n + 1] for a in T.A[n]])
+        size = basis.size(n)
+        for i in range(P.d):
+            resid[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += sides[n]
+        resid[:, :basis.offset(n + 1)] -= mk.product(T.B[n], sides[n])
+        if n >= 1:
+            resid[:, :basis.offset(n)] -= mk.product(T.C[n], sides[n - 1])
+        np.abs(resid, out=resid)
+        residuals.extend(resid.reshape(P.d, -1).max(axis=1) / scale)
+    return residuals
 
 
 def _tensor_blocks(u: MomentFunctional, N: int) -> tuple[list, list]:
@@ -178,58 +193,62 @@ def _tensor_blocks(u: MomentFunctional, N: int) -> tuple[list, list]:
     return B, C
 
 
-def _paired_blocks(u: MomentFunctional, H: GramBlocks, sides: list,
-                   shifted: list) -> tuple[list, list]:
+def _paired_blocks(u: MomentFunctional, H: GramBlocks, sides: list) -> tuple[list, list]:
     """B and C blocks by pairing against the graded moment matrix
     (compute_ttr)."""
     basis = u.basis
     B, C = [], [None]
-    for n, rows_n in enumerate(shifted):
+    for n in range(len(sides)):
         M = u.graded_block(0, n + 1, 0, n)
         pb, pc = [], []
-        for rows in rows_n:
+        for i in range(1, u.d + 1):
             # x_i P_n against the monomials of degrees 0..n: the rows of M
             # at alpha + e_i, so no shifted copy of P_n is formed
-            left = sides[n] @ M[rows]
+            left = sides[n] @ M[basis.shifted(n + 1, i)]
             pb.append(left @ sides[n].T)
             if n >= 1:
                 pc.append(left[:, :basis.offset(n)] @ sides[n - 1].T)
-        B.append(np.split(H.solve_right(n, np.vstack(pb)), len(rows_n)))
+        B.append(np.split(H.solve_right(n, np.vstack(pb)), u.d))
         if n >= 1:
-            C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), len(rows_n)))
+            C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), u.d))
     return B, C
 
 
-def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: list) -> tuple[np.ndarray, float]:
-    """Least-squares solution g of J g = stack(rhs), J = basis.joint_shift(n),
-    and its defect max|J g - stack(rhs)|, in closed form.
+def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares solution g of J g = rhs, J = basis.joint_shift(n), and
+    its defect max|J g - rhs|, in closed form.
 
-    rhs[i-1] is the block of direction i.  Every row of J holds one 1, so
-    J^t J = diag(c), c_beta = #{i : beta_i > 0}, and g = diag(1/c) J^t rhs:
-    row beta of g is the mean of the rows of rhs whose shift reaches beta.
-    J has full column rank, so this is the unique minimizer.
+    rhs stacks the blocks of directions 1..d, size(n) rows each.  Every row
+    of J holds one 1, so J^t J = diag(c), c_beta = #{i : beta_i > 0}, and
+    g = diag(1/c) J^t rhs: row beta of g is the mean of the rows of rhs
+    whose shift reaches beta, summed in direction order.  J has full column
+    rank, so this is the unique minimizer.
     """
-    shifts = [basis.shift_index(n, i) for i in range(1, len(rhs) + 1)]
-    g = np.zeros((basis.size(n + 1), rhs[0].shape[1]))
-    for idx, r in zip(shifts, rhs):
-        g[idx] += r
-    g /= np.bincount(np.concatenate(shifts), minlength=g.shape[0])[:, None]
-    return g, mk.worst(mk.max_abs(g[idx] - r) for idx, r in zip(shifts, rhs))
+    idx, counts = basis.joint_shift_index(n)
+    size = basis.size(n)
+    g = np.zeros((basis.size(n + 1), rhs.shape[1]))
+    for lo in range(0, idx.size, size):
+        g[idx[lo:lo + size]] += rhs[lo:lo + size]
+    g /= counts[:, None]
+    defect = g[idx]
+    defect -= rhs
+    return g, mk.max_abs(defect)
 
 
 def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySystem, np.ndarray]:
     """Regenerate the monic system degree by degree from recurrence blocks.
 
-    Each degree is one step: per direction i, the right-hand side x_i P_n -
-    B_{n,i} P_n - C_{n,i} P_{n-1} over the columns of degrees 0..n side by
-    side, with B and C applied by mk.product (a row gather for the diagonal
-    and one-per-row blocks of tensor recurrences, one dense product per
-    column block otherwise), then one solve of the stacked overdetermined
-    system J P_{n+1} = stack_i(rhs_i), J = joint(L_n), by closed-form least
-    squares on the joint shift (joint_shift_lstsq).  Every row of J holds
-    one 1, so J^t J = diag(c) with c_beta = #{i : beta_i > 0}, and the
-    solution diag(1/c) J^t rhs averages the equations that reach each
-    degree-(n+1) monomial.  Compatible data reproduce the unique solution
+    Each degree is one step: the right-hand sides x_i P_n - B_{n,i} P_n -
+    C_{n,i} P_{n-1} over the columns of degrees 0..n side by side, stacked
+    over the directions i, with each of B and C applied to all d
+    directions by one mk.product call (a row gather for the diagonal and
+    one-per-row blocks of tensor recurrences, one dense product per block
+    and column block otherwise), then one solve of the stacked
+    overdetermined system J P_{n+1} = stack_i(rhs_i), J = joint(L_n), by
+    closed-form least squares on the joint shift (joint_shift_lstsq).
+    Every row of J holds one 1, so J^t J = diag(c) with c_beta = #{i :
+    beta_i > 0}, and the solution diag(1/c) J^t rhs averages the equations
+    that reach each degree-(n+1) monomial.  Compatible data reproduce the unique solution
     and the returned per-degree residuals max|J g - rhs| are zero up to
     roundoff.  Incompatible blocks show up as nonzero residuals rather than
     an exception, a non-finite block as NaN residuals from its degree on.
@@ -241,10 +260,13 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     if N is not None and N < 0:
         raise ValueError(f"degree bound must be >= 0, got {N}")
     N = T.reachable_degree if N is None else min(N, T.reachable_degree)
-    # exact, as for the envelope writer's "shift" marker: the steps use the
-    # shift itself, so a block that only came close would be ignored
-    if not all(mk.same_bits(T.a(n, i), basis.shift_matrix(n, i))
-               for n in range(min(N, len(T.A))) for i in range(1, d + 1)):
+    def structural(n: int, i: int) -> bool:
+        # exact, as for the envelope writer's "shift" marker: the steps use
+        # the shift itself, so a block that only came close would be ignored
+        shift = basis.shift_matrix(n, i)
+        return T.a(n, i) is shift or mk.same_bits(T.a(n, i), shift)
+
+    if not all(structural(n, i) for n in range(min(N, len(T.A))) for i in range(1, d + 1)):
         raise ValueError("forward generation requires structural (monic) A blocks")
 
     # rows[n]: degree n's blocks side by side, over the columns of degrees
@@ -253,27 +275,20 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     cuts = [basis.offset(k) for k in range(1, N + 1)]
     residuals = np.zeros(N)
     for n in range(N):
-        low = basis.offset(n)
-        rhs = []
-        for i in range(1, d + 1):
-            r = -mk.product(T.b(n, i), rows[n], cuts[:n])
+        low, size = basis.offset(n), basis.size(n)
+        # the d right-hand sides, stacked direction-major
+        rhs = -mk.product(T.B[n], rows[n], cuts[:n])
+        for i in range(d):
             # x_i P_n: the blocks of degrees 0..n-1 move to alpha + e_i; the
             # top block's shift L_(n,i) is the identity's, which solves it
             # with zero defect
-            r[:, _shifted(basis, n, i)] += rows[n][:, :low]
-            if n >= 1:
-                r[:, :low] -= mk.product(T.c(n, i), rows[n - 1], cuts[:n - 1])
-            rhs.append(r)
+            rhs[i * size:(i + 1) * size, basis.shifted(n, i + 1)] += rows[n][:, :low]
+        if n >= 1:
+            rhs[:, :low] -= mk.product(T.C[n], rows[n - 1], cuts[:n - 1])
         g, residuals[n] = joint_shift_lstsq(basis, n, rhs)
         rows.append(np.hstack([g, np.eye(basis.size(n + 1))]))
     blocks = [np.split(row, cuts[:n], axis=1) for n, row in enumerate(rows)]
     return PolySystem(d, blocks, monic=True, label="generated"), residuals
-
-
-def _shifted(basis: GradedBasis, n: int, i: int) -> np.ndarray:
-    """Graded positions of alpha + e_i for alpha over degrees 0..n-1."""
-    return np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i) for k in range(n)]
-                          or [np.zeros(0, dtype=int)])
 
 
 @dataclass
@@ -303,10 +318,18 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
     Shift blocks, tensor C blocks and their joints hold at most one nonzero
-    per line, so mk.singular_values reads them with no SVD.
+    per line, so mk.singular_values reads them with no SVD.  An upper block
+    that is basis.shift_matrix(n, i) itself, the read-only object that
+    compute_ttr and the envelope reader's "shift" marker hand out, has its
+    singular values read off the basis, and so has a joint of d of them.
     """
     basis = basis_for(d)
-    sv = {n: [mk.singular_values(b) for b in row] for n, row in rows.items()}
+
+    def is_shift(n: int, i: int, b) -> bool:
+        return not lower and b is basis.shift_matrix(n, i)
+
+    sv = {n: [basis.shift_singular_values(n, i) if is_shift(n, i, b) else mk.singular_values(b)
+              for i, b in enumerate(row, start=1)] for n, row in rows.items()}
     scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
                 1e-300)
     shift = -1 if lower else 0
@@ -315,8 +338,11 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
         for i, s in enumerate(sv[n], start=1):
             checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
                                        basis.size(n + shift), n, i))
-        joint = joint_matrix([b.T for b in row] if lower else row)
-        rank = mk.numeric_rank(joint, tol, scale=scale)
+        if len(row) == d and all(is_shift(n, i, b) for i, b in enumerate(row, start=1)):
+            joint_sv = basis.joint_shift_singular_values(n)
+        else:
+            joint_sv = mk.singular_values(joint_matrix([b.T for b in row] if lower else row))
+        rank = mk.rank_from_sv(joint_sv, tol, scale)
         checks.append(Check.ranked(f"{name}-joint", rank, basis.size(n + shift + 1), n))
     return checks
 

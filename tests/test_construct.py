@@ -364,6 +364,25 @@ def test_system_from_rows_rejects_a_term_above_the_row_degree():
         system_from_rows(rows, 2, 1, "s")
 
 
+def test_system_from_rows_names_the_first_row_and_its_first_degree_above_n():
+    # one test per degree finds the fault; the search then names the first
+    # row in order, and its degree whose first coefficient comes first
+    # row-major: y^3 (entry [0, 3]) before x^2 (entry [2, 0])
+    x, y = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, 1.0])
+    rows = {(0, 0): mpoly.const(2),
+            (1, 0): mpoly.add(x, mpoly.add(1e-9 * mpoly.mul(x, x),
+                                           1e-9 * mpoly.mul(y, mpoly.mul(y, y)))),
+            (0, 1): mpoly.add(y, 1e-9 * mpoly.mul(x, y))}
+    with pytest.raises(ValueError, match=r"row \(1, 0\) has degree 3 > 1"):
+        system_from_rows(rows, 2, 1, "s")
+    rows[(1, 0)] = mpoly.add(x, 1e-11 * mpoly.mul(x, x))
+    with pytest.raises(ValueError, match=r"row \(0, 1\) has degree 2 > 1"):
+        system_from_rows(rows, 2, 1, "s")
+    # a NaN above the degree is no coefficient above 1e-10, as before
+    rows[(0, 1)] = np.array([[0.0, 1.0], [0.0, np.nan]])    # y + nan x y
+    assert system_from_rows(rows, 2, 1, "s").monic
+
+
 def test_system_from_rows_writes_negative_zero_as_zero():
     # x + (-0.0) + (-0.0) y: every zero coefficient of the rows is -0.0
     rows = {(0, 0): np.array([[1.0, -0.0]]), (1, 0): np.array([[-0.0, -0.0], [1.0, -0.0]]),
@@ -546,7 +565,8 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
     # the rank verdict behind the quasi-definiteness check (one
     # mk.singular_values call) is also the rank check of every later solve
-    # against the block; the tensor route's diagonal blocks take no SVD
+    # against the block; the tensor route's diagonal blocks take no SVD and
+    # no mk.singular_values call (GramBlocks.append_diagonal sorts |values|)
     verdicts = _count_calls(monkeypatch, mk, "singular_values")
     svds = _count_calls(monkeypatch, np.linalg, "svd")
     N = 6
@@ -560,7 +580,7 @@ def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
     _, H = gram_schmidt_monic(moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5)), N)
     for n in range(N + 1):
         H.solve_right(n, np.eye(n + 1))
-    assert len(verdicts) == 2 * (N + 1) and len(svds) == dense
+    assert len(verdicts) == N + 1 and len(svds) == dense
 
 
 def test_solve_right_keeps_the_default_rank_rule_under_a_looser_build():
@@ -920,3 +940,24 @@ def test_simplex_gates_keep_their_failing_degrees(kappa, failing):
     with pytest.raises(QuasiDefiniteFailure) as err:
         gram_schmidt_monic(u, failing)
     assert err.value.degree == failing
+
+
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+                       min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_append_diagonal_records_the_singular_values_of_its_block_bit_for_bit(values):
+    H = GramBlocks([])
+    with mock.patch.object(GramBlocks, "append", autospec=True) as append:
+        H.append_diagonal(values)
+    (_, h, sv), _ = append.call_args
+    assert mk.same_bits(h, np.diag(values))
+    assert mk.same_bits(np.ascontiguousarray(sv), mk.singular_values(np.diag(values)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_append_diagonal_refuses_non_finite_values(bad):
+    H = GramBlocks([])
+    with pytest.raises(ValueError, match="finite"):
+        H.append_diagonal([1.0, bad])
+    assert H.blocks == []

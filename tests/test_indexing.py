@@ -155,3 +155,33 @@ def test_joint_shift_rows_hold_one_one_and_normal_matrix_is_diagonal(d):
             idx = basis.shift_index(n, i)
             assert np.array_equal(basis.shift_matrix(n, i)[np.arange(idx.size), idx],
                                   np.ones(idx.size))
+
+
+def test_cache_clear_drops_the_basis_memos():
+    import gc
+    import weakref
+
+    from mvops import matrixkit as mk
+
+    indexing.basis_for.cache_clear()
+    basis = indexing.basis_for(3)
+    memos = [basis.shifted(4, 2), *basis.joint_shift_index(3),
+             basis.shift_singular_values(2, 1), basis.joint_shift_singular_values(2)]
+    assert basis.offset(5) == 35 and 5 in basis._offsets
+    assert all(not m.flags.writeable for m in memos)
+    # the memos are the values their definitions give
+    assert np.array_equal(memos[0], np.concatenate(
+        [basis.offset(k + 1) + basis.shift_index(k, 2) for k in range(4)]))
+    assert np.array_equal(memos[1], np.flatnonzero(basis.joint_shift(3)) % basis.size(4))
+    assert np.array_equal(memos[2], basis.joint_shift(3).sum(axis=0))
+    assert mk.same_bits(memos[3], mk.singular_values(basis.shift_matrix(2, 1)))
+    assert mk.same_bits(memos[4], mk.singular_values(basis.joint_shift(2)))
+    refs = [weakref.ref(m) for m in memos]
+    del memos, basis
+    indexing.basis_for.cache_clear()
+    gc.collect()
+    # nothing outside the basis instance held them
+    assert all(ref() is None for ref in refs)
+    fresh = indexing.basis_for(3)
+    assert not (fresh._offsets or fresh._shifted or fresh._joint_index
+                or fresh._shift_sv or fresh._joint_sv)

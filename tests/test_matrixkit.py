@@ -207,6 +207,59 @@ def test_product_is_non_finite_where_the_dense_product_is(name, where, bad):
     assert np.array_equal(got, want + 0.0, equal_nan=True)
 
 
+@st.composite
+def _block_family(draw):
+    """Blocks of one width, each line sparse (one nonzero per row at most)
+    or dense, with signed zeros, and maybe a NaN or an infinity in one
+    block or in the right operand; the operand and its column splits."""
+    width, cols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(0, 5))
+        if draw(st.booleans()) or not width:
+            b = np.zeros((rows, width))
+            if width:
+                keep = rng.random(rows) < 0.8
+                b[np.flatnonzero(keep), rng.integers(0, width, rows)[keep]] = \
+                    rng.standard_normal(np.count_nonzero(keep))
+        else:
+            b = rng.standard_normal((rows, width)) * (rng.random((rows, width)) < 0.6)
+        b[rng.random(b.shape) < 0.2] = -0.0
+        blocks.append(b)
+    x = _operand(width, cols, int(rng.integers(2**32)))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf]))
+    target = draw(st.sampled_from(["x", "s"]))
+    holder = x if target == "x" else blocks[draw(st.integers(0, len(blocks) - 1))]
+    if bad is not None and holder.size:
+        holder[tuple(rng.integers(0, n) for n in holder.shape)] = bad
+    split = sorted(draw(st.lists(st.integers(0, cols), max_size=3)))
+    return blocks, x, split
+
+
+@given(family=_block_family())
+@settings(max_examples=300, deadline=None)
+def test_product_of_a_block_family_is_the_stack_of_its_block_products(family):
+    # one sparsity test for the whole family, bit for bit the per-block calls
+    blocks, x, split = family
+    with np.errstate(invalid="ignore", over="ignore"):    # inf * 0
+        got = mk.product(blocks, x, split)
+        want = np.vstack([mk.product(b, x, split) for b in blocks])
+    assert mk.same_bits(got, want)
+
+
+def test_a_line_sparse_block_family_takes_one_gather():
+    blocks = [np.diag([2.0, -0.5, 3.0]), PRODUCT_CASES["one per row"][:3, :3],
+              np.zeros((2, 3))]
+    x = _operand(3, 5, 4)
+    with mock.patch.object(np, "split", side_effect=AssertionError("dense product")), \
+            mock.patch.object(np, "isfinite", wraps=np.isfinite) as finite:
+        got = mk.product(blocks, x, [2])
+    assert finite.call_count == 1
+    assert mk.same_bits(got, np.vstack([b @ x for b in blocks]) + 0.0)
+
+
 def test_product_checks_shapes():
     with pytest.raises(mk.ShapeMismatchError):
         mk.product(np.eye(3), np.ones((2, 4)))
@@ -214,6 +267,8 @@ def test_product_checks_shapes():
         mk.product(np.ones(3), np.ones((3, 4)))
     assert mk.product(np.zeros((2, 0)), np.zeros((0, 3))).shape == (2, 3)
     assert mk.product(np.zeros((0, 3)), np.ones((3, 2))).shape == (0, 2)
+    with pytest.raises(mk.ShapeMismatchError):
+        mk.product([np.eye(3), np.ones((2, 4))], np.ones((3, 4)))
 
 
 @pytest.mark.parametrize("m", [np.array([[-2.5]]), np.zeros((0, 4)), np.zeros((4, 0)),
@@ -391,6 +446,24 @@ def test_parse_matrix_accepts_exactly_what_float_accepts(tok, pos, sep, sep_at, 
     assert BIG_ROWS * BIG_COLS >= mk._VECTOR_MIN_ENTRIES
     for at in (pos, BIG_ROWS * BIG_COLS - 1):
         _parses_as_per_token(_big_text(tok, at, sep, sep_at, replaced, tail))
+
+
+@pytest.mark.parametrize("zeros, vectorized", [(0.0, False), (0.3, False), (0.6, True),
+                                              (0.95, True)])
+def test_large_blocks_take_the_per_byte_route_when_mostly_zero(zeros, vectorized):
+    # a dense block is joined and split per token; a block at least half of
+    # zeros is written and read per byte; the text is the same either way
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((45, 36)) * (rng.random((45, 36)) >= zeros)
+    with mock.patch.object(mk, "_format_spliced", wraps=mk._format_spliced) as spliced:
+        text = mk.format_matrix(m)
+    with mock.patch.object(mk, "_parse_bytes", wraps=mk._parse_bytes) as per_byte:
+        back = mk.parse_matrix(text)
+    assert spliced.call_count == per_byte.call_count == int(vectorized)
+    _assert_same_text(text, "\n".join(["45 36"] + [" ".join(map(repr, row))
+                                                   for row in m.tolist()]))
+    _assert_same_text("45 36\n" + mk._format_spliced(m), text)
+    assert back.tobytes() == m.tobytes() == mk._parse_bytes(text, 45, 36).tobytes()
 
 
 def test_matrix_shape_reads_only_the_header():

@@ -236,8 +236,7 @@ def test_joint_shift_closed_form_equals_lstsq(d, n, cols, seed, compatible):
         stacked = J @ rng.standard_normal((basis.size(n + 1), cols))
     else:
         stacked = rng.standard_normal((J.shape[0], cols)) * 10.0 ** rng.integers(-3, 4)
-    rhs = np.split(stacked, d)
-    g, defect = joint_shift_lstsq(basis, n, rhs)
+    g, defect = joint_shift_lstsq(basis, n, stacked)
     want = np.linalg.lstsq(J, stacked, rcond=None)[0]
     assert mk.max_abs(g - want) <= 1e-12 * mk.max_abs(want)
     want_defect = mk.max_abs(J @ want - stacked)
@@ -480,6 +479,69 @@ def test_generation_refuses_a_negative_degree_bound():
     assert G.N == 0 and residuals.size == 0
 
 
+def _joint_lstsq_per_direction(basis, n, rhs):
+    """joint_shift_lstsq on a list of per-direction blocks, with one scatter
+    and one defect per direction: the reference the stacked solve
+    reproduces."""
+    shifts = [basis.shift_index(n, i) for i in range(1, len(rhs) + 1)]
+    g = np.zeros((basis.size(n + 1), rhs[0].shape[1]))
+    for idx, r in zip(shifts, rhs):
+        g[idx] += r
+    g /= np.bincount(np.concatenate(shifts), minlength=g.shape[0])[:, None]
+    return g, mk.worst(mk.max_abs(g[idx] - r) for idx, r in zip(shifts, rhs))
+
+
+def _shifted(basis, n, i):
+    """Graded positions of alpha + e_i for alpha over degrees 0..n-1."""
+    return np.concatenate([basis.offset(k + 1) + basis.shift_index(k, i) for k in range(n)]
+                          or [np.zeros(0, dtype=int)])
+
+
+def _generate_per_direction(T):
+    """generate_from_ttr with one right-hand side, and one mk.product call
+    for each of B and C, per (degree, direction): the reference its
+    stacked steps reproduce."""
+    d, N = T.d, T.reachable_degree
+    basis = basis_for(d)
+    rows = [np.eye(1)]
+    cuts = [basis.offset(k) for k in range(1, N + 1)]
+    residuals = np.zeros(N)
+    for n in range(N):
+        low = basis.offset(n)
+        rhs = []
+        for i in range(1, d + 1):
+            r = -mk.product(T.b(n, i), rows[n], cuts[:n])
+            r[:, _shifted(basis, n, i)] += rows[n][:, :low]
+            if n >= 1:
+                r[:, :low] -= mk.product(T.c(n, i), rows[n - 1], cuts[:n - 1])
+            rhs.append(r)
+        g, residuals[n] = _joint_lstsq_per_direction(basis, n, rhs)
+        rows.append(np.hstack([g, np.eye(basis.size(n + 1))]))
+    return [np.split(row, cuts[:n], axis=1) for n, row in enumerate(rows)], residuals
+
+
+def _recon_residuals_per_direction(P, T):
+    """compute_ttr's reconstruction residuals with one residual array, and
+    one mk.product call for each of B and C, per (degree, direction)."""
+    basis = basis_for(P.d)
+    sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(P.N + 1)]
+    row_scale = [max(mk.max_abs(b) for b in P.blocks[n]) for n in range(P.N + 1)]
+    residuals = []
+    for n in range(P.N):
+        scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
+        for i in range(1, P.d + 1):
+            if P.monic:
+                resid = -sides[n + 1][basis.shift_index(n, i)]
+            else:
+                resid = -(T.a(n, i) @ sides[n + 1])
+            resid[:, _shifted(basis, n + 1, i)] += sides[n]
+            resid[:, :basis.offset(n + 1)] -= mk.product(T.b(n, i), sides[n])
+            if n >= 1:
+                resid[:, :basis.offset(n)] -= mk.product(T.c(n, i), sides[n - 1])
+            residuals.append(mk.max_abs(resid) / scale)
+    return residuals
+
+
 def _generate_per_block(T):
     """generate_from_ttr as one step per (degree, column degree, direction),
     with dense products: the reference its whole-degree steps reproduce."""
@@ -498,7 +560,7 @@ def _generate_per_block(T):
                 if k < n:
                     r -= T.c(n, i) @ blocks[n - 1][k]
                 rhs.append(r)
-            g, defect = joint_shift_lstsq(basis, n, rhs)
+            g, defect = _joint_lstsq_per_direction(basis, n, rhs)
             row.append(g)
             defects.append(defect)
         row.append(np.eye(basis.size(n + 1)))
@@ -555,3 +617,92 @@ def test_a_non_finite_recurrence_entry_gives_nan_residuals_from_its_degree(famil
     assert np.array_equal(residuals, want, equal_nan=True)
     if kind == "tensor":
         assert np.array_equal(residuals[:2], [0.0, 0.0])
+
+
+def _with_non_finite(T, family, bad):
+    """A copy of T with entry (1, 0) of a C block, or (1, 1) of a B block,
+    of degree 2, direction 1, set to `bad`."""
+    T = ThreeTermData(T.d, T.A, list(T.B), list(T.C))
+    rows = getattr(T, family)
+    rows[2] = list(rows[2])
+    rows[2][0] = rows[2][0].copy()
+    rows[2][0][1, 0 if family == "C" else 1] = bad
+    return T
+
+
+def _stacked_case(kind, d, N):
+    """A system and recurrence data for it: tensor, simplex and disk systems
+    with their compute_ttr blocks, an orthonormal (non-monic) disk system,
+    the counterexample's dense blocks with the system they generate, and
+    tensor and disk recurrences with one non-finite B or C entry."""
+    if kind == "orthonormal":
+        u = moments.disk_functional(0.5)
+        P, H = gram_schmidt_monic(u, N)
+        P = orthonormalize(P, H)
+        return P, compute_ttr(P, u, gram_blocks(u, P))
+    if kind == "counterexample":
+        T = counterexample(N)[0]
+        return generate_from_ttr(T)[0], T
+    base, _, bad = kind.partition("-")
+    T = _recurrence(base, d, N)
+    P = generate_from_ttr(T)[0]
+    if bad:
+        family, value = bad.split(":")
+        T = _with_non_finite(T, family, float(value))
+    return P, T
+
+
+STACKED_CASES = GENERATION_CASES + [
+    ("orthonormal", 2, 5), ("tensor-B:nan", 3, 5), ("tensor-C:inf", 3, 5),
+    ("disk-C:nan", 2, 5), ("disk-B:inf", 2, 5)]
+
+
+@pytest.mark.parametrize("kind, d, N", STACKED_CASES)
+def test_stacked_steps_equal_the_per_direction_loops_bit_for_bit(kind, d, N):
+    from mvops.ttr import _recon_residuals
+
+    P, T = _stacked_case(kind, d, N)
+    assert P.d == T.d == d
+    sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(P.N + 1)]
+    with np.errstate(invalid="ignore"):    # inf * 0 in both
+        got = _recon_residuals(P, T, sides)
+        want = _recon_residuals_per_direction(P, T)
+    assert mk.same_bits(np.array(got), np.array(want))
+    if kind == "orthonormal":
+        with pytest.raises(ValueError, match="structural"):
+            generate_from_ttr(T)
+        return
+    with np.errstate(invalid="ignore"):
+        G, residuals = generate_from_ttr(T)
+        blocks, want = _generate_per_direction(T)
+    assert mk.same_bits(residuals, want)
+    assert len(G.blocks) == len(blocks)
+    assert all(mk.same_bits(g, w) for grow, wrow in zip(G.blocks, blocks)
+               for g, w in zip(grow, wrow))
+    if "-" in kind:
+        assert np.isnan(residuals[2:]).all() and not np.isnan(residuals[:2]).any()
+
+
+def test_rank_checks_of_a_basis_shift_and_of_an_equal_copy_agree():
+    basis = basis_for(3)
+    rows = {n: [basis.shift_matrix(n, i) for i in range(1, 4)] for n in range(6)}
+    copies = {n: [np.array(b) for b in row] for n, row in rows.items()}
+    assert rank_family("A", 3, rows, 1e-9, lower=False) == \
+        rank_family("A", 3, copies, 1e-9, lower=False)
+    # the basis's own blocks read the basis's singular values, copies take
+    # mk.singular_values: bit for bit the same values
+    for n in range(6):
+        for i in range(1, 4):
+            assert mk.same_bits(basis.shift_singular_values(n, i),
+                                mk.singular_values(copies[n][i - 1]))
+        assert mk.same_bits(basis.joint_shift_singular_values(n),
+                            mk.singular_values(joint_matrix(copies[n])))
+
+
+def test_rank_checks_of_basis_shifts_take_no_singular_values_call(monkeypatch):
+    basis = basis_for(2)
+    rows = {n: [basis.shift_matrix(n, i) for i in range(1, 3)] for n in range(5)}
+    want = rank_family("A", 2, rows, 1e-9, lower=False)
+    calls = _count_calls(monkeypatch, mk, "singular_values")
+    assert rank_family("A", 2, rows, 1e-9, lower=False) == want
+    assert calls == []
