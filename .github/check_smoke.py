@@ -3,17 +3,18 @@
 `perfbench/run.py` exits 0 whatever its operations do, and prints its JSON
 summary as the last line of its output.  This script passes that output
 through and exits 1 when the summary reports a crashed operation
-("correct" false), or an untraced run whose right_ratio is below its
-workload's floor in RIGHT_FLOOR or whose trusted_degree_min is below its
-floor in TRUSTED_FLOOR (a library error such as a write into a read-only
-block counts as a wrong verdict, not a crash).  Traced runs carry neither
-metric.
+("correct" false), or an untraced run whose right_ratio, trusted_degree_min,
+coef_digits or margin_decades is below its workload's floor in RIGHT_FLOOR,
+TRUSTED_FLOOR, COEF_FLOOR or MARGIN_FLOOR (a library error such as a write
+into a read-only block counts as a wrong verdict, not a crash).  Traced runs
+carry none of these metrics.
 
     python3 perfbench/run.py --workload W --seed 1 --seconds 1 --trace 0 \\
         | python3 .github/check_smoke.py W
 """
 
 import json
+import math
 import sys
 
 # A run covers whole rounds, so a commit reads one ratio in every run.
@@ -25,6 +26,12 @@ RIGHT_FLOOR = {"catalog": 0.8375, "highdim": 1.0, "cli-files": 1.0}
 # catalog's wrong configurations hold it at 4, and ROADMAP items 2 and 8
 # raise it.
 TRUSTED_FLOOR = {"catalog": 4, "highdim": 10, "cli-files": 12}
+# Accuracy: each floor is the value an untraced run read when the floor was
+# set (coef_digits 8.70, 10.45, 9.16; margin_decades 5.33, 4.30, 5.03, the
+# same for seeds 1-3 and 1-3 s runs) minus the benchmark's 0.1 bound, so an
+# accuracy regression the benchmark would refuse fails CI first.
+COEF_FLOOR = {"catalog": 8.60, "highdim": 10.35, "cli-files": 9.06}
+MARGIN_FLOOR = {"catalog": 5.23, "highdim": 4.20, "cli-files": 4.93}
 
 
 def main() -> int:
@@ -41,7 +48,9 @@ def main() -> int:
         problems.append(f"{summary.get('failed')} operation(s) crashed")
     metrics = summary.get("metrics", {})
     for name, floors, default in (("right_ratio", RIGHT_FLOOR, 1.0),
-                                  ("trusted_degree_min", TRUSTED_FLOOR, 0)):
+                                  ("trusted_degree_min", TRUSTED_FLOOR, 0),
+                                  ("coef_digits", COEF_FLOOR, -math.inf),
+                                  ("margin_decades", MARGIN_FLOOR, -math.inf)):
         value = metrics.get(name, {}).get("value")
         floor = floors.get(workload, default)
         if value is not None and not value >= floor:

@@ -1,12 +1,13 @@
 """Construction of orthogonal polynomial systems from moment functionals.
 
 A polynomial system is a graded sequence of column vectors of polynomials,
-one vector per total degree, stored as coefficient blocks against the
-ordered monomial basis: row vector n is sum_k G[n][k] X_k.  Every pairing
-of two systems against a functional is one product: pair_systems stacks
-each system's blocks by column degree and returns the graded matrix
-<u, P Q^t>, whose block (n, m) is <u, P_n Q_m^t>.  Gram blocks,
-orthogonality residuals and Fourier coefficients are slices of it.
+one vector per total degree: vector n is sum_k G[n][k] X_k, against the
+ordered monomial basis, and PolySystem keeps the blocks G[n][k] side by
+side in one array per degree.  Every pairing of two systems against a
+functional is one product: pair_systems stacks each system's blocks by
+column degree and returns the graded matrix <u, P Q^t>, whose block
+(n, m) is <u, P_n Q_m^t>.  Gram blocks, orthogonality residuals and
+Fourier coefficients are slices of it.
 
 Systems are built degree by degree through block Gram-Schmidt against the
 functional's graded moment matrix, one pairing of the degree-n monomials
@@ -25,12 +26,12 @@ tensor_system from the per-axis coefficient tables (factor_tables).
 _tensor_rows, which linrel.compute_relation's tensor route also reads,
 gathers each axis's table rows at nu_i, then columns at alpha_i
 (ndarray.take), and multiplies in place, in axis order, bit for bit the
-products of an np.ix_ gather.  tensor_system's blocks are read-only, and a
+products of an np.ix_ gather.  tensor_system's rows are read-only, and a
 monic result carries its tables.  axis_tables is the one test of "tensor
 system" that linrel.compute_relation's tensor route relies on: it returns
-the carried tables while the system still holds the blocks they were built
-into, and otherwise reads the tables back off a monic system and returns
-them only when tensor_system reproduces the system bit for bit.  A tensor
+the carried tables while the system's rows are still read-only, and
+otherwise reads the tables back off a monic system and returns them only
+when tensor_system reproduces the system bit for bit.  A tensor
 functional's Gram blocks are diagonal, H_n = diag(prod_i h_(nu_i)) with
 h_k = <f_i, p_k p_k> read from one univariate pairing per factor, and the
 tensor is quasi-definite through degree n exactly when every factor is, so
@@ -61,57 +62,90 @@ class NotPositiveDefiniteError(Exception):
 
 
 class PolySystem:
-    """Graded coefficient blocks of a polynomial system.
+    """Graded coefficients of a polynomial system, one array per degree.
 
-    A monic system built by tensor_system also carries its per-axis
-    coefficient tables with the read-only blocks they were built into
-    (`_tensor`); axis_tables trusts them only while those very blocks are
-    in place.
+    rows[n], of shape (r_n, basis.offset(n + 1)), holds degree n against
+    the monomials of degrees 0..n in graded order, and blocks[n][k] is its
+    column view at degree k (a copy takes them off its own rows); neither
+    tuple can be rebound.  A degree is given as such an array (a
+    C-contiguous float one is kept, not copied) or as its n + 1 blocks,
+    laid side by side.  `monic` (every leading block exactly the identity)
+    is read off the rows on construction.  A monic tensor_system also
+    carries its per-axis tables (`_tensor`), trusted while no row is writable.
     """
 
-    def __init__(self, d: int, blocks, monic: bool, label: str = ""):
+    def __init__(self, d: int, rows, label: str = ""):
+        basis = basis_for(d)
         self.d = d
-        self.blocks = [[np.asarray(g, dtype=float) for g in row] for row in blocks]
-        self.monic = monic
         self.label = label
-        self._tensor: tuple | None = None
+        self._rows = tuple(_degree_row(basis, n, row) for n, row in enumerate(rows))
+        self._blocks = tuple(tuple(row[:, basis.degree_slice(k, k)] for k in range(n + 1))
+                             for n, row in enumerate(self._rows))
+        self.monic = all(np.array_equal(row[-1], np.eye(row[-1].shape[0]))
+                         for row in self._blocks)
+        self._tensor: list | None = None
+
+    def __reduce__(self):
+        return PolySystem, (self.d, self._rows, self.label), {"_tensor": self._tensor}
+
+    @property
+    def rows(self) -> tuple:
+        return self._rows
+
+    @property
+    def blocks(self) -> tuple:
+        return self._blocks
 
     @property
     def N(self) -> int:
-        return len(self.blocks) - 1
+        return len(self._rows) - 1
 
     def block(self, n: int, k: int) -> np.ndarray:
-        return self.blocks[n][k]
+        return self._blocks[n][k]
 
     def leading(self, n: int) -> np.ndarray:
-        return self.blocks[n][n]
-
-    def row_blocks(self, n: int) -> dict[int, np.ndarray]:
-        return {k: self.blocks[n][k] for k in range(n + 1)}
+        return self._blocks[n][n]
 
     def size(self, n: int) -> int:
-        return self.blocks[n][n].shape[0]
+        return self._rows[n].shape[0]
 
     def to_monic(self) -> "PolySystem":
         """Divide each degree vector by its leading coefficient block: one
         solve per degree against the lower blocks side by side."""
         basis = basis_for(self.d)
-        out = []
-        for n in range(self.N + 1):
-            lead = self.leading(n)
-            lower = mk.solve(lead, np.hstack(self.blocks[n][:n])) if n else None
-            row = [lower[:, basis.degree_slice(k, k)] for k in range(n)]
-            row.append(np.eye(lead.shape[0]))
-            out.append(row)
-        return PolySystem(self.d, out, monic=True, label=f"monic({self.label})")
+        rows = []
+        for n, row in enumerate(self.rows):
+            eye = np.eye(row.shape[0])
+            rows.append(np.hstack([mk.solve(self.leading(n), row[:, :basis.offset(n)]), eye])
+                        if n else eye)
+        return PolySystem(self.d, rows, label=f"monic({self.label})")
 
     def transformed(self, mats) -> "PolySystem":
-        """Left-multiply each degree vector by the given square matrices."""
+        """Left-multiply each degree vector by the given square matrices, one
+        product per block."""
         out = []
-        for n in range(self.N + 1):
+        for n, blocks in enumerate(self.blocks):
             s = np.asarray(mats[n], dtype=float)
-            out.append([s @ self.block(n, k) for k in range(n + 1)])
-        return PolySystem(self.d, out, monic=False, label=self.label)
+            out.append([s @ g for g in blocks])
+        return PolySystem(self.d, out, label=self.label)
+
+
+def _degree_row(basis: GradedBasis, n: int, row) -> np.ndarray:
+    """Degree n of a system as one array (PolySystem); ValueError names a
+    degree whose blocks or array do not fit its columns."""
+    if not isinstance(row, np.ndarray):
+        blocks = [np.asarray(g, dtype=float) for g in row]
+        shapes = [g.shape for g in blocks]
+        if len({s[0] for s in shapes}) > 1 or [s[1] for s in shapes] != [
+                basis.size(k) for k in range(n + 1)]:
+            raise ValueError(f"degree {n} has blocks of shapes {shapes}: they need one row "
+                             f"count and the widths of degrees 0..{n}")
+        row = np.hstack(blocks)
+    row = np.ascontiguousarray(row, dtype=float)
+    if row.ndim != 2 or row.shape[1] != basis.offset(n + 1):
+        raise ValueError(f"degree {n} has coefficients of shape {row.shape}, expected "
+                         f"{basis.offset(n + 1)} columns")
+    return row
 
 
 @dataclass
@@ -203,22 +237,11 @@ def pair_blocks(u: MomentFunctional, rows_a: dict, rows_b: dict) -> np.ndarray:
     return A @ u.graded_block(a0, a1, b0, b1) @ B.T
 
 
-def shift_rows(rows: dict, i: int, basis: GradedBasis) -> dict:
-    """Coefficient blocks of x_i times a block-coefficient vector: each
-    block's columns scattered to the positions of alpha + e_i."""
-    out = {}
-    for k, g in rows.items():
-        block = np.zeros((g.shape[0], basis.size(k + 1)))
-        block[:, basis.shift_index(k, i)] = g
-        out[k + 1] = block
-    return out
-
-
 def inner_block(u: MomentFunctional, P: PolySystem, n: int, Q: PolySystem, m: int) -> np.ndarray:
-    """<u, P_n Q_m^t> by coefficient contraction against the moments."""
+    """<u, P_n Q_m^t>: the rows of P_n and Q_m about the graded moments."""
     if P.d != Q.d or P.d != u.d:
         raise ValueError("systems and functional must share the dimension")
-    return pair_blocks(u, P.row_blocks(n), Q.row_blocks(m))
+    return P.rows[n] @ u.graded_block(0, n, 0, m) @ Q.rows[m].T
 
 
 def _by_column_degree(blocks: list, top: int, basis: GradedBasis) -> dict:
@@ -292,7 +315,7 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
             raise QuasiDefiniteFailure(n, sv, u.label)
         blocks.append(row)
         grams.append(h, sv)
-    return PolySystem(u.d, blocks, monic=True, label=f"mops({u.label})"), grams
+    return PolySystem(u.d, blocks, label=f"mops({u.label})"), grams
 
 
 def factor_recurrences(u: MomentFunctional, N: int,
@@ -382,14 +405,13 @@ def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
     rows of degree n are written into one array over the graded positions
     of degrees 0..n, through basis.entry_positions of each row's shape, in
     one scatter per degree; adding 0.0 turns a -0.0 coefficient into 0.0,
-    and the array's column slices are the blocks.  A row with a coefficient
-    above 1e-10 in some degree above n raises ValueError: one test per
-    degree covers all its rows, and only when it fails are the rows
-    searched, in order, for the first one.  The system is monic exactly
-    when every leading block is the identity.
+    and the array is the system's row of degree n.  A row with a
+    coefficient above 1e-10 in some degree above n raises ValueError: one
+    test per degree covers all its rows, and only when it fails are the
+    rows searched, in order, for the first one.
     """
     basis = basis_for(d)
-    blocks = []
+    fulls = []
     for n in range(N + 1):
         width = basis.offset(n + 1)
         nus = basis.indices(n)
@@ -404,8 +426,8 @@ def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
         full = np.zeros((len(arrays), width))
         full[which[low], pos[low]] = coeffs[low]
         full += 0.0
-        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
-    return _assembled(d, blocks, label)
+        fulls.append(full)
+    return PolySystem(d, fulls, label)
 
 
 def _check_row_degree(row: np.ndarray, nu: tuple, n: int) -> None:
@@ -433,26 +455,19 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
     axis_polys[i][m] holds the ascending coefficients of axis i's degree-m
     polynomial (a coefficient table's row m will do).  Entry (nu, alpha) of
     block (n, k) is prod_i t_i[nu_i, alpha_i], t_i the axis's coefficient
-    table (_tensor_rows).  Each degree's blocks are views of one read-only
-    array.  When the system is monic and every table is finite, lower
-    triangular and starts with t_i[0, 0] = 1, the system carries the
-    tables t_i + 0.0, read-only: exactly what axis_tables would read back
-    off its blocks and prove.
+    table (_tensor_rows), and its rows are read-only.  When the system is
+    monic and every table is finite, lower triangular and starts with
+    t_i[0, 0] = 1, the system carries the tables t_i + 0.0, read-only:
+    exactly what axis_tables would read back off its rows and prove.
     """
-    d = len(axis_polys)
-    basis = basis_for(d)
     tables = [_coefficient_table(polys, N) for polys in axis_polys]
-    blocks = []
-    for n, full in enumerate(_tensor_rows(tables, N)):
-        full.flags.writeable = False
-        blocks.append([full[:, basis.degree_slice(k, k)] for k in range(n + 1)])
-    P = _assembled(d, blocks, label)
+    P = PolySystem(len(axis_polys), _tensor_rows(tables, N), label)
     if P.monic and all(np.isfinite(t).all() and t[0, 0] == 1.0 and not np.triu(t, 1).any()
                        for t in tables):
         for t in tables:
             t += 0.0
             t.flags.writeable = False
-        P._tensor = (tables, tuple(map(tuple, P.blocks)))
+        P._tensor = tables
     return P
 
 
@@ -461,7 +476,7 @@ def _tensor_rows(tables: list, N: int):
     coefficient tables over the columns of all degrees 0..n, whose column
     slices are its blocks.  One gather per axis, rows nu_i then columns
     alpha_i, multiplied in place in axis order; adding 0.0 turns the -0.0
-    of vanished terms into 0.0."""
+    of vanished terms into 0.0.  Each row is read-only."""
     d = len(tables)
     basis = basis_for(d)
     columns = np.vstack([basis.exponents(k) for k in range(N + 1)])
@@ -471,6 +486,7 @@ def _tensor_rows(tables: list, N: int):
         for i in range(1, d):
             full *= tables[i][nu[:, i]].take(alpha[:, i], axis=1)
         full += 0.0
+        full.flags.writeable = False
         yield full
 
 
@@ -480,17 +496,16 @@ def axis_tables(P: PolySystem) -> list[np.ndarray] | None:
     Row k of table i holds the coefficients of the row of k e_i, read at the
     columns m e_i, m <= k: the axis polynomial q^(i)_k(x_i) when P is the
     tensor_system of such tables.  A system that carries its tables from
-    tensor_system, with every block still the read-only array it was built
-    into, returns them (read-only) with no further test.  Any other monic
-    system (deserialized, copied, or from to_monic) has the tables read off
-    its blocks and returned only when their tensor system equals every
-    block bit for bit (mk.same_bits); the comparison stops at the first
-    degree that differs.
+    tensor_system, with every row still read-only, returns them (read-only)
+    with no further test.  Any other monic system (deserialized, copied, or
+    from to_monic) has the tables read off its rows and returned only when
+    their tensor system equals every row bit for bit (mk.same_bits); the
+    comparison stops at the first degree that differs.
     """
     if not P.monic:
         return None
-    if P._tensor is not None and _built_blocks(P, P._tensor[1]):
-        return list(P._tensor[0])
+    if P._tensor is not None and not any(row.flags.writeable for row in P.rows):
+        return list(P._tensor)
     d, N = P.d, P.N
     basis = basis_for(d)
     # graded[i, m]: graded position of m e_(i+1)
@@ -500,27 +515,11 @@ def axis_tables(P: PolySystem) -> list[np.ndarray] | None:
     # degree n of the tensor reads rows 0..n of the tables, so row n is read
     # off P just before the degree that first needs it
     rows = _tensor_rows(list(tables), N)
-    for n in range(N + 1):
-        full = np.concatenate(P.blocks[n], axis=1)
+    for n, full in enumerate(P.rows):
         tables[:, n, :n + 1] = full[graded[:, n:n + 1] - basis.offset(n), graded[:, :n + 1]]
         if not mk.same_bits(next(rows), full):
             return None
     return list(tables)
-
-
-def _built_blocks(P: PolySystem, built: tuple) -> bool:
-    """True when P holds exactly the blocks `built`, still read-only: no
-    block was rebound, and none can have been written into."""
-    return len(P.blocks) == len(built) and all(
-        len(row) == len(ref) and all(g is h and not g.flags.writeable for g, h in zip(row, ref))
-        for row, ref in zip(P.blocks, built))
-
-
-def _assembled(d: int, blocks: list, label: str) -> PolySystem:
-    """The system of assembled blocks; monic exactly when every leading
-    block is the identity."""
-    monic = all(np.array_equal(row[-1], np.eye(row[-1].shape[0])) for row in blocks)
-    return PolySystem(d, blocks, monic=monic, label=label)
 
 
 # ---------------------------------------------------------------------------

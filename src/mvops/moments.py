@@ -722,6 +722,8 @@ def parse_functional(text: str) -> MomentFunctional:
             key, _, val = item.partition("=")
             if not val:
                 raise ValueError(f"bad functional argument {item!r}")
+            if key.strip() in args:
+                raise ParameterError(f"argument {key.strip()!r} is given more than once")
             args[key.strip()] = [float(v) for v in val.split(",")]
 
     def vector(*keys):

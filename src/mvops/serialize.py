@@ -22,7 +22,10 @@ marker and every other block's `rows cols` header come first, the payloads
 after, block by block.  Its error names the first bad block, and a
 misshapen block costs no payload conversion.  The public readers need a
 JSON integer d and the same layout, with a marker or matrix text in every
-block the layout uses, but keep whatever shapes and values the blocks hold.
+block the layout uses, and keep the values of every block and the shapes
+of recurrence and relation blocks; a system's blocks are laid side by side
+(PolySystem), so they must fit their degree.  A system's `monic` field is
+written but not read: PolySystem derives it from the blocks.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ def _slots(kind: str, d: int, part):
     block a document or object of `kind` uses; `part(name)` returns its list
     `name`, and `marker` is the key of `_STRUCTURAL` the slot may hold, or None.
 
-    Index 0 of a recurrence's C and of a relation's M is unused and not visited.
+    Index 0 of a recurrence's C and of a relation's M is unused and not
+    visited; C needs an entry for every degree n >= 1 that B has.
     """
     if kind == "polynomial_system":
         for n, row in enumerate(part("blocks")):
@@ -65,7 +69,11 @@ def _slots(kind: str, d: int, part):
     elif kind == "three_term":
         for name, first, step in (("A", 0, 1), ("B", 0, 0), ("C", 1, -1)):
             marker = "shift" if name == "A" else None
-            for n, row in enumerate(part(name)[first:], start=first):
+            rows = part(name)
+            if name == "C" and len(part("B")) > max(len(rows), 1):
+                raise ValueError(f"C must hold one entry per degree 1..{len(part('B')) - 1} "
+                                 f"of B, got {max(len(rows) - 1, 0)}")
+            for n, row in enumerate(rows[first:], start=first):
                 if row is None or len(row) != d:
                     raise ValueError(f"{name}[{n}] must hold {d} blocks")
                 for i in range(d):
@@ -160,7 +168,7 @@ def _read(text: str, kind: str, checked: bool):
         if checked:
             _check_finite(where, row[i])
     if kind == "polynomial_system":
-        return PolySystem(d, payload["blocks"], bool(payload["monic"]), payload.get("label", ""))
+        return PolySystem(d, payload["blocks"], payload.get("label", ""))
     if kind == "three_term":
         return ThreeTermData(d, payload["A"], payload["B"], [None, *payload["C"][1:]])
     return LinearRelation(d, [None, *payload["M"][1:]], tail=tail,

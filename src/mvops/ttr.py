@@ -35,8 +35,7 @@ from . import matrixkit as mk
 from .checks import Check, all_pass
 # pair_blocks is not called here; perfbench's tracer test expects it among
 # this module's names
-from .construct import (GramBlocks, PolySystem, factor_recurrences, pair_blocks,  # noqa: F401
-                        shift_rows)
+from .construct import GramBlocks, PolySystem, factor_recurrences, pair_blocks  # noqa: F401
 from .indexing import GradedBasis, basis_for, joint_matrix
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import MomentFunctional
@@ -77,15 +76,6 @@ class ThreeTermData:
         return self.C[n][i - 1]
 
 
-def _row_scale(P: PolySystem, n: int) -> float:
-    return max(mk.max_abs(P.block(n, k)) for k in range(n + 1))
-
-
-def _combine(target: dict, mat: np.ndarray, rows: dict, sign: float = 1.0) -> None:
-    for k, g in rows.items():
-        target[k] = target.get(k, 0.0) + sign * (mat @ g)
-
-
 def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermData:
     """Extract recurrence blocks of an orthogonal system.
 
@@ -102,9 +92,9 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
       rule raises QuasiDefiniteFailure (construct.factor_recurrences).
     - Every other system pairs x_i P_n against P_n and P_{n-1}.  Per
       degree, one read of the graded moment matrix M and one factorization
-      of each of H_n and H_(n-1) serve all d directions.  With side(P_m)
-      the blocks of P_m side by side, <u, x_i P_n P_m^t> =
-      (side(P_n) M[rows of alpha + e_i]) side(P_m)^t, the association
+      of each of H_n and H_(n-1) serve all d directions.  With P.rows[m]
+      the coefficients of P_m, <u, x_i P_n P_m^t> =
+      (rows[n] M[rows of alpha + e_i]) rows[m]^t, the association
       pair_blocks uses, and the d pairings are solved as one stack.
 
     The reconstruction residual over all degrees below the top one, one
@@ -118,11 +108,10 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
         raise ValueError("systems and functional must share the dimension")
     basis = basis_for(P.d)
     d, N = P.d, P.N
-    sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(N + 1)]
     if P.monic and hasattr(u, "factors"):
         B, C = _tensor_blocks(u, N)
     else:
-        B, C = _paired_blocks(u, H, sides)
+        B, C = _paired_blocks(u, H, P.rows)
     A = []
     for n in range(N):
         if P.monic:
@@ -134,7 +123,7 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
             rhs = np.hstack([(lead @ basis.shift_matrix(n, i)).T for i in range(1, d + 1)])
             A.append([a.T for a in np.split(mk.solve(P.leading(n + 1).T, rhs), d, axis=1)])
     ttr = ThreeTermData(d, A, B, C)
-    worst = mk.worst(_recon_residuals(P, ttr, sides))
+    worst = mk.worst(_recon_residuals(P, ttr))
     if not worst <= DEFAULT_RES_TOL:
         raise ValueError(
             f"three-term reconstruction residual {worst:.3e} exceeds {DEFAULT_RES_TOL:.1e}; "
@@ -144,27 +133,34 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
     return ttr
 
 
-def _recon_residuals(P: PolySystem, T: ThreeTermData, sides: list) -> list:
+def _shift_defect(P: PolySystem, n: int, lifted: np.ndarray) -> np.ndarray:
+    """x_i P_n - A_(n,i) P_(n+1), i = 1..d, stacked direction-major, in
+    place in `lifted`, the stacked A_(n,i) P_(n+1)."""
+    basis = basis_for(P.d)
+    size = basis.size(n)
+    np.negative(lifted, out=lifted)
+    for i in range(P.d):
+        lifted[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += P.rows[n]
+    return lifted
+
+
+def _recon_residuals(P: PolySystem, T: ThreeTermData) -> list:
     """max|x_i P_n - A P_{n+1} - B P_n - C P_{n-1}| over the coefficient
     scale of degrees n-1..n+1 (at least 1), for n < P.N and i = 1..d in
-    that order (compute_ttr); sides[n] holds P_n's blocks side by side."""
+    that order (compute_ttr)."""
     basis = basis_for(P.d)
-    row_scale = [mk.max_abs(side) for side in sides]
+    row_scale = [mk.max_abs(row) for row in P.rows]
     residuals = []
     for n in range(P.N):
         # all degrees side by side, the d directions stacked direction-major
         scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
-        if P.monic:
-            # the shifts' rows pick the rows of alpha + e_i
-            resid = -sides[n + 1][basis.joint_shift_index(n)[0]]
-        else:
-            resid = -np.vstack([a @ sides[n + 1] for a in T.A[n]])
-        size = basis.size(n)
-        for i in range(P.d):
-            resid[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += sides[n]
-        resid[:, :basis.offset(n + 1)] -= mk.product(T.B[n], sides[n])
+        # a monic system's shifts pick the rows of alpha + e_i
+        lifted = (P.rows[n + 1][basis.joint_shift_index(n)[0]] if P.monic
+                  else np.vstack([a @ P.rows[n + 1] for a in T.A[n]]))
+        resid = _shift_defect(P, n, lifted)
+        resid[:, :basis.offset(n + 1)] -= mk.product(T.B[n], P.rows[n])
         if n >= 1:
-            resid[:, :basis.offset(n)] -= mk.product(T.C[n], sides[n - 1])
+            resid[:, :basis.offset(n)] -= mk.product(T.C[n], P.rows[n - 1])
         np.abs(resid, out=resid)
         residuals.extend(resid.reshape(P.d, -1).max(axis=1) / scale)
     return residuals
@@ -193,21 +189,21 @@ def _tensor_blocks(u: MomentFunctional, N: int) -> tuple[list, list]:
     return B, C
 
 
-def _paired_blocks(u: MomentFunctional, H: GramBlocks, sides: list) -> tuple[list, list]:
+def _paired_blocks(u: MomentFunctional, H: GramBlocks, rows: tuple) -> tuple[list, list]:
     """B and C blocks by pairing against the graded moment matrix
     (compute_ttr)."""
     basis = u.basis
     B, C = [], [None]
-    for n in range(len(sides)):
+    for n in range(len(rows)):
         M = u.graded_block(0, n + 1, 0, n)
         pb, pc = [], []
         for i in range(1, u.d + 1):
             # x_i P_n against the monomials of degrees 0..n: the rows of M
             # at alpha + e_i, so no shifted copy of P_n is formed
-            left = sides[n] @ M[basis.shifted(n + 1, i)]
-            pb.append(left @ sides[n].T)
+            left = rows[n] @ M[basis.shifted(n + 1, i)]
+            pb.append(left @ rows[n].T)
             if n >= 1:
-                pc.append(left[:, :basis.offset(n)] @ sides[n - 1].T)
+                pc.append(left[:, :basis.offset(n)] @ rows[n - 1].T)
         B.append(np.split(H.solve_right(n, np.vstack(pb)), u.d))
         if n >= 1:
             C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), u.d))
@@ -287,8 +283,7 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
             rhs[:, :low] -= mk.product(T.C[n], rows[n - 1], cuts[:n - 1])
         g, residuals[n] = joint_shift_lstsq(basis, n, rhs)
         rows.append(np.hstack([g, np.eye(basis.size(n + 1))]))
-    blocks = [np.split(row, cuts[:n], axis=1) for n, row in enumerate(rows)]
-    return PolySystem(d, blocks, monic=True, label="generated"), residuals
+    return PolySystem(d, rows, label="generated"), residuals
 
 
 @dataclass
@@ -359,8 +354,10 @@ def fit_ttr(P: PolySystem) -> tuple[ThreeTermData, dict]:
 
     For every degree with both neighbours available, fits B_{n,i} and
     C_{n,i} minimizing the coefficientwise defect of x_i P_n - L_{n,i}
-    P_{n+1} - B P_n - C P_{n-1}.  Residuals (per degree and direction) are
-    zero exactly when the system satisfies a three-term relation.
+    P_{n+1} - B P_n - C P_{n-1}: one least-squares solve per degree for
+    the d targets, stacked as the reconstruction residual stacks them.
+    Residuals (per degree and direction) are zero exactly when the system
+    satisfies a three-term relation.
     """
     if not P.monic:
         raise ValueError("fit_ttr expects a monic system")
@@ -371,28 +368,21 @@ def fit_ttr(P: PolySystem) -> tuple[ThreeTermData, dict]:
     C: list = [None]
     residuals: dict[tuple[int, int], float] = {}
     for n in range(N):
-        rows_n = P.row_blocks(n)
-        design = [np.hstack([rows_n[k] for k in range(n + 1)])]
+        size, width = basis.size(n), basis.offset(n + 1)
+        # P_n over P_(n-1), whose missing top-degree block is zero
+        below = [np.pad(P.rows[n - 1], ((0, 0), (0, size)))] if n else []
+        X = np.vstack([P.rows[n], *below])
+        target = _shift_defect(P, n, P.rows[n + 1][basis.joint_shift_index(n)[0]])
+        D = target[:, :width]
+        coeffs = mk.lstsq(X.T, D.T).T
+        # per direction: the fit's defect, and what no fit reaches (degree n+1)
+        defect = np.abs(coeffs @ X - D).reshape(d, -1).max(axis=1)
+        top = np.abs(target[:, width:]).reshape(d, -1).max(axis=1)
+        scale = max(mk.max_abs(P.rows[n]), 1.0)
+        for i in range(d):
+            residuals[(n, i + 1)] = max(float(defect[i]), float(top[i])) / scale
+        parts = [coeffs[i * size:(i + 1) * size] for i in range(d)]
+        B.append([c[:, :size] for c in parts])
         if n >= 1:
-            # pad the previous degree's blocks with a zero top-degree block
-            design.append(np.hstack(
-                [P.block(n - 1, k) for k in range(n)]
-                + [np.zeros((basis.size(n - 1), basis.size(n)))]
-            ))
-        X = np.vstack(design)
-        b_row, c_row = [], []
-        for i in range(1, d + 1):
-            target = shift_rows(rows_n, i, basis)
-            _combine(target, basis.shift_matrix(n, i), P.row_blocks(n + 1), sign=-1.0)
-            D = np.hstack([target.get(k, np.zeros((basis.size(n), basis.size(k))))
-                           for k in range(n + 1)])
-            top = mk.max_abs(target.get(n + 1, np.zeros(1)))
-            coeffs = mk.lstsq(X.T, D.T).T
-            scale = max(_row_scale(P, n), 1.0)
-            residuals[(n, i)] = max(mk.max_abs(coeffs @ X - D), top) / scale
-            b_row.append(coeffs[:, : basis.size(n)])
-            c_row.append(coeffs[:, basis.size(n):] if n >= 1 else None)
-        B.append(b_row)
-        if n >= 1:
-            C.append(c_row)
+            C.append([c[:, size:] for c in parts])
     return ThreeTermData(d, A, B, C), residuals

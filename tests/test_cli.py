@@ -261,6 +261,18 @@ def test_relate_unread_functional_argument_exits_2(tmp_path, capsys, spec):
     assert code == 2 and "does not read" in err and _one_error_line(err)
 
 
+@pytest.mark.parametrize("spec, key", [("disk:mu=0.5,mu=2", "mu"),
+                                       ("cube-jacobi:a=0,0;b=0,0;a=1,1", "a")])
+def test_relate_repeated_functional_argument_exits_2(tmp_path, capsys, spec, key):
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.0), 2)
+    pf = tmp_path / "p.json"
+    pf.write_text(serialize.system_to_json(P))
+    code, out, err = run_cli(["relate", "--combined", str(pf), "--reference", str(pf),
+                              "--functional", spec], capsys)
+    assert code == 2 and f"argument {key!r} is given more than once" in err
+    assert _one_error_line(err)
+
+
 def test_tol_rank_flag_reaches_the_report(capsys):
     code, out, _ = run_cli(
         ["--json", "--tol-rank", "0.9", "family", "disk", "--mu", "0", "--N", "3"], capsys)
@@ -478,6 +490,21 @@ def test_check_names_a_misshapen_relation_before_reading_the_recurrence(envelope
     for command in ("check-3", "check-4"):
         err = _one_error(envelopes, command, swap, capsys)
         assert "M[2] has shape (3, 3), expected (3, 2)" in err
+
+
+@pytest.mark.parametrize("keep", [0, 2])
+def test_a_c_list_shorter_than_b_exits_2_naming_c(envelopes, keep, capsys):
+    # "C": [], or C cut after degree 1 of these degree-3 recurrences
+    root = envelopes["root"]
+    swap = {}
+    for name in ("Tq", "Tp"):
+        payload = json.loads(envelopes["texts"][name])
+        payload["C"] = payload["C"][:keep]
+        swap[name] = str(root / f"short-c{keep}-{name}.json")
+        (root / f"short-c{keep}-{name}.json").write_text(json.dumps(payload))
+    for command in ("generate", "check-3", "check-4"):
+        err = _one_error(envelopes, command, swap, capsys)
+        assert f"C must hold one entry per degree 1..3 of B, got {max(keep - 1, 0)}" in err
 
 
 def test_generate_names_the_first_non_finite_block(envelopes, capsys):

@@ -1,5 +1,6 @@
 import copy
 import functools
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -14,6 +15,8 @@ from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefinite
                              koornwinder_system, orthonormalize, system_from_rows)
 from mvops.indexing import basis_for
 from mvops.ttr import compute_ttr
+
+from blockref import row_blocks, shift_rows
 
 def test_centered_weight_degree_one_is_pure():
     u = moments.product_chebyshev_functional(2)
@@ -62,9 +65,7 @@ def test_inner_block_cross_degrees_vanish():
 
 def test_inner_block_monomials_disk():
     u = moments.disk_functional(0.0)
-    X = construct.PolySystem(
-        2, [[np.eye(1)], [np.zeros((2, 1)), np.eye(2)]], monic=True
-    )
+    X = construct.PolySystem(2, [[np.eye(1)], [np.zeros((2, 1)), np.eye(2)]])
     got = inner_block(u, X, 1, X, 1)
     np.testing.assert_allclose(got, np.diag([0.25, 0.25]), atol=1e-14)
 
@@ -112,13 +113,13 @@ def test_orthonormalize_unit_gram_and_classical_chebyshev():
         g = inner_block(u, Pn, n, Pn, n)
         assert mk.max_abs(g - np.eye(1)) <= 1e-8
     # orthonormal second-kind recurrence has off-diagonal 1/2
-    from mvops.construct import pair_blocks, shift_rows
+    from mvops.construct import pair_blocks
     from mvops.indexing import basis_for
 
     basis = basis_for(1)
     for n in range(5):
-        shifted = shift_rows(Pn.row_blocks(n), 1, basis)
-        a_val = pair_blocks(u, shifted, Pn.row_blocks(n + 1))[0, 0]
+        shifted = shift_rows(row_blocks(Pn, n), 1, basis)
+        a_val = pair_blocks(u, shifted, row_blocks(Pn, n + 1))[0, 0]
         assert a_val == pytest.approx(0.5, abs=1e-10)
 
 
@@ -285,7 +286,7 @@ def _pair_blockwise(u, rows_a, rows_b, basis):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_stacked_pairing_matches_blockwise_reference(d):
-    from mvops.construct import pair_blocks, shift_rows
+    from mvops.construct import pair_blocks
     from mvops.indexing import basis_for
 
     basis = basis_for(d)
@@ -300,8 +301,8 @@ def test_stacked_pairing_matches_blockwise_reference(d):
         (rows(0, 3, 4), rows(0, 2, 2)),          # rows of different lengths
         (rows(2, 3, 3), rows(1, 3, 5)),          # ranges starting above degree 0
         ({k: g for k, g in rows(0, 3, 2).items() if k != 1}, rows(0, 1, 3)),   # degree gap
-        (shift_rows(P.row_blocks(3), d, basis), P.row_blocks(2)),
-        (shift_rows(P.row_blocks(2), 1, basis), P.row_blocks(3)),
+        (shift_rows(row_blocks(P, 3), d, basis), row_blocks(P, 2)),
+        (shift_rows(row_blocks(P, 2), 1, basis), row_blocks(P, 3)),
     ]
     for rows_a, rows_b in cases:
         got = pair_blocks(u, rows_a, rows_b)
@@ -601,8 +602,6 @@ def test_solve_right_keeps_the_default_rank_rule_under_a_looser_build():
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shift_rows_equals_the_shift_matrix_product(d):
-    from mvops.construct import shift_rows
-
     basis = basis_for(d)
     rng = np.random.default_rng(d)
     rows = {k: rng.standard_normal((3, basis.size(k))) for k in range(5)}
@@ -770,12 +769,12 @@ def test_axis_tables_refuse_systems_that_are_no_tensor_product():
     # one mixed entry moved by one ulp: still monic, no longer a product
     blocks = [[g.copy() for g in row] for row in P.blocks]
     blocks[4][2][1, 1] = np.nextafter(blocks[4][2][1, 1], np.inf)
-    assert construct.axis_tables(construct.PolySystem(2, blocks, monic=True)) is None
+    assert construct.axis_tables(construct.PolySystem(2, blocks)) is None
 
 
 def _copied(P):
-    """P's blocks as fresh writable copies: a system without carried tables."""
-    return construct.PolySystem(P.d, [[g.copy() for g in row] for row in P.blocks], P.monic)
+    """P's rows as fresh writable copies: a system without carried tables."""
+    return construct.PolySystem(P.d, [row.copy() for row in P.rows])
 
 
 def test_tensor_system_blocks_are_read_only():
@@ -837,18 +836,69 @@ def test_rebound_or_copied_blocks_fall_back_to_the_read_back():
     with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rebuild:
         got = construct.axis_tables(deep)
     assert rebuild.called and all(mk.same_bits(g, w) for g, w in zip(got, want))
-    # a rebound block, even one of the same values, is not trusted; a moved
-    # one is refused
-    P.blocks[3][1] = P.blocks[3][1].copy()
+    # neither a block nor the rows can be rebound
+    with pytest.raises(TypeError):
+        P.blocks[3][1] = P.blocks[3][1].copy()
+    with pytest.raises(AttributeError):
+        P.rows = deep.rows
+    # carried tables with one writable row are not trusted; a moved entry
+    # is refused
+    rows = list(P.rows)
+    rows[3] = P.rows[3].copy()
+    same = construct.PolySystem(P.d, rows)
+    same._tensor = P._tensor
     with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rebuild:
-        assert all(mk.same_bits(g, w) for g, w in zip(construct.axis_tables(P), want))
+        assert all(mk.same_bits(g, w) for g, w in zip(construct.axis_tables(same), want))
     assert rebuild.called
-    P.blocks[3][1][2, 0] = np.nextafter(P.blocks[3][1][2, 0], np.inf)
-    assert construct.axis_tables(P) is None
+    same.blocks[3][1][2, 0] = np.nextafter(same.blocks[3][1][2, 0], np.inf)
+    assert construct.axis_tables(same) is None
     # a system cut to fewer degrees is read back too
-    P, _ = gram_schmidt_monic(u, 4)
-    P.blocks = P.blocks[:3]
+    P = construct.PolySystem(P.d, P.rows[:3])
     assert len(construct.axis_tables(P)) == 3 and construct.axis_tables(P)[0].shape == (3, 3)
+
+
+def test_rows_and_blocks_share_memory_and_cannot_be_rebound():
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.5), 4)
+    basis = basis_for(2)
+    assert isinstance(P.rows, tuple) and isinstance(P.blocks, tuple)
+    for n, row in enumerate(P.rows):
+        assert row.shape == (basis.size(n), basis.offset(n + 1)) and row.flags.c_contiguous
+        assert isinstance(P.blocks[n], tuple) and len(P.blocks[n]) == n + 1
+        for k, g in enumerate(P.blocks[n]):
+            assert np.shares_memory(g, row)
+            assert mk.same_bits(g, np.ascontiguousarray(row[:, basis.degree_slice(k, k)]))
+    for name in ("rows", "blocks"):
+        with pytest.raises(AttributeError):
+            setattr(P, name, ())
+    with pytest.raises(TypeError):
+        P.rows[2] = P.rows[2].copy()
+    with pytest.raises(TypeError):
+        P.blocks[2][1] = P.blocks[2][1].copy()
+    # a write through a block lands in its row, also in a copy
+    for S in (P, copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        S.blocks[2][1][0, 1] += 7.0
+        assert S.rows[2][0, basis.offset(1) + 1] == S.blocks[2][1][0, 1]
+
+
+def test_a_degree_is_one_array_or_its_blocks_laid_side_by_side():
+    rng = np.random.default_rng(4)
+    lower = rng.standard_normal((3, 3))
+    row = np.hstack([lower, np.eye(3)])
+    given = construct.PolySystem(2, [np.eye(1), [lower[:2, :1], np.eye(2)],
+                                     [lower[:, :1], lower[:, 1:], np.eye(3)]], "blocks")
+    kept = construct.PolySystem(2, [np.eye(1), given.rows[1], row])
+    assert given.monic and kept.monic and given.label == "blocks"
+    assert kept.rows[2] is row and mk.same_bits(given.rows[2], row)
+    # monic is read off the leading blocks, exactly
+    row[2, 5] = 1.0 + 2.0 ** -52
+    assert not construct.PolySystem(2, [np.eye(1), given.rows[1], row]).monic
+    with pytest.raises(ValueError, match=r"^degree 1 has blocks of shapes \[\(2, 1\), \(3, 2\)\]"):
+        construct.PolySystem(2, [np.eye(1), [np.zeros((2, 1)), np.zeros((3, 2))]])
+    # widths that add up but do not fit their degrees
+    with pytest.raises(ValueError, match=r"^degree 1 has blocks of shapes \[\(2, 2\), \(2, 1\)\]"):
+        construct.PolySystem(2, [np.eye(1), [np.zeros((2, 2)), np.zeros((2, 1))]])
+    with pytest.raises(ValueError, match=r"degree 2 has coefficients of shape \(3, 5\)"):
+        construct.PolySystem(2, [np.eye(1), given.rows[1], row[:, :5]])
 
 
 # -- whole-system pairing -----------------------------------------------------
@@ -881,7 +931,7 @@ def test_pair_systems_blocks_equal_inner_block(kind, param, N, data):
     u_abs = moments.MomentFunctional(u.d, lambda alpha: abs(u.moment(alpha)))
 
     def magnitudes(S):
-        return construct.PolySystem(S.d, [[np.abs(g) for g in row] for row in S.blocks], False)
+        return construct.PolySystem(S.d, [np.abs(row) for row in S.rows])
 
     for left, right, tops in ((P, Q, (top_p, top_q)), (P, P, (N, N))):
         got = construct.pair_systems(u, left, right, *tops)

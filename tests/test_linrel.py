@@ -406,8 +406,8 @@ def test_one_raised_axis_gives_exact_zeros_off_nu_minus_e_j(d, N, j):
 
 
 def _copied(P):
-    """P's blocks as fresh writable copies: a system without carried tables."""
-    return linrel.PolySystem(P.d, [[g.copy() for g in row] for row in P.blocks], P.monic)
+    """P's rows as fresh writable copies: a system without carried tables."""
+    return linrel.PolySystem(P.d, [row.copy() for row in P.rows])
 
 
 @pytest.mark.parametrize("d, N, raise_axes", [(2, 8, [0]), (3, 6, [2]), (4, 5, [1, 3]),
@@ -439,7 +439,7 @@ def test_a_one_ulp_change_falls_back_to_the_pairing_route(side):
     system = Q if side == "Q" else P
     blocks = [[g.copy() for g in row] for row in system.blocks]
     blocks[3][1][2, 0] = np.nextafter(blocks[3][1][2, 0], np.inf)
-    moved = linrel.PolySystem(3, blocks, monic=True)
+    moved = linrel.PolySystem(3, blocks)
     Q, P = (moved, P) if side == "Q" else (Q, moved)
     got = compute_relation(Q, P, u, H)
     want = _without_tensor_route(Q, P, u, H)
@@ -454,3 +454,43 @@ def test_pairing_route_builds_the_gram_blocks_it_is_not_given(disk_pair):
     want = compute_relation(Q, P, u, construct.gram_blocks(u, P))
     assert all(mk.same_bits(g, w) for g, w in zip(got.M[1:], want.M[1:]))
     assert got.tail == want.tail
+
+
+def _relation_residual_per_block(Q, P, rel, keep=None):
+    """relation_residual as one defect per (degree, column degree), with one
+    dense product per block: the reference its one pass per degree keeps."""
+    defects = []
+    for n in rel.available():
+        if n > min(Q.N, P.N):
+            break
+        scale = max(max(mk.max_abs(Q.block(n, k)) for k in range(n + 1)), 1.0)
+        for k in range(n + 1):
+            kept = P.block(n, k) if keep is None else keep[n][:, None] * P.block(n, k)
+            delta = Q.block(n, k) - kept
+            if k < n:
+                delta = delta - rel.m(n) @ P.block(n - 1, k)
+            defects.append(mk.max_abs(delta) / scale)
+    return mk.worst(defects)
+
+
+
+def test_relation_residual_per_degree_is_the_per_block_defect_bit_for_bit(disk_pair):
+    # a tensor pair with its one-nonzero-per-row relation (the row gather),
+    # with and without a diagonal K, a dense random relation, a NaN
+    # coefficient, and the disk pair's dense Fourier relation
+    rng = np.random.default_rng(5)
+    Q, P, u, H = _tensor_pair((0.5, 0.0, -0.5), (0.0, 0.5, 0.0), [1], 5)
+    rel = compute_relation(Q, P, u, H)
+    keep = [None] + [1.0 + 1e-3 * rng.standard_normal(Q.size(n)) for n in range(1, 6)]
+    dense = LinearRelation(3, [None] + [rng.standard_normal(m.shape) for m in rel.M[1:]])
+    rows = [row.copy() for row in Q.rows]
+    rows[3][1, 2] = np.nan
+    _, _, Qd, Pd, ud, _ = disk_pair
+    Qm, Pm = Qd.to_monic(), Pd.to_monic()
+    cases = [(Q, P, rel, None), (Q, P, rel, keep), (Q, P, dense, None),
+             (construct.PolySystem(3, rows), P, rel, None),
+             (Qm, Pm, compute_relation(Qm, Pm, ud), None)]
+    for Q, P, rel, keep in cases:
+        got = relation_residual(Q, P, rel, keep)
+        want = _relation_residual_per_block(Q, P, rel, keep)
+        assert mk.same_bits(np.float64(got), np.float64(want)), (got, want)

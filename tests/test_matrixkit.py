@@ -11,6 +11,8 @@ from mvops import construct, linrel, moments, serialize, ttr
 from mvops import matrixkit as mk
 from mvops.indexing import basis_for
 
+from blockref import row_blocks, shift_rows
+
 
 def test_worst_propagates_nan_and_is_zero_when_empty():
     assert mk.worst([]) == 0.0
@@ -63,7 +65,7 @@ def test_lstsq_on_stacked_shifts_reproduces_forward_step():
     # one explicit forward step: solve joint(L_1) P_2 = stack(x_i P_1 - ...)
     # and compare against the directly orthogonalized degree-2 blocks
     from mvops import moments
-    from mvops.construct import gram_schmidt_monic, pair_blocks, shift_rows
+    from mvops.construct import gram_schmidt_monic, pair_blocks
     from mvops.indexing import basis_for
 
     u = moments.disk_functional(0.0)
@@ -71,9 +73,9 @@ def test_lstsq_on_stacked_shifts_reproduces_forward_step():
     basis = basis_for(2)
     rhs = {k: [] for k in range(3)}
     for i in (1, 2):
-        shifted = shift_rows(P.row_blocks(1), i, basis)
-        b_blk = mk.solve(H.h(1), pair_blocks(u, shifted, P.row_blocks(1)).T).T
-        c_blk = mk.solve(H.h(0), pair_blocks(u, shifted, P.row_blocks(0)).T).T
+        shifted = shift_rows(row_blocks(P, 1), i, basis)
+        b_blk = mk.solve(H.h(1), pair_blocks(u, shifted, row_blocks(P, 1)).T).T
+        c_blk = mk.solve(H.h(0), pair_blocks(u, shifted, row_blocks(P, 0)).T).T
         for k in range(3):
             block = shifted.get(k, np.zeros((2, basis.size(k)))).copy()
             if k <= 1:

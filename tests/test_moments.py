@@ -15,6 +15,8 @@ from mvops.indexing import basis_for
 from mvops.moments import LinearPoly
 from mvops.ttr import compute_ttr
 
+from blockref import row_blocks, shift_rows
+
 
 def test_left_multiply_identity_and_shift():
     u = moments.laguerre_functional_1d(0.5)
@@ -257,17 +259,17 @@ def test_classical_recurrences_against_moment_gram_schmidt(family, params):
     else:
         rec = moments.laguerre_recurrence(6, params["alpha"])
         u = moments.laguerre_functional_1d(params["alpha"])
-    from mvops.construct import gram_schmidt_monic, pair_blocks, shift_rows
+    from mvops.construct import gram_schmidt_monic, pair_blocks
     from mvops.indexing import basis_for
 
     P, H = gram_schmidt_monic(u, 6)
     basis = basis_for(1)
     for n in range(6):
-        shifted = shift_rows(P.row_blocks(n), 1, basis)
-        b_val = pair_blocks(u, shifted, P.row_blocks(n))[0, 0] / H.h(n)[0, 0]
+        shifted = shift_rows(row_blocks(P, n), 1, basis)
+        b_val = pair_blocks(u, shifted, row_blocks(P, n))[0, 0] / H.h(n)[0, 0]
         assert b_val == pytest.approx(rec.b[n], rel=1e-10, abs=1e-10)
         if n >= 1:
-            c_val = (pair_blocks(u, shifted, P.row_blocks(n - 1))[0, 0]
+            c_val = (pair_blocks(u, shifted, row_blocks(P, n - 1))[0, 0]
                      / H.h(n - 1)[0, 0])
             assert c_val == pytest.approx(rec.c[n], rel=1e-10, abs=1e-10)
     np.testing.assert_allclose(
@@ -426,6 +428,15 @@ def test_parse_functional_strings():
 ])
 def test_parse_functional_rejects_misread_integer_arguments(spec):
     with pytest.raises(moments.ParameterError):
+        moments.parse_functional(spec)
+
+
+@pytest.mark.parametrize("spec, key", [("disk:mu=0.5,mu=2", "mu"),
+                                       ("cube-jacobi:a=0,0;b=0,0;a=1,1", "a"),
+                                       ("krall-laguerre:alpha=1,a1=1;alpha=1", "alpha")])
+def test_parse_functional_refuses_a_repeated_argument(spec, key):
+    # every argument given is read, so a second value may not replace the first
+    with pytest.raises(moments.ParameterError, match=f"^argument {key!r} is given more than once"):
         moments.parse_functional(spec)
 
 

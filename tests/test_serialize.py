@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvops import linrel, moments, serialize
+from mvops import matrixkit as mk
 from mvops.construct import PolySystem, gram_blocks, gram_schmidt_monic, orthonormalize
 from mvops.matrixkit import format_matrix
 from mvops.ttr import ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr
@@ -90,14 +91,45 @@ def test_validate_blocks_names_the_bad_block(disk_pieces):
     bad_value.M[3][0, 0] = np.inf
     with pytest.raises(ValueError, match=r"M\[3\] has a non-finite entry"):
         serialize.validate_blocks(bad_value)
-    short_row = serialize.system_from_json(serialize.system_to_json(P))
-    short_row.blocks[2].pop()
-    with pytest.raises(ValueError, match="degree 2 has 2 blocks"):
+    read = serialize.system_from_json(serialize.system_to_json(P))
+    short_row = PolySystem(P.d, [*read.rows[:2], read.rows[2][:2], *read.rows[3:]])
+    with pytest.raises(ValueError, match=r"block \(2, 0\) has shape \(2, 1\), expected \(3, 1\)"):
         serialize.validate_blocks(short_row)
     no_dim = serialize.system_from_json(serialize.system_to_json(P))
     no_dim.d = 0
     with pytest.raises(ValueError, match="d must be >= 1"):
         serialize.validate_blocks(no_dim)
+
+
+@pytest.mark.parametrize("written", [False, "x", None])
+def test_monic_is_read_off_the_blocks_not_the_envelope(disk_pieces, written):
+    P, _ = disk_pieces
+    orthonormal = orthonormalize(*gram_schmidt_monic(moments.disk_functional(0.5), 4))
+    for system, monic in ((P, True), (orthonormal, False)):
+        payload = json.loads(serialize.system_to_json(system))
+        assert payload["monic"] is monic
+        if written is None:
+            del payload["monic"]
+        else:
+            payload["monic"] = written if monic else True
+        back = serialize.system_from_json(json.dumps(payload))
+        assert back.monic is monic
+        assert all(mk.same_bits(a, b) for a, b in zip(back.rows, system.rows))
+
+
+@pytest.mark.parametrize("keep", [0, 1, 2])
+def test_readers_refuse_a_c_list_shorter_than_b(texts, keep):
+    payload = json.loads(texts["ttr"])
+    payload["C"] = payload["C"][:keep]
+    text = json.dumps(payload)
+    for read in (serialize.ttr_from_json, lambda t: _checked("ttr", t)):
+        with pytest.raises(ValueError, match=rf"^C must hold one entry per degree 1\.\.4 of B, "
+                                             rf"got {max(keep - 1, 0)}$"):
+            read(text)
+    T = serialize.ttr_from_json(texts["ttr"])
+    T.C = T.C[:keep]
+    with pytest.raises(ValueError, match="^C must hold one entry per degree"):
+        serialize.validate_blocks(T)
 
 
 READERS = {"system": serialize.system_from_json, "ttr": serialize.ttr_from_json,
@@ -119,10 +151,10 @@ def texts(disk_pieces):
 
 
 def _arrays(obj) -> list:
-    rows = {"system": obj.blocks} if hasattr(obj, "blocks") else (
+    rows = {"system": obj.rows} if hasattr(obj, "rows") else (
         {"A": obj.A, "B": obj.B, "C": obj.C[1:]} if hasattr(obj, "A") else {"M": obj.M[1:]})
     return [m for part in rows.values() for row in part
-            for m in (row if isinstance(row, list) else [row])]
+            for m in (row if isinstance(row, (list, tuple)) else [row])]
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from mvops import matrixkit as mk, moments, serialize
 from mvops.checks import Check
-from mvops.construct import (GramBlocks, gram_blocks, gram_schmidt_monic, inner_block,
-                             orthonormalize, pair_blocks, shift_rows)
+from mvops.construct import (GramBlocks, PolySystem, gram_blocks, gram_schmidt_monic,
+                             inner_block, orthonormalize, pair_blocks)
 from mvops.indexing import basis_for, joint_matrix
 from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
                        joint_shift_lstsq, rank_family, validate_rank_conditions)
+
+from blockref import row_blocks, shift_rows
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +71,7 @@ def test_compute_ttr_rejects_non_orthogonal_input():
     broken[3][0] = broken[3][0] + 0.05
     from mvops.construct import PolySystem
 
-    bad = PolySystem(2, broken, monic=True)
+    bad = PolySystem(2, broken)
     with pytest.raises(ValueError):
         compute_ttr(bad, u, H)
 
@@ -201,9 +203,65 @@ def test_fit_detects_broken_recurrence():
     broken[2][0] = broken[2][0] + rng.standard_normal(broken[2][0].shape)
     from mvops.construct import PolySystem
 
-    bad = PolySystem(2, broken, monic=True)
+    bad = PolySystem(2, broken)
     _, residuals = fit_ttr(bad)
     assert max(residuals.values()) > 1e-3
+
+
+def _fit_per_direction(P):
+    """fit_ttr with one least-squares solve per (degree, direction) on
+    targets assembled block by block: the reference its stacked solve keeps."""
+    d, N = P.d, P.N
+    basis = basis_for(d)
+    B, C, residuals = [], [None], {}
+    for n in range(N):
+        rows_n = row_blocks(P, n)
+        design = [np.hstack([rows_n[k] for k in range(n + 1)])]
+        if n >= 1:
+            design.append(np.hstack([P.block(n - 1, k) for k in range(n)]
+                                    + [np.zeros((basis.size(n - 1), basis.size(n)))]))
+        X = np.vstack(design)
+        b_row, c_row = [], []
+        for i in range(1, d + 1):
+            target = shift_rows(rows_n, i, basis)
+            for k, g in row_blocks(P, n + 1).items():
+                target[k] = target.get(k, 0.0) + -1.0 * (basis.shift_matrix(n, i) @ g)
+            D = np.hstack([target[k] for k in range(n + 1)])
+            coeffs = mk.lstsq(X.T, D.T).T
+            scale = max(max(mk.max_abs(g) for g in P.blocks[n]), 1.0)
+            residuals[(n, i)] = max(mk.max_abs(coeffs @ X - D), mk.max_abs(target[n + 1])) / scale
+            b_row.append(coeffs[:, :basis.size(n)])
+            c_row.append(coeffs[:, basis.size(n):])
+        B.append(b_row)
+        if n >= 1:
+            C.append(c_row)
+    return B, C, residuals
+
+
+@pytest.mark.parametrize("kind", ["disk", "tensor", "simplex", "broken", "counterexample"])
+def test_stacked_fit_matches_the_per_direction_fit(kind):
+    if kind == "counterexample":
+        P = generate_from_ttr(counterexample(5)[0])[0]
+    else:
+        u = {"disk": lambda: moments.disk_functional(0.5),
+             "broken": lambda: moments.disk_functional(0.5),
+             "tensor": lambda: moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)),
+             "simplex": lambda: moments.simplex_functional((0.5, 1.0, 0.0))}[kind]()
+        P, _ = gram_schmidt_monic(u, 5)
+    if kind == "broken":
+        rows = [row.copy() for row in P.rows]
+        rows[3][:, :4] += np.random.default_rng(3).standard_normal((4, 4))
+        P = PolySystem(P.d, rows)
+    fitted, residuals = fit_ttr(P)
+    B, C, want = _fit_per_direction(P)
+    assert sorted(residuals) == sorted(want)
+    for key, value in want.items():
+        assert abs(residuals[key] - value) <= 1e-12 * max(value, 1.0)
+    for got_rows, want_rows in ((fitted.B, B), (fitted.C[1:], C[1:])):
+        for got_row, want_row in zip(got_rows, want_rows, strict=True):
+            for g, w in zip(got_row, want_row, strict=True):
+                assert g.shape == w.shape
+                assert mk.max_abs(g - w) <= 1e-12 * max(mk.max_abs(w), 1.0)
 
 
 def test_fit_univariate_chebyshev_matches_classical():
@@ -280,11 +338,11 @@ def test_compute_ttr_matches_per_direction_pairing(u, N):
     basis = basis_for(u.d)
     for n in range(N + 1):
         for i in range(1, u.d + 1):
-            shifted = shift_rows(P.row_blocks(n), i, basis)
-            want_b = H.solve_right(n, pair_blocks(u, shifted, P.row_blocks(n)))
+            shifted = shift_rows(row_blocks(P, n), i, basis)
+            want_b = H.solve_right(n, pair_blocks(u, shifted, row_blocks(P, n)))
             assert mk.max_abs(T.b(n, i) - want_b) <= 1e-12 * mk.max_abs(want_b)
             if n >= 1:
-                want_c = H.solve_right(n - 1, pair_blocks(u, shifted, P.row_blocks(n - 1)))
+                want_c = H.solve_right(n - 1, pair_blocks(u, shifted, row_blocks(P, n - 1)))
                 assert mk.max_abs(T.c(n, i) - want_c) <= 1e-12 * mk.max_abs(want_c)
 
 
@@ -663,9 +721,8 @@ def test_stacked_steps_equal_the_per_direction_loops_bit_for_bit(kind, d, N):
 
     P, T = _stacked_case(kind, d, N)
     assert P.d == T.d == d
-    sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(P.N + 1)]
     with np.errstate(invalid="ignore"):    # inf * 0 in both
-        got = _recon_residuals(P, T, sides)
+        got = _recon_residuals(P, T)
         want = _recon_residuals_per_direction(P, T)
     assert mk.same_bits(np.array(got), np.array(want))
     if kind == "orthonormal":
