@@ -5,7 +5,8 @@ Subcommands: `family` runs a catalog family with all cross-checks,
 verifies its rank defects, `check` runs one of the two inverse-problem
 validators on serialized inputs, `generate` regenerates a system forward
 from serialized recurrence blocks, and `relate` computes the relation
-blocks between two serialized systems.  Exit codes: 0 all checks pass
+blocks between two serialized systems and checks that the reference system
+is orthogonal for --functional.  Exit codes: 0 all checks pass
 (a report without checks fails), 1 a mathematical check fails, 2 usage
 errors, inadmissible parameters, input files that are unreadable,
 non-finite, misshapen, of degree < 1 (relate) or of mismatched dimensions
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import matrixkit as mk
-from . import families, linrel, moments, serialize, ttr
+from . import construct, families, linrel, moments, serialize, ttr
 from .checks import Check, all_pass
 from .moments import QuasiDefiniteFailure
 
@@ -216,7 +217,7 @@ def cmd_counterexample(args) -> int:
 def _load(path: str, kind: str):
     """Read and check one envelope of `kind`; its first bad block raises ValueError."""
     with open(path) as fh:
-        return serialize._read(fh.read(), kind, checked=True)
+        return serialize._read(fh.read(), kind, checked=True, source=path)
 
 
 def cmd_check(args) -> int:
@@ -283,6 +284,9 @@ def cmd_relate(args) -> int:
                             f"got {Q.d}, {P.d} and {u.d}")
     rel = linrel.compute_relation(Q, P, u)
     report = VerdictReport(command="relate", tol_rank=tol_rank, tol_res=tol_res)
+    # the relation is read off the coefficients; only this check reads u
+    report.checks.append(Check.residual("orthogonality-reference",
+                                        construct.orthogonality_residual(u, P), tol_res))
     report.checks.append(Check.residual("fourier-tail", rel.tail, tol_res))
     report.extras["classification"] = linrel.classify_ranks(rel, tol_rank)
     if args.out and not _write(args.out, serialize.relation_to_json(rel)):

@@ -6,8 +6,9 @@ ordered monomial basis, and PolySystem keeps the blocks G[n][k] side by
 side in one array per degree.  Every pairing of two systems against a
 functional is one product: pair_systems stacks each system's blocks by
 column degree and returns the graded matrix <u, P Q^t>, whose block
-(n, m) is <u, P_n Q_m^t>.  Gram blocks, orthogonality residuals and
-Fourier coefficients are slices of it.
+(n, m) is <u, P_n Q_m^t>.  Gram blocks and their orthogonality residual
+are slices of it (gram_blocks).  orthogonality_residual pairs each P_n
+with the monomials instead, one product per degree.
 
 Systems are built degree by degree through block Gram-Schmidt against the
 functional's graded moment matrix, one pairing of the degree-n monomials
@@ -21,21 +22,15 @@ construction reads them for the weights rho^(2k+1) w1.
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
 from the recurrence each factor keeps (factor_recurrences, read alike by
-gram_schmidt_monic, ttr.compute_ttr and linrel), assembled by
-tensor_system from the per-axis coefficient tables (factor_tables).
-_tensor_rows, which linrel.compute_relation's tensor route also reads,
-gathers each axis's table rows at nu_i, then columns at alpha_i
-(ndarray.take), and multiplies in place, in axis order, bit for bit the
-products of an np.ix_ gather.  tensor_system's rows are read-only, and a
-monic result carries its tables.  axis_tables is the one test of "tensor
-system" that linrel.compute_relation's tensor route relies on: it returns
-the carried tables while the system's rows are still read-only, and
-otherwise reads the tables back off a monic system and returns them only
-when tensor_system reproduces the system bit for bit.  A tensor
-functional's Gram blocks are diagonal, H_n = diag(prod_i h_(nu_i)) with
-h_k = <f_i, p_k p_k> read from one univariate pairing per factor, and the
-tensor is quasi-definite through degree n exactly when every factor is, so
-the first factor that fails decides the tensor's failing degree.
+gram_schmidt_monic and ttr.compute_ttr), assembled by tensor_system from
+the per-axis coefficient tables (factor_tables).  _tensor_rows gathers each
+axis's table rows at nu_i, then columns at alpha_i (ndarray.take), and
+multiplies in place, in axis order, bit for bit the products of an np.ix_
+gather.  A tensor functional's Gram blocks are diagonal, H_n =
+diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read from one univariate
+pairing per factor, and the tensor is quasi-definite through degree n
+exactly when every factor is, so the first factor that fails decides the
+tensor's failing degree.
 """
 
 from __future__ import annotations
@@ -67,11 +62,12 @@ class PolySystem:
     rows[n], of shape (r_n, basis.offset(n + 1)), holds degree n against
     the monomials of degrees 0..n in graded order, and blocks[n][k] is its
     column view at degree k (a copy takes them off its own rows); neither
-    tuple can be rebound.  A degree is given as such an array (a
-    C-contiguous float one is kept, not copied) or as its n + 1 blocks,
-    laid side by side.  `monic` (every leading block exactly the identity)
-    is read off the rows on construction.  A monic tensor_system also
-    carries its per-axis tables (`_tensor`), trusted while no row is writable.
+    tuple can be rebound, and every row is read-only.  A degree is given as
+    such an array (a C-contiguous float one is kept, not copied, and made
+    read-only) or as its n + 1 blocks, laid side by side.  `monic` (every
+    leading block exactly the identity) is read off the rows on
+    construction, so it holds for as long as the system does.  A copy or a
+    pickle is built again from the rows.
     """
 
     def __init__(self, d: int, rows, label: str = ""):
@@ -79,14 +75,15 @@ class PolySystem:
         self.d = d
         self.label = label
         self._rows = tuple(_degree_row(basis, n, row) for n, row in enumerate(rows))
-        self._blocks = tuple(tuple(row[:, basis.degree_slice(k, k)] for k in range(n + 1))
+        for row in self._rows:
+            row.flags.writeable = False
+        cols = [basis.degree_slice(k, k) for k in range(len(self._rows))]
+        self._blocks = tuple(tuple(row[:, s] for s in cols[:n + 1])
                              for n, row in enumerate(self._rows))
-        self.monic = all(np.array_equal(row[-1], np.eye(row[-1].shape[0]))
-                         for row in self._blocks)
-        self._tensor: list | None = None
+        self.monic = all(_is_identity(row[-1]) for row in self._blocks)
 
     def __reduce__(self):
-        return PolySystem, (self.d, self._rows, self.label), {"_tensor": self._tensor}
+        return PolySystem, (self.d, self._rows, self.label)
 
     @property
     def rows(self) -> tuple:
@@ -128,6 +125,13 @@ class PolySystem:
             s = np.asarray(mats[n], dtype=float)
             out.append([s @ g for g in blocks])
         return PolySystem(self.d, out, label=self.label)
+
+
+def _is_identity(block: np.ndarray) -> bool:
+    """block equals np.eye of its order exactly: square, ones on the
+    diagonal (NaN is not one) and no other nonzero (-0.0 is zero)."""
+    r, c = block.shape
+    return bool(r == c and np.count_nonzero(block) == r and (block.diagonal() == 1.0).all())
 
 
 def _degree_row(basis: GradedBasis, n: int, row) -> np.ndarray:
@@ -244,18 +248,17 @@ def inner_block(u: MomentFunctional, P: PolySystem, n: int, Q: PolySystem, m: in
     return P.rows[n] @ u.graded_block(0, n, 0, m) @ Q.rows[m].T
 
 
-def _by_column_degree(blocks: list, top: int, basis: GradedBasis) -> dict:
-    """Coefficient blocks of degrees 0..top stacked by column degree: entry k
-    holds every degree vector's block against the degree-k monomials, rows
-    in graded order, zero for the vectors of degree below k."""
-    rows = basis.offset(top + 1)
-    out = {}
-    for k in range(top + 1):
-        col = np.zeros((rows, basis.size(k)))
-        for n in range(k, top + 1):
-            col[basis.degree_slice(n, n)] = blocks[n][k]
-        out[k] = col
-    return out
+def _stacked(rows, top: int, basis: GradedBasis) -> dict:
+    """Degrees 0..top of a system, rows[n] holding degree n's blocks side by
+    side, stacked by column degree as pair_blocks takes them: entry k holds
+    every degree vector's block against the degree-k monomials, rows in
+    graded order, zero for the vectors of degree below k.  They are the
+    column blocks of one array whose block row n is rows[n] followed by
+    zeros, written with one copy per degree."""
+    A = np.zeros((basis.offset(top + 1), basis.offset(top + 1)))
+    for n in range(top + 1):
+        A[basis.degree_slice(n, n), :basis.offset(n + 1)] = rows[n]
+    return {k: A[:, basis.degree_slice(k, k)] for k in range(top + 1)}
 
 
 def pair_systems(u: MomentFunctional, P: PolySystem, Q: PolySystem,
@@ -264,17 +267,17 @@ def pair_systems(u: MomentFunctional, P: PolySystem, Q: PolySystem,
 
     Block (n, m), rows basis.degree_slice(n, n) and columns
     basis.degree_slice(m, m), equals inner_block(u, P, n, Q, m).  One
-    pair_blocks call on both systems stacked by column degree; each top
-    defaults to the system's degree.
+    pair_blocks call on both systems stacked by column degree (_stacked);
+    each top defaults to the system's degree.
     """
     if P.d != Q.d or P.d != u.d:
         raise ValueError("systems and functional must share the dimension")
     top_p = P.N if top_p is None else top_p
     top_q = Q.N if top_q is None else top_q
-    rows_p = _by_column_degree(P.blocks, top_p, u.basis)
+    rows_p = _stacked(P.rows, top_p, u.basis)
     if Q is P and top_q == top_p:
         return pair_blocks(u, rows_p, rows_p)
-    return pair_blocks(u, rows_p, _by_column_degree(Q.blocks, top_q, u.basis))
+    return pair_blocks(u, rows_p, _stacked(Q.rows, top_q, u.basis))
 
 
 def gram_schmidt_monic(u: MomentFunctional, N: int,
@@ -296,13 +299,14 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         return _tensor_monic(u, N, rank_tol)
     basis = u.basis
     blocks: list[list[np.ndarray]] = []
+    rows: list[np.ndarray] = []   # blocks[n] side by side
     grams = GramBlocks([])
     for n in range(N + 1):
         row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n)]
         row.append(np.eye(basis.size(n)))
         if n:
             # <u, X_n P_j^t> for every j < n, P_j as block column j
-            s = pair_blocks(u, {n: row[n]}, _by_column_degree(blocks, n - 1, basis))
+            s = pair_blocks(u, {n: row[n]}, _stacked(rows, n - 1, basis))
         for j in range(n):
             coef = grams.solve_right(j, s[:, basis.degree_slice(j, j)])
             for k in range(j + 1):
@@ -314,8 +318,9 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
         if mk.rank_from_sv(sv, rank_tol, max(raw_scale, sv[0])) < basis.size(n):
             raise QuasiDefiniteFailure(n, sv, u.label)
         blocks.append(row)
+        rows.append(np.hstack(row))
         grams.append(h, sv)
-    return PolySystem(u.d, blocks, label=f"mops({u.label})"), grams
+    return PolySystem(u.d, rows, label=f"mops({u.label})"), grams
 
 
 def factor_recurrences(u: MomentFunctional, N: int,
@@ -378,6 +383,23 @@ def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
     worst = mk.worst(mk.max_abs(G[s, :s.start]) for s in degree[1:])
     H.offdiag_residual = worst / max(H.scale(), 1e-300)
     return H
+
+
+def orthogonality_residual(u: MomentFunctional, P: PolySystem) -> float:
+    """How far P is from orthogonal for u: the largest |<u, P_n x^alpha>|
+    over |alpha| < n, relative to the largest |<u, P_n X_n^t>| (H_n for a
+    monic P), worst over the degrees n >= 1.  One product
+    P.rows[n] @ u.graded_block(0, n, 0, n) per degree; NaN when some
+    degree's pairings with X_n all vanish."""
+    if P.d != u.d:
+        raise ValueError("system and functional must share the dimension")
+    basis = u.basis
+    ratios = []
+    for n in range(1, P.N + 1):
+        s = P.rows[n] @ u.graded_block(0, n, 0, n)
+        low, top = mk.max_abs(s[:, :basis.offset(n)]), mk.max_abs(s[:, basis.offset(n):])
+        ratios.append(low / top if top > 0.0 else math.nan)
+    return mk.worst(ratios)
 
 
 def orthonormalize(P: PolySystem, H: GramBlocks) -> PolySystem:
@@ -455,20 +477,10 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
     axis_polys[i][m] holds the ascending coefficients of axis i's degree-m
     polynomial (a coefficient table's row m will do).  Entry (nu, alpha) of
     block (n, k) is prod_i t_i[nu_i, alpha_i], t_i the axis's coefficient
-    table (_tensor_rows), and its rows are read-only.  When the system is
-    monic and every table is finite, lower triangular and starts with
-    t_i[0, 0] = 1, the system carries the tables t_i + 0.0, read-only:
-    exactly what axis_tables would read back off its rows and prove.
+    table (_tensor_rows).
     """
     tables = [_coefficient_table(polys, N) for polys in axis_polys]
-    P = PolySystem(len(axis_polys), _tensor_rows(tables, N), label)
-    if P.monic and all(np.isfinite(t).all() and t[0, 0] == 1.0 and not np.triu(t, 1).any()
-                       for t in tables):
-        for t in tables:
-            t += 0.0
-            t.flags.writeable = False
-        P._tensor = tables
-    return P
+    return PolySystem(len(axis_polys), _tensor_rows(tables, N), label)
 
 
 def _tensor_rows(tables: list, N: int):
@@ -476,7 +488,7 @@ def _tensor_rows(tables: list, N: int):
     coefficient tables over the columns of all degrees 0..n, whose column
     slices are its blocks.  One gather per axis, rows nu_i then columns
     alpha_i, multiplied in place in axis order; adding 0.0 turns the -0.0
-    of vanished terms into 0.0.  Each row is read-only."""
+    of vanished terms into 0.0."""
     d = len(tables)
     basis = basis_for(d)
     columns = np.vstack([basis.exponents(k) for k in range(N + 1)])
@@ -486,40 +498,7 @@ def _tensor_rows(tables: list, N: int):
         for i in range(1, d):
             full *= tables[i][nu[:, i]].take(alpha[:, i], axis=1)
         full += 0.0
-        full.flags.writeable = False
         yield full
-
-
-def axis_tables(P: PolySystem) -> list[np.ndarray] | None:
-    """The per-axis coefficient tables of a monic tensor system, or None.
-
-    Row k of table i holds the coefficients of the row of k e_i, read at the
-    columns m e_i, m <= k: the axis polynomial q^(i)_k(x_i) when P is the
-    tensor_system of such tables.  A system that carries its tables from
-    tensor_system, with every row still read-only, returns them (read-only)
-    with no further test.  Any other monic system (deserialized, copied, or
-    from to_monic) has the tables read off its rows and returned only when
-    their tensor system equals every row bit for bit (mk.same_bits); the
-    comparison stops at the first degree that differs.
-    """
-    if not P.monic:
-        return None
-    if P._tensor is not None and not any(row.flags.writeable for row in P.rows):
-        return list(P._tensor)
-    d, N = P.d, P.N
-    basis = basis_for(d)
-    # graded[i, m]: graded position of m e_(i+1)
-    graded = np.array([[basis.offset(m) + basis.position(m * e) for m in range(N + 1)]
-                       for e in np.eye(d, dtype=int)])
-    tables = np.zeros((d, N + 1, N + 1))
-    # degree n of the tensor reads rows 0..n of the tables, so row n is read
-    # off P just before the degree that first needs it
-    rows = _tensor_rows(list(tables), N)
-    for n, full in enumerate(P.rows):
-        tables[:, n, :n + 1] = full[graded[:, n:n + 1] - basis.offset(n), graded[:, :n + 1]]
-        if not mk.same_bits(next(rows), full):
-            return None
-    return list(tables)
 
 
 # ---------------------------------------------------------------------------

@@ -214,21 +214,6 @@ def standard_laguerre_coeffs(alpha: float, N: int) -> list[np.ndarray]:
 # explicit system builders
 
 
-def simplex_orthonormal_system(kappa, N: int, first: int = 1) -> PolySystem:
-    """Product-formula basis on the simplex, orthogonal for the Dirichlet weight.
-
-    `first` picks which coordinate plays the leading role in the nested
-    construction (the weight is symmetric under permuting coordinates, so
-    any choice yields an orthogonal basis); parameter-raising relations in
-    direction j take the clean two-term form exactly for first = j.
-    ParameterError where a row norm or a Jacobi recurrence coefficient is
-    not a positive finite float.
-    """
-    kappa = [float(k) for k in kappa]
-    factors = _SimplexFactors(len(kappa) - 1, first, N)
-    return factors.system(kappa, factors.norms(kappa))
-
-
 class _SimplexFactors:
     """The product formula's factors in one direction, through degree N.
 
@@ -336,8 +321,8 @@ def _cross_checks(bundle: FamilyBundle, Q: PolySystem, P: PolySystem,
 
     Q must be orthogonal for v, P for u, with u = lambda . v.  Both systems
     are converted to monic form and paired once each with their functional
-    (Gram blocks and orthogonality residual), the relation blocks are
-    computed by Fourier expansion, and rank dichotomy, the recovered linking
+    (Gram blocks and orthogonality residual), the relation blocks are read
+    off their coefficients, and rank dichotomy, the recovered linking
     polynomial, the functional identity and the Gram-link identity are all
     verified.  Returns the relation between the monic forms.
     """

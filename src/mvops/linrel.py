@@ -3,27 +3,22 @@
 Two systems with matching leading coefficients are *linearly related* when
 each degree vector of one equals the corresponding vector of the other
 plus a constant matrix times the previous vector: Q_n = P_n + M_n P_{n-1}.
-This module computes the M_n blocks by Fourier expansion, classifies their
-ranks (for two orthogonal systems only the all-zero and all-full-rank
-cases can occur), recovers the degree-one polynomial linking the two
+The relation is linear in the coefficients, so this module reads the M_n
+blocks off Q_n - P_n and measures the relation by its coefficient residual
+(relation_residual), with no pairing against moments.  It classifies the
+blocks' ranks (for two orthogonal systems only the all-zero and all-full-
+rank cases can occur), recovers the degree-one polynomial linking the two
 moment functionals, verifies the identity M_n H_{n-1} = H~_n sum_i a_i
 L_{n-1,i}^t tying relation, Gram and shift blocks together, and implements
 the two inverse-problem validators: given the recurrence of one orthogonal
 side, build the candidate recurrence of the other side and decide its
 orthogonality from compatibility residuals and rank conditions.
 
-The expansion takes one of two routes.  A pair of monic tensor systems, P
-the monic system of a tensor functional u and Q a product of univariate
-monic families, expands axis by axis: each q^(i)_k is p^(i)_k plus a
-combination of lower p^(i)_m, and the coefficients of every Q_n against
-every P_k are the tensor product of those per-axis expansions, whose
-rows (construct._tensor_rows) give M_n and the tail with no system built.
-The factors' recurrences behind P come from moments, kept on each factor
-(MomentFunctional.recurrence).  For two
-weights with u = (1 - x_j) v, M_n then holds one nonzero per row, at
-(nu, nu - e_j), and every other entry is exactly 0.0 (Dunkl and Xu,
-Orthogonal Polynomials of Several Variables, 2014, ch. 3).  Every other
-pair is paired in d variables against the functional's moments.
+For two tensor weights with u = (1 - x_j) v, whose monic systems are
+products of univariate families that differ on axis j only, every entry of
+Q_n - P_n at degree n - 1 off (nu, nu - e_j) is exactly 0.0, and so is the
+same entry of M_n (Dunkl and Xu, Orthogonal Polynomials of Several
+Variables, 2014, ch. 3).
 """
 
 from __future__ import annotations
@@ -34,14 +29,12 @@ import numpy as np
 
 from . import matrixkit as mk
 from .checks import Check, all_pass
-from . import construct
 # inner_block is not called here; perfbench's tracer test expects it among
 # this module's names
-from .construct import (GramBlocks, PolySystem, axis_tables, factor_tables,  # noqa: F401
-                        gram_blocks, inner_block, pair_blocks, pair_systems)
+from .construct import GramBlocks, PolySystem, inner_block  # noqa: F401
 from .indexing import basis_for
 from .matrixkit import DEFAULT_RES_TOL
-from .moments import LinearPoly, MomentFunctional, QuasiDefiniteFailure, left_multiply
+from .moments import LinearPoly, MomentFunctional, left_multiply
 from .ttr import RankReport, ThreeTermData, rank_family
 
 
@@ -67,30 +60,15 @@ class LinearRelation:
 
 def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                      H: GramBlocks | None = None) -> LinearRelation:
-    """Fourier coefficients of Q against the u-orthogonal system P.
+    """The blocks M_n of Q_n = P_n + M_n P_(n-1), read off the coefficients.
 
-    Requires matching leading coefficient blocks, so each difference
-    Q_n - P_n has lower degree and expands over P_0..P_{n-1}.  The block
-    against P_{n-1} is M_n; the reported tail is the largest coefficient
-    against any P_j with j <= n-2, relative to the coefficient scale (the
-    largest coefficient of Q, at least 1), and certifies the two-term
-    relation when it is negligible.  Leading blocks may differ by 1e-8
-    relative to the coefficient scale.  Two routes (module docstring):
-
-    - Tensor route, when u has `factors`, P is bit for bit
-      gram_schmidt_monic(u, P.N)'s system and Q is a monic tensor system
-      (construct.axis_tables).  Per axis, C_i = I + tril(F_i, -1), F_i the
-      coefficients of q^(i)_k - p^(i)_k against p^(i)_m under u.factors[i],
-      from one univariate pair_blocks divided by the factor's Gram
-      diagonal; an axis whose tables agree bit for bit gives C_i = I
-      exactly.  Row n of the tensor product of C_1..C_d
-      (construct._tensor_rows) holds the coefficients of Q_n against
-      P_0..P_n side by side: M_n is its block of degree n - 1, and the
-      columns before it give the tail.  H is not read.
-    - Pairing route, every other input: one pair_systems(u, Q, P) through
-      degrees N and N - 1 holds every pairing, and one solve per degree j
-      against H_j gives the coefficients of all Q_n, n > j, against P_j.
-      H defaults to gram_blocks(u, P).
+    Requires matching leading coefficient blocks (they may differ by 1e-8
+    relative to the largest coefficient of Q, at least 1), so Q_n - P_n has
+    degree n - 1 at most.  When the relation holds, its block at degree
+    n - 1 is M_n lead(P_(n-1)), since P_(n-1) is the only term of degree
+    n - 1: M_n is that block times lead(P_(n-1))^-1, the block itself for
+    a monic P.  The tail is relation_residual(Q, P, rel), which certifies
+    the relation when it is negligible.  u and H are not read.
     """
     if Q.d != P.d:
         raise ValueError("systems must share the dimension")
@@ -103,67 +81,15 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
                 f"leading coefficients differ at degree {n} (gap {gap:.3e}); "
                 "convert both systems to a common leading normalization first"
             )
-    label = f"{Q.label} vs {P.label}"
     basis = basis_for(Q.d)
-    expansions = _axis_expansions(Q, P, u, N)
-    if expansions is not None:
-        M, tails = [None], []
-        for n, full in enumerate(construct._tensor_rows(expansions, N)):
-            if n:
-                M.append(full[:, basis.degree_slice(n - 1, n - 1)].copy())
-            if n >= 2:
-                tails.append(mk.max_abs(full[:, :basis.offset(n - 1)]))
-        return LinearRelation(Q.d, M, tail=mk.worst(tails) / scale, label=label)
-    if H is None:
-        H = gram_blocks(u, P)
-    M = [None] * (N + 1)
-    tails = []
-    if N:
-        G = pair_systems(u, Q, P, N, N - 1)
-    for j in range(N):
-        # coefficients of Q_(j+1), ..., Q_N against P_j, stacked by degree
-        coef = H.solve_right(j, G[basis.degree_slice(j + 1, N), basis.degree_slice(j, j)])
-        M[j + 1] = coef[:basis.size(j + 1)]
-        tails.append(mk.max_abs(coef[basis.size(j + 1):]) / scale)
-    return LinearRelation(Q.d, M, tail=mk.worst(tails), label=label)
-
-
-def _axis_expansions(Q: PolySystem, P: PolySystem, u: MomentFunctional,
-                     N: int) -> list | None:
-    """C_1..C_d of compute_relation's tensor route through degree N, or None
-    when the pair takes the pairing route.  P is tied to u by comparing its
-    axis tables with factor_tables(u), built from the recurrences u's
-    factors keep: tables a system carries from tensor_system cost no
-    rebuild (construct.axis_tables)."""
-    if not hasattr(u, "factors") or u.d != P.d:
-        return None
-    tp = axis_tables(P)
-    if tp is None:
-        return None
-    try:
-        own = factor_tables(u, P.N)
-    except QuasiDefiniteFailure:
-        return None
-    # tensor_system adds 0.0, so a -0.0 of the factor tables reads as 0.0 in P
-    if not all(mk.same_bits(t, w + 0.0) for t, w in zip(tp, own)):
-        return None
-    tq = axis_tables(Q)
-    if tq is None:
-        return None
-    expansions = []
-    for f, p, q in zip(u.factors, tp, tq):
-        p, q = p[:N + 1, :N + 1], q[:N + 1, :N + 1]
-        if mk.same_bits(p, q):
-            expansions.append(np.eye(N + 1))
-            continue
-        # rows 0..N: <f, (q_k - p_k) p_m>; rows N+1..2N+1: <f, p_k p_m>,
-        # whose diagonal is the factor's Gram diagonal h_m
-        side = np.vstack([q - p, p])
-        s = pair_blocks(f, {k: side[:, k:k + 1] for k in range(N + 1)},
-                        {k: p[:, k:k + 1] for k in range(N + 1)})
-        fourier = s[:N + 1] / np.diagonal(s[N + 1:])
-        expansions.append(np.eye(N + 1) + np.tril(fourier, -1))
-    return expansions
+    M = [None]
+    for n in range(1, N + 1):
+        below = basis.degree_slice(n - 1, n - 1)
+        block = Q.rows[n][:, below] - P.rows[n][:, below]
+        M.append(block if P.monic else mk.solve(P.leading(n - 1).T, block.T).T)
+    rel = LinearRelation(Q.d, M, label=f"{Q.label} vs {P.label}")
+    rel.tail = relation_residual(Q, P, rel)
+    return rel
 
 
 def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation,
@@ -230,15 +156,17 @@ def recover_lambda(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
 
 def functional_match_residual(u: MomentFunctional, v: MomentFunctional,
                               lam: LinearPoly, max_degree: int) -> float:
-    """Largest relative gap between moments of u and of lambda . v."""
+    """Largest gap between the moments of u and of lambda . v, relative per
+    degree to the larger moment of that degree (at least 1).  The degrees
+    are laid end to end and reduced at once (np.maximum.reduceat)."""
     lv = left_multiply(lam, v)
-    gaps = []
-    for n in range(max_degree + 1):
-        mu = u.moment_vector(n)
-        mlv = lv.moment_vector(n)
-        scale = max(np.max(np.abs(mu)), np.max(np.abs(mlv)), 1.0)
-        gaps.append(float(np.max(np.abs(mu - mlv))) / scale)
-    return mk.worst(gaps)
+    degrees = range(max_degree + 1)
+    mu = np.concatenate([u.moment_vector(n) for n in degrees])
+    mlv = np.concatenate([lv.moment_vector(n) for n in degrees])
+    starts = [u.basis.offset(n) for n in degrees]
+    scale = np.maximum(np.maximum.reduceat(np.abs(mu), starts),
+                       np.maximum.reduceat(np.abs(mlv), starts))
+    return mk.worst(np.maximum.reduceat(np.abs(mu - mlv), starts) / np.maximum(scale, 1.0))
 
 
 def verify_mh(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,

@@ -9,8 +9,11 @@ once, as degree vectors gathered from those of the functionals they
 combine.  Every read goes through the degree vectors, so no caller needs
 to know how a moment is produced.
 
-A univariate functional keeps its monic recurrence too (`recurrence`,
-the Chebyshev algorithm on its moments), the one every tensor route reads.
+A univariate functional keeps its monic recurrence too (`recurrence`),
+the one every tensor route reads: the closed form of a Jacobi or Laguerre
+weight, checked against its moments (check_recurrence), and otherwise the
+Chebyshev algorithm on its moments (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, 2004, sections 2.1.7 and 2.4).
 
 Normalization: families whose conventional inner product has unit mass
 (disk, simplex, the product and symmetrized Chebyshev weights) are scaled
@@ -30,7 +33,7 @@ import numpy as np
 from scipy import special as sp
 
 from .indexing import basis_for
-from .matrixkit import DEFAULT_RANK_TOL
+from .matrixkit import DEFAULT_RANK_TOL, DEFAULT_RES_TOL
 
 
 class ParameterError(ValueError):
@@ -113,20 +116,37 @@ class MomentFunctional:
 
     def recurrence(self, N: int, rank_tol: float = DEFAULT_RANK_TOL) -> Recurrence1D:
         """Monic recurrence through degree N, b_N included, of a univariate
-        functional (ValueError for d != 1): recurrence_from_moments on the
-        moments 0..2N+1, read through `moment`, run once per (N, rank_tol)
-        and kept with b and c read-only.  A QuasiDefiniteFailure is not kept."""
+        functional (ValueError for d != 1), made once per (N, rank_tol) and
+        kept with b and c read-only; a QuasiDefiniteFailure is not kept.
+
+        The moments 0..2N+1 are read through `moment`.  A weight with a
+        closed-form recurrence (`_closed_recurrence`: Jacobi and Laguerre)
+        takes b and c from it, with moment 0 as the mass, and checks them
+        against those moments (check_recurrence); any other functional runs
+        recurrence_from_moments on them.
+        """
         if self.d != 1:
             raise ValueError(f"a recurrence needs a univariate functional, got d={self.d}")
         key = (N, rank_tol)
         if key not in self._recurrences:
             # scalar reads: the benchmark's tracer counts moments at moment()
             mom = np.array([self.moment((m,)) for m in range(2 * N + 2)])
-            rec = recurrence_from_moments(mom, rank_tol, self.label)
+            closed = self._closed_recurrence(N)
+            if closed is None:
+                rec = recurrence_from_moments(mom, rank_tol, self.label)
+            else:
+                rec = Recurrence1D(closed.b, closed.c, mass=float(mom[0]),
+                                   label=f"recurrence({self.label})")
+                check_recurrence(rec, mom, rank_tol, self.label)
             rec.b.flags.writeable = False
             rec.c.flags.writeable = False
             self._recurrences[key] = rec
         return self._recurrences[key]
+
+    def _closed_recurrence(self, N: int) -> Recurrence1D | None:
+        """b and c through degree N in closed form, or None where the
+        weight has none."""
+        return None
 
     def _degree_vector(self, n: int) -> np.ndarray:
         return self._finite(n, np.array([float(self._oracle(a)) for a in self.basis.indices(n)]))
@@ -212,8 +232,9 @@ class _LeftMultiplied(MomentFunctional):
 
     A degree-n vector gathers, for each coefficient c_beta in dict order,
     the base's degree-(n + |beta|) vector at the positions of alpha + beta
-    and accumulates c_beta times it from zero.  It raises where a base
-    vector it reads does, even at a moment outside the shifted set.
+    (the whole vector for beta = 0, the basis's kept shift_index for
+    beta = e_i) and accumulates c_beta times it from zero.  It raises where
+    a base vector it reads does, even at a moment outside the shifted set.
     """
 
     def __init__(self, coeffs: dict, base: MomentFunctional, label: str):
@@ -227,8 +248,12 @@ class _LeftMultiplied(MomentFunctional):
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
             for beta, c in self.coeffs.items():
                 m = sum(beta)
-                shifted = basis.sum_table(n, m)[:, basis.position(beta)]
-                out += c * self.base.moment_vector(n + m)[shifted]
+                vec = self.base.moment_vector(n + m)
+                if m == 1:
+                    vec = vec[basis.shift_index(n, beta.index(1) + 1)]
+                elif m > 1:
+                    vec = vec[basis.sum_table(n, m)[:, basis.position(beta)]]
+                out += c * vec
         return self._finite(n, out)
 
 
@@ -302,6 +327,9 @@ class _JacobiMoments(MomentFunctional):
         below = self._vectors[k - 1][0] if k else 0.0
         return ((self.b - self.a) * self._vectors[k][0] + k * below) / (self.a + self.b + k + 2)
 
+    def _closed_recurrence(self, N: int) -> Recurrence1D:
+        return jacobi_recurrence(N, self.a, self.b)
+
 
 def jacobi_functional_1d(a: float, b: float) -> MomentFunctional:
     """Raw moments of (1-x)^a (1+x)^b on [-1, 1], by their moment recurrence;
@@ -320,15 +348,25 @@ def jacobi_mass(a: float, b: float) -> float:
         return math.inf
 
 
+class _LaguerreMoments(MomentFunctional):
+    """Moments Gamma(m + alpha + 1) of t^alpha e^-t on (0, inf)."""
+
+    def __init__(self, alpha: float, label: str):
+        super().__init__(1, self._gamma, label)
+        self.alpha = alpha
+
+    def _gamma(self, idx) -> float:
+        return sp.gamma(idx[0] + self.alpha + 1)
+
+    def _closed_recurrence(self, N: int) -> Recurrence1D:
+        return laguerre_recurrence(N, self.alpha)
+
+
 def laguerre_functional_1d(alpha: float) -> MomentFunctional:
     """Raw moments of t^alpha e^-t on (0, inf): Gamma(m + alpha + 1)."""
     if not _exceeds(-1, alpha):
         raise ParameterError(f"laguerre exponent must exceed -1, got {alpha}")
-
-    def oracle(idx):
-        return sp.gamma(idx[0] + alpha + 1)
-
-    return MomentFunctional(1, oracle, f"laguerre(alpha={alpha})")
+    return _LaguerreMoments(alpha, f"laguerre(alpha={alpha})")
 
 
 _CHEB_PARAMS = {1: (-0.5, -0.5), 2: (0.5, 0.5), 3: (0.5, -0.5), 4: (-0.5, 0.5)}
@@ -563,8 +601,8 @@ class Recurrence1D:
     unused), `mass` is the zeroth moment.  For a positive weight the
     orthonormal off-diagonal is a_n = sqrt(c_{n+1}).  A recurrence read
     from the moments 0..2N (recurrence_from_moments) has b[N] NaN, since
-    b_N needs moment 2N + 1; one read from 0..2N+1, as
-    MomentFunctional.recurrence's is, has it.  The monic and orthonormal
+    b_N needs moment 2N + 1; one read from 0..2N+1, and every
+    MomentFunctional.recurrence, has it.  The monic and orthonormal
     coefficients through degree N do not read it.
     """
 
@@ -645,6 +683,40 @@ def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
         nxt[:-1] = sig[1:] - b[k] * sig[:-1] - c[k] * prev[:-1]
         prev, sig = sig, nxt
     return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({label})")
+
+
+def check_recurrence(rec: Recurrence1D, moments, rank_tol: float = DEFAULT_RANK_TOL,
+                     label: str = "") -> None:
+    """Check a recurrence through degree N against the moments 0..2N+1 it
+    should reproduce.
+
+    The squared norms h_k = mass c_1 ... c_k pass the rank rule of
+    recurrence_from_moments, |h_k| > rank_tol max(|m_2k|, |h_k|), or
+    QuasiDefiniteFailure names the first k that fails.  Then, with J the
+    order-(N + 1) Jacobi matrix of b and c (Gauss quadrature: exact through
+    degree 2N + 1), mass (J^k)_00 must equal m_k within DEFAULT_RES_TOL times
+    mass (|J|^k)_00, the size of the terms summed, for every k <= 2N + 1, or
+    ValueError names the first k that disagrees.
+    """
+    mom = np.asarray(moments, dtype=float)
+    N = rec.N
+    h = np.abs(rec.norms())
+    bad = np.flatnonzero(~(h > rank_tol * np.maximum(np.abs(mom[:2 * N + 1:2]), h)))
+    if bad.size:
+        raise QuasiDefiniteFailure(int(bad[0]), [h[bad[0]]], label)
+    J = np.diag(rec.b) + np.diag(np.ones(N), 1) + np.diag(rec.c[1:], -1)
+    size_J = np.abs(J)
+    got, size = np.empty(2 * N + 2), np.empty(2 * N + 2)
+    v = w = np.eye(N + 1)[0]
+    for k in range(2 * N + 2):
+        got[k], size[k] = v[0], w[0]
+        v, w = J @ v, size_J @ w
+    gap = np.abs(rec.mass * got - mom)
+    bad = np.flatnonzero(~(gap <= DEFAULT_RES_TOL * abs(rec.mass) * size))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"the closed-form recurrence of {label!r} gives moment {k} as "
+                         f"{rec.mass * got[k]!r}, not {mom[k]!r}")
 
 
 def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:

@@ -19,8 +19,9 @@ The CLI reads every file through a checked read, which refuses what
 `validate_blocks` refuses and checks structure before numbers: the kind,
 d >= 1, the number of blocks per degree and direction, the place of every
 marker and every other block's `rows cols` header come first, the payloads
-after, block by block.  Its error names the first bad block, and a
-misshapen block costs no payload conversion.  The public readers need a
+after, block by block.  Its error names the first bad block (a block list
+that is not a JSON list, with its file), and a misshapen block costs no
+payload conversion.  The public readers need a
 JSON integer d and the same layout, with a marker or matrix text in every
 block the layout uses, and keep the values of every block and the shapes
 of recurrence and relation blocks; a system's blocks are laid side by side
@@ -52,34 +53,45 @@ _STRUCTURAL = {
 }
 
 
-def _slots(kind: str, d: int, part):
+def _slots(kind: str, d: int, part, source: str = ""):
     """(label, container, index, row degree, column degree, marker) of every
     block a document or object of `kind` uses; `part(name)` returns its list
     `name`, and `marker` is the key of `_STRUCTURAL` the slot may hold, or None.
 
-    Index 0 of a recurrence's C and of a relation's M is unused and not
-    visited; C needs an entry for every degree n >= 1 that B has.
+    A list or a degree's row that is not a list (a tuple will do for an
+    object's) raises ValueError naming it, and `source`, the file, when
+    given.  Index 0 of a recurrence's C and of a relation's M is unused and
+    not visited; C needs an entry for every degree n >= 1 that B has.
     """
+    where = f" in {source}" if source else ""
+
+    def listed(name: str, value):
+        if not isinstance(value, (list, tuple)):
+            got = "null" if value is None else type(value).__name__
+            raise ValueError(f"field {name}{where} must be a list, got {got}")
+        return value
+
     if kind == "polynomial_system":
-        for n, row in enumerate(part("blocks")):
-            if len(row) != n + 1:
+        for n, row in enumerate(listed("blocks", part("blocks"))):
+            if len(listed(f"blocks[{n}]", row)) != n + 1:
                 raise ValueError(f"degree {n} has {len(row)} blocks, expected {n + 1}")
             for k in range(n + 1):
                 yield f"block ({n}, {k})", row, k, n, k, "identity" if k == n else None
     elif kind == "three_term":
+        B = listed("B", part("B"))
         for name, first, step in (("A", 0, 1), ("B", 0, 0), ("C", 1, -1)):
             marker = "shift" if name == "A" else None
-            rows = part(name)
-            if name == "C" and len(part("B")) > max(len(rows), 1):
-                raise ValueError(f"C must hold one entry per degree 1..{len(part('B')) - 1} "
+            rows = listed(name, part(name))
+            if name == "C" and len(B) > max(len(rows), 1):
+                raise ValueError(f"C must hold one entry per degree 1..{len(B) - 1} "
                                  f"of B, got {max(len(rows) - 1, 0)}")
             for n, row in enumerate(rows[first:], start=first):
-                if row is None or len(row) != d:
+                if not isinstance(row, (list, tuple)) or len(row) != d:
                     raise ValueError(f"{name}[{n}] must hold {d} blocks")
                 for i in range(d):
                     yield f"{name}[{n}][{i + 1}]", row, i, n, n + step, marker
     else:
-        M = part("M")
+        M = listed("M", part("M"))
         for n in range(1, len(M)):
             yield f"M[{n}]", M, n, n, n - 1, None
 
@@ -131,9 +143,10 @@ def _named(where: str, read, text):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _read(text: str, kind: str, checked: bool):
+def _read(text: str, kind: str, checked: bool, source: str = ""):
     """Decode an envelope of `kind` into the system, recurrence or relation
-    it holds.
+    it holds; `source` names the file in the error for a field that is not
+    a list.
 
     Every block the layout uses must be its slot's marker or matrix text; a
     marker comes back as the block it stands for ("shift" as the basis's
@@ -153,7 +166,7 @@ def _read(text: str, kind: str, checked: bool):
     tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
     if checked:
         _check_scalars(d, tail)
-    slots = list(_slots(kind, d, payload.__getitem__))
+    slots = list(_slots(kind, d, payload.__getitem__, source))
     marked = [_holds_marker(where, row[i], marker) for where, row, i, _, _, marker in slots]
     if checked:
         for (where, row, i, n, k, _), structural in zip(slots, marked):

@@ -294,13 +294,6 @@ class RankReport:
     def ok(self) -> bool:
         return all_pass(self.checks)
 
-    def first_failure(self) -> Check | None:
-        # per-direction checks sort before the joint check at the same degree
-        bad = sorted(
-            (c for c in self.checks if not c.ok),
-            key=lambda c: (c.degree, c.direction if c.direction is not None else 1 << 30),
-        )
-        return bad[0] if bad else None
 
 
 def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[Check]:

@@ -749,3 +749,36 @@ def test_relate_on_tensor_envelopes_returns_the_in_process_relation(envelopes, t
     code, _, _ = run_cli(_argv(envelopes, "relate") + ["--out", str(out)], capsys)
     # texts["rel"] is compute_relation on the fixture's systems, written once
     assert code == 0 and out.read_text() == envelopes["texts"]["rel"]
+
+
+@pytest.mark.parametrize("name, field, value, command", [
+    ("Tp", "C", 5, "generate"),
+    ("Tp", "B", None, "generate"),
+    ("Tq", "A", "shift", "check-3"),
+    ("rel", "M", {"1": "1 1\n0.5"}, "check-4"),
+    ("P", "blocks", 3, "relate"),
+], ids=["C-int", "B-null", "A-string", "M-object", "blocks-int"])
+def test_a_block_list_that_is_not_a_list_exits_2_naming_the_field_and_the_file(
+        envelopes, capsys, name, field, value, command):
+    payload = json.loads(envelopes["texts"][name])
+    payload[field] = value
+    path = envelopes["root"] / f"not-a-list-{field}-{name}.json"
+    path.write_text(json.dumps(payload))
+    err = _one_error(envelopes, command, {name: str(path)}, capsys)
+    assert f"field {field} in {path} must be a list" in err
+
+
+def test_relate_fails_a_reference_that_is_not_orthogonal_for_the_functional(envelopes,
+                                                                         capsys):
+    # the combined system passed as the reference: the relation to itself
+    # is zero, and only the orthogonality check reads the functional
+    argv = _argv(envelopes, "relate", {"P": envelopes["paths"]["Q"]})
+    code, out, _ = run_cli(["--json", *argv], capsys)
+    assert code == 1
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert not checks["orthogonality-reference"]["pass"]
+    assert checks["orthogonality-reference"]["value"] > 0.1
+    assert checks["fourier-tail"]["pass"]
+    code, out, _ = run_cli(["--json", *_argv(envelopes, "relate")], capsys)
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and checks["orthogonality-reference"]["value"] <= 1e-14

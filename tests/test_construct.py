@@ -9,14 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from mvops import construct, families, matrixkit as mk, moments, mpoly
+from mvops import construct, matrixkit as mk, moments, mpoly
 from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefiniteFailure,
                              RhoMap, gram_blocks, gram_schmidt_monic, inner_block,
                              koornwinder_system, orthonormalize, system_from_rows)
 from mvops.indexing import basis_for
 from mvops.ttr import compute_ttr
 
-from blockref import row_blocks, shift_rows
+from blockref import row_blocks, shift_rows, simplex_orthonormal_system
 
 def test_centered_weight_degree_one_is_pure():
     u = moments.product_chebyshev_functional(2)
@@ -750,33 +750,6 @@ def test_tensor_system_take_gather_equals_the_ix_gather_bit_for_bit(d, N, seed):
         assert all(mk.same_bits(g, w) for g, w in zip(grow, wrow))
 
 
-def test_axis_tables_read_back_the_factor_tables_of_a_tensor_monic_system():
-    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
-    P, _ = gram_schmidt_monic(u, 5)
-    got = construct.axis_tables(P)
-    want = construct.factor_tables(u, 5)
-    # tensor_system adds 0.0, so the read-back tables hold no -0.0
-    assert got is not None and all(mk.same_bits(g, w + 0.0) for g, w in zip(got, want))
-
-
-def test_axis_tables_refuse_systems_that_are_no_tensor_product():
-    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
-    P, _ = gram_schmidt_monic(u, 4)
-    assert construct.axis_tables(gram_schmidt_monic(moments.disk_functional(0.5), 4)[0]) is None
-    # a product that is not monic
-    scaled = construct.tensor_system([2.0 * t for t in construct.factor_tables(u, 4)], 4, "x2")
-    assert not scaled.monic and construct.axis_tables(scaled) is None
-    # one mixed entry moved by one ulp: still monic, no longer a product
-    blocks = [[g.copy() for g in row] for row in P.blocks]
-    blocks[4][2][1, 1] = np.nextafter(blocks[4][2][1, 1], np.inf)
-    assert construct.axis_tables(construct.PolySystem(2, blocks)) is None
-
-
-def _copied(P):
-    """P's rows as fresh writable copies: a system without carried tables."""
-    return construct.PolySystem(P.d, [row.copy() for row in P.rows])
-
-
 def test_tensor_system_blocks_are_read_only():
     u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
     P, _ = gram_schmidt_monic(u, 4)
@@ -787,74 +760,35 @@ def test_tensor_system_blocks_are_read_only():
                 g[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         P.blocks[3][1] *= 2.0
-    assert all(not t.flags.writeable for t in construct.axis_tables(P))
 
 
-@given(d=st.integers(1, 4), N=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_carried_tables_are_what_the_read_back_proves(d, N, seed):
-    rng = np.random.default_rng(seed)
-    # monic lower-triangular tables with exact and signed zeros below the diagonal
-    tables = [np.tril(rng.standard_normal((N + 1, N + 1))
-                      * rng.integers(0, 2, (N + 1, N + 1)) * np.sign(rng.random() - 0.5), -1)
-              + np.eye(N + 1) for _ in range(d)]
-    P = construct.tensor_system(tables, N, "t")
-    assert P.monic and P._tensor is not None
-    with mock.patch.object(construct, "_tensor_rows", side_effect=AssertionError("rebuilt")):
-        carried = construct.axis_tables(P)
-    read = construct.axis_tables(_copied(P))
-    assert read is not None
-    assert all(mk.same_bits(c, r) for c, r in zip(carried, read))
-    assert all(mk.same_bits(c, t + 0.0) for c, t in zip(carried, tables))
-
-
-def test_only_tables_the_read_back_would_prove_are_carried():
-    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
-    tables = construct.factor_tables(u, 3)
-    # t[0, 0] = 2 on one axis and 1/2 on the other: monic, but the read-back
-    # of axis 0 is t_0 / 2
-    halved = [tables[0] * 2.0, tables[1] * 0.5]
-    P = construct.tensor_system(halved, 3, "halved")
-    assert P.monic and P._tensor is None
-    got = construct.axis_tables(P)
-    assert got is None or not mk.same_bits(got[0], halved[0])
-    # in one variable the entries above the diagonal are never read: the
-    # read-back gives the lower triangle
-    upper = [tables[0] + np.triu(np.ones((4, 4)), 1)]
-    P = construct.tensor_system(upper, 3, "upper")
-    assert P.monic and P._tensor is None
-    assert mk.same_bits(construct.axis_tables(P)[0], np.tril(upper[0]) + 0.0)
-
-
-def test_rebound_or_copied_blocks_fall_back_to_the_read_back():
+def test_copies_of_a_system_are_built_again_from_its_rows():
     u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
     P, _ = gram_schmidt_monic(u, 4)
-    want = construct.axis_tables(P)
-    # a deep copy holds writable blocks: read back, and proved
-    deep = copy.deepcopy(P)
-    assert all(g.flags.writeable for row in deep.blocks for g in row)
-    with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rebuild:
-        got = construct.axis_tables(deep)
-    assert rebuild.called and all(mk.same_bits(g, w) for g, w in zip(got, want))
+    for S in (copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
+        assert S.monic and S.label == P.label and S.N == P.N
+        assert all(not row.flags.writeable for row in S.rows)
+        assert all(mk.same_bits(a, b) for a, b in zip(S.rows, P.rows))
     # neither a block nor the rows can be rebound
     with pytest.raises(TypeError):
         P.blocks[3][1] = P.blocks[3][1].copy()
     with pytest.raises(AttributeError):
-        P.rows = deep.rows
-    # carried tables with one writable row are not trusted; a moved entry
-    # is refused
-    rows = list(P.rows)
-    rows[3] = P.rows[3].copy()
-    same = construct.PolySystem(P.d, rows)
-    same._tensor = P._tensor
-    with mock.patch.object(construct, "_tensor_rows", wraps=construct._tensor_rows) as rebuild:
-        assert all(mk.same_bits(g, w) for g, w in zip(construct.axis_tables(same), want))
-    assert rebuild.called
-    same.blocks[3][1][2, 0] = np.nextafter(same.blocks[3][1][2, 0], np.inf)
-    assert construct.axis_tables(same) is None
-    # a system cut to fewer degrees is read back too
-    P = construct.PolySystem(P.d, P.rows[:3])
-    assert len(construct.axis_tables(P)) == 3 and construct.axis_tables(P)[0].shape == (3, 3)
+        P.rows = copy.deepcopy(P).rows
+    # a system cut to fewer degrees keeps its rows
+    cut = construct.PolySystem(P.d, P.rows[:3])
+    assert cut.N == 2 and all(a is b for a, b in zip(cut.rows, P.rows))
+
+
+def test_a_write_into_a_leading_block_is_refused_so_monic_cannot_go_stale():
+    P, _ = gram_schmidt_monic(moments.disk_functional(0.5), 3)
+    with pytest.raises(ValueError, match="read-only"):
+        P.blocks[2][2][0, 0] = 2.0
+    assert P.monic and construct.PolySystem(P.d, P.rows).monic
+    # a caller's array is kept, so it is made read-only too
+    row = np.hstack([np.zeros((2, 1)), np.eye(2)])
+    construct.PolySystem(2, [np.eye(1), row])
+    with pytest.raises(ValueError, match="read-only"):
+        row[0, 1] = 2.0
 
 
 def test_rows_and_blocks_share_memory_and_cannot_be_rebound():
@@ -874,10 +808,12 @@ def test_rows_and_blocks_share_memory_and_cannot_be_rebound():
         P.rows[2] = P.rows[2].copy()
     with pytest.raises(TypeError):
         P.blocks[2][1] = P.blocks[2][1].copy()
-    # a write through a block lands in its row, also in a copy
+    # rows and blocks are read-only, also in a copy
     for S in (P, copy.copy(P), copy.deepcopy(P), pickle.loads(pickle.dumps(P))):
-        S.blocks[2][1][0, 1] += 7.0
-        assert S.rows[2][0, basis.offset(1) + 1] == S.blocks[2][1][0, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            S.blocks[2][1][0, 1] += 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            S.rows[2][0, 0] = 7.0
 
 
 def test_a_degree_is_one_array_or_its_blocks_laid_side_by_side():
@@ -889,7 +825,9 @@ def test_a_degree_is_one_array_or_its_blocks_laid_side_by_side():
     kept = construct.PolySystem(2, [np.eye(1), given.rows[1], row])
     assert given.monic and kept.monic and given.label == "blocks"
     assert kept.rows[2] is row and mk.same_bits(given.rows[2], row)
-    # monic is read off the leading blocks, exactly
+    # monic is read off the leading blocks, exactly; the kept row is
+    # read-only, so the changed one is a copy
+    row = row.copy()
     row[2, 5] = 1.0 + 2.0 ** -52
     assert not construct.PolySystem(2, [np.eye(1), given.rows[1], row]).monic
     with pytest.raises(ValueError, match=r"^degree 1 has blocks of shapes \[\(2, 1\), \(3, 2\)\]"):
@@ -911,7 +849,7 @@ def _system_of(kind, param, N):
         return u, gram_schmidt_monic(u, N)[0]
     if kind == "simplex":
         kappa = (param, 0.5, 0.75)
-        return moments.simplex_functional(kappa), families.simplex_orthonormal_system(kappa, N)
+        return moments.simplex_functional(kappa), simplex_orthonormal_system(kappa, N)
     u = moments.cube_jacobi_functional((param, 0.0), (0.5, param))
     return u, gram_schmidt_monic(u, N)[0]
 

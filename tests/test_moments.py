@@ -1,6 +1,7 @@
 import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -633,12 +634,88 @@ def test_recurrence_is_kept_read_only_and_equals_the_chebyshev_algorithm():
     assert not rec.b.flags.writeable and not rec.c.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         rec.c[1] = 0.0
+    # b and c are the closed form's, the mass is the functional's moment 0
+    closed = moments.jacobi_recurrence(6, 0.5, -0.5)
+    assert rec.b.tobytes() == closed.b.tobytes() and rec.c.tobytes() == closed.c.tobytes()
+    assert rec.mass == u.moment((0,)) and rec.label == f"recurrence({u.label})"
+    assert np.isfinite(rec.b[6])
+    # and agree with the Chebyshev algorithm on the moments 0..2N+1
     mom = np.array([u.moment((m,)) for m in range(14)])
     want = moments.recurrence_from_moments(mom, label=u.label)
-    assert rec.b.tobytes() == want.b.tobytes() and rec.c.tobytes() == want.c.tobytes()
-    assert rec.label == want.label and np.isfinite(rec.b[6])   # b_N from moment 2N+1
+    np.testing.assert_allclose(rec.b, want.b, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(rec.c[1:], want.c[1:], rtol=1e-12)
     # one kept recurrence per (N, rank_tol)
     assert u.recurrence(6, 1e-6) is not rec and u.recurrence(5) is not rec
+
+
+def test_chebyshev_weights_keep_unit_mass():
+    for kind in (1, 2, 3, 4):
+        rec = moments.chebyshev_functional_1d(kind).recurrence(8)
+        want = moments.chebyshev_recurrence(8, kind)
+        assert rec.mass == 1.0
+        np.testing.assert_allclose(rec.b, want.b, atol=1e-15)
+        np.testing.assert_allclose(rec.c[1:], want.c[1:], rtol=1e-14)
+
+
+_CLOSED_FORMS = st.one_of(
+    st.tuples(st.just("jacobi"), st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)),
+    st.tuples(st.just("laguerre"), st.floats(0.0, 2.0)))
+
+
+def _closed_functional(spec):
+    return (moments.jacobi_functional_1d(*spec[1:]) if spec[0] == "jacobi"
+            else moments.laguerre_functional_1d(spec[1]))
+
+
+@given(spec=_CLOSED_FORMS, N=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_closed_form_recurrences_match_the_chebyshev_algorithm(spec, N):
+    # the Chebyshev algorithm loses about a decade per degree on Laguerre
+    # weights: 4e-13 at N = 3, 4e-12 at N = 4, 1.2e-10 at N = 6
+    u = _closed_functional(spec)
+    rec = u.recurrence(N)
+    mom = np.array([u.moment((m,)) for m in range(2 * N + 2)])
+    want = moments.recurrence_from_moments(mom)
+    tol = 1e-12 * 10.0 ** max(0, N - 3)
+    assert np.all(np.abs(rec.b - want.b) <= tol * np.maximum(1.0, np.abs(want.b)))
+    assert np.all(np.abs(rec.c[1:] - want.c[1:]) <= tol * np.abs(want.c[1:]))
+
+
+@given(spec=_CLOSED_FORMS, data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_tampered_closed_form_is_refused_by_the_moments(spec, data):
+    # moment 2n reads c_n with weight about h_n / m_2n, which falls by about
+    # a factor 4 per degree on Jacobi weights: a 1% change at n = 6 still
+    # moves it by 2e-6 relative
+    N = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(1, N))
+    name = f"{spec[0]}_recurrence"
+    real = getattr(moments, name)
+
+    def tampered(*args):
+        rec = real(*args)
+        c = rec.c.copy()
+        c[n] *= 1.01
+        return moments.Recurrence1D(rec.b, c, rec.mass, rec.label)
+
+    u = _closed_functional(spec)
+    with mock.patch.object(moments, name, tampered):
+        with pytest.raises(ValueError, match="closed-form recurrence .* gives moment"):
+            u.recurrence(N)
+    assert u.recurrence(N).c.tobytes() == real(N, *spec[1:]).c.tobytes()
+
+
+def test_a_closed_form_keeps_the_rank_rule_of_the_chebyshev_algorithm():
+    # the Jacobi weight (1 - x)^-0.9 (1 + x)^5 fails the 1x1 rank rule at
+    # degree 11 either way
+    u = moments.jacobi_functional_1d(-0.9, 5.0)
+    mom = np.array([u.moment((m,)) for m in range(26)])
+    with pytest.raises(moments.QuasiDefiniteFailure) as cheb:
+        moments.recurrence_from_moments(mom)
+    with pytest.raises(moments.QuasiDefiniteFailure, match="jacobi") as closed:
+        u.recurrence(12)
+    assert closed.value.degree == cheb.value.degree == 11
+    assert u.recurrence(10).N == 10
 
 
 @pytest.mark.parametrize("make", [lambda: moments.cube_jacobi_functional((0, 0), (0, 0)),

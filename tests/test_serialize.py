@@ -348,3 +348,27 @@ def test_readers_refuse_a_marker_out_of_place(texts, block, n, i, word, where):
     for read in (READERS[kind], lambda t: _checked(kind, t)):
         with pytest.raises(ValueError, match=f"^{re.escape(where)}[ :].*{word!r}"):
             read(text)
+
+
+@pytest.mark.parametrize("kind, field, value, got", [
+    ("three_term", "C", 5, "int"),
+    ("three_term", "B", None, "null"),
+    ("polynomial_system", "blocks", {"0": "identity"}, "dict"),
+    ("linear_relation", "M", "M", "str"),
+])
+def test_a_block_list_that_is_not_a_list_is_refused_naming_it(kind, field, value, got):
+    u = moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5))
+    P, H = gram_schmidt_monic(u, 2)
+    text = {"three_term": lambda: serialize.ttr_to_json(compute_ttr(P, u, H)),
+            "polynomial_system": lambda: serialize.system_to_json(P),
+            "linear_relation": lambda: serialize.relation_to_json(
+                linrel.compute_relation(P, P, u, H))}[kind]()
+    payload = json.loads(text)
+    payload[field] = value
+    reader = {"three_term": serialize.ttr_from_json,
+              "polynomial_system": serialize.system_from_json,
+              "linear_relation": serialize.relation_from_json}[kind]
+    with pytest.raises(ValueError, match=f"^field {field} must be a list, got {got}$"):
+        reader(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"^field {field} in x.json must be a list"):
+        serialize._read(json.dumps(payload), kind, checked=True, source="x.json")

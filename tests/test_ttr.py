@@ -12,7 +12,7 @@ from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
                        joint_shift_lstsq, rank_family, validate_rank_conditions)
 
-from blockref import row_blocks, shift_rows
+from blockref import first_failure, row_blocks, shift_rows
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +156,7 @@ def test_rank_conditions_pass_for_quasi_definite_families(disk_system):
     T = compute_ttr(P, u, H)
     report = validate_rank_conditions(T)
     assert report.ok
-    assert report.first_failure() is None
+    assert first_failure(report) is None
 
 
 def test_rank_conditions_fail_for_zero_block():
@@ -166,7 +166,7 @@ def test_rank_conditions_fail_for_zero_block():
     T.C[2][0] = np.zeros_like(T.C[2][0])
     report = validate_rank_conditions(T)
     assert not report.ok
-    first = report.first_failure()
+    first = first_failure(report)
     assert (first.name, first.degree, first.direction) == ("C", 2, 1)
     assert first.rank == 0
 
