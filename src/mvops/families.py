@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy import special as sp
 
 from . import matrixkit as mk
 from . import moments, mpoly
@@ -31,7 +30,7 @@ from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, functional_match_residual,
                      recover_lambda, relation_residual, verify_mh)
 from .matrixkit import DEFAULT_RANK_TOL, DEFAULT_RES_TOL
-from .moments import LinearPoly, MomentFunctional, ParameterError
+from .moments import LinearPoly, MomentFunctional, ParameterError, gamma
 from .ttr import ThreeTermData
 
 
@@ -94,8 +93,8 @@ def krall_laguerre_coefficient(alpha: float, a1: float, n: int) -> float:
         return a1
     if alpha != 0.0:
         def al(m):
-            return (sp.gamma(m) * sp.gamma(alpha + 1) * (alpha + 1 - a1)
-                    + (a1 - 1) * sp.gamma(m + alpha))
+            return (gamma(m) * gamma(alpha + 1) * (alpha + 1 - a1)
+                    + (a1 - 1) * gamma(m + alpha))
         return al(n + 1) / al(n)
 
     def alt(m):
@@ -116,10 +115,8 @@ def krall_jacobi_coefficient(alpha: float, beta: float, a1: float, n: int) -> fl
         )
 
         def al(m):
-            return (sp.gamma(alpha + 1) * sp.gamma(alpha + beta + 2) * sp.gamma(m)
-                    * sp.gamma(m + beta)
-                    + mass_ratio * sp.gamma(beta + 1) * sp.gamma(m + alpha)
-                    * sp.gamma(m + alpha + beta))
+            return (gamma(alpha + 1) * gamma(alpha + beta + 2) * gamma(m) * gamma(m + beta)
+                    + mass_ratio * gamma(beta + 1) * gamma(m + alpha) * gamma(m + alpha + beta))
 
         s = 2 * n + alpha + beta
         return -2.0 / (s * (s - 1)) * al(n + 1) / al(n)
@@ -199,14 +196,32 @@ def standard_jacobi_coeffs(a: float, b: float, N: int) -> list[np.ndarray]:
 
 
 def standard_laguerre_coeffs(alpha: float, N: int) -> list[np.ndarray]:
-    """Laguerre polynomials in the classical normalization (leading (-1)^m/m!)."""
+    """Laguerre polynomials in the classical normalization (leading (-1)^m/m!):
+    the coefficient of x^i in L_m is (-1)^i binom(m + alpha, m - i) / i!."""
     out = []
     for m in range(N + 1):
         c = np.array([
-            (-1.0) ** i * sp.binom(m + alpha, m - i) / sp.gamma(i + 1.0)
+            (-1.0) ** i * _binomial(alpha + i, m - i) / gamma(i + 1.0)
             for i in range(m + 1)
         ])
         out.append(c)
+    return out
+
+
+def _binomial(low: float, k: int) -> float:
+    """binom(low + k, k) for real low > -1, as the product of (low + j) / j
+    over j = 1..k.
+
+    The partial products are the binomials binom(low + j, j), monotone in j
+    (every factor is at least 1, or every one below 1), so none overflows
+    where the binomial is finite.  Each step multiplies before it divides,
+    which keeps an integer binomial exact while it stays below 2^53, and
+    divides first where the product alone would overflow.
+    """
+    out = 1.0
+    for j in range(1, k + 1):
+        step = out * (low + j)
+        out = step / j if step < math.inf else out / j * (low + j)
     return out
 
 

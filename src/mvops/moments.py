@@ -15,6 +15,13 @@ weight, checked against its moments (check_recurrence), and otherwise the
 Chebyshev algorithm on its moments (Gautschi, Orthogonal Polynomials:
 Computation and Approximation, 2004, sections 2.1.7 and 2.4).
 
+Gamma and Beta values come from the standard library's math.gamma and
+math.lgamma (gamma, log_gamma, scaled_beta), in Stirling form above 171,
+where math.gamma overflows: there c^(x+y-1) B(x, y) is the exp of a
+Stirling-remainder form that neither overflows nor cancels at large
+exponents, for the Jacobi mass (c = 2) and the disk moments (c = 1).  A
+value out of the floats is inf.
+
 Normalization: families whose conventional inner product has unit mass
 (disk, simplex, the product and symmetrized Chebyshev weights) are scaled
 so the zeroth moment is 1; their raw moments stay available as
@@ -30,7 +37,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .indexing import basis_for
 from .matrixkit import DEFAULT_RANK_TOL, DEFAULT_RES_TOL
@@ -65,6 +71,85 @@ def _positive_finite(value, what: str) -> float:
     if not 0.0 < value < math.inf:
         raise ParameterError(f"{what} is {value!r}, not a positive finite float")
     return value
+
+
+# ---------------------------------------------------------------------------
+# Gamma and Beta closed forms
+
+_GAMMA_MAX = 171.0   # math.gamma overflows just above 171.62
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+# B_2k / (2k (2k - 1)): the Stirling series of log Gamma(x) has remainder
+# sum_k coef_k / x^(2k - 1), within 1e-16 of the truncated sum for x >= 10
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
+             -3617 / 122400)
+
+
+def gamma(x: float) -> float:
+    """Gamma(x), inf where it overflows."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def log_gamma(x: float) -> float:
+    """log Gamma(x) for x > 0: log(math.gamma(x)) below 171, where
+    math.lgamma is less accurate, and math.lgamma (inf on overflow) above."""
+    if x < _GAMMA_MAX:
+        return math.log(math.gamma(x))
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
+def _stirling_remainder(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, for x > 0."""
+    if x < 10.0:
+        return math.log(math.gamma(x)) - (x - 0.5) * math.log(x) + x - _HALF_LOG_2PI
+    z = 1.0 / (x * x)
+    acc = 0.0
+    for coef in reversed(_STIRLING):
+        acc = acc * z + coef
+    return acc / x
+
+
+def _log_share(c: float, x: float, y: float, s: float) -> float:
+    """log(c x / s) with s = x + y; where c x / s is near 1, log1p of
+    (c x - s) / s formed as ((c - 1) x - y) / s, which keeps its relative
+    accuracy (the numerator is -y for c = 1, and x - y, exact while x and
+    y are within a factor 2, for c = 2)."""
+    r = c * x / s
+    if 0.5 < r < 2.0:
+        return math.log1p(((c - 1.0) * x - y) / s)
+    return math.log(r)
+
+
+def _log_scaled_beta(x: float, y: float, c: float) -> float:
+    """log(c^(x+y-1) B(x, y)) for x, y > 0, in Stirling form.
+
+    With s = x + y and r the Stirling remainder it is
+    (x - 1/2) log(c x/s) + (y - 1/2) log(c y/s) + log(2 pi / s) / 2
+    + r(x) + r(y) - r(s): no term overflows, and the two large ones are
+    formed from log1p where c x/s or c y/s is near 1, so nothing cancels at
+    large arguments (c = 2 and x = y = 1e300 gives sqrt(pi / 1e300)).
+    """
+    s = x + y
+    return ((x - 0.5) * _log_share(c, x, y, s) + (y - 0.5) * _log_share(c, y, x, s)
+            + 0.5 * math.log(2.0 * math.pi / s)
+            + _stirling_remainder(x) + _stirling_remainder(y) - _stirling_remainder(s))
+
+
+def scaled_beta(x: float, y: float, c: float = 1.0) -> float:
+    """c^(x+y-1) B(x, y) for x, y > 0, inf where it overflows: the Gamma
+    ratio while x + y < 171, else exp(_log_scaled_beta)."""
+    x, y = min(x, y), max(x, y)
+    if x + y < _GAMMA_MAX:
+        return c ** (x + y - 1) * math.gamma(x) * (math.gamma(y) / math.gamma(x + y))
+    try:
+        return math.exp(_log_scaled_beta(x, y, c))
+    except OverflowError:
+        return math.inf
 
 
 class MomentFunctional:
@@ -342,10 +427,7 @@ def jacobi_functional_1d(a: float, b: float) -> MomentFunctional:
 
 def jacobi_mass(a: float, b: float) -> float:
     """Zeroth moment 2^(a+b+1) B(a+1, b+1), inf where it overflows."""
-    try:
-        return math.exp((a + b + 1) * math.log(2.0) + sp.betaln(a + 1, b + 1))
-    except OverflowError:
-        return math.inf
+    return scaled_beta(a + 1, b + 1, 2.0)
 
 
 class _LaguerreMoments(MomentFunctional):
@@ -356,7 +438,7 @@ class _LaguerreMoments(MomentFunctional):
         self.alpha = alpha
 
     def _gamma(self, idx) -> float:
-        return sp.gamma(idx[0] + self.alpha + 1)
+        return gamma(idx[0] + self.alpha + 1)
 
     def _closed_recurrence(self, N: int) -> Recurrence1D:
         return laguerre_recurrence(N, self.alpha)
@@ -391,12 +473,12 @@ def krall_laguerre_functional(alpha: float, a1: float) -> MomentFunctional:
         raise ParameterError(f"a1 must be finite and nonzero, got {a1}")
     if alpha + 1 - a1 == 0:
         raise ParameterError("alpha + 1 - a1 must be nonzero")
-    mass0 = sp.gamma(alpha + 1) / (alpha + 1 - a1)
+    mass0 = gamma(alpha + 1) / (alpha + 1 - a1)
 
     def oracle(idx):
         m = idx[0]
         # (t^m - 0^m)/t has Laguerre action Gamma(m + alpha) for m >= 1
-        return mass0 if m == 0 else sp.gamma(m + alpha)
+        return mass0 if m == 0 else gamma(m + alpha)
 
     return MomentFunctional(1, oracle, f"krall-laguerre(alpha={alpha},a1={a1})")
 
@@ -435,28 +517,14 @@ def product_chebyshev_functional(kind: int, d: int = 2) -> MomentFunctional:
 
 
 def disk_moment_closed(mu: float, alpha) -> float:
-    """Raw disk moment of x^alpha against (1 - |x|^2)^mu over the unit disk."""
+    """Raw disk moment of x^alpha against (1 - |x|^2)^mu over the unit disk:
+    B(p+q+1, mu+1) Gamma(p+1/2) Gamma(q+1/2) / Gamma(p+q+1) at (2p, 2q),
+    taken as B(p+q+1, mu+1) B(p+1/2, q+1/2) so no Gamma value overflows."""
     j, k = alpha
     if j % 2 or k % 2:
         return 0.0
     p, q = j // 2, k // 2
-    return float(
-        sp.beta(p + q + 1, mu + 1)
-        * sp.gamma(p + 0.5)
-        * sp.gamma(q + 0.5)
-        / sp.gamma(p + q + 1)
-    )
-
-
-def disk_moment_quadrature(mu: float, alpha) -> float:
-    """Raw disk moment via iterated Gauss-Jacobi rules (independent route)."""
-    j, k = alpha
-    # inner integral over y on a slice: y = sqrt(1-x^2) t
-    xk, wk = sp.roots_jacobi(k // 2 + 2, mu, mu)
-    inner = float(np.sum(wk * xk**k))
-    xj, wj = sp.roots_jacobi(j // 2 + 2, mu + (k + 1) / 2.0, mu + (k + 1) / 2.0)
-    outer = float(np.sum(wj * xj**j))
-    return inner * outer
+    return scaled_beta(p + q + 1, mu + 1) * scaled_beta(p + 0.5, q + 0.5)
 
 
 def disk_functional(mu: float) -> MomentFunctional:
@@ -476,41 +544,20 @@ def simplex_moment_closed(kappa, alpha) -> float:
     kappa = np.asarray(kappa, dtype=float)
     alpha = tuple(alpha)
     d = len(alpha)
-    log_num = sum(sp.gammaln(a + k + 0.5) for a, k in zip(alpha, kappa[:d]))
-    log_num += sp.gammaln(kappa[d] + 0.5)
-    log_den = sp.gammaln(sum(alpha) + np.sum(kappa) + (d + 1) / 2.0)
+    log_num = sum(log_gamma(a + k + 0.5) for a, k in zip(alpha, kappa[:d]))
+    log_num += log_gamma(kappa[d] + 0.5)
+    log_den = log_gamma(sum(alpha) + np.sum(kappa) + (d + 1) / 2.0)
     return float(np.exp(log_num - log_den))
-
-
-def simplex_moment_quadrature(kappa, alpha) -> float:
-    """Raw simplex moment via iterated Gauss-Jacobi rules on [0, 1] slices."""
-    kappa = np.asarray(kappa, dtype=float)
-    alpha = tuple(alpha)
-    d = len(alpha)
-    total = 1.0
-    for ell in range(1, d + 1):
-        # exponent of t on axis ell is alpha_ell plus the singular kappa part;
-        # the factor (1-t) collects everything from later axes plus Jacobian
-        frac_one_minus = sum(kappa[j] - 0.5 for j in range(ell, d)) + kappa[d] - 0.5
-        poly_one_minus = sum(alpha[ell:]) + (d - ell)
-        x, w = sp.roots_jacobi(
-            (alpha[ell - 1] + poly_one_minus) // 2 + 2, frac_one_minus, kappa[ell - 1] - 0.5
-        )
-        t = (x + 1.0) / 2.0
-        vals = t ** alpha[ell - 1] * (1.0 - t) ** poly_one_minus
-        # rule carries (1-x)^A (1+x)^B on [-1,1]; map to [0,1] with t=(1+x)/2
-        scale = 0.5 ** (frac_one_minus + (kappa[ell - 1] - 0.5) + 1)
-        total *= scale * float(np.sum(w * vals))
-    return total
 
 
 class _SimplexMoments(MomentFunctional):
     """Unit-mass Dirichlet moments, one degree at a time.
 
     A degree vector is simplex_moment_closed over the degree's exponent
-    rows divided by the mass, bit for bit: gammaln per axis column summed in
-    axis order from zero, plus the last parameter's term, minus the one
-    denominator term the whole degree shares, then exp.
+    rows divided by the mass, bit for bit: per axis, one table of log_gamma
+    at exponents 0..n gathered by the axis column, summed in axis order from
+    zero, plus the last parameter's term, minus the one denominator term
+    the whole degree shares, then exp.
     """
 
     def __init__(self, kappa: tuple, label: str):
@@ -526,9 +573,10 @@ class _SimplexMoments(MomentFunctional):
         log_num = np.zeros(len(exps))
         with np.errstate(over="ignore", invalid="ignore"):
             for axis in range(d):
-                log_num += sp.gammaln(exps[:, axis] + kappa[axis] + 0.5)
-            log_num += sp.gammaln(kappa[d] + 0.5)
-            log_den = sp.gammaln(n + np.sum(kappa) + (d + 1) / 2.0)
+                table = np.array([log_gamma(a + kappa[axis] + 0.5) for a in range(n + 1)])
+                log_num += table[exps[:, axis]]
+            log_num += log_gamma(kappa[d] + 0.5)
+            log_den = log_gamma(n + np.sum(kappa) + (d + 1) / 2.0)
             return np.exp(log_num - log_den) / mass
 
     def _degree_vector(self, n: int) -> np.ndarray:
@@ -560,15 +608,6 @@ def multiple_laguerre_functional(kappa) -> MomentFunctional:
     kappa = tuple(float(k) for k in kappa)
     factors = [laguerre_functional_1d(k) for k in kappa]
     return tensor(*factors, label=f"multiple-laguerre(kappa={kappa})")
-
-
-def laguerre_moment_quadrature(kappa, alpha) -> float:
-    """Raw multiple-Laguerre moment via Gauss-Laguerre rules per axis."""
-    total = 1.0
-    for k, m in zip(kappa, alpha):
-        x, w = sp.roots_genlaguerre(m // 2 + 2, k)
-        total *= float(np.sum(w * x**m))
-    return total
 
 
 def koornwinder_symmetrized_functional(kind: int) -> MomentFunctional:
@@ -753,29 +792,22 @@ def laguerre_recurrence(N: int, alpha: float) -> Recurrence1D:
     return Recurrence1D(
         2 * n + alpha + 1,
         n * (n + alpha),
-        mass=float(sp.gamma(alpha + 1)),
+        mass=gamma(alpha + 1),
         label=f"laguerre({alpha})",
     )
 
 
 def chebyshev_recurrence(N: int, kind: int) -> Recurrence1D:
-    """Chebyshev recurrences with the classical unit-mass normalization.
+    """Chebyshev recurrences with the classical unit-mass normalization: the
+    Jacobi recurrence of the kind's exponents with mass 1.
 
     Orthonormal off-diagonals: kind 1 has a_0 = 1/sqrt(2) then 1/2; kinds
     2-4 have a_n = 1/2 throughout, with b_0 = -1/2 (kind 3) or 1/2 (kind 4).
     """
     if kind not in _CHEB_PARAMS:
         raise ValueError(f"chebyshev kind must be 1..4, got {kind}")
-    bb = np.zeros(N + 1)
-    cc = np.full(N + 1, 0.25)
-    cc[0] = 0.0
-    if kind == 1 and N >= 1:
-        cc[1] = 0.5
-    if kind == 3:
-        bb[0] = -0.5
-    if kind == 4:
-        bb[0] = 0.5
-    return Recurrence1D(bb, cc, mass=1.0, label=f"chebyshev{kind}")
+    rec = jacobi_recurrence(N, *_CHEB_PARAMS[kind])
+    return Recurrence1D(rec.b, rec.c, mass=1.0, label=f"chebyshev{kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Block-by-block helpers that several test modules build references with."""
 
 import numpy as np
+from scipy import special as sp
 
 from mvops import construct, families
 from mvops import matrixkit as mk
@@ -66,3 +67,49 @@ def relation_by_pairing(Q, P, u, H=None):
         M[j + 1] = coef[:basis.size(j + 1)]
         tails.append(mk.max_abs(coef[basis.size(j + 1):]) / scale)
     return M, mk.worst(tails)
+
+
+# Gauss-quadrature moments: an independent route to the closed forms of
+# mvops.moments, through scipy's Gauss-Jacobi and Gauss-Laguerre rules.
+
+
+def disk_moment_quadrature(mu: float, alpha) -> float:
+    """Raw disk moment via iterated Gauss-Jacobi rules."""
+    j, k = alpha
+    # inner integral over y on a slice: y = sqrt(1-x^2) t
+    xk, wk = sp.roots_jacobi(k // 2 + 2, mu, mu)
+    inner = float(np.sum(wk * xk**k))
+    xj, wj = sp.roots_jacobi(j // 2 + 2, mu + (k + 1) / 2.0, mu + (k + 1) / 2.0)
+    outer = float(np.sum(wj * xj**j))
+    return inner * outer
+
+
+def simplex_moment_quadrature(kappa, alpha) -> float:
+    """Raw simplex moment via iterated Gauss-Jacobi rules on [0, 1] slices."""
+    kappa = np.asarray(kappa, dtype=float)
+    alpha = tuple(alpha)
+    d = len(alpha)
+    total = 1.0
+    for ell in range(1, d + 1):
+        # exponent of t on axis ell is alpha_ell plus the singular kappa part;
+        # the factor (1-t) collects everything from later axes plus Jacobian
+        frac_one_minus = sum(kappa[j] - 0.5 for j in range(ell, d)) + kappa[d] - 0.5
+        poly_one_minus = sum(alpha[ell:]) + (d - ell)
+        x, w = sp.roots_jacobi(
+            (alpha[ell - 1] + poly_one_minus) // 2 + 2, frac_one_minus, kappa[ell - 1] - 0.5
+        )
+        t = (x + 1.0) / 2.0
+        vals = t ** alpha[ell - 1] * (1.0 - t) ** poly_one_minus
+        # rule carries (1-x)^A (1+x)^B on [-1,1]; map to [0,1] with t=(1+x)/2
+        scale = 0.5 ** (frac_one_minus + (kappa[ell - 1] - 0.5) + 1)
+        total *= scale * float(np.sum(w * vals))
+    return total
+
+
+def laguerre_moment_quadrature(kappa, alpha) -> float:
+    """Raw multiple-Laguerre moment via Gauss-Laguerre rules per axis."""
+    total = 1.0
+    for k, m in zip(kappa, alpha):
+        x, w = sp.roots_genlaguerre(m // 2 + 2, k)
+        total *= float(np.sum(w * x**m))
+    return total

@@ -17,6 +17,9 @@ from mvops.linrel import classify_ranks, compute_relation, recover_lambda
 from mvops.moments import LinearPoly
 from mvops.ttr import compute_ttr, generate_from_ttr, validate_rank_conditions
 
+from blockref import (disk_moment_quadrature, laguerre_moment_quadrature,
+                      simplex_moment_quadrature)
+
 RANK_TOL = 1e-9
 RES_TOL = 1e-8
 
@@ -193,7 +196,7 @@ def test_criterion_8_moment_oracle_cross_validation():
         for n in range(9):
             for alpha in enumerate_indices(2, n):
                 closed = moments.disk_moment_closed(mu, alpha)
-                quad = moments.disk_moment_quadrature(mu, alpha)
+                quad = disk_moment_quadrature(mu, alpha)
                 # odd moments vanish identically; measure those on the mass scale
                 scale = mass if closed == 0.0 else max(abs(closed), abs(quad))
                 worst = max(worst, abs(closed - quad) / scale)
@@ -202,13 +205,13 @@ def test_criterion_8_moment_oracle_cross_validation():
         for n in range(9):
             for alpha in enumerate_indices(d, n):
                 closed = moments.simplex_moment_closed(kappa, alpha)
-                quad = moments.simplex_moment_quadrature(kappa, alpha)
+                quad = simplex_moment_quadrature(kappa, alpha)
                 worst = max(worst, abs(closed - quad) / abs(quad))
     for kappa in ((0.0, 1.0), (0.5, 1.5)):
         ml = moments.multiple_laguerre_functional(kappa)
         for n in range(9):
             for alpha in enumerate_indices(2, n):
-                quad = moments.laguerre_moment_quadrature(kappa, alpha)
+                quad = laguerre_moment_quadrature(kappa, alpha)
                 worst = max(worst, abs(ml.moment(alpha) - quad) / abs(quad))
     _verdict("8 moment-cross-validation", worst <= 1e-10,
              f"max relative gap {worst:.2e}")

@@ -695,6 +695,44 @@ def test_every_family_passes_at_its_defaults(name, capsys):
     assert code == 0, (out, err)
 
 
+@pytest.mark.parametrize("args, want", [
+    # Gamma(mu + 1) overflows near mu = 170; the disk moments are Beta values
+    ("disk --mu 400", 0),
+    ("disk --mu 1e6", 0),
+    ("cube --a=300,0 --b=0,0", 0),
+    # a Laguerre moment Gamma(alpha + 1) overflows, or the Jacobi(300, 0)
+    # norms fall below the rank rule: a failed computation
+    ("krall-laguerre --alpha 200 --a1 1", 1),
+    ("krall-jacobi --alpha 300 --beta 0 --a1 1", 1),
+    ("laguerre --kappa 200,1", 1),
+    # the simplex's first-axis Jacobi mass overflows: a parameter error
+    ("simplex --kappa 1e6,0.5,0.5", 2),
+])
+def test_extreme_family_parameters_keep_their_exit_codes(args, want, capsys):
+    code, out, err = run_cli(["family", *args.split(), "--N", "3"], capsys)
+    assert code == want, (out, err)
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == (1 if want else 0), err
+
+
+def test_the_library_runs_without_scipy():
+    script = "\n".join([
+        "import json, sys",
+        "import mvops, mvops.cli",
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "sys.modules['scipy'] = None   # any later scipy import raises ImportError",
+        "from mvops import cli, families",
+        "codes = {name: cli.main(['family', name, '--N', '3'])",
+        "         for name in families.FAMILY_NAMES}",
+        "print(json.dumps({'loaded': loaded, 'codes': codes}))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["loaded"] == []
+    assert report["codes"] == {name: 0 for name in families.FAMILY_NAMES}
+
+
 @pytest.mark.parametrize("spaced, attached", [
     (["family", "laguerre", "--kappa", "-0.5,1"], ["family", "laguerre", "--kappa=-0.5,1"]),
     (["family", "cube", "--a", "-0.5,0", "--b", "-0.25,0"],

@@ -83,6 +83,23 @@ def test_standard_laguerre_adjacency_identity():
             np.testing.assert_allclose(diff, base[m], atol=1e-12)
 
 
+def test_standard_laguerre_coeffs_are_the_exact_binomials_rounded():
+    # integer alpha: every coefficient is an exact rational, rounded once
+    from fractions import Fraction
+    for alpha in (0, 1, 3):
+        for m, row in enumerate(families.standard_laguerre_coeffs(float(alpha), 20)):
+            want = [(-1) ** i * Fraction(math.comb(m + alpha, m - i), math.factorial(i))
+                    for i in range(m + 1)]
+            assert row.tolist() == [float(w) for w in want]
+
+
+def test_standard_laguerre_binomials_stay_finite_up_to_the_float_range():
+    # binom(44490, 100) is 6.4e306, within a factor 100 of the float range:
+    # the product form must not overflow on the way
+    top = families.standard_laguerre_coeffs(44390.0, 100)[100]
+    assert top[0] == pytest.approx(float(math.comb(44490, 100)), rel=1e-12)
+
+
 def test_krall_coefficient_branches_cross_validate():
     # alpha -> 0 limit of the general branch approaches the special branch
     a1 = 2.0

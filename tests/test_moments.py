@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from mvops.indexing import basis_for
 from mvops.moments import LinearPoly
 from mvops.ttr import compute_ttr
 
-from blockref import row_blocks, shift_rows
+from blockref import (disk_moment_quadrature, laguerre_moment_quadrature, row_blocks,
+                      shift_rows, simplex_moment_quadrature)
 
 
 def test_left_multiply_identity_and_shift():
@@ -35,8 +37,8 @@ def test_left_multiply_disk_matches_adjacent_weight():
     u = moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v)
     # reference: quadrature moments of the (1-x)-multiplied weight
     for alpha in [(0, 0), (1, 0), (2, 2), (3, 1)]:
-        direct = moments.disk_moment_quadrature(0.5, alpha)
-        shift = moments.disk_moment_quadrature(0.5, (alpha[0] + 1, alpha[1]))
+        direct = disk_moment_quadrature(0.5, alpha)
+        shift = disk_moment_quadrature(0.5, (alpha[0] + 1, alpha[1]))
         assert u.moment(alpha) == pytest.approx(direct - shift, rel=1e-12, abs=1e-13)
 
 
@@ -144,7 +146,7 @@ def test_disk_closed_form_vs_quadrature(mu):
     for j in range(0, 9):
         for k in range(0, 9 - j):
             closed = moments.disk_moment_closed(mu, (j, k))
-            quad = moments.disk_moment_quadrature(mu, (j, k))
+            quad = disk_moment_quadrature(mu, (j, k))
             assert closed == pytest.approx(quad, rel=1e-10, abs=1e-12)
 
 
@@ -157,7 +159,7 @@ def test_simplex_closed_form_vs_quadrature(kappa):
     for n in range(0, 9):
         for alpha in enumerate_indices(d, n):
             closed = moments.simplex_moment_closed(kappa, alpha)
-            quad = moments.simplex_moment_quadrature(kappa, alpha)
+            quad = simplex_moment_quadrature(kappa, alpha)
             assert closed == pytest.approx(quad, rel=1e-10)
 
 
@@ -174,7 +176,7 @@ def test_simplex_degree_vectors_are_the_scalar_closed_form_over_the_mass(data, d
 @pytest.mark.parametrize("make, word", [
     (lambda: moments.simplex_functional((400.0, 400.0, 400.0)), "simplex mass"),
     (lambda: moments.simplex_functional((1e308, 0.5, 0.5)), "simplex mass"),
-    (lambda: moments.jacobi_functional_1d(1e300, 1e300), "jacobi mass"),
+    (lambda: moments.jacobi_functional_1d(1e300, 0.5), "jacobi mass"),
     (lambda: moments.jacobi_recurrence(3, 1e200, 0.5), "c_n"),
     (lambda: moments.jacobi_recurrence(3, 0.5, 1e100), "c_n"),
 ])
@@ -190,7 +192,7 @@ def test_laguerre_closed_form_vs_quadrature():
     ml = moments.multiple_laguerre_functional(kappa)
     for n in range(0, 9):
         for alpha in enumerate_indices(2, n):
-            quad = moments.laguerre_moment_quadrature(kappa, alpha)
+            quad = laguerre_moment_quadrature(kappa, alpha)
             assert ml.moment(alpha) == pytest.approx(quad, rel=1e-10)
 
 
@@ -244,6 +246,73 @@ def test_chebyshev_recurrences_match_stated_values():
     assert np.allclose(r3.orthonormal_offdiag(), 0.5)
     r4 = moments.chebyshev_recurrence(6, 4)
     assert r4.b[0] == pytest.approx(0.5)
+    # the Jacobi recurrence at the kind's exponents gives the constants exactly
+    for kind in (1, 2, 3, 4):
+        for N in range(200):
+            rec = moments.chebyshev_recurrence(N, kind)
+            b, c = np.zeros(N + 1), np.full(N + 1, 0.25)
+            b[0] = {3: -0.5, 4: 0.5}.get(kind, 0.0)
+            c[0] = 0.0
+            if kind == 1 and N >= 1:
+                c[1] = 0.5
+            assert np.array_equal(_bits(rec.b), _bits(b)) and np.array_equal(_bits(rec.c), _bits(c))
+            assert rec.mass == 1.0
+
+
+def _jacobi_mass_reference(a: float, b: float):
+    """2^(a+b+1) B(a+1, b+1) at 720 digits, enough to hold 1e300 + 1 exactly."""
+    with mpmath.workdps(720):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        return mpmath.power(2, a + b + 1) * mpmath.beta(a + 1, b + 1)
+
+
+@pytest.mark.parametrize("a, b", [
+    (0.5, 0.5), (-0.9, 5.0), (84.0, 84.0), (85.0, 85.0), (200.0, 0.5), (300.0, 0.0),
+    (1e4, 1e4), (1e8, 1e8), (1e12, 1e12), (1e12, 1e12 - 7), (1e300, 1e300),
+])
+def test_jacobi_mass_matches_a_high_precision_reference(a, b):
+    # the Stirling form neither cancels at large equal exponents (2^(a+b+1) B
+    # is sqrt(pi / a) there) nor overflows on the way to a finite mass
+    want = _jacobi_mass_reference(a, b)
+    got = moments.jacobi_mass(a, b)
+    assert abs(got - want) <= 1e-13 * want, (got, want)
+
+
+@pytest.mark.parametrize("a, b", [(1e300, 0.5), (1e6, 2e6)])
+def test_jacobi_mass_is_inf_where_the_mass_leaves_the_floats(a, b):
+    assert _jacobi_mass_reference(a, b) > mpmath.mpf(np.finfo(float).max)
+    assert moments.jacobi_mass(a, b) == math.inf
+
+
+@pytest.mark.parametrize("x", [0.3, 7.5, 170.5, 171.0, 1e4, 1e300])
+def test_gamma_helpers_against_mpmath(x):
+    with mpmath.workdps(60):
+        log_want = mpmath.loggamma(x)
+        want = mpmath.exp(log_want)
+    assert abs(moments.log_gamma(x) - log_want) <= 4e-16 * max(1.0, abs(log_want))
+    if want < mpmath.mpf(np.finfo(float).max):
+        assert abs(moments.gamma(x) - want) <= 4e-15 * want
+    else:
+        assert moments.gamma(x) == math.inf
+
+
+def test_gamma_helpers_overflow_to_inf():
+    assert moments.gamma(172.0) == moments.log_gamma(1e307) == math.inf
+
+
+@pytest.mark.parametrize("x, y, c", [
+    (0.5, 0.5, 1.0), (0.5, 0.5, 2.0), (1.0, 1e6, 1.0), (3.5, 1e12, 1.0), (13.0, 1e15, 1.0),
+    (200.0, 0.5, 2.0), (85.0, 86.0, 2.0), (1e4, 1e4 + 3, 2.0), (700.0, 300.0, 2.0),
+    (2.0, 1100.0, 2.0),
+])
+def test_scaled_beta_against_mpmath(x, y, c):
+    with mpmath.workdps(60):
+        want = mpmath.power(c, mpmath.mpf(x) + y - 1) * mpmath.beta(x, y)
+    got = moments.scaled_beta(x, y, c)
+    if want > mpmath.mpf(np.finfo(float).max):
+        assert got == math.inf
+    else:
+        assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 @pytest.mark.parametrize("family,params", [
