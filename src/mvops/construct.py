@@ -12,12 +12,15 @@ with the monomials instead, one product per degree.
 
 Systems are built degree by degree through block Gram-Schmidt against the
 functional's graded moment matrix, one pairing of the degree-n monomials
-with all earlier degrees per step; a rank-deficient Gram block means the
+with all earlier degrees per step; a Gram block that is rank deficient at
+mk.DEFAULT_RANK_TOL, the one rank rule of construction, means the
 functional is not quasi-definite through that degree and construction
-stops with a diagnosable error.  A univariate monic system needs only its
-recurrence, which moments owns: MomentFunctional.recurrence, or
-recurrence_from_moments on combined moments, as Koornwinder's
-construction reads them for the weights rho^(2k+1) w1.
+stops with a diagnosable error.  GramBlocks is plain data: a later solve
+against one of its blocks goes through mk.solve, which checks it.  A
+univariate monic system needs only its recurrence, which moments owns:
+MomentFunctional.recurrence, or recurrence_from_moments on combined
+moments, as Koornwinder's construction reads them for the weights
+rho^(2k+1) w1.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
@@ -36,7 +39,7 @@ tensor's failing degree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,8 +167,6 @@ class GramBlocks:
 
     blocks: list
     offdiag_residual: float = math.nan
-    _checked: set = field(default_factory=set, init=False, repr=False, compare=False)
-    _diagonal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def h(self, n: int) -> np.ndarray:
         return self.blocks[n]
@@ -176,47 +177,6 @@ class GramBlocks:
 
     def scale(self) -> float:
         return max(mk.max_abs(h) for h in self.blocks)
-
-    def append(self, h: np.ndarray, sv: np.ndarray) -> None:
-        """Add the next degree's block with its singular values.
-
-        A block that is full rank by mk.solve's own rule (default tolerance,
-        scale sv[0]) counts as checked, so no solve takes a second SVD of it.
-        """
-        if mk.rank_from_sv(sv, mk.DEFAULT_RANK_TOL, sv[0]) == h.shape[0]:
-            self._checked.add(len(self.blocks))
-        self.blocks.append(h)
-
-    def append_diagonal(self, values) -> None:
-        """Add the next degree's block diag(values), known to be diagonal.
-
-        It is checked by the same rule as `append`, on its singular values
-        |values| sorted largest first, which is what mk.singular_values
-        returns for diag(values) bit for bit; solve_right divides by the
-        values.  Non-finite values raise ValueError, as in mk.singular_values.
-        """
-        values = np.asarray(values, dtype=float)
-        if not np.isfinite(values).all():
-            raise ValueError("matrix entries must be finite")
-        self._diagonal[len(self.blocks)] = values
-        self.append(np.diag(values), np.sort(np.abs(values))[::-1])
-
-    def solve_right(self, n: int, s) -> np.ndarray:
-        """X with H_n X^t = s^t, i.e. s H_n^-1 for a symmetric block.
-
-        Equals mk.solve(H_n, s.T).T: the first call at an unchecked degree
-        runs its rank check (raising SingularMatrixError), later calls skip
-        it.  A checked block added by append_diagonal is divided by.  Blocks
-        must not change after their first solve.
-        """
-        if n in self._checked and n in self._diagonal:
-            return np.asarray(s, dtype=float) / self._diagonal[n]
-        rhs = np.asarray(s, dtype=float).T
-        if n in self._checked:
-            return np.linalg.solve(self.blocks[n], rhs).T
-        x = mk.solve(self.blocks[n], rhs)
-        self._checked.add(n)
-        return x.T
 
 
 def _side_by_side(rows: dict, basis: GradedBasis) -> tuple[int, int, np.ndarray]:
@@ -280,27 +240,28 @@ def pair_systems(u: MomentFunctional, P: PolySystem, Q: PolySystem,
     return pair_blocks(u, rows_p, _stacked(Q.rows, top_q, u.basis))
 
 
-def gram_schmidt_monic(u: MomentFunctional, N: int,
-                       rank_tol: float = mk.DEFAULT_RANK_TOL) -> tuple[PolySystem, GramBlocks]:
+def gram_schmidt_monic(u: MomentFunctional, N: int) -> tuple[PolySystem, GramBlocks]:
     """Unique monic orthogonal system of the functional through degree N.
 
     Each degree starts from the monomial vector and removes its projections
     onto all previous degrees, read from one pairing of the monomials with
     every earlier degree, so leading blocks are exactly the identity.
     Raises QuasiDefiniteFailure at the first degree whose Gram block is
-    numerically rank deficient (measured against the scale of the raw
-    monomial pairing block, so genuinely tiny Gram blocks are caught).
-    A tensor functional takes the tensor route (module docstring) with the
-    same `rank_tol` applied to each factor.
+    numerically rank deficient at mk.DEFAULT_RANK_TOL, measured against the
+    scale of the raw monomial pairing block when that exceeds sv[0], so
+    genuinely tiny Gram blocks are caught.  A block that passes also passes
+    mk.solve's rule (same tolerance, scale sv[0]), so the projections solve
+    against it with no second check.  A tensor functional takes the tensor
+    route (module docstring).
     """
     if N < 0:
         raise ValueError("degree bound must be >= 0")
     if hasattr(u, "factors"):
-        return _tensor_monic(u, N, rank_tol)
+        return _tensor_monic(u, N)
     basis = u.basis
     blocks: list[list[np.ndarray]] = []
     rows: list[np.ndarray] = []   # blocks[n] side by side
-    grams = GramBlocks([])
+    grams: list[np.ndarray] = []
     for n in range(N + 1):
         row = [np.zeros((basis.size(n), basis.size(k))) for k in range(n)]
         row.append(np.eye(basis.size(n)))
@@ -308,33 +269,32 @@ def gram_schmidt_monic(u: MomentFunctional, N: int,
             # <u, X_n P_j^t> for every j < n, P_j as block column j
             s = pair_blocks(u, {n: row[n]}, _stacked(rows, n - 1, basis))
         for j in range(n):
-            coef = grams.solve_right(j, s[:, basis.degree_slice(j, j)])
+            coef = np.linalg.solve(grams[j], s[:, basis.degree_slice(j, j)].T).T
             for k in range(j + 1):
                 row[k] -= coef @ blocks[j][k]
         h = pair_blocks(u, dict(enumerate(row)), dict(enumerate(row)))
         h = (h + h.T) / 2.0
         raw_scale = mk.max_abs(u.moment_matrix(n, n))
         sv = mk.singular_values(h)
-        if mk.rank_from_sv(sv, rank_tol, max(raw_scale, sv[0])) < basis.size(n):
+        if mk.rank_from_sv(sv, mk.DEFAULT_RANK_TOL, max(raw_scale, sv[0])) < basis.size(n):
             raise QuasiDefiniteFailure(n, sv, u.label)
         blocks.append(row)
         rows.append(np.hstack(row))
-        grams.append(h, sv)
-    return PolySystem(u.d, rows, label=f"mops({u.label})"), grams
+        grams.append(h)
+    return PolySystem(u.d, rows, label=f"mops({u.label})"), GramBlocks(grams)
 
 
-def factor_recurrences(u: MomentFunctional, N: int,
-                       rank_tol: float = mk.DEFAULT_RANK_TOL) -> list[Recurrence1D]:
+def factor_recurrences(u: MomentFunctional, N: int) -> list[Recurrence1D]:
     """The monic recurrence through degree N of each factor of a tensor
     functional, b_N included: the one each factor keeps
-    (MomentFunctional.recurrence at `rank_tol`).  When factors fail,
-    QuasiDefiniteFailure is raised under the tensor's label at the lowest
-    failing degree, which is the tensor's failing degree.
+    (MomentFunctional.recurrence).  When factors fail, QuasiDefiniteFailure
+    is raised under the tensor's label at the lowest failing degree, which
+    is the tensor's failing degree.
     """
     recs, failures = [], []
     for f in u.factors:
         try:
-            recs.append(f.recurrence(N, rank_tol))
+            recs.append(f.recurrence(N))
         except QuasiDefiniteFailure as err:
             failures.append(err)
     if failures:
@@ -343,34 +303,36 @@ def factor_recurrences(u: MomentFunctional, N: int,
     return recs
 
 
-def factor_tables(u: MomentFunctional, N: int,
-                  rank_tol: float = mk.DEFAULT_RANK_TOL) -> list[np.ndarray]:
+def factor_tables(u: MomentFunctional, N: int) -> list[np.ndarray]:
     """The coefficient table through degree N of each factor's monic system:
     row k of table i holds the ascending coefficients of p^(i)_k, zero-padded
     to N + 1 columns.  Their tensor_system is gram_schmidt_monic(u, N)'s
     system; failures raise as in factor_recurrences."""
-    return [_coefficient_table(rec.monic_coeffs(), N)
-            for rec in factor_recurrences(u, N, rank_tol)]
+    return [_coefficient_table(rec.monic_coeffs(), N) for rec in factor_recurrences(u, N)]
 
 
-def _tensor_monic(u: MomentFunctional, N: int, rank_tol: float) -> tuple[PolySystem, GramBlocks]:
+def _tensor_monic(u: MomentFunctional, N: int) -> tuple[PolySystem, GramBlocks]:
     """gram_schmidt_monic of a tensor functional, from its factors'
-    recurrences (module docstring)."""
-    tables = factor_tables(u, N, rank_tol)
+    recurrences (module docstring).  Products of norms that leave the
+    floats raise ValueError."""
+    tables = factor_tables(u, N)
     norms = []
     for f, table in zip(u.factors, tables):
         # h_0..h_N: the diagonal of one pairing of (p_0, ..., p_N) with itself
         rows = {k: table[:, k:k + 1] for k in range(N + 1)}
         norms.append(np.diagonal(pair_blocks(f, rows, rows)))
     basis = u.basis
-    grams = GramBlocks([])
+    grams = []
     for n in range(N + 1):
         exps = basis.exponents(n)
         values = norms[0][exps[:, 0]]
-        for i in range(1, u.d):
-            values = values * norms[i][exps[:, i]]
-        grams.append_diagonal(values)
-    return tensor_system(tables, N, f"mops({u.label})"), grams
+        with np.errstate(over="ignore"):   # refused just below
+            for i in range(1, u.d):
+                values = values * norms[i][exps[:, i]]
+        if not np.isfinite(values).all():
+            raise ValueError("matrix entries must be finite")
+        grams.append(np.diag(values))
+    return tensor_system(tables, N, f"mops({u.label})"), GramBlocks(grams)
 
 
 def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:

@@ -115,8 +115,10 @@ def krall_jacobi_coefficient(alpha: float, beta: float, a1: float, n: int) -> fl
         )
 
         def al(m):
-            return (gamma(alpha + 1) * gamma(alpha + beta + 2) * gamma(m) * gamma(m + beta)
-                    + mass_ratio * gamma(beta + 1) * gamma(m + alpha) * gamma(m + alpha + beta))
+            # divided by Gamma(alpha + 1) Gamma(alpha + beta + 2), which
+            # overflow above alpha ~ 170, as Pochhammer symbols (m >= 2)
+            return (gamma(m) * gamma(m + beta) + mass_ratio * gamma(beta + 1)
+                    * pochhammer(alpha + 1, m - 1) * pochhammer(alpha + beta + 2, m - 2))
 
         s = 2 * n + alpha + beta
         return -2.0 / (s * (s - 1)) * al(n + 1) / al(n)

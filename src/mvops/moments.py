@@ -11,9 +11,11 @@ to know how a moment is produced.
 
 A univariate functional keeps its monic recurrence too (`recurrence`),
 the one every tensor route reads: the closed form of a Jacobi or Laguerre
-weight, checked against its moments (check_recurrence), and otherwise the
-Chebyshev algorithm on its moments (Gautschi, Orthogonal Polynomials:
-Computation and Approximation, 2004, sections 2.1.7 and 2.4).
+weight, certified by its positive norms and checked against its moments
+(check_recurrence), and otherwise the Chebyshev algorithm on its moments
+under the rank rule of construction, DEFAULT_RANK_TOL (Gautschi,
+Orthogonal Polynomials: Computation and Approximation, 2004, sections
+2.1.7 and 2.4).
 
 Gamma and Beta values come from the standard library's math.gamma and
 math.lgamma (gamma, log_gamma, scaled_beta), in Stirling form above 171,
@@ -180,7 +182,7 @@ class MomentFunctional:
         self._graded = np.zeros((0, 0))
         self._graded_top = -1      # rows and columns cover degrees 0.._graded_top
         self._graded_degree = -1   # blocks with j + k <= _graded_degree are filled
-        self._recurrences: dict[tuple, Recurrence1D] = {}
+        self._recurrences: dict[int, Recurrence1D] = {}
 
     def __repr__(self):
         return f"MomentFunctional(d={self.d}, label={self.label!r})"
@@ -199,10 +201,10 @@ class MomentFunctional:
             self._vectors[n] = vec
         return self._vectors[n]
 
-    def recurrence(self, N: int, rank_tol: float = DEFAULT_RANK_TOL) -> Recurrence1D:
+    def recurrence(self, N: int) -> Recurrence1D:
         """Monic recurrence through degree N, b_N included, of a univariate
-        functional (ValueError for d != 1), made once per (N, rank_tol) and
-        kept with b and c read-only; a QuasiDefiniteFailure is not kept.
+        functional (ValueError for d != 1), made once per N and kept with b
+        and c read-only; a QuasiDefiniteFailure is not kept.
 
         The moments 0..2N+1 are read through `moment`.  A weight with a
         closed-form recurrence (`_closed_recurrence`: Jacobi and Laguerre)
@@ -212,21 +214,20 @@ class MomentFunctional:
         """
         if self.d != 1:
             raise ValueError(f"a recurrence needs a univariate functional, got d={self.d}")
-        key = (N, rank_tol)
-        if key not in self._recurrences:
+        if N not in self._recurrences:
             # scalar reads: the benchmark's tracer counts moments at moment()
             mom = np.array([self.moment((m,)) for m in range(2 * N + 2)])
             closed = self._closed_recurrence(N)
             if closed is None:
-                rec = recurrence_from_moments(mom, rank_tol, self.label)
+                rec = recurrence_from_moments(mom, self.label)
             else:
                 rec = Recurrence1D(closed.b, closed.c, mass=float(mom[0]),
                                    label=f"recurrence({self.label})")
-                check_recurrence(rec, mom, rank_tol, self.label)
+                check_recurrence(rec, mom, self.label)
             rec.b.flags.writeable = False
             rec.c.flags.writeable = False
-            self._recurrences[key] = rec
-        return self._recurrences[key]
+            self._recurrences[N] = rec
+        return self._recurrences[N]
 
     def _closed_recurrence(self, N: int) -> Recurrence1D | None:
         """b and c through degree N in closed form, or None where the
@@ -686,8 +687,7 @@ class Recurrence1D:
         return [p / math.sqrt(h[n]) for n, p in enumerate(self.monic_coeffs())]
 
 
-def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
-                            label: str = "") -> Recurrence1D:
+def recurrence_from_moments(moments, label: str = "") -> Recurrence1D:
     """Monic recurrence of a 1-d functional from its moments 0..2N or 0..2N+1.
 
     `moments` is a nonempty 1-d array; `label` names the functional in
@@ -697,7 +697,7 @@ def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
     the next vector follows from the recurrence itself.  b_N needs moment
     2N + 1: an even-length array 0..2N+1 fills it, an odd-length one leaves
     it NaN.  Neither reads h_(N+1).  Raises QuasiDefiniteFailure at the
-    first degree k whose h_k fails the rank rule
+    first degree k whose h_k fails the rank rule, at DEFAULT_RANK_TOL, that
     construct.gram_schmidt_monic applies to a 1x1 Gram block.
     """
     mom = np.asarray(moments, dtype=float)
@@ -709,7 +709,7 @@ def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
     prev, sig = np.zeros_like(mom), mom
     for k in range(N + 1):
         h = sig[k]
-        if not abs(h) > rank_tol * max(abs(mom[2 * k]), abs(h)):
+        if not abs(h) > DEFAULT_RANK_TOL * max(abs(mom[2 * k]), abs(h)):
             raise QuasiDefiniteFailure(k, [abs(h)], label)
         if k:
             c[k] = h / prev[k - 1]
@@ -724,25 +724,27 @@ def recurrence_from_moments(moments, rank_tol: float = DEFAULT_RANK_TOL,
     return Recurrence1D(b, c, mass=float(mom[0]), label=f"recurrence({label})")
 
 
-def check_recurrence(rec: Recurrence1D, moments, rank_tol: float = DEFAULT_RANK_TOL,
-                     label: str = "") -> None:
-    """Check a recurrence through degree N against the moments 0..2N+1 it
-    should reproduce.
+def check_recurrence(rec: Recurrence1D, moments, label: str = "") -> None:
+    """Check a closed-form recurrence through degree N against the moments
+    0..2N+1 it should reproduce.
 
-    The squared norms h_k = mass c_1 ... c_k pass the rank rule of
-    recurrence_from_moments, |h_k| > rank_tol max(|m_2k|, |h_k|), or
-    QuasiDefiniteFailure names the first k that fails.  Then, with J the
+    Its squared norms h_k = mass c_1 ... c_k must be positive: a positive
+    mass and positive c_k certify a positive-definite functional through
+    degree N (Favard's theorem; Gautschi 2004), however small h_k is
+    against the moments, so no rank rule applies.  The first k whose h_k
+    is not positive raises QuasiDefiniteFailure.  Then, with J the
     order-(N + 1) Jacobi matrix of b and c (Gauss quadrature: exact through
     degree 2N + 1), mass (J^k)_00 must equal m_k within DEFAULT_RES_TOL times
-    mass (|J|^k)_00, the size of the terms summed, for every k <= 2N + 1, or
-    ValueError names the first k that disagrees.
+    mass (|J|^k)_00, the size of the terms summed, or within the smallest
+    normal float, for every k <= 2N + 1, or ValueError names the first k
+    that disagrees.
     """
     mom = np.asarray(moments, dtype=float)
     N = rec.N
-    h = np.abs(rec.norms())
-    bad = np.flatnonzero(~(h > rank_tol * np.maximum(np.abs(mom[:2 * N + 1:2]), h)))
+    h = rec.norms()
+    bad = np.flatnonzero(~(h > 0.0))
     if bad.size:
-        raise QuasiDefiniteFailure(int(bad[0]), [h[bad[0]]], label)
+        raise QuasiDefiniteFailure(int(bad[0]), [abs(h[bad[0]])], label)
     J = np.diag(rec.b) + np.diag(np.ones(N), 1) + np.diag(rec.c[1:], -1)
     size_J = np.abs(J)
     got, size = np.empty(2 * N + 2), np.empty(2 * N + 2)
@@ -751,7 +753,10 @@ def check_recurrence(rec: Recurrence1D, moments, rank_tol: float = DEFAULT_RANK_
         got[k], size[k] = v[0], w[0]
         v, w = J @ v, size_J @ w
     gap = np.abs(rec.mass * got - mom)
-    bad = np.flatnonzero(~(gap <= DEFAULT_RES_TOL * abs(rec.mass) * size))
+    # a gap below the normal floats is underflow (b_0 of the exponents
+    # (0, 5e-324) rounds to 0.0), not a disagreement
+    bound = np.maximum(DEFAULT_RES_TOL * abs(rec.mass) * size, np.finfo(float).tiny)
+    bad = np.flatnonzero(~(gap <= bound))
     if bad.size:
         k = bad[0]
         raise ValueError(f"the closed-form recurrence of {label!r} gives moment {k} as "

@@ -91,11 +91,12 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
       exactly 0.0.  H is not read; a factor that fails the default rank
       rule raises QuasiDefiniteFailure (construct.factor_recurrences).
     - Every other system pairs x_i P_n against P_n and P_{n-1}.  Per
-      degree, one read of the graded moment matrix M and one factorization
-      of each of H_n and H_(n-1) serve all d directions.  With P.rows[m]
-      the coefficients of P_m, <u, x_i P_n P_m^t> =
-      (rows[n] M[rows of alpha + e_i]) rows[m]^t, the association
-      pair_blocks uses, and the d pairings are solved as one stack.
+      degree, one read of the graded moment matrix M serves all d
+      directions.  With P.rows[m] the coefficients of P_m, <u, x_i P_n
+      P_m^t> = (rows[n] M[rows of alpha + e_i]) rows[m]^t, the
+      association pair_blocks uses.  B_n and C_(n+1) both solve against
+      H_n, so their pairings, all d directions, are one mk.solve: each
+      Gram block is rank-checked once.
 
     The reconstruction residual over all degrees below the top one, one
     stacked pass per degree for all d directions with B and C applied by
@@ -193,7 +194,9 @@ def _paired_blocks(u: MomentFunctional, H: GramBlocks, rows: tuple) -> tuple[lis
     """B and C blocks by pairing against the graded moment matrix
     (compute_ttr)."""
     basis = u.basis
-    B, C = [], [None]
+    # stacks[n]: the pairings that solve against H_n, B_n's then C_(n+1)'s,
+    # each with its d directions stacked direction-major
+    stacks = [[] for _ in rows]
     for n in range(len(rows)):
         M = u.graded_block(0, n + 1, 0, n)
         pb, pc = [], []
@@ -204,9 +207,16 @@ def _paired_blocks(u: MomentFunctional, H: GramBlocks, rows: tuple) -> tuple[lis
             pb.append(left @ rows[n].T)
             if n >= 1:
                 pc.append(left[:, :basis.offset(n)] @ rows[n - 1].T)
-        B.append(np.split(H.solve_right(n, np.vstack(pb)), u.d))
+        stacks[n].append(np.vstack(pb))
         if n >= 1:
-            C.append(np.split(H.solve_right(n - 1, np.vstack(pc)), u.d))
+            stacks[n - 1].append(np.vstack(pc))
+    B, C = [], [None]
+    for n, stack in enumerate(stacks):
+        x = mk.solve(H.h(n), np.vstack(stack).T).T
+        size = stack[0].shape[0]
+        B.append(np.split(x[:size], u.d))
+        if len(stack) > 1:
+            C.append(np.split(x[size:], u.d))
     return B, C
 
 

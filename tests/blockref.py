@@ -63,7 +63,7 @@ def relation_by_pairing(Q, P, u, H=None):
     M, tails = [None] * (N + 1), []
     G = construct.pair_systems(u, Q, P, N, N - 1) if N else None
     for j in range(N):
-        coef = H.solve_right(j, G[basis.degree_slice(j + 1, N), basis.degree_slice(j, j)])
+        coef = mk.solve(H.h(j), G[basis.degree_slice(j + 1, N), basis.degree_slice(j, j)].T).T
         M[j + 1] = coef[:basis.size(j + 1)]
         tails.append(mk.max_abs(coef[basis.size(j + 1):]) / scale)
     return M, mk.worst(tails)

@@ -700,10 +700,10 @@ def test_every_family_passes_at_its_defaults(name, capsys):
     ("disk --mu 400", 0),
     ("disk --mu 1e6", 0),
     ("cube --a=300,0 --b=0,0", 0),
-    # a Laguerre moment Gamma(alpha + 1) overflows, or the Jacobi(300, 0)
-    # norms fall below the rank rule: a failed computation
+    # the Jacobi(300, 0) weight is positive: its positive norms certify it
+    ("krall-jacobi --alpha 300 --beta 0 --a1 1", 0),
+    # a Laguerre moment Gamma(alpha + 1) overflows: a failed computation
     ("krall-laguerre --alpha 200 --a1 1", 1),
-    ("krall-jacobi --alpha 300 --beta 0 --a1 1", 1),
     ("laguerre --kappa 200,1", 1),
     # the simplex's first-axis Jacobi mass overflows: a parameter error
     ("simplex --kappa 1e6,0.5,0.5", 2),

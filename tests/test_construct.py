@@ -1,7 +1,6 @@
 import copy
 import functools
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,37 +310,6 @@ def test_stacked_pairing_matches_blockwise_reference(d):
         assert mk.max_abs(got - want) <= 1e-12 * mk.max_abs(want)
 
 
-def test_solve_right_matches_solve():
-    u = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
-    _, H = gram_schmidt_monic(u, 4)
-    rng = np.random.default_rng(11)
-    unsymmetric = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-    blocks = GramBlocks(list(H.blocks) + [unsymmetric])
-    for n in range(blocks.N + 1):
-        s = rng.standard_normal((3, blocks.h(n).shape[0]))
-        want = mk.solve(blocks.h(n), s.T).T
-        for _ in range(2):   # second call skips the rank check
-            got = blocks.solve_right(n, s)
-            assert mk.max_abs(got - want) <= 1e-14 * mk.max_abs(want)
-
-
-def test_solve_right_checks_rank_once_per_degree(monkeypatch):
-    checks = []
-    rank = mk.numeric_rank
-
-    def counted_rank(*args, **kwargs):
-        checks.append(args)
-        return rank(*args, **kwargs)
-
-    monkeypatch.setattr(mk, "numeric_rank", counted_rank)
-    H = GramBlocks([np.diag([2.0, 3.0]), np.ones((2, 2))])
-    for _ in range(3):
-        H.solve_right(0, np.eye(2))
-    assert len(checks) == 1
-    with pytest.raises(mk.SingularMatrixError):
-        H.solve_right(1, np.eye(2))
-
-
 def test_system_from_rows_monic_means_identity_leading_blocks_exactly():
     from mvops import mpoly
 
@@ -564,40 +532,26 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 
 
 def test_gram_schmidt_takes_one_svd_per_degree(monkeypatch):
-    # the rank verdict behind the quasi-definiteness check (one
-    # mk.singular_values call) is also the rank check of every later solve
-    # against the block; the tensor route's diagonal blocks take no SVD and
-    # no mk.singular_values call (GramBlocks.append_diagonal sorts |values|)
+    # one rank verdict (mk.singular_values call) per degree, the
+    # quasi-definiteness check; the projections solve against accepted
+    # blocks with no second one, and the tensor route takes none at all
     verdicts = _count_calls(monkeypatch, mk, "singular_values")
     svds = _count_calls(monkeypatch, np.linalg, "svd")
     N = 6
-    u = moments.simplex_functional((0.5, 0.5, 0.5))
-    _, H = gram_schmidt_monic(u, N)
-    assert len(verdicts) == N + 1
-    for n in range(N + 1):
-        H.solve_right(n, np.eye(n + 1))
+    gram_schmidt_monic(moments.simplex_functional((0.5, 0.5, 0.5)), N)
     assert len(verdicts) == N + 1
     dense = len(svds)
-    _, H = gram_schmidt_monic(moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5)), N)
-    for n in range(N + 1):
-        H.solve_right(n, np.eye(n + 1))
+    gram_schmidt_monic(moments.cube_jacobi_functional((0.5, 0.0), (0.0, 0.5)), N)
     assert len(verdicts) == N + 1 and len(svds) == dense
 
 
-def test_solve_right_keeps_the_default_rank_rule_under_a_looser_build():
-    # degree-1 Gram block [[1, 1], [1, 1 + delta]]: sv[-1] / sv[0] ~ delta / 4
-    # lies between 1e-12 and the default 1e-9
-    delta = 4e-10
-    moms = {(0, 0): 1.0, (2, 0): 1.0, (1, 1): 1.0, (0, 2): 1.0 + delta}
-    u = moments.MomentFunctional(2, lambda a: moms.get(tuple(a), 0.0), label="near-singular")
-    with pytest.raises(QuasiDefiniteFailure):
-        gram_schmidt_monic(u, 1)
-    _, H = gram_schmidt_monic(u, 1, rank_tol=1e-12)
-    sv = mk.singular_values(H.h(1))
-    assert 1e-12 < sv[-1] / sv[0] < mk.DEFAULT_RANK_TOL
-    H.solve_right(0, np.eye(1))
-    with pytest.raises(mk.SingularMatrixError):
-        H.solve_right(1, np.eye(2))
+def test_tensor_gram_schmidt_refuses_norms_out_of_the_floats():
+    # each factor's norms are finite (h_0 = Gamma(101) ~ 9e157), their
+    # products are not
+    f = moments.laguerre_functional_1d(100.0)
+    assert np.isfinite(f.recurrence(3).norms()).all()
+    with pytest.raises(ValueError, match="finite"):
+        gram_schmidt_monic(moments.tensor(f, f, label="big"), 3)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -684,23 +638,6 @@ def test_failing_factor_decides_the_tensor_degree():
                 gram_schmidt_monic(functional, 5)
             assert err.value.degree == degree
     gram_schmidt_monic(moments.tensor(jac, _three_nodes()), 2)
-
-
-def test_looser_rank_tol_lets_a_near_singular_factor_through():
-    # h_1 = delta against moment 2 ~ 1: below the default 1e-9, above 1e-12
-    delta = 1e-10
-    # moment 3 gives b_1, which the tensor route reads along with the rest
-    moms = {0: 1.0, 1: 1.0, 2: 1.0 + delta, 3: 1.0 + 3.0 * delta}
-    near = moments.MomentFunctional(1, lambda a: moms[a[0]], label="near")
-    u = moments.tensor(near, moments.jacobi_functional_1d(0.0, 0.0), label="near-tensor")
-    with pytest.raises(QuasiDefiniteFailure, match="near-tensor"):
-        gram_schmidt_monic(u, 1)
-    _, H = gram_schmidt_monic(u, 1, rank_tol=1e-12)
-    np.testing.assert_allclose(np.diag(H.h(1)), [2.0 * delta, 2.0 / 3.0], rtol=1e-5)
-    # later solves keep the default rule: diag ratio 3 delta < 1e-9
-    H.solve_right(0, np.eye(1))
-    with pytest.raises(mk.SingularMatrixError):
-        H.solve_right(1, np.eye(2))
 
 
 @pytest.mark.parametrize("degrees", [(7,), (5, 6), (4, 3, 5)])
@@ -928,24 +865,3 @@ def test_simplex_gates_keep_their_failing_degrees(kappa, failing):
     with pytest.raises(QuasiDefiniteFailure) as err:
         gram_schmidt_monic(u, failing)
     assert err.value.degree == failing
-
-
-@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                                 st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
-                       min_size=1, max_size=12))
-@settings(max_examples=200, deadline=None)
-def test_append_diagonal_records_the_singular_values_of_its_block_bit_for_bit(values):
-    H = GramBlocks([])
-    with mock.patch.object(GramBlocks, "append", autospec=True) as append:
-        H.append_diagonal(values)
-    (_, h, sv), _ = append.call_args
-    assert mk.same_bits(h, np.diag(values))
-    assert mk.same_bits(np.ascontiguousarray(sv), mk.singular_values(np.diag(values)))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_append_diagonal_refuses_non_finite_values(bad):
-    H = GramBlocks([])
-    with pytest.raises(ValueError, match="finite"):
-        H.append_diagonal([1.0, bad])
-    assert H.blocks == []

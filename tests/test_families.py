@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,32 @@ def test_krall_coefficient_branches_cross_validate():
         special = families.krall_jacobi_coefficient(0.0, 0.5, a1, n)
         assert general == pytest.approx(special, rel=1e-4)
 
+
+
+def _krall_jacobi_reference(alpha, beta, a1, n):
+    """a_n of the mass-modified Jacobi family in its Gamma form, at 50 digits."""
+    if n == 1:
+        return a1
+    g = mpmath.gamma
+    with mpmath.workdps(50):
+        a, b, a1 = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(a1)
+        ratio = -(2 * (b + 1) + a1 * (a + b + 1) * (a + b + 2)) / (2 * (a + 1) + a1 * (a + b + 2))
+
+        def al(m):
+            return g(a + 1) * g(a + b + 2) * g(m) * g(m + b) + ratio * g(b + 1) * g(m + a) * g(
+                m + a + b)
+
+        s = 2 * n + a + b
+        return -2 / (s * (s - 1)) * al(n + 1) / al(n)
+
+
+@pytest.mark.parametrize("alpha, beta, a1", [(300.0, 0.0, 1.0), (1.0, 0.0, 1.0), (2.5, 1.5, 0.5)])
+def test_krall_jacobi_coefficient_against_mpmath(alpha, beta, a1):
+    # Gamma(alpha + 1) overflows above alpha ~ 170; the coefficient does not
+    for n in range(1, 13):
+        want = _krall_jacobi_reference(alpha, beta, a1, n)
+        got = families.krall_jacobi_coefficient(alpha, beta, a1, n)
+        assert abs(got - want) <= 1e-14 * abs(want), (n, got, want)
 
 def test_simplex_norm_matches_numeric_norm():
     kappa = [0.5, 0.75, 0.6]

@@ -713,8 +713,8 @@ def test_recurrence_is_kept_read_only_and_equals_the_chebyshev_algorithm():
     want = moments.recurrence_from_moments(mom, label=u.label)
     np.testing.assert_allclose(rec.b, want.b, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(rec.c[1:], want.c[1:], rtol=1e-12)
-    # one kept recurrence per (N, rank_tol)
-    assert u.recurrence(6, 1e-6) is not rec and u.recurrence(5) is not rec
+    # one kept recurrence per N
+    assert u.recurrence(5) is not rec
 
 
 def test_chebyshev_weights_keep_unit_mass():
@@ -774,17 +774,25 @@ def test_a_tampered_closed_form_is_refused_by_the_moments(spec, data):
     assert u.recurrence(N).c.tobytes() == real(N, *spec[1:]).c.tobytes()
 
 
-def test_a_closed_form_keeps_the_rank_rule_of_the_chebyshev_algorithm():
-    # the Jacobi weight (1 - x)^-0.9 (1 + x)^5 fails the 1x1 rank rule at
-    # degree 11 either way
+def test_a_closed_form_is_certified_by_its_positive_norms():
+    # positive weights whose norms fall far below their moments: a positive
+    # mass and positive c_n certify them, where the Chebyshev algorithm's
+    # rank rule on the raw moments refuses (1 - x)^-0.9 (1 + x)^5 at degree 11
     u = moments.jacobi_functional_1d(-0.9, 5.0)
     mom = np.array([u.moment((m,)) for m in range(26)])
     with pytest.raises(moments.QuasiDefiniteFailure) as cheb:
         moments.recurrence_from_moments(mom)
-    with pytest.raises(moments.QuasiDefiniteFailure, match="jacobi") as closed:
-        u.recurrence(12)
-    assert closed.value.degree == cheb.value.degree == 11
-    assert u.recurrence(10).N == 10
+    assert cheb.value.degree == 11
+    assert u.recurrence(20).N == 20
+    rec = moments.jacobi_functional_1d(300.0, 0.0).recurrence(12)
+    assert rec.N == 12 and (rec.norms() > 0.0).all()
+
+
+
+def test_a_subnormal_exponent_keeps_its_closed_form():
+    # b_0 = 5e-324 / 2 rounds to 0.0, one ulp of the subnormals from m_1
+    rec = moments.jacobi_functional_1d(0.0, 5e-324).recurrence(3)
+    assert rec.b[0] == 0.0 and rec.N == 3
 
 
 @pytest.mark.parametrize("make", [lambda: moments.cube_jacobi_functional((0, 0), (0, 0)),
