@@ -554,6 +554,27 @@ def test_tensor_gram_schmidt_refuses_norms_out_of_the_floats():
         gram_schmidt_monic(moments.tensor(f, f, label="big"), 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_append_diagonal_refuses_non_finite_values(bad, monkeypatch):
+    # the tensor route's diagonal Gram blocks (once built by
+    # GramBlocks.append_diagonal) refuse a non-finite factor norm
+    pair = construct.pair_blocks
+    first = []
+
+    def with_bad_norm(f, rows_a, rows_b):
+        G = pair(f, rows_a, rows_b)
+        if not first:
+            first.append(f)
+            G[-1, -1] = bad
+        return G
+
+    monkeypatch.setattr(construct, "pair_blocks", with_bad_norm)
+    f = moments.laguerre_functional_1d(0.5)
+    with pytest.raises(ValueError, match="finite"):
+        gram_schmidt_monic(moments.tensor(f, f, label="bad norm"), 2)
+    assert first
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_shift_rows_equals_the_shift_matrix_product(d):
     basis = basis_for(d)
