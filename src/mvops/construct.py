@@ -26,10 +26,11 @@ A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
 from the recurrence each factor keeps (factor_recurrences, read alike by
 gram_schmidt_monic and ttr.compute_ttr), assembled by tensor_system from
-the per-axis coefficient tables (factor_tables).  _tensor_rows gathers each
-axis's table rows at nu_i, then columns at alpha_i (ndarray.take), and
-multiplies in place, in axis order, bit for bit the products of an np.ix_
-gather.  A tensor functional's Gram blocks are diagonal, H_n =
+the per-axis coefficient tables (factor_tables, each factor's
+Recurrence1D.monic_table).  _tensor_rows gathers each axis's table columns
+at alpha_i, then rows at nu_i (ndarray.take), and multiplies in place, in
+axis order, bit for bit the products of an np.ix_ gather.  A tensor
+functional's Gram blocks are diagonal, H_n =
 diag(prod_i h_(nu_i)) with h_k = <f_i, p_k p_k> read from one univariate
 pairing per factor, and the tensor is quasi-definite through degree n
 exactly when every factor is, so the first factor that fails decides the
@@ -134,7 +135,8 @@ def _is_identity(block: np.ndarray) -> bool:
     """block equals np.eye of its order exactly: square, ones on the
     diagonal (NaN is not one) and no other nonzero (-0.0 is zero)."""
     r, c = block.shape
-    return bool(r == c and np.count_nonzero(block) == r and (block.diagonal() == 1.0).all())
+    return bool(r == c and np.count_nonzero(block != 0.0) == r
+                and (block.diagonal() == 1.0).all())
 
 
 def _degree_row(basis: GradedBasis, n: int, row) -> np.ndarray:
@@ -308,7 +310,7 @@ def factor_tables(u: MomentFunctional, N: int) -> list[np.ndarray]:
     row k of table i holds the ascending coefficients of p^(i)_k, zero-padded
     to N + 1 columns.  Their tensor_system is gram_schmidt_monic(u, N)'s
     system; failures raise as in factor_recurrences."""
-    return [_coefficient_table(rec.monic_coeffs(), N) for rec in factor_recurrences(u, N)]
+    return [rec.monic_table() for rec in factor_recurrences(u, N)]
 
 
 def _tensor_monic(u: MomentFunctional, N: int) -> tuple[PolySystem, GramBlocks]:
@@ -426,7 +428,9 @@ def _check_row_degree(row: np.ndarray, nu: tuple, n: int) -> None:
 
 def _coefficient_table(polys: list, N: int) -> np.ndarray:
     """Row m holds the ascending coefficients of polys[m], zero-padded to
-    N + 1 columns."""
+    N + 1 columns; a float table of that shape is that table already."""
+    if isinstance(polys, np.ndarray) and polys.shape == (N + 1, N + 1) and polys.dtype == float:
+        return polys
     table = np.zeros((N + 1, N + 1))
     for m in range(N + 1):
         table[m, :len(polys[m])] = polys[m]
@@ -448,17 +452,21 @@ def tensor_system(axis_polys: list, N: int, label: str) -> PolySystem:
 def _tensor_rows(tables: list, N: int):
     """Per degree n = 0..N, the rows of degree n of the tensor system of the
     coefficient tables over the columns of all degrees 0..n, whose column
-    slices are its blocks.  One gather per axis, rows nu_i then columns
-    alpha_i, multiplied in place in axis order; adding 0.0 turns the -0.0
-    of vanished terms into 0.0."""
+    slices are its blocks.  Per axis, the table's columns at alpha_i are
+    gathered first (a small array) and its rows at nu_i then copied whole,
+    into one factor array the degree reuses; the factors are multiplied in
+    place in axis order, and adding 0.0 turns the -0.0 of vanished terms
+    into 0.0."""
     d = len(tables)
     basis = basis_for(d)
     columns = np.vstack([basis.exponents(k) for k in range(N + 1)])
     for n in range(N + 1):
         nu, alpha = basis.exponents(n), columns[:basis.offset(n + 1)]
-        full = tables[0][nu[:, 0]].take(alpha[:, 0], axis=1)
+        full = tables[0].take(alpha[:, 0], axis=1).take(nu[:, 0], axis=0)
+        factor = np.empty_like(full)
         for i in range(1, d):
-            full *= tables[i][nu[:, i]].take(alpha[:, i], axis=1)
+            tables[i].take(alpha[:, i], axis=1).take(nu[:, i], axis=0, out=factor, mode="clip")
+            full *= factor
         full += 0.0
         yield full
 

@@ -93,8 +93,9 @@ def krall_laguerre_coefficient(alpha: float, a1: float, n: int) -> float:
         return a1
     if alpha != 0.0:
         def al(m):
-            return (gamma(m) * gamma(alpha + 1) * (alpha + 1 - a1)
-                    + (a1 - 1) * gamma(m + alpha))
+            # divided by Gamma(alpha + 1), which overflows above alpha ~ 170,
+            # as a Pochhammer symbol (m >= 2)
+            return gamma(m) * (alpha + 1 - a1) + (a1 - 1) * pochhammer(alpha + 1, m - 1)
         return al(n + 1) / al(n)
 
     def alt(m):

@@ -9,9 +9,10 @@ the 0/1 shift matrices that encode multiplication by a coordinate.
 
 A basis also keeps, per instance, the facts the recurrence layer asks of
 its shifts again and again: the offsets, the graded positions of
-alpha + e_i, each degree's stacked shift index with its counts, and the
-singular values of every shift matrix and joint shift.  They live on the
-instance, so `basis_for.cache_clear()` drops them with it.
+alpha + e_i and their inverse, each degree's stacked shift index with its
+counts, and the singular values of every shift matrix and joint shift.
+They live on the instance, so `basis_for.cache_clear()` drops them with
+it.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class GradedBasis:
         self._entry_positions: dict[tuple[int, ...], np.ndarray] = {}
         self._offsets: dict[int, int] = {}
         self._shifted: dict[tuple[int, int], np.ndarray] = {}
+        self._shift_source: dict[tuple[int, int], np.ndarray] = {}
         self._joint_index: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._shift_sv: dict[tuple[int, int], np.ndarray] = {}
         self._joint_sv: dict[int, np.ndarray] = {}
@@ -174,6 +176,19 @@ class GradedBasis:
             idx.flags.writeable = False
             self._shifted[key] = idx
         return self._shifted[key]
+
+    def shift_source(self, n: int, i: int) -> np.ndarray:
+        """For each graded position c of the degrees 0..n, the graded
+        position of the alpha with alpha + e_i = c, or offset(n) where c_i
+        is 0 and there is none: the inverse of shifted(n, i), as a column
+        gather reads it; read-only."""
+        key = (n, i)
+        if key not in self._shift_source:
+            src = np.full(self.offset(n + 1), self.offset(n), dtype=np.intp)
+            src[self.shifted(n, i)] = np.arange(self.offset(n))
+            src.flags.writeable = False
+            self._shift_source[key] = src
+        return self._shift_source[key]
 
     def joint_shift_index(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """The column of the 1 in each row of joint_shift(n), that is

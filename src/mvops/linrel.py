@@ -73,14 +73,16 @@ def compute_relation(Q: PolySystem, P: PolySystem, u: MomentFunctional,
     if Q.d != P.d:
         raise ValueError("systems must share the dimension")
     N = min(Q.N, P.N)
-    scale = max(max(mk.max_abs(Q.rows[n]) for n in range(N + 1)), 1.0)
-    for n in range(N + 1):
-        gap = mk.max_abs(Q.leading(n) - P.leading(n))
-        if gap > 1e-8 * scale:
-            raise ValueError(
-                f"leading coefficients differ at degree {n} (gap {gap:.3e}); "
-                "convert both systems to a common leading normalization first"
-            )
+    # two monic systems share their leading blocks, the identity, exactly
+    if not (Q.monic and P.monic):
+        scale = max(max(mk.max_abs(Q.rows[n]) for n in range(N + 1)), 1.0)
+        for n in range(N + 1):
+            gap = mk.max_abs(Q.leading(n) - P.leading(n))
+            if gap > 1e-8 * scale:
+                raise ValueError(
+                    f"leading coefficients differ at degree {n} (gap {gap:.3e}); "
+                    "convert both systems to a common leading normalization first"
+                )
     basis = basis_for(Q.d)
     M = [None]
     for n in range(1, N + 1):
@@ -99,18 +101,28 @@ def relation_residual(Q: PolySystem, P: PolySystem, rel: LinearRelation,
     `keep[n]` is the diagonal of K_n (index 0 unused, like rel.M); None
     means every K_n is the identity.  One pass per degree over its rows,
     with M_n applied by mk.product per column block of P_(n-1), so the
-    defect is the largest of the per-block defects bit for bit.
+    defect is the largest of the per-block defects bit for bit.  When both
+    systems are monic and every K_n is the identity, the degree-n columns
+    are left out: there the identity blocks cancel and M_n P_(n-1) never
+    reaches, so the defect is exactly 0.0, and Q_n's identity block adds a
+    1.0 to its scale, which is at least 1 anyway.
     """
     basis = basis_for(Q.d)
     cuts = [basis.offset(k) for k in range(1, rel.N)]
+    monic = keep is None and Q.monic and P.monic
     defects = []
     for n in rel.available():
         if n > min(Q.N, P.N):
             break
-        kept = P.rows[n] if keep is None else keep[n][:, None] * P.rows[n]
-        delta = Q.rows[n] - kept
-        delta[:, :basis.offset(n)] -= mk.product(rel.m(n), P.rows[n - 1], cuts[:n - 1])
-        defects.append(mk.max_abs(delta) / max(mk.max_abs(Q.rows[n]), 1.0))
+        low = basis.offset(n)
+        if monic:
+            q = Q.rows[n][:, :low]
+            delta = q - P.rows[n][:, :low]
+        else:
+            q = Q.rows[n]
+            delta = q - (P.rows[n] if keep is None else keep[n][:, None] * P.rows[n])
+        delta[:, :low] -= mk.product(rel.m(n), P.rows[n - 1], cuts[:n - 1])
+        defects.append(mk.max_abs(delta) / max(mk.max_abs(q), 1.0))
     return mk.worst(defects)
 
 

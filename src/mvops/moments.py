@@ -15,7 +15,13 @@ weight, certified by its positive norms and checked against its moments
 (check_recurrence), and otherwise the Chebyshev algorithm on its moments
 under the rank rule of construction, DEFAULT_RANK_TOL (Gautschi,
 Orthogonal Polynomials: Computation and Approximation, 2004, sections
-2.1.7 and 2.4).
+2.1.7 and 2.4).  Its read path costs a few microseconds per degree: the
+moments 0..2N+1 are scalar `moment` reads, each a one-entry degree vector
+made by one oracle call and checked as a float, not as an array; the
+closed forms are Python-float loops; the check forms the powers of the
+Jacobi matrix by doubling (_first_entries); and the coefficient table of
+the monic polynomials is one Python-float recurrence (monic_table), the
+per-degree array loop's values bit for bit.
 
 Gamma and Beta values come from the standard library's math.gamma and
 math.lgamma (gamma, log_gamma, scaled_beta), in Stirling form above 171,
@@ -188,18 +194,21 @@ class MomentFunctional:
         return f"MomentFunctional(d={self.d}, label={self.label!r})"
 
     def moment(self, alpha) -> float:
-        alpha = tuple(int(a) for a in alpha)
-        if len(alpha) != self.d or any(a < 0 for a in alpha):
+        alpha = tuple(map(int, alpha))
+        if len(alpha) != self.d or min(alpha) < 0:
             raise ValueError(f"bad multi-index {alpha} for dimension {self.d}")
-        return float(self.moment_vector(sum(alpha))[self.basis.position(alpha)])
+        # a univariate degree vector holds one moment
+        return float(self.moment_vector(sum(alpha))[
+            self.basis.position(alpha) if self.d > 1 else 0])
 
     def moment_vector(self, n: int) -> np.ndarray:
         """Moments at the degree-n monomials in basis order; stored, read-only."""
-        if n not in self._vectors:
+        vec = self._vectors.get(n)
+        if vec is None:
             vec = self._degree_vector(n)
             vec.flags.writeable = False
             self._vectors[n] = vec
-        return self._vectors[n]
+        return vec
 
     def recurrence(self, N: int) -> Recurrence1D:
         """Monic recurrence through degree N, b_N included, of a univariate
@@ -235,7 +244,10 @@ class MomentFunctional:
         return None
 
     def _degree_vector(self, n: int) -> np.ndarray:
-        return self._finite(n, np.array([float(self._oracle(a)) for a in self.basis.indices(n)]))
+        values = [float(self._oracle(a)) for a in self.basis.indices(n)]
+        vec = np.array(values)
+        # the floats are checked as floats: no array test per oracle vector
+        return vec if all(map(math.isfinite, values)) else self._finite(n, vec)
 
     def _finite(self, n: int, vec: np.ndarray) -> np.ndarray:
         """The degree-n vector, or ValueError at its first non-finite entry."""
@@ -408,10 +420,12 @@ class _JacobiMoments(MomentFunctional):
         k = alpha[0] - 1
         if k < 0:
             return self.m0
-        for lower in range(len(self._vectors), k + 1):
-            self.moment_vector(lower)
-        below = self._vectors[k - 1][0] if k else 0.0
-        return ((self.b - self.a) * self._vectors[k][0] + k * below) / (self.a + self.b + k + 2)
+        vectors = self._vectors
+        if k >= len(vectors):
+            for lower in range(len(vectors), k + 1):
+                self.moment_vector(lower)
+        below = float(vectors[k - 1][0]) if k else 0.0
+        return ((self.b - self.a) * float(vectors[k][0]) + k * below) / (self.a + self.b + k + 2)
 
     def _closed_recurrence(self, N: int) -> Recurrence1D:
         return jacobi_recurrence(N, self.a, self.b)
@@ -661,26 +675,35 @@ class Recurrence1D:
         return np.sqrt(self.c[1:])
 
     def norms(self) -> np.ndarray:
-        """Squared monic norms H_0..H_N (H_n = mass * c_1 ... c_n)."""
-        h = np.empty(self.N + 1)
-        h[0] = self.mass
-        for n in range(1, self.N + 1):
-            h[n] = h[n - 1] * self.c[n]
-        return h
+        """Squared monic norms H_0..H_N (H_n = mass * c_1 ... c_n), one
+        running product."""
+        return np.multiply.accumulate(np.concatenate(([self.mass], self.c[1:self.N + 1])))
+
+    def monic_table(self) -> np.ndarray:
+        """Coefficient table of the monic polynomials: row n holds the
+        ascending coefficients of p_n, zero-padded to N + 1 columns.
+
+        p_(n+1) = x p_n - b_n p_n - c_n p_(n-1), entry by entry in that
+        order from 0.0 (so -0.0 becomes 0.0), in Python floats: the rows are
+        short, and per-row array operations cost more than the arithmetic.
+        """
+        N = self.N
+        b, c = self.b.tolist(), self.c.tolist()
+        rows = [[1.0], [-b[0], 1.0]][:N + 1]
+        for n in range(1, N):
+            prev, prev2, bn, cn = rows[n], rows[n - 1], b[n], c[n]
+            nxt = [0.0] + [0.0 + p for p in prev]
+            for k in range(n + 1):
+                nxt[k] -= bn * prev[k]
+            for k in range(n):
+                nxt[k] -= cn * prev2[k]
+            rows.append(nxt)
+        return np.array([row + [0.0] * (N + 1 - len(row)) for row in rows]).reshape(N + 1, N + 1)
 
     def monic_coeffs(self) -> list[np.ndarray]:
-        """Coefficient arrays (ascending powers) of the monic polynomials."""
-        polys = [np.array([1.0])]
-        if self.N >= 1:
-            polys.append(np.array([-self.b[0], 1.0]))
-        for n in range(1, self.N):
-            prev, prev2 = polys[n], polys[n - 1]
-            nxt = np.zeros(n + 2)
-            nxt[1:] += prev
-            nxt[:-1] -= self.b[n] * prev
-            nxt[: n] -= self.c[n] * prev2
-            polys.append(nxt)
-        return polys
+        """Coefficient arrays (ascending powers) of the monic polynomials,
+        the rows of monic_table without their padding."""
+        return [row[:n + 1] for n, row in enumerate(self.monic_table())]
 
     def orthonormal_coeffs(self) -> list[np.ndarray]:
         h = self.norms()
@@ -737,21 +760,14 @@ def check_recurrence(rec: Recurrence1D, moments, label: str = "") -> None:
     degree 2N + 1), mass (J^k)_00 must equal m_k within DEFAULT_RES_TOL times
     mass (|J|^k)_00, the size of the terms summed, or within the smallest
     normal float, for every k <= 2N + 1, or ValueError names the first k
-    that disagrees.
+    that disagrees (_first_entries reads both powers).
     """
     mom = np.asarray(moments, dtype=float)
-    N = rec.N
     h = rec.norms()
     bad = np.flatnonzero(~(h > 0.0))
     if bad.size:
         raise QuasiDefiniteFailure(int(bad[0]), [abs(h[bad[0]])], label)
-    J = np.diag(rec.b) + np.diag(np.ones(N), 1) + np.diag(rec.c[1:], -1)
-    size_J = np.abs(J)
-    got, size = np.empty(2 * N + 2), np.empty(2 * N + 2)
-    v = w = np.eye(N + 1)[0]
-    for k in range(2 * N + 2):
-        got[k], size[k] = v[0], w[0]
-        v, w = J @ v, size_J @ w
+    got, size = _first_entries(rec, 2 * rec.N + 2)
     gap = np.abs(rec.mass * got - mom)
     # a gap below the normal floats is underflow (b_0 of the exponents
     # (0, 5e-324) rounds to 0.0), not a disagreement
@@ -763,31 +779,61 @@ def check_recurrence(rec: Recurrence1D, moments, label: str = "") -> None:
                          f"{rec.mass * got[k]!r}, not {mom[k]!r}")
 
 
+def _first_entries(rec: Recurrence1D, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(J^k)_00 and (|J|^k)_00 for k < count, J the Jacobi matrix of rec.
+
+    They are row 0 of the Krylov blocks [e_0, J e_0, J^2 e_0, ...] of J and
+    |J|, kept side by side in one block-diagonal matrix and grown by
+    doubling: columns w..2w-1 are J^w times columns 0..w-1, and J^2w is
+    (J^w)^2, so some 2 log2(count) products of small matrices stand for
+    2 count matrix-vector products.  Every term of |J|^k is nonnegative, and
+    the computed (J^k)_00 stays within about k (N + 1) ulps of (|J|^k)_00
+    whatever the grouping of the products.
+    """
+    n = rec.N + 1
+    power = np.zeros((2 * n, 2 * n))
+    jac = power[:n, :n]
+    jac.flat[::n + 1] = rec.b
+    jac.flat[1::n + 1] = 1.0
+    jac.flat[n::n + 1] = rec.c[1:]
+    np.abs(jac, out=power[n:, n:])
+    krylov = np.zeros((2 * n, count))
+    krylov[0, 0] = krylov[n, 0] = 1.0
+    width = 1
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite entry fails the check
+        while width < count:
+            more = min(width, count - width)
+            krylov[:, width:width + more] = power @ krylov[:, :more]
+            width += more
+            if width < count:
+                power = power @ power
+    return krylov[0], krylov[n]
+
+
 def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:
     """Monic Jacobi recurrence for the weight (1-x)^a (1+x)^b; ParameterError
     where the mass or some c_n is not a positive finite float or some b_n
     is not finite, as for exponents so large that the formulas overflow."""
     if not _exceeds(-1, a, b):
         raise ValueError(f"jacobi exponents must exceed -1, got ({a}, {b})")
-    bb = np.zeros(N + 1)
-    cc = np.zeros(N + 1)
-    bb[0] = (b - a) / (a + b + 2)
+    bb = [(b - a) / (a + b + 2)]
+    cc = [0.0]
     try:
         for n in range(1, N + 1):
             s = 2 * n + a + b
-            bb[n] = (b**2 - a**2) / (s * (s + 2))
+            bb.append((b**2 - a**2) / (s * (s + 2)))
             if n == 1:
-                cc[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+                cc.append(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
             else:
-                cc[n] = 4 * n * (n + a) * (n + b) * (n + a + b) / (s**2 * (s + 1) * (s - 1))
-        ok = np.isfinite(bb).all() and np.isfinite(cc).all() and (cc[1:] > 0.0).all()
+                cc.append(4 * n * (n + a) * (n + b) * (n + a + b) / (s**2 * (s + 1) * (s - 1)))
+        ok = all(map(math.isfinite, bb)) and all(0.0 < x < math.inf for x in cc[1:])
     except OverflowError:   # float ** 2 raises above 1.3e154
         ok = False
     if not ok:
         raise ParameterError(f"jacobi exponents ({a}, {b}) give a b_n that is not finite "
                              "or a c_n that is not a positive finite float")
     mass = _positive_finite(jacobi_mass(a, b), f"jacobi mass for exponents ({a}, {b})")
-    return Recurrence1D(bb, cc, mass=mass, label=f"jacobi({a},{b})")
+    return Recurrence1D(np.array(bb), np.array(cc), mass=mass, label=f"jacobi({a},{b})")
 
 
 def laguerre_recurrence(N: int, alpha: float) -> Recurrence1D:

@@ -19,9 +19,9 @@ The CLI reads every file through a checked read, which refuses what
 `validate_blocks` refuses and checks structure before numbers: the kind,
 d >= 1, the number of blocks per degree and direction, the place of every
 marker and every other block's `rows cols` header come first, the payloads
-after, block by block.  Its error names the first bad block (a block list
-that is not a JSON list, with its file), and a misshapen block costs no
-payload conversion.  The public readers need a
+after, block by block.  Its error names the first bad block (a field that
+is missing, or a block list that is not a JSON list, with its file), and a
+misshapen block costs no payload conversion.  The public readers need a
 JSON integer d and the same layout, with a marker or matrix text in every
 block the layout uses, and keep the values of every block and the shapes
 of recurrence and relation blocks; a system's blocks are laid side by side
@@ -145,8 +145,8 @@ def _named(where: str, read, text):
 
 def _read(text: str, kind: str, checked: bool, source: str = ""):
     """Decode an envelope of `kind` into the system, recurrence or relation
-    it holds; `source` names the file in the error for a field that is not
-    a list.
+    it holds; `source` names the file in the error for a field that is
+    missing or not a list.
 
     Every block the layout uses must be its slot's marker or matrix text; a
     marker comes back as the block it stands for ("shift" as the basis's
@@ -160,13 +160,19 @@ def _read(text: str, kind: str, checked: bool, source: str = ""):
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
         raise ValueError(f"not a {_NOUNS[kind]} document")
-    d = payload["d"]
+
+    def field(name: str):
+        if name not in payload:
+            raise ValueError(f"field {name} missing" + (f" in {source}" if source else ""))
+        return payload[name]
+
+    d = field("d")
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"dimension d must be an integer, got {d!r}")
     tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
     if checked:
         _check_scalars(d, tail)
-    slots = list(_slots(kind, d, payload.__getitem__, source))
+    slots = list(_slots(kind, d, field, source))
     marked = [_holds_marker(where, row[i], marker) for where, row, i, _, _, marker in slots]
     if checked:
         for (where, row, i, n, k, _), structural in zip(slots, marked):

@@ -14,15 +14,25 @@ off the univariate recurrences its factors keep (MomentFunctional.
 recurrence): B_{n,i} is diagonal and C_{n,i}
 has one nonzero per row, with every other entry exactly 0.0.  Such blocks,
 like the shift matrices A of every monic system, hold at most one nonzero
-per line, so their rank checks need no SVD (matrixkit.singular_values) and
-their products are row gathers (matrixkit.product), in the reconstruction
-residual and in forward generation alike.
+per line, so their rank checks need no SVD and no stacked joint
+(matrixkit.family_singular_values) and their products are row gathers
+(matrixkit.product), in the reconstruction residual and in forward
+generation alike.
 
 Both of those work one degree at a time for all d directions: the d
 residuals or right-hand sides of a degree are one array, stacked
-direction-major, and each of B and C multiplies it in one mk.product call.
-The index facts of the shifts, and the singular values of the shift
-matrices that rank checks read, are kept on the GradedBasis.
+direction-major, and each of B and C multiplies it in one mk.product call;
+x_i P_n enters as a column gather of P_n (_shifted_columns).  For a monic
+system the top block cancels exactly: in x_i P_n - A_(n,i) P_(n+1) the
+identity block of P_(n+1), gathered at alpha + e_i, meets the identity
+block of P_n moved to alpha + e_i, and B P_n and C P_(n-1) have no
+degree-(n+1) columns, so every degree-(n+1) entry of the defect is exactly
+0.0 (Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2014,
+ch. 3, for the structure).  The reconstruction residual therefore reads
+the columns of degrees 0..n only, and forward generation writes each new
+degree's identity block directly.  The index facts of the shifts, and the
+singular values of the shift matrices that rank checks read, are kept on
+the GradedBasis.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from .checks import Check, all_pass
 # pair_blocks is not called here; perfbench's tracer test expects it among
 # this module's names
 from .construct import GramBlocks, PolySystem, factor_recurrences, pair_blocks  # noqa: F401
-from .indexing import GradedBasis, basis_for, joint_matrix
+from .indexing import GradedBasis, basis_for
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import MomentFunctional
 
@@ -148,23 +158,52 @@ def _shift_defect(P: PolySystem, n: int, lifted: np.ndarray) -> np.ndarray:
 def _recon_residuals(P: PolySystem, T: ThreeTermData) -> list:
     """max|x_i P_n - A P_{n+1} - B P_n - C P_{n-1}| over the coefficient
     scale of degrees n-1..n+1 (at least 1), for n < P.N and i = 1..d in
-    that order (compute_ttr)."""
+    that order (compute_ttr).
+
+    A monic system's defect is formed over the columns of degrees 0..n
+    only: at degree n + 1 the identity rows of A P_(n+1) meet the shifted
+    identity of P_n, and B and C never reach there, so those entries are
+    exactly 0.0 and cannot raise a largest magnitude.  There x_i P_n is
+    gathered column by column (_shifted_columns), and the defect starts as
+    x_i P_n - A P_(n+1), which differs from the -A P_(n+1) + x_i P_n of
+    other systems in the sign of a zero at most.
+    """
     basis = basis_for(P.d)
     row_scale = [mk.max_abs(row) for row in P.rows]
     residuals = []
     for n in range(P.N):
         # all degrees side by side, the d directions stacked direction-major
         scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
-        # a monic system's shifts pick the rows of alpha + e_i
-        lifted = (P.rows[n + 1][basis.joint_shift_index(n)[0]] if P.monic
-                  else np.vstack([a @ P.rows[n + 1] for a in T.A[n]]))
-        resid = _shift_defect(P, n, lifted)
-        resid[:, :basis.offset(n + 1)] -= mk.product(T.B[n], P.rows[n])
+        width, low, size = basis.offset(n + 1), basis.offset(n), basis.size(n)
+        if P.monic:
+            # a monic system's shifts pick the rows of alpha + e_i
+            resid = P.rows[n + 1][:, :width].take(basis.joint_shift_index(n)[0], axis=0)
+            for i, shifted in enumerate(_shifted_columns(basis, n, P.rows[n][:, :low])):
+                block = resid[i * size:(i + 1) * size]
+                np.subtract(shifted, block, out=block)
+        else:
+            resid = _shift_defect(P, n, np.vstack([a @ P.rows[n + 1] for a in T.A[n]]))
+        resid[:, :width] -= mk.product(T.B[n], P.rows[n])
         if n >= 1:
-            resid[:, :basis.offset(n)] -= mk.product(T.C[n], P.rows[n - 1])
-        np.abs(resid, out=resid)
-        residuals.extend(resid.reshape(P.d, -1).max(axis=1) / scale)
+            resid[:, :low] -= mk.product(T.C[n], P.rows[n - 1])
+        # the largest magnitude per direction, as np.abs(resid) would give
+        # it (NaN where one is NaN), by one max and one min pass
+        per_direction = resid.reshape(P.d, -1)
+        worst = np.maximum(per_direction.max(axis=1), -per_direction.min(axis=1))
+        residuals.extend(np.abs(worst) / scale)
     return residuals
+
+
+def _shifted_columns(basis: GradedBasis, n: int, low: np.ndarray):
+    """x_i times the rows `low` over the monomials of degrees 0..n-1, as rows
+    over the columns of degrees 0..n, for i = 1..d in turn: each one column
+    gather (basis.shift_source) of `low` with a zero column appended, the
+    zero filling the columns no alpha + e_i reaches; a gather, where adding
+    into scattered columns costs several times more."""
+    padded = np.zeros((low.shape[0], low.shape[1] + 1))
+    padded[:, :-1] = low
+    for i in range(1, basis.d + 1):
+        yield padded.take(basis.shift_source(n, i), axis=1)
 
 
 def _tensor_blocks(u: MomentFunctional, N: int) -> tuple[list, list]:
@@ -220,23 +259,26 @@ def _paired_blocks(u: MomentFunctional, H: GramBlocks, rows: tuple) -> tuple[lis
     return B, C
 
 
-def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+def joint_shift_lstsq(basis: GradedBasis, n: int, rhs: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Least-squares solution g of J g = rhs, J = basis.joint_shift(n), and
     its defect max|J g - rhs|, in closed form.
 
     rhs stacks the blocks of directions 1..d, size(n) rows each.  Every row
     of J holds one 1, so J^t J = diag(c), c_beta = #{i : beta_i > 0}, and
     g = diag(1/c) J^t rhs: row beta of g is the mean of the rows of rhs
-    whose shift reaches beta, summed in direction order.  J has full column
-    rank, so this is the unique minimizer.
+    whose shift reaches beta, summed in direction order from 0.0.  J has
+    full column rank, so this is the unique minimizer.  g is written to
+    `out` when given: an array of zeros of g's shape, such as the leading
+    columns of the next degree's row.
     """
     idx, counts = basis.joint_shift_index(n)
     size = basis.size(n)
-    g = np.zeros((basis.size(n + 1), rhs.shape[1]))
+    g = np.zeros((basis.size(n + 1), rhs.shape[1])) if out is None else out
     for lo in range(0, idx.size, size):
         g[idx[lo:lo + size]] += rhs[lo:lo + size]
     g /= counts[:, None]
-    defect = g[idx]
+    defect = g.take(idx, axis=0)
     defect -= rhs
     return g, mk.max_abs(defect)
 
@@ -281,18 +323,22 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     cuts = [basis.offset(k) for k in range(1, N + 1)]
     residuals = np.zeros(N)
     for n in range(N):
-        low, size = basis.offset(n), basis.size(n)
+        low, size, width = basis.offset(n), basis.size(n), basis.offset(n + 1)
         # the d right-hand sides, stacked direction-major
-        rhs = -mk.product(T.B[n], rows[n], cuts[:n])
-        for i in range(d):
-            # x_i P_n: the blocks of degrees 0..n-1 move to alpha + e_i; the
-            # top block's shift L_(n,i) is the identity's, which solves it
-            # with zero defect
-            rhs[i * size:(i + 1) * size, basis.shifted(n, i + 1)] += rows[n][:, :low]
+        rhs = mk.product(T.B[n], rows[n], cuts[:n])
+        np.negative(rhs, out=rhs)
+        # x_i P_n: the blocks of degrees 0..n-1 move to alpha + e_i; the top
+        # block's shift L_(n,i) is the identity's, which solves it with zero
+        # defect
+        for i, shifted in enumerate(_shifted_columns(basis, n, rows[n][:, :low])):
+            rhs[i * size:(i + 1) * size] += shifted
         if n >= 1:
             rhs[:, :low] -= mk.product(T.C[n], rows[n - 1], cuts[:n - 1])
-        g, residuals[n] = joint_shift_lstsq(basis, n, rhs)
-        rows.append(np.hstack([g, np.eye(basis.size(n + 1))]))
+        # degree n + 1 is written in place: g, then the identity block
+        row = np.zeros((basis.size(n + 1), basis.offset(n + 2)))
+        _, residuals[n] = joint_shift_lstsq(basis, n, rhs, out=row[:, :width])
+        np.fill_diagonal(row[:, width:], 1.0)
+        rows.append(row)
     return PolySystem(d, rows, label="generated"), residuals
 
 
@@ -316,30 +362,30 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
     Shift blocks, tensor C blocks and their joints hold at most one nonzero
-    per line, so mk.singular_values reads them with no SVD.  An upper block
-    that is basis.shift_matrix(n, i) itself, the read-only object that
-    compute_ttr and the envelope reader's "shift" marker hand out, has its
-    singular values read off the basis, and so has a joint of d of them.
+    per line, so mk.family_singular_values reads a degree's blocks and
+    their joint with no SVD and no stacked copy.  A degree of d upper
+    blocks that are basis.shift_matrix(n, i) themselves, the read-only
+    objects that compute_ttr and the envelope reader's "shift" marker hand
+    out, has its singular values read off the basis, and so has its joint.
     """
     basis = basis_for(d)
 
-    def is_shift(n: int, i: int, b) -> bool:
-        return not lower and b is basis.shift_matrix(n, i)
+    def values(n: int, row) -> tuple[list, np.ndarray]:
+        """Singular values of the degree's blocks and of their joint."""
+        if (not lower and len(row) == d
+                and all(b is basis.shift_matrix(n, i) for i, b in enumerate(row, start=1))):
+            return ([basis.shift_singular_values(n, i) for i in range(1, d + 1)],
+                    basis.joint_shift_singular_values(n))
+        return mk.family_singular_values(row, transposed=lower)
 
-    sv = {n: [basis.shift_singular_values(n, i) if is_shift(n, i, b) else mk.singular_values(b)
-              for i, b in enumerate(row, start=1)] for n, row in rows.items()}
-    scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
-                1e-300)
+    sv = {n: values(n, row) for n, row in rows.items()}
+    scale = max(max((s[0] for each, _ in sv.values() for s in each), default=0.0), 1e-300)
     shift = -1 if lower else 0
     checks = []
-    for n, row in rows.items():
-        for i, s in enumerate(sv[n], start=1):
+    for n, (each, joint_sv) in sv.items():
+        for i, s in enumerate(each, start=1):
             checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
                                        basis.size(n + shift), n, i))
-        if len(row) == d and all(is_shift(n, i, b) for i, b in enumerate(row, start=1)):
-            joint_sv = basis.joint_shift_singular_values(n)
-        else:
-            joint_sv = mk.singular_values(joint_matrix([b.T for b in row] if lower else row))
         rank = mk.rank_from_sv(joint_sv, tol, scale)
         checks.append(Check.ranked(f"{name}-joint", rank, basis.size(n + shift + 1), n))
     return checks

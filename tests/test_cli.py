@@ -806,6 +806,24 @@ def test_a_block_list_that_is_not_a_list_exits_2_naming_the_field_and_the_file(
     assert f"field {field} in {path} must be a list" in err
 
 
+@pytest.mark.parametrize("name, field, command", [
+    ("Tp", "d", "generate"),
+    ("Tp", "A", "generate"),
+    ("Tp", "B", "generate"),
+    ("Tp", "C", "generate"),
+    ("P", "blocks", "relate"),
+    ("rel", "M", "check-3"),
+])
+def test_a_missing_field_exits_2_naming_the_field_and_the_file(envelopes, capsys, name,
+                                                                field, command):
+    payload = json.loads(envelopes["texts"][name])
+    del payload[field]
+    path = envelopes["root"] / f"missing-{field}-{name}.json"
+    path.write_text(json.dumps(payload))
+    err = _one_error(envelopes, command, {name: str(path)}, capsys)
+    assert f"error: field {field} missing in {path}" in err
+
+
 def test_relate_fails_a_reference_that_is_not_orthogonal_for_the_functional(envelopes,
                                                                          capsys):
     # the combined system passed as the reference: the relation to itself

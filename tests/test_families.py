@@ -140,6 +140,32 @@ def test_krall_jacobi_coefficient_against_mpmath(alpha, beta, a1):
         got = families.krall_jacobi_coefficient(alpha, beta, a1, n)
         assert abs(got - want) <= 1e-14 * abs(want), (n, got, want)
 
+
+def _krall_laguerre_reference(alpha, a1, n):
+    """a_n of the mass-modified Laguerre family in its Gamma form, at 50 digits."""
+    if n == 1:
+        return a1
+    g = mpmath.gamma
+    with mpmath.workdps(50):
+        a, a1 = mpmath.mpf(alpha), mpmath.mpf(a1)
+
+        def al(m):
+            return g(m) * g(a + 1) * (a + 1 - a1) + (a1 - 1) * g(m + a)
+
+        return al(n + 1) / al(n)
+
+
+@pytest.mark.parametrize("alpha", [169.0, 300.0])
+@pytest.mark.parametrize("a1", [1.0, 2.0])
+def test_krall_laguerre_coefficient_against_mpmath(alpha, a1):
+    # Gamma(alpha + 1) and Gamma(m + alpha) overflow from alpha ~ 169; the
+    # coefficient does not
+    for n in range(1, 13):
+        want = _krall_laguerre_reference(alpha, a1, n)
+        got = families.krall_laguerre_coefficient(alpha, a1, n)
+        assert abs(got - want) <= 1e-14 * abs(want), (n, got, want)
+
+
 def test_simplex_norm_matches_numeric_norm():
     kappa = [0.5, 0.75, 0.6]
     u = moments.simplex_functional(kappa)

@@ -185,3 +185,15 @@ def test_cache_clear_drops_the_basis_memos():
     fresh = indexing.basis_for(3)
     assert not (fresh._offsets or fresh._shifted or fresh._joint_index
                 or fresh._shift_sv or fresh._joint_sv)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_shift_source_inverts_shifted(d):
+    basis = indexing.basis_for(d)
+    for n in range(5):
+        for i in range(1, d + 1):
+            src, shifted = basis.shift_source(n, i), basis.shifted(n, i)
+            assert src.shape == (basis.offset(n + 1),) and not src.flags.writeable
+            assert np.array_equal(src[shifted], np.arange(basis.offset(n)))
+            unreached = np.setdiff1d(np.arange(basis.offset(n + 1)), shifted)
+            assert np.all(src[unreached] == basis.offset(n))

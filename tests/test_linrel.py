@@ -508,3 +508,21 @@ def test_relation_residual_per_degree_is_the_per_block_defect_bit_for_bit(disk_p
         got = relation_residual(Q, P, rel, keep)
         want = _relation_residual_per_block(Q, P, rel, keep)
         assert mk.same_bits(np.float64(got), np.float64(want)), (got, want)
+
+
+@pytest.mark.parametrize("tensor", [True, False])
+def test_the_monic_relation_residual_leaves_out_only_exact_zeros(tensor):
+    # with both systems monic and K_n = I, the degree-n columns of
+    # Q_n - P_n - M_n P_(n-1) are exactly 0.0; keeping every K_n an explicit
+    # identity takes the full-width route, which must read the same defect
+    v = moments.cube_jacobi_functional((0.5, 0.0, -0.5), (0.0, 0.5, 0.0))
+    u = moments.cube_jacobi_functional((0.5, 1.0, -0.5), (0.0, 0.5, 0.0))
+    if not tensor:
+        v, u = (moments.MomentFunctional(3, w.moment, label=w.label) for w in (v, u))
+    Q, _ = gram_schmidt_monic(v, 4)
+    P, _ = gram_schmidt_monic(u, 4)
+    rel = linrel.compute_relation(Q, P, u)
+    basis = basis_for(3)
+    ones = [None] + [np.ones(basis.size(n)) for n in range(1, 5)]
+    assert Q.monic and P.monic and 0.0 < rel.tail <= 1e-12
+    assert rel.tail == linrel.relation_residual(Q, P, rel, keep=ones)

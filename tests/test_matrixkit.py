@@ -523,3 +523,41 @@ def test_envelope_blocks_are_repr_per_entry_and_read_per_token(shape):
     # the blocks lie on both sides of the vectorized codec's size at d >= 3
     assert min(sizes) < mk._VECTOR_MIN_ENTRIES
     assert d == 2 or max(sizes) >= mk._VECTOR_MIN_ENTRIES
+
+
+@st.composite
+def _block_family_of_one_shape(draw):
+    """Blocks of one shape, each holding at most one nonzero per row and per
+    column (a scattered diagonal) or, now and then, a dense block."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 5)) == 0:
+            blocks.append(rng.standard_normal((rows, cols)))
+            continue
+        b = np.zeros((rows, cols))
+        k = draw(st.integers(0, min(rows, cols)))
+        b[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = (
+            rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8, 8, k))
+        blocks.append(b)
+    return blocks
+
+
+@given(blocks=_block_family_of_one_shape(), transposed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_family_singular_values_are_those_of_each_block_and_of_the_stack(blocks, transposed):
+    each, joint = mk.family_singular_values(blocks, transposed)
+    for b, sv in zip(blocks, each):
+        assert sv.tobytes() == mk.singular_values(b).tobytes()
+    stack = np.vstack([b.T for b in blocks] if transposed else blocks)
+    want = np.linalg.svd(stack, compute_uv=False)
+    assert joint.shape == want.shape
+    assert np.all(np.abs(joint - want) <= 1e-14 * want[0])
+
+
+def test_family_singular_values_need_blocks_of_one_shape():
+    with pytest.raises(mk.ShapeMismatchError):
+        mk.family_singular_values([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError, match="finite"):
+        mk.family_singular_values([np.eye(2), np.diag([1.0, np.nan])])

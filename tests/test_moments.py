@@ -17,7 +17,8 @@ from mvops.indexing import basis_for
 from mvops.moments import LinearPoly
 from mvops.ttr import compute_ttr
 
-from blockref import (disk_moment_quadrature, laguerre_moment_quadrature, row_blocks,
+from blockref import (check_recurrence_by_powers, disk_moment_quadrature,
+                      laguerre_moment_quadrature, monic_coeffs_by_arrays, row_blocks,
                       shift_rows, simplex_moment_quadrature)
 
 
@@ -817,3 +818,78 @@ def test_quasi_definite_failure_and_the_chebyshev_algorithm_keep_their_old_homes
     assert construct.QuasiDefiniteFailure is moments.QuasiDefiniteFailure
     assert mvops.QuasiDefiniteFailure is moments.QuasiDefiniteFailure
     assert construct.recurrence_from_moments is moments.recurrence_from_moments
+
+
+@given(spec=st.one_of(
+    st.tuples(st.just("jacobi"), st.floats(-0.95, 50.0), st.floats(-0.95, 50.0)),
+    st.tuples(st.just("laguerre"), st.floats(-0.95, 60.0))), N=st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_a_kept_recurrence_is_the_closed_form_bit_for_bit(spec, N):
+    u = _closed_functional(spec)
+    rec = u.recurrence(N)
+    closed = getattr(moments, f"{spec[0]}_recurrence")(N, *spec[1:])
+    assert rec.b.tobytes() == closed.b.tobytes() and rec.c.tobytes() == closed.c.tobytes()
+    assert np.float64(rec.mass).tobytes() == np.float64(closed.mass).tobytes()
+    # the monic table and the norms are the per-degree array loops' bit for bit
+    for row, want in zip(rec.monic_coeffs(), monic_coeffs_by_arrays(rec)):
+        assert row.tobytes() == want.tobytes()
+    h = [rec.mass]
+    for n in range(1, N + 1):
+        h.append(h[-1] * rec.c[n])
+    assert rec.norms().tobytes() == np.array(h).tobytes()
+
+
+def _check_outcome(check, rec, mom):
+    """None when the check passes, else what it names: ("moment", k) or
+    ("degree", n)."""
+    try:
+        check(rec, mom)
+    except moments.QuasiDefiniteFailure as err:
+        return "degree", err.degree
+    except ValueError as err:
+        return "moment", int(str(err).split("gives moment ")[1].split()[0])
+    return None
+
+
+@pytest.mark.parametrize("a, b, N", [(300.0, 0.0, 12), (-0.9, 5.0, 20), (0.0, 5e-324, 3)])
+def test_the_moment_check_keeps_its_verdicts(a, b, N):
+    # the doubling route and one matrix-vector product per power agree: both
+    # pass the closed forms, and both name the same first moment when one
+    # b_k or c_k moves by 1e-6
+    u = moments.jacobi_functional_1d(a, b)
+    mom = np.array([u.moment((m,)) for m in range(2 * N + 2)])
+    closed = moments.jacobi_recurrence(N, a, b)
+    rec = moments.Recurrence1D(closed.b, closed.c, mass=float(mom[0]))
+    assert _check_outcome(moments.check_recurrence, rec, mom) is None
+    assert _check_outcome(check_recurrence_by_powers, rec, mom) is None
+    named = 0
+    for k in range(N + 1):
+        for which in ("b", "c")[:2 if k else 1]:
+            b_k, c_k = rec.b.copy(), rec.c.copy()
+            if which == "b":
+                b_k[k] += 1e-6
+            else:
+                c_k[k] *= 1 + 1e-6
+            moved = moments.Recurrence1D(b_k, c_k, mass=rec.mass)
+            want = _check_outcome(check_recurrence_by_powers, moved, mom)
+            assert _check_outcome(moments.check_recurrence, moved, mom) == want, (which, k)
+            named += want is not None
+    assert named > 0
+
+
+@given(spec=_CLOSED_FORMS, N=st.integers(1, 10), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_moment_check_names_what_the_per_power_route_names(spec, N, data):
+    u = _closed_functional(spec)
+    mom = np.array([u.moment((m,)) for m in range(2 * N + 2)])
+    closed = getattr(moments, f"{spec[0]}_recurrence")(N, *spec[1:])
+    b, c = closed.b.copy(), closed.c.copy()
+    k = data.draw(st.integers(0, N))
+    step = data.draw(st.sampled_from([1e-10, 1e-8, 1e-6, 1e-3]))
+    if k and data.draw(st.booleans()):
+        c[k] *= 1 + step
+    else:
+        b[k] += step * max(1.0, abs(b[k]))
+    rec = moments.Recurrence1D(b, c, mass=float(mom[0]))
+    assert (_check_outcome(moments.check_recurrence, rec, mom)
+            == _check_outcome(check_recurrence_by_powers, rec, mom))

@@ -12,7 +12,8 @@ from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
                        joint_shift_lstsq, rank_family, validate_rank_conditions)
 
-from blockref import first_failure, row_blocks, shift_rows
+from blockref import (first_failure, full_width_recon_residual, full_width_shift_defects,
+                      row_blocks, shift_rows)
 
 
 @pytest.fixture(scope="module")
@@ -763,3 +764,28 @@ def test_rank_checks_of_basis_shifts_take_no_singular_values_call(monkeypatch):
     calls = _count_calls(monkeypatch, mk, "singular_values")
     assert rank_family("A", 2, rows, 1e-9, lower=False) == want
     assert calls == []
+
+
+_EXPONENTS = st.floats(-0.9, 3.0)
+
+
+@given(d=st.integers(2, 4), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_the_top_degree_columns_of_a_monic_shift_defect_are_exactly_zero(d, data):
+    # identity rows of A P_(n+1) meet the shifted identity of P_n there, and
+    # B and C never reach them: compute_ttr leaves them out of its residual
+    a = tuple(data.draw(_EXPONENTS) for _ in range(d))
+    b = tuple(data.draw(_EXPONENTS) for _ in range(d))
+    N = {2: 5, 3: 4, 4: 3}[d]
+    u = moments.cube_jacobi_functional(a, b)
+    # the same moments without factors: block Gram-Schmidt and paired blocks
+    plain = moments.MomentFunctional(d, u.moment, label="plain")
+    basis = basis_for(d)
+    for w in (u, plain):
+        P, H = gram_schmidt_monic(w, N)
+        T = compute_ttr(P, w, H)
+        assert P.monic
+        for n, resid in enumerate(full_width_shift_defects(P, T)):
+            top = resid[:, basis.offset(n + 1):]
+            assert top.shape[1] == basis.size(n + 1) and np.all(top == 0.0)
+        assert T.recon_residual == full_width_recon_residual(P, T)
