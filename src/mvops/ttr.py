@@ -14,10 +14,9 @@ off the univariate recurrences its factors keep (MomentFunctional.
 recurrence): B_{n,i} is diagonal and C_{n,i}
 has one nonzero per row, with every other entry exactly 0.0.  Such blocks,
 like the shift matrices A of every monic system, hold at most one nonzero
-per line, so their rank checks need no SVD and no stacked joint
-(matrixkit.family_singular_values) and their products are row gathers
-(matrixkit.product), in the reconstruction residual and in forward
-generation alike.
+per line, so their rank checks need no SVD (matrixkit.singular_values)
+and their products are row gathers (matrixkit.product), in the
+reconstruction residual and in forward generation alike.
 
 Both of those work one degree at a time for all d directions: the d
 residuals or right-hand sides of a degree are one array, stacked
@@ -28,11 +27,11 @@ identity block of P_(n+1), gathered at alpha + e_i, meets the identity
 block of P_n moved to alpha + e_i, and B P_n and C P_(n-1) have no
 degree-(n+1) columns, so every degree-(n+1) entry of the defect is exactly
 0.0 (Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2014,
-ch. 3, for the structure).  The reconstruction residual therefore reads
-the columns of degrees 0..n only, and forward generation writes each new
-degree's identity block directly.  The index facts of the shifts, and the
-singular values of the shift matrices that rank checks read, are kept on
-the GradedBasis.
+ch. 3, for the structure).  The reconstruction residual and fit_ttr
+therefore read the columns of degrees 0..n only, and forward generation
+writes each new degree's identity block directly.  The index facts of the
+shifts, and the singular values of the shift matrices that rank checks
+read, are kept on the GradedBasis.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .checks import Check, all_pass
 # pair_blocks is not called here; perfbench's tracer test expects it among
 # this module's names
 from .construct import GramBlocks, PolySystem, factor_recurrences, pair_blocks  # noqa: F401
-from .indexing import GradedBasis, basis_for
+from .indexing import GradedBasis, basis_for, joint_matrix
 from .matrixkit import DEFAULT_RES_TOL
 from .moments import MomentFunctional
 
@@ -144,14 +143,24 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
     return ttr
 
 
-def _shift_defect(P: PolySystem, n: int, lifted: np.ndarray) -> np.ndarray:
-    """x_i P_n - A_(n,i) P_(n+1), i = 1..d, stacked direction-major, in
-    place in `lifted`, the stacked A_(n,i) P_(n+1)."""
+def _shift_defect(P: PolySystem, n: int, A: list) -> np.ndarray:
+    """x_i P_n - A_(n,i) P_(n+1), i = 1..d, stacked direction-major, with
+    x_i P_n a column gather of P_n (_shifted_columns).  A monic system's
+    defect covers the columns of degrees 0..n, where its A_(n,i) P_(n+1)
+    are the rows of P_(n+1) at alpha + e_i (the A blocks are not read); at
+    degree n + 1 it is exactly 0.0.  Any other system's covers degrees
+    0..n+1."""
     basis = basis_for(P.d)
+    if P.monic:
+        top, low = n, P.rows[n][:, :basis.offset(n)]
+        lifted = P.rows[n + 1][:, :basis.offset(n + 1)].take(basis.joint_shift_index(n)[0], axis=0)
+    else:
+        top, low = n + 1, P.rows[n]
+        lifted = np.vstack([a @ P.rows[n + 1] for a in A])
     size = basis.size(n)
-    np.negative(lifted, out=lifted)
-    for i in range(P.d):
-        lifted[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += P.rows[n]
+    for i, shifted in enumerate(_shifted_columns(basis, top, low)):
+        block = lifted[i * size:(i + 1) * size]
+        np.subtract(shifted, block, out=block)
     return lifted
 
 
@@ -161,12 +170,9 @@ def _recon_residuals(P: PolySystem, T: ThreeTermData) -> list:
     that order (compute_ttr).
 
     A monic system's defect is formed over the columns of degrees 0..n
-    only: at degree n + 1 the identity rows of A P_(n+1) meet the shifted
-    identity of P_n, and B and C never reach there, so those entries are
-    exactly 0.0 and cannot raise a largest magnitude.  There x_i P_n is
-    gathered column by column (_shifted_columns), and the defect starts as
-    x_i P_n - A P_(n+1), which differs from the -A P_(n+1) + x_i P_n of
-    other systems in the sign of a zero at most.
+    only (_shift_defect): at degree n + 1 the identity rows of A P_(n+1)
+    meet the shifted identity of P_n, and B and C never reach there, so
+    those entries are exactly 0.0 and cannot raise a largest magnitude.
     """
     basis = basis_for(P.d)
     row_scale = [mk.max_abs(row) for row in P.rows]
@@ -174,18 +180,10 @@ def _recon_residuals(P: PolySystem, T: ThreeTermData) -> list:
     for n in range(P.N):
         # all degrees side by side, the d directions stacked direction-major
         scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
-        width, low, size = basis.offset(n + 1), basis.offset(n), basis.size(n)
-        if P.monic:
-            # a monic system's shifts pick the rows of alpha + e_i
-            resid = P.rows[n + 1][:, :width].take(basis.joint_shift_index(n)[0], axis=0)
-            for i, shifted in enumerate(_shifted_columns(basis, n, P.rows[n][:, :low])):
-                block = resid[i * size:(i + 1) * size]
-                np.subtract(shifted, block, out=block)
-        else:
-            resid = _shift_defect(P, n, np.vstack([a @ P.rows[n + 1] for a in T.A[n]]))
-        resid[:, :width] -= mk.product(T.B[n], P.rows[n])
+        resid = _shift_defect(P, n, T.A[n])
+        resid[:, :basis.offset(n + 1)] -= mk.product(T.B[n], P.rows[n])
         if n >= 1:
-            resid[:, :low] -= mk.product(T.C[n], P.rows[n - 1])
+            resid[:, :basis.offset(n)] -= mk.product(T.C[n], P.rows[n - 1])
         # the largest magnitude per direction, as np.abs(resid) would give
         # it (NaN where one is NaN), by one max and one min pass
         per_direction = resid.reshape(P.d, -1)
@@ -197,11 +195,14 @@ def _recon_residuals(P: PolySystem, T: ThreeTermData) -> list:
 def _shifted_columns(basis: GradedBasis, n: int, low: np.ndarray):
     """x_i times the rows `low` over the monomials of degrees 0..n-1, as rows
     over the columns of degrees 0..n, for i = 1..d in turn: each one column
-    gather (basis.shift_source) of `low` with a zero column appended, the
-    zero filling the columns no alpha + e_i reaches; a gather, where adding
-    into scattered columns costs several times more."""
-    padded = np.zeros((low.shape[0], low.shape[1] + 1))
+    gather (basis.shift_source) of `low` with a -0.0 column appended, which
+    fills the columns no alpha + e_i reaches.  Adding a gathered row, or
+    subtracting from it, is then adding `low` into the scattered columns
+    alpha + e_i bit for bit, signed zeros included (x + -0.0 is x, and
+    -0.0 - x is -x), at a fraction of the cost."""
+    padded = np.empty((low.shape[0], low.shape[1] + 1))
     padded[:, :-1] = low
+    padded[:, -1] = -0.0
     for i in range(1, basis.d + 1):
         yield padded.take(basis.shift_source(n, i), axis=1)
 
@@ -362,30 +363,30 @@ def rank_family(name: str, d: int, rows: dict, tol: float, lower: bool) -> list[
     decision uses one scale, the largest singular value in the family, so a
     block that vanishes up to roundoff registers as rank deficient.
     Shift blocks, tensor C blocks and their joints hold at most one nonzero
-    per line, so mk.family_singular_values reads a degree's blocks and
-    their joint with no SVD and no stacked copy.  A degree of d upper
-    blocks that are basis.shift_matrix(n, i) themselves, the read-only
-    objects that compute_ttr and the envelope reader's "shift" marker hand
-    out, has its singular values read off the basis, and so has its joint.
+    per line, so mk.singular_values reads them with no SVD.  An upper block
+    that is basis.shift_matrix(n, i) itself, the read-only object that
+    compute_ttr and the envelope reader's "shift" marker hand out, has its
+    singular values read off the basis, and so has a joint of d of them.
     """
     basis = basis_for(d)
 
-    def values(n: int, row) -> tuple[list, np.ndarray]:
-        """Singular values of the degree's blocks and of their joint."""
-        if (not lower and len(row) == d
-                and all(b is basis.shift_matrix(n, i) for i, b in enumerate(row, start=1))):
-            return ([basis.shift_singular_values(n, i) for i in range(1, d + 1)],
-                    basis.joint_shift_singular_values(n))
-        return mk.family_singular_values(row, transposed=lower)
+    def is_shift(n: int, i: int, b) -> bool:
+        return not lower and b is basis.shift_matrix(n, i)
 
-    sv = {n: values(n, row) for n, row in rows.items()}
-    scale = max(max((s[0] for each, _ in sv.values() for s in each), default=0.0), 1e-300)
+    sv = {n: [basis.shift_singular_values(n, i) if is_shift(n, i, b) else mk.singular_values(b)
+              for i, b in enumerate(row, start=1)] for n, row in rows.items()}
+    scale = max(max((s[0] for row in sv.values() for s in row), default=0.0),
+                1e-300)
     shift = -1 if lower else 0
     checks = []
-    for n, (each, joint_sv) in sv.items():
-        for i, s in enumerate(each, start=1):
+    for n, row in rows.items():
+        for i, s in enumerate(sv[n], start=1):
             checks.append(Check.ranked(name, mk.rank_from_sv(s, tol, scale),
                                        basis.size(n + shift), n, i))
+        if len(row) == d and all(is_shift(n, i, b) for i, b in enumerate(row, start=1)):
+            joint_sv = basis.joint_shift_singular_values(n)
+        else:
+            joint_sv = mk.singular_values(joint_matrix([b.T for b in row] if lower else row))
         rank = mk.rank_from_sv(joint_sv, tol, scale)
         checks.append(Check.ranked(f"{name}-joint", rank, basis.size(n + shift + 1), n))
     return checks
@@ -404,9 +405,11 @@ def fit_ttr(P: PolySystem) -> tuple[ThreeTermData, dict]:
     For every degree with both neighbours available, fits B_{n,i} and
     C_{n,i} minimizing the coefficientwise defect of x_i P_n - L_{n,i}
     P_{n+1} - B P_n - C P_{n-1}: one least-squares solve per degree for
-    the d targets, stacked as the reconstruction residual stacks them.
-    Residuals (per degree and direction) are zero exactly when the system
-    satisfies a three-term relation.
+    the d targets, stacked as the reconstruction residual stacks them, over
+    the columns of degrees 0..n: at degree n + 1 the defect of a monic
+    system is exactly 0.0 whatever the blocks.  Residuals (per degree and
+    direction) are zero exactly when the system satisfies a three-term
+    relation.
     """
     if not P.monic:
         raise ValueError("fit_ttr expects a monic system")
@@ -417,19 +420,16 @@ def fit_ttr(P: PolySystem) -> tuple[ThreeTermData, dict]:
     C: list = [None]
     residuals: dict[tuple[int, int], float] = {}
     for n in range(N):
-        size, width = basis.size(n), basis.offset(n + 1)
+        size = basis.size(n)
         # P_n over P_(n-1), whose missing top-degree block is zero
         below = [np.pad(P.rows[n - 1], ((0, 0), (0, size)))] if n else []
         X = np.vstack([P.rows[n], *below])
-        target = _shift_defect(P, n, P.rows[n + 1][basis.joint_shift_index(n)[0]])
-        D = target[:, :width]
+        D = _shift_defect(P, n, A[n])
         coeffs = mk.lstsq(X.T, D.T).T
-        # per direction: the fit's defect, and what no fit reaches (degree n+1)
         defect = np.abs(coeffs @ X - D).reshape(d, -1).max(axis=1)
-        top = np.abs(target[:, width:]).reshape(d, -1).max(axis=1)
         scale = max(mk.max_abs(P.rows[n]), 1.0)
         for i in range(d):
-            residuals[(n, i + 1)] = max(float(defect[i]), float(top[i])) / scale
+            residuals[(n, i + 1)] = float(defect[i]) / scale
         parts = [coeffs[i * size:(i + 1) * size] for i in range(d)]
         B.append([c[:, :size] for c in parts])
         if n >= 1:

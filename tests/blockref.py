@@ -187,3 +187,30 @@ def full_width_recon_residual(P, T) -> float:
         scale = max(max(scales[max(0, n - 1):n + 2]), 1.0)
         worst.extend(np.abs(resid).reshape(P.d, -1).max(axis=1) / scale)
     return mk.worst(worst)
+
+
+def full_width_fit_ttr(P):
+    """fit_ttr's blocks and residuals with its targets formed over all the
+    columns of degrees 0..n+1, the degree-(n+1) columns scattered in and
+    counted in the residual: the fit whose degree-0..n targets it keeps."""
+    d, basis = P.d, basis_for(P.d)
+    B, C, residuals = [], [None], {}
+    for n in range(P.N):
+        size, width = basis.size(n), basis.offset(n + 1)
+        below = [np.pad(P.rows[n - 1], ((0, 0), (0, size)))] if n else []
+        X = np.vstack([P.rows[n], *below])
+        target = -P.rows[n + 1][basis.joint_shift_index(n)[0]]
+        for i in range(d):
+            target[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += P.rows[n]
+        D = target[:, :width]
+        coeffs = mk.lstsq(X.T, D.T).T
+        defect = np.abs(coeffs @ X - D).reshape(d, -1).max(axis=1)
+        top = np.abs(target[:, width:]).reshape(d, -1).max(axis=1)
+        scale = max(mk.max_abs(P.rows[n]), 1.0)
+        for i in range(d):
+            residuals[(n, i + 1)] = max(float(defect[i]), float(top[i])) / scale
+        parts = [coeffs[i * size:(i + 1) * size] for i in range(d)]
+        B.append([c[:, :size] for c in parts])
+        if n >= 1:
+            C.append([c[:, size:] for c in parts])
+    return B, C, residuals

@@ -20,6 +20,23 @@ def test_worst_propagates_nan_and_is_zero_when_empty():
     assert np.isnan(mk.worst([0.0, float("nan"), 1.0]))
 
 
+@given(m=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=40)
+       .map(np.array))
+@example(m=np.array([-0.0, -0.0]))
+@example(m=np.array([-3.0, 2.0]))
+@example(m=np.array([float("nan"), -np.inf]))
+@settings(max_examples=300, deadline=None)
+def test_max_abs_is_the_largest_magnitude_bit_for_bit(m):
+    # the entries as they are, and repeated up to the size from which
+    # max_abs reads max and min instead of the magnitudes
+    large = np.resize(m, mk._REDUCE_MIN_ENTRIES).reshape(-1, 4) if m.size else m
+    for a in (m, large):
+        got = mk.max_abs(a)
+        want = float(np.abs(a).max()) if a.size else 0.0
+        assert type(got) is float
+        assert mk.same_bits(np.float64(got), np.float64(want))
+
+
 def test_numeric_rank_basics():
     assert mk.numeric_rank(np.eye(3), 1e-10) == 3
     assert mk.numeric_rank(np.zeros((2, 4))) == 0
@@ -523,41 +540,3 @@ def test_envelope_blocks_are_repr_per_entry_and_read_per_token(shape):
     # the blocks lie on both sides of the vectorized codec's size at d >= 3
     assert min(sizes) < mk._VECTOR_MIN_ENTRIES
     assert d == 2 or max(sizes) >= mk._VECTOR_MIN_ENTRIES
-
-
-@st.composite
-def _block_family_of_one_shape(draw):
-    """Blocks of one shape, each holding at most one nonzero per row and per
-    column (a scattered diagonal) or, now and then, a dense block."""
-    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    blocks = []
-    for _ in range(draw(st.integers(1, 4))):
-        if draw(st.integers(0, 5)) == 0:
-            blocks.append(rng.standard_normal((rows, cols)))
-            continue
-        b = np.zeros((rows, cols))
-        k = draw(st.integers(0, min(rows, cols)))
-        b[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = (
-            rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-8, 8, k))
-        blocks.append(b)
-    return blocks
-
-
-@given(blocks=_block_family_of_one_shape(), transposed=st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_family_singular_values_are_those_of_each_block_and_of_the_stack(blocks, transposed):
-    each, joint = mk.family_singular_values(blocks, transposed)
-    for b, sv in zip(blocks, each):
-        assert sv.tobytes() == mk.singular_values(b).tobytes()
-    stack = np.vstack([b.T for b in blocks] if transposed else blocks)
-    want = np.linalg.svd(stack, compute_uv=False)
-    assert joint.shape == want.shape
-    assert np.all(np.abs(joint - want) <= 1e-14 * want[0])
-
-
-def test_family_singular_values_need_blocks_of_one_shape():
-    with pytest.raises(mk.ShapeMismatchError):
-        mk.family_singular_values([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError, match="finite"):
-        mk.family_singular_values([np.eye(2), np.diag([1.0, np.nan])])

@@ -12,8 +12,8 @@ from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
                        joint_shift_lstsq, rank_family, validate_rank_conditions)
 
-from blockref import (first_failure, full_width_recon_residual, full_width_shift_defects,
-                      row_blocks, shift_rows)
+from blockref import (first_failure, full_width_fit_ttr, full_width_recon_residual,
+                      full_width_shift_defects, row_blocks, shift_rows)
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +258,32 @@ def test_stacked_fit_matches_the_per_direction_fit(kind):
     assert sorted(residuals) == sorted(want)
     for key, value in want.items():
         assert abs(residuals[key] - value) <= 1e-12 * max(value, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["disk", "tensor", "simplex", "broken", "counterexample"])
+def test_fit_over_degrees_0_to_n_keeps_the_full_width_fit_bit_for_bit(kind):
+    # a monic system's defect is exactly 0.0 at degree n + 1, so leaving
+    # those columns out changes no residual and no fitted block
+    if kind == "counterexample":
+        P = generate_from_ttr(counterexample(5)[0])[0]
+    else:
+        u = {"disk": lambda: moments.disk_functional(0.5),
+             "broken": lambda: moments.disk_functional(0.5),
+             "tensor": lambda: moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)),
+             "simplex": lambda: moments.simplex_functional((0.5, 1.0, 0.0))}[kind]()
+        P, _ = gram_schmidt_monic(u, 5)
+    if kind == "broken":
+        rows = [row.copy() for row in P.rows]
+        rows[3][:, :4] += np.random.default_rng(3).standard_normal((4, 4))
+        P = PolySystem(P.d, rows)
+    fitted, residuals = fit_ttr(P)
+    B, C, want = full_width_fit_ttr(P)
+    assert residuals == want
+    for n in range(P.N):
+        for i in range(1, P.d + 1):
+            assert mk.same_bits(fitted.b(n, i), B[n][i - 1])
+            if n >= 1:
+                assert mk.same_bits(fitted.c(n, i), C[n][i - 1])
     for got_rows, want_rows in ((fitted.B, B), (fitted.C[1:], C[1:])):
         for got_row, want_row in zip(got_rows, want_rows, strict=True):
             for g, w in zip(got_row, want_row, strict=True):
