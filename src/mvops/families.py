@@ -510,49 +510,44 @@ def symmetrized_chebyshev_ttr(kind: int, N: int) -> tuple:
     All pairings are evaluated on an exact trigonometric product grid in
     value space, which keeps every quantity at unit scale and avoids the
     cancellation the monomial-coefficient route suffers at high degree.
+    The grid is a product rule and every integrand a sum of separable
+    products, so each pairing is read off one-dimensional sums: with
+    phi_a = p_a sqrt(w) on the nodes, G = Phi Phi^t and X = Phi diag(x) Phi^t,
+        sum_(g,h) K(x_g, x_h) (phi_a (x) phi_b)(phi_c (x) phi_d) = L_ac R_bd
+    where (L, R) is (G, G) for K = 1, (X, G) + (G, X) for K = x + y and
+    (X, X) for K = x y.  It is the grid's discrete inner product summed in
+    another order, so only rounding differs from summing over all nodes, and
+    each sum runs over pts nodes rather than pts^2.  Nothing is symmetrized
+    by hand, so orthonormal-c-transpose still measures the rounding.
     Returns (blocks, orthonormality residual).
     """
     pts = 4 * N + 16
     x, w = _chebyshev_angle_grid(kind, pts)
     rec = moments.chebyshev_recurrence(N + 1, kind)
-    p = _orthonormal_values(rec, x, N + 1)
-    U = np.add.outer(x, x)[:, None, :]
-    V = np.outer(x, x)[:, None, :]
-    root_w = np.sqrt(w)
+    phi = np.array(_orthonormal_values(rec, x, N + 1)) * np.sqrt(w)
+    G, X = phi @ phi.T, (phi * x) @ phi.T
 
-    # rows[n]: the degree-n rows times sqrt(weight) as (grid row, basis row,
-    # grid column); a block sums one matrix product per grid row, which keeps
-    # each accumulation short (one product over all pts^2 nodes loses a digit)
-    rows: list = []
-    for n in range(N + 1):
-        block = np.empty((pts, n + 1, pts))
-        for k in range(n + 1):
-            f = np.outer(p[n] * root_w, p[k] * root_w)
-            block[:, k, :] = (f + f.T) / math.sqrt(2.0) if k < n else f
-        rows.append(block)
+    # row (n, k), k <= n, is s (phi_n (x) phi_k + phi_k (x) phi_n) with
+    # s = 1/sqrt(2) for k < n and 1/2 for k = n; rows are ordered by degree
+    deg, k = np.tril_indices(N + 1)
+    s = np.where(k < deg, math.sqrt(0.5), 0.5)
+    scale = np.outer(s, s)
+    g, xg = ([m[np.ix_(left, right)] for left, right in ((deg, deg), (k, k), (deg, k), (k, deg))]
+             for m in (G, X))
 
-    def pair(fa, fb):
-        return (fa @ fb.transpose(0, 2, 1)).sum(axis=0)
+    def pair(L, R):
+        # the four products of rows (a, b) and (c, d): L_ac R_bd + L_bd R_ac
+        # + L_ad R_bc + L_bc R_ad, summed so that where a = b and c = d the
+        # four equal products make exactly 4 times one before the 1/4 scale
+        return scale * ((L[0] * R[1] + L[1] * R[0]) + (L[2] * R[3] + L[3] * R[2]))
 
-    ortho = mk.worst(
-        mk.max_abs(pair(rows[n], rows[m_]) - (np.eye(n + 1) if m_ == n else 0.0))
-        for n in range(N + 1) for m_ in range(n + 1))
-
-    A, B, C = [], [], [None]
-    for n in range(N + 1):
-        a_row, b_row, c_row = [], [], []
-        for coord in (U, V):
-            shifted = rows[n] * coord
-            b_row.append(pair(shifted, rows[n]))
-            if n >= 1:
-                c_row.append(pair(shifted, rows[n - 1]))
-            if n < N:
-                a_row.append(pair(shifted, rows[n + 1]))
-        if n < N:
-            A.append(a_row)
-        B.append(b_row)
-        if n >= 1:
-            C.append(c_row)
+    gram = pair(g, g)
+    ortho = mk.max_abs((gram - np.eye(deg.size))[deg[:, None] >= deg[None, :]])
+    coords = (pair(xg, g) + pair(g, xg), pair(xg, xg))   # x + y, x y
+    at = [slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2) for n in range(N + 1)]
+    A = [[c[at[n], at[n + 1]] for c in coords] for n in range(N)]
+    B = [[c[at[n], at[n]] for c in coords] for n in range(N + 1)]
+    C = [None] + [[c[at[n], at[n - 1]] for c in coords] for n in range(1, N + 1)]
     return ThreeTermData(2, A, B, C), ortho
 
 
@@ -569,6 +564,9 @@ def chebyshev_koornwinder_family(kind: int, rho: float, N: int,
     kind 1 whenever rho != 0; the bundle carries that expectation.
     """
     _check_range("kind", kind, 1, 4)
+    if N < 2:
+        raise ParameterError(f"cheb-koornwinder needs N >= 2, got {N}: through degree 1 "
+                             "no check tells a non-orthogonal modification from an orthogonal one")
     if not math.isfinite(rho):
         raise ParameterError(f"rho must be finite, got {rho}")
     expected = (

@@ -229,13 +229,14 @@ def compat_checks(rel: LinearRelation, ref: ThreeTermData, comb: ThreeTermData,
                   tol: float) -> list[Check]:
     """Residuals of M_n C_{n-1,i} = C~_{n,i} M_{n-1}."""
     checks = []
-    for n in range(2, min(ref.N, comb.N) + 1):
-        for i in range(1, ref.d + 1):
-            lhs = rel.m(n) @ ref.c(n - 1, i)
-            rhs = comb.c(n, i) @ rel.m(n - 1)
-            scale = max(mk.max_abs(lhs), mk.max_abs(rhs), 1.0)
-            checks.append(Check.residual("compatibility", mk.max_abs(lhs - rhs) / scale,
-                                         tol, n, i))
+    with np.errstate(over="ignore", invalid="ignore"):   # a non-finite residual fails
+        for n in range(2, min(ref.N, comb.N) + 1):
+            for i in range(1, ref.d + 1):
+                lhs = rel.m(n) @ ref.c(n - 1, i)
+                rhs = comb.c(n, i) @ rel.m(n - 1)
+                scale = max(mk.max_abs(lhs), mk.max_abs(rhs), 1.0)
+                checks.append(Check.residual("compatibility", mk.max_abs(lhs - rhs) / scale,
+                                             tol, n, i))
     return checks
 
 
@@ -265,26 +266,30 @@ def _partner(T: ThreeTermData, rel: LinearRelation, sign: float) -> ThreeTermDat
     d = T.d
     n_top = min(rel.N - 1, T.N)
     A = [[_a_block(T, n, i) for i in range(1, d + 1)] for n in range(n_top)]
-    B: list = []
-    for n in range(n_top + 1):
-        row = []
-        for i in range(1, d + 1):
-            bt = T.b(n, i).copy()
-            if n >= 1:
-                bt += sign * (rel.m(n) @ _a_block(T, n - 1, i))
-            bt -= sign * (_a_block(T, n, i) @ rel.m(n + 1))
-            row.append(bt)
-        B.append(row)
-    ref_B, comb_B = (T.B, B) if sign > 0 else (B, T.B)
-    C: list = [None]
-    for n in range(1, n_top + 1):
-        row = []
-        for i in range(1, d + 1):
-            ct = T.c(n, i).copy()
-            ct += sign * (rel.m(n) @ ref_B[n - 1][i - 1])
-            ct -= sign * (comb_B[n][i - 1] @ rel.m(n))
-            row.append(ct)
-        C.append(row)
+    # large relation blocks overflow here; the non-finite blocks fail the
+    # checks that read them (a NaN residual, a refused rank), so numpy's
+    # warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        B: list = []
+        for n in range(n_top + 1):
+            row = []
+            for i in range(1, d + 1):
+                bt = T.b(n, i).copy()
+                if n >= 1:
+                    bt += sign * (rel.m(n) @ _a_block(T, n - 1, i))
+                bt -= sign * (_a_block(T, n, i) @ rel.m(n + 1))
+                row.append(bt)
+            B.append(row)
+        ref_B, comb_B = (T.B, B) if sign > 0 else (B, T.B)
+        C: list = [None]
+        for n in range(1, n_top + 1):
+            row = []
+            for i in range(1, d + 1):
+                ct = T.c(n, i).copy()
+                ct += sign * (rel.m(n) @ ref_B[n - 1][i - 1])
+                ct -= sign * (comb_B[n][i - 1] @ rel.m(n))
+                row.append(ct)
+            C.append(row)
     return ThreeTermData(d, A, B, C)
 
 

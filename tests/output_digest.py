@@ -18,6 +18,10 @@ running this script before and after it.  The digests cover:
   of one round with its exit code, standard output (the report's
   "seconds" field dropped), standard error and --out file.
 
+After those three lines it prints one digest per catalog configuration,
+over that configuration's operations of the same rounds, so a change that
+moves the catalog digest shows which configurations it moved.
+
 The file name does not start with `test_`, so pytest does not collect it.
 """
 
@@ -86,12 +90,15 @@ def call(op):
         return exc
 
 
-def catalog_digest() -> str:
-    h = hashlib.sha256()
+def catalog_digests() -> tuple[str, dict]:
+    """The catalog's digest, and one digest per configuration."""
+    h, by_config = hashlib.sha256(), {}
     for seed in CATALOG_SEEDS:
         for op in workloads.Catalog(seed, "").next_round():
-            feed(h, (op.config, op.N, op.label, call(op)))
-    return h.hexdigest()
+            record = (op.config, op.N, op.label, call(op))
+            feed(h, record)
+            feed(by_config.setdefault(op.config, hashlib.sha256()), record)
+    return h.hexdigest(), {config: d.hexdigest() for config, d in by_config.items()}
 
 
 def highdim_digest() -> str:
@@ -133,13 +140,16 @@ def cli_files_digest(workdir: str) -> str:
 
 
 def main() -> int:
-    print(f"catalog    {catalog_digest()}")
+    catalog, by_config = catalog_digests()
+    print(f"catalog    {catalog}")
     print(f"highdim    {highdim_digest()}")
     workdir = tempfile.mkdtemp(prefix="mvops-digest-")
     try:
         print(f"cli-files  {cli_files_digest(workdir)}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
+    for config, digest in sorted(by_config.items()):
+        print(f"catalog {config}  {digest}")
     return 0
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -707,12 +708,48 @@ def test_every_family_passes_at_its_defaults(name, capsys):
     ("laguerre --kappa 200,1", 1),
     # the simplex's first-axis Jacobi mass overflows: a parameter error
     ("simplex --kappa 1e6,0.5,0.5", 2),
+    # the relation's products overflow: refused as non-finite, with no
+    # numpy warning on the way
+    ("cheb-koornwinder --rho 1e160", 1),
+    ("cheb-koornwinder --rho 1e300", 1),
 ])
 def test_extreme_family_parameters_keep_their_exit_codes(args, want, capsys):
-    code, out, err = run_cli(["family", *args.split(), "--N", "3"], capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["family", *args.split(), "--N", "3"], capsys)
+    assert [str(w.message) for w in caught] == []
     assert code == want, (out, err)
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == (1 if want else 0), err
+
+
+@pytest.mark.parametrize("command", ["check-3", "check-4"])
+def test_check_on_huge_relation_blocks_fails_without_numpy_warnings(envelopes, command,
+                                                                    tmp_path, capsys):
+    # finite entries near 1e200 overflow in the partner's block products
+    rel = serialize.relation_from_json(envelopes["texts"]["rel"])
+    huge = linrel.LinearRelation(rel.d, [None] + [1e200 * rel.m(n) for n in range(1, rel.N + 1)])
+    path = tmp_path / "huge.json"
+    path.write_text(serialize.relation_to_json(huge))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(_argv(envelopes, command, {"rel": str(path)}), capsys)
+    assert [str(w.message) for w in caught] == []
+    assert code == 1, (out, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rho", ["-2", "-1", "-0.5", "0.5", "1", "2"])
+@pytest.mark.parametrize("kind", ["1", "2", "3", "4"])
+def test_cheb_koornwinder_needs_degree_two_to_decide(kind, rho, capsys):
+    # through N = 1 every pair reads orthogonal, predicted failures included
+    argv = ["family", "cheb-koornwinder", "--kind", kind, f"--rho={rho}"]
+    code, out, err = run_cli([*argv, "--N", "1"], capsys)
+    assert code == 2, (out, err)
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+    assert "N >= 2" in err
+    code, out, err = run_cli([*argv, "--N", "2"], capsys)
+    assert code == 0, (out, err)
 
 
 def test_the_library_runs_without_scipy():

@@ -12,6 +12,7 @@ from scipy import special as sp
 from mvops import families, matrixkit as mk, moments, mpoly
 from mvops.construct import gram_blocks, system_from_rows, tensor_system
 from mvops.indexing import basis_for, enumerate_indices
+from mvops.ttr import ThreeTermData
 
 from blockref import simplex_orthonormal_system
 
@@ -553,7 +554,13 @@ def test_symmetrized_system_coefficients_match_grid_route():
 
 
 def _per_entry_ttr(kind, N):
-    """The recurrence blocks by one weighted grid sum per block entry."""
+    """The recurrence blocks by one weighted grid sum per block entry.
+
+    The one reference for families.symmetrized_chebyshev_ttr: it sums the
+    same discrete inner product over all pts^2 nodes of the product grid,
+    entry by entry, so it shares none of the factorization through
+    one-dimensional sums that the library uses.
+    """
     pts = 4 * N + 16
     x, w = families._chebyshev_angle_grid(kind, pts)
     p = families._orthonormal_values(moments.chebyshev_recurrence(N + 1, kind), x, N + 1)
@@ -582,16 +589,45 @@ def _per_entry_ttr(kind, N):
 
 @pytest.mark.parametrize("kind", [1, 2, 3, 4])
 def test_symmetrized_ttr_matches_per_entry_pairing(kind):
-    N = 5
-    T, ortho = families.symmetrized_chebyshev_ttr(kind, N)
-    A, B, C, ortho_ref = _per_entry_ttr(kind, N)
-    assert abs(ortho - ortho_ref) <= 1e-14
-    for (n, i), want in A.items():
-        assert mk.max_abs(T.a(n, i) - want) <= 1e-14
-    for (n, i), want in B.items():
-        assert mk.max_abs(T.b(n, i) - want) <= 1e-14
-    for (n, i), want in C.items():
-        assert mk.max_abs(T.c(n, i) - want) <= 1e-14
+    for N in (1, 2, 5, 9, 13, 17):
+        T, ortho = families.symmetrized_chebyshev_ttr(kind, N)
+        A, B, C, ortho_ref = _per_entry_ttr(kind, N)
+        assert abs(ortho - ortho_ref) <= 1e-14
+        assert (len(T.A), len(T.B), len(T.C)) == (N, N + 1, N + 1)
+        for (n, i), want in A.items():
+            assert mk.max_abs(T.a(n, i) - want) <= 1e-14
+        for (n, i), want in B.items():
+            assert mk.max_abs(T.b(n, i) - want) <= 1e-14
+        for (n, i), want in C.items():
+            assert mk.max_abs(T.c(n, i) - want) <= 1e-14
+
+
+@functools.cache
+def _per_entry_system(kind, N):
+    """_per_entry_ttr as symmetrized_chebyshev_ttr returns it."""
+    A, B, C, ortho = _per_entry_ttr(kind, N)
+
+    def rows(blocks, degrees):
+        return [[blocks[n, i] for i in (1, 2)] for n in degrees]
+
+    return ThreeTermData(2, rows(A, range(N)), rows(B, range(N + 1)),
+                         [None] + rows(C, range(1, N + 1))), ortho
+
+
+@pytest.mark.parametrize("kind", [1, 2, 3, 4])
+def test_chebyshev_family_checks_match_the_per_entry_pairing(kind, monkeypatch):
+    def outcomes():
+        out = {}
+        for rho in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            for N in range(2, 13, 2):
+                bundle = families.chebyshev_koornwinder_family(kind, rho, N)
+                out[rho, N] = (bundle.orthogonal_verdict,
+                               [(r.name, r.degree, r.direction, r.ok) for r in bundle.records])
+        return out
+
+    got = outcomes()
+    monkeypatch.setattr(families, "symmetrized_chebyshev_ttr", _per_entry_system)
+    assert got == outcomes()
 
 
 def test_build_family_unknown_name():
