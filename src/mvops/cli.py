@@ -39,9 +39,11 @@ INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
 _FAMILY_OPTIONS = ("mu", "kind", "rho", "alpha", "beta", "a1", "kappa2", "ay",
                   "kappa", "a", "b", "j", "raise_b")
 
-# `family` options holding a comma-separated vector, and what starts a
-# value that argparse would take for an option: '-' then a digit or '.'
-_VECTOR_OPTIONS = ("--kappa", "--a", "--b")
+# `family` options holding a number or a comma-separated vector, and what
+# starts a value that argparse would take for an option: '-' then a digit
+# or '.'
+_NUMBER_OPTIONS = ("--mu", "--rho", "--alpha", "--beta", "--a1", "--kappa2", "--ay",
+                   "--kappa", "--a", "--b")
 _NEGATIVE_START = re.compile(r"-\.?\d")
 
 
@@ -104,16 +106,17 @@ def _floats(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _attach_vector_values(argv: list) -> list:
-    """Spell `--kappa -0.5,1` as `--kappa=-0.5,1`.
+def _attach_negative_values(argv: list) -> list:
+    """Spell `--kappa -0.5,1` as `--kappa=-0.5,1` and `--rho -1e2` as `--rho=-1e2`.
 
-    argparse reads a token that starts with '-' and is not one number as an
-    option, so a vector whose first entry is negative would be refused as a
-    missing value; attached, it reaches the option's converter.
+    argparse reads a token that starts with '-' as an option unless it looks
+    like a plain number such as -100 or -0.5, so a vector whose first entry
+    is negative, or a negative number in exponent notation, would be refused
+    as a missing value; attached, it reaches the option's converter.
     """
     out = []
     for token in argv:
-        if out and out[-1] in _VECTOR_OPTIONS and _NEGATIVE_START.match(token):
+        if out and out[-1] in _NUMBER_OPTIONS and _NEGATIVE_START.match(token):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _attach_vector_values(sys.argv[1:] if argv is None else argv)
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

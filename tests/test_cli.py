@@ -770,13 +770,22 @@ def test_the_library_runs_without_scipy():
     assert report["codes"] == {name: 0 for name in families.FAMILY_NAMES}
 
 
-@pytest.mark.parametrize("spaced, attached", [
-    (["family", "laguerre", "--kappa", "-0.5,1"], ["family", "laguerre", "--kappa=-0.5,1"]),
+# argparse takes a token that starts with '-' for an option name unless it
+# reads as a plain number: -0.5 is a value, -0.5,1 and -1e-1 are not
+@pytest.mark.parametrize("spaced, attached, expected", [
+    (["family", "laguerre", "--kappa", "-0.5,1"], ["family", "laguerre", "--kappa=-0.5,1"], -0.5),
     (["family", "cube", "--a", "-0.5,0", "--b", "-0.25,0"],
-     ["family", "cube", "--a=-0.5,0", "--b=-0.25,0"]),
+     ["family", "cube", "--a=-0.5,0", "--b=-0.25,0"], -0.5),
+    *[(["family", name, "--" + option, value], ["family", name, f"--{option}={value}"],
+       float(value))
+      for name, option, value in [
+          ("disk", "mu", "-1e-1"), ("cheb-koornwinder", "rho", "-5e-1"),
+          ("krall-laguerre", "alpha", "-5e-1"), ("krall-laguerre", "a1", "-1e0"),
+          ("krall-laguerre", "kappa2", "-5e-1"), ("krall-jacobi", "beta", "-5e-1"),
+          ("krall-jacobi", "ay", "-5e-1")]],
 ])
 def test_negative_vector_value_after_a_space_reads_like_the_attached_spelling(
-        spaced, attached, capsys):
+        spaced, attached, expected, capsys):
     reports = []
     for argv in (spaced, attached):
         code, out, err = run_cli(["--json", *argv, "--N", "4"], capsys)
@@ -785,7 +794,8 @@ def test_negative_vector_value_after_a_space_reads_like_the_attached_spelling(
         payload.pop("seconds")
         reports.append(payload)
     assert reports[0] == reports[1]
-    assert reports[0]["extras"]["params"][spaced[2][2:]][0] == -0.5
+    value = reports[0]["extras"]["params"][spaced[2][2:]]
+    assert (value[0] if isinstance(value, list) else value) == expected
 
 
 def test_generate_above_the_reachable_degree_exits_2(envelopes, capsys):

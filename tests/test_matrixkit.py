@@ -467,6 +467,82 @@ def test_parse_matrix_accepts_exactly_what_float_accepts(tok, pos, sep, sep_at, 
         _parses_as_per_token(_big_text(tok, at, sep, sep_at, replaced, tail))
 
 
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+# a small pool, so that a block repeats its values as tensor blocks do, with
+# entries that compare equal but differ in bits (-0.0, NaN payloads)
+POOL = [1.0, -1.0, 0.5, 1 / 3, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-3, 1.7976931348623157e308,
+        np.inf, -np.inf, _nan(0x7FF8000000000000), _nan(0x7FF8000000000001),
+        _nan(0xFFF8000000000000), _nan(0x7FF0000000000002)]
+
+
+def _spellings(token: str) -> list[str]:
+    """Tokens that differ from `token` as strings but name the same float."""
+    out = [token, token.upper()]
+    if token[0] != "-":
+        out.append("+" + token)
+    if "." in token and "e" not in token:
+        out.append(token + "0")
+    if token.endswith(".0"):
+        out.append(token[:-2] + "e0")
+    return out
+
+
+@st.composite
+def _pooled_blocks(draw):
+    """A block of 500 entries or more, at most half of them drawn from a few
+    values of POOL, the rest 0.0, and a seed for the test's own draws."""
+    rows = draw(st.integers(1, 60))
+    cols = draw(st.integers(-(-mk._VECTOR_MIN_ENTRIES // rows), 2 * mk._VECTOR_MIN_ENTRIES // rows))
+    pool = np.array(draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=5)))
+    share = draw(st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.5]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    m = np.zeros(rows * cols)
+    where = rng.choice(m.size, int(share * m.size), replace=False)
+    m[where] = pool[rng.integers(pool.size, size=where.size)]
+    return m.reshape(rows, cols), seed
+
+
+@given(drawn=_pooled_blocks())
+@example(drawn=(np.tile([[1.0, -0.0, 0.0, 0.0]], (25, 5)), 0))
+@settings(max_examples=120, deadline=None)
+def test_codec_converts_each_distinct_value_as_repr_and_float_would(drawn):
+    m, seed = drawn
+    rng = np.random.default_rng(seed)
+    rows, cols = m.shape
+    tokens = [[repr(x) for x in row] for row in m.tolist()]
+    payload = "\n".join(" ".join(row) for row in tokens)
+    text = f"{rows} {cols}\n{payload}"
+    finite = bool(np.isfinite(m).all())
+    # the writer: repr of every entry, from the distinct bit patterns;
+    # the text round-trips bit for bit
+    _assert_same_text(mk._format_spliced(m), payload)
+    if finite:
+        _assert_same_text(mk.format_matrix(m), text)
+        assert mk.parse_matrix(text).tobytes() == m.tobytes()
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            mk.format_matrix(m)
+    # the reader: each token as float() reads it
+    assert mk.parse_matrix(text).tobytes() == _parse_per_token(text).tobytes()
+    # one float under several spellings in one block
+    spelled = [[tok if tok == "0.0" else rng.choice(_spellings(tok)) for tok in row]
+               for row in tokens]
+    text = f"{rows} {cols}\n" + "\n".join(" ".join(row) for row in spelled)
+    assert mk.parse_matrix(text).tobytes() == _parse_per_token(text).tobytes()
+    # bad tokens: the first is named
+    flat = [tok for row in spelled for tok in row]
+    first, second = sorted(rng.choice(len(flat), 2, replace=False))
+    flat[first], flat[second] = "1..0", "0x10"
+    bad = f"{rows} {cols}\n" + "\n".join(" ".join(flat[r * cols:(r + 1) * cols])
+                                            for r in range(rows))
+    with pytest.raises(ValueError, match=r"'1\.\.0'"):
+        mk.parse_matrix(bad)
+
+
 @pytest.mark.parametrize("zeros, vectorized", [(0.0, False), (0.3, False), (0.6, True),
                                               (0.95, True)])
 def test_large_blocks_take_the_per_byte_route_when_mostly_zero(zeros, vectorized):
