@@ -22,7 +22,6 @@ from .moments import (LinearPoly, MomentFunctional, QuasiDefiniteFailure, Recurr
                       laguerre_functional_1d, left_multiply,
                       multiple_laguerre_functional, parse_functional,
                       product_chebyshev_functional, simplex_functional, tensor)
-from .ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
-                  validate_rank_conditions)
+from .ttr import ThreeTermData, compute_ttr, generate_from_ttr, validate_rank_conditions
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ functional is one product: pair_systems stacks each system's blocks by
 column degree and returns the graded matrix <u, P Q^t>, whose block
 (n, m) is <u, P_n Q_m^t>.  Gram blocks and their orthogonality residual
 are slices of it (gram_blocks).  orthogonality_residual pairs each P_n
-with the monomials instead, one product per degree.
+with the monomials instead, one product per degree against the leading
+square of one graded moment block.
 
 Systems are built degree by degree through block Gram-Schmidt against the
 functional's graded moment matrix, one pairing of the degree-n monomials
@@ -223,23 +224,19 @@ def _stacked(rows, top: int, basis: GradedBasis) -> dict:
     return {k: A[:, basis.degree_slice(k, k)] for k in range(top + 1)}
 
 
-def pair_systems(u: MomentFunctional, P: PolySystem, Q: PolySystem,
-                 top_p: int | None = None, top_q: int | None = None) -> np.ndarray:
-    """Graded matrix <u, P Q^t> over degrees 0..top_p of P and 0..top_q of Q.
+def pair_systems(u: MomentFunctional, P: PolySystem, Q: PolySystem) -> np.ndarray:
+    """Graded matrix <u, P Q^t> over degrees 0..P.N of P and 0..Q.N of Q.
 
     Block (n, m), rows basis.degree_slice(n, n) and columns
     basis.degree_slice(m, m), equals inner_block(u, P, n, Q, m).  One
-    pair_blocks call on both systems stacked by column degree (_stacked);
-    each top defaults to the system's degree.
+    pair_blocks call on both systems stacked by column degree (_stacked).
     """
     if P.d != Q.d or P.d != u.d:
         raise ValueError("systems and functional must share the dimension")
-    top_p = P.N if top_p is None else top_p
-    top_q = Q.N if top_q is None else top_q
-    rows_p = _stacked(P.rows, top_p, u.basis)
-    if Q is P and top_q == top_p:
+    rows_p = _stacked(P.rows, P.N, u.basis)
+    if Q is P:
         return pair_blocks(u, rows_p, rows_p)
-    return pair_blocks(u, rows_p, _stacked(Q.rows, top_q, u.basis))
+    return pair_blocks(u, rows_p, _stacked(Q.rows, Q.N, u.basis))
 
 
 def gram_schmidt_monic(u: MomentFunctional, N: int) -> tuple[PolySystem, GramBlocks]:
@@ -352,17 +349,19 @@ def gram_blocks(u: MomentFunctional, P: PolySystem) -> GramBlocks:
 def orthogonality_residual(u: MomentFunctional, P: PolySystem) -> float:
     """How far P is from orthogonal for u: the largest |<u, P_n x^alpha>|
     over |alpha| < n, relative to the largest |<u, P_n X_n^t>| (H_n for a
-    monic P), worst over the degrees n >= 1.  One product
-    P.rows[n] @ u.graded_block(0, n, 0, n) per degree; NaN when some
-    degree's pairings with X_n all vanish."""
+    monic P), worst over the degrees n >= 1.  One graded_block over degrees
+    0..P.N, and per degree one product of P.rows[n] with its leading square;
+    NaN when some degree's pairings with X_n all vanish."""
     if P.d != u.d:
         raise ValueError("system and functional must share the dimension")
     basis = u.basis
+    M = u.graded_block(0, P.N, 0, P.N)
     ratios = []
     for n in range(1, P.N + 1):
-        s = P.rows[n] @ u.graded_block(0, n, 0, n)
-        low, top = mk.max_abs(s[:, :basis.offset(n)]), mk.max_abs(s[:, basis.offset(n):])
-        ratios.append(low / top if top > 0.0 else math.nan)
+        low, width = basis.offset(n), basis.offset(n + 1)
+        s = P.rows[n] @ M[:width, :width]
+        top = mk.max_abs(s[:, low:])
+        ratios.append(mk.max_abs(s[:, :low]) / top if top > 0.0 else math.nan)
     return mk.worst(ratios)
 
 

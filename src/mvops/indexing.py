@@ -233,26 +233,22 @@ class GradedBasis:
         The graded position of gamma is sum_k C(t_k + d - k - 1, d - k), where
         t_k = gamma_k + ... + gamma_d is a tail sum (k counted from 0); the
         k = 0 term is `offset` of the total degree and the rest rank gamma
-        within its degree block.  One table is kept, rebuilt larger when a
+        within its degree block.  One table is kept, built whole again when a
         caller needs a higher degree; smaller requests are views into it.
         """
         if n > self._table_top:
-            d, old = self.d, self._table.shape[0]
-            size = self.offset(n + 1)
+            d, size = self.d, self.offset(n + 1)
             exps = np.array([a for m in range(n + 1) for a in self.indices(m)],
                             dtype=np.intp).reshape(-1, d)
             tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
             pascal = _pascal(2 * n + d, d)
             table = np.zeros((size, size), dtype=np.intp)
-            table[:old, :old] = self._table
-            # new rows one degree block at a time, to keep temporaries small;
-            # alpha + beta = beta + alpha gives the new columns of old rows
-            for m in range(self._table_top + 1, n + 1):
+            # one degree block of rows at a time, to keep temporaries small
+            for m in range(n + 1):
                 rows = self.degree_slice(m, m)
                 for k in range(d):
                     table[rows] += pascal[np.add.outer(tails[rows, k],
                                                        tails[:, k] + (d - k - 1)), d - k]
-            table[:old, old:] = table[old:, :old].T
             self._table, self._table_top = table, n
         size = self.offset(n + 1)
         return self._table[:size, :size]

@@ -1,4 +1,4 @@
-"""Dense real matrix kernel: solves, least squares, numeric rank.
+"""Dense real matrix kernel: solves, numeric rank.
 
 Thin wrappers around numpy's LAPACK bindings that add the shape and
 singularity checks the rest of the package relies on, plus the plain-text
@@ -174,15 +174,6 @@ def solve(a, b) -> np.ndarray:
     if numeric_rank(a) < a.shape[0]:
         raise SingularMatrixError(f"matrix of order {a.shape[0]} is numerically singular")
     return np.linalg.solve(a, b)
-
-
-def lstsq(a, b) -> np.ndarray:
-    """Minimum-residual (and among those, minimum-norm) solution of a x = b."""
-    a, b = _as_matrix(a), np.asarray(b, dtype=float)
-    if b.shape[0] != a.shape[0]:
-        raise ShapeMismatchError(f"rhs rows {b.shape[0]} != matrix rows {a.shape[0]}")
-    x, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    return x
 
 
 # from this many entries on, max_abs reads its largest magnitude as the

@@ -168,13 +168,13 @@ class MomentFunctional:
     vector.  The default degree vector asks the oracle, which must be
     deterministic, once per multi-index; composed functionals pass no oracle
     and gather their vectors from other functionals' instead, and the
-    simplex functional computes each vector in one pass.  One graded
-    moment matrix, whose entry (a, b) is the moment at alpha_a + beta_b over
-    the monomials of degrees 0..n in graded order, is gathered from the
-    concatenated vectors through the basis's graded sum table, again
-    whenever a caller needs a higher degree.  Instances are intended to be
-    confined to one thread (the stores are unlocked).  Multi-indices are
-    ordered by `basis`, the shared graded basis of dimension d.
+    simplex functional computes each vector in one pass.  A block of the
+    graded moment matrix, whose entry (a, b) is the moment at
+    alpha_a + beta_b over the monomials in graded order, is gathered from
+    the concatenated vectors each time it is asked for (graded_block); only
+    the vectors are kept.  Instances are intended to be confined to one
+    thread (the stores are unlocked).  Multi-indices are ordered by
+    `basis`, the shared graded basis of dimension d.
     """
 
     def __init__(self, d: int, oracle, label: str = ""):
@@ -185,9 +185,6 @@ class MomentFunctional:
         self._oracle = oracle
         self.label = label
         self._vectors: dict[int, np.ndarray] = {}
-        self._graded = np.zeros((0, 0))
-        self._graded_top = -1      # rows and columns cover degrees 0.._graded_top
-        self._graded_degree = -1   # blocks with j + k <= _graded_degree are filled
         self._recurrences: dict[int, Recurrence1D] = {}
 
     def __repr__(self):
@@ -261,36 +258,19 @@ class MomentFunctional:
         return self.graded_block(j, j, k, k)
 
     def graded_block(self, j0: int, j1: int, k0: int, k1: int) -> np.ndarray:
-        """Read-only view of the graded moment matrix with rows of degrees
-        j0..j1 and columns of degrees k0..k1.
+        """The graded moment matrix's rows of degrees j0..j1 and columns of
+        degrees k0..k1, as a fresh array: entry (a, b) is the moment at
+        alpha_a + beta_b.
 
-        The matrix grows on demand and asks for no moment above degree
-        j1 + k1, so a non-finite moment raises at the degree that needs it.
+        One gather of the moment vectors of degrees 0..j1 + k1, laid end to
+        end in graded order, through basis.graded_table; no moment above
+        degree j1 + k1 is asked for, so a non-finite moment raises at the
+        degree that needs it.
         """
-        self._grow(max(j1, k1), j1 + k1)
-        return self._graded[self.basis.degree_slice(j0, j1), self.basis.degree_slice(k0, k1)]
-
-    def _grow(self, top: int, degree: int) -> None:
-        """Cover degrees 0..top and fill every block (j, k) with j + k <= degree.
-
-        The matrix is one gather flat[basis.graded_table(top)], where flat
-        lays the moment vectors of degrees 0..min(degree, 2 top) end to end
-        in graded order and pads the positions of higher degrees with NaN,
-        so blocks of higher total degree hold NaN until a caller needs them
-        and no higher moment is asked for.
-        """
-        old_top, old_degree = self._graded_top, self._graded_degree
-        if top <= old_top and degree <= old_degree:
-            return
-        top, degree = max(top, old_top), max(degree, old_degree)
         basis = self.basis
-        filled = min(degree, 2 * top)
-        flat = np.full(basis.offset(2 * top + 1), np.nan)
-        flat[:basis.offset(filled + 1)] = np.concatenate(
-            [self.moment_vector(m) for m in range(filled + 1)])
-        graded = flat[basis.graded_table(top)]
-        graded.flags.writeable = False
-        self._graded, self._graded_top, self._graded_degree = graded, top, degree
+        flat = np.concatenate([self.moment_vector(m) for m in range(j1 + k1 + 1)])
+        table = basis.graded_table(max(j1, k1))
+        return flat[table[basis.degree_slice(j0, j1), basis.degree_slice(k0, k1)]]
 
 
 @dataclass(frozen=True)
@@ -406,10 +386,11 @@ class _JacobiMoments(MomentFunctional):
 
     Integrating d/dx[(1-x)^(a+1) (1+x)^(b+1) x^k] over [-1, 1] gives
     (a+b+k+2) m_(k+1) = (b-a) m_k + k m_(k-1), whose two right-hand terms
-    both have the sign of m_(k+1), so nothing cancels.  The oracle is one
-    step of it, reading the two moments below from the store; it fills the
-    store bottom up first, so the recursion depth does not grow with the
-    degree.
+    both have the sign of m_(k+1), so nothing cancels; the factor on the left
+    is formed as (a+1) + (b+1) + k, where a + b + 2 would cancel as both
+    exponents near -1.  The oracle is one step of it, reading the two
+    moments below from the store; it fills the store bottom up first, so the
+    recursion depth does not grow with the degree.
     """
 
     def __init__(self, a: float, b: float, m0: float, label: str):
@@ -425,7 +406,8 @@ class _JacobiMoments(MomentFunctional):
             for lower in range(len(vectors), k + 1):
                 self.moment_vector(lower)
         below = float(vectors[k - 1][0]) if k else 0.0
-        return ((self.b - self.a) * float(vectors[k][0]) + k * below) / (self.a + self.b + k + 2)
+        return ((self.b - self.a) * float(vectors[k][0]) + k * below) / (
+            (self.a + 1) + (self.b + 1) + k)
 
     def _closed_recurrence(self, N: int) -> Recurrence1D:
         return jacobi_recurrence(N, self.a, self.b)

@@ -4,9 +4,8 @@ For an orthogonal system, multiplication by each coordinate maps a degree
 block into its neighbours: x_i P_n = A_{n,i} P_{n+1} + B_{n,i} P_n +
 C_{n,i} P_{n-1}.  This module extracts those coefficient blocks from a
 system and its functional, regenerates a monic system forward from given
-blocks (reporting how consistent the overdetermined steps are), fits
-best-effort blocks to an arbitrary monic system, and checks the rank
-conditions that characterize orthogonality.
+blocks (reporting how consistent the overdetermined steps are), and checks
+the rank conditions that characterize orthogonality.
 
 Blocks are extracted by pairing against the functional's moments, except
 for the monic system of a tensor functional, whose B and C blocks are read
@@ -27,8 +26,8 @@ identity block of P_(n+1), gathered at alpha + e_i, meets the identity
 block of P_n moved to alpha + e_i, and B P_n and C P_(n-1) have no
 degree-(n+1) columns, so every degree-(n+1) entry of the defect is exactly
 0.0 (Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2014,
-ch. 3, for the structure).  The reconstruction residual and fit_ttr
-therefore read the columns of degrees 0..n only, and forward generation
+ch. 3, for the structure).  The reconstruction residual therefore reads
+the columns of degrees 0..n only, and forward generation
 writes each new degree's identity block directly.  The index facts of the
 shifts, and the singular values of the shift matrices that rank checks
 read, are kept on the GradedBasis.
@@ -398,40 +397,3 @@ def validate_rank_conditions(T: ThreeTermData, tol: float = mk.DEFAULT_RANK_TOL)
     return RankReport(rank_family("A", T.d, dict(enumerate(T.A)), tol, lower=False)
                       + rank_family("C", T.d, C, tol, lower=True))
 
-
-def fit_ttr(P: PolySystem) -> tuple[ThreeTermData, dict]:
-    """Least-squares recurrence blocks for an arbitrary monic system.
-
-    For every degree with both neighbours available, fits B_{n,i} and
-    C_{n,i} minimizing the coefficientwise defect of x_i P_n - L_{n,i}
-    P_{n+1} - B P_n - C P_{n-1}: one least-squares solve per degree for
-    the d targets, stacked as the reconstruction residual stacks them, over
-    the columns of degrees 0..n: at degree n + 1 the defect of a monic
-    system is exactly 0.0 whatever the blocks.  Residuals (per degree and
-    direction) are zero exactly when the system satisfies a three-term
-    relation.
-    """
-    if not P.monic:
-        raise ValueError("fit_ttr expects a monic system")
-    d, N = P.d, P.N
-    basis = basis_for(d)
-    A = [[basis.shift_matrix(n, i) for i in range(1, d + 1)] for n in range(N)]
-    B: list = []
-    C: list = [None]
-    residuals: dict[tuple[int, int], float] = {}
-    for n in range(N):
-        size = basis.size(n)
-        # P_n over P_(n-1), whose missing top-degree block is zero
-        below = [np.pad(P.rows[n - 1], ((0, 0), (0, size)))] if n else []
-        X = np.vstack([P.rows[n], *below])
-        D = _shift_defect(P, n, A[n])
-        coeffs = mk.lstsq(X.T, D.T).T
-        defect = np.abs(coeffs @ X - D).reshape(d, -1).max(axis=1)
-        scale = max(mk.max_abs(P.rows[n]), 1.0)
-        for i in range(d):
-            residuals[(n, i + 1)] = float(defect[i]) / scale
-        parts = [coeffs[i * size:(i + 1) * size] for i in range(d)]
-        B.append([c[:, :size] for c in parts])
-        if n >= 1:
-            C.append([c[:, size:] for c in parts])
-    return ThreeTermData(d, A, B, C), residuals

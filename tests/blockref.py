@@ -54,7 +54,7 @@ def first_failure(report):
 def relation_by_pairing(Q, P, u, H=None):
     """The relation Q_n = P_n + M_n P_(n-1) by Fourier expansion against the
     moments of u, the u-orthogonal system P's functional: one
-    pair_systems(u, Q, P) through degrees N and N - 1, and one solve per
+    pair_systems(u, Q, P), read through degrees N and N - 1, and one solve per
     degree j against H_j (default gram_blocks(u, P)) for the coefficients of
     every Q_n, n > j, against P_j.  M_n is the block against P_(n-1); the
     tail is the largest coefficient against any P_j, j <= n - 2, relative to
@@ -64,7 +64,7 @@ def relation_by_pairing(Q, P, u, H=None):
     H = construct.gram_blocks(u, P) if H is None else H
     scale = max(max(mk.max_abs(Q.rows[n]) for n in range(N + 1)), 1.0)
     M, tails = [None] * (N + 1), []
-    G = construct.pair_systems(u, Q, P, N, N - 1) if N else None
+    G = construct.pair_systems(u, Q, P) if N else None
     for j in range(N):
         coef = mk.solve(H.h(j), G[basis.degree_slice(j + 1, N), basis.degree_slice(j, j)].T).T
         M[j + 1] = coef[:basis.size(j + 1)]
@@ -187,30 +187,3 @@ def full_width_recon_residual(P, T) -> float:
         scale = max(max(scales[max(0, n - 1):n + 2]), 1.0)
         worst.extend(np.abs(resid).reshape(P.d, -1).max(axis=1) / scale)
     return mk.worst(worst)
-
-
-def full_width_fit_ttr(P):
-    """fit_ttr's blocks and residuals with its targets formed over all the
-    columns of degrees 0..n+1, the degree-(n+1) columns scattered in and
-    counted in the residual: the fit whose degree-0..n targets it keeps."""
-    d, basis = P.d, basis_for(P.d)
-    B, C, residuals = [], [None], {}
-    for n in range(P.N):
-        size, width = basis.size(n), basis.offset(n + 1)
-        below = [np.pad(P.rows[n - 1], ((0, 0), (0, size)))] if n else []
-        X = np.vstack([P.rows[n], *below])
-        target = -P.rows[n + 1][basis.joint_shift_index(n)[0]]
-        for i in range(d):
-            target[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += P.rows[n]
-        D = target[:, :width]
-        coeffs = mk.lstsq(X.T, D.T).T
-        defect = np.abs(coeffs @ X - D).reshape(d, -1).max(axis=1)
-        top = np.abs(target[:, width:]).reshape(d, -1).max(axis=1)
-        scale = max(mk.max_abs(P.rows[n]), 1.0)
-        for i in range(d):
-            residuals[(n, i + 1)] = max(float(defect[i]), float(top[i])) / scale
-        parts = [coeffs[i * size:(i + 1) * size] for i in range(d)]
-        B.append([c[:, :size] for c in parts])
-        if n >= 1:
-            C.append([c[:, size:] for c in parts])
-    return B, C, residuals

@@ -20,7 +20,13 @@ running this script before and after it.  The digests cover:
 
 After those three lines it prints one digest per catalog configuration,
 over that configuration's operations of the same rounds, so a change that
-moves the catalog digest shows which configurations it moved.
+moves the catalog digest shows which configurations it moved.  The last
+line, routes, covers the moment routes that no workload runs, on disk(0.5)
+through N = 6 and the d=3 simplex functional with kappa (0.5, 1, 0, 0.5)
+through N = 4: the Gram-Schmidt system and its Gram blocks, gram_blocks
+with its off-diagonal residual, orthogonality_residual, compute_ttr's
+blocks and reconstruction residual, and inner_block for every pair of
+degrees, all read from one functional per weight.
 
 The file name does not start with `test_`, so pytest does not collect it.
 """
@@ -46,6 +52,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import workloads  # noqa: E402  (needs the paths above)
+from mvops import construct, moments, ttr  # noqa: E402
 
 CATALOG_SEEDS = (1, 2, 3)
 
@@ -139,6 +146,18 @@ def cli_files_digest(workdir: str) -> str:
     return h.hexdigest()
 
 
+def routes_digest() -> str:
+    h = hashlib.sha256()
+    for u, N in ((moments.disk_functional(0.5), 6),
+                 (moments.simplex_functional((0.5, 1.0, 0.0, 0.5)), 4)):
+        P, H = construct.gram_schmidt_monic(u, N)
+        feed(h, (P, H, construct.gram_blocks(u, P), construct.orthogonality_residual(u, P),
+                 ttr.compute_ttr(P, u, H),
+                 [construct.inner_block(u, P, n, P, m)
+                  for n in range(N + 1) for m in range(N + 1)]))
+    return h.hexdigest()
+
+
 def main() -> int:
     catalog, by_config = catalog_digests()
     print(f"catalog    {catalog}")
@@ -150,6 +169,7 @@ def main() -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     for config, digest in sorted(by_config.items()):
         print(f"catalog {config}  {digest}")
+    print(f"routes     {routes_digest()}")
     return 0
 
 

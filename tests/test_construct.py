@@ -818,9 +818,10 @@ def _system_of(kind, param, N):
 def test_pair_systems_blocks_equal_inner_block(kind, param, N, data):
     u, P = _system_of(kind, param, N)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    # a second system on the same monomials: each degree vector mixed at random
-    Q = P.transformed([rng.standard_normal((P.size(n), P.size(n))) for n in range(N + 1)])
-    top_p, top_q = data.draw(st.integers(0, N)), data.draw(st.integers(0, N))
+    # a second system on the same monomials, through a degree of its own:
+    # each degree vector mixed at random
+    Q = construct.PolySystem(P.d, [rng.standard_normal((P.size(n),) * 2) @ P.rows[n]
+                                   for n in range(data.draw(st.integers(0, N)) + 1)])
     basis = u.basis
     # the pairing scale: the same pairings with every coefficient and moment
     # replaced by its magnitude, the size of the terms before cancellation
@@ -829,11 +830,11 @@ def test_pair_systems_blocks_equal_inner_block(kind, param, N, data):
     def magnitudes(S):
         return construct.PolySystem(S.d, [np.abs(row) for row in S.rows])
 
-    for left, right, tops in ((P, Q, (top_p, top_q)), (P, P, (N, N))):
-        got = construct.pair_systems(u, left, right, *tops)
-        assert got.shape == (basis.offset(tops[0] + 1), basis.offset(tops[1] + 1))
+    for left, right in ((P, Q), (Q, P), (P, P)):
+        got = construct.pair_systems(u, left, right)
+        assert got.shape == (basis.offset(left.N + 1), basis.offset(right.N + 1))
         want = {(n, m): inner_block(u, left, n, right, m)
-                for n in range(tops[0] + 1) for m in range(tops[1] + 1)}
+                for n in range(left.N + 1) for m in range(right.N + 1)}
         scale = max(mk.max_abs(inner_block(u_abs, magnitudes(left), n, magnitudes(right), m))
                     for n, m in want)
         for (n, m), w in want.items():
@@ -867,6 +868,33 @@ def test_gram_blocks_pair_once_and_read_the_orthogonality_residual(monkeypatch):
     assert H.offdiag_residual == pytest.approx(offdiag / H.scale(), rel=1e-12)
     assert H.offdiag_residual > 1e-3
     assert np.isnan(GramBlocks([np.eye(1)]).offdiag_residual)   # not measured: fails closed
+
+
+def _orthogonality_residual_per_degree(u, P):
+    """orthogonality_residual with one graded_block gather per degree: the
+    reference its single gather keeps bit for bit."""
+    basis = u.basis
+    ratios = []
+    for n in range(1, P.N + 1):
+        s = P.rows[n] @ u.graded_block(0, n, 0, n)
+        low, top = mk.max_abs(s[:, :basis.offset(n)]), mk.max_abs(s[:, basis.offset(n):])
+        ratios.append(low / top if top > 0.0 else np.nan)
+    return mk.worst(ratios)
+
+
+@pytest.mark.parametrize("kind", ["disk", "simplex-d3", "tensor-d4"])
+def test_orthogonality_residual_equals_the_per_degree_gather_bit_for_bit(kind):
+    # the system's own functional (near orthogonal) and another one (far from it)
+    make, N = {"disk": (lambda p: moments.disk_functional(p), 8),
+               "simplex-d3": (lambda p: moments.simplex_functional((p, 1.0, 0.0, 0.5)), 4),
+               "tensor-d4": (lambda p: moments.cube_jacobi_functional(
+                   (p, -0.5, 0.0, 1.0), (0.5, 0.0, 1.0, p)), 8)}[kind]
+    P, _ = gram_schmidt_monic(make(0.5), N)
+    for param in (0.5, 1.5):
+        got = construct.orthogonality_residual(make(param), P)
+        want = _orthogonality_residual_per_degree(make(param), P)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), param
+        assert (got < 1e-10) == (param == 0.5)
 
 
 @pytest.mark.parametrize("u", [moments.disk_functional(0.5),

@@ -10,7 +10,7 @@ from mvops import linrel, moments, serialize
 from mvops import matrixkit as mk
 from mvops.construct import PolySystem, gram_blocks, gram_schmidt_monic, orthonormalize
 from mvops.matrixkit import format_matrix
-from mvops.ttr import ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr
+from mvops.ttr import ThreeTermData, compute_ttr, generate_from_ttr
 
 
 @pytest.fixture(scope="module")
@@ -269,16 +269,23 @@ def test_public_readers_keep_shapes_and_values(texts):
 
 def _source(name: str, mu: float, N: int):
     """A system, recurrence or relation of the kind `name` for the disk
-    weight with parameter mu through degree N, and whether its structural
-    slots (A, or a system's diagonal) hold the exact structural blocks."""
+    weight with parameter mu through degree N (disk(-0.5) for
+    "disk-neg-ttr"), and whether its structural slots (A, or a system's
+    diagonal) hold the exact structural blocks."""
     u = moments.disk_functional(mu)
     P, H = gram_schmidt_monic(u, N)
     orthonormal = orthonormalize(P, H)
+
+    def disk_neg_ttr():
+        v = moments.disk_functional(-0.5)
+        Pv, Hv = gram_schmidt_monic(v, N)
+        return compute_ttr(Pv, v, Hv)
+
     return {
         "monic-ttr": lambda: (compute_ttr(P, u, H), True),
         "orthonormal-ttr": lambda: (
             compute_ttr(orthonormal, u, gram_blocks(u, orthonormal)), False),
-        "fit-ttr": lambda: (fit_ttr(P)[0], True),
+        "disk-neg-ttr": lambda: (disk_neg_ttr(), True),
         "counterexample-ttr": lambda: (linrel.counterexample(N + 1)[0], True),
         "counterexample-relation": lambda: (linrel.counterexample(N + 1)[1], False),
         "monic-system": lambda: (P, True),
@@ -302,7 +309,7 @@ def _same(a, b) -> bool:
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(["monic-ttr", "orthonormal-ttr", "fit-ttr", "counterexample-ttr",
+@given(name=st.sampled_from(["monic-ttr", "orthonormal-ttr", "disk-neg-ttr", "counterexample-ttr",
                              "counterexample-relation", "monic-system", "generated-system",
                              "to-monic-system", "orthonormal-system"]),
        mu=st.sampled_from([0.0, 0.5, 1.5]), N=st.integers(1, 4))

@@ -9,11 +9,11 @@ from mvops.construct import (GramBlocks, PolySystem, gram_blocks, gram_schmidt_m
                              inner_block, orthonormalize, pair_blocks)
 from mvops.indexing import basis_for, joint_matrix
 from mvops.linrel import counterexample
-from mvops.ttr import (ThreeTermData, compute_ttr, fit_ttr, generate_from_ttr,
+from mvops.ttr import (ThreeTermData, compute_ttr, generate_from_ttr,
                        joint_shift_lstsq, rank_family, validate_rank_conditions)
 
-from blockref import (first_failure, full_width_fit_ttr, full_width_recon_residual,
-                      full_width_shift_defects, row_blocks, shift_rows)
+from blockref import (first_failure, full_width_recon_residual, full_width_shift_defects,
+                      row_blocks, shift_rows)
 
 
 @pytest.fixture(scope="module")
@@ -182,132 +182,6 @@ def test_counterexample_recurrence_is_consistent():
     combined, _ = counterexample(8)
     _, residuals = generate_from_ttr(combined, 8)
     assert np.max(residuals) <= 1e-12
-
-
-def test_fit_recovers_computed_blocks(disk_system):
-    u, P, H = disk_system
-    T = compute_ttr(P, u, H)
-    fitted, residuals = fit_ttr(P)
-    assert max(residuals.values()) <= 1e-9
-    for n in range(4):
-        for i in (1, 2):
-            assert mk.max_abs(fitted.b(n, i) - T.b(n, i)) <= 1e-8
-            if n >= 1:
-                assert mk.max_abs(fitted.c(n, i) - T.c(n, i)) <= 1e-8
-
-
-def test_fit_detects_broken_recurrence():
-    u = moments.disk_functional(0.0)
-    P, _ = gram_schmidt_monic(u, 4)
-    rng = np.random.default_rng(11)
-    broken = [[b.copy() for b in row] for row in P.blocks]
-    broken[2][0] = broken[2][0] + rng.standard_normal(broken[2][0].shape)
-    from mvops.construct import PolySystem
-
-    bad = PolySystem(2, broken)
-    _, residuals = fit_ttr(bad)
-    assert max(residuals.values()) > 1e-3
-
-
-def _fit_per_direction(P):
-    """fit_ttr with one least-squares solve per (degree, direction) on
-    targets assembled block by block: the reference its stacked solve keeps."""
-    d, N = P.d, P.N
-    basis = basis_for(d)
-    B, C, residuals = [], [None], {}
-    for n in range(N):
-        rows_n = row_blocks(P, n)
-        design = [np.hstack([rows_n[k] for k in range(n + 1)])]
-        if n >= 1:
-            design.append(np.hstack([P.block(n - 1, k) for k in range(n)]
-                                    + [np.zeros((basis.size(n - 1), basis.size(n)))]))
-        X = np.vstack(design)
-        b_row, c_row = [], []
-        for i in range(1, d + 1):
-            target = shift_rows(rows_n, i, basis)
-            for k, g in row_blocks(P, n + 1).items():
-                target[k] = target.get(k, 0.0) + -1.0 * (basis.shift_matrix(n, i) @ g)
-            D = np.hstack([target[k] for k in range(n + 1)])
-            coeffs = mk.lstsq(X.T, D.T).T
-            scale = max(max(mk.max_abs(g) for g in P.blocks[n]), 1.0)
-            residuals[(n, i)] = max(mk.max_abs(coeffs @ X - D), mk.max_abs(target[n + 1])) / scale
-            b_row.append(coeffs[:, :basis.size(n)])
-            c_row.append(coeffs[:, basis.size(n):])
-        B.append(b_row)
-        if n >= 1:
-            C.append(c_row)
-    return B, C, residuals
-
-
-@pytest.mark.parametrize("kind", ["disk", "tensor", "simplex", "broken", "counterexample"])
-def test_stacked_fit_matches_the_per_direction_fit(kind):
-    if kind == "counterexample":
-        P = generate_from_ttr(counterexample(5)[0])[0]
-    else:
-        u = {"disk": lambda: moments.disk_functional(0.5),
-             "broken": lambda: moments.disk_functional(0.5),
-             "tensor": lambda: moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)),
-             "simplex": lambda: moments.simplex_functional((0.5, 1.0, 0.0))}[kind]()
-        P, _ = gram_schmidt_monic(u, 5)
-    if kind == "broken":
-        rows = [row.copy() for row in P.rows]
-        rows[3][:, :4] += np.random.default_rng(3).standard_normal((4, 4))
-        P = PolySystem(P.d, rows)
-    fitted, residuals = fit_ttr(P)
-    B, C, want = _fit_per_direction(P)
-    assert sorted(residuals) == sorted(want)
-    for key, value in want.items():
-        assert abs(residuals[key] - value) <= 1e-12 * max(value, 1.0)
-
-
-@pytest.mark.parametrize("kind", ["disk", "tensor", "simplex", "broken", "counterexample"])
-def test_fit_over_degrees_0_to_n_keeps_the_full_width_fit_bit_for_bit(kind):
-    # a monic system's defect is exactly 0.0 at degree n + 1, so leaving
-    # those columns out changes no residual and no fitted block
-    if kind == "counterexample":
-        P = generate_from_ttr(counterexample(5)[0])[0]
-    else:
-        u = {"disk": lambda: moments.disk_functional(0.5),
-             "broken": lambda: moments.disk_functional(0.5),
-             "tensor": lambda: moments.cube_jacobi_functional((0.5, -0.5, 0.0), (0.0, 0.5, 1.0)),
-             "simplex": lambda: moments.simplex_functional((0.5, 1.0, 0.0))}[kind]()
-        P, _ = gram_schmidt_monic(u, 5)
-    if kind == "broken":
-        rows = [row.copy() for row in P.rows]
-        rows[3][:, :4] += np.random.default_rng(3).standard_normal((4, 4))
-        P = PolySystem(P.d, rows)
-    fitted, residuals = fit_ttr(P)
-    B, C, want = full_width_fit_ttr(P)
-    assert residuals == want
-    for n in range(P.N):
-        for i in range(1, P.d + 1):
-            assert mk.same_bits(fitted.b(n, i), B[n][i - 1])
-            if n >= 1:
-                assert mk.same_bits(fitted.c(n, i), C[n][i - 1])
-    for got_rows, want_rows in ((fitted.B, B), (fitted.C[1:], C[1:])):
-        for got_row, want_row in zip(got_rows, want_rows, strict=True):
-            for g, w in zip(got_row, want_row, strict=True):
-                assert g.shape == w.shape
-                assert mk.max_abs(g - w) <= 1e-12 * max(mk.max_abs(w), 1.0)
-
-
-def test_fit_univariate_chebyshev_matches_classical():
-    u = moments.chebyshev_functional_1d(1)
-    P, _ = gram_schmidt_monic(u, 6)
-    fitted, residuals = fit_ttr(P)
-    assert max(residuals.values()) <= 1e-10
-    rec = moments.chebyshev_recurrence(6, 1)
-    for n in range(5):
-        assert fitted.b(n, 1)[0, 0] == pytest.approx(rec.b[n], abs=1e-10)
-        if n >= 1:
-            assert fitted.c(n, 1)[0, 0] == pytest.approx(rec.c[n], abs=1e-10)
-
-
-def test_fit_requires_monic():
-    u = moments.disk_functional(0.0)
-    P, H = gram_schmidt_monic(u, 3)
-    with pytest.raises(ValueError):
-        fit_ttr(orthonormalize(P, H))
 
 
 @given(d=st.integers(1, 4), n=st.integers(0, 6), cols=st.integers(1, 4),
@@ -656,22 +530,23 @@ def _generate_per_block(T):
 
 def _recurrence(kind, d, N):
     """Recurrence data of several origins: tensor (line-sparse B and C),
-    paired (dense), fitted, and the counterexample's combined side."""
+    paired (dense, disk_neg for disk(-0.5)), and the counterexample's
+    combined side."""
     a = (0.5, -0.5, 0.0, 1.0)[:d]
     b = (0.5, 0.0, 1.0, 0.0)[:d]
     u = {"tensor": lambda: moments.cube_jacobi_functional(a, b),
          "disk": lambda: moments.disk_functional(0.5),
          "simplex": lambda: moments.simplex_functional((0.5, 1.0, 0.0, 0.5)[:d + 1]),
-         "fit": lambda: moments.disk_functional(-0.5)}.get(kind)
+         "disk_neg": lambda: moments.disk_functional(-0.5)}.get(kind)
     if u is None:
         return counterexample(N)[0]
     u = u()
     P, H = gram_schmidt_monic(u, N)
-    return fit_ttr(P)[0] if kind == "fit" else compute_ttr(P, u, H)
+    return compute_ttr(P, u, H)
 
 
 GENERATION_CASES = [("tensor", 2, 7), ("tensor", 3, 6), ("tensor", 4, 5), ("disk", 2, 6),
-                    ("simplex", 2, 5), ("simplex", 3, 4), ("fit", 2, 6),
+                    ("simplex", 2, 5), ("simplex", 3, 4), ("disk_neg", 2, 6),
                     ("counterexample", 2, 5)]
 
 
