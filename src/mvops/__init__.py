@@ -6,9 +6,9 @@ relation between systems, and verify the rank and compatibility
 characterizations on a catalog of concrete families.
 """
 
-from .construct import (GramBlocks, NotPositiveDefiniteError, PolySystem, RhoMap,
-                        gram_blocks, gram_schmidt_monic, inner_block, koornwinder_system,
-                        orthonormalize, pair_systems)
+from .construct import (GramBlocks, NotPositiveDefiniteError, PolySystem, gram_blocks,
+                        gram_schmidt_monic, inner_block, koornwinder_system, orthonormalize,
+                        pair_systems)
 from .indexing import GradedBasis, basis_for, enumerate_indices, joint_matrix, rank_count
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
                      compute_relation, counterexample, functional_match_residual,

@@ -35,15 +35,8 @@ MATH_FAIL = 1
 # what a missing, unreadable or malformed input file raises
 INPUT_ERRORS = (OSError, ValueError, KeyError, TypeError)
 
-# `family` options passed on to families.build_family when given
-_FAMILY_OPTIONS = ("mu", "kind", "rho", "alpha", "beta", "a1", "kappa2", "ay",
-                  "kappa", "a", "b", "j", "raise_b")
-
-# `family` options holding a number or a comma-separated vector, and what
-# starts a value that argparse would take for an option: '-' then a digit
-# or '.'
-_NUMBER_OPTIONS = ("--mu", "--rho", "--alpha", "--beta", "--a1", "--kappa2", "--ay",
-                   "--kappa", "--a", "--b")
+# what starts a value that argparse would take for an option: '-' then a
+# digit or '.'
 _NEGATIVE_START = re.compile(r"-\.?\d")
 
 
@@ -106,6 +99,16 @@ def _floats(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+# `family` options passed on to families.build_family when given, by
+# argparse type (--raise-b, a flag, is passed on too); a number or a
+# comma-separated vector may start with '-'
+_FAMILY_OPTIONS = {"mu": float, "kind": int, "rho": float, "alpha": float, "beta": float,
+                   "a1": float, "kappa2": float, "ay": float, "kappa": _floats,
+                   "a": _floats, "b": _floats, "j": int}
+_FAMILY_HELP = {"kappa": "comma-separated weight exponents", "j": "parameter direction"}
+_NUMBER_OPTIONS = {f"--{name}" for name, kind in _FAMILY_OPTIONS.items() if kind is not int}
+
+
 def _attach_negative_values(argv: list) -> list:
     """Spell `--kappa -0.5,1` as `--kappa=-0.5,1` and `--rho -1e2` as `--rho=-1e2`.
 
@@ -159,7 +162,7 @@ def _finish(report: VerdictReport, args, start: float) -> int:
 
 def cmd_family(args) -> int:
     tol_rank, tol_res = args.tol_rank, args.tol_res
-    params = {key: getattr(args, key) for key in _FAMILY_OPTIONS
+    params = {key: getattr(args, key) for key in (*_FAMILY_OPTIONS, "raise_b")
               if getattr(args, key) is not None}
     start = time.perf_counter()
     try:
@@ -316,19 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     fam = sub.add_parser("family", help="run a catalog family with cross-checks")
     fam.add_argument("name", choices=families.FAMILY_NAMES)
     fam.add_argument("--N", type=int, default=5)
-    fam.add_argument("--mu", type=float, default=None)
-    fam.add_argument("--kind", type=int, default=None)
-    fam.add_argument("--rho", type=float, default=None)
-    fam.add_argument("--alpha", type=float, default=None)
-    fam.add_argument("--beta", type=float, default=None)
-    fam.add_argument("--a1", type=float, default=None)
-    fam.add_argument("--kappa2", type=float, default=None)
-    fam.add_argument("--ay", type=float, default=None)
-    fam.add_argument("--kappa", type=_floats, default=None,
-                     help="comma-separated weight exponents")
-    fam.add_argument("--a", type=_floats, default=None)
-    fam.add_argument("--b", type=_floats, default=None)
-    fam.add_argument("--j", type=int, default=None, help="parameter direction")
+    for name, kind in _FAMILY_OPTIONS.items():
+        fam.add_argument(f"--{name}", type=kind, default=None, help=_FAMILY_HELP.get(name))
     fam.add_argument("--raise-b", dest="raise_b", action="store_true", default=None)
     fam.set_defaults(func=cmd_family)
 

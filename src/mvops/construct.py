@@ -20,8 +20,9 @@ stops with a diagnosable error.  GramBlocks is plain data: a later solve
 against one of its blocks goes through mk.solve, which checks it.  A
 univariate monic system needs only its recurrence, which moments owns:
 MomentFunctional.recurrence, or recurrence_from_moments on combined
-moments, as Koornwinder's construction reads them for the weights
-rho^(2k+1) w1.
+moments, as koornwinder_system reads them for the weights rho^(2k+1) w1.
+Its one mapping is the disk's, rho = sqrt(1 - x^2), the one the disk
+family builds both of its systems with.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
@@ -474,71 +475,35 @@ def _tensor_rows(tables: list, N: int):
 # Koornwinder's construction of bivariate systems from two 1-d weights
 
 
-@dataclass(frozen=True)
-class RhoMap:
-    """Mapping rho(x) coupling the two 1-d weights.
-
-    kind "linear": coeffs (c0, c1) give rho = c0 + c1 x.
-    kind "sqrt": coeffs (q0, q1, q2) give rho^2 = q0 + q1 x + q2 x^2, the
-    second weight must be symmetric, and the first-weight functional passed
-    to koornwinder_system must carry the moments of rho(x) w1(x).
-    """
-
-    kind: str
-    coeffs: tuple
-
-    @staticmethod
-    def linear(c0: float, c1: float = 0.0) -> "RhoMap":
-        return RhoMap("linear", (float(c0), float(c1)))
-
-    @staticmethod
-    def sqrt_poly(q0: float, q1: float = 0.0, q2: float = 0.0) -> "RhoMap":
-        return RhoMap("sqrt", (float(q0), float(q1), float(q2)))
-
-
-def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
-                       N: int) -> tuple[PolySystem, MomentFunctional]:
-    """Bivariate orthogonal system from two 1-d weights and a mapping.
+def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, N: int) -> PolySystem:
+    """Bivariate orthogonal system on the disk from two 1-d weights.
 
     Row k of the degree-n vector is q_(n-k)(x) rho(x)^k r_k(y / rho(x)),
-    where q is the monic system of rho^(2k+1) w1 and r the monic system of
-    w2.  Returns the system together with the bivariate functional it is
-    orthogonal against.  With a constant mapping this reduces to tensor
-    products of the univariate systems.
+    where rho(x) = sqrt(1 - x^2), q is the monic system of rho^(2k+1) w1 and
+    r the monic system of w2, which must be symmetric.  The functional
+    passed as w1 carries the moments of rho(x) w1(x).
     """
     if w1.d != 1 or w2.d != 1:
         raise ValueError("koornwinder construction needs univariate weights")
-    linear = rho.kind == "linear"
-    base = np.array(rho.coeffs, dtype=float)  # rho if linear, else rho^2
+    rho2 = np.array([1.0, 0.0, -1.0])
     y = mpoly.linear(2, [0.0, 1.0])
-    base_xy = mpoly.from_1d(base, 0, 2)
-    powers = [mpoly.const(1)]
-
-    def base_power(t: int) -> np.ndarray:
-        while len(powers) <= t:
-            powers.append(mpoly.mul(powers[-1], base))
-        return powers[t]
-
-    # parts[k] = rho^k r_k(y / rho), a homogeneous form in (y, rho) or,
-    # for a sqrt mapping, y^(k mod 2) times a form in (y^2, rho^2)
-    forms = mpoly.form_table(y if linear else mpoly.mul(y, y), base_xy)
+    # parts[k] = rho^k r_k(y / rho), y^(k mod 2) times a form in (y^2, rho^2)
+    forms = mpoly.form_table(mpoly.mul(y, y), mpoly.from_1d(rho2, 0, 2))
     parts = []
     for k, c in enumerate(w2.recurrence(N).monic_coeffs()):
-        if linear:
-            parts.append(forms(c))
-            continue
         # the symmetric second weight makes r_k share the parity of k
         scale = max(1.0, float(np.max(np.abs(c))))
         if np.any(np.abs(c[1 - k % 2::2]) > 1e-9 * scale):
-            raise ValueError("second weight must be symmetric for a sqrt mapping")
+            raise ValueError("second weight must be symmetric")
         parts.append(mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2])))
 
-    # moments of rho^(2k+1) w1: sums over the multiplier's nonzero terms c x^m,
-    # in ascending m, of c times w1's moments shifted by m
-    terms = [[(m, c) for m, c in enumerate(base_power(2 * k + 1 if linear else k)) if c != 0.0]
-             for k in range(N + 1)]
-    top = max((2 * (N - k) + m for k, t in enumerate(terms) for m, _ in t), default=0)
-    w1m = np.concatenate([w1.moment_vector(m) for m in range(top + 1)])
+    # moments of rho^(2k+1) w1: sums over the nonzero terms c x^m of rho^(2k),
+    # in ascending m, of c times the moments of rho w1 shifted by m
+    powers = [mpoly.const(1)]
+    for _ in range(N):
+        powers.append(mpoly.mul(powers[-1], rho2))
+    terms = [[(m, c) for m, c in enumerate(power) if c != 0.0] for power in powers]
+    w1m = np.concatenate([w1.moment_vector(m) for m in range(2 * N + 1)])
     rows = {}
     for k in range(N + 1):
         size = 2 * (N - k) + 1
@@ -546,20 +511,4 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, rho: RhoMap,
         rec = recurrence_from_moments(mom, label=f"rho^{2 * k + 1}*w1")
         for m, q in enumerate(rec.monic_coeffs()):
             rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
-
-    def oracle(alpha):
-        j, k = alpha
-        myk = w2.moment_vector(k)[0]
-        if myk == 0.0:
-            return 0.0
-        if linear:
-            mult = base_power(k + 1)
-        else:
-            if k % 2:
-                return 0.0
-            mult = base_power(k // 2)
-        mx = sum(c * w1.moment_vector(j + m)[0] for m, c in enumerate(mult) if c != 0.0)
-        return myk * mx
-
-    label = f"koornwinder({w1.label},{w2.label})"
-    return system_from_rows(rows, 2, N, label), MomentFunctional(2, oracle, label=label)
+    return system_from_rows(rows, 2, N, f"koornwinder({w1.label},{w2.label})")

@@ -23,7 +23,7 @@ import numpy as np
 from . import matrixkit as mk
 from . import moments, mpoly
 from .checks import Check, all_pass
-from .construct import (PolySystem, RhoMap, gram_blocks, gram_schmidt_monic,
+from .construct import (PolySystem, gram_blocks, gram_schmidt_monic,
                         koornwinder_system, system_from_rows, tensor_system)
 from .indexing import basis_for
 from .linrel import (LinearRelation, classify_ranks, combined_from_reference,
@@ -405,14 +405,9 @@ def disk_family(mu: float, N: int, res_tol: float = DEFAULT_RES_TOL,
     bundle = FamilyBundle("disk", {"mu": mu}, d=2, N=N)
     v = moments.disk_functional(mu)
     u = moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v, label=f"(1-x)*{v.label}")
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
     w2 = moments.jacobi_functional_1d(mu, mu)
-    Q, _ = koornwinder_system(
-        moments.jacobi_functional_1d(mu + 0.5, mu + 0.5), w2, rho, N
-    )
-    P, _ = koornwinder_system(
-        moments.jacobi_functional_1d(mu + 1.5, mu + 0.5), w2, rho, N
-    )
+    Q = koornwinder_system(moments.jacobi_functional_1d(mu + 0.5, mu + 0.5), w2, N)
+    P = koornwinder_system(moments.jacobi_functional_1d(mu + 1.5, mu + 0.5), w2, N)
 
     # closed-form relation blocks in the shared product basis
     rel = _closed_form(bundle, Q, P, 1,

@@ -348,23 +348,22 @@ class _TensorFunctional(MomentFunctional):
     """Composition of univariate functionals acting on separate variables.
 
     A degree vector is the elementwise product of the factors' moments,
-    taken in factor order.  Each factor's moments 0..n are kept in one list
-    per factor that grows as degrees are asked for.
+    taken in factor order; each factor's moments 0..n are its own stored
+    degree vectors, concatenated.
     """
 
     def __init__(self, factors, label: str):
         factors = tuple(factors)
         super().__init__(len(factors), None, label)
         self.factors = factors
-        self._factor_moments: list[list[float]] = [[] for _ in factors]
 
     def _degree_vector(self, n: int) -> np.ndarray:
         exps = self.basis.exponents(n)
         out = np.ones(len(exps))
         with np.errstate(over="ignore", invalid="ignore"):   # checked just below
-            for axis, (f, moms) in enumerate(zip(self.factors, self._factor_moments)):
-                moms.extend(f.moment((m,)) for m in range(len(moms), n + 1))
-                out *= np.array(moms[:n + 1])[exps[:, axis]]
+            for axis, f in enumerate(self.factors):
+                moms = np.concatenate([f.moment_vector(m) for m in range(n + 1)])
+                out *= moms[exps[:, axis]]
         return self._finite(n, out)
 
 
@@ -798,16 +797,20 @@ def jacobi_recurrence(N: int, a: float, b: float) -> Recurrence1D:
     is not finite, as for exponents so large that the formulas overflow."""
     if not _exceeds(-1, a, b):
         raise ValueError(f"jacobi exponents must exceed -1, got ({a}, {b})")
-    bb = [(b - a) / (a + b + 2)]
+    # every sum a + b + m is formed from t = (a + 1) + (b + 1), which keeps
+    # its digits as both exponents near -1, where a + b + 2 cancels; the
+    # 0.0 added to (b - a)(b + a) makes b_n = +0.0 where a = -b
+    t = (a + 1) + (b + 1)
+    bb = [(b - a) / t]
     cc = [0.0]
     try:
         for n in range(1, N + 1):
-            s = 2 * n + a + b
-            bb.append((b**2 - a**2) / (s * (s + 2)))
+            s = 2 * n - 2 + t
+            bb.append(((b - a) * (b + a) + 0.0) / (s * (s + 2)))
             if n == 1:
-                cc.append(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
+                cc.append(4 * (1 + a) * (1 + b) / (t ** 2 * (t + 1)))
             else:
-                cc.append(4 * n * (n + a) * (n + b) * (n + a + b) / (s**2 * (s + 1) * (s - 1)))
+                cc.append(4 * n * (n + a) * (n + b) * (n - 2 + t) / (s**2 * (s + 1) * (s - 1)))
         ok = all(map(math.isfinite, bb)) and all(0.0 < x < math.inf for x in cc[1:])
     except OverflowError:   # float ** 2 raises above 1.3e154
         ok = False

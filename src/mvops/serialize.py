@@ -13,16 +13,18 @@ one definition of an exact structural block), so reading back what was
 written gives the same bytes.  Readers accept both forms in those slots,
 and a marker anywhere else, or a word no marker has, is refused with the
 block's name.  One table, `_STRUCTURAL`, and one block layout, `_slots`,
-serve the writers, the readers and `validate_blocks`.
+serve the writers and the readers.
 
-The CLI reads every file through a checked read, which refuses what
-`validate_blocks` refuses and checks structure before numbers: the kind,
-d >= 1, the number of blocks per degree and direction, the place of every
-marker and every other block's `rows cols` header come first, the payloads
-after, block by block.  Its error names the first bad block (a field that
-is missing, or a block list that is not a JSON list, with its file), and a
-misshapen block costs no payload conversion.  The public readers need a
-JSON integer d and the same layout, with a marker or matrix text in every
+The CLI reads every file through a checked read, the one definition of a
+valid envelope: d >= 1, a finite tail, and every block the layout uses
+finite and shaped as its two degrees require.  It checks structure before
+numbers: the kind, d, the tail, the number of blocks per degree and
+direction, the place of every marker and every other block's `rows cols`
+header come first, the payloads after, block by block.  Its error names
+the first bad block (a field that is missing, or a block list that is not
+a JSON list, with its file), and a misshapen block costs no payload
+conversion.  The public readers need a JSON integer d, a JSON number as a
+relation's tail and the same layout, with a marker or matrix text in every
 block the layout uses, and keep the values of every block and the shapes
 of recurrence and relation blocks; a system's blocks are laid side by side
 (PolySystem), so they must fit their degree.  A system's `monic` field is
@@ -55,18 +57,19 @@ _STRUCTURAL = {
 
 def _slots(kind: str, d: int, part, source: str = ""):
     """(label, container, index, row degree, column degree, marker) of every
-    block a document or object of `kind` uses; `part(name)` returns its list
-    `name`, and `marker` is the key of `_STRUCTURAL` the slot may hold, or None.
+    block a document of `kind` uses, read or being written; `part(name)`
+    returns its list `name`, and `marker` is the key of `_STRUCTURAL` the
+    slot may hold, or None.
 
-    A list or a degree's row that is not a list (a tuple will do for an
-    object's) raises ValueError naming it, and `source`, the file, when
-    given.  Index 0 of a recurrence's C and of a relation's M is unused and
-    not visited; C needs an entry for every degree n >= 1 that B has.
+    A list or a degree's row that is not a list raises ValueError naming
+    it, and `source`, the file, when given.  Index 0 of a recurrence's C
+    and of a relation's M is unused and not visited; C needs an entry for
+    every degree n >= 1 that B has.
     """
     where = f" in {source}" if source else ""
 
     def listed(name: str, value):
-        if not isinstance(value, (list, tuple)):
+        if not isinstance(value, list):
             got = "null" if value is None else type(value).__name__
             raise ValueError(f"field {name}{where} must be a list, got {got}")
         return value
@@ -86,7 +89,7 @@ def _slots(kind: str, d: int, part, source: str = ""):
                 raise ValueError(f"C must hold one entry per degree 1..{len(B) - 1} "
                                  f"of B, got {max(len(rows) - 1, 0)}")
             for n, row in enumerate(rows[first:], start=first):
-                if not isinstance(row, (list, tuple)) or len(row) != d:
+                if not isinstance(row, list) or len(row) != d:
                     raise ValueError(f"{name}[{n}] must hold {d} blocks")
                 for i in range(d):
                     yield f"{name}[{n}][{i + 1}]", row, i, n, n + step, marker
@@ -94,36 +97,6 @@ def _slots(kind: str, d: int, part, source: str = ""):
         M = listed("M", part("M"))
         for n in range(1, len(M)):
             yield f"M[{n}]", M, n, n, n - 1, None
-
-
-def _check_shape(where: str, shape, d: int, n: int, k: int) -> None:
-    want = (rank_count(d, n), rank_count(d, k))
-    if shape != want:
-        raise ValueError(f"{where} has shape {shape}, expected {want}")
-
-
-def _check_finite(where: str, m: np.ndarray) -> None:
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{where} has a non-finite entry")
-
-
-def _check_scalars(d: int, tail: float | None) -> None:
-    if d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {d}")
-    if tail is not None and not math.isfinite(tail):
-        raise ValueError(f"tail must be finite, got {tail}")
-
-
-def validate_blocks(obj: PolySystem | ThreeTermData | LinearRelation) -> None:
-    """Raise ValueError unless d >= 1 and every block the system, recurrence
-    or relation uses is finite and shaped as its two degrees require."""
-    kind = ("polynomial_system" if isinstance(obj, PolySystem)
-            else "three_term" if isinstance(obj, ThreeTermData) else "linear_relation")
-    _check_scalars(obj.d, obj.tail if kind == "linear_relation" else None)
-    for where, row, i, n, k, _ in _slots(kind, obj.d, lambda name: getattr(obj, name)):
-        m = row[i]
-        _check_shape(where, None if m is None else m.shape, obj.d, n, k)
-        _check_finite(where, m)
 
 
 def _holds_marker(where: str, block, marker: str | None) -> bool:
@@ -151,11 +124,11 @@ def _read(text: str, kind: str, checked: bool, source: str = ""):
     Every block the layout uses must be its slot's marker or matrix text; a
     marker comes back as the block it stands for ("shift" as the basis's
     shared, read-only shift matrix), and the unused index 0 of C or M as
-    None.  A `d` that is not a JSON integer raises ValueError on every
-    read.  A `checked` read refuses what `validate_blocks` refuses,
-    structure before numbers: d, the tail, every marker's place and every
-    other block's header first, then the payloads block by block, each
-    checked as it is decoded.
+    None.  A `d` that is not a JSON integer, or a relation's tail that is
+    not a JSON number, raises ValueError on every read.  A `checked` read
+    checks structure before numbers (module docstring): d >= 1, a finite
+    tail, every marker's place and every other block's shape first, then
+    the payloads block by block, each finite as it is decoded.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("kind") != kind:
@@ -169,23 +142,34 @@ def _read(text: str, kind: str, checked: bool, source: str = ""):
     d = field("d")
     if not isinstance(d, int) or isinstance(d, bool):
         raise ValueError(f"dimension d must be an integer, got {d!r}")
-    tail = float(payload.get("tail", 0.0)) if kind == "linear_relation" else None
+    tail = payload.get("tail", 0.0) if kind == "linear_relation" else 0.0
+    if not isinstance(tail, (int, float)) or isinstance(tail, bool):
+        raise ValueError(f"tail must be a number, got {tail!r}")
+    try:
+        tail = float(tail)
+    except OverflowError:   # an integer past the floats, read as 1e400 is
+        tail = math.inf if tail > 0 else -math.inf
     if checked:
-        _check_scalars(d, tail)
+        if d < 1:
+            raise ValueError(f"dimension d must be >= 1, got {d}")
+        if not math.isfinite(tail):
+            raise ValueError(f"tail must be finite, got {tail}")
     slots = list(_slots(kind, d, field, source))
     marked = [_holds_marker(where, row[i], marker) for where, row, i, _, _, marker in slots]
     if checked:
         for (where, row, i, n, k, _), structural in zip(slots, marked):
             if not structural:
                 shape = None if row[i] is None else _named(where, matrix_shape, row[i])
-                _check_shape(where, shape, d, n, k)
+                want = (rank_count(d, n), rank_count(d, k))
+                if shape != want:
+                    raise ValueError(f"{where} has shape {shape}, expected {want}")
     for (where, row, i, n, _, marker), structural in zip(slots, marked):
         if structural:
             row[i] = _STRUCTURAL[marker](d, n, i)
             continue
         row[i] = _named(where, parse_matrix, row[i])
-        if checked:
-            _check_finite(where, row[i])
+        if checked and not np.all(np.isfinite(row[i])):
+            raise ValueError(f"{where} has a non-finite entry")
     if kind == "polynomial_system":
         return PolySystem(d, payload["blocks"], payload.get("label", ""))
     if kind == "three_term":

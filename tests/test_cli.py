@@ -703,6 +703,9 @@ def test_every_family_passes_at_its_defaults(name, capsys):
     ("cube --a=300,0 --b=0,0", 0),
     # the Jacobi(300, 0) weight is positive: its positive norms certify it
     ("krall-jacobi --alpha 300 --beta 0 --a1 1", 0),
+    # exponents next to -1, where a + b + 2 cancels in the closed-form
+    # Jacobi recurrence unless it is formed as (a + 1) + (b + 1)
+    ("krall-jacobi --ay=-0.9999999999999", 0),
     # a Laguerre moment Gamma(alpha + 1) overflows: a failed computation
     ("krall-laguerre --alpha 200 --a1 1", 1),
     ("laguerre --kappa 200,1", 1),

@@ -10,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 
 from mvops import construct, matrixkit as mk, moments, mpoly
 from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefiniteFailure,
-                             RhoMap, gram_blocks, gram_schmidt_monic, inner_block,
+                             gram_blocks, gram_schmidt_monic, inner_block,
                              koornwinder_system, orthonormalize, system_from_rows)
 from mvops.indexing import basis_for
 from mvops.ttr import compute_ttr
@@ -151,45 +151,13 @@ def test_orthonormalize_rejects_indefinite():
         orthonormalize(P, H)
 
 
-def test_koornwinder_constant_mapping_is_tensor_product():
-    w1 = moments.jacobi_functional_1d(0.0, 0.0)
-    w2 = moments.jacobi_functional_1d(1.0, 1.0)
-    N = 4
-    sys2, func = koornwinder_system(w1, w2, RhoMap.linear(1.0), N)
-    assert sys2.monic
-    q, _ = gram_schmidt_monic(w1, N)
-    r, _ = gram_schmidt_monic(w2, N)
-    # row (n - k, k) of the product system is q_(n-k)(x) r_k(y)
-    rows = {}
-    for n in range(N + 1):
-        for k in range(n + 1):
-            qc = np.concatenate([q.block(n - k, m)[0] for m in range(n - k + 1)])
-            rc = np.concatenate([r.block(k, m)[0] for m in range(k + 1)])
-            rows[(n - k, k)] = mpoly.mul(mpoly.from_1d(qc, 0, 2), mpoly.from_1d(rc, 1, 2))
-    product = system_from_rows(rows, 2, N, "q(x) r(y)")
-    for n in range(N + 1):
-        for m in range(n + 1):
-            assert mk.max_abs(sys2.block(n, m) - product.block(n, m)) <= 1e-12
-    # tensor moments factor through the two one-dimensional functionals
-    assert func.moment((2, 3)) == pytest.approx(
-        w1.moment((2,)) * w2.moment((3,)), rel=1e-13
-    )
-
-
 @functools.lru_cache(maxsize=None)
-def _koornwinder_case(kind):
+def _koornwinder_case():
     """A Koornwinder system with the 1-d systems of its rows, built without mpoly."""
     w1 = moments.jacobi_functional_1d(0.5, 0.5)
     w2 = moments.jacobi_functional_1d(1.0, 1.0)
     N = 5
-    if kind == "sqrt":
-        rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
-        rho_of = lambda x: np.sqrt(1.0 - x * x)
-        mult = lambda k: npoly.polypow([1.0, 0.0, -1.0], k)
-    else:
-        rho = RhoMap.linear(2.0, 0.5)
-        rho_of = lambda x: 2.0 + 0.5 * x
-        mult = lambda k: npoly.polypow([2.0, 0.5], 2 * k + 1)
+    mult = lambda k: npoly.polypow([1.0, 0.0, -1.0], k)
 
     def monic(u, n):
         P, _ = gram_schmidt_monic(u, n)
@@ -199,16 +167,14 @@ def _koornwinder_case(kind):
     r = monic(w2, N)
     q = [monic(moments.left_multiply({(m,): c for m, c in enumerate(mult(k))}, w1), N - k)
          for k in range(N + 1)]
-    system, _ = koornwinder_system(w1, w2, rho, N)
-    return system, rho_of, q, r
+    return koornwinder_system(w1, w2, N), q, r
 
 
-@pytest.mark.parametrize("kind", ["sqrt", "linear"])
 @given(x=st.floats(-0.95, 0.95), t=st.floats(-1.0, 1.0))
 @settings(max_examples=40, deadline=None)
-def test_koornwinder_rows_evaluate_to_the_product_formula(kind, x, t):
-    system, rho_of, q, r = _koornwinder_case(kind)
-    rho = rho_of(x)
+def test_koornwinder_rows_evaluate_to_the_product_formula(x, t):
+    system, q, r = _koornwinder_case()
+    rho = np.sqrt(1.0 - x * x)
     y = t * rho
     basis = basis_for(2)
     for n in range(system.N + 1):
@@ -220,56 +186,45 @@ def test_koornwinder_rows_evaluate_to_the_product_formula(kind, x, t):
         assert mk.max_abs(got - want) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("kind", ["sqrt", "linear"])
-def test_koornwinder_parts_share_one_form_table(monkeypatch, kind):
+def test_koornwinder_parts_share_one_form_table(monkeypatch):
     # one product per row, each form of degree <= N once across all k, and
-    # the powers of y, of rho and of the multipliers rho^(2k+1)
+    # the powers of y and of rho^2
     calls = []
     real_mul = mpoly.mul
     monkeypatch.setattr(mpoly, "mul", lambda a, b: calls.append(1) or real_mul(a, b))
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0) if kind == "sqrt" else RhoMap.linear(2.0, 0.5)
     N = 10
     koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                       moments.jacobi_functional_1d(1.0, 1.0), rho, N)
+                       moments.jacobi_functional_1d(1.0, 1.0), N)
     assert len(calls) <= (N + 1) * (N + 2) + 4 * N + 1
 
 
 def test_koornwinder_disk_orthogonality():
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
-    w2 = moments.jacobi_functional_1d(0.0, 0.0)
-    sys2, func = koornwinder_system(
-        moments.jacobi_functional_1d(0.5, 0.5), w2, rho, 4
-    )
-    assert gram_blocks(func, sys2).offdiag_residual <= 1e-10
-    # the returned functional matches the conventional disk moments up to scale
-    disk = moments.MomentFunctional(2, functools.partial(moments.disk_moment_closed, 0.0))
-    ratio = func.moment((0, 0)) / disk.moment((0, 0))
-    for alpha in [(2, 0), (0, 2), (2, 2), (4, 0)]:
-        assert func.moment(alpha) == pytest.approx(ratio * disk.moment(alpha),
-                                                   rel=1e-11, abs=1e-13)
+    # rho w1 = sqrt(1 - x^2) and w2 = 1: the system of the unit disk's
+    # Lebesgue measure
+    sys2 = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                              moments.jacobi_functional_1d(0.0, 0.0), 4)
+    disk = moments.disk_functional(0.0)
+    assert gram_blocks(disk, sys2).offdiag_residual <= 1e-10
+    assert construct.orthogonality_residual(disk, sys2) <= 1e-10
 
 
 def test_koornwinder_rejects_asymmetric_second_weight_for_sqrt():
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="second weight must be symmetric"):
         koornwinder_system(
             moments.jacobi_functional_1d(0.5, 0.5),
             moments.jacobi_functional_1d(1.0, 0.0),  # not symmetric
-            rho, 3,
+            3,
         )
 
 
 def test_to_monic_restores_identity_leading():
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
-    sys2, func = koornwinder_system(
-        moments.jacobi_functional_1d(0.5, 0.5),
-        moments.jacobi_functional_1d(0.0, 0.0), rho, 3,
-    )
+    sys2 = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                              moments.jacobi_functional_1d(0.0, 0.0), 3)
     assert not sys2.monic
     mon = sys2.to_monic()
     for n in range(4):
         assert np.array_equal(mon.leading(n), np.eye(n + 1))
-    assert gram_blocks(func, mon).offdiag_residual <= 1e-10
+    assert gram_blocks(moments.disk_functional(0.0), mon).offdiag_residual <= 1e-10
 
 
 def _pair_blockwise(u, rows_a, rows_b, basis):
@@ -463,8 +418,7 @@ def test_tensor_route_asks_no_moment_above_2n_plus_1():
         gram_schmidt_monic(moments.tensor(legendre(), legendre()), 5)
 
 
-@pytest.mark.parametrize("rho", [RhoMap.sqrt_poly(1.0, 0.0, -1.0), RhoMap.linear(2.0, 0.5)])
-def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch, rho):
+def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch):
     calls = []
     for name in ("gram_schmidt_monic", "pair_blocks"):
         def counted(*args, real=getattr(construct, name), name=name):
@@ -472,27 +426,25 @@ def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch, rho):
             return real(*args)
 
         monkeypatch.setattr(construct, name, counted)
-    system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                                   moments.jacobi_functional_1d(1.0, 1.0), rho, 6)
+    system = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                                moments.jacobi_functional_1d(1.0, 1.0), 6)
     assert system.N == 6 and calls == []
 
 
-@pytest.mark.parametrize("rho", [RhoMap.sqrt_poly(1.0, 0.0, -1.0), RhoMap.linear(2.0, 0.5)])
-def test_koornwinder_system_creates_no_left_multiplied_functional(monkeypatch, rho):
+def test_koornwinder_system_creates_no_left_multiplied_functional(monkeypatch):
     # the weights rho^(2k+1) w1 are read as combinations of w1's moments
     def refuse(self, *args, **kwargs):
         raise AssertionError("left-multiplied functional created")
 
     monkeypatch.setattr(moments._LeftMultiplied, "__init__", refuse)
-    system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                                   moments.jacobi_functional_1d(1.0, 1.0), rho, 6)
+    system = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                                moments.jacobi_functional_1d(1.0, 1.0), 6)
     assert system.N == 6
 
 
 def test_to_monic_solves_each_degree_once_against_its_lower_blocks(monkeypatch):
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
-    system, _ = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                                   moments.jacobi_functional_1d(0.0, 0.0), rho, 6)
+    system = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
+                                moments.jacobi_functional_1d(0.0, 0.0), 6)
     checks, solves = [], []
     rank, solve = mk.numeric_rank, np.linalg.solve
 

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvops import construct, linrel, matrixkit as mk, moments, serialize
-from mvops.construct import GramBlocks, RhoMap, gram_schmidt_monic, inner_block, \
-    koornwinder_system
+from mvops.construct import GramBlocks, gram_schmidt_monic, inner_block, koornwinder_system
 from mvops.indexing import basis_for
 from mvops.linrel import (LinearRelation, classify_ranks, combined_from_reference,
                           compute_relation, counterexample,
@@ -23,12 +22,9 @@ from blockref import relation_by_pairing
 def disk_pair():
     mu = 0.0
     N = 5
-    rho = RhoMap.sqrt_poly(1.0, 0.0, -1.0)
     w2 = moments.jacobi_functional_1d(mu, mu)
-    Q, _ = koornwinder_system(moments.jacobi_functional_1d(mu + 0.5, mu + 0.5),
-                              w2, rho, N)
-    P, _ = koornwinder_system(moments.jacobi_functional_1d(mu + 1.5, mu + 0.5),
-                              w2, rho, N)
+    Q = koornwinder_system(moments.jacobi_functional_1d(mu + 0.5, mu + 0.5), w2, N)
+    P = koornwinder_system(moments.jacobi_functional_1d(mu + 1.5, mu + 0.5), w2, N)
     v = moments.disk_functional(mu)
     u = moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v)
     return mu, N, Q, P, u, v

@@ -822,8 +822,11 @@ def test_quasi_definite_failure_and_the_chebyshev_algorithm_keep_their_old_homes
 
 
 @given(spec=st.one_of(
-    st.tuples(st.just("jacobi"), st.floats(-0.95, 50.0), st.floats(-0.95, 50.0)),
+    st.tuples(st.just("jacobi"), st.floats(-1.0, 50.0, exclude_min=True),
+              st.floats(-1.0, 50.0, exclude_min=True)),
     st.tuples(st.just("laguerre"), st.floats(-0.95, 60.0))), N=st.integers(0, 14))
+@example(spec=("jacobi", -0.9999999999999303, -0.9999999999999988), N=6)
+@example(spec=("jacobi", -0.9999999999999, -0.9999999999999), N=4)
 @settings(max_examples=60, deadline=None)
 def test_a_kept_recurrence_is_the_closed_form_bit_for_bit(spec, N):
     u = _closed_functional(spec)

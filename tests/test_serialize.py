@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -71,36 +72,6 @@ def test_wrong_kind_rejected(disk_pieces):
         serialize.relation_from_json(serialize.system_to_json(P))
 
 
-def test_validate_blocks_accepts_written_documents(disk_pieces):
-    P, T = disk_pieces
-    _, rel = linrel.counterexample(4)
-    serialize.validate_blocks(serialize.system_from_json(serialize.system_to_json(P)))
-    serialize.validate_blocks(serialize.ttr_from_json(serialize.ttr_to_json(T)))
-    serialize.validate_blocks(serialize.relation_from_json(serialize.relation_to_json(rel)))
-
-
-def test_validate_blocks_names_the_bad_block(disk_pieces):
-    P, T = disk_pieces
-    _, rel = linrel.counterexample(4)
-    bad_shape = serialize.ttr_from_json(serialize.ttr_to_json(T))
-    bad_shape.C[2][1] = np.zeros((3, 3))
-    with pytest.raises(ValueError, match=r"C\[2\]\[2\] has shape \(3, 3\), expected \(3, 2\)"):
-        serialize.validate_blocks(bad_shape)
-    bad_value = serialize.relation_from_json(serialize.relation_to_json(rel))
-    bad_value.M[3] = bad_value.M[3].copy()
-    bad_value.M[3][0, 0] = np.inf
-    with pytest.raises(ValueError, match=r"M\[3\] has a non-finite entry"):
-        serialize.validate_blocks(bad_value)
-    read = serialize.system_from_json(serialize.system_to_json(P))
-    short_row = PolySystem(P.d, [*read.rows[:2], read.rows[2][:2], *read.rows[3:]])
-    with pytest.raises(ValueError, match=r"block \(2, 0\) has shape \(2, 1\), expected \(3, 1\)"):
-        serialize.validate_blocks(short_row)
-    no_dim = serialize.system_from_json(serialize.system_to_json(P))
-    no_dim.d = 0
-    with pytest.raises(ValueError, match="d must be >= 1"):
-        serialize.validate_blocks(no_dim)
-
-
 @pytest.mark.parametrize("written", [False, "x", None])
 def test_monic_is_read_off_the_blocks_not_the_envelope(disk_pieces, written):
     P, _ = disk_pieces
@@ -126,10 +97,6 @@ def test_readers_refuse_a_c_list_shorter_than_b(texts, keep):
         with pytest.raises(ValueError, match=rf"^C must hold one entry per degree 1\.\.4 of B, "
                                              rf"got {max(keep - 1, 0)}$"):
             read(text)
-    T = serialize.ttr_from_json(texts["ttr"])
-    T.C = T.C[:keep]
-    with pytest.raises(ValueError, match="^C must hold one entry per degree"):
-        serialize.validate_blocks(T)
 
 
 READERS = {"system": serialize.system_from_json, "ttr": serialize.ttr_from_json,
@@ -205,11 +172,16 @@ def test_validating_read_stops_at_the_first_non_finite_block(texts, monkeypatch)
     assert np.isinf(T.b(1, 2)[0, 1])
 
 
-def test_validating_read_refuses_what_validate_blocks_refuses(texts):
+def test_validating_read_names_the_bad_block(texts):
     cases = [
         ("system", lambda p: p.update(d=0), "d must be >= 1"),
         ("relation", lambda p: p.update(tail=float("nan")), "tail must be finite"),
+        ("relation", lambda p: p.update(tail=10**400), "tail must be finite, got inf"),
         ("system", lambda p: p["blocks"][2].pop(), "degree 2 has 2 blocks, expected 3"),
+        ("system", lambda p: p["blocks"][2].__setitem__(0, "2 1\n0\n0"),
+         r"block \(2, 0\) has shape \(2, 1\), expected \(3, 1\)"),
+        ("relation", lambda p: p["M"].__setitem__(3, "4 3\n0 0 0\n0 inf 0\n0 0 0\n0 0 0"),
+         r"M\[3\] has a non-finite entry"),
         ("ttr", lambda p: p["B"][1].pop(), r"B\[1\] must hold 2 blocks"),
         ("relation", lambda p: p.update(kind="three_term"), "not a linear relation"),
     ]
@@ -251,13 +223,53 @@ def test_readers_refuse_a_dimension_that_is_no_json_integer(texts, kind, d):
             read(text)
 
 
+@pytest.mark.parametrize("tail", [None, {}, [1], True, "1e5"])
+def test_readers_refuse_a_tail_that_is_no_json_number(texts, tail):
+    payload = json.loads(texts["relation"])
+    payload["tail"] = tail
+    text = json.dumps(payload)
+    for read in (serialize.relation_from_json, lambda t: _checked("relation", t)):
+        with pytest.raises(ValueError, match=re.escape(f"tail must be a number, got {tail!r}")):
+            read(text)
+
+
+def test_a_tail_past_the_floats_reads_as_infinite(texts):
+    payload = json.loads(texts["relation"])
+    for tail, want in ((10**400, math.inf), (-10**400, -math.inf), (7, 7.0)):
+        payload["tail"] = tail
+        assert serialize.relation_from_json(json.dumps(payload)).tail == want
+
+
+# small integers only: a public read of a system whose d is changed builds
+# its "identity" blocks at that d before the layout refuses them
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(READERS)), data=st.data())
+def test_any_json_value_in_one_field_is_read_or_refused_with_value_error(texts, kind, data):
+    payload = json.loads(texts[kind])
+    field = data.draw(st.sampled_from(sorted(payload) + ["tail"]))
+    payload[field] = data.draw(_JSON)
+    text = json.dumps(payload)
+    for read in (READERS[kind], lambda t: _checked(kind, t)):
+        try:
+            read(text)
+        except ValueError:
+            pass
+
+
 def test_public_readers_keep_shapes_and_values(texts):
     payload = json.loads(texts["relation"])
     payload["M"][2] = "3 1\n0.5\nnan\n0"
     rel = serialize.relation_from_json(json.dumps(payload))
     assert rel.m(2).shape == (3, 1) and np.isnan(rel.m(2)[1, 0])
     with pytest.raises(ValueError, match=r"M\[2\] has shape \(3, 1\), expected \(3, 2\)"):
-        serialize.validate_blocks(rel)
+        _checked("relation", json.dumps(payload))
     payload = json.loads(texts["system"])
     payload["blocks"][2].pop()
     with pytest.raises(ValueError, match="degree 2 has 2 blocks, expected 3"):
