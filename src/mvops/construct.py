@@ -503,7 +503,7 @@ def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, N: int) -> Po
     for _ in range(N):
         powers.append(mpoly.mul(powers[-1], rho2))
     terms = [[(m, c) for m, c in enumerate(power) if c != 0.0] for power in powers]
-    w1m = np.concatenate([w1.moment_vector(m) for m in range(2 * N + 1)])
+    w1m = w1.moments(2 * N)
     rows = {}
     for k in range(N + 1):
         size = 2 * (N - k) + 1

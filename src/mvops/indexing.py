@@ -96,6 +96,7 @@ class GradedBasis:
         self._joint_sv: dict[int, np.ndarray] = {}
         self._table = np.zeros((0, 0), dtype=np.intp)
         self._table_top = -1
+        self._graded_exps = np.zeros((0, d), dtype=np.intp)
 
     def size(self, n: int) -> int:
         return rank_count(self.d, n)
@@ -128,6 +129,16 @@ class GradedBasis:
             exps.flags.writeable = False
             self._exponents[n] = exps
         return self._exponents[n]
+
+    def graded_exponents(self, n: int) -> np.ndarray:
+        """The multi-indices of degrees 0..n in graded order, one read-only
+        (offset(n + 1), d) integer array kept as graded_table keeps its table."""
+        size = self.offset(n + 1)
+        if size > len(self._graded_exps):
+            exps = np.concatenate([self.exponents(m) for m in range(n + 1)])
+            exps.flags.writeable = False
+            self._graded_exps = exps
+        return self._graded_exps[:size]
 
     def position(self, alpha) -> int:
         """Position of a multi-index within its own degree block."""
@@ -238,8 +249,7 @@ class GradedBasis:
         """
         if n > self._table_top:
             d, size = self.d, self.offset(n + 1)
-            exps = np.array([a for m in range(n + 1) for a in self.indices(m)],
-                            dtype=np.intp).reshape(-1, d)
+            exps = self.graded_exponents(n)
             tails = np.cumsum(exps[:, ::-1], axis=1)[:, ::-1]
             pascal = _pascal(2 * n + d, d)
             table = np.zeros((size, size), dtype=np.intp)

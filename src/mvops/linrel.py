@@ -169,13 +169,11 @@ def recover_lambda(rel: LinearRelation, H: GramBlocks, Ht: GramBlocks,
 def functional_match_residual(u: MomentFunctional, v: MomentFunctional,
                               lam: LinearPoly, max_degree: int) -> float:
     """Largest gap between the moments of u and of lambda . v, relative per
-    degree to the larger moment of that degree (at least 1).  The degrees
-    are laid end to end and reduced at once (np.maximum.reduceat)."""
-    lv = left_multiply(lam, v)
-    degrees = range(max_degree + 1)
-    mu = np.concatenate([u.moment_vector(n) for n in degrees])
-    mlv = np.concatenate([lv.moment_vector(n) for n in degrees])
-    starts = [u.basis.offset(n) for n in degrees]
+    degree to the larger moment of that degree (at least 1).  Both prefixes
+    through max_degree are reduced at once (np.maximum.reduceat)."""
+    mu = u.moments(max_degree)
+    mlv = left_multiply(lam, v).moments(max_degree)
+    starts = [u.basis.offset(n) for n in range(max_degree + 1)]
     scale = np.maximum(np.maximum.reduceat(np.abs(mu), starts),
                        np.maximum.reduceat(np.abs(mlv), starts))
     return mk.worst(np.maximum.reduceat(np.abs(mu - mlv), starts) / np.maximum(scale, 1.0))

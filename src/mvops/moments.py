@@ -1,13 +1,14 @@
-"""Moment functionals: one store of moment vectors per functional.
+"""Moment functionals: one graded store of moments per functional.
 
 Every weight family in the catalog defines its moments exactly: a closed
-form (Gamma/Beta/Dirichlet integrals; the Dirichlet one a whole degree at
-a time) or, for Jacobi and Chebyshev weights, the exact two-term moment
+form (Gamma/Beta/Dirichlet integrals; the Dirichlet one a range of degrees
+at a time) or, for Jacobi and Chebyshev weights, the exact two-term moment
 recurrence started from the mass; none runs a quadrature rule.  Left
 multiplication by a polynomial and tensor composition define their moments
-once, as degree vectors gathered from those of the functionals they
-combine.  Every read goes through the degree vectors, so no caller needs
-to know how a moment is produced.
+once, as ranges of degrees gathered from the prefixes of the functionals
+they combine.  Every read is a prefix of the store, the moments of degrees
+0..n in graded order, so no caller needs to know how a moment is produced,
+and a missing range of degrees is computed by one call.
 
 A univariate functional keeps its monic recurrence too (`recurrence`),
 the one every tensor route reads: the closed form of a Jacobi or Laguerre
@@ -16,12 +17,11 @@ weight, certified by its positive norms and checked against its moments
 under the rank rule of construction, DEFAULT_RANK_TOL (Gautschi,
 Orthogonal Polynomials: Computation and Approximation, 2004, sections
 2.1.7 and 2.4).  Its read path costs a few microseconds per degree: the
-moments 0..2N+1 are scalar `moment` reads, each a one-entry degree vector
-made by one oracle call and checked as a float, not as an array; the
-closed forms are Python-float loops; the check forms the powers of the
-Jacobi matrix by doubling (_first_entries); and the coefficient table of
-the monic polynomials is one Python-float recurrence (monic_table), the
-per-degree array loop's values bit for bit.
+moments 0..2N+1 are one range of the store, then scalar `moment` reads of
+it; the closed forms are Python-float loops; the check forms the powers
+of the Jacobi matrix by doubling (_first_entries); and the coefficient
+table of the monic polynomials is one Python-float recurrence
+(monic_table), the per-degree array loop's values bit for bit.
 
 Gamma and Beta values come from the standard library's math.gamma and
 math.lgamma (gamma, log_gamma, scaled_beta), in Stirling form above 171,
@@ -163,18 +163,22 @@ def scaled_beta(x: float, y: float, c: float = 1.0) -> float:
 class MomentFunctional:
     """Linear functional on d-variate polynomials, defined by its moments.
 
-    Moments are stored once per instance, as one read-only moment vector per
-    degree in basis order; a scalar moment is an entry of its degree's
-    vector.  The default degree vector asks the oracle, which must be
-    deterministic, once per multi-index; composed functionals pass no oracle
-    and gather their vectors from other functionals' instead, and the
-    simplex functional computes each vector in one pass.  A block of the
-    graded moment matrix, whose entry (a, b) is the moment at
-    alpha_a + beta_b over the monomials in graded order, is gathered from
-    the concatenated vectors each time it is asked for (graded_block); only
-    the vectors are kept.  Instances are intended to be confined to one
-    thread (the stores are unlocked).  Multi-indices are ordered by
-    `basis`, the shared graded basis of dimension d.
+    Moments are stored once per instance in one read-only array, the
+    moments of degrees 0..top in graded order: `moments(n)` is its prefix
+    through degree n, `moment_vector(n)` the degree-n slice and a scalar
+    moment one entry.  A read of degree n computes every missing degree
+    top+1..n by one `_degree_range` call and checks them once: a non-finite
+    moment raises at the lowest degree that holds one, naming its
+    multi-index, and nothing of the range is kept.  The default range asks
+    the oracle, which must be deterministic and must not read its own
+    functional, once per multi-index in graded order; composed functionals
+    pass no oracle and gather their ranges from other functionals'
+    prefixes, and the simplex functional computes a range in one pass.  A
+    block of the graded moment matrix (entry (a, b) the moment at
+    alpha_a + beta_b) is one gather of the prefix each time it is asked for
+    (graded_block).  Instances are intended to be confined to one thread
+    (the stores are unlocked).  Multi-indices are ordered by `basis`, the
+    shared graded basis of dimension d.
     """
 
     def __init__(self, d: int, oracle, label: str = ""):
@@ -184,7 +188,7 @@ class MomentFunctional:
         self.basis = basis_for(d)
         self._oracle = oracle
         self.label = label
-        self._vectors: dict[int, np.ndarray] = {}
+        self._store, self._top = np.zeros(0), -1
         self._recurrences: dict[int, Recurrence1D] = {}
 
     def __repr__(self):
@@ -194,34 +198,46 @@ class MomentFunctional:
         alpha = tuple(map(int, alpha))
         if len(alpha) != self.d or min(alpha) < 0:
             raise ValueError(f"bad multi-index {alpha} for dimension {self.d}")
-        # a univariate degree vector holds one moment
-        return float(self.moment_vector(sum(alpha))[
-            self.basis.position(alpha) if self.d > 1 else 0])
+        n = sum(alpha)
+        # a univariate moment's graded position is its degree
+        pos = n if self.d == 1 else self.basis.offset(n) + self.basis.position(alpha)
+        return float((self._store if n <= self._top else self.moments(n))[pos])
+
+    def moments(self, n: int) -> np.ndarray:
+        """Moments of degrees 0..n in graded order: a read-only prefix of the store."""
+        if n > self._top:
+            new = self._degree_range(self._top + 1, n)
+            if not np.isfinite(new).all():
+                pos = len(self._store) + int(np.flatnonzero(~np.isfinite(new))[0])
+                alpha = tuple(map(int, self.basis.graded_exponents(n)[pos]))
+                raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
+            store = np.concatenate((self._store, new))
+            store.flags.writeable = False
+            self._store, self._top = store, n
+        return self._store[:self.basis.offset(n + 1)]
 
     def moment_vector(self, n: int) -> np.ndarray:
         """Moments at the degree-n monomials in basis order; stored, read-only."""
-        vec = self._vectors.get(n)
-        if vec is None:
-            vec = self._degree_vector(n)
-            vec.flags.writeable = False
-            self._vectors[n] = vec
-        return vec
+        return self.moments(n)[self.basis.degree_slice(n, n)]
 
     def recurrence(self, N: int) -> Recurrence1D:
         """Monic recurrence through degree N, b_N included, of a univariate
         functional (ValueError for d != 1), made once per N and kept with b
         and c read-only; a QuasiDefiniteFailure is not kept.
 
-        The moments 0..2N+1 are read through `moment`.  A weight with a
-        closed-form recurrence (`_closed_recurrence`: Jacobi and Laguerre)
-        takes b and c from it, with moment 0 as the mass, and checks them
-        against those moments (check_recurrence); any other functional runs
-        recurrence_from_moments on them.
+        The moments 0..2N+1 are computed as one range and read through
+        `moment`.  A weight with a closed-form recurrence
+        (`_closed_recurrence`: Jacobi and Laguerre) takes b and c from it,
+        with moment 0 as the mass, and checks them against those moments
+        (check_recurrence); any other functional runs recurrence_from_moments
+        on them.
         """
         if self.d != 1:
             raise ValueError(f"a recurrence needs a univariate functional, got d={self.d}")
         if N not in self._recurrences:
-            # scalar reads: the benchmark's tracer counts moments at moment()
+            # one range, then scalar reads: the benchmark's tracer counts
+            # moments at moment()
+            self.moments(2 * N + 1)
             mom = np.array([self.moment((m,)) for m in range(2 * N + 2)])
             closed = self._closed_recurrence(N)
             if closed is None:
@@ -240,18 +256,10 @@ class MomentFunctional:
         weight has none."""
         return None
 
-    def _degree_vector(self, n: int) -> np.ndarray:
-        values = [float(self._oracle(a)) for a in self.basis.indices(n)]
-        vec = np.array(values)
-        # the floats are checked as floats: no array test per oracle vector
-        return vec if all(map(math.isfinite, values)) else self._finite(n, vec)
-
-    def _finite(self, n: int, vec: np.ndarray) -> np.ndarray:
-        """The degree-n vector, or ValueError at its first non-finite entry."""
-        if np.isfinite(vec).all():
-            return vec
-        alpha = self.basis.indices(n)[np.flatnonzero(~np.isfinite(vec))[0]]
-        raise ValueError(f"non-finite moment at {alpha} for {self.label!r}")
+    def _degree_range(self, lo: int, hi: int) -> np.ndarray:
+        """Moments of degrees lo..hi in graded order, not yet checked."""
+        indices = self.basis.indices
+        return np.array([float(self._oracle(a)) for n in range(lo, hi + 1) for a in indices(n)])
 
     def moment_matrix(self, j: int, k: int) -> np.ndarray:
         """Monomial pairing block: entry (a, b) is the moment at alpha_a + beta_b."""
@@ -262,15 +270,12 @@ class MomentFunctional:
         degrees k0..k1, as a fresh array: entry (a, b) is the moment at
         alpha_a + beta_b.
 
-        One gather of the moment vectors of degrees 0..j1 + k1, laid end to
-        end in graded order, through basis.graded_table; no moment above
-        degree j1 + k1 is asked for, so a non-finite moment raises at the
-        degree that needs it.
+        One gather of the prefix through degree j1 + k1 (`moments`) through
+        basis.graded_table; no moment above degree j1 + k1 is asked for.
         """
         basis = self.basis
-        flat = np.concatenate([self.moment_vector(m) for m in range(j1 + k1 + 1)])
-        table = basis.graded_table(max(j1, k1))
-        return flat[table[basis.degree_slice(j0, j1), basis.degree_slice(k0, k1)]]
+        rows, cols = basis.degree_slice(j0, j1), basis.degree_slice(k0, k1)
+        return self.moments(j1 + k1)[basis.graded_table(max(j1, k1))[rows, cols]]
 
 
 @dataclass(frozen=True)
@@ -308,11 +313,11 @@ class LinearPoly:
 class _LeftMultiplied(MomentFunctional):
     """Functional q |-> u(p q) for a polynomial p given by its coefficients.
 
-    A degree-n vector gathers, for each coefficient c_beta in dict order,
-    the base's degree-(n + |beta|) vector at the positions of alpha + beta
-    (the whole vector for beta = 0, the basis's kept shift_index for
-    beta = e_i) and accumulates c_beta times it from zero.  It raises where
-    a base vector it reads does, even at a moment outside the shifted set.
+    A range of degrees lo..hi gathers, for each coefficient c_beta in dict
+    order, the base's prefix through degree hi + |beta| at the positions of
+    alpha + beta (a slice, the basis's kept `shifted` for beta = e_i, or a
+    graded_table column) and accumulates c_beta times it from zero.  It
+    raises where a base prefix it reads does, even outside the shifted set.
     """
 
     def __init__(self, coeffs: dict, base: MomentFunctional, label: str):
@@ -320,19 +325,22 @@ class _LeftMultiplied(MomentFunctional):
         self.coeffs = coeffs
         self.base = base
 
-    def _degree_vector(self, n: int) -> np.ndarray:
+    def _degree_range(self, lo: int, hi: int) -> np.ndarray:
         basis = self.basis
-        out = np.zeros(basis.size(n))
-        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        rows = basis.degree_slice(lo, hi)
+        out = np.zeros(rows.stop - rows.start)
+        with np.errstate(over="ignore", invalid="ignore"):   # moments() checks
             for beta, c in self.coeffs.items():
                 m = sum(beta)
-                vec = self.base.moment_vector(n + m)
-                if m == 1:
-                    vec = vec[basis.shift_index(n, beta.index(1) + 1)]
-                elif m > 1:
-                    vec = vec[basis.sum_table(n, m)[:, basis.position(beta)]]
-                out += c * vec
-        return self._finite(n, out)
+                if m == 0:
+                    at = rows
+                elif m == 1:
+                    at = basis.shifted(hi + 1, beta.index(1) + 1)[rows]
+                else:
+                    column = basis.offset(m) + basis.position(beta)
+                    at = basis.graded_table(max(hi, m))[rows, column]
+                out += c * self.base.moments(hi + m)[at]
+        return out
 
 
 def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFunctional:
@@ -347,9 +355,9 @@ def left_multiply(p, u: MomentFunctional, label: str | None = None) -> MomentFun
 class _TensorFunctional(MomentFunctional):
     """Composition of univariate functionals acting on separate variables.
 
-    A degree vector is the elementwise product of the factors' moments,
-    taken in factor order; each factor's moments 0..n are its own stored
-    degree vectors, concatenated.
+    A range of degrees is the elementwise product of the factors' moments,
+    taken in factor order from 1.0: per axis, one gather of the factor's
+    prefix by that column of the basis's graded exponents.
     """
 
     def __init__(self, factors, label: str):
@@ -357,14 +365,13 @@ class _TensorFunctional(MomentFunctional):
         super().__init__(len(factors), None, label)
         self.factors = factors
 
-    def _degree_vector(self, n: int) -> np.ndarray:
-        exps = self.basis.exponents(n)
+    def _degree_range(self, lo: int, hi: int) -> np.ndarray:
+        exps = self.basis.graded_exponents(hi)[self.basis.offset(lo):]
         out = np.ones(len(exps))
-        with np.errstate(over="ignore", invalid="ignore"):   # checked just below
+        with np.errstate(over="ignore", invalid="ignore"):   # moments() checks
             for axis, f in enumerate(self.factors):
-                moms = np.concatenate([f.moment_vector(m) for m in range(n + 1)])
-                out *= moms[exps[:, axis]]
-        return self._finite(n, out)
+                out *= f.moments(hi)[exps[:, axis]]
+        return out
 
 
 def tensor(*factors: MomentFunctional, label: str | None = None) -> MomentFunctional:
@@ -388,8 +395,8 @@ class _JacobiMoments(MomentFunctional):
     both have the sign of m_(k+1), so nothing cancels; the factor on the left
     is formed as (a+1) + (b+1) + k, where a + b + 2 would cancel as both
     exponents near -1.  The oracle is one step of it, reading the two
-    moments below from the store; it fills the store bottom up first, so the
-    recursion depth does not grow with the degree.
+    moments below from `_known`: the store, then the moments of the range
+    being computed, in order, so a range of any length is one pass.
     """
 
     def __init__(self, a: float, b: float, m0: float, label: str):
@@ -400,13 +407,15 @@ class _JacobiMoments(MomentFunctional):
         k = alpha[0] - 1
         if k < 0:
             return self.m0
-        vectors = self._vectors
-        if k >= len(vectors):
-            for lower in range(len(vectors), k + 1):
-                self.moment_vector(lower)
-        below = float(vectors[k - 1][0]) if k else 0.0
-        return ((self.b - self.a) * float(vectors[k][0]) + k * below) / (
-            (self.a + 1) + (self.b + 1) + k)
+        known = self._known
+        below = known[k - 1] if k else 0.0
+        return ((self.b - self.a) * known[k] + k * below) / ((self.a + 1) + (self.b + 1) + k)
+
+    def _degree_range(self, lo: int, hi: int) -> np.ndarray:
+        self._known = known = self._store.tolist()
+        for k in range(lo, hi + 1):
+            known.append(float(self._oracle((k,))))
+        return np.array(known[lo:])
 
     def _closed_recurrence(self, N: int) -> Recurrence1D:
         return jacobi_recurrence(N, self.a, self.b)
@@ -497,7 +506,7 @@ def krall_jacobi_functional(alpha: float, beta: float, a1: float) -> MomentFunct
     def oracle(idx):
         m = idx[0]
         # synthetic division: (x^m - 1)/(1 - x) = -(1 + x + ... + x^(m-1))
-        divided = -sum(base.moment_vector(k)[0] for k in range(m))
+        divided = -sum(base.moments(m - 1).tolist())
         return divided + mass1
 
     return MomentFunctional(1, oracle, f"krall-jacobi(alpha={alpha},beta={beta},a1={a1})")
@@ -549,34 +558,32 @@ def simplex_moment_closed(kappa, alpha) -> float:
 class _SimplexMoments(MomentFunctional):
     """Unit-mass Dirichlet moments, one degree at a time.
 
-    A degree vector is simplex_moment_closed over the degree's exponent
-    rows divided by the mass, bit for bit: per axis, one table of log_gamma
-    at exponents 0..n gathered by the axis column, summed in axis order from
-    zero, plus the last parameter's term, minus the one denominator term
-    the whole degree shares, then exp.
+    A range of degrees is simplex_moment_closed over its exponent rows
+    divided by the mass, bit for bit, in one pass: per axis, one table of
+    log_gamma at exponents 0..hi gathered by the axis column, summed in axis
+    order from zero, plus the last parameter's term, minus the one
+    denominator term each degree shares, then exp.
     """
 
     def __init__(self, kappa: tuple, label: str):
         super().__init__(len(kappa) - 1, None, label)
-        self.kappa = kappa
-        self.mass = _positive_finite(self._scaled(0, 1.0)[0], f"simplex mass for kappa={kappa}")
+        self.kappa, self.mass = kappa, 1.0   # degree 0 over 1.0 is the raw mass
+        self.mass = _positive_finite(self._degree_range(0, 0)[0],
+                                     f"simplex mass for kappa={kappa}")
 
-    def _scaled(self, n: int, mass: float) -> np.ndarray:
-        """Raw degree-n moments over `mass`; overflow and NaN are left for
-        the caller to check."""
-        kappa, d = self.kappa, self.d
-        exps = self.basis.exponents(n)
+    def _degree_range(self, lo: int, hi: int) -> np.ndarray:
+        kappa, d, basis = self.kappa, self.d, self.basis
+        exps = basis.graded_exponents(hi)[basis.offset(lo):]
         log_num = np.zeros(len(exps))
         with np.errstate(over="ignore", invalid="ignore"):
             for axis in range(d):
-                table = np.array([log_gamma(a + kappa[axis] + 0.5) for a in range(n + 1)])
+                table = np.array([log_gamma(a + kappa[axis] + 0.5) for a in range(hi + 1)])
                 log_num += table[exps[:, axis]]
             log_num += log_gamma(kappa[d] + 0.5)
-            log_den = log_gamma(n + np.sum(kappa) + (d + 1) / 2.0)
-            return np.exp(log_num - log_den) / mass
-
-    def _degree_vector(self, n: int) -> np.ndarray:
-        return self._finite(n, self._scaled(n, self.mass))
+            degrees = range(lo, hi + 1)
+            log_den = np.repeat([log_gamma(n + np.sum(kappa) + (d + 1) / 2.0) for n in degrees],
+                                [basis.size(n) for n in degrees])
+            return np.exp(log_num - log_den) / self.mass
 
 
 def simplex_functional(kappa) -> MomentFunctional:
@@ -757,7 +764,7 @@ def check_recurrence(rec: Recurrence1D, moments, label: str = "") -> None:
     if bad.size:
         k = bad[0]
         raise ValueError(f"the closed-form recurrence of {label!r} gives moment {k} as "
-                         f"{rec.mass * got[k]!r}, not {mom[k]!r}")
+                         f"{float(rec.mass * got[k])!r}, not {float(mom[k])!r}")
 
 
 def _first_entries(rec: Recurrence1D, count: int) -> tuple[np.ndarray, np.ndarray]:

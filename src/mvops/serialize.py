@@ -165,6 +165,10 @@ def _read(text: str, kind: str, checked: bool, source: str = ""):
                     raise ValueError(f"{where} has shape {shape}, expected {want}")
     for (where, row, i, n, _, marker), structural in zip(slots, marked):
         if structural:
+            # refuse a d that block (n, 0) does not fit before building r_n x r_n
+            if marker == "identity" and n and row[0].shape[0] != rank_count(d, n):
+                raise ValueError(f"block ({n}, 0) has {row[0].shape[0]} rows, "
+                                 f"expected {rank_count(d, n)}")
             row[i] = _STRUCTURAL[marker](d, n, i)
             continue
         row[i] = _named(where, parse_matrix, row[i])

@@ -141,7 +141,7 @@ def check_recurrence_by_powers(rec, moments, label: str = "") -> None:
     if bad.size:
         k = bad[0]
         raise ValueError(f"the closed-form recurrence of {label!r} gives moment {k} as "
-                         f"{rec.mass * got[k]!r}, not {mom[k]!r}")
+                         f"{float(rec.mass * got[k])!r}, not {float(mom[k])!r}")
 
 
 def monic_coeffs_by_arrays(rec):

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -448,7 +449,8 @@ def test_jacobi_moments_finite_just_above_minus_one_half(a):
 
 
 def test_moment_memoization_deterministic():
-    # a scalar read fills its degree's vector: one oracle call per index
+    # a scalar read fills every degree through its own: one oracle call per
+    # index, in graded order, and no call again for a degree kept
     calls = []
 
     def oracle(alpha):
@@ -459,7 +461,8 @@ def test_moment_memoization_deterministic():
     assert u.moment((1, 1)) == 2.0
     assert u.moment((2, 0)) == 2.0
     assert list(u.moment_vector(2)) == [2.0, 2.0, 2.0]
-    assert calls == basis_for(2).indices(2)
+    assert list(u.moments(1)) == [0.0, 1.0, 1.0]
+    assert calls == [a for n in range(3) for a in basis_for(2).indices(n)]
 
 
 def test_default_degree_vector_raises_at_its_first_non_finite_moment():
@@ -575,11 +578,19 @@ def test_tensor_vector_overflow_raises_naming_the_functional():
     u.moment_vector(170)
     with pytest.raises(ValueError, match=r"non-finite moment at \(171,\).*laguerre"):
         u.moment_vector(171)
-    # finite factors whose product overflows name the tensor itself
+    # finite factors whose product overflows name the tensor itself, at the
+    # lowest degree that holds an overflow, whatever degree is asked for
     big = moments.MomentFunctional(1, lambda a: 1e200, label="big")
     t = moments.tensor(big, big, label="big-squared")
-    with pytest.raises(ValueError, match=r"non-finite moment at \(1, 0\).*big-squared"):
-        t.moment_vector(1)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=r"non-finite moment at \(0, 0\).*big-squared"):
+            t.moment_vector(n)
+    # an overflow above degree 0 leaves the degrees below it readable
+    tall = moments.MomentFunctional(1, lambda a: 1e200 if a[0] else 1.0, label="tall")
+    t = moments.tensor(tall, tall, label="tall-squared")
+    with pytest.raises(ValueError, match=r"non-finite moment at \(1, 1\).*tall-squared"):
+        t.moment_vector(3)
+    assert list(t.moments(1)) == [1.0, 1e200, 1e200]
 
 
 def _bits_or_error(values):
@@ -598,9 +609,10 @@ def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, inf_rate
     # the reference oracle sums, per entry and from zero, c_beta times the
     # base moment at alpha + beta in coefficient order.  Base moments are
     # some zero, of size up to 1e307, so that sums of products overflow, and
-    # some infinite: a degree of p*base raises where a base degree it reads
-    # does, first in coefficient order, even at a moment outside the shifted
-    # set, and otherwise at its first non-finite sum
+    # some infinite.  Asking for degree n of p*base is asking for 0..n: it
+    # raises where a base prefix it reads does (through degree n + |beta|,
+    # first in coefficient order), even at a moment outside the shifted set,
+    # and otherwise at its first non-finite sum in graded order
     def oracle(alpha):
         rng = np.random.default_rng([seed, *alpha])
         r = rng.random()
@@ -617,20 +629,23 @@ def test_left_multiplied_vectors_bit_identical_to_scalar_oracle(d, top, inf_rate
     u = moments.left_multiply(coeffs, base, label="p*base")
     basis = basis_for(d)
 
+    def graded(top):
+        return [a for m in range(top + 1) for a in basis.indices(m)]
+
     def reference(n):
         for beta in coeffs:
-            bad = [a for a in basis.indices(n + sum(beta)) if not math.isfinite(oracle(a))]
+            bad = [a for a in graded(n + sum(beta)) if not math.isfinite(oracle(a))]
             if bad:
                 return f"non-finite moment at {bad[0]} for 'base'"
         sums = []
-        for alpha in basis.indices(n):
+        for alpha in graded(n):
             total = 0.0
             for beta, c in coeffs.items():
                 total += c * oracle(tuple(x + y for x, y in zip(alpha, beta)))
             if not math.isfinite(total):
                 return f"non-finite moment at {alpha} for 'p*base'"
             sums.append(total)
-        return _bits(sums).tolist()
+        return _bits(sums[-basis.size(n):]).tolist()
 
     for n in range(4):
         assert _bits_or_error(lambda: u.moment_vector(n)) == reference(n)
@@ -686,6 +701,117 @@ def test_graded_matrix_after_any_block_requests(d, seed, data):
             want = np.array([[u.moment(tuple(x + y for x, y in zip(a, b))) for b in cols]
                              for a in rows])
             assert block.tobytes() == want.tobytes()
+
+
+_EXPONENT = st.floats(-0.9, 3.0)
+_FACTOR = st.one_of(st.tuples(st.just("jacobi"), _EXPONENT, _EXPONENT),
+                    st.tuples(st.just("laguerre"), _EXPONENT),
+                    st.tuples(st.just("chebyshev"), st.integers(1, 4)))
+
+
+def _factor(spec):
+    name, *args = spec
+    return getattr(moments, f"{name}_functional_1d")(*args)
+
+
+def _random_oracle(d, seed):
+    """A fresh functional whose oracle draws moments from (seed, alpha) and
+    records each multi-index it is asked for in the functional's `calls`."""
+    calls = []
+
+    def oracle(alpha):
+        calls.append(alpha)
+        return np.random.default_rng([seed, *alpha]).uniform(-1.0, 1.0)
+
+    u = moments.MomentFunctional(d, oracle, label="random")
+    u.calls = calls
+    return u
+
+
+def _tensor_entry(u, alpha):
+    product = 1.0
+    for f, a in zip(u.factors, alpha):
+        product *= f.moment((a,))
+    return product
+
+
+def _left_entry(u, alpha):
+    total = 0.0
+    for beta, c in u.coeffs.items():
+        total += c * u.base.moment(tuple(x + y for x, y in zip(alpha, beta)))
+    return total
+
+
+@st.composite
+def _store_cases(draw):
+    """(make, entry): a maker of fresh functionals of one kind and, for
+    tensor and left-multiplied ones, the per-entry reference moment."""
+    kind = draw(st.sampled_from(["tensor", "left", "simplex", "oracle"]))
+    if kind == "tensor":
+        specs = draw(st.lists(_FACTOR, min_size=1, max_size=4))
+        return lambda: moments.tensor(*map(_factor, specs)), _tensor_entry
+    if kind == "simplex":
+        kappa = draw(st.lists(st.floats(-0.4, 2.0), min_size=3, max_size=4))
+        return lambda: moments.simplex_functional(kappa), None
+    if kind == "oracle":
+        return draw(st.sampled_from([
+            lambda: _random_oracle(2, 7), lambda: _random_oracle(3, 11),
+            lambda: moments.disk_functional(0.5), lambda: moments.jacobi_functional_1d(1.5, -0.5),
+            lambda: moments.laguerre_functional_1d(0.5),
+            lambda: moments.krall_laguerre_functional(1.0, 1.0),
+            lambda: moments.krall_jacobi_functional(1.0, 0.0, 1.0),
+            lambda: moments.koornwinder_symmetrized_functional(2)])), None
+    d = draw(st.integers(1, 3))
+    specs = draw(st.lists(_FACTOR, min_size=d, max_size=d))
+    seed = draw(st.integers(0, 2**16))
+    base = draw(st.sampled_from([lambda: moments.tensor(*map(_factor, specs)),
+                                 lambda: _random_oracle(d, seed)]))
+    beta = st.tuples(*[st.integers(0, 2)] * d).filter(lambda b: sum(b) <= 2)
+    coeffs = draw(st.dictionaries(beta, st.floats(-2.0, 2.0), max_size=4))
+    return lambda: moments.left_multiply(coeffs, base(), label="p*base"), _left_entry
+
+
+@given(case=_store_cases(), top=st.integers(0, 9), data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_the_store_reads_the_same_bits_in_any_order(case, top, data):
+    # a fresh functional asked for degrees 0..top one at a time is the
+    # reference; another, read in random order by vector, prefix and
+    # graded block, gives the same bits, and an oracle is asked once per
+    # multi-index, in graded order
+    make, entry = case
+    ascending = make()
+    want = np.concatenate([ascending.moment_vector(n) for n in range(top + 1)])
+    basis = ascending.basis
+    graded = [a for n in range(top + 1) for a in basis.indices(n)]
+    if entry is not None:
+        assert _bits(want).tolist() == _bits([entry(ascending, a) for a in graded]).tolist()
+
+    def at(alpha):
+        return basis.offset(sum(alpha)) + basis.position(alpha)
+
+    u = make()
+    degree = st.integers(0, top)
+    for _ in range(data.draw(st.integers(1, 6))):
+        read = data.draw(st.sampled_from(["vector", "prefix", "block"]))
+        if read == "vector":
+            n = data.draw(degree)
+            got, expect = u.moment_vector(n), want[basis.degree_slice(n, n)]
+        elif read == "prefix":
+            n = data.draw(degree)
+            got, expect = u.moments(n), want[:basis.offset(n + 1)]
+        else:
+            j1 = data.draw(degree)
+            k1 = data.draw(st.integers(0, top - j1))
+            j0, k0 = data.draw(st.integers(0, j1)), data.draw(st.integers(0, k1))
+            got = u.graded_block(j0, j1, k0, k1)
+            rows = [a for j in range(j0, j1 + 1) for a in basis.indices(j)]
+            cols = [b for k in range(k0, k1 + 1) for b in basis.indices(k)]
+            expect = want[[[at(tuple(x + y for x, y in zip(a, b))) for b in cols]
+                           for a in rows]]
+        assert got.tobytes() == expect.tobytes()
+        assert not got.flags.writeable or read == "block"
+    if hasattr(u, "calls"):
+        assert u.calls == graded[:len(u.calls)]
 
 
 def test_nonfinite_moment_stops_construction_at_the_degree_that_needs_it():
@@ -774,6 +900,20 @@ def test_a_tampered_closed_form_is_refused_by_the_moments(spec, data):
         with pytest.raises(ValueError, match="closed-form recurrence .* gives moment"):
             u.recurrence(N)
     assert u.recurrence(N).c.tobytes() == real(N, *spec[1:]).c.tobytes()
+
+
+def test_a_disagreeing_moment_is_named_by_its_float():
+    # b_1 first reaches moment 3; the message prints Python floats
+    u = moments.jacobi_functional_1d(0.5, 1.5)
+    true = [u.moment((m,)) for m in range(10)]
+    rec = moments.jacobi_recurrence(4, 0.5, 1.5)
+    b = rec.b.copy()
+    b[1] += 0.01
+    with pytest.raises(ValueError) as err:
+        moments.check_recurrence(moments.Recurrence1D(b, rec.c, rec.mass), true, "jacobi")
+    got = re.search(r"gives moment 3 as (\S+), not (\S+)$", str(err.value))
+    assert got and got[2] == repr(true[3]) and repr(float(got[1])) == got[1]
+    assert float(got[1]) != true[3] and "np.float64" not in str(err.value)
 
 
 def test_a_closed_form_is_certified_by_its_positive_norms():

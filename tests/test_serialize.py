@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,8 +241,6 @@ def test_a_tail_past_the_floats_reads_as_infinite(texts):
         assert serialize.relation_from_json(json.dumps(payload)).tail == want
 
 
-# small integers only: a public read of a system whose d is changed builds
-# its "identity" blocks at that d before the layout refuses them
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
@@ -261,6 +260,23 @@ def test_any_json_value_in_one_field_is_read_or_refused_with_value_error(texts, 
             read(text)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("d", [12, 20])
+def test_a_system_whose_d_is_changed_is_refused_before_its_identity_blocks(texts, d):
+    # at d = 20 the degree-4 identity alone would be 8855 x 8855 floats
+    payload = json.loads(texts["system"])
+    payload["d"] = d
+    text = json.dumps(payload)
+    for read in (serialize.system_from_json, lambda t: _checked("system", t)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"block \(1, 0\) has"):
+                read(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_public_readers_keep_shapes_and_values(texts):

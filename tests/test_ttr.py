@@ -369,7 +369,7 @@ def test_tensor_route_reads_no_d_variate_moment(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("d-variate moments read")
 
-    for name in ("graded_block", "moment_vector"):
+    for name in ("graded_block", "moments", "moment_vector"):
         monkeypatch.setattr(type(u), name, refuse)
     T = compute_ttr(P, u, H)
     assert T.N == 5
