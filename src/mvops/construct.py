@@ -19,10 +19,11 @@ functional is not quasi-definite through that degree and construction
 stops with a diagnosable error.  GramBlocks is plain data: a later solve
 against one of its blocks goes through mk.solve, which checks it.  A
 univariate monic system needs only its recurrence, which moments owns:
-MomentFunctional.recurrence, or recurrence_from_moments on combined
-moments, as koornwinder_system reads them for the weights rho^(2k+1) w1.
-Its one mapping is the disk's, rho = sqrt(1 - x^2), the one the disk
-family builds both of its systems with.
+MomentFunctional.recurrence, or a closed form.  koornwinder_system reads
+the closed-form jacobi_recurrence of each weight rho^(2k) (1-x)^a (1+x)^b,
+itself a Jacobi weight, and no moment.  Its one mapping is the disk's,
+rho = sqrt(1 - x^2), the one the disk family builds both of its systems
+with.
 
 A tensor functional (one with `factors`) takes neither route in d
 variables: its monic system is the product of its factors' monic systems,
@@ -49,8 +50,7 @@ import numpy as np
 from . import matrixkit as mk
 from . import mpoly
 from .indexing import GradedBasis, basis_for
-from .moments import (MomentFunctional, QuasiDefiniteFailure, Recurrence1D,
-                      recurrence_from_moments)
+from .moments import MomentFunctional, QuasiDefiniteFailure, Recurrence1D, jacobi_recurrence
 
 
 class NotPositiveDefiniteError(Exception):
@@ -475,40 +475,24 @@ def _tensor_rows(tables: list, N: int):
 # Koornwinder's construction of bivariate systems from two 1-d weights
 
 
-def koornwinder_system(w1: MomentFunctional, w2: MomentFunctional, N: int) -> PolySystem:
-    """Bivariate orthogonal system on the disk from two 1-d weights.
+def koornwinder_system(a: float, b: float, mu: float, N: int) -> PolySystem:
+    """Bivariate orthogonal system on the disk from two Jacobi weights.
 
     Row k of the degree-n vector is q_(n-k)(x) rho(x)^k r_k(y / rho(x)),
-    where rho(x) = sqrt(1 - x^2), q is the monic system of rho^(2k+1) w1 and
-    r the monic system of w2, which must be symmetric.  The functional
-    passed as w1 carries the moments of rho(x) w1(x).
+    where rho(x) = sqrt(1 - x^2), q is the monic system of
+    rho^(2k) (1-x)^a (1+x)^b = (1-x)^(a+k) (1+x)^(b+k) and r that of
+    (1-t^2)^mu, both from the closed-form jacobi_recurrence: no moment is
+    read.  r_k has the parity of k, its b_n being exactly 0.0.
     """
-    if w1.d != 1 or w2.d != 1:
-        raise ValueError("koornwinder construction needs univariate weights")
     rho2 = np.array([1.0, 0.0, -1.0])
     y = mpoly.linear(2, [0.0, 1.0])
     # parts[k] = rho^k r_k(y / rho), y^(k mod 2) times a form in (y^2, rho^2)
     forms = mpoly.form_table(mpoly.mul(y, y), mpoly.from_1d(rho2, 0, 2))
-    parts = []
-    for k, c in enumerate(w2.recurrence(N).monic_coeffs()):
-        # the symmetric second weight makes r_k share the parity of k
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if np.any(np.abs(c[1 - k % 2::2]) > 1e-9 * scale):
-            raise ValueError("second weight must be symmetric")
-        parts.append(mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2])))
-
-    # moments of rho^(2k+1) w1: sums over the nonzero terms c x^m of rho^(2k),
-    # in ascending m, of c times the moments of rho w1 shifted by m
-    powers = [mpoly.const(1)]
-    for _ in range(N):
-        powers.append(mpoly.mul(powers[-1], rho2))
-    terms = [[(m, c) for m, c in enumerate(power) if c != 0.0] for power in powers]
-    w1m = w1.moments(2 * N)
+    parts = [mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2]))
+             for k, c in enumerate(jacobi_recurrence(N, mu, mu).monic_coeffs())]
     rows = {}
     for k in range(N + 1):
-        size = 2 * (N - k) + 1
-        mom = sum((c * w1m[m:m + size] for m, c in terms[k]), np.zeros(size))
-        rec = recurrence_from_moments(mom, label=f"rho^{2 * k + 1}*w1")
-        for m, q in enumerate(rec.monic_coeffs()):
+        for m, q in enumerate(jacobi_recurrence(N - k, a + k, b + k).monic_coeffs()):
             rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
-    return system_from_rows(rows, 2, N, f"koornwinder({w1.label},{w2.label})")
+    label = f"koornwinder(jacobi(a={a},b={b}),jacobi(a={mu},b={mu}))"
+    return system_from_rows(rows, 2, N, label)

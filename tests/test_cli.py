@@ -27,6 +27,13 @@ def test_family_disk_passes(capsys):
     assert "overall: pass" in out
 
 
+def test_family_disk_passes_at_degree_20(capsys):
+    # the positive-definite disk weight is never reported as not quasi-definite
+    code, out, err = run_cli(["family", "disk", "--mu", "0", "--N", "20"], capsys)
+    assert code == 0, (out, err)
+    assert "not quasi-definite" not in out + err
+
+
 def test_family_json_schema(capsys):
     code, out, _ = run_cli(["--json", "family", "disk", "--mu", "0.5", "--N", "3"],
                            capsys)

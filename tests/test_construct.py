@@ -167,7 +167,7 @@ def _koornwinder_case():
     r = monic(w2, N)
     q = [monic(moments.left_multiply({(m,): c for m, c in enumerate(mult(k))}, w1), N - k)
          for k in range(N + 1)]
-    return koornwinder_system(w1, w2, N), q, r
+    return koornwinder_system(0.5, 0.5, 1.0, N), q, r
 
 
 @given(x=st.floats(-0.95, 0.95), t=st.floats(-1.0, 1.0))
@@ -193,33 +193,21 @@ def test_koornwinder_parts_share_one_form_table(monkeypatch):
     real_mul = mpoly.mul
     monkeypatch.setattr(mpoly, "mul", lambda a, b: calls.append(1) or real_mul(a, b))
     N = 10
-    koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                       moments.jacobi_functional_1d(1.0, 1.0), N)
+    koornwinder_system(0.5, 0.5, 1.0, N)
     assert len(calls) <= (N + 1) * (N + 2) + 4 * N + 1
 
 
 def test_koornwinder_disk_orthogonality():
-    # rho w1 = sqrt(1 - x^2) and w2 = 1: the system of the unit disk's
-    # Lebesgue measure
-    sys2 = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                              moments.jacobi_functional_1d(0.0, 0.0), 4)
+    # first weight (1-x)^(1/2) (1+x)^(1/2) = rho and second weight 1: the
+    # system of the unit disk's Lebesgue measure
+    sys2 = koornwinder_system(0.5, 0.5, 0.0, 4)
     disk = moments.disk_functional(0.0)
     assert gram_blocks(disk, sys2).offdiag_residual <= 1e-10
     assert construct.orthogonality_residual(disk, sys2) <= 1e-10
 
 
-def test_koornwinder_rejects_asymmetric_second_weight_for_sqrt():
-    with pytest.raises(ValueError, match="second weight must be symmetric"):
-        koornwinder_system(
-            moments.jacobi_functional_1d(0.5, 0.5),
-            moments.jacobi_functional_1d(1.0, 0.0),  # not symmetric
-            3,
-        )
-
-
 def test_to_monic_restores_identity_leading():
-    sys2 = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                              moments.jacobi_functional_1d(0.0, 0.0), 3)
+    sys2 = koornwinder_system(0.5, 0.5, 0.0, 3)
     assert not sys2.monic
     mon = sys2.to_monic()
     for n in range(4):
@@ -333,7 +321,7 @@ def _moments(u, top: int) -> np.ndarray:
 ] + [(moments.chebyshev_functional_1d(k), moments.chebyshev_recurrence(6, k))
      for k in (1, 2, 3, 4)])
 def test_recurrence_from_moments_matches_classical_recurrences(u, rec):
-    got = construct.recurrence_from_moments(_moments(u, 12), label=u.label)
+    got = moments.recurrence_from_moments(_moments(u, 12), label=u.label)
     assert got.N == 6 and np.isnan(got.b[6])   # b_6 would need moment 13
     assert got.label == f"recurrence({u.label})"
     np.testing.assert_allclose(got.b[:6], rec.b[:6], rtol=1e-10, atol=1e-10)
@@ -346,7 +334,7 @@ def test_recurrence_from_moments_matches_classical_recurrences(u, rec):
 @pytest.mark.parametrize("shape", [(0,), (3, 3)])
 def test_recurrence_from_moments_needs_a_nonempty_1d_array(shape):
     with pytest.raises(ValueError, match="nonempty 1-d array"):
-        construct.recurrence_from_moments(np.ones(shape))
+        moments.recurrence_from_moments(np.ones(shape))
 
 
 @pytest.mark.parametrize("u", [moments.jacobi_functional_1d(1.5, 0.5),
@@ -354,8 +342,8 @@ def test_recurrence_from_moments_needs_a_nonempty_1d_array(shape):
                                moments.chebyshev_functional_1d(3)])
 def test_recurrence_from_moments_fills_b_n_from_moment_2n_plus_1(u):
     N = 6
-    got = construct.recurrence_from_moments(_moments(u, 2 * N + 1))
-    longer = construct.recurrence_from_moments(_moments(u, 2 * N + 3))
+    got = moments.recurrence_from_moments(_moments(u, 2 * N + 1))
+    longer = moments.recurrence_from_moments(_moments(u, 2 * N + 3))
     assert got.N == N and longer.N == N + 1
     assert got.b[N] == longer.b[N]
     np.testing.assert_array_equal(got.b, longer.b[:N + 1])
@@ -366,13 +354,13 @@ def test_recurrence_from_moments_checks_no_h_above_degree_n():
     # three nodes: h_3 = 0, which moments 0..5 reach only through b_2
     nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
     mom = np.array([weights @ nodes**m for m in range(8)])
-    rec = construct.recurrence_from_moments(mom[:6])
+    rec = moments.recurrence_from_moments(mom[:6])
     assert rec.N == 2 and np.isfinite(rec.b).all()
     # the recurrence on the nodes' Jacobi matrix: b_0..b_2 are its diagonal,
     # whose trace is the sum of the nodes
     assert sum(rec.b) == pytest.approx(nodes.sum(), rel=1e-12)
     with pytest.raises(QuasiDefiniteFailure) as err:
-        construct.recurrence_from_moments(mom[:7])
+        moments.recurrence_from_moments(mom[:7])
     assert err.value.degree == 3
 
 
@@ -380,9 +368,9 @@ def test_recurrence_from_moments_fails_where_gram_schmidt_does():
     # three nodes: quasi-definite through degree 2, degenerate at degree 3
     nodes, weights = np.array([-0.7, 0.1, 0.9]), np.array([0.5, 0.25, 0.25])
     u = moments.MomentFunctional(1, lambda a: float(weights @ nodes**a[0]), label="three")
-    construct.recurrence_from_moments(_moments(u, 4))
+    moments.recurrence_from_moments(_moments(u, 4))
     errors = []
-    for build in (lambda: construct.recurrence_from_moments(_moments(u, 10), label=u.label),
+    for build in (lambda: moments.recurrence_from_moments(_moments(u, 10), label=u.label),
                   lambda: gram_schmidt_monic(u, 5)):
         with pytest.raises(QuasiDefiniteFailure, match="three") as err:
             build()
@@ -393,7 +381,7 @@ def test_recurrence_from_moments_fails_where_gram_schmidt_does():
     h = lambda m: sum(1.0 / i for i in range(1, m))
     v = moments.krall_laguerre_functional(0.0, 1.0 - 1.0 / h(4))
     with pytest.raises(QuasiDefiniteFailure) as err:
-        construct.recurrence_from_moments(_moments(v, 12))
+        moments.recurrence_from_moments(_moments(v, 12))
     assert err.value.degree == 3
 
 
@@ -426,25 +414,24 @@ def test_koornwinder_system_runs_no_block_gram_schmidt(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(construct, name, counted)
-    system = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                                moments.jacobi_functional_1d(1.0, 1.0), 6)
+    system = koornwinder_system(0.5, 0.5, 1.0, 6)
     assert system.N == 6 and calls == []
 
 
-def test_koornwinder_system_creates_no_left_multiplied_functional(monkeypatch):
-    # the weights rho^(2k+1) w1 are read as combinations of w1's moments
+def test_koornwinder_system_reads_no_moment(monkeypatch):
+    # the weights rho^(2k) w1 are Jacobi weights, read from closed-form
+    # recurrences
     def refuse(self, *args, **kwargs):
-        raise AssertionError("left-multiplied functional created")
+        raise AssertionError("moment read")
 
-    monkeypatch.setattr(moments._LeftMultiplied, "__init__", refuse)
-    system = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                                moments.jacobi_functional_1d(1.0, 1.0), 6)
+    for name in ("moment", "moments"):
+        monkeypatch.setattr(moments.MomentFunctional, name, refuse)
+    system = koornwinder_system(0.5, 0.5, 1.0, 6)
     assert system.N == 6
 
 
 def test_to_monic_solves_each_degree_once_against_its_lower_blocks(monkeypatch):
-    system = koornwinder_system(moments.jacobi_functional_1d(0.5, 0.5),
-                                moments.jacobi_functional_1d(0.0, 0.0), 6)
+    system = koornwinder_system(0.5, 0.5, 0.0, 6)
     checks, solves = [], []
     rank, solve = mk.numeric_rank, np.linalg.solve
 

@@ -319,6 +319,17 @@ def test_catalog_bundles_pass(name, params, N):
     assert bundle.extras.get("classification") in ("zero", "full")
 
 
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("N", [16, 20, 24])
+def test_disk_passes_every_check_at_high_degree(mu, N):
+    # the rows' weights are Jacobi weights with closed-form recurrences, so
+    # no ill-conditioned map from moments limits the degree
+    bundle = families.build_family("disk", N, mu=mu)
+    failures = [(r.name, r.degree, r.direction, r.value) for r in bundle.records
+                if not r.ok]
+    assert not failures, failures
+
+
 KRALL_PAIRS = [
     ("krall-laguerre", dict(alpha=1.0, a1=1.0, kappa2=0.0),
      lambda n: families.krall_laguerre_coefficient(1.0, 1.0, n)),

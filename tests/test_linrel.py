@@ -22,9 +22,8 @@ from blockref import relation_by_pairing
 def disk_pair():
     mu = 0.0
     N = 5
-    w2 = moments.jacobi_functional_1d(mu, mu)
-    Q = koornwinder_system(moments.jacobi_functional_1d(mu + 0.5, mu + 0.5), w2, N)
-    P = koornwinder_system(moments.jacobi_functional_1d(mu + 1.5, mu + 0.5), w2, N)
+    Q = koornwinder_system(mu + 0.5, mu + 0.5, mu, N)
+    P = koornwinder_system(mu + 1.5, mu + 0.5, mu, N)
     v = moments.disk_functional(mu)
     u = moments.left_multiply(LinearPoly((-1.0, 0.0), 1.0), v)
     return mu, N, Q, P, u, v

@@ -958,7 +958,6 @@ def test_a_failed_recurrence_is_not_kept():
 def test_quasi_definite_failure_and_the_chebyshev_algorithm_keep_their_old_homes():
     assert construct.QuasiDefiniteFailure is moments.QuasiDefiniteFailure
     assert mvops.QuasiDefiniteFailure is moments.QuasiDefiniteFailure
-    assert construct.recurrence_from_moments is moments.recurrence_from_moments
 
 
 @given(spec=st.one_of(
