@@ -20,8 +20,9 @@ import sys
 # A run covers whole rounds, so a commit reads one ratio in every run.
 # Every highdim and cli-files operation has a known right answer; the
 # catalog's floor is 73 of the 80 operations of a round, short of its 7
-# known wrong configurations (the simplex d=3 gate at N >= 6, and gram-link
-# on the two Laguerre pairs and Krall-Laguerre at N=12), and ROADMAP items
+# known wrong configurations (the simplex d=3 gate at N >= 6, and at N=12
+# orthogonality-reference on the Laguerre pair with j=2, gram-link on the
+# Laguerre pair with j=1 and gram-link on Krall-Laguerre), and ROADMAP items
 # 2 and 8 raise it.
 RIGHT_FLOOR = {"catalog": 0.9125, "highdim": 1.0, "cli-files": 1.0}
 # The highest degree N at which every verdict of degree <= N is right; the

@@ -69,20 +69,22 @@ class VerdictReport:
 
     def print_plain(self) -> None:
         for c in self.checks:
-            status = "pass" if c.ok else "FAIL"
-            where = ""
-            if c.degree is not None:
-                where += f" n={c.degree}"
-            if c.direction is not None:
-                where += f" i={c.direction}"
-            if c.rank is None:
-                detail = f" value={c.value:.3e} bound={c.bound:.1e}"
-            else:
-                detail = f" rank={c.rank} expected={c.expected}"
-            print(f"[{status}] {c.name}{where}{detail}")
+            print(f"[{'pass' if c.ok else 'FAIL'}] {_describe(c)}")
         for key, val in self.extras.items():
             print(f"{key}: {val}")
         print(f"overall: {'pass' if self.overall else 'FAIL'} ({self.seconds:.2f}s)")
+
+
+def _describe(c: Check) -> str:
+    """A check on one line: name, degree and direction, and its figures."""
+    where = ""
+    if c.degree is not None:
+        where += f" n={c.degree}"
+    if c.direction is not None:
+        where += f" i={c.direction}"
+    if c.rank is None:
+        return f"{c.name}{where} value={c.value:.3e} bound={c.bound:.1e}"
+    return f"{c.name}{where} rank={c.rank} expected={c.expected}"
 
 
 def _usage_error(message) -> int:
@@ -178,6 +180,12 @@ def cmd_family(args) -> int:
     if lam is not None:
         report.extras["lambda"] = {"a": [float(x) for x in lam.a], "b": float(lam.b)}
     report.extras["orthogonal_verdict"] = bundle.orthogonal_verdict
+    partner = bundle.extras.get("report")
+    if partner is not None:
+        # the failed checks of the partner recurrence that decide the verdict:
+        # shown, but not among the bundle's checks, which it does not fail
+        report.extras["verdict_failed_checks"] = [_describe(c) for c in partner.checks
+                                                  if not c.ok]
     if bundle.expected_orthogonal is not None:
         report.extras["expected_orthogonal"] = bundle.expected_orthogonal
         report.extras["matches_expectation"] = bundle.matches_expectation

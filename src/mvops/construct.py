@@ -384,36 +384,45 @@ def orthonormalize(P: PolySystem, H: GramBlocks) -> PolySystem:
     return out
 
 
-def system_from_rows(rows: dict, d: int, N: int, label: str) -> PolySystem:
-    """Assemble a PolySystem from dense mpoly arrays, one per multi-index.
+def system_from_rows(groups, d: int, N: int, label: str) -> PolySystem:
+    """Assemble a PolySystem from stacks of dense mpoly arrays.
 
-    rows[nu] is the polynomial in the row of nu of its degree vector.  The
-    rows of degree n are written into one array over the graded positions
-    of degrees 0..n, through basis.entry_positions of each row's shape, in
-    one scatter per degree; adding 0.0 turns a -0.0 coefficient into 0.0,
-    and the array is the system's row of degree n.  A row with a
-    coefficient above 1e-10 in some degree above n raises ValueError: one
-    test per degree covers all its rows, and only when it fails are the
-    rows searched, in order, for the first one.
+    Each group is a pair (nus, stack): an integer array of multi-indices,
+    one a row, and the polynomials in their rows of their degree vectors,
+    stack[i] that of nus[i], zero-padded to one shape.  Every multi-index
+    of degree <= N is given once.  A group is written with one scatter,
+    through basis.entry_positions of its shape, into one array over the
+    graded positions of degrees 0..N; adding 0.0 turns a -0.0 coefficient
+    into 0.0, and its rows of degree n over the columns of degrees 0..n
+    are the system's row of degree n.  A row with a coefficient above
+    1e-10 in some degree above its own raises ValueError: one test per
+    group covers all its rows, and only when it fails is the first such
+    row in graded order searched for the degree.
     """
     basis = basis_for(d)
-    fulls = []
-    for n in range(N + 1):
-        width = basis.offset(n + 1)
-        nus = basis.indices(n)
-        arrays = [rows[nu] for nu in nus]
-        coeffs = np.concatenate([row.ravel() for row in arrays])
-        pos = np.concatenate([basis.entry_positions(row.shape) for row in arrays])
+    box = (N + 1,) * d
+    where = basis.entry_positions(box).reshape(box)
+    ends = np.array([basis.offset(n + 1) for n in range(N + 1)])
+    width = ends[-1]
+    full = np.zeros((width, width))
+    written, faults = [], []
+    for nus, stack in groups:
+        nus = np.asarray(nus, dtype=np.intp).reshape(-1, d)
+        rows = where[tuple(nus.T)]
+        values = stack.reshape(len(rows), -1)
+        pos = basis.entry_positions(stack.shape[1:])
+        high = (pos >= ends[nus.sum(axis=1), None]) & (np.abs(values) > 1e-10)
+        faults.extend((rows[r], nus[r], stack[r]) for r in np.flatnonzero(high.any(axis=1)))
         low = pos < width
-        if not low.all() and np.any(np.abs(coeffs[~low]) > 1e-10):
-            for row, nu in zip(arrays, nus):
-                _check_row_degree(row, nu, n)
-        which = np.repeat(np.arange(len(arrays)), [row.size for row in arrays])
-        full = np.zeros((len(arrays), width))
-        full[which[low], pos[low]] = coeffs[low]
-        full += 0.0
-        fulls.append(full)
-    return PolySystem(d, fulls, label)
+        full[rows[:, None], pos[low]] = values[:, low]
+        written.append(rows)
+    if faults:
+        _, nu, row = min(faults, key=lambda fault: fault[0])
+        _check_row_degree(row, tuple(nu.tolist()), int(nu.sum()))
+    if not (np.bincount(np.concatenate(written), minlength=width) == 1).all():
+        raise ValueError(f"the rows must give every multi-index of degree <= {N} once")
+    full += 0.0
+    return PolySystem(d, [full[basis.degree_slice(n, n), :ends[n]] for n in range(N + 1)], label)
 
 
 def _check_row_degree(row: np.ndarray, nu: tuple, n: int) -> None:
@@ -482,17 +491,23 @@ def koornwinder_system(a: float, b: float, mu: float, N: int) -> PolySystem:
     where rho(x) = sqrt(1 - x^2), q is the monic system of
     rho^(2k) (1-x)^a (1+x)^b = (1-x)^(a+k) (1+x)^(b+k) and r that of
     (1-t^2)^mu, both from the closed-form jacobi_recurrence: no moment is
-    read.  r_k has the parity of k, its b_n being exactly 0.0.
+    read.  r_k has the parity of k, its b_n being exactly 0.0.  The parts
+    rho^k r_k(y / rho) of one form degree are evaluated together, and the
+    rows of one k are one product of q's coefficient table with the part.
     """
     rho2 = np.array([1.0, 0.0, -1.0])
     y = mpoly.linear(2, [0.0, 1.0])
-    # parts[k] = rho^k r_k(y / rho), y^(k mod 2) times a form in (y^2, rho^2)
+    # parts[k] = rho^k r_k(y / rho): y^(k mod 2) times a form in (y^2, rho^2)
+    # of degree k // 2, the forms of k = 2p and 2p + 1 evaluated together
     forms = mpoly.form_table(mpoly.mul(y, y), mpoly.from_1d(rho2, 0, 2))
-    parts = [mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2]))
-             for k, c in enumerate(jacobi_recurrence(N, mu, mu).monic_coeffs())]
-    rows = {}
-    for k in range(N + 1):
-        for m, q in enumerate(jacobi_recurrence(N - k, a + k, b + k).monic_coeffs()):
-            rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
+    r = jacobi_recurrence(N, mu, mu).monic_coeffs()
+    groups = []
+    for p in reversed(range(N // 2 + 1)):
+        ks = range(2 * p, min(2 * p + 1, N) + 1)
+        for k, part in zip(ks, forms(np.array([r[k][k % 2::2] for k in ks]))):
+            part = mpoly.mul(y, part) if k % 2 else part
+            q = jacobi_recurrence(N - k, a + k, b + k).monic_table()
+            nus = np.column_stack((np.arange(N - k + 1), np.full(N - k + 1, k)))
+            groups.append((nus, mpoly.mul(q[:, :, None], part[None])))
     label = f"koornwinder(jacobi(a={a},b={b}),jacobi(a={mu},b={mu}))"
-    return system_from_rows(rows, 2, N, label)
+    return system_from_rows(groups, 2, N, label)

@@ -74,17 +74,6 @@ def jacobi_standard_drop(m: int, a: float, b: float) -> float:
     return (m + b) / (2 * m + a + b + 1)
 
 
-def simplex_norm_sq(kappa, nu) -> float:
-    """Squared normalization of the simplex product-formula basis row."""
-    d = len(nu)
-    num = 1.0
-    for j in range(1, d + 1):
-        num *= pochhammer(
-            sum(kappa[j - 1:]) + 2 * sum(nu[j:]) + (d - j + 2) / 2.0, 2 * nu[j - 1]
-        )
-    return num / pochhammer(sum(kappa) + (d + 1) / 2.0, 2 * sum(nu))
-
-
 def krall_laguerre_coefficient(alpha: float, a1: float, n: int) -> float:
     """Relation coefficient a_n for the mass-modified Laguerre family."""
     if n < 1:
@@ -239,9 +228,14 @@ class _SimplexFactors:
     j and the direction only, so each j has one form table; the form is
     evaluated at the orthonormal Jacobi coefficients of degree n_j with
     parameters (a_j, b_j), where n, a and b are read in the direction's
-    coordinate order.  Each distinct (j, a_j, b_j, n_j) is evaluated once,
-    so the systems of two weights built in one direction share every
-    factor they have in common.
+    coordinate order, and a_j depends on the row through
+    s = n_(j+1) + ... + n_d alone.  Each Jacobi list runs through the
+    highest degree N - s a row reads of it, and factor j is evaluated per
+    degree m, one stack over every s <= N - m, so the systems of two
+    weights built in one direction share every stack they have in common.
+    A row is the product of its factors in order, started from the first:
+    the products f_1 ... f_j of every row prefix with one s are one stack,
+    and each is multiplied by f_j of one (n_j, s) in one `mpoly.mul`.
     """
 
     def __init__(self, d: int, first: int, N: int):
@@ -254,48 +248,134 @@ class _SimplexFactors:
             hom = [-1.0 if l in prev else 0.0 for l in range(d)]
             self.tables.append(mpoly.form_table(mpoly.linear(d, arg, -1.0),
                                                 mpoly.linear(d, hom, 1.0)))
-        # one Jacobi list per parameter pair: degree m of a longer list is
-        # the same float computation as the last entry of a list through m
-        self._jacobi: dict = {}
-        self._factors: dict = {}
+        self._stacks: dict = {}
 
     def permuted(self, kappa: list) -> list:
         return [kappa[o - 1] for o in self.order] + [kappa[len(self.order)]]
 
-    def norms(self, kappa: list) -> dict:
-        """simplex_norm_sq of every row nu of degree <= N, keyed by nu;
-        ParameterError unless each is a positive finite float."""
-        kperm = self.permuted(kappa)
-        norms = {nu: simplex_norm_sq(kperm, [nu[o - 1] for o in self.order])
-                 for n in range(self.N + 1) for nu in basis_for(len(self.order)).indices(n)}
-        for nu, h in norms.items():
-            if not 0.0 < h < math.inf:
-                raise ParameterError(f"simplex squared norm at {nu} for kappa={tuple(kappa)} "
-                                     f"is {h!r}, not a positive finite float")
-        return norms
-
-    def system(self, kappa: list, norms: dict) -> PolySystem:
-        """The rows of weight kappa over the square roots of `norms`, each
-        the product of its factors in order, started from the first."""
+    def norms(self, kappa: list) -> np.ndarray:
+        """Squared norm of every row nu of degree <= N, in graded order,
+        with n = nu and kappa in the direction's order:
+        prod_j (kappa_j + ... + kappa_(d+1) + 2 (n_(j+1) + ... + n_d)
+        + (d - j + 2) / 2)_(2 n_j) over (|kappa| + (d + 1) / 2)_(2 |n|).
+        Each Pochhammer symbol is a running product from 1.0 in the order
+        of `pochhammer`, read off one table per j, and the numerator runs
+        over j in order.  ParameterError unless each norm is a positive
+        finite float."""
         d, N = len(self.order), self.N
         kperm = self.permuted(kappa)
-        rows = {}
-        for n in range(N + 1):
-            for nu in basis_for(d).indices(n):
-                nperm = [nu[o - 1] for o in self.order]
-                poly = None
-                for j in range(1, d + 1):
-                    aj = sum(kperm[j:]) + 2 * sum(nperm[j:]) + (d - j - 1) / 2.0
-                    bj, m = kperm[j - 1] - 0.5, nperm[j - 1]
-                    if (j, aj, bj, m) not in self._factors:
-                        if (aj, bj) not in self._jacobi:
-                            self._jacobi[aj, bj] = orthonormal_jacobi_coeffs(aj, bj, N)
-                        self._factors[j, aj, bj, m] = self.tables[j - 1](self._jacobi[aj, bj][m])
-                    factor = self._factors[j, aj, bj, m]
-                    poly = factor if poly is None else mpoly.mul(poly, factor)
-                rows[nu] = poly / math.sqrt(norms[nu])
-        return system_from_rows(rows, d, N,
-                                f"simplex(kappa={tuple(kappa)},dir={self.order[0]})")
+        exps = basis_for(d).graded_exponents(N)
+        nperm = exps[:, [o - 1 for o in self.order]]
+        tails = np.cumsum(nperm[:, ::-1], axis=1)[:, ::-1]   # tails[:, j] = sum(nperm[j:])
+        s = np.arange(N + 1)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused just below
+            for j in range(1, d + 1):
+                table = _pochhammer_table(sum(kperm[j - 1:]) + 2 * s + (d - j + 2) / 2.0, 2 * N)
+                factor = table[tails[:, j] if j < d else 0, 2 * nperm[:, j - 1]]
+                num = factor if j == 1 else num * factor
+            h = num / _pochhammer_table(np.array([sum(kperm) + (d + 1) / 2.0]), 2 * N)[
+                0, 2 * tails[:, 0]]
+        bad = np.flatnonzero(~((h > 0.0) & (h < math.inf)))
+        if bad.size:
+            raise ParameterError(f"simplex squared norm at {tuple(exps[bad[0]].tolist())} for "
+                                 f"kappa={tuple(kappa)} is {float(h[bad[0]])!r}, not a "
+                                 "positive finite float")
+        return h
+
+    def systems(self, kappas: list, norms: list) -> list:
+        """The systems of the weights kappas, each row over the square root
+        of its entry of norms[i] (graded order)."""
+        d, N = len(self.order), self.N
+        params = [[(self._a_values(kperm, j), kperm[j - 1] - 0.5) for j in range(1, d + 1)]
+                  for kperm in map(self.permuted, kappas)]
+        # one Jacobi list per parameter pair: degree m of a longer list is
+        # the same float computation as the last entry of a list through m
+        need: dict = {}
+        for a, b in (ab for factors in params for ab in factors):
+            for s, aj in enumerate(a):
+                need[aj, b] = max(need.get((aj, b), 0), N - s)
+        jacobi = {key: orthonormal_jacobi_coeffs(*key, top) for key, top in need.items()}
+        box = (N + 1,) * d
+        where = basis_for(d).entry_positions(box).reshape(box)
+        axes = np.argsort([o - 1 for o in self.order])   # nu = ms[:, axes]
+        out = []
+        for kappa, factors, h in zip(kappas, params, norms):
+            groups = []
+            evaluated = [self._evaluated(j, a, b, jacobi) for j, (a, b) in enumerate(factors, 1)]
+            for ms, stack in self._products(evaluated):
+                nus = ms[:, axes]
+                scale = np.sqrt(h[where[tuple(nus.T)]])
+                groups.append((nus, stack / scale.reshape(-1, *(1,) * d)))
+            out.append(system_from_rows(groups, d, N,
+                                        f"simplex(kappa={tuple(kappa)},dir={self.order[0]})"))
+        return out
+
+    def _a_values(self, kperm: list, j: int) -> list:
+        """a_j at s = 0..N, at s = 0 alone for the last factor."""
+        d = len(self.order)
+        return [sum(kperm[j:]) + 2 * s + (d - j - 1) / 2.0
+                for s in range(self.N + 1 if j < d else 1)]
+
+    def _evaluated(self, j: int, a: list, b: float, jacobi: dict) -> list:
+        """Factor j at each degree m: the stack of its forms at the Jacobi
+        lists (a[s], b), s <= N - m, evaluated from the highest degree down
+        so that its form table is built once."""
+        key = (j, tuple(a), b)
+        if key not in self._stacks:
+            N = self.N
+            stacks = [self.tables[j - 1](np.array([jacobi[x, b][m] for x in a[:N - m + 1]]))
+                      for m in reversed(range(N + 1))]
+            self._stacks[key] = stacks[::-1]
+        return self._stacks[key]
+
+    def _products(self, factors: list):
+        """(ms, stack) pairs covering every row of degree <= N once: ms holds
+        the rows' n in the direction's order, stack their products of
+        factors.  factors[j - 1][m][s] is f_j of degree m at s."""
+        d, N = len(self.order), self.N
+        # level[s]: the prefixes n_1..n_j with sum <= N - s and their f_1 ... f_j
+        first = factors[0]
+        shape = np.maximum.accumulate([f.shape[1:] for f in first])   # through degree m
+        table = np.zeros((len(first[0]), N + 1, *shape[-1]))
+        for m, f in enumerate(first):
+            table[(slice(0, len(f)), m, *(slice(0, x) for x in f.shape[1:]))] = f
+        level = [(np.arange(N - s + 1)[:, None],
+                  table[(s, slice(0, N - s + 1), *(slice(0, x) for x in shape[N - s]))])
+                 for s in range(len(first[0]))]
+        for j in range(2, d + 1):
+            nxt = []
+            for s in range(len(factors[j - 1][0])):
+                parts = []
+                for m in range(N - s + 1):
+                    ms, stack = level[m + s]
+                    parts.append((np.column_stack((ms, np.full(len(ms), m))),
+                                  mpoly.mul(stack, factors[j - 1][m][s][None])))
+                if j == d:   # the last factor has s = 0 alone
+                    return parts
+                nxt.append((np.vstack([p[0] for p in parts]),
+                            _padded_stack([p[1] for p in parts])))
+            level = nxt
+        return level   # d = 1: the first factor is the last
+
+
+def _padded_stack(stacks: list) -> np.ndarray:
+    """The stacks one after another, zero-padded to their largest shape."""
+    shape = np.max([s.shape[1:] for s in stacks], axis=0)
+    out = np.zeros((sum(len(s) for s in stacks), *shape))
+    row = 0
+    for s in stacks:
+        out[(slice(row, row + len(s)), *(slice(0, x) for x in s.shape[1:]))] = s
+        row += len(s)
+    return out
+
+
+def _pochhammer_table(base, n: int) -> np.ndarray:
+    """pochhammer(base[r], k) at [r, k], k = 0..n: each the running product
+    of pochhammer, in its order."""
+    base = np.asarray(base, dtype=float)
+    table = np.ones((len(base), n + 1))
+    table[:, 1:] = np.multiply.accumulate(base[:, None] + np.arange(n), axis=1)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +708,11 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     u = moments.simplex_functional(kp)
     factors = _SimplexFactors(d, j, N)
     norms, pnorms = factors.norms(kappa), factors.norms(kp)
-    Q = factors.system(kappa, norms)
-    P = factors.system(kp, pnorms)
+    Q, P = factors.systems([kappa, kp], [norms, pnorms])
+    basis = basis_for(d)
+
+    def at(nu):
+        return basis.offset(sum(nu)) + basis.position(nu)
 
     kperm = factors.permuted(kappa)
     b1 = kperm[0] - 0.5
@@ -638,12 +721,12 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
         return sum(kperm[1:]) + 2 * (sum(nu) - nu[j - 1]) + (d - 2) / 2.0
 
     def keep(nu):
-        ratio = math.sqrt(pnorms[nu] / norms[nu])
+        ratio = math.sqrt(pnorms[at(nu)] / norms[at(nu)])
         return ratio * jacobi_orthonormal_lower(nu[j - 1], a1(nu), b1)
 
     def drop(nu):
         lower = tuple(x - (l == j - 1) for l, x in enumerate(nu))
-        ratio = math.sqrt(pnorms[lower] / norms[nu])
+        ratio = math.sqrt(pnorms[at(lower)] / norms[at(nu)])
         return ratio * jacobi_orthonormal_drop(nu[j - 1], a1(nu), b1)
 
     _closed_form(bundle, Q, P, j, drop, res_tol, keep)

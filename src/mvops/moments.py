@@ -694,8 +694,10 @@ class Recurrence1D:
         return [row[:n + 1] for n, row in enumerate(self.monic_table())]
 
     def orthonormal_coeffs(self) -> list[np.ndarray]:
-        h = self.norms()
-        return [p / math.sqrt(h[n]) for n, p in enumerate(self.monic_coeffs())]
+        """The monic coefficient arrays, each over the square root of its
+        norm: one division of the monic table."""
+        table = self.monic_table() / np.sqrt(self.norms())[:, None]
+        return [row[:n + 1] for n, row in enumerate(table)]
 
 
 def recurrence_from_moments(moments, label: str = "") -> Recurrence1D:

@@ -3,11 +3,11 @@
 import numpy as np
 from scipy import special as sp
 
-from mvops import construct, families
+from mvops import construct, families, mpoly
 from mvops import matrixkit as mk
 from mvops.indexing import basis_for
 from mvops.matrixkit import DEFAULT_RES_TOL
-from mvops.moments import QuasiDefiniteFailure
+from mvops.moments import QuasiDefiniteFailure, jacobi_recurrence
 
 
 def shift_rows(rows: dict, i: int, basis) -> dict:
@@ -38,7 +38,38 @@ def simplex_orthonormal_system(kappa, N: int, first: int = 1):
     """
     kappa = [float(k) for k in kappa]
     factors = families._SimplexFactors(len(kappa) - 1, first, N)
-    return factors.system(kappa, factors.norms(kappa))
+    return factors.systems([kappa], [factors.norms(kappa)])[0]
+
+
+def poly_add(a, b):
+    """Sum of two dense coefficient arrays, zero-padded to their larger shape."""
+    shape = tuple(max(x, y) for x, y in zip(a.shape, b.shape))
+    out = np.zeros(shape)
+    out[tuple(slice(0, s) for s in a.shape)] += a
+    out[tuple(slice(0, s) for s in b.shape)] += b
+    return out
+
+
+def row_groups(rows: dict) -> list:
+    """Rows keyed by multi-index as the one-row groups system_from_rows takes."""
+    return [(np.array([nu]), row[None]) for nu, row in rows.items()]
+
+
+def per_row_koornwinder_system(a: float, b: float, mu: float, N: int):
+    """Reference builder of construct.koornwinder_system: every row one
+    mpoly.mul of q_(n-k)(x) with its part rho^k r_k(y / rho), and every part
+    its own form evaluation, times the constant 1 where k is even."""
+    rho2 = np.array([1.0, 0.0, -1.0])
+    y = mpoly.linear(2, [0.0, 1.0])
+    forms = mpoly.form_table(mpoly.mul(y, y), mpoly.from_1d(rho2, 0, 2))
+    parts = [mpoly.mul(y if k % 2 else mpoly.const(2), forms(c[k % 2::2]))
+             for k, c in enumerate(jacobi_recurrence(N, mu, mu).monic_coeffs())]
+    rows = {}
+    for k in range(N + 1):
+        for m, q in enumerate(jacobi_recurrence(N - k, a + k, b + k).monic_coeffs()):
+            rows[(m, k)] = mpoly.mul(mpoly.from_1d(q, 0, 2), parts[k])
+    label = f"koornwinder(jacobi(a={a},b={b}),jacobi(a={mu},b={mu}))"
+    return construct.system_from_rows(row_groups(rows), 2, N, label)
 
 
 def first_failure(report):

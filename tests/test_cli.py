@@ -57,6 +57,26 @@ def test_family_expected_failure_counts_as_agreement(capsys):
     assert payload["extras"]["note"] == "matches expectation: not orthogonal"
 
 
+def test_family_lists_the_checks_a_chebyshev_verdict_rests_on(capsys):
+    # kind 3 at rho = 1 is predicted not orthogonal; the failed checks of the
+    # partner recurrence that decide it are listed, in both modes, without
+    # joining the checks of the run, so it still passes and exits 0
+    argv = ["family", "cheb-koornwinder", "--kind", "3", "--rho", "1", "--N", "4"]
+    deciding = ["C~ n=1 i=1 rank=0 expected=1", "C~ n=1 i=2 rank=0 expected=1",
+                "C~-joint n=1 rank=0 expected=2"]
+    code, out, _ = run_cli(["--json", *argv], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["overall_pass"] is True
+    assert payload["extras"]["orthogonal_verdict"] is False
+    assert payload["extras"]["verdict_failed_checks"] == deciding
+    assert len(payload["checks"]) == 6 and all(c["pass"] for c in payload["checks"])
+    assert [c["check"] for c in payload["checks"]][-1] == "verdict-matches-expectation"
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert f"verdict_failed_checks: {deciding}" in out.splitlines()
+    assert out.count("[pass]") == 6 and "[FAIL]" not in out
+
+
 def test_family_kind4_exclusion(capsys):
     code, out, _ = run_cli(
         ["--json", "family", "cheb-koornwinder", "--kind", "4", "--rho", "-1",

@@ -15,7 +15,8 @@ from mvops.construct import (GramBlocks, NotPositiveDefiniteError, QuasiDefinite
 from mvops.indexing import basis_for
 from mvops.ttr import compute_ttr
 
-from blockref import row_blocks, shift_rows, simplex_orthonormal_system
+from blockref import (per_row_koornwinder_system, poly_add, row_blocks, row_groups,
+                      shift_rows, simplex_orthonormal_system)
 
 def test_centered_weight_degree_one_is_pure():
     u = moments.product_chebyshev_functional(2)
@@ -197,6 +198,19 @@ def test_koornwinder_parts_share_one_form_table(monkeypatch):
     assert len(calls) <= (N + 1) * (N + 2) + 4 * N + 1
 
 
+@pytest.mark.parametrize("mu", [-0.5, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("N", [0, 1, 2, 12, 16])
+def test_koornwinder_system_is_bit_identical_to_the_per_row_builder(mu, N):
+    # both weights of the disk family: (1-x)^a (1+x)^b with a = mu + 0.5 and
+    # a = mu + 1.5, b = mu + 0.5
+    for a in (mu + 0.5, mu + 1.5):
+        got = koornwinder_system(a, mu + 0.5, mu, N)
+        want = per_row_koornwinder_system(a, mu + 0.5, mu, N)
+        assert got.label == want.label and got.monic == want.monic
+        for n in range(N + 1):
+            assert all(mk.same_bits(g, w) for g, w in zip(got.blocks[n], want.blocks[n]))
+
+
 def test_koornwinder_disk_orthogonality():
     # first weight (1-x)^(1/2) (1+x)^(1/2) = rho and second weight 1: the
     # system of the unit disk's Lebesgue measure
@@ -258,7 +272,8 @@ def test_system_from_rows_monic_means_identity_leading_blocks_exactly():
 
     def system(lead):
         x, y = mpoly.linear(2, [lead, 0.0]), mpoly.linear(2, [0.0, 1.0], 3.0)
-        return system_from_rows({(0, 0): mpoly.const(2), (1, 0): x, (0, 1): y}, 2, 1, "s")
+        rows = {(0, 0): mpoly.const(2), (1, 0): x, (0, 1): y}
+        return system_from_rows(row_groups(rows), 2, 1, "s")
 
     assert system(1.0).monic
     assert not system(1.0 + 1e-7).monic
@@ -268,12 +283,12 @@ def test_system_from_rows_rejects_a_term_above_the_row_degree():
     x, y = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, 1.0])
     rows = {(0, 0): mpoly.const(2), (1, 0): x}
     # terms of at most 1e-10 above the degree are dropped
-    rows[(0, 1)] = mpoly.add(y, 1e-11 * mpoly.mul(x, x))
-    system = system_from_rows(rows, 2, 1, "s")
+    rows[(0, 1)] = poly_add(y, 1e-11 * mpoly.mul(x, x))
+    system = system_from_rows(row_groups(rows), 2, 1, "s")
     assert system.monic and not np.any(system.block(1, 0))
-    rows[(0, 1)] = mpoly.add(y, 1e-9 * mpoly.mul(x, y))
+    rows[(0, 1)] = poly_add(y, 1e-9 * mpoly.mul(x, y))
     with pytest.raises(ValueError, match=r"row \(0, 1\) has degree 2 > 1"):
-        system_from_rows(rows, 2, 1, "s")
+        system_from_rows(row_groups(rows), 2, 1, "s")
 
 
 def test_system_from_rows_names_the_first_row_and_its_first_degree_above_n():
@@ -282,24 +297,35 @@ def test_system_from_rows_names_the_first_row_and_its_first_degree_above_n():
     # row-major: y^3 (entry [0, 3]) before x^2 (entry [2, 0])
     x, y = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, 1.0])
     rows = {(0, 0): mpoly.const(2),
-            (1, 0): mpoly.add(x, mpoly.add(1e-9 * mpoly.mul(x, x),
+            (1, 0): poly_add(x, poly_add(1e-9 * mpoly.mul(x, x),
                                            1e-9 * mpoly.mul(y, mpoly.mul(y, y)))),
-            (0, 1): mpoly.add(y, 1e-9 * mpoly.mul(x, y))}
+            (0, 1): poly_add(y, 1e-9 * mpoly.mul(x, y))}
     with pytest.raises(ValueError, match=r"row \(1, 0\) has degree 3 > 1"):
-        system_from_rows(rows, 2, 1, "s")
-    rows[(1, 0)] = mpoly.add(x, 1e-11 * mpoly.mul(x, x))
+        system_from_rows(row_groups(rows), 2, 1, "s")
+    rows[(1, 0)] = poly_add(x, 1e-11 * mpoly.mul(x, x))
     with pytest.raises(ValueError, match=r"row \(0, 1\) has degree 2 > 1"):
-        system_from_rows(rows, 2, 1, "s")
+        system_from_rows(row_groups(rows), 2, 1, "s")
     # a NaN above the degree is no coefficient above 1e-10, as before
     rows[(0, 1)] = np.array([[0.0, 1.0], [0.0, np.nan]])    # y + nan x y
-    assert system_from_rows(rows, 2, 1, "s").monic
+    assert system_from_rows(row_groups(rows), 2, 1, "s").monic
+
+
+def test_system_from_rows_needs_every_row_once():
+    x, y = mpoly.linear(2, [1.0, 0.0]), mpoly.linear(2, [0.0, 1.0])
+    rows = {(0, 0): mpoly.const(2), (1, 0): x}
+    with pytest.raises(ValueError, match="every multi-index of degree <= 1 once"):
+        system_from_rows(row_groups(rows), 2, 1, "s")
+    groups = row_groups({**rows, (0, 1): y})
+    with pytest.raises(ValueError, match="every multi-index of degree <= 1 once"):
+        system_from_rows(groups + groups[1:2], 2, 1, "s")
+    assert system_from_rows(groups, 2, 1, "s").monic
 
 
 def test_system_from_rows_writes_negative_zero_as_zero():
     # x + (-0.0) + (-0.0) y: every zero coefficient of the rows is -0.0
     rows = {(0, 0): np.array([[1.0, -0.0]]), (1, 0): np.array([[-0.0, -0.0], [1.0, -0.0]]),
             (0, 1): np.array([[-0.0, 1.0], [-0.0, -0.0]])}
-    system = system_from_rows(rows, 2, 1, "s")
+    system = system_from_rows(row_groups(rows), 2, 1, "s")
     assert system.monic
     for n in range(2):
         for k in range(n + 1):
@@ -611,7 +637,7 @@ def test_tensor_system_equals_the_outer_product_assembly(degrees):
         for nu in basis_for(len(degrees)).indices(n):
             rows[nu] = functools.reduce(np.multiply.outer,
                                         (p[i] for p, i in zip(axis_polys, nu)))
-    want = system_from_rows(rows, len(degrees), N, "outer")
+    want = system_from_rows(row_groups(rows), len(degrees), N, "outer")
     got = construct.tensor_system(axis_polys, N, "gather")
     assert not got.monic and not want.monic   # leading coefficients -2 on even degrees
     for n in range(N + 1):

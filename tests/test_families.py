@@ -14,7 +14,7 @@ from mvops.construct import gram_blocks, system_from_rows, tensor_system
 from mvops.indexing import basis_for, enumerate_indices
 from mvops.ttr import ThreeTermData
 
-from blockref import simplex_orthonormal_system
+from blockref import poly_add, row_groups, simplex_orthonormal_system
 
 
 def test_standard_jacobi_adjacency_spot_values():
@@ -180,6 +180,38 @@ def test_simplex_norm_matches_numeric_norm():
         assert mk.max_abs(off) <= 1e-10
 
 
+def simplex_norm_sq(kappa, nu) -> float:
+    """Squared normalization of the simplex product-formula basis row, one
+    scalar product at a time: the reference _SimplexFactors.norms must
+    equal bit for bit."""
+    d = len(nu)
+    num = 1.0
+    for j in range(1, d + 1):
+        num *= families.pochhammer(
+            sum(kappa[j - 1:]) + 2 * sum(nu[j:]) + (d - j + 2) / 2.0, 2 * nu[j - 1]
+        )
+    return num / families.pochhammer(sum(kappa) + (d + 1) / 2.0, 2 * sum(nu))
+
+
+@pytest.mark.parametrize("kappa, first", [((0.5, 0.75, 0.6), 1), ((0.5, 0.75, 0.6), 2),
+                                          ((2.0, -0.3, 0.1, 7.0), 3), ((60.0, 0.25, 1.5), 1)])
+def test_simplex_norms_are_the_scalar_formula_bit_for_bit(kappa, first):
+    d, N = len(kappa) - 1, 12
+    factors = families._SimplexFactors(d, first, N)
+    kperm = factors.permuted(list(kappa))
+    got = factors.norms(list(kappa))
+    want = [simplex_norm_sq(kperm, [nu[o - 1] for o in factors.order])
+            for n in range(N + 1) for nu in enumerate_indices(d, n)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_simplex_norms_refuse_the_first_row_whose_norm_leaves_the_floats():
+    factors = families._SimplexFactors(2, 1, 3)
+    with pytest.raises(families.ParameterError,
+                       match=r"norm at \(1, 0\) for kappa=\(1e\+200, 0\.5, 0\.5\) is nan"):
+        factors.norms([1e200, 0.5, 0.5])
+
+
 def _simplex_product_formula(kappa, first, nu, x):
     """Value of the simplex basis row nu at x, factor by factor:
     prod_j (1 - s_j)^m_j p_(m_j)(2 x_j / (1 - s_j) - 1), where s_j sums the
@@ -196,7 +228,7 @@ def _simplex_product_formula(kappa, first, nu, x):
         xj = x[order[j - 1] - 1]
         value *= (1.0 - s) ** m * npoly.polyval(2.0 * xj / (1.0 - s) - 1.0, c)
         s += xj
-    return value / math.sqrt(families.simplex_norm_sq(kperm, nperm))
+    return value / math.sqrt(simplex_norm_sq(kperm, nperm))
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,11 +304,12 @@ def _per_row_simplex_system(kappa, N, first=1):
                 if (aj, bj) not in jacobi:
                     jacobi[aj, bj] = families.orthonormal_jacobi_coeffs(aj, bj, N)
                 poly = mpoly.mul(poly, tables[j - 1](jacobi[aj, bj][nperm[j - 1]]))
-            rows[nu] = poly / math.sqrt(families.simplex_norm_sq(kperm, nperm))
-    return system_from_rows(rows, d, N, f"simplex(kappa={tuple(kappa)},dir={first})")
+            rows[nu] = poly / math.sqrt(simplex_norm_sq(kperm, nperm))
+    return system_from_rows(row_groups(rows), d, N, f"simplex(kappa={tuple(kappa)},dir={first})")
 
 
-@pytest.mark.parametrize("d, N", [(2, 0), (2, 1), (2, 10), (3, 1), (3, 10), (4, 2), (4, 8)])
+@pytest.mark.parametrize("d, N", [(2, 0), (2, 1), (2, 10), (2, 12), (3, 1), (3, 10), (4, 2),
+                                  (4, 8)])
 def test_simplex_system_is_bit_identical_to_the_per_row_builder(d, N):
     kappa = tuple(0.25 + 0.5 * i for i in range(d + 1))
     for first in range(1, d + 1):
@@ -325,6 +358,16 @@ def test_disk_passes_every_check_at_high_degree(mu, N):
     # the rows' weights are Jacobi weights with closed-form recurrences, so
     # no ill-conditioned map from moments limits the degree
     bundle = families.build_family("disk", N, mu=mu)
+    failures = [(r.name, r.degree, r.direction, r.value) for r in bundle.records
+                if not r.ok]
+    assert not failures, failures
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("N", [16, 20])
+def test_simplex_passes_every_check_at_high_degree(j, N):
+    # above the ladder's top N = 12, which the output digests cover
+    bundle = families.build_family("simplex", N, kappa=(0.5, 0.5, 0.5), j=j)
     failures = [(r.name, r.degree, r.direction, r.value) for r in bundle.records
                 if not r.ok]
     assert not failures, failures
@@ -511,7 +554,7 @@ def _symmetric_terms(N: int) -> dict:
     u, v, neg_v = (mpoly.linear(2, c) for c in ([1.0, 0.0], [0.0, 1.0], [0.0, -1.0]))
     ps, vs = [mpoly.const(2, 2.0), u], [mpoly.const(2)]
     for _ in range(N):
-        ps.append(mpoly.add(mpoly.mul(u, ps[-1]), mpoly.mul(neg_v, ps[-2])))
+        ps.append(poly_add(mpoly.mul(u, ps[-1]), mpoly.mul(neg_v, ps[-2])))
         vs.append(mpoly.mul(vs[-1], v))
     return {(r, s): mpoly.mul(vs[s], ps[r - s]) if r > s else vs[s]
             for r in range(N + 1) for s in range(r + 1)}
@@ -538,9 +581,9 @@ def _symmetrized_chebyshev_system(kind: int, N: int):
             for r in range(n + 1):
                 for s in range(r + 1):
                     if full[r, s] != 0.0:
-                        poly = mpoly.add(poly, full[r, s] * terms[r, s])
+                        poly = poly_add(poly, full[r, s] * terms[r, s])
             rows[(n - k, k)] = poly
-    return system_from_rows(rows, 2, N, f"symmetrized-chebyshev{kind}")
+    return system_from_rows(row_groups(rows), 2, N, f"symmetrized-chebyshev{kind}")
 
 
 def test_symmetrized_system_coefficients_match_grid_route():

@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 
 from mvops import mpoly
 
+from blockref import poly_add
+
 coefficient = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 coordinate = st.floats(-1.5, 1.5, allow_nan=False, allow_infinity=False)
 # signed zeros drawn often, so that bit-identity covers them
@@ -26,7 +28,7 @@ def shifted_mul(a, b):
 
 
 def chained_form(a, b, coeffs):
-    """Reference evaluation of sum c_i a^i b^(m-i): a chain of `add` calls,
+    """Reference evaluation of sum c_i a^i b^(m-i): a chain of `poly_add` calls,
     each form a^i b^(m-i) the reference product of two sequential powers."""
     m = len(coeffs) - 1
     out = mpoly.const(a.ndim, 0.0)
@@ -38,7 +40,7 @@ def chained_form(a, b, coeffs):
                 for _ in range(k):
                     power = shifted_mul(power, base)
                 powers.append(power)
-            out = mpoly.add(out, c * shifted_mul(*powers))
+            out = poly_add(out, c * shifted_mul(*powers))
     return out
 
 
@@ -108,6 +110,27 @@ def test_form_table_is_bit_identical_to_the_add_chain(case):
     for coeffs in lists:
         got, want = table(coeffs), chained_form(a, b, coeffs)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(sparse_coefficient, min_size=n, max_size=n), min_size=1, max_size=4)),
+    poly_arrays(d, sparse_coefficient), poly_arrays(d, sparse_coefficient))))
+@settings(max_examples=80, deadline=None)
+def test_form_table_evaluates_a_stack_as_each_list_alone(case):
+    # each polynomial of a stack is its list's alone, zero-padded with +0.0
+    lists, a, b = case
+    table = mpoly.form_table(a, b)
+    stack = table(np.array(lists))
+    assert stack.shape[0] == len(lists)
+    for coeffs, got in zip(lists, stack):
+        want = table(coeffs)
+        cut = tuple(slice(0, s) for s in want.shape)
+        assert got[cut].tobytes() == want.tobytes()
+        rest = got.copy()
+        rest[cut] = 1.0
+        assert not np.any((rest == 0.0) & np.signbit(rest))
+        assert np.count_nonzero(rest != 0.0) == want.size
 
 
 def test_form_table_adds_long_lists_of_constant_forms_in_order():
