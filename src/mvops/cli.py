@@ -206,12 +206,12 @@ def cmd_counterexample(args) -> int:
     report = VerdictReport(command="counterexample", tol_rank=tol_rank, tol_res=tol_res)
     _, residuals = ttr.generate_from_ttr(combined, args.n)
     report.checks.append(
-        Check.residual("recurrence-consistency", mk.worst(residuals), 1e-10)
+        Check.residual("recurrence-consistency", mk.worst(residuals), tol_res)
     )
     reference = linrel.reference_ttr_for_counterexample(args.n + 1)
-    compat = linrel.compat_checks(rel, reference, combined, 1e-10)
+    compat = linrel.compat_checks(rel, reference, combined, tol_res)
     report.checks.append(
-        Check.residual("compatibility", mk.worst(c.value for c in compat), 1e-10)
+        Check.residual("compatibility", mk.worst(c.value for c in compat), tol_res)
     )
     full_report = ttr.validate_rank_conditions(combined, tol_rank)
     report.checks.extend(

@@ -700,11 +700,12 @@ def simplex_family(kappa, j: int, N: int, res_tol: float = DEFAULT_RES_TOL,
     closed form reads their row norms."""
     kappa = [float(k) for k in kappa]
     d = len(kappa) - 1
+    # refuses a kappa too short for a simplex before j's range is read
+    v = moments.simplex_functional(kappa)
     _check_range("j", j, 1, d)
     bundle = FamilyBundle("simplex", {"kappa": tuple(kappa), "j": j}, d=d, N=N)
     kp = list(kappa)
     kp[j - 1] += 1.0
-    v = moments.simplex_functional(kappa)
     u = moments.simplex_functional(kp)
     factors = _SimplexFactors(d, j, N)
     norms, pnorms = factors.norms(kappa), factors.norms(kp)

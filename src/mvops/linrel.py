@@ -211,7 +211,6 @@ class PartnerReport:
 
     compat: list[Check]
     rank_report: RankReport | None
-    degrees_covered: tuple
 
     @property
     def checks(self) -> list[Check]:
@@ -302,7 +301,7 @@ def reference_from_combined(T_q: ThreeTermData, rel: LinearRelation,
     """
     candidate = _partner(T_q, rel, -1.0)
     checks = compat_checks(rel, candidate, T_q, tol)
-    return candidate, PartnerReport(checks, None, (0, candidate.N))
+    return candidate, PartnerReport(checks, None)
 
 
 def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
@@ -321,7 +320,7 @@ def combined_from_reference(T_p: ThreeTermData, rel: LinearRelation,
     checks = compat_checks(rel, T_p, candidate, tol)
     Ct = {n: candidate.C[n] for n in range(1, candidate.N + 1)}
     ranks = RankReport(rank_family("C~", candidate.d, Ct, rank_tol, lower=True))
-    return candidate, PartnerReport(checks, ranks, (0, candidate.N))
+    return candidate, PartnerReport(checks, ranks)
 
 
 def counterexample(n_max: int) -> tuple[ThreeTermData, LinearRelation]:

@@ -3,34 +3,32 @@
 For an orthogonal system, multiplication by each coordinate maps a degree
 block into its neighbours: x_i P_n = A_{n,i} P_{n+1} + B_{n,i} P_n +
 C_{n,i} P_{n-1}.  This module extracts those coefficient blocks from a
-system and its functional, regenerates a monic system forward from given
-blocks (reporting how consistent the overdetermined steps are), and checks
-the rank conditions that characterize orthogonality.
+monic system and its functional, regenerates a monic system forward from
+given blocks (reporting how consistent the overdetermined steps are), and
+checks the rank conditions that characterize orthogonality.  For a monic
+system every A_{n,i} is the structural shift matrix L_{n,i}.
 
 Blocks are extracted by pairing against the functional's moments, except
-for the monic system of a tensor functional, whose B and C blocks are read
-off the univariate recurrences its factors keep (MomentFunctional.
-recurrence): B_{n,i} is diagonal and C_{n,i}
-has one nonzero per row, with every other entry exactly 0.0.  Such blocks,
-like the shift matrices A of every monic system, hold at most one nonzero
-per line, so their rank checks need no SVD (matrixkit.singular_values)
-and their products are row gathers (matrixkit.product), in the
-reconstruction residual and in forward generation alike.
+for a tensor functional, whose B and C blocks are read off the univariate
+recurrences its factors keep (MomentFunctional.recurrence): B_{n,i} is
+diagonal and C_{n,i} has one nonzero per row, with every other entry
+exactly 0.0.  Such blocks, like the shift matrices, hold at most one
+nonzero per line, so their rank checks need no SVD (matrixkit.
+singular_values) and their products are row gathers (matrixkit.product).
 
-Both of those work one degree at a time for all d directions: the d
-residuals or right-hand sides of a degree are one array, stacked
-direction-major, and each of B and C multiplies it in one mk.product call;
-x_i P_n enters as a column gather of P_n (_shifted_columns).  For a monic
-system the top block cancels exactly: in x_i P_n - A_(n,i) P_(n+1) the
-identity block of P_(n+1), gathered at alpha + e_i, meets the identity
-block of P_n moved to alpha + e_i, and B P_n and C P_(n-1) have no
-degree-(n+1) columns, so every degree-(n+1) entry of the defect is exactly
-0.0 (Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2014,
-ch. 3, for the structure).  The reconstruction residual therefore reads
-the columns of degrees 0..n only, and forward generation
-writes each new degree's identity block directly.  The index facts of the
-shifts, and the singular values of the shift matrices that rank checks
-read, are kept on the GradedBasis.
+One step of the recurrence, x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1} for
+all d directions stacked direction-major over the columns of degrees
+0..n (_step_rhs), serves both forward generation, which solves it for
+P_(n+1), and the reconstruction residual, which measures how far the
+given P_(n+1) is from solving it.  x_i P_n enters as a column gather of
+P_n (_shifted_columns).  The top block cancels exactly: the identity
+block of P_(n+1), gathered at alpha + e_i, meets the identity block of
+P_n moved to alpha + e_i, and B P_n and C P_(n-1) have no degree-(n+1)
+columns, so every degree-(n+1) entry of the defect is exactly 0.0
+(Dunkl and Xu, Orthogonal Polynomials of Several Variables, 2014, ch. 3,
+for the structure).  The index facts of the shifts, and the singular
+values of the shift matrices that rank checks read, are kept on the
+GradedBasis.
 """
 
 from __future__ import annotations
@@ -85,20 +83,21 @@ class ThreeTermData:
 
 
 def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermData:
-    """Extract recurrence blocks of an orthogonal system.
+    """Extract the recurrence blocks of a monic orthogonal system.
 
-    A comes from the leading-coefficient identity, which for a monic system
-    makes A_{n,i} the structural shift matrix exactly.  B and C come from
-    one of two routes:
+    P must be monic (PolySystem.monic): any other system raises ValueError;
+    PolySystem.to_monic() gives the monic system of the same functional.
+    Its A_{n,i} are the structural shift matrices basis.shift_matrix(n, i)
+    themselves.  B and C come from one of two routes:
 
-    - A monic system of a tensor functional (one with `factors`) reads
-      them off the factors' recurrences x p_k = p_(k+1) + b_k p_k +
-      c_k p_(k-1) (Dunkl and Xu, Orthogonal Polynomials of Several
-      Variables, 2014, ch. 3): B_{n,i} = diag(b^(i)_(nu_i)), and C_{n,i}
-      holds c^(i)_(nu_i) in row nu at column nu - e_i, every other entry
-      exactly 0.0.  H is not read; a factor that fails the default rank
-      rule raises QuasiDefiniteFailure (construct.factor_recurrences).
-    - Every other system pairs x_i P_n against P_n and P_{n-1}.  Per
+    - A tensor functional (one with `factors`) has them read off the
+      factors' recurrences x p_k = p_(k+1) + b_k p_k + c_k p_(k-1) (Dunkl
+      and Xu, Orthogonal Polynomials of Several Variables, 2014, ch. 3):
+      B_{n,i} = diag(b^(i)_(nu_i)), and C_{n,i} holds c^(i)_(nu_i) in row
+      nu at column nu - e_i, every other entry exactly 0.0.  H is not read;
+      a factor that fails the default rank rule raises
+      QuasiDefiniteFailure (construct.factor_recurrences).
+    - Every other functional pairs x_i P_n against P_n and P_{n-1}.  Per
       degree, one read of the graded moment matrix M serves all d
       directions.  With P.rows[m] the coefficients of P_m, <u, x_i P_n
       P_m^t> = (rows[n] M[rows of alpha + e_i]) rows[m]^t, the
@@ -106,32 +105,19 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
       H_n, so their pairings, all d directions, are one mk.solve: each
       Gram block is rank-checked once.
 
-    The reconstruction residual over all degrees below the top one, one
-    stacked pass per degree for all d directions with B and C applied by
-    mk.product (a row gather for tensor blocks), is checked against
-    DEFAULT_RES_TOL times the coefficient scale; a violation means the
-    input was not orthogonal for the functional.  On the tensor route that
-    check is what ties P to u.
+    The reconstruction residual over all degrees below the top one
+    (_recon_residuals) is checked against DEFAULT_RES_TOL times the
+    coefficient scale; a violation means the input was not orthogonal for
+    the functional.  On the tensor route that check is what ties P to u.
     """
     if P.d != u.d:
         raise ValueError("systems and functional must share the dimension")
+    if not P.monic:
+        raise ValueError("compute_ttr needs a monic system; PolySystem.to_monic() gives one")
     basis = basis_for(P.d)
-    d, N = P.d, P.N
-    if P.monic and hasattr(u, "factors"):
-        B, C = _tensor_blocks(u, N)
-    else:
-        B, C = _paired_blocks(u, H, P.rows)
-    A = []
-    for n in range(N):
-        if P.monic:
-            A.append([basis.shift_matrix(n, i) for i in range(1, d + 1)])
-        else:
-            # A_(n,i) G_(n+1) = G_n L_(n,i), G the leading blocks: one
-            # rank-checked solve per degree for all d directions side by side
-            lead = P.leading(n)
-            rhs = np.hstack([(lead @ basis.shift_matrix(n, i)).T for i in range(1, d + 1)])
-            A.append([a.T for a in np.split(mk.solve(P.leading(n + 1).T, rhs), d, axis=1)])
-    ttr = ThreeTermData(d, A, B, C)
+    B, C = _tensor_blocks(u, P.N) if hasattr(u, "factors") else _paired_blocks(u, H, P.rows)
+    A = [[basis.shift_matrix(n, i) for i in range(1, P.d + 1)] for n in range(P.N)]
+    ttr = ThreeTermData(P.d, A, B, C)
     worst = mk.worst(_recon_residuals(P, ttr))
     if not worst <= DEFAULT_RES_TOL:
         raise ValueError(
@@ -142,53 +128,52 @@ def compute_ttr(P: PolySystem, u: MomentFunctional, H: GramBlocks) -> ThreeTermD
     return ttr
 
 
-def _shift_defect(P: PolySystem, n: int, A: list) -> np.ndarray:
-    """x_i P_n - A_(n,i) P_(n+1), i = 1..d, stacked direction-major, with
-    x_i P_n a column gather of P_n (_shifted_columns).  A monic system's
-    defect covers the columns of degrees 0..n, where its A_(n,i) P_(n+1)
-    are the rows of P_(n+1) at alpha + e_i (the A blocks are not read); at
-    degree n + 1 it is exactly 0.0.  Any other system's covers degrees
-    0..n+1."""
-    basis = basis_for(P.d)
-    if P.monic:
-        top, low = n, P.rows[n][:, :basis.offset(n)]
-        lifted = P.rows[n + 1][:, :basis.offset(n + 1)].take(basis.joint_shift_index(n)[0], axis=0)
-    else:
-        top, low = n + 1, P.rows[n]
-        lifted = np.vstack([a @ P.rows[n + 1] for a in A])
-    size = basis.size(n)
-    for i, shifted in enumerate(_shifted_columns(basis, top, low)):
-        block = lifted[i * size:(i + 1) * size]
-        np.subtract(shifted, block, out=block)
-    return lifted
-
-
 def _recon_residuals(P: PolySystem, T: ThreeTermData) -> list:
     """max|x_i P_n - A P_{n+1} - B P_n - C P_{n-1}| over the coefficient
     scale of degrees n-1..n+1 (at least 1), for n < P.N and i = 1..d in
-    that order (compute_ttr).
+    that order (compute_ttr), for a monic P.
 
-    A monic system's defect is formed over the columns of degrees 0..n
-    only (_shift_defect): at degree n + 1 the identity rows of A P_(n+1)
-    meet the shifted identity of P_n, and B and C never reach there, so
-    those entries are exactly 0.0 and cannot raise a largest magnitude.
+    Per degree this is the defect J g - rhs that joint_shift_lstsq measures
+    for its own g, with g the columns of degrees 0..n of P_(n+1) and rhs
+    forward generation's right-hand sides (_step_rhs) on the rows of P:
+    A_(n,i) P_(n+1) is the rows of P_(n+1) at alpha + e_i.  At degree
+    n + 1 the identity rows of P_(n+1) meet the shifted identity of P_n,
+    and B and C never reach there, so those entries are exactly 0.0 and
+    are left out.
     """
     basis = basis_for(P.d)
+    cuts = [basis.offset(k) for k in range(1, P.N + 1)]
     row_scale = [mk.max_abs(row) for row in P.rows]
     residuals = []
     for n in range(P.N):
-        # all degrees side by side, the d directions stacked direction-major
         scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
-        resid = _shift_defect(P, n, T.A[n])
-        resid[:, :basis.offset(n + 1)] -= mk.product(T.B[n], P.rows[n])
-        if n >= 1:
-            resid[:, :basis.offset(n)] -= mk.product(T.C[n], P.rows[n - 1])
+        resid = P.rows[n + 1][:, :basis.offset(n + 1)].take(basis.joint_shift_index(n)[0], axis=0)
+        resid -= _step_rhs(basis, T, P.rows, n, cuts)
         # the largest magnitude per direction, as np.abs(resid) would give
         # it (NaN where one is NaN), by one max and one min pass
         per_direction = resid.reshape(P.d, -1)
         worst = np.maximum(per_direction.max(axis=1), -per_direction.min(axis=1))
         residuals.extend(np.abs(worst) / scale)
     return residuals
+
+
+def _step_rhs(basis: GradedBasis, T: ThreeTermData, rows, n: int, cuts: list) -> np.ndarray:
+    """x_i P_n - B_{n,i} P_n - C_{n,i} P_{n-1} over the columns of degrees
+    0..n, i = 1..d stacked direction-major, for a monic system given by
+    `rows` (PolySystem.rows, split at `cuts`): one recurrence step's
+    right-hand sides, whose solution is P_(n+1) without its identity block
+    (generate_from_ttr, _recon_residuals)."""
+    low, size = basis.offset(n), basis.size(n)
+    rhs = mk.product(T.B[n], rows[n], cuts[:n])
+    np.negative(rhs, out=rhs)
+    # x_i P_n: the blocks of degrees 0..n-1 move to alpha + e_i; the top
+    # block's shift L_(n,i) is the identity's, which solves it with zero
+    # defect
+    for i, shifted in enumerate(_shifted_columns(basis, n, rows[n][:, :low])):
+        rhs[i * size:(i + 1) * size] += shifted
+    if n >= 1:
+        rhs[:, :low] -= mk.product(T.C[n], rows[n - 1], cuts[:n - 1])
+    return rhs
 
 
 def _shifted_columns(basis: GradedBasis, n: int, low: np.ndarray):
@@ -287,11 +272,11 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     """Regenerate the monic system degree by degree from recurrence blocks.
 
     Each degree is one step: the right-hand sides x_i P_n - B_{n,i} P_n -
-    C_{n,i} P_{n-1} over the columns of degrees 0..n side by side, stacked
-    over the directions i, with each of B and C applied to all d
-    directions by one mk.product call (a row gather for the diagonal and
-    one-per-row blocks of tensor recurrences, one dense product per block
-    and column block otherwise), then one solve of the stacked
+    C_{n,i} P_{n-1} over the columns of degrees 0..n (_step_rhs), with
+    each of B and C applied to all d directions by one mk.product call (a
+    row gather for the diagonal and one-per-row blocks of tensor
+    recurrences, one dense product per block and column block otherwise),
+    then one solve of the stacked
     overdetermined system J P_{n+1} = stack_i(rhs_i), J = joint(L_n), by
     closed-form least squares on the joint shift (joint_shift_lstsq).
     Every row of J holds one 1, so J^t J = diag(c) with c_beta = #{i :
@@ -323,18 +308,9 @@ def generate_from_ttr(T: ThreeTermData, N: int | None = None) -> tuple[PolySyste
     cuts = [basis.offset(k) for k in range(1, N + 1)]
     residuals = np.zeros(N)
     for n in range(N):
-        low, size, width = basis.offset(n), basis.size(n), basis.offset(n + 1)
-        # the d right-hand sides, stacked direction-major
-        rhs = mk.product(T.B[n], rows[n], cuts[:n])
-        np.negative(rhs, out=rhs)
-        # x_i P_n: the blocks of degrees 0..n-1 move to alpha + e_i; the top
-        # block's shift L_(n,i) is the identity's, which solves it with zero
-        # defect
-        for i, shifted in enumerate(_shifted_columns(basis, n, rows[n][:, :low])):
-            rhs[i * size:(i + 1) * size] += shifted
-        if n >= 1:
-            rhs[:, :low] -= mk.product(T.C[n], rows[n - 1], cuts[:n - 1])
+        rhs = _step_rhs(basis, T, rows, n, cuts)
         # degree n + 1 is written in place: g, then the identity block
+        width = basis.offset(n + 1)
         row = np.zeros((basis.size(n + 1), basis.offset(n + 2)))
         _, residuals[n] = joint_shift_lstsq(basis, n, rhs, out=row[:, :width])
         np.fill_diagonal(row[:, width:], 1.0)

@@ -192,21 +192,27 @@ def monic_coeffs_by_arrays(rec):
 
 
 def full_width_shift_defects(P, T):
-    """Per degree n < P.N, x_i P_n - A_(n,i) P_(n+1) - B_(n,i) P_n -
-    C_(n,i) P_(n-1) of a monic system over all the columns of degrees
-    0..n+1, directions stacked, with dense products: the defect whose
-    degree-(n+1) columns compute_ttr's residual leaves out."""
+    """Per degree n < P.N, A_(n,i) P_(n+1) - (x_i P_n - B_(n,i) P_n -
+    C_(n,i) P_(n-1)) of a monic system over all the columns of degrees
+    0..n+1, directions stacked, with A P_(n+1) the rows of P_(n+1) at
+    alpha + e_i and one dense product per block and column block: the
+    defect whose degree-(n+1) columns compute_ttr's residual leaves out."""
     basis = basis_for(P.d)
+
+    def dense(blocks, m):
+        return np.vstack([np.hstack([b @ np.ascontiguousarray(part) for part in P.blocks[m]])
+                          for b in blocks])
+
     out = []
     for n in range(P.N):
         size = basis.size(n)
-        resid = -P.rows[n + 1][basis.joint_shift_index(n)[0]]
+        rhs = np.zeros((P.d * size, basis.offset(n + 2)))
+        rhs[:, :basis.offset(n + 1)] = -dense(T.B[n], n)
         for i in range(P.d):
-            resid[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += P.rows[n]
-        resid[:, :basis.offset(n + 1)] -= np.vstack([b @ P.rows[n] for b in T.B[n]])
+            rhs[i * size:(i + 1) * size, basis.shifted(n + 1, i + 1)] += P.rows[n]
         if n >= 1:
-            resid[:, :basis.offset(n)] -= np.vstack([c @ P.rows[n - 1] for c in T.C[n]])
-        out.append(resid)
+            rhs[:, :basis.offset(n)] -= dense(T.C[n], n - 1)
+        out.append(P.rows[n + 1][basis.joint_shift_index(n)[0]] - rhs)
     return out
 
 

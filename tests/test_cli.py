@@ -110,6 +110,24 @@ def test_counterexample_command(capsys):
     assert all(r["pass"] for r in payload["checks"])
 
 
+def test_counterexample_judges_both_residuals_against_tol_res(capsys):
+    # the bound each check reads is the residual tolerance the report prints
+    code, out, _ = run_cli(["--json", "--tol-res", "1e-12", "counterexample", "--n", "3"],
+                           capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["tolerances"]["residual"] == 1e-12
+    checks = {r["check"]: r for r in payload["checks"]}
+    for name in ("recurrence-consistency", "compatibility"):
+        assert (checks[name]["value"], checks[name]["bound"]) == (0.0, 1e-12)
+
+
+def test_simplex_refuses_a_short_kappa_before_reading_j(capsys):
+    code, out, err = run_cli(["family", "simplex", "--kappa", "0.5", "--N", "3"], capsys)
+    assert code == 2, (out, err)
+    assert err.strip() == "error: kappa must have d+1 entries with d >= 1"
+
+
 def test_check_theorem4_on_disk_files(tmp_path, capsys):
     mu, N = 0.0, 5
     v = moments.disk_functional(mu)

@@ -596,15 +596,19 @@ def test_symmetrized_system_coefficients_match_grid_route():
     assert H.offdiag_residual <= 1e-10
     T, ortho = families.symmetrized_chebyshev_ttr(kind, N)
     assert ortho <= 1e-12
-    from mvops.construct import GramBlocks
     from mvops.ttr import compute_ttr
 
-    H = GramBlocks([np.eye(n + 1) for n in range(N + 1)])
-    T2 = compute_ttr(sys_, v, H)
+    # the monic system's blocks (A = L, B'), moved to the orthonormal system
+    # by its leading blocks G_n: A = G_n L G_(n+1)^-1, B = G_n B' G_n^-1
+    monic = sys_.to_monic()
+    Tm = compute_ttr(monic, v, gram_blocks(v, monic))
+    G = [sys_.leading(n) for n in range(N + 1)]
     for n in range(N - 1):
         for i in (1, 2):
-            assert mk.max_abs(T.a(n, i) - T2.a(n, i)) <= 1e-9
-            assert mk.max_abs(T.b(n, i) - T2.b(n, i)) <= 1e-9
+            a = G[n] @ Tm.a(n, i) @ np.linalg.inv(G[n + 1])
+            b = G[n] @ Tm.b(n, i) @ np.linalg.inv(G[n])
+            assert mk.max_abs(T.a(n, i) - a) <= 1e-9
+            assert mk.max_abs(T.b(n, i) - b) <= 1e-9
 
 
 def _per_entry_ttr(kind, N):

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvops import linrel, moments, serialize
+from mvops import families, linrel, moments, serialize
 from mvops import matrixkit as mk
-from mvops.construct import PolySystem, gram_blocks, gram_schmidt_monic, orthonormalize
+from mvops.construct import PolySystem, gram_schmidt_monic, orthonormalize
 from mvops.matrixkit import format_matrix
 from mvops.ttr import ThreeTermData, compute_ttr, generate_from_ttr
 
@@ -298,8 +298,9 @@ def test_public_readers_keep_shapes_and_values(texts):
 def _source(name: str, mu: float, N: int):
     """A system, recurrence or relation of the kind `name` for the disk
     weight with parameter mu through degree N (disk(-0.5) for
-    "disk-neg-ttr"), and whether its structural slots (A, or a system's
-    diagonal) hold the exact structural blocks."""
+    "disk-neg-ttr", the orthonormal symmetrized Chebyshev recurrence of
+    kind 2 for "orthonormal-ttr"), and whether its structural slots (A, or
+    a system's diagonal) hold the exact structural blocks."""
     u = moments.disk_functional(mu)
     P, H = gram_schmidt_monic(u, N)
     orthonormal = orthonormalize(P, H)
@@ -311,8 +312,7 @@ def _source(name: str, mu: float, N: int):
 
     return {
         "monic-ttr": lambda: (compute_ttr(P, u, H), True),
-        "orthonormal-ttr": lambda: (
-            compute_ttr(orthonormal, u, gram_blocks(u, orthonormal)), False),
+        "orthonormal-ttr": lambda: (families.symmetrized_chebyshev_ttr(2, N)[0], False),
         "disk-neg-ttr": lambda: (disk_neg_ttr(), True),
         "counterexample-ttr": lambda: (linrel.counterexample(N + 1)[0], True),
         "counterexample-relation": lambda: (linrel.counterexample(N + 1)[1], False),

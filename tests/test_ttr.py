@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mvops import matrixkit as mk, moments, serialize
 from mvops.checks import Check
-from mvops.construct import (GramBlocks, PolySystem, gram_blocks, gram_schmidt_monic,
-                             inner_block, orthonormalize, pair_blocks)
+from mvops.construct import (PolySystem, gram_blocks, gram_schmidt_monic, orthonormalize,
+                             pair_blocks)
 from mvops.indexing import basis_for, joint_matrix
 from mvops.linrel import counterexample
 from mvops.ttr import (ThreeTermData, compute_ttr, generate_from_ttr,
@@ -54,17 +54,6 @@ def test_centered_weight_has_zero_diagonal_blocks():
             assert mk.max_abs(T.b(n, i)) <= 1e-12
 
 
-def test_orthonormal_c_is_a_transposed():
-    u = moments.cube_jacobi_functional((0.0, 0.0), (0.0, 0.0))
-    P, H = gram_schmidt_monic(u, 5)
-    Pn = orthonormalize(P, H)
-    Hn = GramBlocks([inner_block(u, Pn, n, Pn, n) for n in range(6)])
-    T = compute_ttr(Pn, u, Hn)
-    for n in range(1, 5):
-        for i in (1, 2):
-            assert mk.max_abs(T.c(n, i) - T.a(n - 1, i).T) <= 1e-8
-
-
 def test_compute_ttr_rejects_non_orthogonal_input():
     u = moments.disk_functional(0.0)
     P, H = gram_schmidt_monic(u, 4)
@@ -75,6 +64,26 @@ def test_compute_ttr_rejects_non_orthogonal_input():
     bad = PolySystem(2, broken)
     with pytest.raises(ValueError):
         compute_ttr(bad, u, H)
+
+
+@pytest.mark.parametrize("u", [moments.disk_functional(0.5),
+                               moments.cube_jacobi_functional((0.5, -0.5), (0.0, 1.0))])
+def test_compute_ttr_takes_monic_systems_only(u):
+    # an orthonormal system is refused on either route; its monic system is
+    # the one whose blocks compute_ttr extracts
+    P, H = gram_schmidt_monic(u, 4)
+    O = orthonormalize(P, H)
+    assert not O.monic
+    with pytest.raises(ValueError, match=r"monic system; PolySystem\.to_monic\(\)"):
+        compute_ttr(O, u, gram_blocks(u, O))
+    M = O.to_monic()
+    T = compute_ttr(M, u, gram_blocks(u, M))
+    want = compute_ttr(P, u, H)
+    assert T.recon_residual <= 1e-12
+    assert all(a is b for arow, brow in zip(T.A, want.A) for a, b in zip(arow, brow))
+    for got, ref in ((T.B, want.B), (T.C[1:], want.C[1:])):
+        assert all(mk.max_abs(g - r) <= 1e-10 for grow, rrow in zip(got, ref)
+                   for g, r in zip(grow, rrow))
 
 
 @pytest.mark.parametrize("functional", [
@@ -261,25 +270,6 @@ def _count_calls(monkeypatch, owner=np.linalg, name: str = "svd") -> list:
     return calls
 
 
-def test_non_monic_a_blocks_take_one_solve_per_degree(monkeypatch):
-    # A_(n,i) G_(n+1) = G_n L_(n,i) for the leading blocks G; one stacked
-    # solve per degree gives the per-direction solves' blocks
-    u = moments.disk_functional(0.5)
-    P, H = gram_schmidt_monic(u, 6)
-    O = orthonormalize(P, H)
-    HO = gram_blocks(u, O)
-    calls = _count_calls(monkeypatch, mk, "singular_values")
-    T = compute_ttr(O, u, HO)
-    # one rank verdict per Gram block H_0..H_6, one per leading block G_1..G_6
-    assert len(calls) == 7 + 6
-    basis = basis_for(2)
-    for n in range(6):
-        for i in (1, 2):
-            want = np.linalg.solve(O.leading(n + 1).T,
-                                   (O.leading(n) @ basis.shift_matrix(n, i)).T).T
-            assert mk.max_abs(T.a(n, i) - want) <= 1e-13 * mk.max_abs(want)
-
-
 def _rank_family_by_svd(name, d, rows, tol, lower):
     """rank_family's rule with an SVD of every block and every joint."""
     basis = basis_for(d)
@@ -394,21 +384,6 @@ def test_compute_ttr_needs_the_functionals_dimension():
         compute_ttr(P, u, H)
 
 
-@pytest.mark.parametrize("u, N", TENSORS[:2] + TENSORS[4:])
-def test_orthonormal_tensor_systems_keep_the_moment_route(u, N):
-    # a non-monic system is paired whether or not u has factors, so its
-    # blocks are those of the factor-less functional bit for bit
-    P, H = gram_schmidt_monic(u, N)
-    O = orthonormalize(P, H)
-    paired = _without_factors(u)
-    T = compute_ttr(O, u, gram_blocks(u, O))
-    want = compute_ttr(O, paired, gram_blocks(paired, O))
-    assert T.recon_residual == want.recon_residual
-    for got, ref in ((T.A, want.A), (T.B, want.B), (T.C[1:], want.C[1:])):
-        assert all(mk.same_bits(g, r) for grow, rrow in zip(got, ref)
-                   for g, r in zip(grow, rrow))
-
-
 @pytest.mark.parametrize("u, N", TENSORS)
 def test_tensor_recurrence_envelope_round_trips_bit_for_bit(u, N):
     P, H = gram_schmidt_monic(u, N)
@@ -480,23 +455,24 @@ def _generate_per_direction(T):
 
 
 def _recon_residuals_per_direction(P, T):
-    """compute_ttr's reconstruction residuals with one residual array, and
-    one mk.product call for each of B and C, per (degree, direction)."""
+    """compute_ttr's reconstruction residuals with one right-hand side, and
+    one mk.product call for each of B and C, per (degree, direction): the
+    rows of P_(n+1) at alpha + e_i less the step's right-hand side, over
+    the columns of degrees 0..n."""
     basis = basis_for(P.d)
     sides = [np.hstack([P.block(n, k) for k in range(n + 1)]) for n in range(P.N + 1)]
+    cuts = [basis.offset(k) for k in range(1, P.N + 1)]
     row_scale = [max(mk.max_abs(b) for b in P.blocks[n]) for n in range(P.N + 1)]
     residuals = []
     for n in range(P.N):
         scale = max(max(row_scale[max(0, n - 1):n + 2]), 1.0)
+        low = basis.offset(n)
         for i in range(1, P.d + 1):
-            if P.monic:
-                resid = -sides[n + 1][basis.shift_index(n, i)]
-            else:
-                resid = -(T.a(n, i) @ sides[n + 1])
-            resid[:, _shifted(basis, n + 1, i)] += sides[n]
-            resid[:, :basis.offset(n + 1)] -= mk.product(T.b(n, i), sides[n])
+            rhs = -mk.product(T.b(n, i), sides[n], cuts[:n])
+            rhs[:, _shifted(basis, n, i)] += sides[n][:, :low]
             if n >= 1:
-                resid[:, :basis.offset(n)] -= mk.product(T.c(n, i), sides[n - 1])
+                rhs[:, :low] -= mk.product(T.c(n, i), sides[n - 1], cuts[:n - 1])
+            resid = sides[n + 1][basis.shift_index(n, i), :basis.offset(n + 1)] - rhs
             residuals.append(mk.max_abs(resid) / scale)
     return residuals
 
@@ -592,14 +568,9 @@ def _with_non_finite(T, family, bad):
 
 def _stacked_case(kind, d, N):
     """A system and recurrence data for it: tensor, simplex and disk systems
-    with their compute_ttr blocks, an orthonormal (non-monic) disk system,
-    the counterexample's dense blocks with the system they generate, and
-    tensor and disk recurrences with one non-finite B or C entry."""
-    if kind == "orthonormal":
-        u = moments.disk_functional(0.5)
-        P, H = gram_schmidt_monic(u, N)
-        P = orthonormalize(P, H)
-        return P, compute_ttr(P, u, gram_blocks(u, P))
+    with their compute_ttr blocks, the counterexample's dense blocks with
+    the system they generate, and tensor and disk recurrences with one
+    non-finite B or C entry."""
     if kind == "counterexample":
         T = counterexample(N)[0]
         return generate_from_ttr(T)[0], T
@@ -613,7 +584,7 @@ def _stacked_case(kind, d, N):
 
 
 STACKED_CASES = GENERATION_CASES + [
-    ("orthonormal", 2, 5), ("tensor-B:nan", 3, 5), ("tensor-C:inf", 3, 5),
+    ("tensor-B:nan", 3, 5), ("tensor-C:inf", 3, 5),
     ("disk-C:nan", 2, 5), ("disk-B:inf", 2, 5)]
 
 
@@ -627,10 +598,6 @@ def test_stacked_steps_equal_the_per_direction_loops_bit_for_bit(kind, d, N):
         got = _recon_residuals(P, T)
         want = _recon_residuals_per_direction(P, T)
     assert mk.same_bits(np.array(got), np.array(want))
-    if kind == "orthonormal":
-        with pytest.raises(ValueError, match="structural"):
-            generate_from_ttr(T)
-        return
     with np.errstate(invalid="ignore"):
         G, residuals = generate_from_ttr(T)
         blocks, want = _generate_per_direction(T)
